@@ -49,6 +49,8 @@ let is_zero t = nnz t = 0
 let entries t =
   Array.to_list (Array.map (fun e -> (e.row, Array.copy e.idx, e.coeff)) t.entries)
 
+let iter f t = Array.iter (fun e -> f e.row e.idx e.coeff) t.entries
+
 let scale alpha t =
   {
     t with
@@ -68,13 +70,10 @@ let flat_index t (idx : int array) =
   done;
   !f
 
-(* Length n^k of a flat coordinate vector. *)
-let flat_len t =
-  let s = ref 1 in
-  for _ = 1 to t.arity do
-    s := !s * t.n_in
-  done;
-  !s
+(* n^k, e.g. the length of a flat coordinate vector. *)
+let rec pow n k = if k = 0 then 1 else n * pow n (k - 1)
+
+let flat_len t = pow t.n_in t.arity
 
 (* y = M x for a flat coordinate vector x of length n^k. *)
 let apply_flat t (x : Vec.t) : Vec.t =
@@ -129,48 +128,14 @@ let apply_kron t (vs : Vec.t array) : Vec.t =
     t.entries;
   out
 
-(* Same input in every slot: M x^⊗k. *)
-let apply_pow t (x : Vec.t) : Vec.t = apply_kron t (Array.make t.arity x)
-
-(* Add to [jac] the Jacobian of x -> M x^⊗k at point [x]:
-   d/dx_j [M x^⊗k]_r = sum over entries and modes of
-   coeff * prod_{m' <> m} x_{i_m'} at column i_m. *)
-let jacobian_add t (x : Vec.t) (jac : Mat.t) =
-  if Mat.rows jac <> t.n_out || Mat.cols jac <> t.n_in then
-    invalid_arg "Sptensor.jacobian_add: dim";
-  Array.iter
-    (fun e ->
-      for m = 0 to t.arity - 1 do
-        let p = ref e.coeff in
-        for m' = 0 to t.arity - 1 do
-          if m' <> m then p := !p *. x.(e.idx.(m'))
-        done;
-        Mat.add_to jac e.row e.idx.(m) !p
-      done)
-    t.entries
-
 (* Dense m x n^k matrix (small systems / tests only). *)
 let to_dense t : Mat.t =
-  let cols =
-    let s = ref 1 in
-    for _ = 1 to t.arity do
-      s := !s * t.n_in
-    done;
-    !s
-  in
-  let m = Mat.create t.n_out cols in
+  let m = Mat.create t.n_out (flat_len t) in
   Array.iter (fun e -> Mat.add_to m e.row (flat_index t e.idx) e.coeff) t.entries;
   m
 
 let of_dense ~arity ~n_in (m : Mat.t) : t =
-  let expect =
-    let s = ref 1 in
-    for _ = 1 to arity do
-      s := !s * n_in
-    done;
-    !s
-  in
-  if Mat.cols m <> expect then invalid_arg "Sptensor.of_dense: column count";
+  if Mat.cols m <> pow n_in arity then invalid_arg "Sptensor.of_dense: column count";
   let entries = ref [] in
   for r = 0 to Mat.rows m - 1 do
     for c = 0 to Mat.cols m - 1 do
@@ -188,29 +153,25 @@ let of_dense ~arity ~n_in (m : Mat.t) : t =
   done;
   create ~n_out:(Mat.rows m) ~n_in ~arity (List.rev !entries)
 
-(* Project through a basis: V^T M (V ⊗ ... ⊗ V), where V is n x q with
-   orthonormal columns. Result is dense q x q^k — the reduced-order
-   coupling tensor. *)
-let project t (v : Mat.t) : Mat.t =
+(* Project through a basis: W^T M (V ⊗ ... ⊗ V), where V is n x q and
+   the test basis W (default V, Galerkin) has the same shape. Result is
+   dense q x q^k — the reduced-order coupling tensor. *)
+let project ?w t (v : Mat.t) : Mat.t =
+  let w = Option.value w ~default:v in
   if Mat.rows v <> t.n_in then invalid_arg "Sptensor.project: dim";
   if t.n_out <> t.n_in then
     invalid_arg "Sptensor.project: square systems only";
+  Contract.require_dims "Sptensor.project: test basis" ~expected:(Mat.dims v)
+    ~actual:(Mat.dims w);
   let q = Mat.cols v in
-  let qk =
-    let s = ref 1 in
-    for _ = 1 to t.arity do
-      s := !s * q
-    done;
-    !s
-  in
-  let out = Mat.create q qk in
+  let out = Mat.create q (pow q t.arity) in
   let cols = Array.init q (fun j -> Mat.col v j) in
   (* enumerate all q^k column tuples *)
   let tuple = Array.make t.arity 0 in
   let rec loop depth flat =
     if depth = t.arity then begin
-      let w = apply_kron t (Array.map (fun j -> cols.(j)) tuple) in
-      let reduced = Mat.mul_vec_transpose v w in
+      let mv = apply_kron t (Array.map (fun j -> cols.(j)) tuple) in
+      let reduced = Mat.mul_vec_transpose w mv in
       for i = 0 to q - 1 do
         Mat.set out i flat reduced.(i)
       done

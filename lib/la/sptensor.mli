@@ -27,6 +27,9 @@ val is_zero : t -> bool
 (** Stored triplets (copies). *)
 val entries : t -> (int * int array * float) list
 
+(** [iter f t] calls [f row indices coeff] per triplet; no copies. *)
+val iter : (int -> int array -> float -> unit) -> t -> unit
+
 val scale : float -> t -> t
 val add : t -> t -> t
 
@@ -40,22 +43,16 @@ val apply_flat_complex : t -> Cvec.t -> Cvec.t
     forming the Kronecker product. *)
 val apply_kron : t -> Vec.t array -> Vec.t
 
-(** [apply_pow t x] is [M x^⊗k]. *)
-val apply_pow : t -> Vec.t -> Vec.t
-
-(** [jacobian_add t x jac] adds the Jacobian of [x ↦ M x^⊗k] at [x]
-    into [jac]. *)
-val jacobian_add : t -> Vec.t -> Mat.t -> unit
-
 (** Dense [m × n^k] matrix — small systems and tests only. *)
 val to_dense : t -> Mat.t
 
 val of_dense : arity:int -> n_in:int -> Mat.t -> t
 
-(** [project t v] is the reduced coupling [Vᵀ M (V ⊗ ... ⊗ V)] (dense
-    [q × q^k]) for a basis [V] with [q] columns. Requires
+(** [project ?w t v] is the reduced coupling [Wᵀ M (V ⊗ ... ⊗ V)]
+    (dense [q × q^k]) for a trial basis [V] with [q] columns and a test
+    basis [W] of the same shape (default [V]: Galerkin). Requires
     [n_out = n_in]. *)
-val project : t -> Mat.t -> Mat.t
+val project : ?w:Mat.t -> t -> Mat.t -> Mat.t
 
 (** Average coefficients over index permutations; [M x^⊗k] is
     unchanged, contractions against distinct arguments become the

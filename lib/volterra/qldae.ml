@@ -6,7 +6,10 @@
           + sum_i (D1_i x) u_i + b_i u_i
 
    G2 and G3 are kept symmetrized so that contraction against distinct
-   arguments matches the symmetrized Volterra formulas (14b)/(14c). *)
+   arguments matches the symmetrized Volterra formulas (14b)/(14c).
+   Simulation never contracts them: every system also carries their
+   sum compiled onto distinct monomials (Polymap), which rhs, jacobian
+   and ode_system evaluate. *)
 
 open La
 
@@ -19,37 +22,39 @@ type t = {
   d1 : Mat.t array;  (* one n x n matrix per input (all zero allowed) *)
   b : Mat.t;  (* n x m input map *)
   c : Mat.t;  (* p x n output map *)
+  field : Polymap.t;  (* G2 + G3 on distinct monomials *)
+  d1_live : bool array;  (* D1_i <> 0, per input *)
 }
 
-let validate t =
-  Contract.require_dims "Qldae.validate: G1" ~expected:(t.n, t.n)
-    ~actual:(Mat.dims t.g1);
+let validate ~g1 ~g2 ~g3 ~d1 ~b ~c =
+  let n = Mat.rows g1 and m = Mat.cols b in
+  Contract.require_dims "Qldae.validate: G1" ~expected:(n, n) ~actual:(Mat.dims g1);
   Contract.require "Qldae.validate: G2"
-    (Sptensor.arity t.g2 = 2 && Sptensor.n_in t.g2 = t.n
-    && Sptensor.n_out t.g2 = t.n)
+    (Sptensor.arity g2 = 2 && Sptensor.n_in g2 = n && Sptensor.n_out g2 = n)
     "kron incompatibility"
-    (Printf.sprintf "arity %d, %d -> %d against state dim %d"
-       (Sptensor.arity t.g2) (Sptensor.n_in t.g2) (Sptensor.n_out t.g2) t.n);
+    (Printf.sprintf "arity %d, %d -> %d against state dim %d" (Sptensor.arity g2)
+       (Sptensor.n_in g2) (Sptensor.n_out g2) n);
   Contract.require "Qldae.validate: G3"
-    (Sptensor.arity t.g3 = 3 && Sptensor.n_in t.g3 = t.n
-    && Sptensor.n_out t.g3 = t.n)
+    (Sptensor.arity g3 = 3 && Sptensor.n_in g3 = n && Sptensor.n_out g3 = n)
     "kron incompatibility"
-    (Printf.sprintf "arity %d, %d -> %d against state dim %d"
-       (Sptensor.arity t.g3) (Sptensor.n_in t.g3) (Sptensor.n_out t.g3) t.n);
-  Contract.require_len "Qldae.validate: D1 count" ~expected:t.m
-    ~actual:(Array.length t.d1);
+    (Printf.sprintf "arity %d, %d -> %d against state dim %d" (Sptensor.arity g3)
+       (Sptensor.n_in g3) (Sptensor.n_out g3) n);
+  Contract.require_len "Qldae.validate: D1 count" ~expected:m ~actual:(Array.length d1);
   Array.iter
     (fun d ->
-      Contract.require_dims "Qldae.validate: D1" ~expected:(t.n, t.n)
-        ~actual:(Mat.dims d))
-    t.d1;
-  Contract.require_dims "Qldae.validate: b" ~expected:(t.n, t.m)
-    ~actual:(Mat.dims t.b);
-  Contract.require_len "Qldae.validate: c cols" ~expected:t.n
-    ~actual:(Mat.cols t.c);
-  Contract.require_finite "Qldae.validate: G1" (Mat.data t.g1);
-  Contract.require_finite "Qldae.validate: b" (Mat.data t.b);
-  t
+      Contract.require_dims "Qldae.validate: D1" ~expected:(n, n) ~actual:(Mat.dims d))
+    d1;
+  Contract.require_dims "Qldae.validate: b" ~expected:(n, m) ~actual:(Mat.dims b);
+  Contract.require_len "Qldae.validate: c cols" ~expected:n ~actual:(Mat.cols c);
+  Contract.require_finite "Qldae.validate: G1" (Mat.data g1);
+  Contract.require_finite "Qldae.validate: b" (Mat.data b)
+
+(* The one constructor: every system, given or derived, compiles its
+   polynomial vector field and D1 mask here, once. *)
+let build ~g1 ~g2 ~g3 ~d1 ~b ~c =
+  let field = Polymap.compile [ g2; g3 ] in
+  let d1_live = Array.map (fun d -> Mat.norm_fro d > 0.0) d1 in
+  { n = Mat.rows g1; m = Mat.cols b; g1; g2; g3; d1; b; c; field; d1_live }
 
 let make ?g2 ?g3 ?d1 ~g1 ~b ~c () =
   let n = Mat.rows g1 in
@@ -67,7 +72,8 @@ let make ?g2 ?g3 ?d1 ~g1 ~b ~c () =
   let d1 =
     match d1 with Some d -> d | None -> Array.init m (fun _ -> Mat.create n n)
   in
-  validate { n; m; g1; g2; g3; d1; b; c }
+  validate ~g1 ~g2 ~g3 ~d1 ~b ~c;
+  build ~g1 ~g2 ~g3 ~d1 ~b ~c
 
 let dim t = t.n
 
@@ -75,7 +81,7 @@ let n_inputs t = t.m
 
 let n_outputs t = Mat.rows t.c
 
-let has_d1 t = Array.exists (fun d -> Mat.norm_fro d > 0.0) t.d1
+let has_d1 t = Array.exists Fun.id t.d1_live
 
 let has_g2 t = not (Sptensor.is_zero t.g2)
 
@@ -84,51 +90,49 @@ let has_g3 t = not (Sptensor.is_zero t.g3)
 (* Input column i of b. *)
 let b_col t i = Mat.col t.b i
 
-(* Right-hand side x' = f(x, u). *)
-let rhs t (x : Vec.t) (u : Vec.t) : Vec.t =
+(* Right-hand side x' = f(x, u), the monomials formed in [scratch]. *)
+let rhs_with scratch t (x : Vec.t) (u : Vec.t) : Vec.t =
   Contract.require_len "Qldae.rhs: x" ~expected:t.n ~actual:(Array.length x);
   Contract.require_len "Qldae.rhs: u" ~expected:t.m ~actual:(Array.length u);
-  (* Nominal un-leafed charge for the accumulation glue (tensor-term
-     axpys, input columns and their axpys), unconditional so the count
-     is a constant of the system shape, not of the input waveform; the
-     matvec and sparse-tensor applies charge themselves. *)
-  Obs.Cost.charge Obs.Cost.Flops_ode_rhs
-    ((4 * t.n) + (5 * t.n * t.m))
-    ~read:((4 * t.n) + (5 * t.n * t.m))
-    ~written:((2 + (2 * t.m)) * t.n);
+  (* Nominal un-leafed charge for the accumulation glue (input columns
+     and their axpys), unconditional so the count is a constant of the
+     system shape, not of the input waveform; the matvecs and the
+     polynomial apply charge themselves. *)
+  Obs.Cost.charge Obs.Cost.Flops_ode_rhs (5 * t.n * t.m) ~read:(5 * t.n * t.m)
+    ~written:(2 * t.m * t.n);
   let out = Mat.mul_vec t.g1 x in
-  if has_g2 t then Vec.axpy ~alpha:1.0 (Sptensor.apply_pow t.g2 x) out;
-  if has_g3 t then Vec.axpy ~alpha:1.0 (Sptensor.apply_pow t.g3 x) out;
+  if Polymap.nnz t.field > 0 then Polymap.apply_add t.field ~scratch x out;
+  let bd = Mat.data t.b in
   for i = 0 to t.m - 1 do
     let ui = u.(i) in
     if Contract.nonzero ui then begin
-      Vec.axpy ~alpha:ui (Mat.col t.b i) out;
-      if Mat.norm_fro t.d1.(i) > 0.0 then
-        Vec.axpy ~alpha:ui (Mat.mul_vec t.d1.(i) x) out
+      for r = 0 to t.n - 1 do
+        out.(r) <- out.(r) +. (ui *. bd.((r * t.m) + i))
+      done;
+      if t.d1_live.(i) then Vec.axpy ~alpha:ui (Mat.mul_vec t.d1.(i) x) out
     end
   done;
   out
 
+let rhs t x u = rhs_with (Polymap.scratch t.field) t x u
+
 (* State Jacobian df/dx at (x, u). *)
 let jacobian t (x : Vec.t) (u : Vec.t) : Mat.t =
   let j = Mat.copy t.g1 in
-  if has_g2 t then Sptensor.jacobian_add t.g2 x j;
-  if has_g3 t then Sptensor.jacobian_add t.g3 x j;
+  Polymap.jacobian_add t.field x j;
   for i = 0 to t.m - 1 do
-    if Contract.nonzero u.(i) then
-      for r = 0 to t.n - 1 do
-        for c = 0 to t.n - 1 do
-          Mat.add_to j r c (u.(i) *. Mat.get t.d1.(i) r c)
-        done
-      done
+    if Contract.nonzero u.(i) && t.d1_live.(i) then
+      Vec.axpy ~alpha:u.(i) (Mat.data t.d1.(i)) (Mat.data j)
   done;
   j
 
-(* Wrap as an ODE system for a given input waveform u : t -> R^m. *)
+(* Wrap as an ODE system for a given input waveform u : t -> R^m. The
+   closure owns its monomial scratch: one buffer per integration. *)
 let ode_system t ~(input : float -> Vec.t) : Ode.Types.system =
+  let scratch = Polymap.scratch t.field in
   {
     Ode.Types.dim = t.n;
-    rhs = (fun time x -> rhs t x (input time));
+    rhs = (fun time x -> rhs_with scratch t x (input time));
     jac = Some (fun time x -> jacobian t x (input time));
   }
 
@@ -242,17 +246,24 @@ let shift_equilibrium t ~(x0 : Vec.t) ~(u0 : Vec.t) : t =
     Mat.init t.n t.m (fun r i ->
         Mat.get t.b r i +. Vec.dot (Mat.row t.d1.(i) r) x0)
   in
-  validate
-    {
-      n = t.n;
-      m = t.m;
-      g1;
-      g2 = Sptensor.symmetrize g2;
-      g3 = t.g3;
-      d1 = t.d1;
-      b;
-      c = t.c;
-    }
+  let g2 = Sptensor.symmetrize g2 in
+  validate ~g1 ~g2 ~g3:t.g3 ~d1:t.d1 ~b ~c:t.c;
+  build ~g1 ~g2 ~g3:t.g3 ~d1:t.d1 ~b ~c:t.c
+
+(* Wᵀ f(V xr, u) for test basis W and trial basis V: G1r = Wᵀ G1 V,
+   G2r = Wᵀ G2 (V⊗V), G3r = Wᵀ G3 (V⊗V⊗V), D1r = Wᵀ D1 V, br = Wᵀ b,
+   cr = C V. Callers check the bases. *)
+let project_onto t ~(w : Mat.t) ~(v : Mat.t) : t =
+  let q = Mat.cols v and wt = Mat.transpose w in
+  let tensor g arity =
+    if Sptensor.is_zero g then Sptensor.zero ~n_out:q ~n_in:q ~arity
+    else Sptensor.of_dense ~arity ~n_in:q (Sptensor.project ~w g v)
+  in
+  build
+    ~g1:(Mat.mul wt (Mat.mul t.g1 v))
+    ~g2:(tensor t.g2 2) ~g3:(tensor t.g3 3)
+    ~d1:(Array.map (fun d -> Mat.mul wt (Mat.mul d v)) t.d1)
+    ~b:(Mat.mul wt t.b) ~c:(Mat.mul t.c v)
 
 (* Petrov-Galerkin (oblique) projection with test basis W and trial
    basis V, assumed bi-orthogonal (Wᵀ V = I): the reduced model follows
@@ -266,54 +277,9 @@ let project_petrov t ~(w : Mat.t) ~(v : Mat.t) : t =
     (Mat.cols w);
   Contract.require_finite "Qldae.project_petrov: V" (Mat.data v);
   Contract.require_finite "Qldae.project_petrov: W" (Mat.data w);
-  let q = Mat.cols v in
-  let wt = Mat.transpose w in
-  let g1 = Mat.mul wt (Mat.mul t.g1 v) in
-  let project_tensor tensor arity =
-    (* Wᵀ M (V ⊗ ... ⊗ V), column by column over reduced tuples *)
-    let qk =
-      let s = ref 1 in
-      for _ = 1 to arity do
-        s := !s * q
-      done;
-      !s
-    in
-    let out = Mat.create q qk in
-    let cols = Array.init q (fun j -> Mat.col v j) in
-    let tuple = Array.make arity 0 in
-    let rec loop depth flat =
-      if depth = arity then begin
-        let wv = Sptensor.apply_kron tensor (Array.map (fun j -> cols.(j)) tuple) in
-        let reduced = Mat.mul_vec wt wv in
-        for i = 0 to q - 1 do
-          Mat.set out i flat reduced.(i)
-        done
-      end
-      else
-        for j = 0 to q - 1 do
-          tuple.(depth) <- j;
-          loop (depth + 1) ((flat * q) + j)
-        done
-    in
-    loop 0 0;
-    out
-  in
-  let g2 =
-    if has_g2 t then Sptensor.of_dense ~arity:2 ~n_in:q (project_tensor t.g2 2)
-    else Sptensor.zero ~n_out:q ~n_in:q ~arity:2
-  in
-  let g3 =
-    if has_g3 t then Sptensor.of_dense ~arity:3 ~n_in:q (project_tensor t.g3 3)
-    else Sptensor.zero ~n_out:q ~n_in:q ~arity:3
-  in
-  let d1 = Array.map (fun d -> Mat.mul wt (Mat.mul d v)) t.d1 in
-  let b = Mat.mul wt t.b in
-  let c = Mat.mul t.c v in
-  { n = q; m = t.m; g1; g2; g3; d1; b; c }
+  project_onto t ~w ~v
 
-(* Galerkin projection onto an orthonormal basis V (n x q):
-   G1r = Vᵀ G1 V, G2r = Vᵀ G2 (V⊗V), G3r = Vᵀ G3 (V⊗V⊗V),
-   D1r = Vᵀ D1 V, br = Vᵀ b, cr = C V. *)
+(* Galerkin projection onto an orthonormal basis V (n x q): W = V. *)
 let project t (v : Mat.t) : t =
   Contract.require_len "Qldae.project: basis rows" ~expected:t.n
     ~actual:(Mat.rows v);
@@ -321,18 +287,4 @@ let project t (v : Mat.t) : t =
   Contract.require_finite "Qldae.project: basis" (Mat.data v);
   Contract.require_orthonormal "Qldae.project: basis" ~rows:(Mat.rows v)
     ~cols:(Mat.cols v) (Mat.data v);
-  let q = Mat.cols v in
-  let vt = Mat.transpose v in
-  let g1 = Mat.mul vt (Mat.mul t.g1 v) in
-  let g2 =
-    if has_g2 t then Sptensor.of_dense ~arity:2 ~n_in:q (Sptensor.project t.g2 v)
-    else Sptensor.zero ~n_out:q ~n_in:q ~arity:2
-  in
-  let g3 =
-    if has_g3 t then Sptensor.of_dense ~arity:3 ~n_in:q (Sptensor.project t.g3 v)
-    else Sptensor.zero ~n_out:q ~n_in:q ~arity:3
-  in
-  let d1 = Array.map (fun d -> Mat.mul vt (Mat.mul d v)) t.d1 in
-  let b = Mat.mul vt t.b in
-  let c = Mat.mul t.c v in
-  { n = q; m = t.m; g1; g2; g3; d1; b; c }
+  project_onto t ~w:v ~v

@@ -6,11 +6,13 @@
 
     [G2] and [G3] are stored symmetrized so that contractions against
     distinct arguments match the symmetrized Volterra transfer-function
-    formulas (paper eqs. 14b/14c). *)
+    formulas (paper eqs. 14b/14c). Simulation evaluates [field], their
+    sum compiled once onto distinct monomials ({!La.Polymap}) by every
+    constructor; the record is private so no system skips that step. *)
 
 open La
 
-type t = {
+type t = private {
   n : int;
   m : int;
   g1 : Mat.t;
@@ -19,6 +21,8 @@ type t = {
   d1 : Mat.t array;
   b : Mat.t;
   c : Mat.t;
+  field : Polymap.t;  (** [G2 x⊗x + G3 x⊗x⊗x], compiled *)
+  d1_live : bool array;  (** [D1_i ≠ 0], per input *)
 }
 
 (** Build a system; omitted couplings default to zero. [g2]/[g3] are
@@ -46,13 +50,16 @@ val has_g3 : t -> bool
 (** Column [i] of the input map. *)
 val b_col : t -> int -> Vec.t
 
-(** [rhs t x u] is [x'] at state [x], input value [u]. *)
+(** [rhs t x u] is [x'] at state [x], input value [u] (allocates its
+    own monomial scratch). *)
 val rhs : t -> Vec.t -> Vec.t -> Vec.t
 
 (** State Jacobian [∂x'/∂x] at [(x, u)]. *)
 val jacobian : t -> Vec.t -> Vec.t -> Mat.t
 
-(** Wrap as an ODE system for a given input waveform. *)
+(** Wrap as an ODE system for a given input waveform. Its [rhs] equals
+    {!rhs} bit for bit but reuses one scratch owned by the closure:
+    step one system value from one domain at a time. *)
 val ode_system : t -> input:(float -> Vec.t) -> Ode.Types.system
 
 type solver =

@@ -209,23 +209,37 @@ let test_vmor_norm_method () =
 
 (* ---- Sptensor edges ---- *)
 
+(* The Sptensor terms compiled onto monomials, applied at [x]. *)
+let polymap_apply terms x =
+  let p = Polymap.compile terms in
+  let out = Vec.create (Array.length x) in
+  Polymap.apply_add p ~scratch:(Polymap.scratch p) x out;
+  out
+
 let test_sptensor_accumulate_duplicates () =
   let t =
     Sptensor.create ~n_out:2 ~n_in:2 ~arity:2
       [ (0, [| 1; 1 |], 2.0); (0, [| 1; 1 |], 3.0) ]
   in
   let x = Vec.of_list [ 0.0; 1.0 ] in
-  check_float "duplicates accumulate" 5.0 (Sptensor.apply_pow t x).(0) 1e-12
+  check_float "duplicates accumulate" 5.0 (Sptensor.apply_kron t [| x; x |]).(0) 1e-12;
+  check_float "compiled duplicates accumulate" 5.0 (polymap_apply [ t ] x).(0) 1e-12;
+  Alcotest.(check int) "folded to one coefficient" 1 (Polymap.nnz (Polymap.compile [ t ]))
 
 let test_sptensor_scale_add () =
   let a = Sptensor.create ~n_out:2 ~n_in:2 ~arity:2 [ (0, [| 0; 1 |], 1.0) ] in
   let b = Sptensor.create ~n_out:2 ~n_in:2 ~arity:2 [ (1, [| 1; 0 |], 2.0) ] in
   let s = Sptensor.add (Sptensor.scale 3.0 a) b in
   let x = Vec.of_list [ 1.0; 1.0 ] in
-  let y = Sptensor.apply_pow s x in
+  let y = polymap_apply [ s ] x in
   check_float "scaled" 3.0 y.(0) 1e-12;
   check_float "added" 2.0 y.(1) 1e-12;
-  Alcotest.(check int) "nnz" 2 (Sptensor.nnz s)
+  Alcotest.(check int) "nnz" 2 (Sptensor.nnz s);
+  (* opposite coefficients on one monomial cancel and are dropped *)
+  let c = Sptensor.create ~n_out:2 ~n_in:2 ~arity:2 [ (1, [| 0; 1 |], -2.0) ] in
+  let p = Polymap.compile [ b; c ] in
+  Alcotest.(check int) "cancelled" 0 (Polymap.nnz p);
+  Alcotest.(check int) "no monomials left" 0 (Polymap.n_monomials p)
 
 (* ---- waves odds ---- *)
 

@@ -460,25 +460,39 @@ let test_sptensor_dense_roundtrip () =
     (Vec.dist2 (Sptensor.apply_flat t x) (Sptensor.apply_flat t' x))
     1e-12
 
+(* Reference M x^⊗k: the same vector in every Kronecker slot. *)
+let sptensor_pow t x = Sptensor.apply_kron t (Array.make (Sptensor.arity t) x)
+
+let polymap_apply p x =
+  let out = Vec.create (Array.length x) in
+  Polymap.apply_add p ~scratch:(Polymap.scratch p) x out;
+  out
+
 let test_sptensor_jacobian () =
-  (* f(x) = G2 x ⊗ x; J(x) h ≈ (f(x + eps h) - f(x)) / eps *)
-  let t =
+  (* f(x) = G2 x ⊗ x + G3 x ⊗ x ⊗ x, compiled onto monomials;
+     J(x) h ≈ (f(x + eps h) - f(x - eps h)) / 2 eps *)
+  let g2 =
     Sptensor.create ~n_out:2 ~n_in:2 ~arity:2
       [ (0, [| 0; 1 |], 1.0); (1, [| 1; 1 |], 3.0); (0, [| 0; 0 |], -1.0) ]
+  and g3 =
+    Sptensor.create ~n_out:2 ~n_in:2 ~arity:3
+      [ (1, [| 1; 0; 1 |], 0.5); (0, [| 0; 0; 0 |], 2.0); (1, [| 0; 1; 1 |], -1.5) ]
   in
+  let p = Polymap.compile [ g2; g3 ] in
+  let f x = Vec.add (sptensor_pow g2 x) (sptensor_pow g3 x) in
   let x = Vec.of_list [ 0.7; -0.4 ] in
+  check_small "apply matches apply_kron" (Vec.dist2 (polymap_apply p x) (f x)) 1e-14;
   let jac = Mat.create 2 2 in
-  Sptensor.jacobian_add t x jac;
+  Polymap.jacobian_add p x jac;
   let h = Vec.of_list [ 0.3; 0.9 ] in
-  let eps = 1e-7 in
-  let xh = Vec.add x (Vec.scale eps h) in
+  let eps = 1e-6 in
   let fd =
-    Vec.scale (1.0 /. eps)
-      (Vec.sub (Sptensor.apply_pow t xh) (Sptensor.apply_pow t x))
+    Vec.scale (0.5 /. eps)
+      (Vec.sub (f (Vec.add x (Vec.scale eps h))) (f (Vec.sub x (Vec.scale eps h))))
   in
   check_small "jacobian matches finite difference"
     (Vec.dist2 (Mat.mul_vec jac h) fd)
-    1e-5
+    1e-8
 
 let test_sptensor_project () =
   let n = 4 and q = 2 in
@@ -498,8 +512,13 @@ let test_sptensor_symmetrize () =
   let s = Sptensor.symmetrize t in
   let x = Mat.random_vec ~rng 2 in
   check_small "symmetrize preserves diagonal action"
-    (Vec.dist2 (Sptensor.apply_pow t x) (Sptensor.apply_pow s x))
+    (Vec.dist2 (sptensor_pow t x) (sptensor_pow s x))
     1e-12;
+  (* both orderings fold back onto the one monomial x_0 x_1 *)
+  let p = Polymap.compile [ s ] in
+  Alcotest.(check int) "one monomial" 1 (Polymap.n_monomials p);
+  Alcotest.(check int) "one coefficient" 1 (Polymap.nnz p);
+  check_small "compiled action" (Vec.dist2 (polymap_apply p x) (sptensor_pow t x)) 1e-12;
   (* symmetrized coefficients: entry (0,(0,1)) and (0,(1,0)) each 1.0 *)
   let d = Sptensor.to_dense s in
   check_float "coeff split" 1.0 (Mat.get d 0 1) 1e-12;

@@ -77,11 +77,15 @@ let test_tiles_partition () =
   Par.with_domains (Some 4) (fun () ->
       let n = 8192 in
       let hits = Array.make n 0 in
+      (* Alcotest's check log is not domain-safe: workers only count,
+         the caller checks *)
+      let bad_tiles = Atomic.make 0 in
       Par.tiles ~min_chunk:512 ~lo:0 ~hi:n (fun ~lo ~hi ->
-          Alcotest.(check bool) "tile nonempty and ordered" true (lo < hi);
+          if lo >= hi then Atomic.incr bad_tiles;
           for i = lo to hi - 1 do
             hits.(i) <- hits.(i) + 1
           done);
+      Alcotest.(check int) "tiles nonempty and ordered" 0 (Atomic.get bad_tiles);
       Array.iteri
         (fun i h -> if h <> 1 then Alcotest.failf "index %d in %d tiles" i h)
         hits)

@@ -221,6 +221,139 @@ let prop_at_vs_norm_equivalent =
       both_small (da.Mor.Romdiag.h1, dn.Mor.Romdiag.h1)
       && both_small (da.Mor.Romdiag.h2, dn.Mor.Romdiag.h2))
 
+(* ---- the compiled vector field ---- *)
+
+(* A seeded random QLDAE with every coupling: dense G2 and G3, D1 on
+   both of its 2 inputs; paired with its Galerkin ROM on a random
+   q-dimensional orthonormal basis and a random evaluation point for
+   each. *)
+let gen_cubic_miso ~n ~q =
+  let sizes = [ n * n; n * n * n; n * n * n * n; 2 * n * n; 2 * n; n; q * n; n; q ] in
+  QCheck2.Gen.(
+    array_size (return (List.fold_left ( + ) 0 sizes)) (float_bound_inclusive 1.0)
+    |> map (fun data ->
+           let at = ref 0 in
+           let take k =
+             let a = Array.map (fun v -> v -. 0.5) (Array.sub data !at k) in
+             at := !at + k;
+             a
+           in
+           let g1 =
+             let a = take (n * n) in
+             Mat.sub (Mat.init n n (fun i j -> 0.4 *. a.((i * n) + j))) (Mat.scale 1.5 (Mat.identity n))
+           in
+           let tensor arity k =
+             let a = take (n * k) in
+             Sptensor.of_dense ~arity ~n_in:n (Mat.init n k (fun i j -> 0.3 *. a.((i * k) + j)))
+           in
+           let g2 = tensor 2 (n * n) in
+           let g3 = tensor 3 (n * n * n) in
+           let d1 =
+             let a = take (2 * n * n) in
+             Array.init 2 (fun p -> Mat.init n n (fun i j -> 0.2 *. a.((p * n * n) + (i * n) + j)))
+           in
+           let b = let a = take (2 * n) in Mat.init n 2 (fun i p -> a.((i * 2) + p) +. 0.6) in
+           let c = let a = take n in Mat.init 1 n (fun _ j -> a.(j)) in
+           let full = Volterra.Qldae.make ~g2 ~g3 ~d1 ~g1 ~b ~c () in
+           let basis =
+             let a = take (q * n) in
+             Qr.orth_mat (List.init q (fun j -> Vec.init n (fun i -> a.((j * n) + i))))
+           in
+           let rom = Volterra.Qldae.project full basis in
+           ((full, take n), (rom, take q))))
+
+let miso_input t = Vec.of_list [ sin t; 0.5 *. cos (2.0 *. t) ]
+
+(* x' from the Sptensor contractions, the definition the compiled
+   field must reproduce. *)
+let reference_rhs (q : Volterra.Qldae.t) x u =
+  let out = Mat.mul_vec q.g1 x in
+  Vec.axpy ~alpha:1.0 (Sptensor.apply_kron q.g2 [| x; x |]) out;
+  Vec.axpy ~alpha:1.0 (Sptensor.apply_kron q.g3 [| x; x; x |]) out;
+  Array.iteri
+    (fun i d -> Vec.axpy ~alpha:u.(i) (Vec.add (Mat.mul_vec d x) (Mat.col q.b i)) out)
+    q.d1;
+  out
+
+let both_systems check ((full, xf), (rom, xr)) = check full xf && check rom xr
+
+let prop_rhs_matches_contractions =
+  QCheck2.Test.make ~name:"qldae: compiled rhs matches the Sptensor contractions" ~count:20
+    (gen_cubic_miso ~n:4 ~q:3)
+    (both_systems (fun q x ->
+         let u = miso_input 0.7 in
+         let r = reference_rhs q x u in
+         Vec.dist2 (Volterra.Qldae.rhs q x u) r <= 1e-12 *. (1.0 +. Vec.norm2 r)))
+
+let prop_jacobian_matches_fd =
+  QCheck2.Test.make ~name:"qldae: jacobian matches central differences" ~count:20
+    (gen_cubic_miso ~n:4 ~q:3)
+    (both_systems (fun q x ->
+         let u = miso_input 1.3 and n = Array.length x and h = 1e-6 in
+         let j = Volterra.Qldae.jacobian q x u in
+         let ok = ref true in
+         for col = 0 to n - 1 do
+           let shifted sign =
+             let xs = Vec.copy x in
+             xs.(col) <- xs.(col) +. (sign *. h);
+             Volterra.Qldae.rhs q xs u
+           in
+           let fd = Vec.scale (0.5 /. h) (Vec.sub (shifted 1.0) (shifted (-1.0))) in
+           for row = 0 to n - 1 do
+             if Float.abs (Mat.get j row col -. fd.(row)) > 1e-6 *. (1.0 +. Mat.norm_fro j) then
+               ok := false
+           done
+         done;
+         !ok))
+
+let prop_ode_system_bit_equal =
+  QCheck2.Test.make ~name:"qldae: ode_system rhs is bit-equal to rhs" ~count:20
+    (gen_cubic_miso ~n:4 ~q:3)
+    (both_systems (fun q x ->
+         let sys = Volterra.Qldae.ode_system q ~input:miso_input in
+         (* repeated calls reuse the closure's scratch *)
+         List.for_all
+           (fun t ->
+             let xt = Vec.scale (1.0 +. t) x in
+             let a = sys.Ode.Types.rhs t xt and b = Volterra.Qldae.rhs q xt (miso_input t) in
+             Array.for_all2
+               (fun p r -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float r))
+               a b)
+           [ 0.0; 0.4; 1.1; 0.4 ]))
+
+(* A q = 27 ROM has 378 quadratic monomials, a scratch of 378 floats:
+   past the minor heap's size limit, so a per-call scratch would show
+   as direct major-heap words. *)
+let test_rhs_no_major_alloc () =
+  let q = 27 in
+  let rng = Random.State.make [| 27 |] in
+  let rand () = Random.State.float rng 1.0 -. 0.5 in
+  let g2 = Sptensor.of_dense ~arity:2 ~n_in:q (Mat.init q (q * q) (fun _ _ -> 0.1 *. rand ())) in
+  let g3 =
+    Sptensor.create ~n_out:q ~n_in:q ~arity:3
+      (List.init 200 (fun k -> (k mod q, Array.init 3 (fun _ -> Random.State.int rng q), rand ())))
+  in
+  let d1 = Array.init 2 (fun _ -> Mat.init q q (fun _ _ -> 0.1 *. rand ())) in
+  let rom =
+    Volterra.Qldae.make ~g2 ~g3 ~d1
+      ~g1:(Mat.scale (-1.0) (Mat.identity q))
+      ~b:(Mat.init q 2 (fun _ _ -> rand ()))
+      ~c:(Mat.init 1 q (fun _ _ -> 1.0))
+      ()
+  in
+  Alcotest.(check bool) "scratch is past the minor-heap limit" true
+    (Polymap.n_monomials rom.Volterra.Qldae.field >= 378);
+  let sys = Volterra.Qldae.ode_system rom ~input:miso_input in
+  let x = Vec.init q (fun _ -> rand ()) in
+  ignore (sys.Ode.Types.rhs 0.0 x);
+  let p0 = Obs.Prof.take () in
+  for k = 1 to 1000 do
+    ignore (Sys.opaque_identity (sys.Ode.Types.rhs (float_of_int k *. 1e-3) x))
+  done;
+  let d = Obs.Prof.since p0 in
+  Alcotest.(check (float 0.0)) "no direct major-heap words" 0.0
+    (d.Obs.Prof.major_words -. d.Obs.Prof.promoted_words)
+
 let suite =
   [
     ( "properties.cross_module",
@@ -236,4 +369,8 @@ let suite =
           prop_reduce_moments_match;
           prop_at_vs_norm_equivalent;
         ] );
+    ( "properties.vector_field",
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_rhs_matches_contractions; prop_jacobian_matches_fd; prop_ode_system_bit_equal ]
+      @ [ Alcotest.test_case "1000 q=27 rhs calls, no major-heap words" `Quick test_rhs_no_major_alloc ] );
   ]
