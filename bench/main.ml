@@ -41,70 +41,63 @@ let time_best ~reps f =
 
 (* ---- bench.json: per-experiment wall time, kernel counts, orders ---- *)
 
+(* [x] rounded to [digits] decimals, so walls, ratios and errors stay
+   readable in bench.json diffs *)
+let fixed digits x = Obs.Json.Num (float_of_string (Printf.sprintf "%.*f" digits x))
+
+let of_int n = Obs.Json.Num (float_of_int n)
+
 (* Each figure reproduction records its wall time, the delta of every
    Obs kernel counter, the Obs.Cost work-counter delta (flops/bytes —
    nominal, so exact across runs and domain counts), and the
    GC/allocation delta across the run, so regressions in solver call
    counts, floating-point work and allocation volume (not just time)
-   show up in CI diffs of bench.json. *)
-let bench_records
-    : (string
-      * float
-      * (string * int) list
-      * (string * int) list
-      * Obs.Prof.t
-      * Experiments.Common.t)
-      list
-      ref =
-  ref []
-
+   show up in CI diffs of bench.json.  Returns the experiment and its
+   bench.json entry. *)
 let record_run id build =
   let snap = Obs.Metrics.snapshot () in
   let csnap = Obs.Cost.snapshot () in
   let gc0 = Obs.Prof.take () in
   let e, dt = Obs.Clock.time build in
   let gc = Obs.Prof.since gc0 in
-  let deltas =
-    List.map
-      (fun (c, n) -> (Obs.Metrics.name c, n))
-      (Obs.Metrics.since snap)
+  let counts name deltas =
+    Obs.Json.Obj (List.map (fun (c, n) -> (name c, of_int n)) deltas)
   in
-  let cost =
-    List.map (fun (c, n) -> (Obs.Cost.name c, n)) (Obs.Cost.since csnap)
+  let rom (r : Experiments.Common.rom_run) =
+    Obs.Json.Obj
+      [
+        ("method", Str r.method_name);
+        ("order", of_int r.order);
+        ("raw_moments", of_int r.raw_moments);
+        ("reduction_seconds", fixed 6 r.reduction_seconds);
+        ("max_rel_error", fixed 8 r.max_rel_error);
+      ]
   in
-  bench_records := (id, dt, deltas, cost, gc, e) :: !bench_records;
-  e
+  ( e,
+    Obs.Json.Obj
+      [
+        ("id", Str id);
+        ("title", Str e.Experiments.Common.title);
+        ("full_states", of_int e.n_full);
+        ("wall_seconds", fixed 6 dt);
+        ("counters", counts Obs.Metrics.name (Obs.Metrics.since snap));
+        ("cost", counts Obs.Cost.name (Obs.Cost.since csnap));
+        ( "gc",
+          Obj
+            [
+              ("minor_words", Num gc.Obs.Prof.minor_words);
+              ("major_words", Num gc.Obs.Prof.major_words);
+            ] );
+        ("roms", Arr (List.map rom e.runs));
+      ] )
 
-let json_escape = Obs.Json.escape
-
-(* Budget-poll overhead percentages (budget_overhead pass below),
-   pinned alongside the experiments so the bench gate can band them. *)
-let budget_overheads : (string * float) list ref = ref []
-
-(* Vmor.Par wall times on the fig3-style reduction (par_speedup pass
-   below): serial plus 1/2/4 domains, with the host's usable core
-   count so the gate only holds the speedup line on machines that can
-   actually show one. *)
-let par_stats : (int * (string * float) list) option ref = ref None
-
-(* Request-latency distribution over N scoped fig2-ROM simulates
-   (latency pass below): wall p50/p99 plus the deterministic Qhist
-   fingerprint — synthetic values through the same bucket geometry —
-   whose counts and quantiles the gate pins with exact bands. *)
-type latency_det = {
-  det_count : int;
-  det_nonzero : int;
-  det_p50 : float;
-  det_p90 : float;
-  det_p99 : float;
-}
-
-let latency_stats : (int * float * float * latency_det) option ref = ref None
-
-let write_bench_json ?json_path ~scale () =
-  match List.rev !bench_records with
-  | [] -> ()
-  | records ->
+(* [blocks] pairs each pass's bench.json entry with its top-level key;
+   every "experiments" entry goes into the experiments array, one per
+   line.  Nothing is written when no experiment ran. *)
+let write_bench_json ?json_path ~scale blocks =
+  match List.partition (fun (k, _) -> String.equal k "experiments") blocks with
+  | [], _ -> ()
+  | experiments, runs ->
     let path =
       match json_path with
       | Some p -> p
@@ -112,103 +105,16 @@ let write_bench_json ?json_path ~scale () =
         ensure_out_dir ();
         Filename.concat out_dir "bench.json"
     in
+    let field (k, v) = Printf.sprintf "\"%s\": %s" (Obs.Json.escape k) v in
+    let rendered = List.map (fun (k, v) -> (k, Obs.Json.render v)) in
+    let fields =
+      ("scale", Obs.Json.float_string scale)
+      :: ( "experiments",
+           "[\n  " ^ String.concat ",\n  " (List.map snd (rendered experiments)) ^ "\n ]" )
+      :: rendered runs
+    in
     let oc = open_out path in
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "{\n";
-    Buffer.add_string b (Printf.sprintf "  \"scale\": %g,\n" scale);
-    Buffer.add_string b "  \"experiments\": [\n";
-    let n = List.length records in
-    List.iteri
-      (fun i
-           ( id,
-             dt,
-             deltas,
-             cost,
-             (gc : Obs.Prof.t),
-             (e : Experiments.Common.t) ) ->
-        Buffer.add_string b "    {\n";
-        Buffer.add_string b
-          (Printf.sprintf "      \"id\": \"%s\",\n" (json_escape id));
-        Buffer.add_string b
-          (Printf.sprintf "      \"title\": \"%s\",\n" (json_escape e.title));
-        Buffer.add_string b
-          (Printf.sprintf "      \"full_states\": %d,\n" e.n_full);
-        Buffer.add_string b
-          (Printf.sprintf "      \"wall_seconds\": %.6f,\n" dt);
-        Buffer.add_string b "      \"counters\": {";
-        List.iteri
-          (fun j (name, v) ->
-            if j > 0 then Buffer.add_string b ", ";
-            Buffer.add_string b
-              (Printf.sprintf "\"%s\": %d" (json_escape name) v))
-          deltas;
-        Buffer.add_string b "},\n";
-        Buffer.add_string b "      \"cost\": {";
-        List.iteri
-          (fun j (name, v) ->
-            if j > 0 then Buffer.add_string b ", ";
-            Buffer.add_string b
-              (Printf.sprintf "\"%s\": %d" (json_escape name) v))
-          cost;
-        Buffer.add_string b "},\n";
-        Buffer.add_string b
-          (Printf.sprintf
-             "      \"gc\": {\"minor_words\": %s, \"major_words\": %s},\n"
-             (Obs.Json.float_string gc.Obs.Prof.minor_words)
-             (Obs.Json.float_string gc.Obs.Prof.major_words));
-        Buffer.add_string b "      \"roms\": [";
-        List.iteri
-          (fun j (r : Experiments.Common.rom_run) ->
-            if j > 0 then Buffer.add_string b ", ";
-            Buffer.add_string b
-              (Printf.sprintf
-                 "{\"method\": \"%s\", \"order\": %d, \"raw_moments\": %d, \
-                  \"reduction_seconds\": %.6f, \"max_rel_error\": %.8f}"
-                 (json_escape r.method_name) r.order r.raw_moments
-                 r.reduction_seconds r.max_rel_error))
-          e.runs;
-        Buffer.add_string b "]\n";
-        Buffer.add_string b
-          (if i = n - 1 then "    }\n" else "    },\n"))
-      records;
-    Buffer.add_string b "  ]";
-    (match !budget_overheads with
-    | [] -> ()
-    | ohs ->
-      Buffer.add_string b ",\n  \"overheads\": {";
-      List.iteri
-        (fun i (name, p) ->
-          if i > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\": %.2f" (json_escape name) p))
-        ohs;
-      Buffer.add_string b "}");
-    (match !par_stats with
-    | None -> ()
-    | Some (cores, walls) ->
-      Buffer.add_string b ",\n  \"par\": {";
-      Buffer.add_string b (Printf.sprintf "\"cores\": %d" cores);
-      List.iter
-        (fun (name, v) ->
-          Buffer.add_string b
-            (Printf.sprintf ", \"%s\": %.6f" (json_escape name) v))
-        walls;
-      Buffer.add_string b "}");
-    (match !latency_stats with
-    | None -> ()
-    | Some (requests, p50, p99, det) ->
-      (* det quantiles in %.17g so the gate's exact bands compare the
-         identical doubles after a JSON round trip *)
-      Buffer.add_string b
-        (Printf.sprintf
-           ",\n\
-           \  \"latency\": {\"requests\": %d, \"p50_s\": %.6f, \"p99_s\": \
-            %.6f, \"det\": {\"count\": %d, \"nonzero_buckets\": %d, \"p50\": \
-            %.17g, \"p90\": %.17g, \"p99\": %.17g}}"
-           requests p50 p99 det.det_count det.det_nonzero det.det_p50
-           det.det_p90 det.det_p99));
-    Buffer.add_string b "\n}\n";
-    output_string oc (Buffer.contents b);
+    output_string oc ("{" ^ String.concat ",\n " (List.map field fields) ^ "}\n");
     close_out oc;
     Printf.printf "(per-experiment kernel counts written to %s)\n%!" path
 
@@ -308,29 +214,33 @@ let run_experiment ?(csv = true) (e : Experiments.Common.t) =
 let results : (string, Experiments.Common.t) Hashtbl.t = Hashtbl.create 8
 
 let fig2 ~scale () =
-  let e = record_run "fig2" (fun () -> Experiments.Paper.fig2 ~scale ()) in
+  let e, json = record_run "fig2" (fun () -> Experiments.Paper.fig2 ~scale ()) in
   Hashtbl.replace results "fig2" e;
-  run_experiment e
+  run_experiment e;
+  json
 
 let fig3 ~scale () =
-  let e = record_run "fig3" (fun () -> Experiments.Paper.fig3 ~scale ()) in
+  let e, json = record_run "fig3" (fun () -> Experiments.Paper.fig3 ~scale ()) in
   Hashtbl.replace results "fig3" e;
-  run_experiment e
+  run_experiment e;
+  json
 
 let fig4 ~scale () =
-  let e = record_run "fig4" (fun () -> Experiments.Paper.fig4 ~scale ()) in
+  let e, json = record_run "fig4" (fun () -> Experiments.Paper.fig4 ~scale ()) in
   Hashtbl.replace results "fig4" e;
-  run_experiment e
+  run_experiment e;
+  json
 
 let fig5 ~scale () =
-  let e = record_run "fig5" (fun () -> Experiments.Paper.fig5 ~scale ()) in
+  let e, json = record_run "fig5" (fun () -> Experiments.Paper.fig5 ~scale ()) in
   (* Fig 5b upper panel: the surge input *)
   Printf.printf "== fig5 input (9.8 kV surge) ==\n";
   let surge = Experiments.Paper.fig5_input_series e in
   print_string
     (Waves.Asciiplot.render ~xs:e.Experiments.Common.times ~height:10
        [ ("surge (x100V)", surge) ]);
-  run_experiment e
+  run_experiment e;
+  json
 
 let table1 ~scale () =
   let get id builder =
@@ -807,8 +717,6 @@ let budget_overhead () =
       row "ksolve_tri_tiles" t_ks n_ks;
     ]
   in
-  budget_overheads :=
-    List.map (fun (name, _, _, p) -> (name, p)) rows;
   ensure_out_dir ();
   let path = Filename.concat out_dir "budget_overhead.csv" in
   let oc = open_out path in
@@ -822,7 +730,8 @@ let budget_overhead () =
         (if p <= 1.0 then "(within 1% budget)" else "(OVER the 1% budget)"))
     rows;
   close_out oc;
-  Printf.printf "(written to %s)\n\n%!" path
+  Printf.printf "(written to %s)\n\n%!" path;
+  Obs.Json.Obj (List.map (fun (name, _, _, p) -> (name, fixed 2 p)) rows)
 
 (* ---- Vmor.Par speedup ---- *)
 
@@ -853,17 +762,6 @@ let par_speedup ~scale () =
   let cores = Vmor.Par.recommended_domains () in
   let speedup4 = serial /. w4 in
   let overhead1 = 100.0 *. (w1 -. serial) /. serial in
-  par_stats :=
-    Some
-      ( cores,
-        [
-          ("serial_wall", serial);
-          ("wall_1", w1);
-          ("wall_2", w2);
-          ("wall_4", w4);
-          ("speedup_4", speedup4);
-          ("overhead_1_pct", overhead1);
-        ] );
   ensure_out_dir ();
   let path = Filename.concat out_dir "par_speedup.csv" in
   let oc = open_out path in
@@ -877,7 +775,19 @@ let par_speedup ~scale () =
     "  %d usable core(s); serial %.4fs  1d %.4fs (%+.1f%%)  2d %.4fs  4d \
      %.4fs (%.2fx)\n"
     cores serial w1 overhead1 w2 w4 speedup4;
-  Printf.printf "(written to %s)\n\n%!" path
+  Printf.printf "(written to %s)\n\n%!" path;
+  Obs.Json.Obj
+    (("cores", of_int cores)
+    :: List.map
+         (fun (k, v) -> (k, fixed 6 v))
+         [
+           ("serial_wall", serial);
+           ("wall_1", w1);
+           ("wall_2", w2);
+           ("wall_4", w4);
+           ("speedup_4", speedup4);
+           ("overhead_1_pct", overhead1);
+         ])
 
 (* ---- request latency (scoped fig2 simulates) ---- *)
 
@@ -934,32 +844,41 @@ let latency ~scale () =
   let dv =
     match Obs.Qhist.view det_name with Some v -> v | None -> assert false
   in
+  let det_count = dv.Obs.Qhist.count and det_nonzero = Obs.Qhist.nonzero_buckets dv in
+  let q = Obs.Qhist.quantile dv in
   let det =
-    {
-      det_count = dv.Obs.Qhist.count;
-      det_nonzero = Obs.Qhist.nonzero_buckets dv;
-      det_p50 = Obs.Qhist.quantile dv 0.5;
-      det_p90 = Obs.Qhist.quantile dv 0.9;
-      det_p99 = Obs.Qhist.quantile dv 0.99;
-    }
+    [
+      ("count", of_int det_count);
+      ("nonzero_buckets", of_int det_nonzero);
+      ("p50", Obs.Json.Num (q 0.5));
+      ("p90", Num (q 0.9));
+      ("p99", Num (q 0.99));
+    ]
   in
-  latency_stats := Some (requests, p50, p99, det);
   ensure_out_dir ();
   let path = Filename.concat out_dir "latency.csv" in
   let oc = open_out path in
   output_string oc "stat,value\n";
   Printf.fprintf oc "requests,%d\np50_s,%.6f\np99_s,%.6f\n" requests p50 p99;
-  Printf.fprintf oc "det_count,%d\ndet_nonzero_buckets,%d\n" det.det_count
-    det.det_nonzero;
-  Printf.fprintf oc "det_p50,%.17g\ndet_p90,%.17g\ndet_p99,%.17g\n" det.det_p50
-    det.det_p90 det.det_p99;
+  List.iter
+    (fun (k, v) -> Printf.fprintf oc "det_%s,%s\n" k (Obs.Json.render v))
+    det;
   close_out oc;
   Printf.printf
     "  %d requests on a %d-state ROM: p50 %.4fs  p99 %.4fs\n\
     \  det fingerprint: %d obs in %d buckets, p50/p90/p99 = %.6g/%.6g/%.6g\n"
-    requests (Vmor.order r) p50 p99 det.det_count det.det_nonzero det.det_p50
-    det.det_p90 det.det_p99;
-  Printf.printf "(written to %s)\n\n%!" path
+    requests (Vmor.order r) p50 p99 det_count det_nonzero (q 0.5) (q 0.9)
+    (q 0.99);
+  Printf.printf "(written to %s)\n\n%!" path;
+  (* the det quantiles render exactly, so the gate's exact band compares
+     the identical doubles after the JSON round trip *)
+  Obs.Json.Obj
+    [
+      ("requests", of_int requests);
+      ("p50_s", fixed 6 p50);
+      ("p99_s", fixed 6 p99);
+      ("det", Obj det);
+    ]
 
 let ablations ~scale () =
   ablation_block_vs_sylvester ();
@@ -1007,29 +926,40 @@ let () =
      count; cost counters are nominal, so bench.json must come out
      bit-identical to a serial run (test_cost.ml asserts this). *)
   Vmor.Par.with_domains !domains @@ fun () ->
-  List.iter
-    (fun cmd ->
-      match cmd with
-      | "kernels" ->
-        run_bechamel ~name:"kernels" (kernel_tests ());
-        run_bechamel ~name:"tables" (table_tests ())
-      | "fig2" -> fig2 ~scale ()
-      | "fig3" -> fig3 ~scale ()
-      | "fig4" -> fig4 ~scale ()
-      | "fig5" -> fig5 ~scale ()
-      | "table1" -> table1 ~scale ()
-      | "ablation" -> ablations ~scale ()
-      | "recovery" -> recovery_overhead ()
-      | "obs" -> obs_overhead ()
-      | "budget" -> budget_overhead ()
-      | "par" -> par_speedup ~scale ()
-      | "latency" -> latency ~scale ()
-      | other ->
-        Printf.eprintf
-          "unknown command %S (expected \
-           kernels|fig2|fig3|fig4|fig5|table1|ablation|recovery|obs|budget|par|latency)\n"
-          other;
-        exit 2)
-    commands;
-  write_bench_json ?json_path:!json_path ~scale ();
+  let blocks =
+    List.concat_map
+      (fun cmd ->
+        match cmd with
+        | "kernels" ->
+          run_bechamel ~name:"kernels" (kernel_tests ());
+          run_bechamel ~name:"tables" (table_tests ());
+          []
+        | "fig2" -> [ ("experiments", fig2 ~scale ()) ]
+        | "fig3" -> [ ("experiments", fig3 ~scale ()) ]
+        | "fig4" -> [ ("experiments", fig4 ~scale ()) ]
+        | "fig5" -> [ ("experiments", fig5 ~scale ()) ]
+        | "table1" ->
+          table1 ~scale ();
+          []
+        | "ablation" ->
+          ablations ~scale ();
+          []
+        | "recovery" ->
+          recovery_overhead ();
+          []
+        | "obs" ->
+          obs_overhead ();
+          []
+        | "budget" -> [ ("overheads", budget_overhead ()) ]
+        | "par" -> [ ("par", par_speedup ~scale ()) ]
+        | "latency" -> [ ("latency", latency ~scale ()) ]
+        | other ->
+          Printf.eprintf
+            "unknown command %S (expected \
+             kernels|fig2|fig3|fig4|fig5|table1|ablation|recovery|obs|budget|par|latency)\n"
+            other;
+          exit 2)
+      commands
+  in
+  write_bench_json ?json_path:!json_path ~scale blocks;
   Printf.printf "total bench wall time: %.1fs\n" (Obs.Clock.now () -. t0)

@@ -1,9 +1,9 @@
 (* Minimal JSON reader for the observability tooling.
 
-   The repo deliberately carries no third-party JSON dependency: the
-   writers ([Sink], bench/main.ml) hand-render their records, and this
-   module is the matching hand-rolled reader used by the trace-report
-   and bench-gate tools.  It parses the full JSON value grammar
+   The repo deliberately carries no third-party JSON dependency: [Sink]
+   hand-renders its records, bench/main.ml renders through [render],
+   and this module is the matching hand-rolled reader used by the
+   trace-report and bench-gate tools.  It parses the full JSON value grammar
    (objects, arrays, strings with escapes, numbers, literals) but keeps
    numbers as floats — every numeric field we emit fits exactly. *)
 

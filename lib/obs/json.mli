@@ -1,6 +1,6 @@
 (** Minimal JSON reader for the observability tooling.
 
-    Matches the hand-rendered writers in {!Sink} and [bench/main.ml];
+    Matches the hand-rendered writers in {!Sink} and {!render};
     the repo carries no third-party JSON dependency.  Numbers are kept
     as floats (every numeric field we emit fits exactly). *)
 

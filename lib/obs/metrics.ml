@@ -119,24 +119,7 @@ let gauges () =
 (* ------------------------------------------------------------------ *)
 (* Histograms: backed by the deterministic bucketed [Qhist] store.    *)
 
-type hstat = { count : int; sum : float; sumsq : float;
-               minv : float; maxv : float }
-
 let observe k v = if Atomic.get enabled then Qhist.observe k v
-
-let hstat_of_view (v : Qhist.view) =
-  { count = v.Qhist.count; sum = v.Qhist.sum; sumsq = v.Qhist.sumsq;
-    minv = v.Qhist.minv; maxv = v.Qhist.maxv }
-
-let histograms () =
-  List.map (fun (k, v) -> (k, hstat_of_view v)) (Qhist.all ())
-
-let hstddev (h : hstat) =
-  if h.count = 0 then Float.nan
-  else begin
-    let m = h.sum /. float_of_int h.count in
-    sqrt (Float.max 0.0 ((h.sumsq /. float_of_int h.count) -. (m *. m)))
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots and deltas.                                              *)
@@ -200,11 +183,11 @@ let to_csv_string () =
       Buffer.add_string b (Printf.sprintf "gauge,%s,%.9g,,,,,,\n" k v))
     (gauges ());
   List.iter
-    (fun (k, h) ->
+    (fun (k, (h : Qhist.view)) ->
       Buffer.add_string b
         (Printf.sprintf "histogram,%s,,%d,%.9g,%.9g,%.9g,%.9g,%.9g\n"
-           k h.count h.sum h.sumsq h.minv h.maxv (hstddev h)))
-    (histograms ());
+           k h.count h.sum h.sumsq h.minv h.maxv (Qhist.stddev h)))
+    (Qhist.all ());
   Buffer.contents b
 
 let write_csv path =
@@ -228,13 +211,13 @@ let render_table () =
     (fun (k, v) -> Buffer.add_string b (Printf.sprintf "  %-24s %12.6g\n" k v))
     (gauges ());
   List.iter
-    (fun (k, h) ->
+    (fun (k, (h : Qhist.view)) ->
       Buffer.add_string b
         (Printf.sprintf "  %-24s n=%d avg=%.4g sd=%.4g min=%.4g max=%.4g\n" k
            h.count
            (h.sum /. float_of_int (max 1 h.count))
-           (if h.count = 0 then 0.0 else hstddev h)
+           (if h.count = 0 then 0.0 else Qhist.stddev h)
            h.minv h.maxv))
-    (histograms ());
+    (Qhist.all ());
   Buffer.add_string b (rule ^ "\n");
   Buffer.contents b

@@ -51,22 +51,11 @@ val set_gauge : string -> float -> unit
 val gauges : unit -> (string * float) list
 (** All gauges, sorted by name. *)
 
-type hstat = { count : int; sum : float; sumsq : float;
-               minv : float; maxv : float }
-(** Summary view of one named histogram.  Backed by {!Qhist}: the full
-    bucketed distribution (and its deterministic quantiles) is
-    available through [Qhist.view] under the same name. *)
-
 val observe : string -> float -> unit
 (** Feed one observation into the named histogram (a {!Qhist}
-    observation on the calling domain's accumulator). *)
-
-val histograms : unit -> (string * hstat) list
-(** All histograms, merged across domains, sorted by name. *)
-
-val hstddev : hstat -> float
-(** Population standard deviation from [sum]/[sumsq], clamped at zero
-    against cancellation; [nan] when [count = 0]. *)
+    observation on the calling domain's accumulator), unless counters
+    are disabled.  Read histograms back through {!Qhist.view} /
+    {!Qhist.all}. *)
 
 type snapshot
 

@@ -100,31 +100,24 @@ let slot =
       Mutex.protect mu (fun () -> domains := tbl :: !domains);
       tbl)
 
-let enabled = Atomic.make true
-
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
-
 let observe k v =
-  if Atomic.get enabled then begin
-    let tbl = Domain.DLS.get slot in
-    let h =
-      match Hashtbl.find_opt tbl k with
-      | Some h -> h
-      | None ->
-        let h = fresh_local () in
-        (* Insertion may resize the table; exclude concurrent mergers. *)
-        Mutex.protect mu (fun () -> Hashtbl.add tbl k h);
-        h
-    in
-    let i = bucket_index v in
-    h.buckets.(i) <- h.buckets.(i) + 1;
-    h.count <- h.count + 1;
-    h.sum <- h.sum +. v;
-    h.sumsq <- h.sumsq +. (v *. v);
-    if v < h.minv then h.minv <- v;
-    if v > h.maxv then h.maxv <- v
-  end
+  let tbl = Domain.DLS.get slot in
+  let h =
+    match Hashtbl.find_opt tbl k with
+    | Some h -> h
+    | None ->
+      let h = fresh_local () in
+      (* Insertion may resize the table; exclude concurrent mergers. *)
+      Mutex.protect mu (fun () -> Hashtbl.add tbl k h);
+      h
+  in
+  let i = bucket_index v in
+  h.buckets.(i) <- h.buckets.(i) + 1;
+  h.count <- h.count + 1;
+  h.sum <- h.sum +. v;
+  h.sumsq <- h.sumsq +. (v *. v);
+  if v < h.minv then h.minv <- v;
+  if v > h.maxv then h.maxv <- v
 
 (* ------------------------------------------------------------------ *)
 (* Merged views.                                                      *)

@@ -37,13 +37,6 @@ val upper_bound : int -> float
 (** Nominal upper edge of a bucket — the OpenMetrics [le] label.
     [upper_bound (n_buckets - 1)] is [infinity]. *)
 
-val set_enabled : bool -> unit
-(** [set_enabled false] turns {!observe} into a no-op (the
-    uninstrumented baseline for the overhead benchmark).  Enabled by
-    default. *)
-
-val is_enabled : unit -> bool
-
 val observe : string -> float -> unit
 (** Feed one observation into the named histogram on the calling
     domain's accumulator: one bucket tick plus count/sum/sumsq/min/max

@@ -179,9 +179,9 @@ let test_gauge_hist_merge () =
   in
   let domains = List.init n_domains (fun d -> Domain.spawn (worker d)) in
   List.iter Domain.join domains;
-  let hist = List.assoc "ds_hist" (Obs.Metrics.histograms ()) in
+  let hist = List.assoc "ds_hist" (Obs.Qhist.all ()) in
   Alcotest.(check int) "histogram count sums across domains"
-    (n_domains * per_domain) hist.Obs.Metrics.count;
+    (n_domains * per_domain) hist.Obs.Qhist.count;
   let expected_sum =
     let s = ref 0.0 in
     for d = 0 to n_domains - 1 do
@@ -192,7 +192,7 @@ let test_gauge_hist_merge () =
     !s
   in
   Alcotest.(check (float 1e-9)) "histogram sum is exact" expected_sum
-    hist.Obs.Metrics.sum;
+    hist.Obs.Qhist.sum;
   Alcotest.(check int) "one gauge per domain survives" n_domains
     (List.length
        (List.filter

@@ -303,11 +303,64 @@ let test_gate_structural () =
   check_int "missing experiment fails" 1 (List.length (gate base missing));
   check_int "unexpected experiment fails" 1 (List.length (gate missing base));
   (match Gatecheck.parse base with
-  | b -> check_int "parse keeps experiments" 1 (List.length b.Gatecheck.experiments));
+  | b ->
+    check_int "parse keeps experiments" 1
+      (List.length Obs.Json.(to_arr (member_exn "experiments" b))));
   check_bool "malformed input raises Bad_bench" true
     (match Gatecheck.parse "{ not json" with
     | exception Gatecheck.Bad_bench _ -> true
     | _ -> false)
+
+(* Run-level wall-derived blocks: the overheads percentage-point band
+   and the Vmor.Par absolute lines, with their host/noise guards. *)
+let run_blocks_json ?(overhead = 0.5) ?(cores = 4) ?(serial_wall = 0.1)
+    ?(speedup_4 = 3.0) ?(overhead_1_pct = 1.0) ?(wall_2 = true) () =
+  Printf.sprintf
+    {|{
+  "scale": 0.25,
+  "experiments": [],
+  "overheads": {"fig3_reduce_nltl_isrc": %.2f, "ksolve_tri_tiles": 0.47},
+  "par": {"cores": %d, "serial_wall": %.6f, "wall_1": 0.1, %s"wall_4": 0.04,
+          "speedup_4": %.6f, "overhead_1_pct": %.6f}
+}|}
+    overhead cores serial_wall
+    (if wall_2 then {|"wall_2": 0.06, |} else "")
+    speedup_4 overhead_1_pct
+
+let test_gate_overheads_par () =
+  let base = run_blocks_json () in
+  check_int "identical run blocks pass" 0 (List.length (gate base base));
+  (* overheads: <= baseline + 1.0 percentage point, wall-derived *)
+  let plus_09 = run_blocks_json ~overhead:1.4 () in
+  let plus_11 = run_blocks_json ~overhead:1.6 () in
+  check_int "overhead +0.9pt passes" 0 (List.length (gate base plus_09));
+  check_int "overhead +1.1pt fails" 1 (List.length (gate base plus_11));
+  check_int "overhead +0.9pt passes under ignore-wall" 0
+    (List.length (gate ~ignore_wall:true base plus_09));
+  check_int "overhead +1.1pt passes under ignore-wall" 0
+    (List.length (gate ~ignore_wall:true base plus_11));
+  (* par.speedup_4: an absolute floor on hosts with >= 4 cores, above
+     the serial-wall noise floor *)
+  check_int "speedup 2.0 on 4 cores fails" 1
+    (List.length (gate base (run_blocks_json ~speedup_4:2.0 ())));
+  check_int "speedup 2.0 on 2 cores passes" 0
+    (List.length (gate base (run_blocks_json ~speedup_4:2.0 ~cores:2 ())));
+  check_int "speedup 2.0 under the serial-wall floor passes" 0
+    (List.length
+       (gate base (run_blocks_json ~speedup_4:2.0 ~serial_wall:0.01 ())));
+  (* par.overhead_1_pct: an absolute ceiling *)
+  check_int "1-domain overhead 2.5% fails" 1
+    (List.length (gate base (run_blocks_json ~overhead_1_pct:2.5 ())));
+  check_int "1-domain overhead 1.5% passes" 0
+    (List.length (gate base (run_blocks_json ~overhead_1_pct:1.5 ())));
+  (* a par key on one side only is structural, in both modes *)
+  let no_wall_2 = run_blocks_json ~wall_2:false () in
+  check_int "par key missing fails" 1 (List.length (gate base no_wall_2));
+  check_int "par key missing fails under ignore-wall" 1
+    (List.length (gate ~ignore_wall:true base no_wall_2));
+  check_int "par key appearing fails" 1 (List.length (gate no_wall_2 base));
+  check_int "par key appearing fails under ignore-wall" 1
+    (List.length (gate ~ignore_wall:true no_wall_2 base))
 
 let suite =
   [
@@ -331,5 +384,7 @@ let suite =
           test_gate_pass_fail;
         Alcotest.test_case "bench gate structural checks" `Quick
           test_gate_structural;
+        Alcotest.test_case "bench gate overheads and par bands" `Quick
+          test_gate_overheads_par;
       ] );
   ]

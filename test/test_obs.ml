@@ -153,7 +153,7 @@ let test_disabled_counters_are_noops () =
     (List.assoc_opt "obs_test_gauge" (Obs.Metrics.gauges ()) = None);
   Alcotest.(check bool)
     "histogram not recorded while disabled" true
-    (List.assoc_opt "obs_test_hist" (Obs.Metrics.histograms ()) = None)
+    (List.assoc_opt "obs_test_hist" (Obs.Qhist.all ()) = None)
 
 (* ---- JSONL ---- *)
 

@@ -1,15 +1,22 @@
 (* Bench regression gate: compare a fresh bench/out/bench.json against
    the checked-in bench/baseline.json and list tolerance violations.
 
-   The comparison layers match how the numbers fail in practice:
-   - wall times are noisy -> generous +-30% band with an absolute
-     floor (sub-quarter-second measurements are timer noise at reduced
-     scale), and skippable entirely (--ignore-wall) for the
-     deterministic runtest smoke;
+   The gate is one walk over the two JSON trees plus one table of
+   bands.  The walk visits objects over the union of their keys,
+   matches experiments by [id] and ROMs by position; a key present on
+   one side only is a single structural violation for that whole
+   subtree.  Every leaf reached on both sides is looked up in [bands]
+   by its path, so a new bench block costs a table row, not code.
+
+   The bands match how the numbers fail in practice:
+   - wall times are noisy -> a relative band with an absolute floor,
+     skipped entirely under --ignore-wall for the deterministic
+     runtest smoke (so are the other wall-derived bands);
    - kernel counters and ROM orders are deterministic at fixed scale ->
      exact, with a +-10% escape hatch for counts that legitimately
-     wobble with iteration-dependent control flow (Newton iterations,
-     step-size control);
+     wobble with iteration-dependent control flow;
+   - Obs.Cost counters and the latency fingerprint are exact, even
+     under --ignore-wall: they are the wall-free performance pin;
    - accuracy must never quietly regress -> max_rel_error may drift but
      not beyond 2x the baseline.
 
@@ -17,194 +24,109 @@
    hand-crafted JSON; tools/bench_gate/main.ml is the thin CLI around
    it and `dune build @gate` wires it to a reduced-scale bench run. *)
 
-let wall_tolerance = 0.30
-(* Absolute slack under the relative wall band: reduced-scale runs
-   take a few seconds, and shared machines routinely jitter that much.
-   Wall checks exist to catch gross blowups (an accidental O(n^2)
-   inner loop, a hung solve); the deterministic counter comparison is
-   what pins down algorithmic regressions. *)
-let wall_floor = 2.0  (* seconds *)
-let counter_tolerance = 0.10
-let error_factor = 2.0
-
-(* GC word counts are deterministic-ish at fixed scale but move with
-   allocator batching and minor-heap sizing across runtimes, so the
-   band is wider than the counter one.  An allocation regression worth
-   flagging (a copy in a hot loop) blows well past 25%. *)
-let gc_tolerance = 0.25
-
-(* Overhead percentages (budget polling) are ratios of two wall times,
-   so they jitter like wall times do; the band is an absolute
-   percentage-point allowance over the pinned baseline, not a relative
-   one (a 0.1% baseline doubling to 0.2% is noise, not a regression). *)
-let overhead_slack = 1.0  (* percentage points *)
-
-(* Vmor.Par bands: absolute lines on the fresh run (not
-   baseline-relative — the baseline pins structure, the bands pin the
-   contract).  Both are ratios of wall times, so they are skipped
-   under --ignore-wall, and both only mean anything once the serial
-   wall clears a noise floor: a few-ms reduction at reduced scale
-   measures timer granularity and scheduler jitter, not kernel
-   scaling.  The speedup line additionally needs a host that can run
-   4 domains in parallel (the fresh run records its core count). *)
-let par_speedup_min = 2.5  (* 4-domain speedup on >= 4 cores *)
-let par_overhead_max = 2.0  (* percent: 1-domain over serial *)
-let par_wall_floor = 0.05  (* seconds of serial wall *)
-
-(* Request-latency quantiles are sub-second, so the experiment wall
-   band's 2s absolute floor would swallow them entirely — they get
-   their own, tighter floor.  The relative band is wider than the
-   experiment one because a p50/p99 of 32 requests carries both
-   order-statistic noise and the Qhist's log-linear bucket quantization
-   (~19% between adjacent bucket interpolants), so a one-bucket shift
-   must stay inside the band. *)
-let latency_wall_tolerance = 0.50
-let latency_wall_floor = 0.15  (* seconds *)
-
-type rom = {
-  method_name : string;
-  order : int;
-  raw_moments : int;
-  reduction_seconds : float;
-  max_rel_error : float;
-}
-
-type experiment = {
-  id : string;
-  title : string;
-  full_states : int;
-  wall_seconds : float;
-  counters : (string * int) list;
-  cost : (string * int) list option;
-      (* Obs.Cost work counters (flops/bytes); nominal dimension-driven
-         charges, so exact by construction — [None] only for baselines
-         predating the cost model *)
-  gc : (float * float) option;  (* minor_words, major_words *)
-  roms : rom list;
-}
-
-type par = {
-  cores : int;  (* Domain.recommended_domain_count on the bench host *)
-  walls : (string * float) list;
-      (* serial_wall / wall_1 / wall_2 / wall_4 / speedup_4 /
-         overhead_1_pct, as written by the bench `par` pass *)
-}
-
-type latency = {
-  requests : int;
-  p50_s : float;  (* wall quantiles over the scoped request loop: banded *)
-  p99_s : float;
-  det_count : int;
-      (* deterministic Qhist fingerprint: a fixed synthetic value stream
-         through the production bucket geometry, so counts and quantiles
-         are pure integer/ldexp arithmetic — pinned exactly, even under
-         --ignore-wall *)
-  det_nonzero : int;
-  det_p50 : float;
-  det_p90 : float;
-  det_p99 : float;
-}
-
-type bench = {
-  scale : float;
-  experiments : experiment list;
-  overheads : (string * float) list;
-      (* instrumentation-overhead percentages (budget polling, …):
-         wall-derived, so banded only when wall checks are on *)
-  par : par option;  (* Vmor.Par speedup block, absent pre-PR-8 *)
-  latency : latency option;  (* request-latency block, absent pre-PR-10 *)
-}
+open Obs.Json
 
 exception Bad_bench of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad_bench s)) fmt
 
-let parse (src : string) : bench =
-  let open Obs.Json in
+(* The schema the walk relies on: a numeric [scale] and an
+   [experiments] array whose entries carry a string [id].  Everything
+   else is compared structurally, so it needs no validation here. *)
+let parse (src : string) : t =
   let json = try parse src with Parse_error m -> bad "invalid JSON: %s" m in
-  try
-    let rom j =
-      {
-        method_name = to_str (member_exn "method" j);
-        order = to_int (member_exn "order" j);
-        raw_moments = to_int (member_exn "raw_moments" j);
-        reduction_seconds = to_num (member_exn "reduction_seconds" j);
-        max_rel_error = to_num (member_exn "max_rel_error" j);
-      }
-    in
-    let experiment j =
-      {
-        id = to_str (member_exn "id" j);
-        title = to_str (member_exn "title" j);
-        full_states = to_int (member_exn "full_states" j);
-        wall_seconds = to_num (member_exn "wall_seconds" j);
-        counters =
-          List.map
-            (fun (k, v) -> (k, to_int v))
-            (to_obj (member_exn "counters" j));
-        cost =
-          (match member "cost" j with
-          | Some c -> Some (List.map (fun (k, v) -> (k, to_int v)) (to_obj c))
-          | None -> None);
-        gc =
-          (match member "gc" j with
-          | Some g ->
-            Some
-              ( to_num (member_exn "minor_words" g),
-                to_num (member_exn "major_words" g) )
-          | None -> None);
-        roms = List.map rom (to_arr (member_exn "roms" j));
-      }
-    in
-    {
-      scale = to_num (member_exn "scale" json);
-      experiments = List.map experiment (to_arr (member_exn "experiments" json));
-      overheads =
-        (match member "overheads" json with
-        | Some o -> List.map (fun (k, v) -> (k, to_num v)) (to_obj o)
-        | None -> []);
-      par =
-        (match member "par" json with
-        | None -> None
-        | Some p ->
-          Some
-            {
-              cores = to_int (member_exn "cores" p);
-              walls =
-                List.filter_map
-                  (fun (k, v) ->
-                    if String.equal k "cores" then None
-                    else Some (k, to_num v))
-                  (to_obj p);
-            });
-      latency =
-        (match member "latency" json with
-        | None -> None
-        | Some l ->
-          let det = member_exn "det" l in
-          Some
-            {
-              requests = to_int (member_exn "requests" l);
-              p50_s = to_num (member_exn "p50_s" l);
-              p99_s = to_num (member_exn "p99_s" l);
-              det_count = to_int (member_exn "count" det);
-              det_nonzero = to_int (member_exn "nonzero_buckets" det);
-              det_p50 = to_num (member_exn "p50" det);
-              det_p90 = to_num (member_exn "p90" det);
-              det_p99 = to_num (member_exn "p99" det);
-            });
-    }
-  with Parse_error m -> bad "bad bench schema: %s" m
+  (try
+     ignore (to_num (member_exn "scale" json));
+     List.iter
+       (fun e -> ignore (to_str (member_exn "id" e)))
+       (to_arr (member_exn "experiments" json))
+   with Parse_error m -> bad "bad bench schema: %s" m);
+  json
 
-let load (path : string) : bench =
+let load (path : string) : t =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let src = really_input_string ic len in
   close_in ic;
   try parse src with Bad_bench m -> bad "%s: %s" path m
 
-(* One violated tolerance; [where] locates it (experiment / ROM),
-   [allowed] restates the band that was broken. *)
+type band =
+  | Presence  (* structural only: the value is not compared *)
+  | Match  (* strings equal, numbers within rel 1e-9 *)
+  | Exact  (* Float.equal *)
+  | Rel of float  (* exact or within +-tol relative to max(|baseline|, 1) *)
+  | Error_factor of float  (* fresh <= factor * baseline + 1e-9 *)
+  | Wall of { tol : float; floor : float }
+      (* |rel diff| > tol and |abs diff| > floor seconds fails *)
+  | Slack of float  (* fresh <= baseline + slack percentage points *)
+  | Floor of float
+      (* fresh >= min, on a fresh host with >= 4 cores whose serial
+         wall clears [par_wall_floor] *)
+  | Ceiling of float  (* fresh <= max, above the same serial-wall floor *)
+
+(* Vmor.Par lines are ratios of wall times and only mean anything once
+   the serial wall clears timer granularity and scheduler jitter; the
+   speedup line also needs a host that can run 4 domains at once. *)
+let par_wall_floor = 0.05  (* seconds of serial wall *)
+let par_min_cores = 4
+
+(* Wall-derived bands are skipped under --ignore-wall. *)
+let wall_derived = function
+  | Wall _ | Slack _ | Floor _ | Ceiling _ -> true
+  | Presence | Match | Exact | Rel _ | Error_factor _ -> false
+
+(* The one band table.  Paths are dot-separated; [*] matches any one
+   segment (an experiment id, a ROM index, a counter name).  The first
+   matching row wins; a leaf no row matches is checked for presence
+   only: ids, titles, per-ROM reduction_seconds (under the noise floor
+   at reduced scale), par.cores (a guard) and the par walls.
+
+   - Experiment walls get a +-30% band over a 2 s absolute floor:
+     reduced-scale runs take a few seconds and shared machines jitter
+     that much; the counters pin algorithmic regressions.
+   - GC word counts move with allocator batching and minor-heap sizing
+     across runtimes, so their band is wider than the counter one.
+   - Overheads are ratios of two walls; a 0.1% baseline doubling to
+     0.2% is noise, so the band is absolute percentage points.
+   - Latency quantiles are sub-second and carry order-statistic noise
+     plus the Qhist's ~19% bucket quantization: a wider band over a
+     tighter floor.  The latency [det] fingerprint is a fixed synthetic
+     stream through the production Qhist geometry, so it is exact. *)
+let bands : (string list * band) list =
+  List.map
+    (fun (p, b) -> (String.split_on_char '.' p, b))
+    [
+      ("scale", Match);
+      ("experiments.*.full_states", Match);
+      ("experiments.*.wall_seconds", Wall { tol = 0.30; floor = 2.0 });
+      ("experiments.*.counters.*", Rel 0.10);
+      ("experiments.*.cost.*", Exact);
+      ("experiments.*.gc.minor_words", Rel 0.25);
+      ("experiments.*.gc.major_words", Rel 0.25);
+      ("experiments.*.roms.*.method", Match);
+      ("experiments.*.roms.*.order", Rel 0.10);
+      ("experiments.*.roms.*.raw_moments", Rel 0.10);
+      ("experiments.*.roms.*.max_rel_error", Error_factor 2.0);
+      ("overheads.*", Slack 1.0);
+      ("par.speedup_4", Floor 2.5);
+      ("par.overhead_1_pct", Ceiling 2.0);
+      ("latency.requests", Exact);
+      ("latency.det.*", Exact);
+      ("latency.p50_s", Wall { tol = 0.50; floor = 0.15 });
+      ("latency.p99_s", Wall { tol = 0.50; floor = 0.15 });
+    ]
+
+let band_of path =
+  let matches pattern =
+    List.length pattern = List.length path
+    && List.for_all2 (fun p s -> String.equal p "*" || String.equal p s) pattern path
+  in
+  match List.find_opt (fun (p, _) -> matches p) bands with
+  | Some (_, b) -> b
+  | None -> Presence
+
+(* One violated tolerance; [where] locates it (experiment / ROM /
+   run-level block), [allowed] restates the band that was broken. *)
 type violation = {
   where : string;
   metric : string;
@@ -216,429 +138,165 @@ type violation = {
 let rel_diff ~old_v ~new_v =
   Float.abs (new_v -. old_v) /. Float.max (Float.abs old_v) 1e-12
 
-let check_wall ~where ~metric acc old_v new_v =
-  if rel_diff ~old_v ~new_v > wall_tolerance
-     && Float.abs (new_v -. old_v) > wall_floor
-  then
-    {
-      where;
-      metric;
-      baseline = Printf.sprintf "%.4fs" old_v;
-      current = Printf.sprintf "%.4fs" new_v;
-      allowed = Printf.sprintf "+-%.0f%%" (100.0 *. wall_tolerance);
-    }
-    :: acc
-  else acc
+let show = function Str s -> s | Num f -> float_string f | v -> render v
 
-(* exact-or-+-10%: integer quantities that are deterministic except for
-   iteration-count wobble *)
-let check_count ~where ~metric acc old_v new_v =
-  if old_v = new_v then acc
-  else if
-    float_of_int (abs (new_v - old_v)) /. Float.max (float_of_int (abs old_v)) 1.0
-    > counter_tolerance
-  then
-    {
-      where;
-      metric;
-      baseline = string_of_int old_v;
-      current = string_of_int new_v;
-      allowed = Printf.sprintf "exact or +-%.0f%%" (100.0 *. counter_tolerance);
-    }
-    :: acc
-  else acc
-
-(* exact, no band: Obs.Cost work counters are nominal functions of
-   operand dimensions only, so any drift is a real change in the work
-   performed (or in the charge model itself) and needs a deliberate
-   baseline refresh. *)
-let check_cost ~where ~metric acc old_v new_v =
-  if old_v = new_v then acc
-  else
-    {
-      where;
-      metric;
-      baseline = string_of_int old_v;
-      current = string_of_int new_v;
-      allowed = "exact";
-    }
-    :: acc
-
-(* exact-or-+-25%: GC word counts, see [gc_tolerance] *)
-let check_gc_words ~where ~metric acc old_v new_v =
-  if old_v = new_v then acc
-  else if
-    Float.abs (new_v -. old_v) /. Float.max (Float.abs old_v) 1.0
-    > gc_tolerance
-  then
-    {
-      where;
-      metric;
-      baseline = Printf.sprintf "%.0f" old_v;
-      current = Printf.sprintf "%.0f" new_v;
-      allowed = Printf.sprintf "exact or +-%.0f%%" (100.0 *. gc_tolerance);
-    }
-    :: acc
-  else acc
-
-let check_error ~where acc old_v new_v =
-  if new_v > (error_factor *. old_v) +. 1e-9 then
-    {
-      where;
-      metric = "max_rel_error";
-      baseline = Printf.sprintf "%.6f" old_v;
-      current = Printf.sprintf "%.6f" new_v;
-      allowed = Printf.sprintf "<= %gx baseline" error_factor;
-    }
-    :: acc
-  else acc
-
-let structural ~where ~metric ~baseline ~current acc =
-  { where; metric; baseline; current; allowed = "must match" } :: acc
-
-let check_rom ~ignore_wall ~where acc (old_r : rom) (new_r : rom) =
-  let acc =
-    if String.equal old_r.method_name new_r.method_name then acc
+(* [Some (baseline, current, allowed)] when fresh value [y] breaks
+   [band] against baseline [x]; [sibling k] reads a number from the
+   fresh enclosing object (the par guards). *)
+let numeric band ~sibling x y =
+  let pct = Printf.sprintf "%.0f%%" in
+  match band with
+  | Presence -> None
+  | Match ->
+    if rel_diff ~old_v:x ~new_v:y > 1e-9 then
+      Some (float_string x, float_string y, "must match")
+    else None
+  | Exact ->
+    if Float.equal x y then None else Some (float_string x, float_string y, "exact")
+  | Rel tol ->
+    if Float.abs (y -. x) /. Float.max (Float.abs x) 1.0 > tol then
+      Some (float_string x, float_string y, "exact or +-" ^ pct (100.0 *. tol))
+    else None
+  | Error_factor k ->
+    if y > (k *. x) +. 1e-9 then
+      Some
+        ( Printf.sprintf "%.6f" x,
+          Printf.sprintf "%.6f" y,
+          Printf.sprintf "<= %gx baseline" k )
+    else None
+  | Wall { tol; floor } ->
+    if rel_diff ~old_v:x ~new_v:y > tol && Float.abs (y -. x) > floor then
+      Some (Printf.sprintf "%.4fs" x, Printf.sprintf "%.4fs" y, "+-" ^ pct (100.0 *. tol))
+    else None
+  | Slack pt ->
+    if y > x +. pt then
+      Some
+        ( Printf.sprintf "%.2f%%" x,
+          Printf.sprintf "%.2f%%" y,
+          Printf.sprintf "<= baseline + %.1fpt" pt )
+    else None
+  | Floor min ->
+    let cores = sibling "cores" in
+    if
+      sibling "serial_wall" < par_wall_floor
+      || cores < float_of_int par_min_cores
+      || y >= min
+    then None
     else
-      structural ~where ~metric:"method" ~baseline:old_r.method_name
-        ~current:new_r.method_name acc
-  in
-  let acc = check_count ~where ~metric:"order" acc old_r.order new_r.order in
-  let acc =
-    check_count ~where ~metric:"raw_moments" acc old_r.raw_moments
-      new_r.raw_moments
-  in
-  (* reduction_seconds stays informational: per-ROM timings at reduced
-     scale sit well under the noise floor, the experiment-level wall
-     band above already covers real slowdowns *)
-  ignore ignore_wall;
-  check_error ~where acc old_r.max_rel_error new_r.max_rel_error
-
-let check_experiment ~ignore_wall acc (old_e : experiment) (new_e : experiment) =
-  let where = old_e.id in
-  let acc =
-    if old_e.full_states = new_e.full_states then acc
+      Some
+        ( Printf.sprintf "%.0f cores" cores,
+          Printf.sprintf "%.2fx" y,
+          Printf.sprintf ">= %.1fx on >= %d cores" min par_min_cores )
+  | Ceiling max ->
+    if sibling "serial_wall" < par_wall_floor || y <= max then None
     else
-      structural ~where ~metric:"full_states"
-        ~baseline:(string_of_int old_e.full_states)
-        ~current:(string_of_int new_e.full_states)
-        acc
-  in
-  let acc =
-    if ignore_wall then acc
-    else check_wall ~where ~metric:"wall_seconds" acc old_e.wall_seconds
-        new_e.wall_seconds
-  in
-  (* union of counter names, missing treated as 0 — a counter that
-     disappears entirely (dead instrumentation) fails just like one
-     that jumps *)
-  let names =
-    List.sort_uniq String.compare
-      (List.map fst old_e.counters @ List.map fst new_e.counters)
-  in
-  let get cs n = Option.value ~default:0 (List.assoc_opt n cs) in
-  let acc =
-    List.fold_left
-      (fun acc n ->
-        check_count ~where ~metric:("counter " ^ n) acc (get old_e.counters n)
-          (get new_e.counters n))
-      acc names
-  in
-  (* The cost block is structural first (its disappearance means the
-     bench stopped recording work counters; its appearance means the
-     baseline predates the cost model and needs a refresh), then exact
-     over the union of counter names.  Deliberately NOT gated by
-     [ignore_wall]: cost counters are the deterministic, wall-free
-     performance pin, so the runtest smoke enforces them too. *)
-  let acc =
-    match (old_e.cost, new_e.cost) with
-    | None, None -> acc
-    | Some _, None ->
-      structural ~where ~metric:"cost" ~baseline:"present" ~current:"missing"
-        acc
-    | None, Some _ ->
-      structural ~where ~metric:"cost" ~baseline:"absent (refresh baseline)"
-        ~current:"present" acc
-    | Some old_c, Some new_c ->
-      let names =
-        List.sort_uniq String.compare (List.map fst old_c @ List.map fst new_c)
-      in
-      List.fold_left
-        (fun acc n ->
-          check_cost ~where ~metric:("cost " ^ n) acc (get old_c n)
-            (get new_c n))
-        acc names
-  in
-  (* GC telemetry is structural first (a gc block that disappears means
-     the bench stopped recording it), banded second *)
-  let acc =
-    match (old_e.gc, new_e.gc) with
-    | None, None -> acc
-    | Some _, None -> structural ~where ~metric:"gc" ~baseline:"present" ~current:"missing" acc
-    | None, Some _ ->
-      structural ~where ~metric:"gc" ~baseline:"absent (refresh baseline)"
-        ~current:"present" acc
-    | Some (o_minor, o_major), Some (n_minor, n_major) ->
-      let acc =
-        check_gc_words ~where ~metric:"gc minor_words" acc o_minor n_minor
-      in
-      check_gc_words ~where ~metric:"gc major_words" acc o_major n_major
-  in
-  if List.length old_e.roms <> List.length new_e.roms then
-    structural ~where ~metric:"rom count"
-      ~baseline:(string_of_int (List.length old_e.roms))
-      ~current:(string_of_int (List.length new_e.roms))
-      acc
-  else
-    List.fold_left2
-      (fun acc (o : rom) n ->
-        let where = Printf.sprintf "%s/%s[q=%d]" where o.method_name o.order in
-        check_rom ~ignore_wall ~where acc o n)
-      acc old_e.roms new_e.roms
+      Some ("serial wall", Printf.sprintf "%+.2f%%" y, Printf.sprintf "<= %.1f%%" max)
 
-(* The par block is structural first (it disappearing means the bench
-   stopped measuring parallelism; it appearing means the baseline
-   predates it and needs a refresh), banded second — and the bands are
-   absolute lines on the fresh run, conditioned on the fresh host:
-   speedup only on >= 4 usable cores, both ratios only above the
-   serial-wall noise floor. *)
-let check_par ~ignore_wall acc (old_p : par option) (new_p : par option) =
-  let where = "(par)" in
-  match (old_p, new_p) with
-  | None, None -> acc
-  | Some _, None ->
-    structural ~where ~metric:"par block" ~baseline:"present"
-      ~current:"missing" acc
-  | None, Some _ ->
-    structural ~where ~metric:"par block"
-      ~baseline:"absent (refresh baseline)" ~current:"present" acc
-  | Some old_p, Some new_p ->
-    let acc =
-      List.fold_left
-        (fun acc (name, _) ->
-          match List.assoc_opt name new_p.walls with
-          | Some _ -> acc
-          | None ->
-            structural ~where ~metric:name ~baseline:"present"
-              ~current:"missing" acc)
-        acc old_p.walls
+(* keys of [a] in order, then the keys only [b] has *)
+let union_keys a b =
+  List.map fst a @ List.filter (fun k -> not (List.mem_assoc k a)) (List.map fst b)
+
+let check ?(ignore_wall = false) ~(baseline : t) ~(fresh : t) () : violation list
+    =
+  let acc = ref [] in
+  let report ~where ~metric (baseline, current, allowed) =
+    acc := { where; metric; baseline; current; allowed } :: !acc
+  in
+  (* Walk two assoc lists over the union of their keys: [both] on keys
+     present on each side, else one structural violation located by
+     [missing k] = (where, metric). *)
+  let pair ~missing a b both =
+    List.iter
+      (fun k ->
+        match (List.assoc_opt k a, List.assoc_opt k b) with
+        | Some x, Some y -> both k x y
+        | x, _ ->
+          let where, metric = missing k in
+          report ~where ~metric
+            (if Option.is_some x then ("present", "missing", "must match")
+             else ("absent (refresh baseline)", "present", "must match")))
+      (union_keys a b)
+  in
+  (* [path] keys the band table; [label] names the metric inside
+     [where], joined with [sep]. *)
+  let rec walk ~where ~sep ~path ~label ~parent b f =
+    let metric l =
+      (* counter names have always printed as "counter <name>" *)
+      String.concat sep (match l with "counters" :: r -> "counter" :: r | l -> l)
     in
-    let acc =
-      List.fold_left
-        (fun acc (name, _) ->
-          if List.mem_assoc name old_p.walls then acc
-          else
-            structural ~where ~metric:name
-              ~baseline:"absent (refresh baseline)" ~current:"present" acc)
-        acc new_p.walls
-    in
-    if ignore_wall then acc
-    else
-      let get name =
-        Option.value ~default:0.0 (List.assoc_opt name new_p.walls)
-      in
-      if get "serial_wall" < par_wall_floor then acc
+    match (b, f) with
+    | Obj bo, Obj fo ->
+      pair ~missing:(fun k -> (where, metric (label @ [ k ]))) bo fo
+        (fun k x y ->
+          walk ~where ~sep ~path:(path @ [ k ]) ~label:(label @ [ k ]) ~parent:f x y)
+    | Arr bl, Arr fl ->
+      (* the ROM list, matched by position; each ROM is its own [where] *)
+      if List.length bl <> List.length fl then
+        report ~where ~metric:"rom count"
+          ( string_of_int (List.length bl),
+            string_of_int (List.length fl),
+            "must match" )
       else
-        let acc =
-          let s4 = get "speedup_4" in
-          if new_p.cores >= 4 && s4 < par_speedup_min then
-            {
-              where;
-              metric = "speedup_4";
-              baseline = Printf.sprintf "%d cores" new_p.cores;
-              current = Printf.sprintf "%.2fx" s4;
-              allowed = Printf.sprintf ">= %.1fx on >= 4 cores" par_speedup_min;
-            }
-            :: acc
-          else acc
-        in
-        let o1 = get "overhead_1_pct" in
-        if o1 > par_overhead_max then
-          {
-            where;
-            metric = "overhead_1_pct";
-            baseline = "serial wall";
-            current = Printf.sprintf "%+.2f%%" o1;
-            allowed = Printf.sprintf "<= %.1f%%" par_overhead_max;
-          }
-          :: acc
-        else acc
-
-(* The latency block is structural first, like par; then split along
-   the determinism boundary.  The det sub-block is a fixed synthetic
-   stream through the production Qhist geometry — integer LCG + ldexp
-   only — so its counts and quantiles are compared *exactly* (the
-   floats survive the JSON round trip bit-for-bit via %.17g), even
-   under --ignore-wall: any drift is a real change in bucket indexing,
-   merge arithmetic or quantile interpolation.  The wall quantiles
-   p50_s / p99_s get the ordinary wall band. *)
-let check_latency ~ignore_wall acc (old_l : latency option)
-    (new_l : latency option) =
-  let where = "(latency)" in
-  match (old_l, new_l) with
-  | None, None -> acc
-  | Some _, None ->
-    structural ~where ~metric:"latency block" ~baseline:"present"
-      ~current:"missing" acc
-  | None, Some _ ->
-    structural ~where ~metric:"latency block"
-      ~baseline:"absent (refresh baseline)" ~current:"present" acc
-  | Some old_l, Some new_l ->
-    let exact_int metric acc old_v new_v =
-      if old_v = new_v then acc
-      else
-        {
-          where;
-          metric;
-          baseline = string_of_int old_v;
-          current = string_of_int new_v;
-          allowed = "exact";
-        }
-        :: acc
-    in
-    let exact_float metric acc old_v new_v =
-      if Float.equal old_v new_v then acc
-      else
-        {
-          where;
-          metric;
-          baseline = Printf.sprintf "%.17g" old_v;
-          current = Printf.sprintf "%.17g" new_v;
-          allowed = "exact (deterministic fingerprint)";
-        }
-        :: acc
-    in
-    let acc = exact_int "requests" acc old_l.requests new_l.requests in
-    let acc = exact_int "det.count" acc old_l.det_count new_l.det_count in
-    let acc =
-      exact_int "det.nonzero_buckets" acc old_l.det_nonzero new_l.det_nonzero
-    in
-    let acc = exact_float "det.p50" acc old_l.det_p50 new_l.det_p50 in
-    let acc = exact_float "det.p90" acc old_l.det_p90 new_l.det_p90 in
-    let acc = exact_float "det.p99" acc old_l.det_p99 new_l.det_p99 in
-    if ignore_wall then acc
-    else
-      let banded metric acc old_v new_v =
-        if rel_diff ~old_v ~new_v > latency_wall_tolerance
-           && Float.abs (new_v -. old_v) > latency_wall_floor
-        then
-          {
-            where;
-            metric;
-            baseline = Printf.sprintf "%.4fs" old_v;
-            current = Printf.sprintf "%.4fs" new_v;
-            allowed = Printf.sprintf "+-%.0f%%" (100.0 *. latency_wall_tolerance);
-          }
-          :: acc
-        else acc
+        List.iteri
+          (fun i (x, y) ->
+            let field k = Option.fold ~none:"?" ~some:show (member k x) in
+            walk
+              ~where:(Printf.sprintf "%s/%s[q=%s]" where (field "method") (field "order"))
+              ~sep ~path:(path @ [ string_of_int i ]) ~label:[] ~parent:y x y)
+          (List.combine bl fl)
+    | _ ->
+      let band = band_of path in
+      let sibling k = match member k parent with Some (Num v) -> v | _ -> 0.0 in
+      let verdict =
+        if ignore_wall && wall_derived band then None
+        else
+          match (band, b, f) with
+          | Presence, _, _ -> None
+          | _, Num x, Num y -> numeric band ~sibling x y
+          | _ ->
+            if String.equal (render b) (render f) then None
+            else Some (show b, show f, "must match")
       in
-      let acc = banded "p50_s" acc old_l.p50_s new_l.p50_s in
-      banded "p99_s" acc old_l.p99_s new_l.p99_s
-
-let check ?(ignore_wall = false) ~(baseline : bench) ~(fresh : bench) () :
-    violation list =
-  let acc =
-    if rel_diff ~old_v:baseline.scale ~new_v:fresh.scale > 1e-9 then
-      structural ~where:"(run)" ~metric:"scale"
-        ~baseline:(Printf.sprintf "%g" baseline.scale)
-        ~current:(Printf.sprintf "%g" fresh.scale)
-        []
-    else []
+      Option.iter (report ~where ~metric:(metric label)) verdict
   in
-  let find b id = List.find_opt (fun e -> String.equal e.id id) b.experiments in
-  let acc =
-    List.fold_left
-      (fun acc (old_e : experiment) ->
-        match find fresh old_e.id with
-        | Some new_e -> check_experiment ~ignore_wall acc old_e new_e
-        | None ->
-          structural ~where:old_e.id ~metric:"experiment" ~baseline:"present"
-            ~current:"missing" acc)
-      acc baseline.experiments
-  in
-  let acc =
-    List.fold_left
-      (fun acc (new_e : experiment) ->
-        match find baseline new_e.id with
-        | Some _ -> acc
-        | None ->
-          structural ~where:new_e.id ~metric:"experiment"
-            ~baseline:"absent (refresh baseline)" ~current:"present" acc)
-      acc fresh.experiments
-  in
-  (* overhead bands are wall-derived: skipped with --ignore-wall just
-     like the experiment wall times *)
-  let acc =
-    if ignore_wall then acc
-    else
-      let acc =
-        List.fold_left
-          (fun acc (name, old_p) ->
-            match List.assoc_opt name fresh.overheads with
-            | None ->
-              structural ~where:"(overheads)" ~metric:name ~baseline:"present"
-                ~current:"missing" acc
-            | Some new_p ->
-              if new_p > old_p +. overhead_slack then
-                {
-                  where = "(overheads)";
-                  metric = name;
-                  baseline = Printf.sprintf "%.2f%%" old_p;
-                  current = Printf.sprintf "%.2f%%" new_p;
-                  allowed =
-                    Printf.sprintf "<= baseline + %.1fpt" overhead_slack;
-                }
-                :: acc
-              else acc)
-          acc baseline.overheads
-      in
-      List.fold_left
-        (fun acc (name, _) ->
-          if List.mem_assoc name baseline.overheads then acc
-          else
-            structural ~where:"(overheads)" ~metric:name
-              ~baseline:"absent (refresh baseline)" ~current:"present" acc)
-        acc fresh.overheads
-  in
-  let acc = check_par ~ignore_wall acc baseline.par fresh.par in
-  let acc = check_latency ~ignore_wall acc baseline.latency fresh.latency in
-  List.rev acc
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+  let by_id j = List.map (fun e -> (to_str (member_exn "id" e), e)) (to_arr j) in
+  pair
+    ~missing:(fun k -> (Printf.sprintf "(%s)" k, k ^ " block"))
+    (to_obj baseline) (to_obj fresh)
+    (fun k x y ->
+      match (k, x) with
+      | "experiments", _ ->
+        pair ~missing:(fun id -> (id, "experiment")) (by_id x) (by_id y)
+          (fun id x y ->
+            walk ~where:id ~sep:" " ~path:[ k; id ] ~label:[] ~parent:y x y)
+      | _, Obj _ ->
+        walk ~where:(Printf.sprintf "(%s)" k) ~sep:"." ~path:[ k ] ~label:[] ~parent:y x y
+      | _ -> walk ~where:"(run)" ~sep:"." ~path:[ k ] ~label:[ k ] ~parent:fresh x y);
+  List.rev !acc
 
 (* Machine-readable violation list for `bench_gate --json OUT`
    (mirrors vmor_lint --json): a schema tag, the overall verdict and
    one record per violated band, so CI can archive and diff gate
    outcomes without scraping the table. *)
 let render_json (violations : violation list) : string =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"vmor.bench_gate/1\",\"ok\":%b,\"violations\":["
-       (violations = []));
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"where\":\"%s\",\"metric\":\"%s\",\"baseline\":\"%s\",\"current\":\"%s\",\"allowed\":\"%s\"}"
-           (json_escape v.where) (json_escape v.metric) (json_escape v.baseline)
-           (json_escape v.current) (json_escape v.allowed)))
-    violations;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  let record v =
+    Obj
+      [
+        ("where", Str v.where);
+        ("metric", Str v.metric);
+        ("baseline", Str v.baseline);
+        ("current", Str v.current);
+        ("allowed", Str v.allowed);
+      ]
+  in
+  render
+    (Obj
+       [
+         ("schema", Str "vmor.bench_gate/1");
+         ("ok", Bool (violations = []));
+         ("violations", Arr (List.map record violations));
+       ])
+  ^ "\n"
 
 let render (violations : violation list) : string =
   let b = Buffer.create 1024 in

@@ -17,7 +17,7 @@
 
 let schema_version = 1
 
-type entry = { pr : int; bench : Gatecheck.bench }
+type entry = { pr : int; bench : Obs.Json.t }
 
 exception Bad_history of string
 
@@ -32,9 +32,83 @@ let read_file path =
 
 let snapshot_name pr = Printf.sprintf "BENCH_%d.json" pr
 
+(* ---- derived per-experiment rows ---- *)
+
+let num k j = Obs.Json.(to_num (member_exn k j))
+let experiments b = Obs.Json.(to_arr (member_exn "experiments" b))
+let roms e = Obs.Json.(to_arr (member_exn "roms" e))
+let id_of e = Obs.Json.(to_str (member_exn "id" e))
+
+let total_flops e : int option =
+  Option.map
+    (fun cost ->
+      List.fold_left
+        (fun acc (k, v) ->
+          if String.length k >= 6 && String.sub k 0 6 = "flops_" then
+            acc + Obs.Json.to_int v
+          else acc)
+        0 (Obs.Json.to_obj cost))
+    (Obs.Json.member "cost" e)
+
+let orders_of e : string =
+  match roms e with
+  | [] -> "-"
+  | roms ->
+    String.concat "+"
+      (List.map (fun r -> string_of_int Obs.Json.(to_int (member_exn "order" r))) roms)
+
+let max_err_of e : float =
+  List.fold_left (fun acc r -> Float.max acc (num "max_rel_error" r)) 0.0 (roms e)
+
+(* experiment ids in first-appearance order across the series *)
+let experiment_ids (series : entry list) : string list =
+  List.fold_left
+    (fun acc e ->
+      List.fold_left
+        (fun acc x -> if List.mem (id_of x) acc then acc else acc @ [ id_of x ])
+        acc (experiments e.bench))
+    [] series
+
+let find_experiment b id =
+  List.find_opt (fun x -> String.equal (id_of x) id) (experiments b)
+
+(* one trajectory row: pr, wall, flops, flops/s, orders, max_rel_error *)
+let row_of (pr : int) e =
+  let wall = num "wall_seconds" e in
+  let flops = total_flops e in
+  let flops_s = Option.fold ~none:"n/a" ~some:string_of_int flops in
+  (* zero-duration (or non-finite) walls render as n/a, same guard as
+     the report's flops/s column *)
+  let rate =
+    match flops with
+    | None -> "n/a"
+    | Some f -> Obs.Trace.flops_rate ~flops:f ~seconds:wall
+  in
+  ( string_of_int pr,
+    Printf.sprintf "%.4f" wall,
+    flops_s,
+    rate,
+    orders_of e,
+    Printf.sprintf "%.6f" (max_err_of e) )
+
+(* run-level request-latency quantiles (the bench `latency` pass);
+   snapshots predating the block render as n/a so the series stays
+   rectangular *)
+let latency_cells b =
+  match Obs.Json.member "latency" b with
+  | None -> ("n/a", "n/a", "n/a")
+  | Some l ->
+    ( string_of_int Obs.Json.(to_int (member_exn "requests" l)),
+      Printf.sprintf "%.4f" (num "p50_s" l),
+      Printf.sprintf "%.4f" (num "p99_s" l) )
+
+let any_latency (series : entry list) =
+  List.exists (fun e -> Obs.Json.member "latency" e.bench <> None) series
+
 (* Parse one BENCH_<pr>.json wrapper; the embedded bench object goes
    back through [Gatecheck.parse] so history snapshots can never drift
-   from the gate's schema. *)
+   from the gate's schema, and every row is derived once here so a
+   snapshot missing a rendered field fails at load, not mid-render. *)
 let parse_entry (src : string) : entry =
   let open Obs.Json in
   let json =
@@ -59,6 +133,10 @@ let parse_entry (src : string) : entry =
     try Gatecheck.parse (render bench_json)
     with Gatecheck.Bad_bench m -> bad "embedded bench: %s" m
   in
+  (try
+     List.iter (fun e -> ignore (row_of pr e)) (experiments bench);
+     ignore (latency_cells bench)
+   with Parse_error m -> bad "embedded bench: %s" m);
   { pr; bench }
 
 (* Snapshot [src] (a bench --json file) as BENCH_<pr>.json in [dir];
@@ -68,7 +146,7 @@ let parse_entry (src : string) : entry =
 let append ~pr ~(src : string) ~(dir : string) : string =
   let raw = read_file src in
   (match Gatecheck.parse raw with
-  | (_ : Gatecheck.bench) -> ()
+  | (_ : Obs.Json.t) -> ()
   | exception Gatecheck.Bad_bench m -> bad "%s: %s" src m);
   let path = Filename.concat dir (snapshot_name pr) in
   let oc = open_out path in
@@ -96,79 +174,6 @@ let load_series ~(dir : string) : entry list =
   List.sort
     (fun a b -> compare a.pr b.pr)
     (List.map (fun f -> parse_entry (read_file (Filename.concat dir f))) snapshots)
-
-(* ---- derived per-experiment rows ---- *)
-
-let total_flops (e : Gatecheck.experiment) : int option =
-  match e.Gatecheck.cost with
-  | None -> None
-  | Some cost ->
-    Some
-      (List.fold_left
-         (fun acc (k, v) ->
-           if String.length k >= 6 && String.sub k 0 6 = "flops_" then acc + v
-           else acc)
-         0 cost)
-
-let orders_of (e : Gatecheck.experiment) : string =
-  match e.Gatecheck.roms with
-  | [] -> "-"
-  | roms ->
-    String.concat "+"
-      (List.map (fun (r : Gatecheck.rom) -> string_of_int r.Gatecheck.order) roms)
-
-let max_err_of (e : Gatecheck.experiment) : float =
-  List.fold_left
-    (fun acc (r : Gatecheck.rom) -> Float.max acc r.Gatecheck.max_rel_error)
-    0.0 e.Gatecheck.roms
-
-(* experiment ids in first-appearance order across the series *)
-let experiment_ids (series : entry list) : string list =
-  List.fold_left
-    (fun acc e ->
-      List.fold_left
-        (fun acc (x : Gatecheck.experiment) ->
-          if List.mem x.Gatecheck.id acc then acc else acc @ [ x.Gatecheck.id ])
-        acc e.bench.Gatecheck.experiments)
-    [] series
-
-let find_experiment (b : Gatecheck.bench) id =
-  List.find_opt
-    (fun (x : Gatecheck.experiment) -> String.equal x.Gatecheck.id id)
-    b.Gatecheck.experiments
-
-(* one trajectory row: pr, wall, flops, flops/s, orders, max_rel_error *)
-let row_of (pr : int) (e : Gatecheck.experiment) =
-  let wall = e.Gatecheck.wall_seconds in
-  let flops = total_flops e in
-  let flops_s = Option.fold ~none:"n/a" ~some:string_of_int flops in
-  (* zero-duration (or non-finite) walls render as n/a, same guard as
-     the report's flops/s column *)
-  let rate =
-    match flops with
-    | None -> "n/a"
-    | Some f -> Obs.Trace.flops_rate ~flops:f ~seconds:wall
-  in
-  ( string_of_int pr,
-    Printf.sprintf "%.4f" wall,
-    flops_s,
-    rate,
-    orders_of e,
-    Printf.sprintf "%.6f" (max_err_of e) )
-
-(* run-level request-latency quantiles (the bench `latency` pass,
-   PR 10+); snapshots predating the block render as n/a so the series
-   stays rectangular *)
-let latency_cells (b : Gatecheck.bench) =
-  match b.Gatecheck.latency with
-  | None -> ("n/a", "n/a", "n/a")
-  | Some l ->
-    ( string_of_int l.Gatecheck.requests,
-      Printf.sprintf "%.4f" l.Gatecheck.p50_s,
-      Printf.sprintf "%.4f" l.Gatecheck.p99_s )
-
-let any_latency (series : entry list) =
-  List.exists (fun e -> e.bench.Gatecheck.latency <> None) series
 
 let render_table (series : entry list) : string =
   let b = Buffer.create 2048 in

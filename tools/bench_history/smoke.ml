@@ -44,7 +44,7 @@ let () =
   in
   (match series with
   | [ { Benchhistory.pr = 9999; bench } ] ->
-    if bench.Gatecheck.experiments = [] then fail "no experiments in snapshot"
+    if Benchhistory.experiments bench = [] then fail "no experiments in snapshot"
   | _ -> fail "expected exactly one snapshot in %s" dir);
   let table = Benchhistory.render_table series in
   let csv = Benchhistory.render_csv series in
