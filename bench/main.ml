@@ -587,16 +587,11 @@ let obs_overhead () =
     Circuit.Models.qldae (Circuit.Models.nltl ~stages:30 ~source:(`Voltage 1.0) ())
   in
   let orders = { Mor.Atmor.k1 = 6; k2 = 3; k3 = 1 } in
-  (* toggle the event counters and the Cost work counters together —
-     the disabled side must be the genuinely uninstrumented baseline *)
+  (* one switch covers event counters, Cost charges and histograms —
+     the disabled side is the genuinely uninstrumented baseline *)
   let with_metrics enabled f =
     Obs.Metrics.set_enabled enabled;
-    Obs.Cost.set_enabled enabled;
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Metrics.set_enabled true;
-        Obs.Cost.set_enabled true)
-      f
+    Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled true) f
   in
   (* interleave disabled/enabled passes so warm-up and GC drift hit
      both sides equally; best-of across rounds *)

@@ -1,10 +1,11 @@
 (* Deterministic work accounting: nominal flops and bytes per kernel.
 
-   The same per-domain accumulator design as [Metrics] — each domain
-   ticks into its own flat int array held in a [Domain.DLS] slot, and
-   readers merge every registered array under [mu], so a charge is one
-   atomic-flag load, one DLS fetch and a few bounds-checked stores,
-   and the merge after [Domain.join] is exact.
+   The cost counters are slots [Registry.cost_base ..] of the
+   per-domain [Registry] store (DESIGN.md section 8), so a charge is
+   one atomic-flag load, one DLS fetch and a few bounds-checked
+   stores, and the merge after [Domain.join] is exact.
+   [Metrics.set_enabled] switches charges on and off with every other
+   recording operation.
 
    Charges are *nominal*: closed-form functions of the operand
    dimensions at each kernel call (2mn for an m-by-n matvec, 2n^3/3
@@ -31,9 +32,10 @@ type counter =
   | Bytes_read
   | Bytes_written
 
-let n_counters = 12
-
-let index = function
+let index c =
+  Registry.cost_base
+  +
+  match c with
   | Flops_axpy -> 0
   | Flops_matvec -> 1
   | Flops_matmul -> 2
@@ -70,79 +72,27 @@ let of_name s = List.find_opt (fun c -> name c = s) all
 
 let is_flops = function Bytes_read | Bytes_written -> false | _ -> true
 
-let mu = Mutex.create ()
-
-(* Every per-domain cost array ever handed out.  Arrays outlive their
-   domain so joined children keep contributing to the merge. *)
-let domains : int array list ref = ref [] [@@vmor.sync "guarded by mu"]
-
-let slot =
-  Domain.DLS.new_key (fun () ->
-      let a = Array.make n_counters 0 in
-      Mutex.protect mu (fun () -> domains := a :: !domains);
-      a)
-
-let enabled = Atomic.make true
-
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
+let bytes_read = index Bytes_read
+let bytes_written = index Bytes_written
 
 (* [read]/[written] are in 8-byte floating-point words; the bytes
    counters store bytes.  One DLS fetch covers all three stores. *)
 let charge ?(read = 0) ?(written = 0) c flops =
-  if Atomic.get enabled then begin
-    let a = Domain.DLS.get slot in
+  if Atomic.get Registry.enabled then begin
+    let a = (Domain.DLS.get Registry.key).slots in
     let i = index c in
     a.(i) <- a.(i) + flops;
-    if read <> 0 then a.(10) <- a.(10) + (8 * read);
-    if written <> 0 then a.(11) <- a.(11) + (8 * written)
+    if read <> 0 then a.(bytes_read) <- a.(bytes_read) + (8 * read);
+    if written <> 0 then a.(bytes_written) <- a.(bytes_written) + (8 * written)
   end
 
-(* Merge-on-read: sum every registered domain's array under the lock. *)
-let merged () =
-  Mutex.protect mu (fun () ->
-      let out = Array.make n_counters 0 in
-      List.iter
-        (fun a ->
-          for i = 0 to n_counters - 1 do
-            out.(i) <- out.(i) + a.(i)
-          done)
-        !domains;
-      out)
+let get c = (Registry.snapshot ()).(index c)
 
-let get c = (merged ()).(index c)
+type snapshot = Registry.snapshot
 
-type snapshot = int array
-
-let snapshot () = merged ()
-
-let since (snap : snapshot) =
-  let now = merged () in
-  List.filter_map
-    (fun c ->
-      let d = now.(index c) - snap.(index c) in
-      if d = 0 then None else Some (c, d))
-    all
-
-(* Domain-local snapshots: same contract as [Metrics.local_snapshot]
-   — exact per-scope deltas without locking, valid on the snapshotting
-   domain only. *)
-
-type local_snapshot = int array
-
-let local_snapshot () = Array.copy (Domain.DLS.get slot)
-
-let local_since (snap : local_snapshot) =
-  let a = Domain.DLS.get slot in
-  List.filter_map
-    (fun c ->
-      let d = a.(index c) - snap.(index c) in
-      if d = 0 then None else Some (c, d))
-    all
-
-let reset () =
-  Mutex.protect mu (fun () ->
-      List.iter (fun a -> Array.fill a 0 n_counters 0) !domains)
+let snapshot = Registry.snapshot
+let diff = Registry.deltas index all
+let since snap = diff snap (Registry.snapshot ())
 
 let total_flops deltas =
   List.fold_left (fun acc (c, n) -> if is_flops c then acc + n else acc) 0 deltas

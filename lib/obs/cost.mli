@@ -1,17 +1,18 @@
 (** Deterministic work accounting: nominal flop and byte counters.
 
-    The cost layer is [Metrics]' exact sibling — per-domain
-    [Domain.DLS] accumulators merged exactly on read — but counts
-    *work* instead of events: floating-point operations and bytes
-    moved, charged as closed-form ({e nominal}) functions of operand
-    dimensions at each kernel call.  Because a charge never depends on
-    data values, allocator behavior, observer state or the domain
-    count, every counter is bit-identical across repeated runs,
-    across [--domains 1] vs [--domains 4], and across traced vs
-    untraced executions; the bench gate pins the whole block with
-    exact zero-tolerance bands.  See DESIGN.md section 15 for the
-    tick-site placement policy (single charge: leaf kernels charge
-    themselves, composites charge only un-leafed work). *)
+    The cost layer is [Metrics]' sibling over the same per-domain
+    {!Registry} store, but counts *work* instead of events:
+    floating-point operations and bytes moved, charged as closed-form
+    ({e nominal}) functions of operand dimensions at each kernel call.
+    Because a charge never depends on data values, allocator behavior,
+    observer state or the domain count, every counter is bit-identical
+    across repeated runs, across [--domains 1] vs [--domains 4], and
+    across traced vs untraced executions; the bench gate pins the
+    whole block with exact zero-tolerance bands.  {!Metrics.set_enabled}
+    switches charges with every other recording operation.  See
+    DESIGN.md section 15 for the tick-site placement policy (single
+    charge: leaf kernels charge themselves, composites charge only
+    un-leafed work). *)
 
 type counter =
   | Flops_axpy  (** vector add / scale / dot / norm work *)
@@ -41,13 +42,6 @@ val of_name : string -> counter option
 val is_flops : counter -> bool
 (** [true] for the [Flops_*] counters, [false] for the byte movers. *)
 
-val set_enabled : bool -> unit
-(** [set_enabled false] turns every charge into a no-op — the genuine
-    uninstrumented baseline for the overhead benchmark.  Charges are
-    enabled by default. *)
-
-val is_enabled : unit -> bool
-
 val charge : ?read:int -> ?written:int -> counter -> int -> unit
 (** [charge c flops] adds [flops] to [c] on the calling domain's
     accumulator; [?read]/[?written] additionally move that many
@@ -59,27 +53,18 @@ val charge : ?read:int -> ?written:int -> counter -> int -> unit
 val get : counter -> int
 (** Merged process-wide total for one counter. *)
 
-type snapshot
-(** Merged totals at a point in time, for delta computation. *)
+type snapshot = Registry.snapshot
+(** Merged totals at a point in time, for delta computation (the same
+    snapshot type as {!Metrics.snapshot}). *)
 
 val snapshot : unit -> snapshot
 
 val since : snapshot -> (counter * int) list
 (** Nonzero deltas accumulated since the snapshot, in {!all} order. *)
 
-type local_snapshot
-(** The calling domain's own accumulator at a point in time. *)
-
-val local_snapshot : unit -> local_snapshot
-(** Copy the calling domain's cost array — no lock, no merge.  Same
-    contract as [Metrics.local_snapshot]: exact on the snapshotting
-    domain even while other domains run ({!Scope}'s primitive). *)
-
-val local_since : local_snapshot -> (counter * int) list
-(** Nonzero deltas on the calling domain since [local_snapshot]. *)
-
-val reset : unit -> unit
-(** Zero every registered per-domain accumulator. *)
+val diff : snapshot -> snapshot -> (counter * int) list
+(** [diff snap now]: nonzero cost deltas between two snapshots (both
+    merged, or both domain-local). *)
 
 val total_flops : (counter * int) list -> int
 (** Sum of the [Flops_*] entries of a delta list. *)

@@ -1,18 +1,13 @@
-(* Process-wide kernel counters, gauges and histograms.
+(* Process-wide kernel event counters, gauges and histograms.
 
-   Counters are the hot primitive: each domain accumulates into its own
-   flat int array held in a [Domain.DLS] slot, so an increment is one
-   atomic-flag load, one DLS fetch and one bounds-checked store — no
-   lock, no contention, no false sharing between domains.  Readers
-   merge every registered per-domain array under [mu]; after
-   [Domain.join] the merge is exact because the child's publishes
-   happen-before the join.
-
-   [set_enabled false] turns every recording operation into a no-op,
-   which gives the overhead benchmark a genuine uninstrumented
-   baseline.  Gauges and histograms are string-keyed, only touched on
-   cold paths (end of a reduction, end of a simulation), and guarded
-   by the same mutex. *)
+   Counters live in the first 12 slots of the per-domain [Registry]
+   store (DESIGN.md section 8), so an increment is one atomic-flag
+   load, one DLS fetch and one bounds-checked store.  [set_enabled] is
+   the one switch for every counter, cost charge and histogram
+   observation: [false] makes them all no-ops, the genuinely
+   uninstrumented baseline of the overhead benchmark.  Gauges are
+   string-keyed, only touched on cold paths, and guarded by the
+   registry's mutex. *)
 
 type counter =
   | Lu_factor
@@ -27,8 +22,6 @@ type counter =
   | Ladder_attempt
   | Recovery_event
   | Budget_poll
-
-let n_counters = 12
 
 let index = function
   | Lu_factor -> 0
@@ -63,105 +56,46 @@ let all =
     Deflation_discard; Ode_step; Ode_rejected; Newton_iter;
     Ladder_attempt; Recovery_event; Budget_poll ]
 
-let mu = Mutex.create ()
-
-(* Every per-domain counter array ever handed out.  Arrays outlive
-   their domain so joined children keep contributing to the merge. *)
-let domains : int array list ref = ref [] [@@vmor.sync "guarded by mu"]
-
-let slot =
-  Domain.DLS.new_key (fun () ->
-      let a = Array.make n_counters 0 in
-      Mutex.protect mu (fun () -> domains := a :: !domains);
-      a)
-
-let enabled = Atomic.make true
-
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
+let set_enabled b = Atomic.set Registry.enabled b
 
 let incr ?(by = 1) c =
-  if Atomic.get enabled then begin
-    let a = Domain.DLS.get slot in
+  if Atomic.get Registry.enabled then begin
+    let a = (Domain.DLS.get Registry.key).slots in
     let i = index c in
     a.(i) <- a.(i) + by
   end
 
-(* Merge-on-read: sum every registered domain's array under the lock. *)
-let merged () =
-  Mutex.protect mu (fun () ->
-      let out = Array.make n_counters 0 in
-      List.iter
-        (fun a ->
-          for i = 0 to n_counters - 1 do
-            out.(i) <- out.(i) + a.(i)
-          done)
-        !domains;
-      out)
-
-let get c = (merged ()).(index c)
+let get c = (Registry.snapshot ()).(index c)
 
 (* ------------------------------------------------------------------ *)
 (* Gauges: last-write-wins named floats.                              *)
 
 let gauge_tbl : (string, float) Hashtbl.t =
-  Hashtbl.create 16 [@@vmor.sync "guarded by mu"]
+  Hashtbl.create 16 [@@vmor.sync "guarded by Registry.mu"]
 
 let set_gauge k v =
-  if Atomic.get enabled then
-    Mutex.protect mu (fun () -> Hashtbl.replace gauge_tbl k v)
+  if Atomic.get Registry.enabled then
+    Mutex.protect Registry.mu (fun () -> Hashtbl.replace gauge_tbl k v)
 
 let gauges () =
-  Mutex.protect mu (fun () ->
+  Mutex.protect Registry.mu (fun () ->
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) gauge_tbl [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(* ------------------------------------------------------------------ *)
-(* Histograms: backed by the deterministic bucketed [Qhist] store.    *)
-
-let observe k v = if Atomic.get enabled then Qhist.observe k v
+let observe = Qhist.observe
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots and deltas.                                              *)
 
-type snapshot = int array
+type snapshot = Registry.snapshot
 
-let snapshot () = merged ()
-
-let since (snap : snapshot) =
-  let now = merged () in
-  List.filter_map
-    (fun c ->
-      let d = now.(index c) - snap.(index c) in
-      if d = 0 then None else Some (c, d))
-    all
+let snapshot = Registry.snapshot
+let diff = Registry.deltas index all
+let since snap = diff snap (Registry.snapshot ())
 
 let reset () =
-  Mutex.protect mu (fun () ->
-      List.iter (fun a -> Array.fill a 0 n_counters 0) !domains;
-      Hashtbl.reset gauge_tbl);
-  Qhist.reset ()
-
-(* ------------------------------------------------------------------ *)
-(* Domain-local snapshots (the [Scope] primitive).
-
-   [local_snapshot] copies only the calling domain's accumulator —
-   no lock, no merge — and [local_since] diffs against it on the same
-   domain.  Because a domain's array is written by that domain alone,
-   the delta is exact even while other domains are running: this is
-   what keeps concurrent scopes from smearing each other's counts. *)
-
-type local_snapshot = int array
-
-let local_snapshot () = Array.copy (Domain.DLS.get slot)
-
-let local_since (snap : local_snapshot) =
-  let a = Domain.DLS.get slot in
-  List.filter_map
-    (fun c ->
-      let d = a.(index c) - snap.(index c) in
-      if d = 0 then None else Some (c, d))
-    all
+  Registry.reset ();
+  Mutex.protect Registry.mu (fun () -> Hashtbl.reset gauge_tbl)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering.                                                         *)
@@ -170,7 +104,7 @@ let local_since (snap : local_snapshot) =
    rows carry their single value in [value] and leave the stat columns
    empty. *)
 let to_csv_string () =
-  let now = merged () in
+  let now = Registry.snapshot () in
   let b = Buffer.create 512 in
   Buffer.add_string b "kind,name,value,count,sum,sumsq,min,max,stddev\n";
   List.iter
@@ -196,7 +130,7 @@ let write_csv path =
   close_out oc
 
 let render_table () =
-  let now = merged () in
+  let now = Registry.snapshot () in
   let b = Buffer.create 512 in
   let rule = String.make 46 '-' in
   Buffer.add_string b "vmor metrics\n";

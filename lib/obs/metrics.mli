@@ -6,14 +6,10 @@
     (Arnoldi) iterations, deflation discards, ODE steps/rejections,
     Newton iterations and recovery-ladder attempts.
 
-    Counting is on by default and domain-safe: each domain increments
-    its own accumulator array (held in a [Domain.DLS] slot), and
-    readers merge all per-domain arrays under a mutex.  After
-    [Domain.join] the merged totals are exact; while other domains are
-    still running a read observes some interleaving of word-sized
-    stores, never a torn value.  [set_enabled false] makes every
-    recording operation a no-op, giving benchmarks an uninstrumented
-    baseline. *)
+    Counting is on by default.  The counters are a view over the
+    per-domain {!Registry} store, which carries the domain-safety
+    contract.  {!set_enabled} is the one switch for every counter,
+    {!Cost} charge and {!Qhist} observation. *)
 
 type counter =
   | Lu_factor          (** dense LU factorizations ([La.Lu.factor]) *)
@@ -41,9 +37,9 @@ val incr : ?by:int -> counter -> unit
 val get : counter -> int
 
 val set_enabled : bool -> unit
-(** Globally enable/disable all metric recording (default: enabled). *)
-
-val is_enabled : unit -> bool
+(** Globally enable/disable all recording — counters, gauges, {!Cost}
+    charges and {!Qhist} observations (default: enabled).  [false] is
+    the uninstrumented baseline of the overhead benchmark. *)
 
 val set_gauge : string -> float -> unit
 (** Record a last-write-wins named value (e.g. ["reduced_order"]). *)
@@ -52,34 +48,25 @@ val gauges : unit -> (string * float) list
 (** All gauges, sorted by name. *)
 
 val observe : string -> float -> unit
-(** Feed one observation into the named histogram (a {!Qhist}
-    observation on the calling domain's accumulator), unless counters
-    are disabled.  Read histograms back through {!Qhist.view} /
-    {!Qhist.all}. *)
+(** {!Qhist.observe}: feed one observation into the named histogram.
+    Read histograms back through {!Qhist.view} / {!Qhist.all}. *)
 
-type snapshot
+type snapshot = Registry.snapshot
 
 val snapshot : unit -> snapshot
-(** Capture current merged counter values (one locked merge pass). *)
+(** Capture current merged counter values (one locked merge pass).
+    The same snapshot also carries the {!Cost} slots. *)
 
 val since : snapshot -> (counter * int) list
 (** Counter deltas accumulated after [snapshot], nonzero ones only. *)
 
-type local_snapshot
-(** The calling domain's own accumulator at a point in time. *)
-
-val local_snapshot : unit -> local_snapshot
-(** Copy the calling domain's counter array — no lock, no merge.  The
-    {!Scope} primitive: because a domain's array is written by that
-    domain alone, a [local_since] delta taken on the same domain is
-    exact even while other domains run concurrently. *)
-
-val local_since : local_snapshot -> (counter * int) list
-(** Nonzero deltas on the calling domain since [local_snapshot].  Only
-    meaningful on the domain that took the snapshot. *)
+val diff : snapshot -> snapshot -> (counter * int) list
+(** [diff snap now]: nonzero counter deltas between two snapshots
+    (both merged, or both domain-local). *)
 
 val reset : unit -> unit
-(** Zero all counters and drop all gauges/histograms. *)
+(** Zero every event counter, {!Cost} counter and histogram and drop
+    every gauge. *)
 
 val to_csv_string : unit -> string
 (** CSV summary: [kind,name,value,count,sum,sumsq,min,max,stddev]

@@ -1,11 +1,10 @@
 (* Deterministic log-linear quantile histograms.
 
-   The same per-domain accumulator design as [Metrics]/[Cost], but the
-   accumulated value is a fixed-geometry bucketed histogram per name:
-   each domain owns a (name -> local) table held in a [Domain.DLS]
-   slot, observations tick integer bucket counters in the owner's
-   table without any lock, and readers merge every registered table
-   under [mu].
+   A view over the histogram tables of the per-domain [Registry] store
+   (DESIGN.md section 8): this module owns the bucket geometry, the
+   merged [view] and the quantile/mean/stddev maths; observations tick
+   integer bucket counters in the calling domain's table without any
+   lock.
 
    Bucket geometry is fixed at compile time and value-independent:
    [sub_buckets] linear sub-buckets per power-of-two octave over the
@@ -58,15 +57,9 @@ let upper_bound i =
       (e_min + o - 1)
   end
 
-(* ------------------------------------------------------------------ *)
-(* Per-domain accumulators.                                           *)
+let observe k v = Registry.observe ~n_buckets k (bucket_index v) v
 
-(* Mixed int/float record: the float fields are boxed, so every store
-   below is a single word-sized write — concurrent readers may observe
-   a stale value mid-merge but never a torn one, exactly like the
-   [Metrics] counter arrays.  Exactness is claimed after [Domain.join]
-   (or for a domain's own table), same as [Metrics]. *)
-type local = {
+type view = Registry.hist = private {
   buckets : int array;
   mutable count : int;
   mutable sum : float;
@@ -75,131 +68,9 @@ type local = {
   mutable maxv : float;
 }
 
-let fresh_local () =
-  {
-    buckets = Array.make n_buckets 0;
-    count = 0;
-    sum = 0.0;
-    sumsq = 0.0;
-    minv = Float.infinity;
-    maxv = Float.neg_infinity;
-  }
+let all = Registry.hists
 
-let mu = Mutex.create ()
-
-(* Every per-domain (name -> local) table ever handed out.  Tables
-   outlive their domain so joined children keep contributing.  New
-   names are added under [mu] so a merging reader never races a table
-   resize; observations on existing names are lock-free. *)
-let domains : (string, local) Hashtbl.t list ref =
-  ref [] [@@vmor.sync "guarded by mu"]
-
-let slot =
-  Domain.DLS.new_key (fun () ->
-      let tbl : (string, local) Hashtbl.t = Hashtbl.create 16 in
-      Mutex.protect mu (fun () -> domains := tbl :: !domains);
-      tbl)
-
-let observe k v =
-  let tbl = Domain.DLS.get slot in
-  let h =
-    match Hashtbl.find_opt tbl k with
-    | Some h -> h
-    | None ->
-      let h = fresh_local () in
-      (* Insertion may resize the table; exclude concurrent mergers. *)
-      Mutex.protect mu (fun () -> Hashtbl.add tbl k h);
-      h
-  in
-  let i = bucket_index v in
-  h.buckets.(i) <- h.buckets.(i) + 1;
-  h.count <- h.count + 1;
-  h.sum <- h.sum +. v;
-  h.sumsq <- h.sumsq +. (v *. v);
-  if v < h.minv then h.minv <- v;
-  if v > h.maxv then h.maxv <- v
-
-(* ------------------------------------------------------------------ *)
-(* Merged views.                                                      *)
-
-type view = {
-  buckets : int array;
-  count : int;
-  sum : float;
-  sumsq : float;
-  minv : float;
-  maxv : float;
-}
-
-let merge_into (acc : local) (h : local) =
-  for i = 0 to n_buckets - 1 do
-    acc.buckets.(i) <- acc.buckets.(i) + h.buckets.(i)
-  done;
-  acc.count <- acc.count + h.count;
-  acc.sum <- acc.sum +. h.sum;
-  acc.sumsq <- acc.sumsq +. h.sumsq;
-  if h.minv < acc.minv then acc.minv <- h.minv;
-  if h.maxv > acc.maxv then acc.maxv <- h.maxv
-
-let view_of (acc : local) =
-  {
-    buckets = acc.buckets;
-    count = acc.count;
-    sum = acc.sum;
-    sumsq = acc.sumsq;
-    minv = acc.minv;
-    maxv = acc.maxv;
-  }
-
-let view k =
-  Mutex.protect mu (fun () ->
-      let acc = fresh_local () in
-      let found = ref false in
-      List.iter
-        (fun tbl ->
-          match Hashtbl.find_opt tbl k with
-          | Some h ->
-            found := true;
-            merge_into acc h
-          | None -> ())
-        !domains;
-      if !found then Some (view_of acc) else None)
-
-let all () =
-  Mutex.protect mu (fun () ->
-      let accs : (string, local) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (fun tbl ->
-          Hashtbl.iter
-            (fun k h ->
-              let acc =
-                match Hashtbl.find_opt accs k with
-                | Some acc -> acc
-                | None ->
-                  let acc = fresh_local () in
-                  Hashtbl.add accs k acc;
-                  acc
-              in
-              merge_into acc h)
-            tbl)
-        !domains;
-      Hashtbl.fold (fun k acc l -> (k, view_of acc) :: l) accs [])
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let reset () =
-  Mutex.protect mu (fun () ->
-      List.iter
-        (fun tbl ->
-          Hashtbl.iter
-            (fun _ (h : local) ->
-              Array.fill h.buckets 0 n_buckets 0;
-              h.count <- 0;
-              h.sum <- 0.0;
-              h.sumsq <- 0.0;
-              h.minv <- Float.infinity;
-              h.maxv <- Float.neg_infinity)
-            tbl)
-        !domains)
+let view k = List.assoc_opt k (all ())
 
 (* ------------------------------------------------------------------ *)
 (* Derived statistics.                                                *)

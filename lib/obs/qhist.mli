@@ -1,10 +1,10 @@
 (** Deterministic log-linear quantile histograms.
 
-    The backing store for {!Metrics.observe} and for per-span latency
-    distributions: a fixed-geometry bucketed histogram per name,
-    accumulated per domain ([Domain.DLS] tables merged exactly under a
-    mutex — the {!Metrics}/{!Cost} pattern) so concurrent domains
-    never contend on the hot path.
+    The histograms behind {!Metrics.observe} and the per-span/per-scope
+    latency distributions: a fixed-geometry bucketed histogram per
+    name, a view over the histogram tables of the per-domain
+    {!Registry} store, so concurrent domains never contend on the hot
+    path.
 
     The geometry is {!sub_buckets} linear sub-buckets per power-of-two
     octave over binary exponents [[e_min, e_max)], plus an underflow
@@ -40,16 +40,18 @@ val upper_bound : int -> float
 val observe : string -> float -> unit
 (** Feed one observation into the named histogram on the calling
     domain's accumulator: one bucket tick plus count/sum/sumsq/min/max
-    updates, lock-free for already-seen names. *)
+    updates, lock-free for already-seen names.  A no-op while
+    {!Metrics.set_enabled} is [false]. *)
 
-type view = {
+type view = Registry.hist = private {
   buckets : int array;  (** merged integer bucket counts, length {!n_buckets} *)
-  count : int;
-  sum : float;
-  sumsq : float;
-  minv : float;  (** [infinity] when empty *)
-  maxv : float;  (** [neg_infinity] when empty *)
+  mutable count : int;
+  mutable sum : float;
+  mutable sumsq : float;
+  mutable minv : float;  (** [infinity] when empty *)
+  mutable maxv : float;  (** [neg_infinity] when empty *)
 }
+(** A merged histogram: a fresh copy, read-only outside {!Registry}. *)
 
 val view : string -> view option
 (** Merged process-wide histogram for one name; [None] if never
@@ -57,10 +59,6 @@ val view : string -> view option
 
 val all : unit -> (string * view) list
 (** Every named histogram, merged, sorted by name. *)
-
-val reset : unit -> unit
-(** Zero every registered per-domain histogram (names stay
-    registered). *)
 
 val quantile : view -> float -> float
 (** [quantile v q] for [q] in [[0, 1]]: locate the [ceil (q * count)]-th

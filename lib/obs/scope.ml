@@ -6,17 +6,17 @@
    difference is *which* deltas: a span diffs merged process-wide
    snapshots (cheap to reason about, but concurrent domains smear into
    each other's spans), while a scope diffs the calling domain's own
-   accumulator ([Metrics.local_snapshot] / [Cost.local_snapshot]) —
-   no lock, no merge, and exact under concurrency, because a domain's
-   accumulator is written by that domain alone.  Two requests running
+   slots ([Registry.local]) — no lock, no merge, and exact
+   under concurrency, because a domain's store is written by that
+   domain alone.  Two requests running
    on different [Vmor.Par] pool lanes therefore never see each other's
    counts, and the per-scope deltas sum to the process-wide delta.
 
    Scopes always run (they are how the service loop will meter
    requests), unlike spans which are free under the null sink: closing
    a scope feeds its duration into the "scope.<name>" [Qhist]
-   latency histogram, and additionally emits a "scope" record when a
-   sink is active.  Nesting depth is per-domain, like [Span]'s.
+   latency histogram (unless recording is disabled), and additionally
+   emits a "scope" record when a sink is active.  Nesting depth is per-domain, like [Span]'s.
 
    Composition with deadlines is by nesting, not coupling: wrap the
    scope body in [Robust.Budget.with_budget] (or vice versa) for
@@ -34,9 +34,10 @@ type t = {
   cost : (Cost.counter * int) list;
 }
 
-let close ~name ~depth ~start msnap csnap =
-  let counters = Metrics.local_since msnap in
-  let cost = Cost.local_since csnap in
+let close ~name ~depth ~start snap =
+  let now = Registry.local () in
+  let counters = Metrics.diff snap now in
+  let cost = Cost.diff snap now in
   let dur = Clock.now () -. start in
   Qhist.observe ("scope." ^ name) dur;
   let s = Sink.current () in
@@ -49,6 +50,7 @@ let close ~name ~depth ~start msnap csnap =
         dur;
         counters = List.map (fun (c, n) -> (Metrics.name c, n)) counters;
         cost = List.map (fun (c, n) -> (Cost.name c, n)) cost;
+        prof = None;
       };
   { name; depth; start; dur; counters; cost }
 
@@ -57,16 +59,15 @@ let with_result ~name f =
   let d = !depth in
   depth := d + 1;
   let start = Clock.now () in
-  let msnap = Metrics.local_snapshot () in
-  let csnap = Cost.local_snapshot () in
+  let snap = Array.copy (Registry.local ()) in
   match f () with
   | v ->
     depth := d;
-    (v, close ~name ~depth:d ~start msnap csnap)
+    (v, close ~name ~depth:d ~start snap)
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     depth := d;
-    ignore (close ~name ~depth:d ~start msnap csnap);
+    ignore (close ~name ~depth:d ~start snap);
     Printexc.raise_with_backtrace e bt
 
 let with_ ~name f = fst (with_result ~name f)

@@ -5,13 +5,14 @@
     {!Metrics} counters, {!Cost} counters and wall time.  Unlike
     {!Span} — which diffs merged process-wide snapshots and therefore
     smears concurrent domains' work into each other's records — a
-    scope diffs the calling domain's own accumulator
-    ({!Metrics.local_snapshot}/{!Cost.local_snapshot}): no lock, no
-    merge, exact under concurrency.  Concurrent per-scope deltas sum
+    scope diffs the calling domain's own slots
+    ({!Registry.local}): no lock, no merge, exact under
+    concurrency.  Concurrent per-scope deltas sum
     to the process-wide delta.
 
     Every scope close feeds its duration into the ["scope.<name>"]
-    {!Qhist} histogram (deterministic latency quantiles for free) and,
+    {!Qhist} histogram (deterministic latency quantiles for free;
+    skipped while {!Metrics.set_enabled} is [false]) and,
     when a sink is active, emits a {!Sink.scope_record}.  Nesting
     depth is tracked per domain, like span depth.
 

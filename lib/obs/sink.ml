@@ -29,16 +29,10 @@ type event_record = {
   detail : string;
 }
 
-(* A closed telemetry scope: like a span, but its counter/cost deltas
-   are domain-local (exact under concurrency) rather than merged. *)
-type scope_record = {
-  name : string;
-  depth : int;
-  start : float;
-  dur : float;
-  counters : (string * int) list;
-  cost : (string * int) list;
-}
+(* A closed telemetry scope: a span record with [prof = None] whose
+   counter/cost deltas are domain-local (exact under concurrency)
+   rather than merged. *)
+type scope_record = span_record
 
 type t = {
   on_span : span_record -> unit;
@@ -55,7 +49,9 @@ let null =
 
 let json_escape = Json.escape
 
-let span_to_json (r : span_record) =
+(* Scope closes share the span wire shape under "type":"scope", so
+   readers that predate scopes skip them by type. *)
+let record_to_json ~tag (r : span_record) =
   let counters =
     r.counters
     |> List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v)
@@ -81,34 +77,20 @@ let span_to_json (r : span_record) =
     |> String.concat ""
   in
   Printf.sprintf
-    "{\"type\":\"span\",\"name\":\"%s\",\"depth\":%d,\"start\":%.6f,\"dur\":%.6f,\"counters\":{%s}%s%s}"
-    (json_escape r.name) r.depth r.start r.dur counters prof cost
+    "{\"type\":\"%s\",\"name\":\"%s\",\"depth\":%d,\"start\":%.6f,\"dur\":%.6f,\"counters\":{%s}%s%s}"
+    tag (json_escape r.name) r.depth r.start r.dur counters prof cost
 
 let event_to_json (r : event_record) =
   Printf.sprintf
     "{\"type\":\"event\",\"name\":\"%s\",\"depth\":%d,\"time\":%.6f,\"detail\":\"%s\"}"
     (json_escape r.name) r.depth r.time (json_escape r.detail)
 
-(* Scope closes share the span wire shape under "type":"scope", so
-   readers that predate scopes skip them by type. *)
-let scope_to_json (r : scope_record) =
-  let kv (k, v) = Printf.sprintf "\"%s\":%d" (json_escape k) v in
-  let counters = String.concat "," (List.map kv r.counters) in
-  let cost =
-    r.cost
-    |> List.map (fun (k, v) ->
-           Printf.sprintf ",\"cost.%s\":%d" (json_escape k) v)
-    |> String.concat ""
-  in
-  Printf.sprintf
-    "{\"type\":\"scope\",\"name\":\"%s\",\"depth\":%d,\"start\":%.6f,\"dur\":%.6f,\"counters\":{%s}%s}"
-    (json_escape r.name) r.depth r.start r.dur counters cost
-
 let jsonl oc =
   {
-    on_span = (fun r -> output_string oc (span_to_json r ^ "\n"));
+    on_span = (fun r -> output_string oc (record_to_json ~tag:"span" r ^ "\n"));
     on_event = (fun r -> output_string oc (event_to_json r ^ "\n"));
-    on_scope = (fun r -> output_string oc (scope_to_json r ^ "\n"));
+    on_scope =
+      (fun r -> output_string oc (record_to_json ~tag:"scope" r ^ "\n"));
     flush = (fun () -> flush oc);
   }
 

@@ -41,20 +41,11 @@ type event_record = {
   detail : string;
 }
 
-type scope_record = {
-  name : string;           (** scope name, e.g. ["request"] *)
-  depth : int;             (** scope nesting depth on its domain *)
-  start : float;           (** {!Clock.now} at scope entry *)
-  dur : float;             (** elapsed seconds *)
-  counters : (string * int) list;
-      (** nonzero {e domain-local} counter deltas — exact for this
-          scope even while other domains run concurrently *)
-  cost : (string * int) list;
-      (** nonzero domain-local {!Cost} deltas, same exactness *)
-}
-(** A closed {!Scope}: the span wire shape, but with domain-local
-    (smear-free) deltas.  Rendered as a ["type":"scope"] JSONL
-    record. *)
+type scope_record = span_record
+(** A closed {!Scope}: a span record with [prof = None] whose
+    [counters]/[cost] are {e domain-local} deltas — exact for the
+    scope even while other domains run concurrently.  Rendered as a
+    ["type":"scope"] JSONL record. *)
 
 type t = {
   on_span : span_record -> unit;
@@ -73,9 +64,11 @@ val jsonl : out_channel -> t
 val jsonl_file : string -> t
 (** [jsonl] over a freshly opened file, closed at process exit. *)
 
-val span_to_json : span_record -> string
+val record_to_json : tag:string -> span_record -> string
+(** One JSONL object for a span or scope record; [tag] is its ["type"]
+    member (["span"] or ["scope"]). *)
+
 val event_to_json : event_record -> string
-val scope_to_json : scope_record -> string
 
 type captured = {
   spans : span_record list;

@@ -19,19 +19,19 @@ let with_ ~name f =
     let prof_on = Prof.is_enabled () in
     let gc0 = if prof_on then Prof.take () else Prof.zero in
     let start = Clock.now () in
-    let snap = Metrics.snapshot () in
-    let csnap = Cost.snapshot () in
+    let snap = Registry.snapshot () in
     Fun.protect
       ~finally:(fun () ->
         (* GC delta first: the counter-list allocations below would
            otherwise be charged to the span being closed. *)
         let prof = if prof_on then Some (Prof.since gc0) else None in
         let dur = Clock.now () -. start in
+        let now = Registry.snapshot () in
         let counters =
-          List.map (fun (c, n) -> (Metrics.name c, n)) (Metrics.since snap)
+          List.map (fun (c, n) -> (Metrics.name c, n)) (Metrics.diff snap now)
         in
         let cost =
-          List.map (fun (c, n) -> (Cost.name c, n)) (Cost.since csnap)
+          List.map (fun (c, n) -> (Cost.name c, n)) (Cost.diff snap now)
         in
         depth := d;
         (* Latency distributions for free on existing traces: every

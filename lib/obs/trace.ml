@@ -31,46 +31,36 @@ let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
 
 let record_of_json j : record =
   match Json.(to_str (member_exn "type" j)) with
-  | "span" ->
+  | ("span" | "scope") as tag ->
     let counters =
       Json.(to_obj (member_exn "counters" j))
       |> List.map (fun (k, v) -> (k, Json.to_int v))
     in
-    (* GC telemetry rides as flat prof.* members; traces written before
-       prof capture existed simply have none, and Prof.of_fields maps
-       that to None. *)
-    let prof =
+    (* GC telemetry and cost deltas ride as flat prof.*/cost.* members;
+       traces written before either layer existed simply have none, and
+       Prof.of_fields maps no prof.* members to None. *)
+    let flat prefix =
+      let n = String.length prefix in
       Json.to_obj j
       |> List.filter_map (fun (k, v) ->
-             if String.length k > 5 && String.sub k 0 5 = "prof." then
+             if String.length k > n && String.sub k 0 n = prefix then
                match v with
-               | Json.Num f -> Some (String.sub k 5 (String.length k - 5), f)
-               | _ -> None
-             else None)
-      |> Prof.of_fields
-    in
-    (* Cost deltas ride as flat cost.* members; traces written before
-       the cost layer existed simply have none. *)
-    let cost =
-      Json.to_obj j
-      |> List.filter_map (fun (k, v) ->
-             if String.length k > 5 && String.sub k 0 5 = "cost." then
-               match v with
-               | Json.Num f ->
-                 Some (String.sub k 5 (String.length k - 5), int_of_float f)
+               | Json.Num f -> Some (String.sub k n (String.length k - n), f)
                | _ -> None
              else None)
     in
-    Span
+    let r =
       {
         Sink.name = Json.(to_str (member_exn "name" j));
         depth = Json.(to_int (member_exn "depth" j));
         start = Json.(to_num (member_exn "start" j));
         dur = Json.(to_num (member_exn "dur" j));
         counters;
-        cost;
-        prof;
+        cost = List.map (fun (k, f) -> (k, int_of_float f)) (flat "cost.");
+        prof = Prof.of_fields (flat "prof.");
       }
+    in
+    if tag = "span" then Span r else Scope r
   | "event" ->
     Event
       {
@@ -78,31 +68,6 @@ let record_of_json j : record =
         depth = Json.(to_int (member_exn "depth" j));
         time = Json.(to_num (member_exn "time" j));
         detail = Json.(to_str (member_exn "detail" j));
-      }
-  | "scope" ->
-    (* Same wire shape as a span minus prof.*; see Sink.scope_to_json. *)
-    let counters =
-      Json.(to_obj (member_exn "counters" j))
-      |> List.map (fun (k, v) -> (k, Json.to_int v))
-    in
-    let cost =
-      Json.to_obj j
-      |> List.filter_map (fun (k, v) ->
-             if String.length k > 5 && String.sub k 0 5 = "cost." then
-               match v with
-               | Json.Num f ->
-                 Some (String.sub k 5 (String.length k - 5), int_of_float f)
-               | _ -> None
-             else None)
-    in
-    Scope
-      {
-        Sink.name = Json.(to_str (member_exn "name" j));
-        depth = Json.(to_int (member_exn "depth" j));
-        start = Json.(to_num (member_exn "start" j));
-        dur = Json.(to_num (member_exn "dur" j));
-        counters;
-        cost;
       }
   | other -> malformed "unknown record type %S" other
 
@@ -396,21 +361,13 @@ type attrib = {
 
 (* Per-span cost deltas carry the full Cost key set; the attribution
    views only need the flop total and the byte total. *)
-let span_flops (s : Sink.span_record) =
-  List.fold_left
-    (fun acc (k, v) ->
-      match Cost.of_name k with
-      | Some c when Cost.is_flops c -> acc + v
-      | _ -> acc)
-    0 s.Sink.cost
+let span_cost (s : Sink.span_record) =
+  List.filter_map
+    (fun (k, v) -> Option.map (fun c -> (c, v)) (Cost.of_name k))
+    s.Sink.cost
 
-let span_bytes (s : Sink.span_record) =
-  List.fold_left
-    (fun acc (k, v) ->
-      match Cost.of_name k with
-      | Some c when not (Cost.is_flops c) -> acc + v
-      | _ -> acc)
-    0 s.Sink.cost
+let span_flops s = Cost.total_flops (span_cost s)
+let span_bytes s = Cost.total_bytes (span_cost s)
 
 (* Derived flops-per-second.  A zero-duration span (the clock's
    resolution is finite; tiny spans really do record dur = 0) has no

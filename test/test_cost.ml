@@ -46,9 +46,9 @@ let test_merge_exact_4domains () =
 
 let test_disabled_is_noop () =
   let snap = Cost.snapshot () in
-  Cost.set_enabled false;
+  Obs.Metrics.set_enabled false;
   Fun.protect
-    ~finally:(fun () -> Cost.set_enabled true)
+    ~finally:(fun () -> Obs.Metrics.set_enabled true)
     (fun () -> Cost.charge Cost.Flops_lu 1_000 ~read:10 ~written:10);
   Alcotest.(check cost_list) "disabled charge leaves no trace" []
     (named (Cost.since snap))
@@ -134,7 +134,7 @@ let test_jsonl_roundtrip () =
     [ ("flops_lu", 144_000); ("flops_trisolve", 7_200); ("bytes_read", 57_600) ]
   in
   let j =
-    Obs.Sink.span_to_json
+    Obs.Sink.record_to_json ~tag:"span"
       {
         Obs.Sink.name = "lu.factor";
         depth = 2;

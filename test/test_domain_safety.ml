@@ -136,7 +136,10 @@ let test_four_domain_merge () =
   let plan =
     Array.init n_domains (fun _ -> 1 + Random.State.int st 17)
   in
+  Obs.Cost.charge Obs.Cost.Flops_axpy 7;
   Obs.Metrics.reset ();
+  Alcotest.(check int) "reset zeroes cost counters" 0
+    (Obs.Cost.get Obs.Cost.Flops_axpy);
   let before_matvec = Obs.Metrics.get Obs.Metrics.Matvec in
   let before_steps = Obs.Metrics.get Obs.Metrics.Ode_step in
   let worker d () =

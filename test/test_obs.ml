@@ -138,16 +138,31 @@ let test_span_counters_match_metrics () =
 
 let test_disabled_counters_are_noops () =
   let before = Obs.Metrics.get Obs.Metrics.Matvec in
+  let csnap = Obs.Cost.snapshot () in
   Obs.Metrics.set_enabled false;
   Fun.protect
     ~finally:(fun () -> Obs.Metrics.set_enabled true)
     (fun () ->
       Obs.Metrics.incr ~by:100 Obs.Metrics.Matvec;
       Obs.Metrics.set_gauge "obs_test_gauge" 1.0;
-      Obs.Metrics.observe "obs_test_hist" 1.0);
+      Obs.Metrics.observe "obs_test_hist" 1.0;
+      Obs.Cost.charge Obs.Cost.Flops_lu 1_000 ~read:10 ~written:10;
+      Obs.Scope.with_ ~name:"obs_test_off" ignore;
+      ignore
+        (with_memory_sink (fun () ->
+             Obs.Span.with_ ~name:"obs_test_off" ignore)));
   Alcotest.(check int)
     "counter untouched while disabled" before
     (Obs.Metrics.get Obs.Metrics.Matvec);
+  Alcotest.(check (list (pair string int)))
+    "cost untouched while disabled" []
+    (List.map (fun (c, n) -> (Obs.Cost.name c, n)) (Obs.Cost.since csnap));
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (k ^ " histogram not recorded while disabled") true
+        (Obs.Qhist.view k = None))
+    [ "scope.obs_test_off"; "span.obs_test_off" ];
   Alcotest.(check bool)
     "gauge not recorded while disabled" true
     (List.assoc_opt "obs_test_gauge" (Obs.Metrics.gauges ()) = None);
@@ -172,7 +187,7 @@ let test_jsonl_rendering () =
   Alcotest.(check string)
     "span json"
     "{\"type\":\"span\",\"name\":\"atmor.reduce\",\"depth\":1,\"start\":1.500000,\"dur\":0.250000,\"counters\":{\"lu_factor\":1,\"matvec\":42},\"cost.flops_matvec\":7200}"
-    (Obs.Sink.span_to_json span);
+    (Obs.Sink.record_to_json ~tag:"span" span);
   let event =
     {
       Obs.Sink.name = "recovery";
