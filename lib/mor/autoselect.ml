@@ -240,27 +240,13 @@ let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
   let k2 =
     if Qldae.has_g2 q || Qldae.has_d1 q then
       grow_block "h2" ~kmax:max_orders.Atmor.k2 (fun ~k ->
-          List.map
-            (fun (a, b) -> Assoc.h2_moment_series eng ~k (a, b))
-            (List.concat
-               (List.init m (fun a -> List.init (m - a) (fun i -> (a, a + i))))))
+          List.map (Assoc.h2_moment_series eng ~k) (Assoc.pairs m))
     else 0
   in
   let k3 =
     if Qldae.has_g2 q || Qldae.has_g3 q || Qldae.has_d1 q then
       grow_block "h3" ~kmax:max_orders.Atmor.k3 (fun ~k ->
-          let triples =
-            match h3_triples with
-            | `Diagonal -> List.init m (fun a -> (a, a, a))
-            | `All ->
-              List.concat
-                (List.init m (fun a ->
-                     List.concat
-                       (List.init (m - a) (fun i ->
-                            List.init (m - a - i) (fun j ->
-                                (a, a + i, a + i + j))))))
-          in
-          List.map (fun t3 -> Assoc.h3_moment_series eng ~k t3) triples)
+          List.map (Assoc.h3_moment_series eng ~k) (Assoc.triples h3_triples m))
     else 0
   in
   if !basis = [] then

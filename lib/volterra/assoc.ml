@@ -24,6 +24,17 @@
    "D1² b"; the D1_i H2^{jk}(s) term above is the full expression (it
    contains D1² b through H2's own D1 feed-through).
 
+   The pairings' N3 right-hand sides sum to the cubic one,
+
+     Σ_pairings b_i ⊗ w_jk = 3 sym³(b_a, b_b, b_c) = 3 q_abc,
+
+   and everything after them is linear and pairing-independent, so
+
+     (2/3) Σ_pairings W^(i;jk)(s) = 2 N2(s)^-1 [ p_abc + (I ⊗ G2) N3(s)^-1 q_abc ],
+         p_abc = (1/3) Σ_pairings b_i ⊗ d_jk:
+
+   one N3 solve per triple, shared with the G3 term, and one N2 solve.
+
    Moments: Taylor coefficients about a real expansion point s0
    (s0 = 0 when G1 is invertible, s0 > 0 for quadratized diode circuits
    whose augmented G1 has nullity = #diodes — see DESIGN.md). All series
@@ -47,7 +58,20 @@ type t = {
   g2_schur : Cmat.t lazy_t;
       (* G2 (U ⊗ U): the right half of the Schur-basis coupling
          U^H G2 (U ⊗ U) used by the third-order series (see below) *)
+  g3_lead : (int * (int * (int * int * float) array) array) array lazy_t;
+      (* G3's entries grouped by leading index i1, then by i2:
+         (i1, [| (i2, [| (row, i3, coeff) |]) |]), the contraction plan
+         of apply_g3_schur *)
 }
+
+(* consecutive runs of equal [key] in a list, in order *)
+let runs key l =
+  List.fold_right
+    (fun x acc ->
+      match acc with
+      | (k, xs) :: rest when k = key x -> (k, x :: xs) :: rest
+      | _ -> (key x, [ x ]) :: acc)
+    l []
 
 let default_s0 (q : Qldae.t) =
   (* Quadratized diode circuits have singular G1 (see DESIGN.md): their
@@ -115,6 +139,22 @@ let create ?recorder ?(policy = Robust.Policy.default ()) ?fault ?s0
          entries;
        out)
   in
+  let g3_lead =
+    lazy
+      (List.stable_sort
+         (fun (_, x, _) (_, y, _) -> compare (x.(0), x.(1)) (y.(0), y.(1)))
+         (Sptensor.entries q.Qldae.g3)
+      |> runs (fun (_, idx, _) -> idx.(0))
+      |> List.map (fun (i1, es) ->
+             ( i1,
+               runs (fun (_, idx, _) -> idx.(1)) es
+               |> List.map (fun (i2, es) ->
+                      ( i2,
+                        Array.of_list
+                          (List.map (fun (row, idx, c) -> (row, idx.(2), c)) es) ))
+               |> Array.of_list ))
+      |> Array.of_list)
+  in
   let ladder =
     Ladder.make ?recorder ~mu:policy.Robust.Policy.tikhonov_mu
       ~loc:(Robust.Error.loc ~subsystem:"volterra" ~operation:"Assoc.msolve")
@@ -138,6 +178,7 @@ let create ?recorder ?(policy = Robust.Policy.default ()) ?fault ?s0
     ladder;
     ks;
     g2_schur;
+    g3_lead;
   }
 
 let s0 t = t.s0
@@ -204,12 +245,15 @@ let d_pair (q : Qldae.t) a b =
 (* unordered input pairs / triples *)
 let pairs m = List.concat (List.init m (fun a -> List.init (m - a) (fun i -> (a, a + i))))
 
-let triples m =
-  List.concat
-    (List.init m (fun a ->
-         List.concat
-           (List.init (m - a) (fun i ->
-                List.init (m - a - i) (fun j -> (a, a + i, a + i + j))))))
+let triples mode m =
+  match mode with
+  | `Diagonal -> List.init m (fun a -> (a, a, a))
+  | `All ->
+    List.concat
+      (List.init m (fun a ->
+           List.concat
+             (List.init (m - a) (fun i ->
+                  List.init (m - a - i) (fun j -> (a, a + i, a + i + j))))))
 
 (* VMOR_CHECKS-gated finiteness sweep over a finished moment list: a NaN
    here (near-singular resolvent, overflowing series) would silently
@@ -281,6 +325,71 @@ let i_kron_g2 (q : Qldae.t) (z : Vec.t) : Vec.t =
   done;
   out
 
+(* G3 U^⊗3 r for a Schur-basis order-3 tensor r (real part), with U
+   contracted only at G3's stored index triples rather than by three full
+   mode transforms (24 n⁴ flops): per distinct leading index i1 one n³
+   pass forms y = Σ_j1 U[i1,j1] r[j1,:,:], per distinct (i1,i2) one n²
+   pass forms z = Σ_j2 U[i2,j2] y[j2,:], and each entry finishes with
+   Re Σ_j3 U[i3,j3] z[j3]. *)
+let apply_g3_schur t (r : Cvec.t) : Vec.t =
+  let n = Qldae.dim t.q in
+  let n2 = n * n in
+  let u = Ksolve.unitary (Lazy.force t.ks) in
+  let ure = u.Cmat.re and uim = u.Cmat.im in
+  let plan = Lazy.force t.g3_lead in
+  let n_lead = Array.length plan in
+  let n_pair = Array.fold_left (fun s (_, g) -> s + Array.length g) 0 plan in
+  let nnz = Sptensor.nnz t.q.Qldae.g3 in
+  Obs.Cost.charge Obs.Cost.Flops_tensor
+    ((8 * n_lead * n * n2) + (8 * n_pair * n2) + (nnz * ((4 * n) + 2)))
+    ~read:((n_lead * 2 * (n + 1) * n2) + (n_pair * 4 * n2) + (nnz * 4 * n))
+    ~written:((n_lead * 2 * n2) + (n_pair * 2 * n) + nnz);
+  let out = Vec.create n in
+  let yre = Array.make n2 0.0 and yim = Array.make n2 0.0 in
+  let zre = Array.make n 0.0 and zim = Array.make n 0.0 in
+  Array.iter
+    (fun (i1, by_i2) ->
+      Array.fill yre 0 n2 0.0;
+      Array.fill yim 0 n2 0.0;
+      for j1 = 0 to n - 1 do
+        let cr = ure.((i1 * n) + j1) and ci = uim.((i1 * n) + j1) in
+        if Contract.nonzero cr || Contract.nonzero ci then begin
+          let base = j1 * n2 in
+          for x = 0 to n2 - 1 do
+            let rr = r.Cvec.re.(base + x) and ri = r.Cvec.im.(base + x) in
+            yre.(x) <- yre.(x) +. ((cr *. rr) -. (ci *. ri));
+            yim.(x) <- yim.(x) +. ((cr *. ri) +. (ci *. rr))
+          done
+        end
+      done;
+      Array.iter
+        (fun (i2, es) ->
+          for j3 = 0 to n - 1 do
+            let sre = ref 0.0 and sim = ref 0.0 in
+            for j2 = 0 to n - 1 do
+              let cr = ure.((i2 * n) + j2) and ci = uim.((i2 * n) + j2) in
+              let vr = yre.((j2 * n) + j3) and vi = yim.((j2 * n) + j3) in
+              sre := !sre +. ((cr *. vr) -. (ci *. vi));
+              sim := !sim +. ((cr *. vi) +. (ci *. vr))
+            done;
+            zre.(j3) <- !sre;
+            zim.(j3) <- !sim
+          done;
+          Array.iter
+            (fun (row, i3, coeff) ->
+              let x = ref 0.0 in
+              for j3 = 0 to n - 1 do
+                x :=
+                  !x
+                  +. ((ure.((i3 * n) + j3) *. zre.(j3))
+                     -. (uim.((i3 * n) + j3) *. zim.(j3)))
+              done;
+              out.(row) <- out.(row) +. (coeff *. !x))
+            es)
+        by_i2)
+    plan;
+  out
+
 (* Moments of H3^{abc}(s) about s0 for one input triple.
 
    All n³-sized series iterates are kept in the Schur basis of G1, so
@@ -291,7 +400,17 @@ let i_kron_g2 (q : Qldae.t) (z : Vec.t) : Vec.t =
      (U^H ⊗ U^H ⊗ U^H)(I ⊗ G2)(U ⊗ U ⊗ U) = I ⊗ (U^H G2 (U ⊗ U)),
 
    so the block coupling C = I ⊗ G2 of the (sI - G1 ⊕ A~2)^-1 solve acts
-   slice-wise through the precomputed n x n² matrix G2 (U ⊗ U). *)
+   slice-wise through the precomputed n x n² matrix G2 (U ⊗ U).
+
+   With the pairings folded (header), one ⊕³ series
+   r_m = (s0 - ⊕³T)^-(m+1) q_abc serves the coupling and the G3 term,
+   and one ⊕² state carries the G2 term:
+
+     w_0 = (s0 - ⊕²T)^-1 (p_abc + C r_0),   w_m = (s0 - ⊕²T)^-1 (w_{m-1} + C r_m),
+
+   so the inner term of order m is
+   2 G2 U^⊗2 w_m + (1/3) Σ_pairings D1_i H2^{jk}_m + G3 U^⊗3 r_m,
+   with one H2 series per distinct pair (j,k). *)
 let h3_moment_series t ~k (a, b, c) : Vec.t list =
   if k <= 0 then []
   else begin
@@ -303,16 +422,7 @@ let h3_moment_series t ~k (a, b, c) : Vec.t list =
     let sigma = { Complex.re = t.s0; im = 0.0 } in
     let tri ~kk v = tri_robust t ks ~kk ~sigma v in
     let u = Ksolve.unitary ks in
-    (* Schur images of the input columns *)
-    let bhat = Array.init (Qldae.n_inputs q) (fun i -> Ksolve.adjoint_vec ks (Qldae.b_col q i)) in
-    (* sym(bhat_j ⊗ bhat_l) *)
-    let w_pair_schur j l =
-      if j = l then Cvec.kron bhat.(j) bhat.(l)
-      else
-        Cvec.scale
-          { Complex.re = 0.5; im = 0.0 }
-          (Cvec.add (Cvec.kron bhat.(j) bhat.(l)) (Cvec.kron bhat.(l) bhat.(j)))
-    in
+    let pairings = [ (a, (b, c)); (b, (a, c)); (c, (a, b)) ] in
     (* apply C^ = I ⊗ (U^H G2 (U ⊗ U)) to a Schur-basis order-3 tensor:
        slice-wise dense matvec followed by U^H *)
     let apply_coupling (z : Cvec.t) : Cvec.t =
@@ -346,82 +456,83 @@ let h3_moment_series t ~k (a, b, c) : Vec.t list =
       done;
       out
     in
-    (* symmetrized triple Kronecker product of Schur input columns *)
-    let q3_schur =
-      if has_g3 then begin
-        let sel = [| bhat.(a); bhat.(b); bhat.(c) |] in
-        let acc = Cvec.create (n * n * n) in
+    (* r_0 from q = sym³ of the triple's Schur input columns *)
+    let r =
+      if has_g2 || has_g3 then begin
+        let sel = Array.map (fun i -> Ksolve.adjoint_vec ks (Qldae.b_col q i)) [| a; b; c |] in
+        let q3 = Cvec.create (n * n * n) in
         List.iter
           (fun (i, j, l) ->
             Cvec.axpy
               ~alpha:{ Complex.re = 1.0 /. 6.0; im = 0.0 }
               (Cvec.kron (Cvec.kron sel.(i) sel.(j)) sel.(l))
-              acc)
+              q3)
           [ (0, 1, 2); (0, 2, 1); (1, 0, 2); (1, 2, 0); (2, 0, 1); (2, 1, 0) ];
-        Some acc
+        Some (ref (tri ~kk:3 q3))
       end
       else None
     in
-    let pairings = [ (a, (b, c)); (b, (a, c)); (c, (a, b)) ] in
-    (* per-pairing Schur-basis series: z (order 3), wp, wc (order 2) *)
-    let pairing_state =
-      if has_g2 then
+    (* the merged ⊕² state w_m *)
+    let w =
+      match r with
+      | Some r when has_g2 ->
+        let p = Cvec.create (n * n) in
+        if has_d1 then
+          List.iter
+            (fun (i, (j, l)) ->
+              let dhat = Cmat.mul_vec_adjoint u (Cvec.of_real (d_pair q j l)) in
+              Cvec.axpy
+                ~alpha:{ Complex.re = 1.0 /. 3.0; im = 0.0 }
+                (Cvec.kron (Ksolve.adjoint_vec ks (Qldae.b_col q i)) dhat)
+                p)
+            pairings;
+        Some (ref (tri ~kk:2 (Cvec.add p (apply_coupling !r))))
+      | _ -> None
+    in
+    (* D1 part: one H2 series per distinct input pair, shared by the
+       pairings that use it *)
+    let d1_terms =
+      if has_d1 then begin
+        let cache = Hashtbl.create 3 in
         List.map
           (fun (i, (j, l)) ->
-            let dhat = Cmat.mul_vec_adjoint u (Cvec.of_real (d_pair q j l)) in
-            let p = Cvec.kron bhat.(i) dhat in
-            let qw = Cvec.kron bhat.(i) (w_pair_schur j l) in
-            let z = ref (tri ~kk:3 qw) in
-            let wp = ref (tri ~kk:2 p) in
-            let wc = ref (tri ~kk:2 (apply_coupling !z)) in
-            (z, wp, wc))
+            let key = (min j l, max j l) in
+            let series =
+              match Hashtbl.find_opt cache key with
+              | Some s -> s
+              | None ->
+                let s = Array.of_list (h2_moment_series t ~k key) in
+                Hashtbl.add cache key s;
+                s
+            in
+            (q.Qldae.d1.(i), series))
           pairings
+      end
       else []
     in
-    (* H2 moment series for the D1 part, one per pairing *)
-    let h2_series =
-      if has_d1 then
-        List.map
-          (fun (_, (j, l)) -> Array.of_list (h2_moment_series t ~k (j, l)))
-          pairings
-      else []
-    in
-    let r3 = ref (Option.map (fun v -> tri ~kk:3 v) q3_schur) in
     let inner m_index =
       let acc = Vec.create n in
-      if has_g2 then
-        List.iter
-          (fun (_z, wp, wc) ->
-            (* W_m back in original coordinates (real up to rounding) *)
-            let w_m =
-              Cvec.real_part (Ksolve.from_schur ks ~k:2 (Cvec.add !wp !wc))
-            in
-            Vec.axpy ~alpha:(2.0 /. 3.0) (Sptensor.apply_flat q.Qldae.g2 w_m) acc)
-          pairing_state;
-      if has_d1 then
-        List.iteri
-          (fun idx (i, (_, _)) ->
-            let series = List.nth h2_series idx in
-            Vec.axpy ~alpha:(1.0 /. 3.0)
-              (Mat.mul_vec q.Qldae.d1.(i) series.(m_index))
-              acc)
-          pairings;
-      (match !r3 with
-      | Some r ->
-        let r_orig = Cvec.real_part (Ksolve.from_schur ks ~k:3 r) in
-        Vec.axpy ~alpha:1.0 (Sptensor.apply_flat q.Qldae.g3 r_orig) acc
-      | None -> ());
+      Option.iter
+        (fun w ->
+          (* W_m back in original coordinates (real up to rounding) *)
+          let w_m = Cvec.real_part (Ksolve.from_schur ks ~k:2 !w) in
+          Vec.axpy ~alpha:2.0 (Sptensor.apply_flat q.Qldae.g2 w_m) acc)
+        w;
+      List.iter
+        (fun (d1, series) ->
+          Vec.axpy ~alpha:(1.0 /. 3.0) (Mat.mul_vec d1 series.(m_index)) acc)
+        d1_terms;
+      (match r with
+      | Some r when has_g3 -> Vec.axpy ~alpha:1.0 (apply_g3_schur t !r) acc
+      | _ -> ());
       acc
     in
     let advance () =
-      if has_g2 then
-        List.iter
-          (fun (z, wp, wc) ->
-            z := tri ~kk:3 !z;
-            wp := tri ~kk:2 !wp;
-            wc := tri ~kk:2 (Cvec.add !wc (apply_coupling !z)))
-          pairing_state;
-      r3 := Option.map (fun r -> tri ~kk:3 r) !r3
+      Option.iter
+        (fun r ->
+          r := tri ~kk:3 !r;
+          Option.iter (fun w -> w := tri ~kk:2 (Cvec.add !w (apply_coupling !r))) w)
+        r
     in
     let m0 = msolve t (inner 0) in
     let acc = ref [ m0 ] and prev = ref m0 in
@@ -439,12 +550,8 @@ let h3_moments ?(triples_mode = `All) t ~k : Vec.t list =
   if not (Qldae.has_g2 q || Qldae.has_g3 q || Qldae.has_d1 q) then []
   else
     Obs.Span.with_ ~name:"assoc.h3_moments" @@ fun () ->
-    let ts =
-      match triples_mode with
-      | `All -> triples (Qldae.n_inputs q)
-      | `Diagonal -> List.init (Qldae.n_inputs q) (fun a -> (a, a, a))
-    in
-    check_moments "Assoc.h3_moments" (List.concat_map (h3_moment_series t ~k) ts)
+    check_moments "Assoc.h3_moments"
+      (List.concat_map (h3_moment_series t ~k) (triples triples_mode (Qldae.n_inputs q)))
 
 (* ---- single-s evaluation of the associated transfer functions ---- *)
 

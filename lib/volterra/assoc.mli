@@ -9,6 +9,12 @@
        H3(s) = (sI−G1)⁻¹ ( (2/3)Σ G2 W(s) + (1/3)Σ D1 H2(s)
                            + G3 (sI−⊕³G1)⁻¹ q ) v}
 
+    summed over the three pairings [(i,(j,k))] of an input triple. Their
+    [⊕³] right-hand sides sum to [Σ b_i ⊗ sym(b_j⊗b_k) = 3·sym³ = 3q],
+    so [(2/3)Σ W(s) = 2 (sI−⊕²G1)⁻¹ (p + (I⊗G2)(sI−⊕³G1)⁻¹ q)] with
+    [p = (1/3)Σ b_i ⊗ d_jk]: the moments run one [⊕³] series (shared
+    with the [G3] term) and one [⊕²] series per triple.
+
     so a Krylov/moment subspace about a {e single} [s] serves every
     order — the paper's escape from the exponential subspace growth of
     multivariate moment matching. Every [n²]/[n³]-sized solve goes
@@ -52,6 +58,13 @@ val qldae : t -> Qldae.t
 
 (** Recovery events recorded so far (empty without a recorder). *)
 val report : t -> Robust.Report.t
+
+(** Unordered input pairs [(a, b)], [a ≤ b], of an [m]-input system. *)
+val pairs : int -> (int * int) list
+
+(** Unordered input triples [(a, b, c)], [a ≤ b ≤ c], of an [m]-input
+    system; [`Diagonal] keeps only [(a, a, a)]. *)
+val triples : [ `All | `Diagonal ] -> int -> (int * int * int) list
 
 (** [h1_moments t ~k]: [k] moment vectors of [H1] about [s0] per input
     column — the classical Krylov chain [(s0I−G1)^{-(j+1)} b]. *)

@@ -22,13 +22,15 @@ let check_small name value tol =
     (Printf.sprintf "%s (got %.3e, tol %.1e)" name value tol)
     true (value <= tol)
 
-let random_stable n =
+let random_stable ?(rng = rng) n =
   let a = Mat.random ~rng n n in
   Mat.sub (Mat.scale 0.4 a) (Mat.scale 1.5 (Mat.identity n))
 
-(* A small random QLDAE with all couplings present (SISO). *)
-let random_qldae ?(n = 4) ?(with_d1 = true) ?(with_g3 = false) () =
-  let g1 = random_stable n in
+(* A small random QLDAE with all couplings present, SISO unless
+   [inputs] says otherwise (one D1_i per input, distinct B columns). *)
+let random_qldae ?(rng = rng) ?(n = 4) ?(inputs = 1) ?(with_d1 = true)
+    ?(with_g3 = false) () =
+  let g1 = random_stable ~rng n in
   let g2 =
     Sptensor.of_dense ~arity:2 ~n_in:n (Mat.scale 0.3 (Mat.random ~rng n (n * n)))
   in
@@ -39,10 +41,12 @@ let random_qldae ?(n = 4) ?(with_d1 = true) ?(with_g3 = false) () =
     else Sptensor.zero ~n_out:n ~n_in:n ~arity:3
   in
   let d1 =
-    if with_d1 then [| Mat.scale 0.3 (Mat.random ~rng n n) |]
-    else [| Mat.create n n |]
+    Array.init inputs (fun _ ->
+        if with_d1 then Mat.scale 0.3 (Mat.random ~rng n n) else Mat.create n n)
   in
-  let b = Mat.init n 1 (fun i _ -> if i = 0 then 1.0 else 0.2) in
+  let b =
+    Mat.init n inputs (fun i j -> if i = j then 1.0 else 0.2 /. float_of_int (j + 1))
+  in
   let c = Mat.init 1 n (fun _ j -> if j = n - 1 then 1.0 else 0.0) in
   Volterra.Qldae.make ~g2 ~g3 ~d1 ~g1 ~b ~c ()
 
@@ -298,24 +302,56 @@ let test_h2_moments_vs_fd () =
   done
 
 let test_h3_moments_vs_fd () =
-  let q = random_qldae ~n:3 ~with_g3:true () in
   let s0 = 0.7 in
+  let check_triple eng (a, b, c) moments =
+    List.iteri
+      (fun m moment ->
+        let taylor =
+          fd_taylor_coeff
+            (fun s -> Volterra.Assoc.h3_eval eng ~inputs:(a, b, c) s)
+            s0 m
+        in
+        let expected =
+          Vec.scale (if m mod 2 = 0 then 1.0 else -1.0) (Cvec.real_part taylor)
+        in
+        check_small
+          (Printf.sprintf "H3^(%d,%d,%d) moment %d = Taylor coefficient" a b c m)
+          (Vec.rel_err ~exact:expected ~approx:moment)
+          1e-4)
+      moments
+  in
+  let q = random_qldae ~n:3 ~with_g3:true () in
   let eng = Volterra.Assoc.create ~s0 q in
-  let moments = Array.of_list (Volterra.Assoc.h3_moments eng ~k:3) in
-  for m = 0 to 2 do
-    let taylor =
-      fd_taylor_coeff
-        (fun s -> Volterra.Assoc.h3_eval eng ~inputs:(0, 0, 0) s)
-        s0 m
-    in
-    let expected =
-      Vec.scale (if m mod 2 = 0 then 1.0 else -1.0) (Cvec.real_part taylor)
-    in
-    check_small
-      (Printf.sprintf "H3 moment %d = Taylor coefficient" m)
-      (Vec.rel_err ~exact:expected ~approx:moments.(m))
-      1e-4
-  done
+  check_triple eng (0, 0, 0) (Volterra.Assoc.h3_moments eng ~k:3);
+  (* mixed triples of a 2-input G2+G3+D1 system: the pairings differ,
+     so each carries its own weight in the folded series (own rng, so
+     the shared stream of the later cases is unchanged) *)
+  let rng = Random.State.make [| 16 |] in
+  let q2 = random_qldae ~rng ~n:3 ~inputs:2 ~with_g3:true () in
+  let eng2 = Volterra.Assoc.create ~s0 q2 in
+  List.iter
+    (fun t3 -> check_triple eng2 t3 (Volterra.Assoc.h3_moment_series eng2 ~k:3 t3))
+    [ (0, 0, 1); (0, 1, 1) ]
+
+(* One ⊕³ series, one ⊕² series and one H2 series per distinct D1 pair:
+   exactly 3k shifted solves for a SISO G2+G3+D1 triple, 4k for the
+   2-input triple (0,0,1), whose pairings use the pairs (0,1) and (0,0). *)
+let test_h3_shifted_solve_count () =
+  let k = 3 in
+  let count eng t3 =
+    let snap = Obs.Metrics.snapshot () in
+    ignore (Volterra.Assoc.h3_moment_series eng ~k t3);
+    Option.value ~default:0
+      (List.assoc_opt Obs.Metrics.Shifted_solve (Obs.Metrics.since snap))
+  in
+  Obs.Metrics.set_enabled true;
+  let rng = Random.State.make [| 16 |] in
+  let siso = random_qldae ~rng ~n:3 ~with_g3:true () in
+  let miso = random_qldae ~rng ~n:3 ~inputs:2 ~with_g3:true () in
+  Alcotest.(check int) "SISO (0,0,0)" (3 * k)
+    (count (Volterra.Assoc.create ~s0:0.7 siso) (0, 0, 0));
+  Alcotest.(check int) "2-input (0,0,1)" (4 * k)
+    (count (Volterra.Assoc.create ~s0:0.7 miso) (0, 0, 1))
 
 let test_h1_moments_chain () =
   let q = random_qldae () in
@@ -503,6 +539,7 @@ let suite =
         tc "H1 moment chain" `Quick test_h1_moments_chain;
         tc "H2 moments = Taylor coefficients" `Quick test_h2_moments_vs_fd;
         tc "H3 moments = Taylor coefficients" `Quick test_h3_moments_vs_fd;
+        tc "H3 shifted solves per triple" `Quick test_h3_shifted_solve_count;
         tc "association = diagonal kernel (H2, pulse)" `Slow
           test_association_diagonal_kernel_h2;
         tc "association = diagonal kernel (H3, cubic)" `Slow
