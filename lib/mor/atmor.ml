@@ -26,14 +26,6 @@ type result = {
 
 let order t = Mat.cols t.basis
 
-(* Projection-basis boundary checks (VMOR_CHECKS-gated). The
-   orthonormality of the deflating QR is already asserted inside
-   {!La.Qr.orth_mat}; here we re-assert finiteness right before the
-   Galerkin projection consumes the basis. *)
-let check_basis ctx (basis : Mat.t) =
-  Contract.require_finite ctx (Mat.data basis);
-  basis
-
 let require_orders ctx (orders : orders) =
   Contract.require ctx
     (orders.k1 >= 0 && orders.k2 >= 0 && orders.k3 >= 0)
@@ -41,26 +33,28 @@ let require_orders ctx (orders : orders) =
     (Printf.sprintf "moment orders (%d, %d, %d) must be non-negative"
        orders.k1 orders.k2 orders.k3)
 
+(* The one tail behind every moment-matching reducer: re-assert the
+   basis is finite right before the Galerkin projection consumes it
+   (VMOR_CHECKS-gated), project, publish the order and time, and — only
+   when someone is listening — check a posteriori that the moment match
+   held at s0. The check is timed after [dt], so the diagnostic never
+   inflates the reported reduction time. *)
+let finish ~ctx ~t_start ~s0 ~orders ~raw_moments ~degradation (q : Qldae.t)
+    (basis : Mat.t) : result =
+  Contract.require_finite (ctx ^ ": basis") (Mat.data basis);
+  let rom = Qldae.project q basis in
+  let dt = Obs.Clock.now () -. t_start in
+  Obs.Metrics.set_gauge "reduced_order" (float_of_int (Mat.cols basis));
+  Obs.Metrics.observe "reduction_seconds" dt;
+  if Obs.Health.active () then ignore (Romdiag.emit_health ~s0 ~full:q ~rom ());
+  { basis; rom; orders; s0; raw_moments; reduction_seconds = dt; degradation }
+
 let reduce_loc = Robust.Error.loc ~subsystem:"mor" ~operation:"Atmor.reduce"
 
-(* One moment-generation attempt at a fixed (orders, expansion point).
-   The [orders] carried by a successful attempt are the ones actually
-   realized: a compute budget spent after H1 drops the higher blocks
-   in place (best-so-far ROM) rather than failing the attempt. *)
-type attempt =
-  | Clean of Vec.t list * orders  (* finite moments, no recovery events *)
-  | Usable of Vec.t list * orders * Robust.Error.t  (* finite, recovered *)
-  | Failed of Robust.Error.t
-
-(* Graceful degradation: candidate expansion points from the policy's
-   deterministic nudge sequence, and when every candidate fails at the
-   requested orders, retry with H3 dropped, then H2 — a lower-order
-   basis with an honest report beats an uncaught exception. The first
-   clean attempt wins; a recovered-but-complete attempt (Tikhonov
-   fallback inside the engine, say) is accepted only once no candidate
-   at that level is clean. *)
-exception Accepted of Vec.t list * float * orders
-
+(* Graceful degradation: each order level (the requested orders, then
+   H3 dropped, then H2 as well) walks the policy's nudge candidates
+   through [Policy.walk_nudges]; a lower-order basis with an honest
+   report beats an uncaught exception. *)
 let reduce ?recorder ?policy ?fault ?s0 ?(tol = 1e-8) ?(h3_triples = `All)
     ~(orders : orders) (q : Qldae.t) : result =
   require_orders "Atmor.reduce" orders;
@@ -90,134 +84,88 @@ let reduce ?recorder ?policy ?fault ?s0 ?(tol = 1e-8) ?(h3_triples = `All)
     | base :: degraded -> base :: List.filter nonempty degraded
     | [] -> assert false
   in
-  let nlevels = List.length levels in
-  let attempt eff cand =
+  (* One moment-generation attempt at a fixed (orders, expansion point).
+     The orders it carries are the ones actually realized: a compute
+     budget spent after H1 drops the higher blocks in place (best-so-far
+     ROM) rather than failing the attempt. *)
+  let attempt eff cand () =
     let mark = Robust.Report.mark rec0 in
-    match
-      (* budget poll between candidates: once the deadline is spent,
-         every remaining attempt fails fast here and the level loop
-         falls through to the best usable result so far *)
-      Robust.Budget.check "mor.Atmor.reduce";
-      let eng = Assoc.create ~recorder:rec0 ~policy ?fault ~s0:cand q in
-      let m1 = if eff.k1 > 0 then Assoc.h1_moments eng ~k:eff.k1 else [] in
-      (* Anytime semantics: a budget spent after H1 succeeded keeps the
-         blocks already generated — the best-so-far lower-order ROM —
-         instead of discarding the attempt; the dropped block is
-         recorded so the result reports degraded. Other failures (and
-         a budget spent before any moment exists) still fail the
-         attempt. *)
-      let realized = ref eff in
-      let best_effort what drop f =
-        match f () with
-        | v -> v
-        | exception Robust.Error.Error e
-          when Robust.Budget.is_budget_error e && m1 <> [] ->
-          Robust.Report.record rec0 ~action:("degrade:" ^ what) e;
-          realized := drop !realized;
-          []
-      in
-      let m2 =
-        if eff.k2 > 0 then
-          best_effort "h2"
-            (fun o -> { o with k2 = 0 })
-            (fun () -> Assoc.h2_moments eng ~k:eff.k2)
-        else []
-      in
-      let m3 =
-        if eff.k3 > 0 then
-          best_effort "h3"
-            (fun o -> { o with k3 = 0 })
-            (fun () -> Assoc.h3_moments ~triples_mode:h3_triples eng ~k:eff.k3)
-        else []
-      in
-      (m1 @ m2 @ m3, !realized)
-    with
-    | [], _ -> invalid_arg "Atmor.reduce: no moments requested"
-    | vectors, realized ->
-      if not (List.for_all Vec.is_finite vectors) then
-        Failed
-          (Robust.Error.Contract_violation
-             {
-               loc = reduce_loc;
-               detail = Printf.sprintf "non-finite moments at s0 = %g" cand;
-             })
-      else begin
-        match Robust.Report.since rec0 mark with
-        | [] -> Clean (vectors, realized)
-        | events ->
-          Usable
-            (vectors, realized, (List.nth events (List.length events - 1)).error)
-      end
-    | exception exn -> (
-      match Ladder.classify ~loc:reduce_loc exn with
-      | Some err -> Failed err
-      | None -> raise exn)
+    (* budget poll between candidates: once the deadline is spent,
+       every remaining attempt fails fast here and the level walk falls
+       through to the best usable result so far *)
+    Robust.Budget.check "mor.Atmor.reduce";
+    let eng = Assoc.create ~recorder:rec0 ~policy ?fault ~s0:cand q in
+    let m1 = if eff.k1 > 0 then Assoc.h1_moments eng ~k:eff.k1 else [] in
+    (* Anytime semantics: a budget spent after H1 succeeded keeps the
+       blocks already generated — the best-so-far lower-order ROM —
+       instead of discarding the attempt; the dropped block is recorded
+       so the result reports degraded. Other failures (and a budget
+       spent before any moment exists) still fail the attempt. *)
+    let realized = ref eff in
+    let best_effort what drop f =
+      match f () with
+      | v -> v
+      | exception Robust.Error.Error e
+        when Robust.Budget.is_budget_error e && m1 <> [] ->
+        Robust.Report.record rec0 ~action:("degrade:" ^ what) e;
+        realized := drop !realized;
+        []
+    in
+    let m2 =
+      if eff.k2 > 0 then
+        best_effort "h2"
+          (fun o -> { o with k2 = 0 })
+          (fun () -> Assoc.h2_moments eng ~k:eff.k2)
+      else []
+    in
+    let m3 =
+      if eff.k3 > 0 then
+        best_effort "h3"
+          (fun o -> { o with k3 = 0 })
+          (fun () -> Assoc.h3_moments ~triples_mode:h3_triples eng ~k:eff.k3)
+      else []
+    in
+    match m1 @ m2 @ m3 with
+    | [] -> invalid_arg "Atmor.reduce: no moments requested"
+    | vectors when not (List.for_all Vec.is_finite vectors) ->
+      Robust.Policy.Failed
+        (Robust.Error.Contract_violation
+           {
+             loc = reduce_loc;
+             detail = Printf.sprintf "non-finite moments at s0 = %g" cand;
+           })
+    | vectors -> (
+      match Robust.Report.since rec0 mark with
+      | [] -> Robust.Policy.Clean (vectors, !realized)
+      | events ->
+        let last = List.nth events (List.length events - 1) in
+        Robust.Policy.Recovered ((vectors, !realized), last.error))
   in
-  let attempts = ref 0 and last_err = ref None in
-  let vectors, s0_used, eff_orders =
-    try
-      List.iteri
-        (fun li eff ->
-          let usable = ref None in
-          let rec go = function
-            | [] -> (
-              (* candidates exhausted at this level *)
-              match !usable with
-              | Some (v, s, realized, err) ->
-                Robust.Report.record rec0 ~action:"accept-fallback" err;
-                raise (Accepted (v, s, realized))
-              | None -> (
-                match !last_err with
-                | None -> ()
-                | Some err ->
-                  if li < nlevels - 1 then begin
-                    let next = List.nth levels (li + 1) in
-                    let what = if next.k3 < eff.k3 then "h3" else "h2" in
-                    Robust.Report.record rec0 ~action:("degrade:" ^ what) err
-                  end
-                  else Robust.Report.record rec0 ~action:"exhausted" err))
-            | cand :: rest ->
-              incr attempts;
-              (match attempt eff cand with
-              | Clean (v, realized) -> raise (Accepted (v, cand, realized))
-              | Usable (v, realized, err) ->
-                if !usable = None then usable := Some (v, cand, realized, err)
-              | Failed err -> (
-                last_err := Some err;
-                match rest with
-                | next :: _ ->
-                  Robust.Report.record rec0
-                    ~action:(Printf.sprintf "nudge:%g" next)
-                    err
-                | [] -> ()));
-              go rest
-          in
-          go candidates)
-        levels;
+  let classify = Ladder.classify ~loc:reduce_loc in
+  let rec walk_levels attempts last = function
+    | [] ->
       Robust.Error.raise_error
-        (Robust.Error.Budget_exhausted
-           { loc = reduce_loc; attempts = !attempts; last = !last_err })
-    with Accepted (v, s, eff) -> (v, s, eff)
+        (Robust.Error.Budget_exhausted { loc = reduce_loc; attempts; last })
+    | eff :: rest -> (
+      match
+        Robust.Policy.walk_nudges ~recorder:rec0 ~classify
+          (List.map (fun cand -> (cand, attempt eff cand)) candidates)
+      with
+      | Ok (s0, (vectors, realized)) -> (s0, vectors, realized)
+      | Error (n, last) ->
+        let action =
+          match rest with
+          | next :: _ -> if next.k3 < eff.k3 then "degrade:h3" else "degrade:h2"
+          | [] -> "exhausted"
+        in
+        Option.iter (Robust.Report.record rec0 ~action) last;
+        walk_levels (attempts + n) last rest)
   in
-  let basis = check_basis "Atmor.reduce: basis" (Qr.orth_mat ~tol vectors) in
-  let rom = Qldae.project q basis in
-  let dt = Obs.Clock.now () -. t_start in
-  Obs.Metrics.set_gauge "reduced_order" (float_of_int (Mat.cols basis));
-  Obs.Metrics.observe "reduction_seconds" dt;
-  (* A-posteriori accuracy check, only when someone is listening: did
-     the moment match actually hold at s0? (Timed after [dt] so the
-     diagnostic never inflates the reported reduction time.) *)
-  if Obs.Health.active () then
-    ignore (Romdiag.emit_health ~s0:s0_used ~full:q ~rom ());
-  {
-    basis;
-    rom;
-    orders = eff_orders;
-    s0 = s0_used;
-    raw_moments = List.length vectors;
-    reduction_seconds = dt;
-    degradation = Robust.Report.since rec0 mark0;
-  }
+  let s0, vectors, realized = walk_levels 0 None levels in
+  finish ~ctx:"Atmor.reduce" ~t_start ~s0 ~orders:realized
+    ~raw_moments:(List.length vectors)
+    ~degradation:(Robust.Report.since rec0 mark0)
+    q (Qr.orth_mat ~tol vectors)
 
 (* Multipoint expansion (paper §4, third bullet: "non-DC or multipoint
    frequency expansion is particularly straightforward with this
@@ -260,22 +208,10 @@ let reduce_multipoint ?recorder ?(tol = 1e-8) ?(h3_triples = `All)
       per_point
   in
   if vectors = [] then invalid_arg "Atmor.reduce_multipoint: no moments";
-  let basis =
-    check_basis "Atmor.reduce_multipoint: basis" (Qr.orth_mat ~tol vectors)
-  in
-  let rom = Qldae.project q basis in
-  let dt = Obs.Clock.now () -. t_start in
-  Obs.Metrics.set_gauge "reduced_order" (float_of_int (Mat.cols basis));
-  Obs.Metrics.observe "reduction_seconds" dt;
-  {
-    basis;
-    rom;
-    orders;
-    s0 = List.hd points;
-    raw_moments = List.length vectors;
-    reduction_seconds = dt;
-    degradation = Robust.Report.since rec0 mark0;
-  }
+  finish ~ctx:"Atmor.reduce_multipoint" ~t_start ~s0:(List.hd points) ~orders
+    ~raw_moments:(List.length vectors)
+    ~degradation:(Robust.Report.since rec0 mark0)
+    q (Qr.orth_mat ~tol vectors)
 
 (* ---- eq. 18 ablation: Sylvester-decoupled H2 moment generation ----
 
@@ -345,17 +281,6 @@ let reduce_sylvester ?s0 ?(tol = 1e-8) ~(orders : orders) (q : Qldae.t) :
   in
   let m3 = if orders.k3 > 0 then Assoc.h3_moments eng ~k:orders.k3 else [] in
   let vectors = m1 @ m2 @ m3 in
-  let basis =
-    check_basis "Atmor.reduce_sylvester: basis" (Qr.orth_mat ~tol vectors)
-  in
-  let rom = Qldae.project q basis in
-  let dt = Obs.Clock.now () -. t_start in
-  {
-    basis;
-    rom;
-    orders;
-    s0 = s0v;
-    raw_moments = List.length vectors;
-    reduction_seconds = dt;
-    degradation = Robust.Report.empty;
-  }
+  finish ~ctx:"Atmor.reduce_sylvester" ~t_start ~s0:s0v ~orders
+    ~raw_moments:(List.length vectors) ~degradation:Robust.Report.empty q
+    (Qr.orth_mat ~tol vectors)

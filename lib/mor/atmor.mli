@@ -35,16 +35,41 @@ type result = {
 (** Reduced order [q]. *)
 val order : result -> int
 
+(** [require_orders ctx orders] rejects negative moment orders with
+    [Invalid_argument] (always on). Every reducer that takes
+    {!orders} checks them through it. *)
+val require_orders : string -> orders -> unit
+
+(** The tail every moment-matching reducer ends in ({!reduce},
+    {!reduce_multipoint}, {!reduce_sylvester}, {!Norm.reduce},
+    {!Autoselect.reduce}): check the orthonormal [basis] is finite
+    (VMOR_CHECKS-gated, failing as [ctx ^ ": basis"]), Galerkin-project
+    the QLDAE onto it, set the [reduced_order] gauge and observe
+    [reduction_seconds] (measured from [t_start]), emit the
+    {!Romdiag.emit_health} moment-match block at [s0] when
+    [Obs.Health.active ()], and build the {!result}. *)
+val finish :
+  ctx:string ->
+  t_start:float ->
+  s0:float ->
+  orders:orders ->
+  raw_moments:int ->
+  degradation:Robust.Report.t ->
+  Qldae.t ->
+  Mat.t ->
+  result
+
 (** Reduce by associated-transform moment matching. [s0] defaults as in
     {!Volterra.Assoc.create}; [tol] is the deflation threshold;
     [h3_triples] selects MISO third-order coverage (default [`All]).
 
-    Failures degrade gracefully instead of escaping: a singular or
-    near-singular expansion point walks the [policy]'s deterministic
-    nudge sequence [s0·(1+ε·2ʲ)]; when every candidate fails at the
-    requested orders the H3 (then H2) moments are dropped and a
-    lower-order basis is returned, with the full story in
-    [degradation] (and in [recorder], when supplied). [fault] threads a
+    Failures degrade gracefully instead of escaping: at each order
+    level the [policy]'s nudge candidates [s0·(1+ε·2ʲ)] are walked by
+    {!Robust.Policy.walk_nudges}; when every candidate fails at the
+    requested orders the H3 (then H2) moments are dropped
+    (["degrade:h3"], ["degrade:h2"]) and a lower-order basis is
+    returned, with the full story in [degradation] (and in [recorder],
+    when supplied). [fault] threads a
     {!Robust.Faultify} plan into the moment engine (each attempt arms a
     fresh counter). Raises [Robust.Error.Error Budget_exhausted] only
     when every (orders, point) combination fails. *)

@@ -64,6 +64,7 @@ let reduce_loc = Robust.Error.loc ~subsystem:"mor" ~operation:"Autoselect.reduce
 let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
     ?(max_orders = { Atmor.k1 = 12; k2 = 6; k3 = 3 }) ?(h3_triples = `All)
     (q : Qldae.t) : selection =
+  Atmor.require_orders "Autoselect.reduce" max_orders;
   Obs.Span.with_ ~name:"autoselect.reduce" @@ fun () ->
   let t_start = Obs.Clock.now () in
   let policy = match policy with Some p -> p | None -> Robust.Policy.default () in
@@ -71,21 +72,21 @@ let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
   let mark0 = Robust.Report.mark rec0 in
   (* Pick the expansion point by probing one H1 moment per candidate of
      the nudge sequence — a singular (s0 I − G1) or a pole-riding shift
-     fails fast here instead of mid-growth. First clean candidate wins;
-     a recovered-but-finite one is kept as the fallback. The growth run
-     below uses a fresh engine, so fault-injection schedules are not
-     consumed by probing. *)
+     fails fast here instead of mid-growth — and walking the outcomes
+     with [Policy.walk_nudges]. The growth run below uses a fresh
+     engine, so fault-injection schedules are not consumed by
+     probing. *)
   let s0_req = match s0 with Some s -> s | None -> Assoc.default_s0 q in
   let s0_sel =
     (* One probe, isolated: it records into a private recorder (spliced
-       into [rec0] only when the selection loop actually visits the
-       candidate) and catches everything, so probes can run
-       speculatively on Par lanes without racing the shared report. *)
+       into [rec0] only when the walk actually visits the candidate)
+       and catches everything, so probes can run speculatively on Par
+       lanes without racing the shared report. *)
     let probe cand =
       let rec_c = Robust.Report.recorder () in
       match
         (* budget poll between probe candidates: post-deadline
-           candidates fail fast into the classified path below *)
+           candidates fail fast into the classified path *)
         Robust.Budget.check "mor.Autoselect.reduce";
         let eng = Assoc.create ~recorder:rec_c ~policy ~s0:cand q in
         List.for_all Vec.is_finite (Assoc.h1_moments eng ~k:1)
@@ -93,71 +94,48 @@ let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
       | finite -> (rec_c, Ok finite)
       | exception exn -> (rec_c, Error exn)
     in
+    let visit cand (rec_c, verdict) () =
+      Robust.Report.splice rec0 rec_c;
+      match verdict with
+      | Error exn -> raise exn
+      | Ok false ->
+        Robust.Policy.Failed
+          (Robust.Error.Contract_violation
+             {
+               loc = reduce_loc;
+               detail = Printf.sprintf "non-finite H1 probe at s0 = %g" cand;
+             })
+      | Ok true -> (
+        match Robust.Report.events rec_c with
+        | [] -> Robust.Policy.Clean ()
+        | events ->
+          let last = List.nth events (List.length events - 1) in
+          Robust.Policy.Recovered ((), last.Robust.Report.error))
+    in
     let candidates = Robust.Policy.nudges policy s0_req in
     (* With parallelism on, speculate: probe every nudge candidate at
-       once, then replay the serial first-clean-wins decision over the
-       precomputed outcomes.  Probes past the winner are wasted work
-       but never touch [rec0], so the degradation report stays
-       bit-identical to the serial scan.  Serial keeps the lazy
-       probe-on-demand order. *)
+       once, then walk the precomputed outcomes.  Probes past the
+       winner are wasted work but never touch [rec0], so the
+       degradation report stays bit-identical to the serial walk.
+       Serial keeps the lazy probe-on-demand order. *)
     let probed =
       if Par.domains () > 1 then
-        let results = Par.map_list probe candidates in
-        List.map2 (fun cand r -> (cand, fun () -> r)) candidates results
-      else List.map (fun cand -> (cand, fun () -> probe cand)) candidates
+        List.map2
+          (fun cand r -> (cand, visit cand r))
+          candidates
+          (Par.map_list probe candidates)
+      else
+        List.map (fun cand -> (cand, fun () -> visit cand (probe cand) ()))
+          candidates
     in
-    let rec go attempts last usable = function
-      | [] -> (
-        match usable with
-        | Some (cand, err) ->
-          Robust.Report.record rec0 ~action:"accept-fallback" err;
-          cand
-        | None ->
-          Robust.Error.raise_error
-            (Robust.Error.Budget_exhausted { loc = reduce_loc; attempts; last }))
-      | (cand, outcome) :: rest -> (
-        let rec_c, verdict = outcome () in
-        Robust.Report.splice rec0 rec_c;
-        let keep err =
-          if usable = None then Some (cand, err) else usable
-        in
-        match verdict with
-        | Ok true -> (
-          match Robust.Report.events rec_c with
-          | [] -> cand
-          | events ->
-            let err =
-              (List.nth events (List.length events - 1)).Robust.Report.error
-            in
-            go (attempts + 1) last (keep err) rest)
-        | Ok false ->
-          let err =
-            Robust.Error.Contract_violation
-              {
-                loc = reduce_loc;
-                detail = Printf.sprintf "non-finite H1 probe at s0 = %g" cand;
-              }
-          in
-          (match rest with
-          | (next, _) :: _ ->
-            Robust.Report.record rec0
-              ~action:(Printf.sprintf "nudge:%g" next)
-              err
-          | [] -> ());
-          go (attempts + 1) (Some err) usable rest
-        | Error exn -> (
-          match Ladder.classify ~loc:reduce_loc exn with
-          | None -> raise exn
-          | Some err ->
-            (match rest with
-            | (next, _) :: _ ->
-              Robust.Report.record rec0
-                ~action:(Printf.sprintf "nudge:%g" next)
-                err
-            | [] -> ());
-            go (attempts + 1) (Some err) usable rest))
-    in
-    go 0 None None probed
+    match
+      Robust.Policy.walk_nudges ~recorder:rec0
+        ~classify:(Ladder.classify ~loc:reduce_loc) probed
+    with
+    | Ok (s0, ()) -> s0
+    | Error (attempts, last) ->
+      Robust.Error.raise_error
+        (Robust.Error.Budget_exhausted { loc = reduce_loc; attempts; last })
   in
   let eng = Assoc.create ~recorder:rec0 ~policy ?fault ~s0:s0_sel q in
   let basis = ref [] in
@@ -266,19 +244,12 @@ let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
                      detail = "every moment series failed; no basis";
                    });
          });
-  let v = Mat.of_cols (List.rev !basis) in
-  let rom = Qldae.project q v in
   let chosen = { Atmor.k1; k2; k3 } in
-  {
-    result =
-      {
-        Atmor.basis = v;
-        rom;
-        orders = chosen;
-        s0 = Assoc.s0 eng;
-        raw_moments = !raw;
-        reduction_seconds = Obs.Clock.now () -. t_start;
-        degradation = Robust.Report.since rec0 mark0;
-      };
-    chosen;
-  }
+  let result =
+    Atmor.finish ~ctx:"Autoselect.reduce" ~t_start ~s0:(Assoc.s0 eng)
+      ~orders:chosen ~raw_moments:!raw
+      ~degradation:(Robust.Report.since rec0 mark0)
+      q
+      (Mat.of_cols (List.rev !basis))
+  in
+  { result; chosen }

@@ -25,12 +25,15 @@ val suggest_k1 : ?tol:float -> Qldae.t -> int option
     when a whole moment step adds no direction above [growth_tol]
     (default [1e-7]).
 
-    Robustness mirrors {!Atmor.reduce}: the expansion point is chosen
-    by probing the [policy]'s nudge sequence, and a transfer order
-    whose series generation fails is dropped to zero moments (recorded
-    as ["degrade:h1"/"h2"/"h3"] in the result's [degradation] and in
-    [recorder]). [fault] arms a {!Robust.Faultify} plan on the growth
-    engine's resolvent. *)
+    Robustness mirrors {!Atmor.reduce}: the expansion point is the one
+    {!Robust.Policy.walk_nudges} accepts over one-H1-moment probes of
+    the [policy]'s nudge sequence, and a transfer order whose series
+    generation fails is dropped to zero moments (recorded as
+    ["degrade:h1"/"h2"/"h3"] in the result's [degradation] and in
+    [recorder]). The basis is projected by {!Atmor.finish}. Negative
+    [max_orders] entries raise [Invalid_argument]
+    ({!Atmor.require_orders}). [fault] arms a {!Robust.Faultify} plan
+    on the growth engine's resolvent. *)
 val reduce :
   ?recorder:Robust.Report.recorder ->
   ?policy:Robust.Policy.t ->

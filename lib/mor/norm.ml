@@ -21,11 +21,7 @@ type result = Atmor.result
 let order = Atmor.order
 
 let reduce ?s0 ?(tol = 1e-8) ~(orders : Atmor.orders) (q : Qldae.t) : result =
-  Contract.require "Norm.reduce"
-    (orders.Atmor.k1 >= 0 && orders.Atmor.k2 >= 0 && orders.Atmor.k3 >= 0)
-    "dimension mismatch"
-    (Printf.sprintf "moment orders (%d, %d, %d) must be non-negative"
-       orders.Atmor.k1 orders.Atmor.k2 orders.Atmor.k3);
+  Atmor.require_orders "Norm.reduce" orders;
   Obs.Span.with_ ~name:"norm.reduce" @@ fun () ->
   let t_start = Obs.Clock.now () in
   (* reuse the Assoc default so both methods expand at the same point *)
@@ -155,22 +151,6 @@ let reduce ?s0 ?(tol = 1e-8) ~(orders : Atmor.orders) (q : Qldae.t) : result =
    end);
   let vectors = List.rev !vectors in
   if vectors = [] then invalid_arg "Norm.reduce: no moments requested";
-  let basis = Qr.orth_mat ~tol vectors in
-  (* projection-basis boundary (VMOR_CHECKS-gated) *)
-  Contract.require_finite "Norm.reduce: basis" (Mat.data basis);
-  let rom = Qldae.project q basis in
-  let dt = Obs.Clock.now () -. t_start in
-  Obs.Metrics.set_gauge "reduced_order" (float_of_int (Mat.cols basis));
-  Obs.Metrics.observe "reduction_seconds" dt;
-  (* same a-posteriori moment-match check as Atmor.reduce *)
-  if Obs.Health.active () then
-    ignore (Romdiag.emit_health ~s0 ~full:q ~rom ());
-  {
-    Atmor.basis;
-    rom;
-    orders;
-    s0;
-    raw_moments = List.length vectors;
-    reduction_seconds = dt;
-    degradation = Robust.Report.empty;
-  }
+  Atmor.finish ~ctx:"Norm.reduce" ~t_start ~s0 ~orders
+    ~raw_moments:(List.length vectors) ~degradation:Robust.Report.empty q
+    (Qr.orth_mat ~tol vectors)

@@ -122,8 +122,8 @@ let emit r =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Recovering records from a parsed trace (used by Trace and the      *)
-(* trace_report tool).  Unknown or malformed events yield [None].     *)
+(* Recovering records from a parsed trace (used by Trace and so by    *)
+(* `vmor report`).  Unknown or malformed events yield [None].         *)
 
 let of_event ~name ~detail : record option =
   let fields = parse_detail detail in

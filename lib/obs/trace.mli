@@ -2,9 +2,9 @@
 
     Spans are emitted when they close, so a trace lists children
     before their parents; {!of_records} rebuilds the hierarchy from
-    the recorded depths.  The renderers back both the [tools/trace_report]
-    executable and the [vmor report] subcommand, and return strings —
-    printing is the caller's business. *)
+    the recorded depths.  The renderers back the [vmor report] and
+    [vmor profile] subcommands, and return strings — printing is the
+    caller's business. *)
 
 type record =
   | Span of Sink.span_record

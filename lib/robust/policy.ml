@@ -1,11 +1,13 @@
 (* Retry/fallback policy engine.
 
    One small record of knobs (bounded attempts, nudge geometry,
-   Tikhonov strength) plus the generic ladder runner used by every
-   fallback chain in the stack (LU -> pivoted QR -> Tikhonov in
-   [La.Ladder], RKF45 -> implicit trapezoid in [Ode.Fallback]). The
-   deterministic shift-nudge sequence for near-singular shifted solves
-   lives here too, so [Atmor] and tests agree on the exact candidates.
+   Tikhonov strength) plus three engines: the deterministic
+   shift-nudge sequence for near-singular shifted solves, the walk
+   over those candidates that every moment-matching reducer runs
+   ([Atmor.reduce] per order level, [Autoselect.reduce] for its H1
+   probe), and the generic ladder runner used by every fallback chain
+   in the stack (LU -> pivoted QR -> Tikhonov in [La.Ladder], RKF45 ->
+   implicit trapezoid in [Ode.Fallback]).
 
    VMOR_MAX_RETRIES overrides the default attempt budget. *)
 
@@ -51,6 +53,45 @@ let nudges t s0 =
     end
   in
   List.init (1 + max 0 t.max_retries) cand
+
+type 'a outcome = Clean of 'a | Recovered of 'a * Error.t | Failed of Error.t
+
+(* Try the candidates in order. The first clean one wins at once; a
+   recovered one is only kept (the first such) and accepted, with
+   "accept-fallback", once no candidate is clean. Each failure records
+   "nudge:<next>" while a next candidate remains. Exceptions go
+   through [classify] into [Failed]; foreign ones propagate. *)
+let walk_nudges ?recorder ~(classify : exn -> Error.t option)
+    (cands : (float * (unit -> 'a outcome)) list) :
+    (float * 'a, int * Error.t option) result =
+  let rec go attempts last usable = function
+    | [] -> (
+      match usable with
+      | Some (s0, v, err) ->
+        Report.record_opt recorder ~action:"accept-fallback" err;
+        Ok (s0, v)
+      | None -> Result.Error (attempts, last))
+    | (s0, f) :: rest -> (
+      let outcome =
+        try f ()
+        with exn -> (
+          match classify exn with None -> raise exn | Some err -> Failed err)
+      in
+      match outcome with
+      | Clean v -> Ok (s0, v)
+      | Recovered (v, err) ->
+        let usable =
+          match usable with None -> Some (s0, v, err) | Some _ -> usable
+        in
+        go (attempts + 1) last usable rest
+      | Failed err ->
+        (match rest with
+        | (next, _) :: _ ->
+          Report.record_opt recorder ~action:(Printf.sprintf "nudge:%g" next) err
+        | [] -> ());
+        go (attempts + 1) (Some err) usable rest)
+  in
+  go 0 None None cands
 
 (* Run [rungs] in order until one returns a value accepted by
    [validate]. Failures recognized by [classify] are recorded (action

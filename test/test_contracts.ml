@@ -139,9 +139,11 @@ let test_qldae_guards () =
 let test_atmor_guards () =
   let model = Circuit.Models.nltl_current ~stages:6 () in
   let q = Circuit.Models.qldae model in
+  let orders = { Mor.Atmor.k1 = -1; k2 = 0; k3 = 0 } in
   Alcotest.(check bool) "negative moment order rejected" true
-    (raises_invalid (fun () ->
-         Mor.Atmor.reduce ~orders:{ Mor.Atmor.k1 = -1; k2 = 0; k3 = 0 } q))
+    (raises_invalid (fun () -> Mor.Atmor.reduce ~orders q));
+  Alcotest.(check bool) "negative autoselect order rejected" true
+    (raises_invalid (fun () -> Mor.Autoselect.reduce ~max_orders:orders q))
 
 (* ---------- blessed comparisons ---------- *)
 

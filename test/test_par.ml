@@ -196,17 +196,24 @@ let test_multipoint_bit_identical () =
   check_same_reduction "multipoint 4-domain" serial par4
 
 let test_autoselect_bit_identical () =
-  let q = small_nltl_i () in
-  let go d =
-    Par.with_domains d (fun () ->
-        Mor.Autoselect.reduce ~policy:test_policy
-          ~max_orders:{ Mor.Atmor.k1 = 5; k2 = 2; k3 = 1 } q)
-  in
-  let serial = go None and par4 = go (Some 4) in
-  Alcotest.(check bool) "same chosen orders" true
-    (serial.Mor.Autoselect.chosen = par4.Mor.Autoselect.chosen);
-  check_same_reduction "autoselect 4-domain" serial.Mor.Autoselect.result
-    par4.Mor.Autoselect.result
+  (* the second input starts on a pole of G1, so the speculative probe
+     walk must splice exactly the serial report of a nudged run *)
+  List.iter
+    (fun (name, s0, q) ->
+      let go d =
+        Par.with_domains d (fun () ->
+            Mor.Autoselect.reduce ~policy:test_policy ?s0
+              ~max_orders:{ Mor.Atmor.k1 = 5; k2 = 2; k3 = 1 } q)
+      in
+      let serial = go None and par4 = go (Some 4) in
+      Alcotest.(check bool) (name ^ ": same chosen orders") true
+        (serial.Mor.Autoselect.chosen = par4.Mor.Autoselect.chosen);
+      check_same_reduction (name ^ " 4-domain") serial.Mor.Autoselect.result
+        par4.Mor.Autoselect.result)
+    [
+      ("autoselect", None, small_nltl_i ());
+      ("autoselect on a pole", Some (-1.0), Test_robust.diag_qldae ());
+    ]
 
 let test_freq_sweep_bit_identical () =
   let q = small_nltl_i () in

@@ -21,6 +21,19 @@ let has_action report prefix =
       && String.sub e.action 0 (String.length prefix) = prefix)
     report
 
+let actions report = List.map (fun (e : Robust.Report.event) -> e.action) report
+
+let check_actions name want report =
+  Alcotest.(check (list string)) name want (actions report)
+
+let check_orders name (k1, k2, k3) (o : Mor.Atmor.orders) =
+  Alcotest.(check (list int)) name [ k1; k2; k3 ] [ o.k1; o.k2; o.k3 ]
+
+let check_s0 name want got =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s (got %.17g, want %.17g)" name got want)
+    true (Contract.float_equal got want)
+
 let contains ~needle hay =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -222,6 +235,75 @@ let test_run_ladder_exhaustion () =
   | Error e ->
     Alcotest.failf "unexpected error: %s" (Robust.Error.to_string e)
 
+let test_walk_nudges () =
+  let loc = Robust.Error.loc ~subsystem:"test" ~operation:"walk" in
+  let err d = Robust.Error.Contract_violation { loc; detail = d } in
+  let classify = function Robust.Error.Error e -> Some e | _ -> None in
+  let walk outcomes =
+    let r = Robust.Report.recorder () in
+    let res =
+      Robust.Policy.walk_nudges ~recorder:r ~classify
+        (List.mapi (fun i o -> (float_of_int (i + 1), o)) outcomes)
+    in
+    (res, Robust.Report.events r)
+  in
+  (* a failure, a recovered candidate, a failure: the recovered one is
+     accepted once the list runs out; the raised failure is classified *)
+  (match
+     walk
+       [
+         (fun () -> Robust.Error.raise_error (err "a"));
+         (fun () -> Robust.Policy.Recovered ("v", err "b"));
+         (fun () -> Robust.Policy.Failed (err "c"));
+       ]
+   with
+  | Ok (s0, v), events ->
+    check_s0 "recovered candidate accepted" 2.0 s0;
+    Alcotest.(check string) "its value" "v" v;
+    check_actions "nudge then accept-fallback" [ "nudge:2"; "accept-fallback" ]
+      events;
+    Alcotest.(check (list string)) "events carry their errors"
+      [ Robust.Error.to_string (err "a"); Robust.Error.to_string (err "b") ]
+      (List.map
+         (fun (e : Robust.Report.event) -> Robust.Error.to_string e.error)
+         events)
+  | Error _, _ -> Alcotest.fail "recovered candidate not accepted");
+  (* every candidate fails *)
+  (match
+     walk
+       (List.map
+          (fun d () -> Robust.Policy.Failed (err d))
+          [ "a"; "b"; "c" ])
+   with
+  | Ok _, _ -> Alcotest.fail "all-failed walk accepted a candidate"
+  | Error (attempts, last), events ->
+    Alcotest.(check int) "three attempts" 3 attempts;
+    Alcotest.(check (option string)) "last failure kept"
+      (Some (Robust.Error.to_string (err "c")))
+      (Option.map Robust.Error.to_string last);
+    check_actions "one nudge per next candidate" [ "nudge:2"; "nudge:3" ] events);
+  (* a clean first candidate wins at once, records nothing and leaves
+     the rest untried *)
+  let tried = ref 0 in
+  (match
+     walk
+       [
+         (fun () -> incr tried; Robust.Policy.Clean "w");
+         (fun () -> incr tried; Robust.Policy.Failed (err "x"));
+       ]
+   with
+  | Ok (s0, v), events ->
+    check_s0 "first candidate" 1.0 s0;
+    Alcotest.(check string) "its value" "w" v;
+    check_actions "nothing recorded" [] events;
+    Alcotest.(check int) "one candidate tried" 1 !tried
+  | Error _, _ -> Alcotest.fail "clean candidate rejected");
+  (* foreign exceptions are not the walk's business *)
+  Alcotest.(check bool) "unclassified exception propagates" true
+    (match walk [ (fun () -> raise Not_found) ] with
+    | _ -> false
+    | exception Not_found -> true)
+
 (* ---- linear-solve ladder ---- *)
 
 let test_ladder_lu_clean () =
@@ -419,15 +501,27 @@ let test_atmor_resonant_s0_nudges () =
   Alcotest.(check bool) "a ROM came back" true (Mor.Atmor.order res >= 1);
   Alcotest.(check bool) "basis finite" true
     (Vec.is_finite (Mat.data res.Mor.Atmor.basis));
-  Alcotest.(check bool) "expansion point was nudged off the pole" true
-    (not (Contract.float_equal res.Mor.Atmor.s0 (-1.0)));
-  check_small "nudge stayed deterministic and small"
-    (Float.abs (res.Mor.Atmor.s0 -. (-1.0001)))
-    1e-9;
-  Alcotest.(check bool) "report tells the story" true
-    (not (Robust.Report.is_empty res.Mor.Atmor.degradation));
-  Alcotest.(check bool) "orders were not degraded" false
-    (Robust.Report.degraded res.Mor.Atmor.degradation)
+  check_s0 "nudged to the second candidate"
+    (List.nth (Robust.Policy.nudges test_policy (-1.0)) 1)
+    res.Mor.Atmor.s0;
+  check_orders "orders kept" (2, 1, 0) res.Mor.Atmor.orders;
+  (* Without the VMOR_CHECKS residual bound every QR-rung solve is
+     accepted, so the pole is a recovered candidate and the clean nudge
+     beats it; with the bound a later solve fails every rung, so the
+     pole is a failed candidate. *)
+  check_actions "report tells the story"
+    (if Contract.checks_enabled () then
+       [
+         "fallback:qr"; "fallback:qr"; "fallback:tikhonov"; "exhausted";
+         "nudge:-1.0001";
+       ]
+     else [ "fallback:qr"; "fallback:qr"; "fallback:qr"; "fallback:qr" ])
+    res.Mor.Atmor.degradation
+
+(* The nudge sequence of test_policy from s0 = 0 (the default point of
+   diag_qldae), as recorded after each failed candidate. *)
+let zero_nudges =
+  [ "nudge:0.0001"; "nudge:0.0002"; "nudge:0.0004"; "nudge:0.0008" ]
 
 let test_atmor_h3_degrades () =
   (* Persistent NaN from the 4th resolvent solve: H1 (2 solves) and H2
@@ -440,15 +534,11 @@ let test_atmor_h3_degrades () =
       ~orders:{ Mor.Atmor.k1 = 2; k2 = 1; k3 = 1 }
       q
   in
-  Alcotest.(check int) "H3 dropped" 0 res.Mor.Atmor.orders.Mor.Atmor.k3;
-  Alcotest.(check int) "H2 kept" 1 res.Mor.Atmor.orders.Mor.Atmor.k2;
-  Alcotest.(check int) "H1 kept" 2 res.Mor.Atmor.orders.Mor.Atmor.k1;
-  Alcotest.(check bool) "degradation reported" true
-    (Robust.Report.degraded res.Mor.Atmor.degradation);
-  Alcotest.(check bool) "degrade:h3 event present" true
-    (has_action res.Mor.Atmor.degradation "degrade:h3");
-  Alcotest.(check bool) "nudges were tried first" true
-    (has_action res.Mor.Atmor.degradation "nudge:");
+  check_orders "H3 dropped, H1 and H2 kept" (2, 1, 0) res.Mor.Atmor.orders;
+  check_s0 "first candidate at the kept level" 0.0 res.Mor.Atmor.s0;
+  check_actions "every nudge, then degrade:h3"
+    (zero_nudges @ [ "degrade:h3" ])
+    res.Mor.Atmor.degradation;
   Alcotest.(check bool) "basis finite" true
     (Vec.is_finite (Mat.data res.Mor.Atmor.basis))
 
@@ -462,13 +552,11 @@ let test_atmor_h3_then_h2_degrade () =
       ~orders:{ Mor.Atmor.k1 = 2; k2 = 1; k3 = 1 }
       q
   in
-  Alcotest.(check int) "H3 dropped" 0 res.Mor.Atmor.orders.Mor.Atmor.k3;
-  Alcotest.(check int) "H2 dropped" 0 res.Mor.Atmor.orders.Mor.Atmor.k2;
-  Alcotest.(check int) "H1 kept" 2 res.Mor.Atmor.orders.Mor.Atmor.k1;
-  Alcotest.(check bool) "degrade:h3 recorded" true
-    (has_action res.Mor.Atmor.degradation "degrade:h3");
-  Alcotest.(check bool) "degrade:h2 recorded" true
-    (has_action res.Mor.Atmor.degradation "degrade:h2");
+  check_orders "H3 and H2 dropped, H1 kept" (2, 0, 0) res.Mor.Atmor.orders;
+  check_s0 "first candidate at the kept level" 0.0 res.Mor.Atmor.s0;
+  check_actions "nudges per level, then degrade:h3 and degrade:h2"
+    ((zero_nudges @ [ "degrade:h3" ]) @ zero_nudges @ [ "degrade:h2" ])
+    res.Mor.Atmor.degradation;
   Alcotest.(check bool) "H1-only ROM is usable" true
     (Mor.Atmor.order res >= 1 && Vec.is_finite (Mat.data res.Mor.Atmor.basis))
 
@@ -510,15 +598,35 @@ let test_autoselect_degrades () =
       ~max_orders:{ Mor.Atmor.k1 = 2; k2 = 1; k3 = 1 }
       q
   in
-  Alcotest.(check int) "H2 dropped" 0 sel.Mor.Autoselect.chosen.Mor.Atmor.k2;
-  Alcotest.(check int) "H3 dropped" 0 sel.Mor.Autoselect.chosen.Mor.Atmor.k3;
-  Alcotest.(check bool) "H1 survived" true
-    (sel.Mor.Autoselect.chosen.Mor.Atmor.k1 >= 1);
-  let report = sel.Mor.Autoselect.result.Mor.Atmor.degradation in
-  Alcotest.(check bool) "degrade:h2 recorded" true (has_action report "degrade:h2");
-  Alcotest.(check bool) "degrade:h3 recorded" true (has_action report "degrade:h3");
+  check_orders "H2 and H3 dropped, H1 kept" (2, 0, 0) sel.Mor.Autoselect.chosen;
+  check_s0 "clean probe at the requested point" 0.0
+    sel.Mor.Autoselect.result.Mor.Atmor.s0;
+  check_actions "degrade:h2 then degrade:h3" [ "degrade:h2"; "degrade:h3" ]
+    sel.Mor.Autoselect.result.Mor.Atmor.degradation;
   Alcotest.(check bool) "basis finite" true
     (Vec.is_finite (Mat.data sel.Mor.Autoselect.result.Mor.Atmor.basis))
+
+let test_autoselect_probe_nudges () =
+  (* s0 exactly on an eigenvalue of G1: the H1 probe at the pole cannot
+     be clean, so the probe walk settles on the first nudge. *)
+  let q = diag_qldae () in
+  let sel =
+    Mor.Autoselect.reduce ~policy:test_policy ~s0:(-1.0)
+      ~max_orders:{ Mor.Atmor.k1 = 2; k2 = 1; k3 = 1 }
+      q
+  in
+  check_s0 "second nudge candidate"
+    (List.nth (Robust.Policy.nudges test_policy (-1.0)) 1)
+    sel.Mor.Autoselect.result.Mor.Atmor.s0;
+  check_orders "orders grown" (2, 1, 0) sel.Mor.Autoselect.chosen;
+  check_actions "pole probe's recovery, then the nudge"
+    (if Contract.checks_enabled () then
+       [
+         "fallback:qr"; "fallback:qr"; "fallback:tikhonov"; "exhausted";
+         "nudge:-1.0001";
+       ]
+     else [ "fallback:qr"; "fallback:qr" ])
+    sel.Mor.Autoselect.result.Mor.Atmor.degradation
 
 let test_balanced_try_reduce_non_hurwitz () =
   let g1 = Mat.diag (Vec.of_list [ 0.5; -2.0 ]) in
@@ -549,6 +657,7 @@ let suite =
         tc "ladder recovers from every fault kind" `Quick
           test_run_ladder_recovers_each_fault;
         tc "ladder exhaustion is typed" `Quick test_run_ladder_exhaustion;
+        tc "nudge walk over scripted outcomes" `Quick test_walk_nudges;
       ] );
     ( "robust.la-ladder",
       [
@@ -583,6 +692,8 @@ let suite =
         tc "clean run has an empty report" `Quick
           test_atmor_clean_run_empty_report;
         tc "autoselect drops failing series" `Quick test_autoselect_degrades;
+        tc "autoselect probe walks off a pole" `Quick
+          test_autoselect_probe_nudges;
         tc "balanced try_reduce types Non_hurwitz" `Quick
           test_balanced_try_reduce_non_hurwitz;
       ] );
