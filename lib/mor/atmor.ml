@@ -134,12 +134,9 @@ let reduce ?recorder ?policy ?fault ?s0 ?(tol = 1e-8) ?(h3_triples = `All)
              loc = reduce_loc;
              detail = Printf.sprintf "non-finite moments at s0 = %g" cand;
            })
-    | vectors -> (
-      match Robust.Report.since rec0 mark with
-      | [] -> Robust.Policy.Clean (vectors, !realized)
-      | events ->
-        let last = List.nth events (List.length events - 1) in
-        Robust.Policy.Recovered ((vectors, !realized), last.error))
+    | vectors ->
+      Robust.Policy.outcome_of_events (vectors, !realized)
+        (Robust.Report.since rec0 mark)
   in
   let classify = Ladder.classify ~loc:reduce_loc in
   let rec walk_levels attempts last = function

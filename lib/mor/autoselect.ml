@@ -105,12 +105,7 @@ let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
                loc = reduce_loc;
                detail = Printf.sprintf "non-finite H1 probe at s0 = %g" cand;
              })
-      | Ok true -> (
-        match Robust.Report.events rec_c with
-        | [] -> Robust.Policy.Clean ()
-        | events ->
-          let last = List.nth events (List.length events - 1) in
-          Robust.Policy.Recovered ((), last.Robust.Report.error))
+      | Ok true -> Robust.Policy.outcome_of_events () (Robust.Report.events rec_c)
     in
     let candidates = Robust.Policy.nudges policy s0_req in
     (* With parallelism on, speculate: probe every nudge candidate at

@@ -10,8 +10,8 @@
    points off the real axis.
 
    Cost: one extra Schur factorization per model and a few shifted
-   solves — all gated behind an active health sink by the callers
-   ({!Atmor.reduce}, {!Norm.reduce}); an untraced reduction never pays
+   solves — all gated behind an active health sink by the shared
+   reducer tail ({!Atmor.finish}); an untraced reduction never pays
    for it. Residuals aggregate over inputs/outputs in the Frobenius
    sense; H3 uses diagonal input triples (a,a,a) and both H2/H3 are
    skipped above a dimension cap so a traced run of a big model cannot
@@ -182,8 +182,8 @@ let freq_sweep ?(omegas = default_omegas) ~s0 ~(full : Qldae.t)
   | Some points -> points
   | None -> []
 
-(* The hook {!Atmor.reduce} / {!Norm.reduce} call when a health sink is
-   active: compute residuals + sweep inside a dedicated span and emit
+(* The hook the shared reducer tail {!Atmor.finish} calls when a
+   health sink is active: compute residuals + sweep inside a dedicated span and emit
    the health records. *)
 let emit_health ?h2_dim_cap ?h3_dim_cap ?omegas ~s0 ~(full : Qldae.t)
     ~(rom : Qldae.t) () =

@@ -3,9 +3,8 @@
    One small record of knobs (bounded attempts, nudge geometry,
    Tikhonov strength) plus three engines: the deterministic
    shift-nudge sequence for near-singular shifted solves, the walk
-   over those candidates that every moment-matching reducer runs
-   ([Atmor.reduce] per order level, [Autoselect.reduce] for its H1
-   probe), and the generic ladder runner used by every fallback chain
+   over those candidates ([Atmor.reduce] runs it per order level,
+   [Autoselect.reduce] for its H1 probe), and the generic ladder runner used by every fallback chain
    in the stack (LU -> pivoted QR -> Tikhonov in [La.Ladder], RKF45 ->
    implicit trapezoid in [Ode.Fallback]).
 
@@ -56,19 +55,26 @@ let nudges t s0 =
 
 type 'a outcome = Clean of 'a | Recovered of 'a * Error.t | Failed of Error.t
 
+(* A value is clean when no recovery event fired while producing it;
+   otherwise it is recovered, carrying the newest event's error. *)
+let outcome_of_events v = function
+  | [] -> Clean v
+  | events ->
+    Recovered (v, (List.nth events (List.length events - 1)).Report.error)
+
 (* Try the candidates in order. The first clean one wins at once; a
    recovered one is only kept (the first such) and accepted, with
    "accept-fallback", once no candidate is clean. Each failure records
    "nudge:<next>" while a next candidate remains. Exceptions go
    through [classify] into [Failed]; foreign ones propagate. *)
-let walk_nudges ?recorder ~(classify : exn -> Error.t option)
+let walk_nudges ~recorder ~(classify : exn -> Error.t option)
     (cands : (float * (unit -> 'a outcome)) list) :
     (float * 'a, int * Error.t option) result =
   let rec go attempts last usable = function
     | [] -> (
       match usable with
       | Some (s0, v, err) ->
-        Report.record_opt recorder ~action:"accept-fallback" err;
+        Report.record recorder ~action:"accept-fallback" err;
         Ok (s0, v)
       | None -> Result.Error (attempts, last))
     | (s0, f) :: rest -> (
@@ -87,7 +93,7 @@ let walk_nudges ?recorder ~(classify : exn -> Error.t option)
       | Failed err ->
         (match rest with
         | (next, _) :: _ ->
-          Report.record_opt recorder ~action:(Printf.sprintf "nudge:%g" next) err
+          Report.record recorder ~action:(Printf.sprintf "nudge:%g" next) err
         | [] -> ());
         go (attempts + 1) (Some err) usable rest)
   in

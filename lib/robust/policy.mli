@@ -31,8 +31,13 @@ val nudges : t -> float -> float list
     recovered error), or a failure. *)
 type 'a outcome = Clean of 'a | Recovered of 'a * Error.t | Failed of Error.t
 
+val outcome_of_events : 'a -> Report.t -> 'a outcome
+(** [outcome_of_events v events] is [Clean v] when [events] (the
+    recovery events recorded while producing [v], oldest first) is
+    empty, else [Recovered (v, e)] with [e] the newest event's error. *)
+
 val walk_nudges :
-  ?recorder:Report.recorder ->
+  recorder:Report.recorder ->
   classify:(exn -> Error.t option) ->
   (float * (unit -> 'a outcome)) list ->
   (float * 'a, int * Error.t option) result

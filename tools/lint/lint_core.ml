@@ -852,12 +852,17 @@ let lint_file ctx path =
     | _ -> ()
   end
 
+(* Inside a dune build tree the compiler may replace an artifact
+   (e.g. a .cma) between [readdir] and the stat of that entry; a child
+   that vanished that way is skipped rather than aborting the walk. *)
 let rec walk f path =
   if Sys.is_directory path then
     Sys.readdir path |> Array.to_list |> List.sort compare
     |> List.iter (fun entry ->
+           let child = Filename.concat path entry in
            if entry <> "_build" && entry <> ".git" then
-             walk f (Filename.concat path entry))
+             try walk f child
+             with Sys_error _ when not (Sys.file_exists child) -> ())
   else f path
 
 (* ---------- allowlist ---------- *)
