@@ -9,7 +9,10 @@
 
    and the triangular middle solve is a recursive block
    back-substitution over order-k tensors (cost O(k n^{k+1}), memory
-   O(n^k)). This is the §2.3 trick of the paper, in complex form. *)
+   O(n^k)). This is the §2.3 trick of the paper, in complex form.
+   Permutation-symmetric order-3 data (the third-order associated
+   series) has its own back-substitution over the i <= j <= l entries
+   only, tri_solve_sym3. *)
 
 type t = { n : int; schur : Schur.t }
 
@@ -33,53 +36,58 @@ let dim t = t.n
 
 let eigenvalues t = Schur.eigenvalues t.schur
 
-(* Smallest |sigma - (lam_i1 + ... + lam_ik)| over all index tuples —
-   the distance from singularity of the shifted operator. Computed from
-   extreme sums rather than enumerating n^k tuples. *)
-let min_pole_distance t ~k ~(sigma : Complex.t) =
+(* Every distinct eigenvalue sum [lam_i1 + ... + lam_ik], the diagonal
+   of (sigma I - ⊕^k T) up to the shift: enumerated over sorted index
+   tuples (the sums are symmetric) for k = 2 at n <= 400 and for k = 3
+   while the n(n+1)(n+2)/6 triples stay <= 2e6; beyond that, only the
+   k-fold multiples [k lam_i] are sampled — adequate as a diagnostic. *)
+let iter_pole_sums t ~k f =
   let eigs = eigenvalues t in
-  let best = ref infinity in
-  (* Exact only for k = 1; for k > 1 we sample all pairwise/triple sums
-     when n is small, otherwise bound via the closest single eigenvalue
-     scaled — adequate as a diagnostic. *)
   let n = Array.length eigs in
-  let check z = if Complex.norm (Complex.sub sigma z) < !best then best := Complex.norm (Complex.sub sigma z) in
-  (match k with
-  | 1 -> Array.iter check eigs
+  match k with
+  | 1 -> Array.iter f eigs
   | 2 when n <= 400 ->
-    Array.iter (fun a -> Array.iter (fun b -> check (Complex.add a b)) eigs) eigs
+    for i = 0 to n - 1 do
+      for j = i to n - 1 do
+        f (Complex.add eigs.(i) eigs.(j))
+      done
+    done
+  | 3 when n * (n + 1) * (n + 2) / 6 <= 2_000_000 ->
+    for i = 0 to n - 1 do
+      for j = i to n - 1 do
+        let s = Complex.add eigs.(i) eigs.(j) in
+        for l = j to n - 1 do
+          f (Complex.add s eigs.(l))
+        done
+      done
+    done
   | _ ->
-    (* sample extreme combinations: all sums of k copies of each
-       eigenvalue plus mixed extremes of real part *)
     Array.iter
-      (fun a ->
-        check (Complex.mul { re = float_of_int k; im = 0.0 } a))
-      eigs);
+      (fun a -> f (Complex.mul { re = float_of_int k; im = 0.0 } a))
+      eigs
+
+(* Smallest |sigma - (lam_i1 + ... + lam_ik)| over the sums of
+   {!iter_pole_sums} — the distance from singularity of the shifted
+   operator. *)
+let min_pole_distance t ~k ~(sigma : Complex.t) =
+  let best = ref infinity in
+  iter_pole_sums t ~k (fun z ->
+      let d = Complex.norm (Complex.sub sigma z) in
+      if d < !best then best := d);
   !best
 
 (* Cheap conditioning estimate of the shifted operator: in the Schur
    basis [(sigma I - ⊕^k T)] is triangular with diagonal
    [sigma - (lam_i1 + ... + lam_ik)], so the ratio of the farthest to
    the nearest pole distance estimates its conditioning (the unitary
-   mode transforms are isometries). Same sum sampling as
-   {!min_pole_distance}; a diagnostic, not a bound. *)
+   mode transforms are isometries). Same sums as {!min_pole_distance};
+   a diagnostic, not a bound. *)
 let cond_estimate t ~k ~(sigma : Complex.t) =
-  let eigs = eigenvalues t in
-  let n = Array.length eigs in
   let dmin = ref infinity and dmax = ref 0.0 in
-  let check z =
-    let d = Complex.norm (Complex.sub sigma z) in
-    if d < !dmin then dmin := d;
-    if d > !dmax then dmax := d
-  in
-  (match k with
-  | 1 -> Array.iter check eigs
-  | 2 when n <= 400 ->
-    Array.iter (fun a -> Array.iter (fun b -> check (Complex.add a b)) eigs) eigs
-  | _ ->
-    Array.iter
-      (fun a -> check (Complex.mul { re = float_of_int k; im = 0.0 } a))
-      eigs);
+  iter_pole_sums t ~k (fun z ->
+      let d = Complex.norm (Complex.sub sigma z) in
+      if d < !dmin then dmin := d;
+      if d > !dmax then dmax := d);
   if !dmin <= 0.0 then infinity else !dmax /. !dmin
 
 (* ---- tensor primitives on split-complex flat arrays ---- *)
@@ -347,6 +355,114 @@ let tri_solve_shifted ?mu t ~k ~(sigma : Complex.t) (w : Cvec.t) : Cvec.t =
     ~expected:(expected_len t.n k) ~actual:(Cvec.dim w);
   Obs.Metrics.incr Obs.Metrics.Shifted_solve;
   tri_solve ?mu (Schur.triangular t.schur) ~k ~sigma w
+
+(* Triangular ⊕³ solve for permutation-symmetric data:
+   (sigma I - ⊕³T) y = w with w, hence y, invariant under every
+   permutation of (i, j, l) (⊕³T commutes with them). Only the
+   n(n+1)(n+2)/6 entries with i <= j <= l are solved, as
+
+     y_ijl = (w_ijl + Σ_{p>i} T_ip y_pjl + Σ_{q>j} T_jq y_iql
+                    + Σ_{r>l} T_lr y_ijr) / (sigma - t_ii - t_jj - t_ll),
+
+   levels i descending, then j and l descending from n-1; each solved
+   value goes to all six permutations, so the result is the full n³
+   layout. Everything an entry reads is an earlier entry of that order
+   (or its permutation). Entries off i <= j <= l of [w] are never
+   read. Schur triangles are dense, so unlike {!tri_solve} the inner
+   loops carry no zero-coefficient test. *)
+let tri_solve_sym3 ?(mu = 0.0) t ~(sigma : Complex.t) (w : Cvec.t) : Cvec.t =
+  let n = t.n in
+  Contract.require_len "Ksolve.tri_solve_sym3" ~expected:(expected_len n 3)
+    ~actual:(Cvec.dim w);
+  Obs.Metrics.incr Obs.Metrics.Shifted_solve;
+  let n2 = n * n in
+  (* Nominal charge, on the caller and outside the Par tiles: 8 flops
+     per complex multiply-add, (n-1)n(n+1)(n+2)/4 of them over the
+     unique entries, and 11 per scalar division. *)
+  let madds = (n - 1) * n * (n + 1) * (n + 2) / 4 in
+  Obs.Cost.charge Obs.Cost.Flops_trisolve
+    ((8 * madds) + (11 * (n * (n + 1) * (n + 2) / 6)))
+    ~read:((n * n) + (2 * madds))
+    ~written:(2 * n * n2);
+  let mu2 = mu *. mu in
+  let tmat = Schur.triangular t.schur in
+  let tre = tmat.Cmat.re and tim = tmat.Cmat.im in
+  let y = Cvec.copy w in
+  let yre = y.Cvec.re and yim = y.Cvec.im in
+  for i = n - 1 downto 0 do
+    Robust.Budget.check "la.Ksolve.tri_solve_sym3";
+    (* Slot-0 sums of the pairs i < j <= l (row-major), which read only
+       finished levels p > i: the pair range splits into Par tiles.
+       Each tile runs p outermost over its contiguous l-runs, keeping every
+       entry's accumulation order (increasing p) that of the serial
+       solve, so the result is bit-identical at any domain count. The
+       row j = i reads its own level and is summed in the sweep. *)
+    let m = n - 1 - i in
+    Par.tiles ~lo:0 ~hi:(m * (m + 1) / 2) (fun ~lo ~hi ->
+        for p = i + 1 to n - 1 do
+          let cr = tre.((i * n) + p) and ci = tim.((i * n) + p) in
+          (* row j holds pairs [off, off + n - j) of the level *)
+          let off = ref 0 in
+          for j = i + 1 to n - 1 do
+            let a = max lo !off and b = min hi (!off + n - j) in
+            (* pair index x sits at (i, j, j + x - off) *)
+            let bi = (i * n2) + (j * n) + j - !off
+            and bp = (p * n2) + (j * n) + j - !off in
+            for x = a to b - 1 do
+              yre.(bi + x) <-
+                yre.(bi + x) +. ((cr *. yre.(bp + x)) -. (ci *. yim.(bp + x)));
+              yim.(bi + x) <-
+                yim.(bi + x) +. ((cr *. yim.(bp + x)) +. (ci *. yre.(bp + x)))
+            done;
+            off := !off + n - j
+          done
+        done);
+    let si_re = sigma.re -. tre.((i * n) + i)
+    and si_im = sigma.im -. tim.((i * n) + i) in
+    for j = n - 1 downto i do
+      let sj_re = si_re -. tre.((j * n) + j)
+      and sj_im = si_im -. tim.((j * n) + j) in
+      for l = n - 1 downto j do
+        let at = (i * n2) + (j * n) + l in
+        let accr = ref yre.(at) and acci = ref yim.(at) in
+        (* slot s sums T[row, c] y[base + c stride] over c > row: slot 0
+           (p, row i) only on the row j = i, then slots 1 (q) and 2 (r) *)
+        for s = (if j = i then 0 else 1) to 2 do
+          let row = if s = 0 then i else if s = 1 then j else l in
+          let base =
+            if s = 0 then (j * n) + l
+            else if s = 1 then (i * n2) + l
+            else (i * n2) + (j * n)
+          in
+          let stride = if s = 0 then n2 else if s = 1 then n else 1 in
+          for c = row + 1 to n - 1 do
+            let cr = tre.((row * n) + c) and ci = tim.((row * n) + c) in
+            let src = base + (c * stride) in
+            accr := !accr +. ((cr *. yre.(src)) -. (ci *. yim.(src)));
+            acci := !acci +. ((cr *. yim.(src)) +. (ci *. yre.(src)))
+          done
+        done;
+        let dr = sj_re -. tre.((l * n) + l)
+        and di = sj_im -. tim.((l * n) + l) in
+        let dm = (dr *. dr) +. (di *. di) +. mu2 in
+        if dm < 1e-300 then raise (Near_singular (sqrt dm));
+        let xr = ((!accr *. dr) +. (!acci *. di)) /. dm
+        and xi = ((!acci *. dr) -. (!accr *. di)) /. dm in
+        (* the six permutations of (i, j, l) *)
+        let ii = i * n2 and jj = j * n2 and ll = l * n2 in
+        let p0 = ii + (j * n) + l and p1 = ii + (l * n) + j in
+        let p2 = jj + (i * n) + l and p3 = jj + (l * n) + i in
+        let p4 = ll + (i * n) + j and p5 = ll + (j * n) + i in
+        yre.(p0) <- xr; yim.(p0) <- xi;
+        yre.(p1) <- xr; yim.(p1) <- xi;
+        yre.(p2) <- xr; yim.(p2) <- xi;
+        yre.(p3) <- xr; yim.(p3) <- xi;
+        yre.(p4) <- xr; yim.(p4) <- xi;
+        yre.(p5) <- xr; yim.(p5) <- xi
+      done
+    done
+  done;
+  y
 
 (* The unitary factor, for callers assembling custom Schur-basis
    operators (e.g. U^H G2 (U ⊗ U)). *)

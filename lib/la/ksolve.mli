@@ -26,7 +26,9 @@ val dim : t -> int
 val eigenvalues : t -> Complex.t array
 
 (** Diagnostic distance from [σ] to the nearest pole
-    [λ_{i1} + ... + λ_{ik}] (exact for k ≤ 2 on moderate sizes). *)
+    [λ_{i1} + ... + λ_{ik}]: exact for k = 1, for k = 2 at n ≤ 400 and
+    for k = 3 while the n(n+1)(n+2)/6 sorted triples number ≤ 2·10⁶;
+    beyond that only the sums [k λ_i] are sampled. *)
 val min_pole_distance : t -> k:int -> sigma:Complex.t -> float
 
 (** Cheap conditioning estimate of [(σ I − ⊕^k T)]: ratio of the
@@ -89,6 +91,18 @@ val adjoint_vec : t -> Vec.t -> Cvec.t
     inverse of {!solve_shifted_reg}. *)
 val tri_solve_shifted :
   ?mu:float -> t -> k:int -> sigma:Complex.t -> Cvec.t -> Cvec.t
+
+(** {!tri_solve_shifted} at [k = 3] for permutation-symmetric data:
+    [w] (hence [y]) unchanged by any permutation of its three indices,
+    such as the [sym³] series of the third-order associated transform.
+    Solves only the [n(n+1)(n+2)/6] entries with [i ≤ j ≤ l] and writes
+    each to its six permutations, so the result is the full [n³]
+    layout; entries of [w] off [i ≤ j ≤ l] are never read. Same
+    [Near_singular] check, Tikhonov [mu], one budget poll per level
+    [i]; one nominal [Flops_trisolve] charge of
+    [2(n−1)n(n+1)(n+2) + 11·n(n+1)(n+2)/6] (about a sixth of the full
+    solve's [12n³(n−1) + 11n³]). Bit-identical at any domain count. *)
+val tri_solve_sym3 : ?mu:float -> t -> sigma:Complex.t -> Cvec.t -> Cvec.t
 
 (** The unitary Schur factor, for assembling custom Schur-basis
     operators such as [U^H G2 (U ⊗ U)]. *)

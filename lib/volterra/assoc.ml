@@ -35,6 +35,12 @@
 
    one N3 solve per triple, shared with the G3 term, and one N2 solve.
 
+   q_abc is invariant under permutations of its three indices, and so
+   is ⊕³G1, so every N3 series iterate is fully symmetric: it is solved
+   on its i <= j <= l entries only (Ksolve.tri_solve_sym3, about a
+   sixth of the work), and the G2 coupling, symmetric in its trailing
+   pair, multiplies n(n+1)/2 packed columns instead of n² (DESIGN.md §2).
+
    Moments: Taylor coefficients about a real expansion point s0
    (s0 = 0 when G1 is invertible, s0 > 0 for quadratized diode circuits
    whose augmented G1 has nullity = #diodes — see DESIGN.md). All series
@@ -55,9 +61,11 @@ type t = {
   fault : Robust.Faultify.t option;  (* injected on msolve outputs *)
   ladder : Ladder.t;  (* (s0 I - G1) through LU -> pivoted QR -> Tikhonov *)
   ks : Ksolve.t lazy_t;  (* Schur of G1 for Kronecker-sum solves *)
-  g2_schur : Cmat.t lazy_t;
-      (* G2 (U ⊗ U): the right half of the Schur-basis coupling
-         U^H G2 (U ⊗ U) used by the third-order series (see below) *)
+  g2_sym : Cmat.t lazy_t;
+      (* n x n(n+1)/2: column (j <= l) is G2 (u_j ⊗ u_l + u_l ⊗ u_j), or
+         G2 (u_j ⊗ u_j) at j = l — the right half of the Schur-basis
+         coupling U^H G2 (U ⊗ U) on data symmetric in its trailing pair
+         (see h3_moment_series) *)
   g3_lead : (int * (int * (int * int * float) array) array) array lazy_t;
       (* G3's entries grouped by leading index i1, then by i2:
          (i1, [| (i2, [| (row, i3, coeff) |]) |]), the contraction plan
@@ -113,30 +121,36 @@ let create ?recorder ?(policy = Robust.Policy.default ()) ?fault ?s0
        end;
        ks)
   in
-  let g2_schur =
+  let g2_sym =
     lazy
       (let u = Ksolve.unitary (Lazy.force ks) in
-       let entries = Array.of_list (Sptensor.entries q.Qldae.g2) in
-       let out = Cmat.create n (n * n) in
-       (* column (j1, j2) of G2 (U ⊗ U) is G2 (u_{j1} ⊗ u_{j2}),
-          accumulated straight off the sparse entries *)
-       Array.iter
+       let ure = u.Cmat.re and uim = u.Cmat.im in
+       let out = Cmat.create n (n * (n + 1) / 2) in
+       let ore_ = out.Cmat.re and oim = out.Cmat.im in
+       (* accumulated straight off the sparse entries: entry
+          (row, (i1, i2), c) adds c (U[i1,j] U[i2,l] + U[i1,l] U[i2,j])
+          to packed column (j <= l), the second product dropped at
+          j = l *)
+       List.iter
          (fun (row, (idx : int array), coeff) ->
-           let i1 = idx.(0) and i2 = idx.(1) in
-           for j1 = 0 to n - 1 do
-             let ur = Cmat.get u i1 j1 in
-             if Contract.nonzero ur.re || Contract.nonzero ur.im then
-               for j2 = 0 to n - 1 do
-                 let vr = Cmat.get u i2 j2 in
-                 Cmat.add_to out row
-                   ((j1 * n) + j2)
-                   {
-                     Complex.re = coeff *. ((ur.re *. vr.re) -. (ur.im *. vr.im));
-                     im = coeff *. ((ur.re *. vr.im) +. (ur.im *. vr.re));
-                   }
-               done
+           let i1 = idx.(0) * n and i2 = idx.(1) * n in
+           let col = ref (row * (n * (n + 1) / 2)) in
+           for j = 0 to n - 1 do
+             let ar = ure.(i1 + j) and ai = uim.(i1 + j) in
+             let br = ure.(i2 + j) and bi = uim.(i2 + j) in
+             for l = j to n - 1 do
+               let cr = ure.(i1 + l) and ci = uim.(i1 + l) in
+               let dr = ure.(i2 + l) and di = uim.(i2 + l) in
+               let vr = (ar *. dr) -. (ai *. di)
+               and vi = (ar *. di) +. (ai *. dr) in
+               let vr = if l = j then vr else vr +. ((cr *. br) -. (ci *. bi))
+               and vi = if l = j then vi else vi +. ((cr *. bi) +. (ci *. br)) in
+               ore_.(!col) <- ore_.(!col) +. (coeff *. vr);
+               oim.(!col) <- oim.(!col) +. (coeff *. vi);
+               incr col
+             done
            done)
-         entries;
+         (Sptensor.entries q.Qldae.g2);
        out)
   in
   let g3_lead =
@@ -177,7 +191,7 @@ let create ?recorder ?(policy = Robust.Policy.default ()) ?fault ?s0
     fault = Option.map Robust.Faultify.make fault;
     ladder;
     ks;
-    g2_schur;
+    g2_sym;
     g3_lead;
   }
 
@@ -215,16 +229,17 @@ let nsolve t ~k v =
          { loc = nsolve_loc; shift = t.s0; distance = d });
     Ksolve.solve_shifted_real_reg ks ~k ~sigma:t.s0 ~mu:(reg_mu t) v
 
-(* Schur-basis triangular solve with the same retry semantics as
-   {!nsolve}, for the third-order series recursion. *)
-let tri_robust t ks ~kk ~sigma v =
-  try Ksolve.tri_solve_shifted ks ~k:kk ~sigma v
+(* A Schur-basis triangular solve [solve ~mu] (mu = 0: unregularized)
+   with the same retry semantics as {!nsolve}, for the third-order
+   series recursion. *)
+let tri_robust t solve v =
+  try solve ~mu:0.0 v
   with
   | Ksolve.Near_singular d when t.policy.Robust.Policy.tikhonov_mu > 0.0 ->
     Robust.Report.record_opt t.recorder ~action:"fallback:tikhonov"
       (Robust.Error.Singular_solve
-         { loc = nsolve_loc; shift = sigma.Complex.re; distance = d });
-    Ksolve.tri_solve_shifted ~mu:(reg_mu t) ks ~k:kk ~sigma v
+         { loc = nsolve_loc; shift = t.s0; distance = d });
+    solve ~mu:(reg_mu t) v
 
 (* symmetrized Kronecker pair of input columns *)
 let w_pair (q : Qldae.t) a b =
@@ -390,6 +405,36 @@ let apply_g3_schur t (r : Cvec.t) : Vec.t =
     plan;
   out
 
+(* sym³(x0, x1, x2) = (1/6) Σ_perms x_a ⊗ x_b ⊗ x_c, written in one pass
+   on the entries i <= j <= l only (zeros elsewhere): all that
+   Ksolve.tri_solve_sym3 reads. Each entry adds the six products
+   (x_a[i] x_b[j]) x_c[l] / 6 in a fixed order. *)
+let sym3_upper n (x : Cvec.t array) : Cvec.t =
+  let q3 = Cvec.create (n * n * n) in
+  let perms = [| 0; 1; 2; 0; 2; 1; 1; 0; 2; 1; 2; 0; 2; 0; 1; 2; 1; 0 |] in
+  let sixth = 1.0 /. 6.0 in
+  for i = 0 to n - 1 do
+    for j = i to n - 1 do
+      for l = j to n - 1 do
+        let at = (((i * n) + j) * n) + l in
+        for s = 0 to 5 do
+          let xa = x.(perms.(3 * s))
+          and xb = x.(perms.((3 * s) + 1))
+          and xc = x.(perms.((3 * s) + 2)) in
+          let ar = xa.Cvec.re.(i) and ai = xa.Cvec.im.(i) in
+          let br = xb.Cvec.re.(j) and bi = xb.Cvec.im.(j) in
+          let cr = xc.Cvec.re.(l) and ci = xc.Cvec.im.(l) in
+          let pr = (ar *. br) -. (ai *. bi) and pi = (ar *. bi) +. (ai *. br) in
+          q3.Cvec.re.(at) <-
+            q3.Cvec.re.(at) +. (sixth *. ((pr *. cr) -. (pi *. ci)));
+          q3.Cvec.im.(at) <-
+            q3.Cvec.im.(at) +. (sixth *. ((pr *. ci) +. (pi *. cr)))
+        done
+      done
+    done
+  done;
+  q3
+
 (* Moments of H3^{abc}(s) about s0 for one input triple.
 
    All n³-sized series iterates are kept in the Schur basis of G1, so
@@ -400,10 +445,12 @@ let apply_g3_schur t (r : Cvec.t) : Vec.t =
      (U^H ⊗ U^H ⊗ U^H)(I ⊗ G2)(U ⊗ U ⊗ U) = I ⊗ (U^H G2 (U ⊗ U)),
 
    so the block coupling C = I ⊗ G2 of the (sI - G1 ⊕ A~2)^-1 solve acts
-   slice-wise through the precomputed n x n² matrix G2 (U ⊗ U).
+   slice-wise through G2 (U ⊗ U); on the symmetric r_m below only its
+   packed symmetrized columns g2_sym are needed.
 
    With the pairings folded (header), one ⊕³ series
-   r_m = (s0 - ⊕³T)^-(m+1) q_abc serves the coupling and the G3 term,
+   r_m = (s0 - ⊕³T)^-(m+1) q_abc, symmetric and solved by
+   Ksolve.tri_solve_sym3, serves the coupling and the G3 term,
    and one ⊕² state carries the G2 term:
 
      w_0 = (s0 - ⊕²T)^-1 (p_abc + C r_0),   w_m = (s0 - ⊕²T)^-1 (w_{m-1} + C r_m),
@@ -420,32 +467,40 @@ let h3_moment_series t ~k (a, b, c) : Vec.t list =
     let has_d1 = Qldae.has_d1 q in
     let ks = Lazy.force t.ks in
     let sigma = { Complex.re = t.s0; im = 0.0 } in
-    let tri ~kk v = tri_robust t ks ~kk ~sigma v in
+    let tri2 =
+      tri_robust t (fun ~mu -> Ksolve.tri_solve_shifted ~mu ks ~k:2 ~sigma)
+    in
+    let tri3 = tri_robust t (fun ~mu -> Ksolve.tri_solve_sym3 ~mu ks ~sigma) in
     let u = Ksolve.unitary ks in
     let pairings = [ (a, (b, c)); (b, (a, c)); (c, (a, b)) ] in
-    (* apply C^ = I ⊗ (U^H G2 (U ⊗ U)) to a Schur-basis order-3 tensor:
-       slice-wise dense matvec followed by U^H *)
+    (* apply C^ = I ⊗ (U^H G2 (U ⊗ U)) to a Schur-basis order-3 tensor
+       symmetric in its trailing pair: slice-wise dense matvec against
+       the packed columns of g2_sym (reading z[i, j <= l] only),
+       followed by U^H *)
     let apply_coupling (z : Cvec.t) : Cvec.t =
-      let m1 = Lazy.force t.g2_schur in
-      let n2 = n * n in
-      (* Hand-rolled dense complex n x n² matvec per slice, n slices:
-         8 flops per complex multiply-add.  The trailing U^H rotations
-         (Cmat.mul_vec_adjoint) charge themselves. *)
-      Obs.Cost.charge Obs.Cost.Flops_tensor (8 * n * n * n2)
-        ~read:((2 * n * n2) + (2 * n * n2)) ~written:(2 * n * n);
+      let m1 = Lazy.force t.g2_sym in
+      let n2 = n * n and np = n * (n + 1) / 2 in
+      (* Hand-rolled dense complex n x n(n+1)/2 matvec per slice, n
+         slices: 8 flops per complex multiply-add.  The trailing U^H
+         rotations (Cmat.mul_vec_adjoint) charge themselves. *)
+      Obs.Cost.charge Obs.Cost.Flops_tensor (8 * n * n * np)
+        ~read:((2 * n * np) + (2 * n * np)) ~written:(2 * n * n);
       let out = Cvec.create (n * n) in
       let tmp = Cvec.create n in
       for i = 0 to n - 1 do
-        (* tmp = m1 * z[i-th slice] *)
+        (* tmp = m1 * z[i, j <= l] *)
         for r = 0 to n - 1 do
           let sre = ref 0.0 and sim = ref 0.0 in
-          let base = r * n2 in
-          for cidx = 0 to n2 - 1 do
-            let mr = m1.Cmat.re.(base + cidx) and mi = m1.Cmat.im.(base + cidx) in
-            let zr = z.Cvec.re.((i * n2) + cidx)
-            and zi = z.Cvec.im.((i * n2) + cidx) in
-            sre := !sre +. ((mr *. zr) -. (mi *. zi));
-            sim := !sim +. ((mr *. zi) +. (mi *. zr))
+          let col = ref (r * np) in
+          for j = 0 to n - 1 do
+            let zb = (i * n2) + (j * n) in
+            for l = j to n - 1 do
+              let mr = m1.Cmat.re.(!col) and mi = m1.Cmat.im.(!col) in
+              let zr = z.Cvec.re.(zb + l) and zi = z.Cvec.im.(zb + l) in
+              sre := !sre +. ((mr *. zr) -. (mi *. zi));
+              sim := !sim +. ((mr *. zi) +. (mi *. zr));
+              incr col
+            done
           done;
           tmp.Cvec.re.(r) <- !sre;
           tmp.Cvec.im.(r) <- !sim
@@ -458,18 +513,14 @@ let h3_moment_series t ~k (a, b, c) : Vec.t list =
     in
     (* r_0 from q = sym³ of the triple's Schur input columns *)
     let r =
-      if has_g2 || has_g3 then begin
-        let sel = Array.map (fun i -> Ksolve.adjoint_vec ks (Qldae.b_col q i)) [| a; b; c |] in
-        let q3 = Cvec.create (n * n * n) in
-        List.iter
-          (fun (i, j, l) ->
-            Cvec.axpy
-              ~alpha:{ Complex.re = 1.0 /. 6.0; im = 0.0 }
-              (Cvec.kron (Cvec.kron sel.(i) sel.(j)) sel.(l))
-              q3)
-          [ (0, 1, 2); (0, 2, 1); (1, 0, 2); (1, 2, 0); (2, 0, 1); (2, 1, 0) ];
-        Some (ref (tri ~kk:3 q3))
-      end
+      if has_g2 || has_g3 then
+        Some
+          (ref
+             (tri3
+                (sym3_upper n
+                   (Array.map
+                      (fun i -> Ksolve.adjoint_vec ks (Qldae.b_col q i))
+                      [| a; b; c |]))))
       else None
     in
     (* the merged ⊕² state w_m *)
@@ -486,7 +537,7 @@ let h3_moment_series t ~k (a, b, c) : Vec.t list =
                 (Cvec.kron (Ksolve.adjoint_vec ks (Qldae.b_col q i)) dhat)
                 p)
             pairings;
-        Some (ref (tri ~kk:2 (Cvec.add p (apply_coupling !r))))
+        Some (ref (tri2 (Cvec.add p (apply_coupling !r))))
       | _ -> None
     in
     (* D1 part: one H2 series per distinct input pair, shared by the
@@ -530,8 +581,8 @@ let h3_moment_series t ~k (a, b, c) : Vec.t list =
     let advance () =
       Option.iter
         (fun r ->
-          r := tri ~kk:3 !r;
-          Option.iter (fun w -> w := tri ~kk:2 (Cvec.add !w (apply_coupling !r))) w)
+          r := tri3 !r;
+          Option.iter (fun w -> w := tri2 (Cvec.add !w (apply_coupling !r))) w)
         r
     in
     let m0 = msolve t (inner 0) in

@@ -119,6 +119,29 @@ let test_ksolve_cond_estimate () =
   let at_pole = Ksolve.cond_estimate ks ~k:1 ~sigma:{ Complex.re = -1.0; im = 0.0 } in
   check_bool "pole hit is infinite" true (at_pole = Float.infinity)
 
+let test_ksolve_k3_mixed_poles () =
+  (* diag(-1, -2, -4): sigma = -7 is only the mixed sum -1 - 2 - 4, never
+     a 3-fold eigenvalue, yet it is a divisor of the k = 3 solve *)
+  let ks = Ksolve.prepare (Mat.diag (Vec.of_list [ -1.0; -2.0; -4.0 ])) in
+  let sigma = { Complex.re = -7.0; im = 0.0 } in
+  Alcotest.(check (float 0.0)) "k=3 pole distance" 0.0
+    (Ksolve.min_pole_distance ks ~k:3 ~sigma);
+  check_bool "k=3 pole hit is infinite" true
+    (Ksolve.cond_estimate ks ~k:3 ~sigma = Float.infinity);
+  check_bool "and the solve raises there" true
+    (match
+       Ksolve.solve_shifted ks ~k:3 ~sigma
+         (Cvec.of_real (Vec.init 27 (fun _ -> 1.0)))
+     with
+    | _ -> false
+    | exception Ksolve.Near_singular _ -> true);
+  (* between the sums -7 and -8; the farthest is -1 - 1 - 1 *)
+  let sigma = { Complex.re = -7.5; im = 0.0 } in
+  Alcotest.(check (float 1e-12)) "k=3 distance off the pole" 0.5
+    (Ksolve.min_pole_distance ks ~k:3 ~sigma);
+  Alcotest.(check (float 1e-12)) "k=3 ratio over the mixed sums" 9.0
+    (Ksolve.cond_estimate ks ~k:3 ~sigma)
+
 (* ---- moment residuals ---- *)
 
 let test_moment_residual_exact () =
@@ -374,6 +397,8 @@ let suite =
           test_condest_diagonal;
         Alcotest.test_case "ksolve shifted cond estimate" `Quick
           test_ksolve_cond_estimate;
+        Alcotest.test_case "ksolve k=3 mixed-sum poles" `Quick
+          test_ksolve_k3_mixed_poles;
         Alcotest.test_case "moment residuals vanish on exact ROM" `Quick
           test_moment_residual_exact;
         Alcotest.test_case "reduce emits residual/cond/sweep records" `Quick

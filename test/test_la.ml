@@ -412,6 +412,114 @@ let test_ksolve_theorem1 () =
   let x_ref = Lu.solve_system dense rhs in
   check_small "resolvent of Kronecker sum" (Vec.dist2 x x_ref) 1e-8
 
+(* ---------- Ksolve.tri_solve_sym3 ---------- *)
+
+(* sym³(a, b, c) for random complex Schur-basis columns: the full n³
+   tensor, and its i <= j <= l part alone (zeros elsewhere), which is
+   all the symmetric kernel reads. *)
+let sym3_rhs n =
+  let col () =
+    Cvec.make ~re:(Mat.random_vec ~rng n) ~im:(Mat.random_vec ~rng n)
+  in
+  let x = [| col (); col (); col () |] in
+  let full = Cvec.create (n * n * n) in
+  List.iter
+    (fun (i, j, l) ->
+      Cvec.axpy
+        ~alpha:{ Complex.re = 1.0 /. 6.0; im = 0.0 }
+        (Cvec.kron (Cvec.kron x.(i) x.(j)) x.(l))
+        full)
+    [ (0, 1, 2); (0, 2, 1); (1, 0, 2); (1, 2, 0); (2, 0, 1); (2, 1, 0) ];
+  let upper = Cvec.create (n * n * n) in
+  for i = 0 to n - 1 do
+    for j = i to n - 1 do
+      for l = j to n - 1 do
+        let at = (((i * n) + j) * n) + l in
+        Cvec.set upper at (Cvec.get full at)
+      done
+    done
+  done;
+  (full, upper)
+
+let rel_dist a b = Cvec.norm2 (Cvec.sub a b) /. Cvec.norm2 b
+
+let test_sym3_vs_full () =
+  List.iter
+    (fun n ->
+      let ks = Ksolve.prepare (random_stable n) in
+      let full, upper = sym3_rhs n in
+      List.iter
+        (fun sigma ->
+          let y_ref = Ksolve.tri_solve_shifted ks ~k:3 ~sigma full in
+          let tag =
+            Printf.sprintf "n=%d sigma=%g%+gi" n sigma.Complex.re sigma.im
+          in
+          check_small (tag ^ " full rhs")
+            (rel_dist (Ksolve.tri_solve_sym3 ks ~sigma full) y_ref)
+            1e-12;
+          check_small (tag ^ " i<=j<=l rhs")
+            (rel_dist (Ksolve.tri_solve_sym3 ks ~sigma upper) y_ref)
+            1e-12)
+        [ { Complex.re = 0.3; im = 0.0 }; { Complex.re = -0.2; im = 1.1 } ])
+    [ 1; 2; 5; 13 ]
+
+let test_sym3_permutation_symmetric () =
+  let n = 6 in
+  let ks = Ksolve.prepare (random_stable n) in
+  let _, upper = sym3_rhs n in
+  let y = Ksolve.tri_solve_sym3 ks ~sigma:{ Complex.re = 0.5; im = 0.0 } upper in
+  let at i j l = (((i * n) + j) * n) + l in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      for l = 0 to n - 1 do
+        let v = at i j l in
+        List.iter
+          (fun p ->
+            if y.Cvec.re.(p) <> y.Cvec.re.(v) || y.Cvec.im.(p) <> y.Cvec.im.(v)
+            then Alcotest.failf "y(%d,%d,%d) differs from a permutation" i j l)
+          [ at i l j; at j i l; at j l i; at l i j; at l j i ]
+      done
+    done
+  done
+
+let test_sym3_pole () =
+  (* diag(-1, -2, -4): sigma = -7 is the mixed sum of all three *)
+  let ks = Ksolve.prepare (Mat.diag (Vec.of_list [ -1.0; -2.0; -4.0 ])) in
+  let sigma = { Complex.re = -7.0; im = 0.0 } in
+  let full, upper = sym3_rhs 3 in
+  let mu = 1e-6 in
+  check_small "regularized solve matches the full one"
+    (rel_dist
+       (Ksolve.tri_solve_sym3 ~mu ks ~sigma upper)
+       (Ksolve.tri_solve_shifted ~mu ks ~k:3 ~sigma full))
+    1e-12;
+  Alcotest.(check bool) "unregularized solve raises Near_singular" true
+    (match Ksolve.tri_solve_sym3 ks ~sigma upper with
+    | _ -> false
+    | exception Ksolve.Near_singular _ -> true)
+
+let test_sym3_charge () =
+  let n = 20 in
+  let ks = Ksolve.prepare (random_stable n) in
+  let full, upper = sym3_rhs n in
+  let sigma = { Complex.re = 0.3; im = 0.0 } in
+  let trisolve f =
+    let snap = Obs.Cost.snapshot () in
+    ignore (Sys.opaque_identity (f ()));
+    Option.value ~default:0
+      (List.assoc_opt Obs.Cost.Flops_trisolve (Obs.Cost.since snap))
+  in
+  let sym = trisolve (fun () -> Ksolve.tri_solve_sym3 ks ~sigma upper) in
+  let full = trisolve (fun () -> Ksolve.tri_solve_shifted ks ~k:3 ~sigma full) in
+  Alcotest.(check int) "documented formula"
+    ((2 * (n - 1) * n * (n + 1) * (n + 2)) + (11 * n * (n + 1) * (n + 2) / 6))
+    sym;
+  Alcotest.(check int) "full solve formula"
+    ((12 * n * n * n * (n - 1)) + (11 * n * n * n))
+    full;
+  Alcotest.(check bool) "at most a quarter of the full solve" true
+    (4 * sym <= full)
+
 (* ---------- Sylvester ---------- *)
 
 let test_sylvester_generic () =
@@ -662,6 +770,11 @@ let suite =
         tc "complex shift" `Quick test_ksolve_complex_shift;
         tc "mode multiplies" `Quick test_ksolve_mode_mul;
         tc "theorem 1 resolvent" `Quick test_ksolve_theorem1;
+        tc "sym3 solve matches the full k=3 solve" `Quick test_sym3_vs_full;
+        tc "sym3 solve is permutation-symmetric" `Quick
+          test_sym3_permutation_symmetric;
+        tc "sym3 solve on an exact pole" `Quick test_sym3_pole;
+        tc "sym3 solve cost charge" `Quick test_sym3_charge;
       ] );
     ( "la.sylvester",
       [

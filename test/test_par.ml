@@ -178,6 +178,20 @@ let reduce_with ?method_ ~domains q =
     ~options:(Vmor.Options.make ?method_ ~policy:test_policy ?domains ())
     ~orders q
 
+(* Large enough that the first levels of the symmetric ⊕³ solve
+   (k3 = 1), (n-1)n/2 pairs against Par's 1024-element minimum chunk,
+   split into tiles at 4 domains. *)
+let tiled_nltl_v () =
+  let q =
+    Circuit.Models.qldae
+      (Circuit.Models.nltl ~stages:40 ~source:(`Voltage 1.0) ())
+  in
+  let n = Volterra.Qldae.dim q in
+  Alcotest.(check bool)
+    "⊕³ level 0 splits" true
+    ((n - 1) * n / 2 >= 2 * 1024);
+  q
+
 let test_reduce_bit_identical () =
   List.iter
     (fun (name, q) ->
@@ -186,7 +200,11 @@ let test_reduce_bit_identical () =
       check_same_reduction (name ^ " 4-domain") serial par4;
       let par1 = reduce_with ~domains:(Some 1) q in
       check_same_reduction (name ^ " 1-domain") serial par1)
-    [ ("fig2/nltl-v", small_nltl_v ()); ("fig3/nltl-i", small_nltl_i ()) ]
+    [
+      ("fig2/nltl-v", small_nltl_v ());
+      ("fig3/nltl-i", small_nltl_i ());
+      ("nltl-v n=80", tiled_nltl_v ());
+    ]
 
 let test_multipoint_bit_identical () =
   let q = small_nltl_v () in
