@@ -32,17 +32,13 @@ let expected_len n k =
 
 let of_schur ~n schur = { n; schur }
 
-let dim t = t.n
-
-let eigenvalues t = Schur.eigenvalues t.schur
-
 (* Every distinct eigenvalue sum [lam_i1 + ... + lam_ik], the diagonal
    of (sigma I - ⊕^k T) up to the shift: enumerated over sorted index
    tuples (the sums are symmetric) for k = 2 at n <= 400 and for k = 3
    while the n(n+1)(n+2)/6 triples stay <= 2e6; beyond that, only the
    k-fold multiples [k lam_i] are sampled — adequate as a diagnostic. *)
 let iter_pole_sums t ~k f =
-  let eigs = eigenvalues t in
+  let eigs = Schur.eigenvalues t.schur in
   let n = Array.length eigs in
   match k with
   | 1 -> Array.iter f eigs
@@ -266,64 +262,6 @@ let tri_solve ?(mu = 0.0) (tmat : Cmat.t) ~k ~(sigma : Complex.t) (w : Cvec.t)
   go ~k ~off:0 ~sre:sigma.re ~sim:sigma.im;
   y
 
-let solve_shifted_gen ?mu t ~k ~(sigma : Complex.t) (v : Cvec.t) : Cvec.t =
-  Contract.require "Ksolve.solve_shifted" (k >= 1) "kron incompatibility"
-    (Printf.sprintf "order k = %d must be >= 1" k);
-  Contract.require_len "Ksolve.solve_shifted" ~expected:(expected_len t.n k)
-    ~actual:(Cvec.dim v);
-  Obs.Metrics.incr Obs.Metrics.Shifted_solve;
-  Obs.Span.with_ ~name:"ksolve.solve_shifted" (fun () ->
-      let u = Schur.unitary t.schur and tt = Schur.triangular t.schur in
-      (* w = (U^H)⊗k v *)
-      let w = ref v in
-      for m = 0 to k - 1 do
-        w := mode_mul ~n:t.n ~k ~m ~adjoint:true u !w
-      done;
-      let y = tri_solve ?mu tt ~k ~sigma !w in
-      let x = ref y in
-      for m = 0 to k - 1 do
-        x := mode_mul ~n:t.n ~k ~m u !x
-      done;
-      !x)
-
-let solve_shifted t ~k ~(sigma : Complex.t) (v : Cvec.t) : Cvec.t =
-  solve_shifted_gen t ~k ~sigma v
-
-let solve_shifted_reg t ~k ~sigma ~mu (v : Cvec.t) : Cvec.t =
-  solve_shifted_gen ~mu t ~k ~sigma v
-
-let solve_shifted_real t ~k ~sigma (v : Vec.t) : Vec.t =
-  let x =
-    solve_shifted t ~k ~sigma:{ Complex.re = sigma; im = 0.0 } (Cvec.of_real v)
-  in
-  (* Real data through a complex factorization returns a real answer up
-     to rounding; tolerate a modest residue. *)
-  Cvec.to_real ~tol:1e-5 x
-
-(* Regularized real solve: conjugate symmetry survives the diagonal
-   regularization, but near an exact pole the rounding residue can be
-   larger, so take the real part without the residue guard. *)
-let solve_shifted_real_reg t ~k ~sigma ~mu (v : Vec.t) : Vec.t =
-  Cvec.real_part
-    (solve_shifted_reg t ~k ~sigma:{ Complex.re = sigma; im = 0.0 } ~mu
-       (Cvec.of_real v))
-
-let try_solve_shifted_real ?(loc = Robust.Error.loc ~subsystem:"la"
-                               ~operation:"Ksolve.solve_shifted_real") t ~k
-    ~sigma (v : Vec.t) : (Vec.t, Robust.Error.t) result =
-  match solve_shifted_real t ~k ~sigma v with
-  | x -> Ok x
-  | exception Near_singular d ->
-    Error (Robust.Error.Singular_solve { loc; shift = sigma; distance = d })
-  | exception Robust.Error.Error e -> Error e
-
-(* ---- Schur-coordinate interface ----
-
-   Series recursions (repeated solves at one shift) pay the unitary
-   mode transforms only at entry and exit when the iterates are kept in
-   the Schur basis: each step is then a single triangular tensor
-   back-substitution. *)
-
 (* x -> (U^H)^{⊗k} x *)
 let to_schur t ~k (v : Cvec.t) : Cvec.t =
   let u = Schur.unitary t.schur in
@@ -341,6 +279,49 @@ let from_schur t ~k (v : Cvec.t) : Cvec.t =
     w := mode_mul ~n:t.n ~k ~m u !w
   done;
   !w
+
+(* (sigma I - ⊕^k G) x = v through the Schur basis:
+   x = U^⊗k (sigma I - ⊕^k T)^-1 (U^H)^⊗k v.  [mu] > 0 uses the
+   Tikhonov-regularized scalar inverse of tri_solve. *)
+let solve_shifted ?mu t ~k ~(sigma : Complex.t) (v : Cvec.t) : Cvec.t =
+  Contract.require "Ksolve.solve_shifted" (k >= 1) "kron incompatibility"
+    (Printf.sprintf "order k = %d must be >= 1" k);
+  Contract.require_len "Ksolve.solve_shifted" ~expected:(expected_len t.n k)
+    ~actual:(Cvec.dim v);
+  Obs.Metrics.incr Obs.Metrics.Shifted_solve;
+  Obs.Span.with_ ~name:"ksolve.solve_shifted" (fun () ->
+      from_schur t ~k
+        (tri_solve ?mu (Schur.triangular t.schur) ~k ~sigma (to_schur t ~k v)))
+
+(* Real data through a complex factorization returns a real answer up
+   to rounding: the plain solve tolerates a modest residue. Conjugate
+   symmetry survives the diagonal regularization, but near an exact
+   pole the rounding residue can be larger, so a regularized solve
+   takes the real part without the residue guard. *)
+let solve_shifted_real ?mu t ~k ~sigma (v : Vec.t) : Vec.t =
+  let x =
+    solve_shifted ?mu t ~k ~sigma:{ Complex.re = sigma; im = 0.0 }
+      (Cvec.of_real v)
+  in
+  match mu with
+  | Some mu when mu > 0.0 -> Cvec.real_part x
+  | _ -> Cvec.to_real ~tol:1e-5 x
+
+let try_solve_shifted_real ?(loc = Robust.Error.loc ~subsystem:"la"
+                               ~operation:"Ksolve.solve_shifted_real") t ~k
+    ~sigma (v : Vec.t) : (Vec.t, Robust.Error.t) result =
+  match solve_shifted_real t ~k ~sigma v with
+  | x -> Ok x
+  | exception Near_singular d ->
+    Error (Robust.Error.Singular_solve { loc; shift = sigma; distance = d })
+  | exception Robust.Error.Error e -> Error e
+
+(* ---- Schur-coordinate interface ----
+
+   Series recursions (repeated solves at one shift) pay the unitary
+   mode transforms (to_schur, from_schur) only at entry and exit when
+   the iterates are kept in the Schur basis: each step is then a single
+   triangular tensor back-substitution. *)
 
 (* U^H b for a real vector: the Schur-basis image of a rank-1 factor. *)
 let adjoint_vec t (b : Vec.t) : Cvec.t =

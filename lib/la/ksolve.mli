@@ -20,11 +20,6 @@ val prepare : Mat.t -> t
 (** Wrap an existing Schur factorization. *)
 val of_schur : n:int -> Schur.t -> t
 
-val dim : t -> int
-
-(** Eigenvalues of [G] from the Schur form. *)
-val eigenvalues : t -> Complex.t array
-
 (** Diagnostic distance from [σ] to the nearest pole
     [λ_{i1} + ... + λ_{ik}]: exact for k = 1, for k = 2 at n ≤ 400 and
     for k = 3 while the n(n+1)(n+2)/6 sorted triples number ≤ 2·10⁶;
@@ -37,23 +32,19 @@ val min_pole_distance : t -> k:int -> sigma:Complex.t -> float
     diagnostic, not a bound. *)
 val cond_estimate : t -> k:int -> sigma:Complex.t -> float
 
-(** [solve_shifted t ~k ~sigma v] solves [(σ I − ⊕^k G) x = v]. *)
-val solve_shifted : t -> k:int -> sigma:Complex.t -> Cvec.t -> Cvec.t
+(** [solve_shifted t ~k ~sigma v] solves [(σ I − ⊕^k G) x = v].
+    [mu > 0] makes it Tikhonov-regularized: every scalar division in the
+    triangular back-substitution uses [conj(d) / (|d|² + μ²)], finite
+    even when [σ] sits exactly on a pole (minimum-norm there) — the
+    recovery ladder's last rung for shifted Kronecker-sum solves. *)
+val solve_shifted :
+  ?mu:float -> t -> k:int -> sigma:Complex.t -> Cvec.t -> Cvec.t
 
-(** Real shift / real data convenience; fails if the result has a
-    non-negligible imaginary residue. *)
-val solve_shifted_real : t -> k:int -> sigma:float -> Vec.t -> Vec.t
-
-(** Tikhonov-regularized solve: every scalar division in the triangular
-    back-substitution uses [conj(d) / (|d|² + μ²)] — finite even when
-    [σ] sits exactly on a pole (minimum-norm there). The recovery
-    ladder's last rung for shifted Kronecker-sum solves. *)
-val solve_shifted_reg :
-  t -> k:int -> sigma:Complex.t -> mu:float -> Cvec.t -> Cvec.t
-
-(** Real-data variant of {!solve_shifted_reg}. *)
-val solve_shifted_real_reg :
-  t -> k:int -> sigma:float -> mu:float -> Vec.t -> Vec.t
+(** Real shift / real data convenience. Without [mu] (or at [mu = 0])
+    it fails if the result has a non-negligible imaginary residue; a
+    regularized solve returns the real part unguarded. *)
+val solve_shifted_real :
+  ?mu:float -> t -> k:int -> sigma:float -> Vec.t -> Vec.t
 
 (** Result-returning variant of {!solve_shifted_real}: [Near_singular]
     becomes [Robust.Error.Singular_solve] with the shift and pole
@@ -88,7 +79,7 @@ val adjoint_vec : t -> Vec.t -> Cvec.t
 
 (** The triangular middle solve only: [(σI − ⊕^k T) y = w] on
     Schur-basis data. [mu] applies the Tikhonov-regularized scalar
-    inverse of {!solve_shifted_reg}. *)
+    inverse of {!solve_shifted}. *)
 val tri_solve_shifted :
   ?mu:float -> t -> k:int -> sigma:Complex.t -> Cvec.t -> Cvec.t
 

@@ -138,6 +138,14 @@ let det t =
   done;
   !d
 
+(* Σ log|u_ii|: log|det| without the over/underflow of the product. *)
+let log_abs_det t =
+  let s = ref 0.0 in
+  for i = 0 to dim t - 1 do
+    s := !s +. log (Float.abs (Mat.get t.lu i i))
+  done;
+  !s
+
 let inverse t = solve_mat t (Mat.identity (dim t))
 
 let solve_system a b = solve (factor a) b

@@ -28,6 +28,10 @@ val solve_mat : t -> Mat.t -> Mat.t
 (** Determinant of the factored matrix. *)
 val det : t -> float
 
+(** [log |det|], summed over the pivots: finite where {!det} over- or
+    underflows. *)
+val log_abs_det : t -> float
+
 (** Explicit inverse (prefer {!solve} when possible). *)
 val inverse : t -> Mat.t
 

@@ -12,11 +12,12 @@
 
    - {!reduce}: deflation-driven growth. Moments of each associated
      transfer function are appended in increasing order and the series
-     for one transfer order stops as soon as its next moment vector no
+     for one transfer order stops as soon as its next moment step no
      longer adds a direction (orthogonal residual below [growth_tol]) —
      the subspace angle playing the role of the singular-value
-     threshold. This works for singular-G1 systems too and needs no
-     n²-sized gramians. *)
+     threshold. The series are lazy ({!Assoc.series}), so moments past
+     that step are never computed. This works for singular-G1 systems
+     too and needs no n²-sized gramians. *)
 
 open La
 open Volterra
@@ -135,63 +136,56 @@ let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
   let eng = Assoc.create ~recorder:rec0 ~policy ?fault ~s0:s0_sel q in
   let basis = ref [] in
   let raw = ref 0 in
-  (* Grow one transfer order: [moments k] returns the k-th step's moment
-     vectors (one per input combination); stop when a whole step adds
-     nothing. *)
-  let grow ~kmax (moments_upto : k:int -> Vec.t list list) =
-    (* moments_upto returns, for depth k, the list of per-combination
-       series (each of length k); we consume them incrementally *)
-    if kmax = 0 then 0
-    else begin
-      let series = moments_upto ~k:kmax in
-      let chosen = ref 0 in
-      (try
-         for step = 0 to kmax - 1 do
-           (* anytime growth: steps kept so far are a valid (smaller)
-              orthonormal basis, so a spent budget truncates the series
-              instead of dropping the whole block *)
-           (match Robust.Budget.poll "mor.Autoselect.reduce" with
-           | None -> ()
-           | Some e when !chosen > 0 ->
-             Robust.Report.record rec0 ~action:"degrade:truncate-series" e;
-             raise Exit
-           | Some e -> Robust.Error.raise_error e);
-           let any_fresh = ref false in
-           List.iter
-             (fun s ->
-               if step < List.length s then begin
-                 let v = List.nth s step in
-                 if not (Vec.is_finite v) then
-                   Robust.Error.raise_error
-                     (Robust.Error.Contract_violation
-                        {
-                          loc = reduce_loc;
-                          detail = "non-finite moment vector";
-                        });
-                 incr raw;
-                 if add_to_basis ~tol:growth_tol basis v then
-                   any_fresh := true
-               end)
-             series;
-           if not !any_fresh then raise Exit;
-           chosen := step + 1
-         done
-       with Exit -> ());
-      !chosen
-    end
+  (* Grow one transfer order over its lazy series (one per input
+     combination): each step forces the next moment of every series, and
+     growth stops when a whole step adds nothing, so the moments past
+     that step are never computed. *)
+  let grow ~kmax (series : Vec.t Seq.t list) =
+    (* [step k series]: [k] steps kept, [series] at step [k] *)
+    let rec step k series =
+      if k >= kmax || List.is_empty series then k
+      else begin
+        let heads = List.filter_map Seq.uncons series in
+        (* anytime growth: a step is kept only if the budget is unspent
+           once it is computed; the steps kept so far are a valid
+           (smaller) orthonormal basis, so a spent budget truncates the
+           series instead of dropping the whole block *)
+        match Robust.Budget.poll "mor.Autoselect.reduce" with
+        | Some e when k > 0 ->
+          Robust.Report.record rec0 ~action:"degrade:truncate-series" e;
+          k
+        | Some e -> Robust.Error.raise_error e
+        | None ->
+          let any_fresh = ref false in
+          List.iter
+            (fun (v, _) ->
+              if not (Vec.is_finite v) then
+                Robust.Error.raise_error
+                  (Robust.Error.Contract_violation
+                     { loc = reduce_loc; detail = "non-finite moment vector" });
+              incr raw;
+              if add_to_basis ~tol:growth_tol basis v then any_fresh := true)
+            heads;
+          if !any_fresh then step (k + 1) (List.map snd heads) else k
+      end
+    in
+    step 0 series
   in
   (* A transfer order whose series generation fails (classified
-     numerical error, injected fault) is dropped to zero moments — the
-     lower orders still yield a ROM, and the report says what
-     happened. *)
+     numerical error, injected fault) is dropped to zero moments, with
+     the basis and raw count rolled back to before the block — the lower
+     orders still yield a ROM, and the report says what happened. *)
   let last_block_err = ref None in
-  let grow_block what ~kmax moments_upto =
-    match grow ~kmax moments_upto with
+  let grow_block what ~kmax series =
+    let basis0 = !basis and raw0 = !raw in
+    match grow ~kmax series with
     | k -> k
     | exception exn -> (
       match Ladder.classify ~loc:reduce_loc exn with
       | None -> raise exn
       | Some err ->
+        basis := basis0;
+        raw := raw0;
         (* remember what killed the blocks; a budget failure wins so an
            all-blocks-spent run surfaces as budget exhaustion (exit 5),
            not a generic numerical error *)
@@ -201,26 +195,11 @@ let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
         Robust.Report.record rec0 ~action:("degrade:" ^ what) err;
         0)
   in
-  let m = Qldae.n_inputs q in
-  let k1 =
-    grow_block "h1" ~kmax:max_orders.Atmor.k1 (fun ~k ->
-        let all = Assoc.h1_moments eng ~k in
-        (* split per input: h1_moments returns k vectors per input,
-           consecutively *)
-        List.init m (fun i ->
-            List.filteri (fun j _ -> j / k = i) all))
-  in
-  let k2 =
-    if Qldae.has_g2 q || Qldae.has_d1 q then
-      grow_block "h2" ~kmax:max_orders.Atmor.k2 (fun ~k ->
-          List.map (Assoc.h2_moment_series eng ~k) (Assoc.pairs m))
-    else 0
-  in
+  let k1 = grow_block "h1" ~kmax:max_orders.Atmor.k1 (Assoc.series eng ~order:1) in
+  let k2 = grow_block "h2" ~kmax:max_orders.Atmor.k2 (Assoc.series eng ~order:2) in
   let k3 =
-    if Qldae.has_g2 q || Qldae.has_g3 q || Qldae.has_d1 q then
-      grow_block "h3" ~kmax:max_orders.Atmor.k3 (fun ~k ->
-          List.map (Assoc.h3_moment_series eng ~k) (Assoc.triples h3_triples m))
-    else 0
+    grow_block "h3" ~kmax:max_orders.Atmor.k3
+      (Assoc.series ~triples_mode:h3_triples eng ~order:3)
   in
   if !basis = [] then
     Robust.Error.raise_error

@@ -23,14 +23,18 @@ val suggest_k1 : ?tol:float -> Qldae.t -> int option
 (** Deflation-driven reduction: grow [k1], then [k2], then [k3] up to
     [max_orders] (default [{k1=12; k2=6; k3=3}]), stopping each series
     when a whole moment step adds no direction above [growth_tol]
-    (default [1e-7]).
+    (default [1e-7]). Growth is lazy over {!Assoc.series}: a
+    step forces the next moment of every series of the order, so no
+    moment past the first step that adds nothing is computed.
 
     Robustness mirrors {!Atmor.reduce}: the expansion point is the one
     {!Robust.Policy.walk_nudges} accepts over one-H1-moment probes of
     the [policy]'s nudge sequence, and a transfer order whose series
-    generation fails is dropped to zero moments (recorded as
-    ["degrade:h1"/"h2"/"h3"] in the result's [degradation] and in
-    [recorder]). The basis is projected by {!Atmor.finish}. Negative
+    generation fails is dropped to zero moments, its vectors removed
+    from the basis (recorded as ["degrade:h1"/"h2"/"h3"] in the
+    result's [degradation] and in [recorder]). A budget spent by the
+    time a step is computed truncates the order to the steps before it
+    (["degrade:truncate-series"]). The basis is projected by {!Atmor.finish}. Negative
     [max_orders] entries raise [Invalid_argument]
     ({!Atmor.require_orders}). [fault] arms a {!Robust.Faultify} plan
     on the growth engine's resolvent. *)

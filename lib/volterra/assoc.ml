@@ -43,10 +43,11 @@
 
    Moments: Taylor coefficients about a real expansion point s0
    (s0 = 0 when G1 is invertible, s0 > 0 for quadratized diode circuits
-   whose augmented G1 has nullity = #diodes — see DESIGN.md). All series
-   are generated by resolvent recursions; every n²/n³ operation goes
-   through the structured Kronecker-sum solver {!La.Ksolve}, so nothing
-   of size n² x n² is ever materialized. The m-th vector produced is
+   whose augmented G1 has nullity = #diodes — see DESIGN.md). Every
+   order's series is one resolvent chain (see chain) over that order's
+   inner terms; every n²/n³ operation goes through the structured
+   Kronecker-sum solver {!La.Ksolve}, so nothing of size n² x n² is
+   ever materialized. The m-th vector produced is
    the exact coefficient of (-δ)^m, i.e. (-1)^m times the Taylor
    coefficient — the sign is irrelevant for subspace spanning and
    accounted for in tests. *)
@@ -65,7 +66,7 @@ type t = {
       (* n x n(n+1)/2: column (j <= l) is G2 (u_j ⊗ u_l + u_l ⊗ u_j), or
          G2 (u_j ⊗ u_j) at j = l — the right half of the Schur-basis
          coupling U^H G2 (U ⊗ U) on data symmetric in its trailing pair
-         (see h3_moment_series) *)
+         (see h3_inner) *)
   g3_lead : (int * (int * (int * int * float) array) array) array lazy_t;
       (* G3's entries grouped by leading index i1, then by i2:
          (i1, [| (i2, [| (row, i3, coeff) |]) |]), the contraction plan
@@ -90,8 +91,9 @@ let default_s0 (q : Qldae.t) =
     match Lu.factor q.Qldae.g1 with
     | exception Lu.Singular _ -> 1.0
     | lu ->
-      let n = Qldae.dim q in
-      let d = Float.abs (Lu.det lu) ** (1.0 /. float_of_int n) in
+      (* geometric mean of the pivots, through their logs: |det|^(1/n)
+         under- or overflows for large n *)
+      let d = exp (Lu.log_abs_det lu /. float_of_int (Qldae.dim q)) in
       if d < 1e-6 then 1.0 else 0.0
   end
 
@@ -217,22 +219,11 @@ let msolve t v =
   let x = Ladder.solve t.ladder v in
   match t.fault with None -> x | Some f -> Robust.Faultify.inject f x
 
-(* (s0 I - ⊕^k G1)^-1 v; a near-singular shift retries once with the
-   Tikhonov-regularized scalar inverse (minimum-norm at exact poles). *)
-let nsolve t ~k v =
-  let ks = Lazy.force t.ks in
-  try Ksolve.solve_shifted_real ks ~k ~sigma:t.s0 v
-  with
-  | Ksolve.Near_singular d when t.policy.Robust.Policy.tikhonov_mu > 0.0 ->
-    Robust.Report.record_opt t.recorder ~action:"fallback:tikhonov"
-      (Robust.Error.Singular_solve
-         { loc = nsolve_loc; shift = t.s0; distance = d });
-    Ksolve.solve_shifted_real_reg ks ~k ~sigma:t.s0 ~mu:(reg_mu t) v
-
-(* A Schur-basis triangular solve [solve ~mu] (mu = 0: unregularized)
-   with the same retry semantics as {!nsolve}, for the third-order
-   series recursion. *)
-let tri_robust t solve v =
+(* A solve [solve ~mu v] (mu = 0: unregularized) whose near-singular
+   shift retries once with the Tikhonov-regularized scalar inverse
+   (minimum-norm at exact poles): the one retry of every Kronecker-sum
+   solve of the series. *)
+let tikhonov_retry t solve v =
   try solve ~mu:0.0 v
   with
   | Ksolve.Near_singular d when t.policy.Robust.Policy.tikhonov_mu > 0.0 ->
@@ -240,6 +231,11 @@ let tri_robust t solve v =
       (Robust.Error.Singular_solve
          { loc = nsolve_loc; shift = t.s0; distance = d });
     solve ~mu:(reg_mu t) v
+
+(* (s0 I - ⊕^k G1)^-1 v *)
+let nsolve t ~k v =
+  let ks = Lazy.force t.ks in
+  tikhonov_retry t (fun ~mu -> Ksolve.solve_shifted_real ~mu ks ~k ~sigma:t.s0) v
 
 (* symmetrized Kronecker pair of input columns *)
 let w_pair (q : Qldae.t) a b =
@@ -278,53 +274,51 @@ let check_moments ctx (vs : Vec.t list) : Vec.t list =
     List.iter (fun v -> Contract.require_finite ctx v) vs;
   vs
 
-(* ---- H1 ---- *)
+(* ---- the resolvent chain ---- *)
 
-(* k moment vectors of H1 about s0, for every input column. *)
-let h1_moments t ~k : Vec.t list =
-  Obs.Span.with_ ~name:"assoc.h1_moments" @@ fun () ->
-  let q = t.q in
-  check_moments "Assoc.h1_moments"
-  @@ List.concat_map
-    (fun a ->
-      let rec go v j acc =
-        if j >= k then List.rev acc
-        else begin
-          let v' = msolve t v in
-          go v' (j + 1) (v' :: acc)
-        end
+(* The one moment recursion of every order (Theorems 1-2):
+
+     m_0 = (s0 I - G1)^-1 inner_0,   m_j = (s0 I - G1)^-1 (m_{j-1} + inner_j),
+
+   where an order supplies only its inner terms ([None]: no term at that
+   step, as for H1 past m_0). The chain forces the next inner term only
+   when its own next moment is forced, and memoizes, so a series read by
+   several consumers (an H2 series inside the H3 D1 term) runs once. *)
+let chain t (inner : Vec.t option Seq.t) : Vec.t Seq.t =
+  let rec from prev inner () =
+    match inner () with
+    | Seq.Nil -> Seq.Nil
+    | Seq.Cons (x, rest) ->
+      let rhs =
+        match (prev, x) with
+        | Some p, Some x -> Vec.add p x
+        | Some v, None | None, Some v -> v
+        | None, None -> invalid_arg "Assoc.chain: no first inner term"
       in
-      go (Qldae.b_col q a) 0 [])
-    (List.init (Qldae.n_inputs q) Fun.id)
+      let m = msolve t rhs in
+      Seq.Cons (m, from (Some m) rest)
+  in
+  Seq.memoize (from None inner)
+
+(* the m-th element of an endless series *)
+let nth s m =
+  match Seq.drop m s () with
+  | Seq.Cons (x, _) -> x
+  | Seq.Nil -> invalid_arg "Assoc.nth: series ended"
 
 (* ---- H2 ---- *)
 
-(* Series engine for one input pair: returns moments m_0 .. m_{k-1} of
-   H2^{ab}(s) about s0 (coefficients of (-δ)^m). *)
-let h2_moment_series t ~k (a, b) : Vec.t list =
-  if k <= 0 then []
-  else begin
-    let q = t.q in
-    let w = w_pair q a b and d = d_pair q a b in
-    let g2r r = Sptensor.apply_flat q.Qldae.g2 r in
-    let r = ref (nsolve t ~k:2 w) in
-    let m0 = msolve t (Vec.add (g2r !r) d) in
-    let acc = ref [ m0 ] and prev = ref m0 in
-    for _ = 1 to k - 1 do
-      r := nsolve t ~k:2 !r;
-      let m = msolve t (Vec.add !prev (g2r !r)) in
-      acc := m :: !acc;
-      prev := m
-    done;
-    List.rev !acc
-  end
-
-let h2_moments t ~k : Vec.t list =
-  if not (Qldae.has_g2 t.q || Qldae.has_d1 t.q) then []
-  else
-    Obs.Span.with_ ~name:"assoc.h2_moments" @@ fun () ->
-    check_moments "Assoc.h2_moments"
-      (List.concat_map (h2_moment_series t ~k) (pairs (Qldae.n_inputs t.q)))
+(* Inner terms of H2^{ab}(s) about s0: G2 r_0 + d_ab, then G2 r_j with
+   r_j = (s0 I - ⊕²G1)^-(j+1) w_ab. *)
+let h2_inner t (a, b) : Vec.t option Seq.t =
+ fun () ->
+  let q = t.q in
+  let g2r r = Sptensor.apply_flat q.Qldae.g2 r in
+  let d = d_pair q a b in
+  Seq.mapi
+    (fun j r -> Some (if j = 0 then Vec.add (g2r r) d else g2r r))
+    (Seq.drop 1 (Seq.iterate (nsolve t ~k:2) (w_pair q a b)))
+    ()
 
 (* ---- H3 ---- *)
 
@@ -435,7 +429,7 @@ let sym3_upper n (x : Cvec.t array) : Cvec.t =
   done;
   q3
 
-(* Moments of H3^{abc}(s) about s0 for one input triple.
+(* Inner terms of H3^{abc}(s) about s0 for one input triple.
 
    All n³-sized series iterates are kept in the Schur basis of G1, so
    each order costs one triangular tensor back-substitution plus one
@@ -458,151 +452,154 @@ let sym3_upper n (x : Cvec.t array) : Cvec.t =
    so the inner term of order m is
    2 G2 U^⊗2 w_m + (1/3) Σ_pairings D1_i H2^{jk}_m + G3 U^⊗3 r_m,
    with one H2 series per distinct pair (j,k). *)
-let h3_moment_series t ~k (a, b, c) : Vec.t list =
-  if k <= 0 then []
-  else begin
-    let q = t.q in
-    let n = Qldae.dim q in
-    let has_g2 = Qldae.has_g2 q and has_g3 = Qldae.has_g3 q in
-    let has_d1 = Qldae.has_d1 q in
-    let ks = Lazy.force t.ks in
-    let sigma = { Complex.re = t.s0; im = 0.0 } in
-    let tri2 =
-      tri_robust t (fun ~mu -> Ksolve.tri_solve_shifted ~mu ks ~k:2 ~sigma)
-    in
-    let tri3 = tri_robust t (fun ~mu -> Ksolve.tri_solve_sym3 ~mu ks ~sigma) in
-    let u = Ksolve.unitary ks in
-    let pairings = [ (a, (b, c)); (b, (a, c)); (c, (a, b)) ] in
-    (* apply C^ = I ⊗ (U^H G2 (U ⊗ U)) to a Schur-basis order-3 tensor
-       symmetric in its trailing pair: slice-wise dense matvec against
-       the packed columns of g2_sym (reading z[i, j <= l] only),
-       followed by U^H *)
-    let apply_coupling (z : Cvec.t) : Cvec.t =
-      let m1 = Lazy.force t.g2_sym in
-      let n2 = n * n and np = n * (n + 1) / 2 in
-      (* Hand-rolled dense complex n x n(n+1)/2 matvec per slice, n
-         slices: 8 flops per complex multiply-add.  The trailing U^H
-         rotations (Cmat.mul_vec_adjoint) charge themselves. *)
-      Obs.Cost.charge Obs.Cost.Flops_tensor (8 * n * n * np)
-        ~read:((2 * n * np) + (2 * n * np)) ~written:(2 * n * n);
-      let out = Cvec.create (n * n) in
-      let tmp = Cvec.create n in
-      for i = 0 to n - 1 do
-        (* tmp = m1 * z[i, j <= l] *)
-        for r = 0 to n - 1 do
-          let sre = ref 0.0 and sim = ref 0.0 in
-          let col = ref (r * np) in
-          for j = 0 to n - 1 do
-            let zb = (i * n2) + (j * n) in
-            for l = j to n - 1 do
-              let mr = m1.Cmat.re.(!col) and mi = m1.Cmat.im.(!col) in
-              let zr = z.Cvec.re.(zb + l) and zi = z.Cvec.im.(zb + l) in
-              sre := !sre +. ((mr *. zr) -. (mi *. zi));
-              sim := !sim +. ((mr *. zi) +. (mi *. zr));
-              incr col
-            done
-          done;
-          tmp.Cvec.re.(r) <- !sre;
-          tmp.Cvec.im.(r) <- !sim
-        done;
-        let hat = Cmat.mul_vec_adjoint u tmp in
-        Array.blit hat.Cvec.re 0 out.Cvec.re (i * n) n;
-        Array.blit hat.Cvec.im 0 out.Cvec.im (i * n) n
-      done;
-      out
-    in
-    (* r_0 from q = sym³ of the triple's Schur input columns *)
-    let r =
-      if has_g2 || has_g3 then
-        Some
-          (ref
-             (tri3
-                (sym3_upper n
-                   (Array.map
-                      (fun i -> Ksolve.adjoint_vec ks (Qldae.b_col q i))
-                      [| a; b; c |]))))
-      else None
-    in
-    (* the merged ⊕² state w_m *)
-    let w =
-      match r with
-      | Some r when has_g2 ->
-        let p = Cvec.create (n * n) in
-        if has_d1 then
-          List.iter
-            (fun (i, (j, l)) ->
-              let dhat = Cmat.mul_vec_adjoint u (Cvec.of_real (d_pair q j l)) in
-              Cvec.axpy
-                ~alpha:{ Complex.re = 1.0 /. 3.0; im = 0.0 }
-                (Cvec.kron (Ksolve.adjoint_vec ks (Qldae.b_col q i)) dhat)
-                p)
-            pairings;
-        Some (ref (tri2 (Cvec.add p (apply_coupling !r))))
-      | _ -> None
-    in
-    (* D1 part: one H2 series per distinct input pair, shared by the
-       pairings that use it *)
-    let d1_terms =
-      if has_d1 then begin
-        let cache = Hashtbl.create 3 in
-        List.map
-          (fun (i, (j, l)) ->
-            let key = (min j l, max j l) in
-            let series =
-              match Hashtbl.find_opt cache key with
-              | Some s -> s
-              | None ->
-                let s = Array.of_list (h2_moment_series t ~k key) in
-                Hashtbl.add cache key s;
-                s
-            in
-            (q.Qldae.d1.(i), series))
-          pairings
-      end
-      else []
-    in
-    let inner m_index =
-      let acc = Vec.create n in
-      Option.iter
-        (fun w ->
-          (* W_m back in original coordinates (real up to rounding) *)
-          let w_m = Cvec.real_part (Ksolve.from_schur ks ~k:2 !w) in
-          Vec.axpy ~alpha:2.0 (Sptensor.apply_flat q.Qldae.g2 w_m) acc)
-        w;
-      List.iter
-        (fun (d1, series) ->
-          Vec.axpy ~alpha:(1.0 /. 3.0) (Mat.mul_vec d1 series.(m_index)) acc)
-        d1_terms;
-      (match r with
-      | Some r when has_g3 -> Vec.axpy ~alpha:1.0 (apply_g3_schur t !r) acc
-      | _ -> ());
-      acc
-    in
-    let advance () =
-      Option.iter
-        (fun r ->
-          r := tri3 !r;
-          Option.iter (fun w -> w := tri2 (Cvec.add !w (apply_coupling !r))) w)
-        r
-    in
-    let m0 = msolve t (inner 0) in
-    let acc = ref [ m0 ] and prev = ref m0 in
-    for m = 1 to k - 1 do
-      advance ();
-      let hm = msolve t (Vec.add !prev (inner m)) in
-      acc := hm :: !acc;
-      prev := hm
-    done;
-    List.rev !acc
-  end
-
-let h3_moments ?(triples_mode = `All) t ~k : Vec.t list =
+let h3_inner t (a, b, c) : Vec.t option Seq.t =
+ fun () ->
   let q = t.q in
-  if not (Qldae.has_g2 q || Qldae.has_g3 q || Qldae.has_d1 q) then []
-  else
-    Obs.Span.with_ ~name:"assoc.h3_moments" @@ fun () ->
-    check_moments "Assoc.h3_moments"
-      (List.concat_map (h3_moment_series t ~k) (triples triples_mode (Qldae.n_inputs q)))
+  let n = Qldae.dim q in
+  let has_g2 = Qldae.has_g2 q and has_g3 = Qldae.has_g3 q in
+  let ks = Lazy.force t.ks in
+  let sigma = { Complex.re = t.s0; im = 0.0 } in
+  let tri2 =
+    tikhonov_retry t (fun ~mu -> Ksolve.tri_solve_shifted ~mu ks ~k:2 ~sigma)
+  in
+  let tri3 = tikhonov_retry t (fun ~mu -> Ksolve.tri_solve_sym3 ~mu ks ~sigma) in
+  let u = Ksolve.unitary ks in
+  let pairings = [ (a, (b, c)); (b, (a, c)); (c, (a, b)) ] in
+  (* apply C^ = I ⊗ (U^H G2 (U ⊗ U)) to a Schur-basis order-3 tensor
+     symmetric in its trailing pair: slice-wise dense matvec against
+     the packed columns of g2_sym (reading z[i, j <= l] only),
+     followed by U^H *)
+  let apply_coupling (z : Cvec.t) : Cvec.t =
+    let m1 = Lazy.force t.g2_sym in
+    let n2 = n * n and np = n * (n + 1) / 2 in
+    (* Hand-rolled dense complex n x n(n+1)/2 matvec per slice, n
+       slices: 8 flops per complex multiply-add.  The trailing U^H
+       rotations (Cmat.mul_vec_adjoint) charge themselves. *)
+    Obs.Cost.charge Obs.Cost.Flops_tensor (8 * n * n * np)
+      ~read:((2 * n * np) + (2 * n * np)) ~written:(2 * n * n);
+    let out = Cvec.create (n * n) in
+    let tmp = Cvec.create n in
+    for i = 0 to n - 1 do
+      (* tmp = m1 * z[i, j <= l] *)
+      for r = 0 to n - 1 do
+        let sre = ref 0.0 and sim = ref 0.0 in
+        let col = ref (r * np) in
+        for j = 0 to n - 1 do
+          let zb = (i * n2) + (j * n) in
+          for l = j to n - 1 do
+            let mr = m1.Cmat.re.(!col) and mi = m1.Cmat.im.(!col) in
+            let zr = z.Cvec.re.(zb + l) and zi = z.Cvec.im.(zb + l) in
+            sre := !sre +. ((mr *. zr) -. (mi *. zi));
+            sim := !sim +. ((mr *. zi) +. (mi *. zr));
+            incr col
+          done
+        done;
+        tmp.Cvec.re.(r) <- !sre;
+        tmp.Cvec.im.(r) <- !sim
+      done;
+      let hat = Cmat.mul_vec_adjoint u tmp in
+      Array.blit hat.Cvec.re 0 out.Cvec.re (i * n) n;
+      Array.blit hat.Cvec.im 0 out.Cvec.im (i * n) n
+    done;
+    out
+  in
+  (* the states before step 0: q = sym³ of the triple's Schur input
+     columns for the ⊕³ series, p for the merged ⊕² one *)
+  let q3 =
+    if has_g2 || has_g3 then
+      Some
+        (sym3_upper n
+           (Array.map (fun i -> Ksolve.adjoint_vec ks (Qldae.b_col q i)) [| a; b; c |]))
+    else None
+  in
+  let p =
+    if has_g2 then begin
+      let p = Cvec.create (n * n) in
+      if Qldae.has_d1 q then
+        List.iter
+          (fun (i, (j, l)) ->
+            let dhat = Cmat.mul_vec_adjoint u (Cvec.of_real (d_pair q j l)) in
+            Cvec.axpy
+              ~alpha:{ Complex.re = 1.0 /. 3.0; im = 0.0 }
+              (Cvec.kron (Ksolve.adjoint_vec ks (Qldae.b_col q i)) dhat)
+              p)
+          pairings;
+      Some p
+    end
+    else None
+  in
+  (* r_m = tri3 r_{m-1}, w_m = tri2 (w_{m-1} + C r_m) *)
+  let advance (r, w) =
+    let r = Option.map tri3 r in
+    ( r,
+      match (r, w) with
+      | Some r, Some w -> Some (tri2 (Cvec.add w (apply_coupling r)))
+      | _ -> None )
+  in
+  (* D1 part: one memoized H2 series per distinct input pair, shared by
+     the pairings that use it *)
+  let d1_terms =
+    if Qldae.has_d1 q then begin
+      let h2 =
+        List.map
+          (fun jl -> (jl, chain t (h2_inner t jl)))
+          (List.sort_uniq compare (List.map snd pairings))
+      in
+      List.map (fun (i, jl) -> (q.Qldae.d1.(i), List.assoc jl h2)) pairings
+    end
+    else []
+  in
+  let inner m (r, w) =
+    let acc = Vec.create n in
+    Option.iter
+      (fun w ->
+        (* W_m back in original coordinates (real up to rounding) *)
+        let w_m = Cvec.real_part (Ksolve.from_schur ks ~k:2 w) in
+        Vec.axpy ~alpha:2.0 (Sptensor.apply_flat q.Qldae.g2 w_m) acc)
+      w;
+    List.iter
+      (fun (d1, h2) -> Vec.axpy ~alpha:(1.0 /. 3.0) (Mat.mul_vec d1 (nth h2 m)) acc)
+      d1_terms;
+    (match r with
+    | Some r when has_g3 -> Vec.axpy ~alpha:1.0 (apply_g3_schur t r) acc
+    | _ -> ());
+    Some acc
+  in
+  Seq.mapi inner (Seq.drop 1 (Seq.iterate advance (q3, p))) ()
+
+(* ---- the series ---- *)
+
+let series ?(triples_mode = `All) t ~order : Vec.t Seq.t list =
+  let q = t.q in
+  let m = Qldae.n_inputs q in
+  let g2_or_d1 = Qldae.has_g2 q || Qldae.has_d1 q in
+  match order with
+  | 1 ->
+    List.init m (fun a ->
+        chain t (fun () -> Seq.Cons (Some (Qldae.b_col q a), Seq.repeat None)))
+  | 2 when g2_or_d1 -> List.map (fun ab -> chain t (h2_inner t ab)) (pairs m)
+  | 3 when g2_or_d1 || Qldae.has_g3 q ->
+    List.map (fun abc -> chain t (h3_inner t abc)) (triples triples_mode m)
+  | 2 | 3 -> []
+  | _ -> invalid_arg (Printf.sprintf "Assoc.series: order %d not in 1..3" order)
+
+(* The first [k] moments of every series, one input combination after
+   another, under the order's span (none for an order without
+   coupling). *)
+let moments ?triples_mode t ~order ~k : Vec.t list =
+  match series ?triples_mode t ~order with
+  | [] -> []
+  | ss ->
+    let name = Printf.sprintf "h%d_moments" order in
+    Obs.Span.with_ ~name:("assoc." ^ name) @@ fun () ->
+    check_moments ("Assoc." ^ name)
+      (List.concat_map (fun s -> List.of_seq (Seq.take (max k 0) s)) ss)
+
+let h1_moments t ~k = moments t ~order:1 ~k
+
+let h2_moments t ~k = moments t ~order:2 ~k
+
+let h3_moments ?triples_mode t ~k = moments ?triples_mode t ~order:3 ~k
 
 (* ---- single-s evaluation of the associated transfer functions ---- *)
 

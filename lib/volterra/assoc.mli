@@ -15,9 +15,13 @@
     [p = (1/3)Σ b_i ⊗ d_jk]: the moments run one [⊕³] series (shared
     with the [G3] term) and one [⊕²] series per triple.
 
-    so a Krylov/moment subspace about a {e single} [s] serves every
-    order — the paper's escape from the exponential subspace growth of
-    multivariate moment matching. Every [n²]/[n³]-sized solve goes
+    Every order is a function of the one variable [s], so a
+    Krylov/moment subspace about a {e single} [s] serves every order —
+    the paper's escape from the exponential subspace growth of
+    multivariate moment matching. Its moments come from one resolvent
+    chain [m_j = (s0 I − G1)⁻¹ (m_{j−1} + inner_j)]; the orders differ
+    only in the inner term ([b] for [H1], [G2 r_j + d] for [H2], the
+    [⊕²]/[⊕³]/[D1] terms for [H3]). Every [n²]/[n³]-sized solve goes
     through the structured Kronecker-sum solver {!La.Ksolve}; nothing of
     size [n²×n²] is ever materialized.
 
@@ -59,29 +63,33 @@ val qldae : t -> Qldae.t
 (** Recovery events recorded so far (empty without a recorder). *)
 val report : t -> Robust.Report.t
 
-(** Unordered input pairs [(a, b)], [a ≤ b], of an [m]-input system. *)
-val pairs : int -> (int * int) list
+(** [series t ~order] for [order] 1, 2 or 3: one lazy moment series of
+    [H_order] about [s0] per input combination — every input for [H1],
+    every unordered pair [(a, b)], [a ≤ b], for [H2], every unordered
+    triple [(a, b, c)], [a ≤ b ≤ c], for [H3] ([`Diagonal] keeps only
+    [(a, a, a)], cheaper for many-input systems; [`All], the default, is
+    exact) — in that lexicographic order. [[]] when the order has no
+    coupling ([H2] without [G2]/[D1], [H3] without [G2]/[G3]/[D1]).
 
-(** Unordered input triples [(a, b, c)], [a ≤ b ≤ c], of an [m]-input
-    system; [`Diagonal] keeps only [(a, a, a)]. *)
-val triples : [ `All | `Diagonal ] -> int -> (int * int * int) list
+    Each series computes its next moment (one resolvent step plus the
+    order's inner-term step) only when that element is forced, so
+    [Seq.take k] costs exactly [k] steps, and memoizes what it computed.
+    A series is not domain-safe: force it on one domain. Raises
+    [Invalid_argument] for any other [order]. *)
+val series :
+  ?triples_mode:[ `All | `Diagonal ] -> t -> order:int -> Vec.t Seq.t list
 
 (** [h1_moments t ~k]: [k] moment vectors of [H1] about [s0] per input
-    column — the classical Krylov chain [(s0I−G1)^{-(j+1)} b]. *)
+    column — the classical Krylov chain [(s0I−G1)^{-(j+1)} b]; the first
+    [k] elements of each {!series} [~order:1], input after input. *)
 val h1_moments : t -> k:int -> Vec.t list
 
-(** Moments of the associated [H2(s)] for one unordered input pair. *)
-val h2_moment_series : t -> k:int -> int * int -> Vec.t list
-
-(** [h2_moments t ~k]: moments for every unordered input pair. *)
+(** [h2_moments t ~k]: [k] moments for every unordered input pair, as
+    {!h1_moments} over {!series} [~order:2]. *)
 val h2_moments : t -> k:int -> Vec.t list
 
-(** Moments of the associated [H3(s)] for one unordered input triple. *)
-val h3_moment_series : t -> k:int -> int * int * int -> Vec.t list
-
-(** [h3_moments t ~k]: moments for input triples. [`Diagonal] restricts
-    to same-input triples [(a,a,a)] (cheaper for many-input systems;
-    [`All] is exact and the default). *)
+(** [h3_moments t ~k]: [k] moments for every input triple of
+    [triples_mode], as {!h1_moments} over {!series} [~order:3]. *)
 val h3_moments : ?triples_mode:[ `All | `Diagonal ] -> t -> k:int -> Vec.t list
 
 (** Evaluate the associated [H2^{ab}(s)] at a complex frequency. *)

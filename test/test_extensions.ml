@@ -108,6 +108,42 @@ let test_autoselect_reduces () =
     (Waves.Metrics.max_relative_error ~reference:yf ~approx:yr)
     0.02
 
+(* Exact bits of a basis, as one hex digest. *)
+let mat_digest (m : Mat.t) =
+  let buf = Buffer.create 4096 in
+  Array.iter (fun x -> Buffer.add_string buf (Printf.sprintf "%h;" x)) (Mat.data m);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Growth forces only the moment steps it inspects: the step that adds
+   nothing is the last one computed. Computing all kmax steps of every
+   series up front took 42 shifted Kronecker-sum solves on the RF
+   receiver 15+15 (n = 30, 2 inputs) and 15 on the 15-stage NLTL; the
+   chosen orders, raw moment counts and basis bits (digests recorded
+   from that eager growth on x86-64) are unchanged. *)
+let test_autoselect_lazy_growth () =
+  Obs.Metrics.set_enabled true;
+  let check name q ~solves ~chosen ~order ~raw ~basis =
+    let snap = Obs.Metrics.snapshot () in
+    let sel = Mor.Autoselect.reduce ~growth_tol:1e-6 q in
+    Alcotest.(check int) (name ^ ": shifted solves") solves
+      (Option.value ~default:0
+         (List.assoc_opt Obs.Metrics.Shifted_solve (Obs.Metrics.since snap)));
+    let c = sel.Mor.Autoselect.chosen and r = sel.Mor.Autoselect.result in
+    Alcotest.(check (triple int int int)) (name ^ ": chosen") chosen
+      (c.Mor.Atmor.k1, c.Mor.Atmor.k2, c.Mor.Atmor.k3);
+    Alcotest.(check int) (name ^ ": ROM order") order (Mor.Atmor.order r);
+    Alcotest.(check int) (name ^ ": raw moments") raw r.Mor.Atmor.raw_moments;
+    Alcotest.(check string) (name ^ ": basis bits") basis (mat_digest r.Mor.Atmor.basis)
+  in
+  check "RF 15+15"
+    (Circuit.Models.qldae (Circuit.Models.rf_receiver ~lna_stages:15 ~pa_stages:15 ()))
+    ~solves:28 ~chosen:(4, 3, 1) ~order:20 ~raw:30
+    ~basis:"46f1a9276dbf5184c9afe52b7ac5272d";
+  check "NLTL 15"
+    (Circuit.Models.qldae (Circuit.Models.nltl ~stages:15 ~source:(`Voltage 1.0) ()))
+    ~solves:13 ~chosen:(6, 3, 2) ~order:11 ~raw:14
+    ~basis:"1fd0ae360cf52932a5447580df24de49"
+
 let test_autoselect_growth_stops () =
   (* a purely linear system must keep k2 = k3 = 0 *)
   let n = 8 in
@@ -181,6 +217,8 @@ let suite =
         tc "suggest_k1" `Quick test_suggest_k1;
         tc "auto-selected ROM" `Slow test_autoselect_reduces;
         tc "growth stops on linear systems" `Quick test_autoselect_growth_stops;
+        tc "lazy growth computes only inspected steps" `Quick
+          test_autoselect_lazy_growth;
       ] );
     ( "ext.multipoint",
       [

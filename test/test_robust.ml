@@ -364,7 +364,7 @@ let test_ksolve_resonant_shift () =
     check_small "reported shift" (Float.abs (shift +. 3.0)) 1e-12;
     check_small "pole distance ~ 0" distance 1e-9
   | Error e -> Alcotest.failf "unexpected error: %s" (Robust.Error.to_string e));
-  let x = Ksolve.solve_shifted_real_reg ks ~k:2 ~sigma:(-3.0) ~mu:1e-6 v in
+  let x = Ksolve.solve_shifted_real ~mu:1e-6 ks ~k:2 ~sigma:(-3.0) v in
   Alcotest.(check bool) "regularized solve finite on the pole" true
     (Vec.is_finite x)
 
@@ -606,6 +606,33 @@ let test_autoselect_degrades () =
   Alcotest.(check bool) "basis finite" true
     (Vec.is_finite (Mat.data sel.Mor.Autoselect.result.Mor.Atmor.basis))
 
+let test_autoselect_rolls_back_failed_block () =
+  (* Growth calls 1-2 are the H1 steps and call 3 the H2 step 0, whose
+     moment enters the basis; a NaN on call 4, the H2 step 1, drops the
+     block. The basis must come back without the step-0 vector: bit-equal
+     to a run that never grows H2. *)
+  let q = diag_qldae () in
+  let sel =
+    Mor.Autoselect.reduce ~policy:test_policy
+      ~fault:(Robust.Faultify.plan ~on_call:4 Robust.Faultify.Nan)
+      ~max_orders:{ Mor.Atmor.k1 = 2; k2 = 2; k3 = 0 }
+      q
+  in
+  let h1_only =
+    Mor.Autoselect.reduce ~policy:test_policy
+      ~max_orders:{ Mor.Atmor.k1 = 2; k2 = 0; k3 = 0 }
+      q
+  in
+  let r = sel.Mor.Autoselect.result and r1 = h1_only.Mor.Autoselect.result in
+  check_orders "H2 dropped" (2, 0, 0) sel.Mor.Autoselect.chosen;
+  check_actions "one degrade:h2" [ "degrade:h2" ] r.Mor.Atmor.degradation;
+  Alcotest.(check int) "raw moments: H1 only" 2 r.Mor.Atmor.raw_moments;
+  Alcotest.(check int) "ROM order: H1 only" 2 (Mor.Atmor.order r);
+  Alcotest.(check bool) "basis bit-equal to the H1-only run" true
+    (Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       (Mat.data r.Mor.Atmor.basis) (Mat.data r1.Mor.Atmor.basis))
+
 let test_autoselect_probe_nudges () =
   (* s0 exactly on an eigenvalue of G1: the H1 probe at the pole cannot
      be clean, so the probe walk settles on the first nudge. *)
@@ -692,6 +719,8 @@ let suite =
         tc "clean run has an empty report" `Quick
           test_atmor_clean_run_empty_report;
         tc "autoselect drops failing series" `Quick test_autoselect_degrades;
+        tc "autoselect rolls back a failed block" `Quick
+          test_autoselect_rolls_back_failed_block;
         tc "autoselect probe walks off a pole" `Quick
           test_autoselect_probe_nudges;
         tc "balanced try_reduce types Non_hurwitz" `Quick

@@ -329,18 +329,23 @@ let test_h3_moments_vs_fd () =
   let rng = Random.State.make [| 16 |] in
   let q2 = random_qldae ~rng ~n:3 ~inputs:2 ~with_g3:true () in
   let eng2 = Volterra.Assoc.create ~s0 q2 in
+  (* the order-3 series come one per triple (0,0,0) (0,0,1) (0,1,1)
+     (1,1,1); the mixed ones are checked *)
   List.iter
-    (fun t3 -> check_triple eng2 t3 (Volterra.Assoc.h3_moment_series eng2 ~k:3 t3))
-    [ (0, 0, 1); (0, 1, 1) ]
+    (fun (t3, i) ->
+      check_triple eng2 t3
+        (List.of_seq (Seq.take 3 (List.nth (Volterra.Assoc.series eng2 ~order:3) i))))
+    [ ((0, 0, 1), 1); ((0, 1, 1), 2) ]
 
 (* One ⊕³ series, one ⊕² series and one H2 series per distinct D1 pair:
    exactly 3k shifted solves for a SISO G2+G3+D1 triple, 4k for the
-   2-input triple (0,0,1), whose pairings use the pairs (0,1) and (0,0). *)
+   2-input triple (0,0,1), whose pairings use the pairs (0,1) and (0,0):
+   the series at index 1 of (0,0,0) (0,0,1) (0,1,1) (1,1,1). *)
 let test_h3_shifted_solve_count () =
   let k = 3 in
-  let count eng t3 =
+  let count eng i =
     let snap = Obs.Metrics.snapshot () in
-    ignore (Volterra.Assoc.h3_moment_series eng ~k t3);
+    ignore (List.of_seq (Seq.take k (List.nth (Volterra.Assoc.series eng ~order:3) i)));
     Option.value ~default:0
       (List.assoc_opt Obs.Metrics.Shifted_solve (Obs.Metrics.since snap))
   in
@@ -349,9 +354,95 @@ let test_h3_shifted_solve_count () =
   let siso = random_qldae ~rng ~n:3 ~with_g3:true () in
   let miso = random_qldae ~rng ~n:3 ~inputs:2 ~with_g3:true () in
   Alcotest.(check int) "SISO (0,0,0)" (3 * k)
-    (count (Volterra.Assoc.create ~s0:0.7 siso) (0, 0, 0));
+    (count (Volterra.Assoc.create ~s0:0.7 siso) 0);
   Alcotest.(check int) "2-input (0,0,1)" (4 * k)
-    (count (Volterra.Assoc.create ~s0:0.7 miso) (0, 0, 1))
+    (count (Volterra.Assoc.create ~s0:0.7 miso) 1)
+
+(* Exact bits of per-combination moment lists, as one hex digest. *)
+let bits_digest (vss : Vec.t list list) =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun vs ->
+      Buffer.add_char buf '|';
+      List.iter
+        (Array.iter (fun x -> Buffer.add_string buf (Printf.sprintf "%h;" x)))
+        vs)
+    vss;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* [Seq.take k] of every series — orders 1-3, k = 1..4, both triple
+   modes, on a SISO and a 2-input G2+G3+D1 system — is bit-identical to
+   the moments of the per-order eager loops the series replaced (their
+   digest, recorded on x86-64), to the concatenated hN_moments of a
+   fresh engine, and to a longer prefix forced after a shorter one on
+   the same series. Building the series solves nothing. *)
+let test_series_bit_equal () =
+  let rng = Random.State.make [| 19 |] in
+  let systems =
+    [
+      random_qldae ~rng ~n:3 ~with_g3:true ();
+      random_qldae ~rng ~n:3 ~inputs:2 ~with_g3:true ();
+    ]
+  in
+  let take k ss = List.map (fun s -> List.of_seq (Seq.take k s)) ss in
+  let all = ref [] in
+  Obs.Metrics.set_enabled true;
+  List.iter
+    (fun q ->
+      List.iter
+        (fun mode ->
+          for order = 1 to 3 do
+            for k = 1 to 4 do
+              let eng = Volterra.Assoc.create ~s0:0.7 q in
+              let snap = Obs.Metrics.snapshot () in
+              let ss = Volterra.Assoc.series ~triples_mode:mode eng ~order in
+              Alcotest.(check int) "building the series solves nothing" 0
+                (Option.value ~default:0
+                   (List.assoc_opt Obs.Metrics.Shifted_solve
+                      (Obs.Metrics.since snap)));
+              let per = take k ss in
+              let label = Printf.sprintf "order %d, k = %d" order k in
+              let fresh = Volterra.Assoc.create ~s0:0.7 q in
+              let flat =
+                match order with
+                | 1 -> Volterra.Assoc.h1_moments fresh ~k
+                | 2 -> Volterra.Assoc.h2_moments fresh ~k
+                | _ -> Volterra.Assoc.h3_moments ~triples_mode:mode fresh ~k
+              in
+              Alcotest.(check string) (label ^ ": hN_moments")
+                (bits_digest [ List.concat per ]) (bits_digest [ flat ]);
+              let longer = take (k + 1) ss in
+              Alcotest.(check string) (label ^ ": longer prefix")
+                (bits_digest per)
+                (bits_digest
+                   (List.map (fun vs -> List.filteri (fun j _ -> j < k) vs) longer));
+              all := per :: !all
+            done
+          done)
+        [ `All; `Diagonal ])
+    systems;
+  Alcotest.(check string) "bits of the eager per-order loops"
+    "3002fc73755a54f75de98132498fec62" (bits_digest (List.concat (List.rev !all)))
+
+(* G1 = -0.1 I at n = 400 and -1e-3 I at n = 120 are invertible, but
+   their |det|^(1/n) underflows to 0; the pivots' geometric mean (0.1,
+   1e-3) keeps s0 = 0. A 1e-20 pivot at n = 2 (mean 1e-10) still moves
+   s0 to 1. *)
+let test_default_s0_scaled_g1 () =
+  let s0_of g1 =
+    let n = Mat.rows g1 in
+    Volterra.Assoc.default_s0
+      (Volterra.Qldae.make ~g1
+         ~b:(Mat.init n 1 (fun _ _ -> 1.0))
+         ~c:(Mat.init 1 n (fun _ _ -> 1.0))
+         ())
+  in
+  Alcotest.(check (float 0.0)) "-0.1 I, n = 400" 0.0
+    (s0_of (Mat.scale (-0.1) (Mat.identity 400)));
+  Alcotest.(check (float 0.0)) "-1e-3 I, n = 120" 0.0
+    (s0_of (Mat.scale (-1e-3) (Mat.identity 120)));
+  Alcotest.(check (float 0.0)) "near-singular pivot" 1.0
+    (s0_of (Mat.diag (Vec.of_list [ -1.0; -1e-20 ])))
 
 let test_h1_moments_chain () =
   let q = random_qldae () in
@@ -540,6 +631,8 @@ let suite =
         tc "H2 moments = Taylor coefficients" `Quick test_h2_moments_vs_fd;
         tc "H3 moments = Taylor coefficients" `Quick test_h3_moments_vs_fd;
         tc "H3 shifted solves per triple" `Quick test_h3_shifted_solve_count;
+        tc "lazy series = eager per-order moments" `Quick test_series_bit_equal;
+        tc "default s0 for scaled G1" `Quick test_default_s0_scaled_g1;
         tc "association = diagonal kernel (H2, pulse)" `Slow
           test_association_diagonal_kernel_h2;
         tc "association = diagonal kernel (H3, cubic)" `Slow
