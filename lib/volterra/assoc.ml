@@ -569,31 +569,39 @@ let h3_inner t (a, b, c) : Vec.t option Seq.t =
 
 (* ---- the series ---- *)
 
-let series ?(triples_mode = `All) t ~order : Vec.t Seq.t list =
+(* One thunk per input combination of the order, building that
+   combination's series: construction computes nothing, so a caller can
+   build, consume and drop one series at a time. *)
+let combinations ?(triples_mode = `All) t ~order : (unit -> Vec.t Seq.t) list =
   let q = t.q in
   let m = Qldae.n_inputs q in
   let g2_or_d1 = Qldae.has_g2 q || Qldae.has_d1 q in
   match order with
   | 1 ->
-    List.init m (fun a ->
+    List.init m (fun a () ->
         chain t (fun () -> Seq.Cons (Some (Qldae.b_col q a), Seq.repeat None)))
-  | 2 when g2_or_d1 -> List.map (fun ab -> chain t (h2_inner t ab)) (pairs m)
+  | 2 when g2_or_d1 -> List.map (fun ab () -> chain t (h2_inner t ab)) (pairs m)
   | 3 when g2_or_d1 || Qldae.has_g3 q ->
-    List.map (fun abc -> chain t (h3_inner t abc)) (triples triples_mode m)
+    List.map (fun abc () -> chain t (h3_inner t abc)) (triples triples_mode m)
   | 2 | 3 -> []
   | _ -> invalid_arg (Printf.sprintf "Assoc.series: order %d not in 1..3" order)
 
+let series ?triples_mode t ~order : Vec.t Seq.t list =
+  List.map (fun mk -> mk ()) (combinations ?triples_mode t ~order)
+
 (* The first [k] moments of every series, one input combination after
    another, under the order's span (none for an order without
-   coupling). *)
+   coupling). Each series is built, taken and dropped before the next,
+   so only one combination's solver state (n³ for H3) is live at a
+   time. *)
 let moments ?triples_mode t ~order ~k : Vec.t list =
-  match series ?triples_mode t ~order with
+  match combinations ?triples_mode t ~order with
   | [] -> []
-  | ss ->
+  | cs ->
     let name = Printf.sprintf "h%d_moments" order in
     Obs.Span.with_ ~name:("assoc." ^ name) @@ fun () ->
     check_moments ("Assoc." ^ name)
-      (List.concat_map (fun s -> List.of_seq (Seq.take (max k 0) s)) ss)
+      (List.concat_map (fun mk -> List.of_seq (Seq.take (max k 0) (mk ()))) cs)
 
 let h1_moments t ~k = moments t ~order:1 ~k
 

@@ -74,8 +74,10 @@ val report : t -> Robust.Report.t
     Each series computes its next moment (one resolvent step plus the
     order's inner-term step) only when that element is forced, so
     [Seq.take k] costs exactly [k] steps, and memoizes what it computed.
-    A series is not domain-safe: force it on one domain. Raises
-    [Invalid_argument] for any other [order]. *)
+    Calling [series] computes nothing and is domain-safe (the
+    domain-safety inventory lists it so), but forcing a returned series
+    is not: its memo cells are [Lazy] values, so force each series on
+    one domain. Raises [Invalid_argument] for any other [order]. *)
 val series :
   ?triples_mode:[ `All | `Diagonal ] -> t -> order:int -> Vec.t Seq.t list
 

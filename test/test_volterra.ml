@@ -424,6 +424,39 @@ let test_series_bit_equal () =
   Alcotest.(check string) "bits of the eager per-order loops"
     "3002fc73755a54f75de98132498fec62" (bits_digest (List.concat (List.rev !all)))
 
+(* hN_moments builds, takes and drops one series at a time, so an
+   earlier triple's n³ solver state is garbage once its k moments are
+   taken. Sampled after a full major GC at every H2 solve of the D1
+   terms (a closing ksolve.solve_shifted span), the heap of a 3-input
+   `All run (10 triples, n = 16) grows by less than two ⊕³ states over
+   the run; keeping every series head alive until the last triple
+   would hold nine. *)
+let test_h3_moments_drop_finished_series () =
+  let n = 16 in
+  let q = random_qldae ~rng:(Random.State.make [| 7 |]) ~n ~inputs:3 () in
+  let eng = Volterra.Assoc.create ~s0:0.7 q in
+  (* the engine's lazy Schur data is forced by a first run *)
+  ignore (Volterra.Assoc.h3_moments eng ~k:2);
+  let samples = ref [] in
+  let sample (r : Obs.Sink.span_record) =
+    if r.name = "ksolve.solve_shifted" then begin
+      Gc.full_major ();
+      samples := (Obs.Prof.take ()).Obs.Prof.heap_words :: !samples
+    end
+  in
+  let prev = Obs.Sink.current () in
+  Obs.Sink.set { Obs.Sink.null with on_span = sample };
+  Fun.protect
+    ~finally:(fun () -> Obs.Sink.set prev)
+    (fun () -> ignore (Volterra.Assoc.h3_moments eng ~k:2));
+  let samples = List.rev !samples in
+  let state_words = 2 * n * n * n in
+  let growth = List.fold_left max 0 samples - List.hd samples in
+  Alcotest.(check bool)
+    (Printf.sprintf "heap growth %d words < two states of %d" growth state_words)
+    true
+    (List.length samples >= 10 && growth < 2 * state_words)
+
 (* G1 = -0.1 I at n = 400 and -1e-3 I at n = 120 are invertible, but
    their |det|^(1/n) underflows to 0; the pivots' geometric mean (0.1,
    1e-3) keeps s0 = 0. A 1e-20 pivot at n = 2 (mean 1e-10) still moves
@@ -632,6 +665,8 @@ let suite =
         tc "H3 moments = Taylor coefficients" `Quick test_h3_moments_vs_fd;
         tc "H3 shifted solves per triple" `Quick test_h3_shifted_solve_count;
         tc "lazy series = eager per-order moments" `Quick test_series_bit_equal;
+        tc "H3 moments drop finished series" `Quick
+          test_h3_moments_drop_finished_series;
         tc "default s0 for scaled G1" `Quick test_default_s0_scaled_g1;
         tc "association = diagonal kernel (H2, pulse)" `Slow
           test_association_diagonal_kernel_h2;
