@@ -784,14 +784,12 @@ let par_speedup ~scale () =
            ("overhead_1_pct", overhead1);
          ])
 
-(* ---- request latency (scoped fig2 simulates) ---- *)
+(* ---- request latency (timed fig2 simulates) ---- *)
 
-(* The service-loop shape: reduce the fig2 NLTL once, then answer N
-   repeated simulate requests out of the ROM, each inside an
-   [Obs.Scope] — the per-request telemetry primitive — so the
-   "scope.bench.request" Qhist accumulates a genuine latency
-   distribution whose p50/p99 land in bench.json for the gate's banded
-   wall checks.
+(* Reduce the fig2 NLTL once, then answer N repeated simulate requests
+   out of the ROM, timing each into the "bench.request" Qhist, so its
+   latency distribution's p50/p99 land in bench.json for the gate's
+   banded wall checks.
 
    Wall quantiles are noisy, so the block also carries a "det"
    fingerprint the gate pins with *exact* bands even under
@@ -801,13 +799,11 @@ let par_speedup ~scale () =
    and p50/p90/p99.  Any drift in bucket indexing, merge arithmetic or
    quantile interpolation moves these and fails the gate. *)
 let latency ~scale () =
-  Printf.printf "== request latency (scoped fig2-ROM simulates) ==\n%!";
+  Printf.printf "== request latency (timed fig2-ROM simulates) ==\n%!";
   let stages = max 4 (int_of_float (50.0 *. scale)) in
   let q = Circuit.Models.qldae (Circuit.Models.nltl_voltage ~stages ()) in
   let orders = { Mor.Atmor.k1 = 6; k2 = 3; k3 = 2 } in
-  let r =
-    Obs.Scope.with_ ~name:"bench.reduce" (fun () -> Vmor.reduce ~orders q)
-  in
+  let r = Vmor.reduce ~orders q in
   let rom = Vmor.rom r in
   let input =
     Waves.Source.vectorize
@@ -816,14 +812,16 @@ let latency ~scale () =
   in
   let requests = 32 in
   for _ = 1 to requests do
-    Obs.Scope.with_ ~name:"bench.request" (fun () ->
-        ignore
-          (Sys.opaque_identity (Vmor.transient ~samples:101 rom ~input ~t1:30.0)))
+    let _, dt =
+      Obs.Clock.time (fun () ->
+          Sys.opaque_identity (Vmor.transient ~samples:101 rom ~input ~t1:30.0))
+    in
+    Obs.Qhist.observe "bench.request" dt
   done;
   let view =
-    match Obs.Qhist.view "scope.bench.request" with
+    match Obs.Qhist.view "bench.request" with
     | Some v -> v
-    | None -> assert false (* scopes always feed the Qhist *)
+    | None -> assert false (* the loop above fed it *)
   in
   let p50 = Obs.Qhist.quantile view 0.5 in
   let p99 = Obs.Qhist.quantile view 0.99 in

@@ -411,7 +411,6 @@ let trace_cmd =
         Obs.Sink.on_span =
           (fun r -> mem.Obs.Sink.on_span r; js.Obs.Sink.on_span r);
         on_event = (fun r -> mem.Obs.Sink.on_event r; js.Obs.Sink.on_event r);
-        on_scope = (fun r -> mem.Obs.Sink.on_scope r; js.Obs.Sink.on_scope r);
         flush = (fun () -> js.Obs.Sink.flush ());
       };
     let q = build_model ~scale model in
@@ -423,7 +422,7 @@ let trace_cmd =
     let input = default_input q ~freq ~amp in
     let c = Vmor.compare_transient ~samples q r ~input ~t1 in
     Obs.Sink.set Obs.Sink.null;
-    let { Obs.Sink.spans; events; scopes = _ } = captured () in
+    let { Obs.Sink.spans; events } = captured () in
     Printf.printf
       "model %s: %d states -> %d, max rel error %.6f\n\
        trace: %d spans, %d events -> %s\n"
@@ -611,7 +610,7 @@ let bench_history_cmd =
     Term.(const (fun dir csv -> guarded (run dir csv)) $ dir_arg $ csv_arg
           $ const ())
 
-(* Service-shaped telemetry export: reduce once, answer N scoped
+(* Service-shaped telemetry export: reduce once, answer N timed
    simulate requests out of the ROM, then render the OpenMetrics
    exposition.  The workload mirrors the bench `latency` pass, so the
    scraped histogram families carry genuine request-latency
@@ -620,9 +619,8 @@ let bench_history_cmd =
 let metrics_cmd =
   let requests_arg =
     let doc =
-      "Scoped ROM simulate requests to run before the export (each is a \
-       $(b,Scope) named `request', feeding the vmor_hist_scope_request \
-       histogram)."
+      "ROM simulate requests to run before the export (each request's wall \
+       time feeds the vmor_hist_request histogram)."
     in
     Arg.(value & opt int 8 & info [ "requests" ] ~docv:"N" ~doc)
   in
@@ -641,15 +639,14 @@ let metrics_cmd =
     let options =
       build_options ~method_ ~points ?s0 ~tol ?domains:(domains_of domains) ()
     in
-    let r =
-      Obs.Scope.with_ ~name:"reduce" (fun () ->
-          Vmor.reduce ~options ~orders:{ k1; k2; k3 } q)
-    in
+    let r = Vmor.reduce ~options ~orders:{ k1; k2; k3 } q in
     let rom = Vmor.rom r in
     let input = default_input q ~freq ~amp in
     for _i = 1 to requests do
-      Obs.Scope.with_ ~name:"request" (fun () ->
-          ignore (Vmor.transient ~samples rom ~input ~t1))
+      let _, dt =
+        Obs.Clock.time (fun () -> Vmor.transient ~samples rom ~input ~t1)
+      in
+      Obs.Qhist.observe "request" dt
     done;
     let text = Obs.Openmetrics.render () in
     (match Obs.Openmetrics.validate text with
@@ -663,7 +660,7 @@ let metrics_cmd =
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
         (fun () -> output_string oc text);
-      (match Obs.Qhist.view "scope.request" with
+      (match Obs.Qhist.view "request" with
       | Some v ->
         Printf.printf
           "model %s: %d states -> %d; %d requests, p50 %.4gs p99 %.4gs\n"
@@ -676,7 +673,7 @@ let metrics_cmd =
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
-         "Run a service-shaped workload (reduce once, N scoped ROM simulate \
+         "Run a service-shaped workload (reduce once, N timed ROM simulate \
           requests) and export the OpenMetrics/Prometheus text exposition \
           (counters, cost counters, gauges, latency histograms).")
     Term.(

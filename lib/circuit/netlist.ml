@@ -233,8 +233,6 @@ let to_ode_system (a : assembled) ~(input : float -> Vec.t) : Ode.Types.system =
   in
   { Ode.Types.dim = a.n_states; rhs; jac = Some jac }
 
-let output_vector (a : assembled) : Vec.t = Vec.basis a.n_states a.output_index
-
 (* DC operating point of the circuit: damped Newton on
    -G x - i_nl(x) + B u0 = 0. Solved at circuit level (where equilibria
    are isolated); quadratized systems inherit it through

@@ -64,26 +64,16 @@ type assembled = {
   output_index : int;
 }
 
-(** State index of a node voltage. *)
-val state_of_node : node -> int
-
 (** Assemble the MNA matrices and nonlinear branch list. *)
 val assemble : t -> assembled
 
 (** Branch voltage [w = qᵀ x] from an incidence list. *)
 val branch_voltage : (int * float) list -> Vec.t -> float
 
-(** Branch current and its derivative [di/dw] at branch voltage [w]. *)
-val branch_current :
-  [ `Exp of float * float | `Poly of float * float ] -> float -> float * float
-
 (** The raw (un-quadratized) nonlinear ODE
     [x' = E⁻¹(−G x − i_nl(x) + B u)] — ground truth for validating the
     quadratization. *)
 val to_ode_system : assembled -> input:(float -> Vec.t) -> Ode.Types.system
-
-(** Indicator vector of the output node voltage. *)
-val output_vector : assembled -> Vec.t
 
 (** DC operating point: damped Newton on
     [−G x − i_nl(x) + B u0 = 0]. Solve at circuit level (equilibria are

@@ -73,11 +73,6 @@ let require_dims ctx ~expected ~actual =
       (Printf.sprintf "expected %s, got %s" (dims_str expected)
          (dims_str actual))
 
-let require_same_dims ctx a b =
-  if a <> b then
-    fail ctx "dimension mismatch"
-      (Printf.sprintf "%s vs %s" (dims_str a) (dims_str b))
-
 let require_len ctx ~expected ~actual =
   if expected <> actual then
     fail ctx "dimension mismatch"
@@ -117,21 +112,6 @@ let require_finite ctx (data : float array) =
       fail ctx "non-finite value"
         (Printf.sprintf "%h at index %d of %d" data.(bad) bad
            (Array.length data))
-  end
-
-(* Split-complex variant for Cvec/Cmat payloads. *)
-let require_finite2 ctx ~(re : float array) ~(im : float array) =
-  if checks_enabled () then begin
-    let bad = find_nonfinite re in
-    if bad >= 0 then
-      fail ctx "non-finite value"
-        (Printf.sprintf "%h at re index %d of %d" re.(bad) bad
-           (Array.length re));
-    let bad = find_nonfinite im in
-    if bad >= 0 then
-      fail ctx "non-finite value"
-        (Printf.sprintf "%h at im index %d of %d" im.(bad) bad
-           (Array.length im))
   end
 
 (* V is rows x cols, row-major in [data]; checks ‖VᵀV - I‖_max <= tol.

@@ -41,9 +41,6 @@ val require : string -> bool -> string -> string -> unit
 val require_dims : string -> expected:int * int -> actual:int * int -> unit
 (** Exact (rows, cols) expectation. *)
 
-val require_same_dims : string -> int * int -> int * int -> unit
-(** Two operands must agree in shape. *)
-
 val require_len : string -> expected:int -> actual:int -> unit
 (** Exact vector-length expectation. *)
 
@@ -61,9 +58,6 @@ val require_kron_compat : string -> rows:int -> cols:int -> len:int -> unit
 
 val require_finite : string -> float array -> unit
 (** No NaN/Inf anywhere in the payload. *)
-
-val require_finite2 : string -> re:float array -> im:float array -> unit
-(** Split-complex variant of [require_finite]. *)
 
 val require_orthonormal :
   ?tol:float -> string -> rows:int -> cols:int -> float array -> unit

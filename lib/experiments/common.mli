@@ -31,30 +31,6 @@ type t = {
     time in seconds. *)
 val timed : (unit -> 'a) -> 'a * float
 
-(** Simulate one QLDAE from rest and return (times, first output). *)
-val simulate_output :
-  ?solver:Volterra.Qldae.solver ->
-  Volterra.Qldae.t ->
-  input:(float -> La.Vec.t) ->
-  t0:float ->
-  t1:float ->
-  samples:int ->
-  float array * float array
-
-(** Reduce [q] with [reduce], simulate the ROM on the same excitation,
-    and collect timings and errors against [full_output]. A ROM whose
-    transient diverges is reported as NaN output rather than aborting. *)
-val run_reduction :
-  method_name:string ->
-  reduce:(Volterra.Qldae.t -> Mor.Atmor.result) ->
-  ?solver:Volterra.Qldae.solver ->
-  Volterra.Qldae.t ->
-  input:(float -> La.Vec.t) ->
-  t1:float ->
-  samples:int ->
-  full_output:float array ->
-  rom_run
-
 (** Run the full model once, then every named reduction against it. *)
 val build :
   id:string ->

@@ -2,22 +2,6 @@
     so they can run at paper scale ([scale = 1.0]) or scaled down for
     smoke runs. *)
 
-(** The paper's moment orders: 6 of H1, 3 of H2, 2 of H3 (§3.1). *)
-val paper_orders : Mor.Atmor.orders
-
-(** [scaled_stages ~scale full] shrinks a ladder length for smoke runs
-    (never below 4 stages). *)
-val scaled_stages : scale:float -> int -> int
-
-(** Shrink an excitation amplitude along with the model so scaled-down
-    ladders are not overdriven. *)
-val scaled_amp : scale:float -> float -> float
-
-(** Halve moment orders when the requested basis would exceed ~n/3 of a
-    (scaled-down) model — guards smoke runs against near-full-order
-    nonlinear Galerkin ROMs. *)
-val cap_orders : n:int -> Mor.Atmor.orders -> Mor.Atmor.orders
-
 (** §3.1 / Fig. 2: NLTL with voltage source (D1 term present). *)
 val fig2 : ?scale:float -> ?samples:int -> unit -> Common.t
 

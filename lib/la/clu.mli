@@ -8,8 +8,6 @@ type t
     pivot. *)
 val factor : Cmat.t -> t
 
-val dim : t -> int
-
 (** [solve t b] solves [A x = b]. *)
 val solve : t -> Cvec.t -> Cvec.t
 

@@ -62,14 +62,6 @@ let check_same_dims name a b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg (Printf.sprintf "Cmat.%s: dimension mismatch" name)
 
-let add a b =
-  check_same_dims "add" a b;
-  {
-    a with
-    re = Array.init (Array.length a.re) (fun k -> a.re.(k) +. b.re.(k));
-    im = Array.init (Array.length a.im) (fun k -> a.im.(k) +. b.im.(k));
-  }
-
 let sub a b =
   check_same_dims "sub" a b;
   {
@@ -168,18 +160,6 @@ let norm_fro m =
   done;
   sqrt !s
 
-let max_abs m =
-  let best = ref 0.0 in
-  for k = 0 to Array.length m.re - 1 do
-    let a = Float.hypot m.re.(k) m.im.(k) in
-    if a > !best then best := a
-  done;
-  !best
-
-let approx_equal ?(tol = 1e-9) a b =
-  a.rows = b.rows && a.cols = b.cols
-  && norm_fro (sub a b) <= tol *. (1.0 +. norm_fro a)
-
 let col m j = Cvec.init m.rows (fun i -> get m i j)
 
 let set_col m j (v : Cvec.t) =
@@ -196,17 +176,3 @@ let add_diag m (sigma : Complex.t) =
     add_to out i i sigma
   done;
   out
-
-let pp ppf m =
-  Fmt.pf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Fmt.pf ppf "[@[";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Fmt.pf ppf ",@ ";
-      let z = get m i j in
-      Fmt.pf ppf "%8.3g%+8.3gi" z.re z.im
-    done;
-    Fmt.pf ppf "@]]";
-    if i < m.rows - 1 then Fmt.cut ppf ()
-  done;
-  Fmt.pf ppf "@]"

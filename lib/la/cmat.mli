@@ -18,7 +18,6 @@ val of_real : Mat.t -> t
 val copy : t -> t
 val real_part : t -> Mat.t
 val imag_part : t -> Mat.t
-val add : t -> t -> t
 val sub : t -> t -> t
 val scale : Complex.t -> t -> t
 
@@ -36,14 +35,8 @@ val mul_vec_adjoint : t -> Cvec.t -> Cvec.t
 
 val norm_fro : t -> float
 
-(** Largest entry modulus. *)
-val max_abs : t -> float
-
-val approx_equal : ?tol:float -> t -> t -> bool
 val col : t -> int -> Cvec.t
 val set_col : t -> int -> Cvec.t -> unit
 
 (** [add_diag m σ] is [m + σ I]. *)
 val add_diag : t -> Complex.t -> t
-
-val pp : Format.formatter -> t -> unit

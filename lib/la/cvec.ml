@@ -118,9 +118,3 @@ let kron a b =
     done
   done;
   out
-
-let pp ppf v =
-  Fmt.pf ppf "[@[%a@]]"
-    (Fmt.list ~sep:(Fmt.any ";@ ") (fun ppf i ->
-         Fmt.pf ppf "%.4g%+.4gi" v.re.(i) v.im.(i)))
-    (List.init (dim v) Fun.id)

@@ -19,9 +19,6 @@ val real_part : t -> Vec.t
 val imag_part : t -> Vec.t
 val norm2 : t -> float
 
-(** Euclidean norm of the imaginary part only. *)
-val imag_norm : t -> float
-
 (** Conjugated inner product [Σ conj(aᵢ) bᵢ]. *)
 val dot : t -> t -> Complex.t
 
@@ -40,5 +37,3 @@ val to_real : ?tol:float -> t -> Vec.t
 
 (** Kronecker product with the same indexing convention as {!Kron.vec}. *)
 val kron : t -> t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -46,15 +46,6 @@ let mat (a : Mat.t) (b : Mat.t) : Mat.t =
   done;
   out
 
-let mat_list (ms : Mat.t list) : Mat.t =
-  match ms with
-  | [] -> invalid_arg "Kron.mat_list: empty"
-  | m0 :: rest -> List.fold_left mat m0 rest
-
-let mat_pow (m : Mat.t) k =
-  if k < 1 then invalid_arg "Kron.mat_pow: k must be >= 1";
-  mat_list (List.init k (fun _ -> m))
-
 (* Kronecker sum A ⊕ B = A ⊗ I_nb + I_na ⊗ B (square matrices). *)
 let sum (a : Mat.t) (b : Mat.t) : Mat.t =
   Contract.require_square "Kron.sum" (Mat.dims a);

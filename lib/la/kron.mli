@@ -10,23 +10,15 @@
 (** Kronecker product of two vectors. *)
 val vec : Vec.t -> Vec.t -> Vec.t
 
-(** Left-associated Kronecker product of a non-empty list. *)
-val vec_list : Vec.t list -> Vec.t
-
 (** [vec_pow v k] is the k-fold Kronecker power [v ⊗ ... ⊗ v], k ≥ 1. *)
 val vec_pow : Vec.t -> int -> Vec.t
 
 (** Kronecker product of two matrices (materialized — small inputs). *)
 val mat : Mat.t -> Mat.t -> Mat.t
 
-val mat_list : Mat.t list -> Mat.t
-val mat_pow : Mat.t -> int -> Mat.t
-
 (** Kronecker sum [A ⊕ B = A ⊗ I + I ⊗ B] of square matrices
     (materialized — small inputs; use {!Ksolve} for structured solves). *)
 val sum : Mat.t -> Mat.t -> Mat.t
-
-val sum_list : Mat.t list -> Mat.t
 
 (** [sum_pow A k] is the paper's [⊕^k A], k ≥ 1. *)
 val sum_pow : Mat.t -> int -> Mat.t

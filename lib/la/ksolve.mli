@@ -68,9 +68,6 @@ val apply_shifted : g:Mat.t -> k:int -> sigma:float -> Vec.t -> Vec.t
     the Schur basis; each step is then one triangular tensor
     back-substitution. *)
 
-(** [(U^H)^⊗k x]. *)
-val to_schur : t -> k:int -> Cvec.t -> Cvec.t
-
 (** [U^⊗k x]. *)
 val from_schur : t -> k:int -> Cvec.t -> Cvec.t
 

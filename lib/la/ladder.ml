@@ -281,9 +281,4 @@ let solve t (b : Vec.t) : Vec.t =
   | Error e -> Robust.Error.raise_error e
 
 let last_rung t = t.last
-
-let matrix t = t.a
 let lu t = t.lu
-
-let solve_system ?recorder ?mu ?rungs ?loc (a : Mat.t) (b : Vec.t) : Vec.t =
-  solve (make ?recorder ?mu ?rungs ?loc a) b

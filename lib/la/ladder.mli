@@ -11,8 +11,6 @@
 
 type rung = [ `Lu | `Qr | `Tikhonov ]
 
-val rung_name : rung -> string
-
 type t
 
 val make :
@@ -32,30 +30,14 @@ val solve : t -> Vec.t -> Vec.t
 (** Solve through the ladder. Raises [Robust.Error.Error] with
     [Budget_exhausted] when every rung fails. *)
 
-val try_solve : t -> Vec.t -> (Vec.t, Robust.Error.t) result
-(** Result-returning variant of {!solve}. *)
-
 val last_rung : t -> rung
 (** The rung that produced the most recent successful solve (the first
     configured rung before any solve). *)
-
-val matrix : t -> Mat.t
-(** The wrapped matrix. *)
 
 val lu : t -> Lu.t option
 (** The cached LU factorization, when the LU rung has been factored
     and did not come back singular. Exposed for conditioning
     diagnostics ({!Lu.condest}); never forces a factorization. *)
-
-val solve_system :
-  ?recorder:Robust.Report.recorder ->
-  ?mu:float ->
-  ?rungs:rung list ->
-  ?loc:Robust.Error.location ->
-  Mat.t ->
-  Vec.t ->
-  Vec.t
-(** One-shot [make] + [solve]. *)
 
 val classify : ?loc:Robust.Error.location -> exn -> Robust.Error.t option
 (** Map the linear-algebra layer's exceptions ([Lu.Singular],

@@ -13,14 +13,8 @@ type t
     [Invalid_argument] if not square. *)
 val factor : Mat.t -> t
 
-(** Dimension of the factored matrix. *)
-val dim : t -> int
-
 (** [solve t b] solves [A x = b] for the factored [A]. *)
 val solve : t -> Vec.t -> Vec.t
-
-(** [solve_transpose t b] solves [Aᵀ x = b] on the same factors. *)
-val solve_transpose : t -> Vec.t -> Vec.t
 
 (** Column-wise solve: [solve_mat t B] solves [A X = B]. *)
 val solve_mat : t -> Mat.t -> Mat.t

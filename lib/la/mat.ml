@@ -6,8 +6,6 @@ let create rows cols =
   if rows < 0 || cols < 0 then invalid_arg "Mat.create: negative dimension";
   { rows; cols; data = Array.make (rows * cols) 0.0 }
 
-let zeros = create
-
 let dims m = (m.rows, m.cols)
 
 let rows m = m.rows
@@ -19,10 +17,6 @@ let data m = m.data
 let get m i j = m.data.((i * m.cols) + j)
 
 let set m i j x = m.data.((i * m.cols) + j) <- x
-
-let update m i j f =
-  let k = (i * m.cols) + j in
-  m.data.(k) <- f m.data.(k)
 
 let add_to m i j x =
   let k = (i * m.cols) + j in
@@ -60,9 +54,6 @@ let of_arrays (a : float array array) =
       a;
     init rows cols (fun i j -> a.(i).(j))
   end
-
-let to_arrays m =
-  Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
 
 let of_list ll = of_arrays (Array.of_list (List.map Array.of_list ll))
 
@@ -208,12 +199,6 @@ let set_col m j (v : Vec.t) =
     set m i j v.(i)
   done
 
-let set_row m i (v : Vec.t) =
-  if Array.length v <> m.cols then invalid_arg "Mat.set_row: dimension mismatch";
-  for j = 0 to m.cols - 1 do
-    set m i j v.(j)
-  done
-
 let of_cols (vs : Vec.t list) =
   match vs with
   | [] -> create 0 0
@@ -286,18 +271,3 @@ let random ~rng rows cols =
 
 let random_vec ~rng n =
   Vec.init n (fun _ -> (2.0 *. Random.State.float rng 1.0) -. 1.0)
-
-let pp ppf m =
-  Fmt.pf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Fmt.pf ppf "[@[";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Fmt.pf ppf ",@ ";
-      Fmt.pf ppf "%10.4g" (get m i j)
-    done;
-    Fmt.pf ppf "@]]";
-    if i < m.rows - 1 then Fmt.cut ppf ()
-  done;
-  Fmt.pf ppf "@]"
-
-let to_string m = Fmt.str "%a" pp m

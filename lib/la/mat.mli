@@ -9,9 +9,6 @@ type t = { rows : int; cols : int; data : float array }
 (** [create r c] is the [r]x[c] zero matrix. *)
 val create : int -> int -> t
 
-(** Alias of {!create}. *)
-val zeros : int -> int -> t
-
 (** [(rows, cols)] pair. *)
 val dims : t -> int * int
 
@@ -23,9 +20,6 @@ val data : t -> float array
 
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
-
-(** [update m i j f] replaces entry [(i,j)] by [f] of itself. *)
-val update : t -> int -> int -> (float -> float) -> unit
 
 (** [add_to m i j x] increments entry [(i,j)] by [x]. *)
 val add_to : t -> int -> int -> float -> unit
@@ -40,11 +34,7 @@ val diag : Vec.t -> t
 val diagonal : t -> Vec.t
 
 val copy : t -> t
-val of_arrays : float array array -> t
-val to_arrays : t -> float array array
 val of_list : float list list -> t
-val map : (float -> float) -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t
@@ -84,7 +74,6 @@ val max_abs : t -> float
 val col : t -> int -> Vec.t
 val row : t -> int -> Vec.t
 val set_col : t -> int -> Vec.t -> unit
-val set_row : t -> int -> Vec.t -> unit
 
 (** Matrix whose columns are the given vectors. *)
 val of_cols : Vec.t list -> t
@@ -116,6 +105,3 @@ val random : rng:Random.State.t -> int -> int -> t
 
 (** Vector with entries uniform on [[-1, 1]]. *)
 val random_vec : rng:Random.State.t -> int -> Vec.t
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -12,15 +12,8 @@ val r : t -> Mat.t
 (** Apply the full orthogonal factor: [apply_q t x = Q x]. *)
 val apply_q : t -> Vec.t -> Vec.t
 
-(** Apply its transpose: [apply_qt t x = Qᵀ x]. *)
-val apply_qt : t -> Vec.t -> Vec.t
-
 (** First [n] columns of [Q] (the thin factor). *)
 val thin_q : t -> Mat.t
-
-(** Minimize [‖A x − b‖₂] for the factored [A]. Raises [Lu.Singular] on a
-    rank-deficient triangle. *)
-val solve_ls : t -> Vec.t -> Vec.t
 
 (** One-shot least squares. *)
 val least_squares : Mat.t -> Vec.t -> Vec.t

@@ -6,19 +6,11 @@ let create n = Array.make n 0.0
 
 let init n f = Array.init n f
 
-let dim (v : t) = Array.length v
-
 let copy (v : t) : t = Array.copy v
 
 let of_list l : t = Array.of_list l
 
-let to_list (v : t) = Array.to_list v
-
 let of_array (a : float array) : t = Array.copy a
-
-let get (v : t) i = v.(i)
-
-let set (v : t) i x = v.(i) <- x
 
 let fill (v : t) x = Array.fill v 0 (Array.length v) x
 
@@ -105,19 +97,4 @@ let max_abs_index (v : t) =
   done;
   !best
 
-let fold_left = Array.fold_left
-
-let iteri = Array.iteri
-
-let exists = Array.exists
-
-let for_all = Array.for_all
-
 let is_finite (v : t) = Array.for_all (fun x -> Float.is_finite x) v
-
-let pp ppf (v : t) =
-  Fmt.pf ppf "[@[%a@]]"
-    (Fmt.array ~sep:(Fmt.any ";@ ") (fun ppf x -> Fmt.pf ppf "%.6g" x))
-    v
-
-let to_string v = Fmt.str "%a" pp v

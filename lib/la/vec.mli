@@ -12,18 +12,11 @@ val create : int -> t
 (** [init n f] is the vector whose [i]-th entry is [f i]. *)
 val init : int -> (int -> float) -> t
 
-(** Dimension of the vector. *)
-val dim : t -> int
-
 val copy : t -> t
 val of_list : float list -> t
-val to_list : t -> float list
 
 (** Defensive copy of a float array. *)
 val of_array : float array -> t
-
-val get : t -> int -> float
-val set : t -> int -> float -> unit
 
 (** Overwrite every entry with the given value. *)
 val fill : t -> float -> unit
@@ -35,7 +28,6 @@ val basis : int -> int -> t
 val constant : int -> float -> t
 
 val map : (float -> float) -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
@@ -74,13 +66,5 @@ val blit : src:t -> dst:t -> pos:int -> unit
 (** Index of the entry with largest magnitude. *)
 val max_abs_index : t -> int
 
-val fold_left : ('a -> float -> 'a) -> 'a -> t -> 'a
-val iteri : (int -> float -> unit) -> t -> unit
-val exists : (float -> bool) -> t -> bool
-val for_all : (float -> bool) -> t -> bool
-
 (** True when no entry is [nan] or infinite. *)
 val is_finite : t -> bool
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -97,8 +97,8 @@ let run ?recorder ?(context = "arnoldi.run") ~(matvec : Vec.t -> Vec.t)
        Mat.set h (!j + 1) !j nw;
        let defl_threshold = 1e-12 *. (1.0 +. nb) in
        let margin = nw /. defl_threshold in
-       Obs.Metrics.observe "arnoldi.subdiag" nw;
-       Obs.Metrics.observe "arnoldi.defl_margin" margin;
+       Obs.Qhist.observe "arnoldi.subdiag" nw;
+       Obs.Qhist.observe "arnoldi.defl_margin" margin;
        if nw <= defl_threshold then begin
          if health_on then emit_health ~subdiag:nw ~margin;
          breakdown := true;

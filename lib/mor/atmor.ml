@@ -45,7 +45,7 @@ let finish ~ctx ~t_start ~s0 ~orders ~raw_moments ~degradation (q : Qldae.t)
   let rom = Qldae.project q basis in
   let dt = Obs.Clock.now () -. t_start in
   Obs.Metrics.set_gauge "reduced_order" (float_of_int (Mat.cols basis));
-  Obs.Metrics.observe "reduction_seconds" dt;
+  Obs.Qhist.observe "reduction_seconds" dt;
   if Obs.Health.active () then ignore (Romdiag.emit_health ~s0 ~full:q ~rom ());
   { basis; rom; orders; s0; raw_moments; reduction_seconds = dt; degradation }
 

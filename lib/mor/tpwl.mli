@@ -32,14 +32,6 @@ val train :
   samples:int ->
   t
 
-(** Blended reduced right-hand side. *)
-val rhs : t -> Vec.t -> Vec.t -> Vec.t
-
-(** Blended reduced Jacobian (weight derivatives ignored, as usual). *)
-val jacobian : t -> Vec.t -> Vec.t -> Mat.t
-
-val ode_system : t -> input:(float -> Vec.t) -> Ode.Types.system
-
 (** Simulate the TPWL ROM from rest. *)
 val simulate :
   ?solver:Qldae.solver ->

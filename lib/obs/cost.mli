@@ -39,9 +39,6 @@ val of_name : string -> counter option
 (** Inverse of {!name}; [None] for unknown identifiers (forward
     compatibility when reading newer traces). *)
 
-val is_flops : counter -> bool
-(** [true] for the [Flops_*] counters, [false] for the byte movers. *)
-
 val charge : ?read:int -> ?written:int -> counter -> int -> unit
 (** [charge c flops] adds [flops] to [c] on the calling domain's
     accumulator; [?read]/[?written] additionally move that many
@@ -63,8 +60,7 @@ val since : snapshot -> (counter * int) list
 (** Nonzero deltas accumulated since the snapshot, in {!all} order. *)
 
 val diff : snapshot -> snapshot -> (counter * int) list
-(** [diff snap now]: nonzero cost deltas between two snapshots (both
-    merged, or both domain-local). *)
+(** [diff snap now]: nonzero cost deltas between two snapshots. *)
 
 val total_flops : (counter * int) list -> int
 (** Sum of the [Flops_*] entries of a delta list. *)

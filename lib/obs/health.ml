@@ -105,14 +105,14 @@ let float_field fields key =
    nobody parses the trace. *)
 let observe_headlines = function
   | Arnoldi { ortho_loss; defl_margin; _ } ->
-    Metrics.observe "health.ortho_loss" ortho_loss;
-    Metrics.observe "health.defl_margin" defl_margin
-  | Cond { cond; _ } -> Metrics.observe "health.cond" cond
+    Qhist.observe "health.ortho_loss" ortho_loss;
+    Qhist.observe "health.defl_margin" defl_margin
+  | Cond { cond; _ } -> Qhist.observe "health.cond" cond
   | Ode_streak { length; _ } ->
-    Metrics.observe "health.ode_streak" (float_of_int length)
+    Qhist.observe "health.ode_streak" (float_of_int length)
   | Moment_residual { k; residual; _ } ->
     Metrics.set_gauge (Printf.sprintf "health.moment_residual.h%d" k) residual
-  | Freq_error { rel_err; _ } -> Metrics.observe "health.freq_error" rel_err
+  | Freq_error { rel_err; _ } -> Qhist.observe "health.freq_error" rel_err
   | Pod_spectrum { energy; _ } -> Metrics.set_gauge "health.pod_energy" energy
 
 let emit r =

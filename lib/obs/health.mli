@@ -60,15 +60,6 @@ val emit : record -> unit
 (** Deliver a record to the active sink and fold its headline value
     into {!Metrics}.  No-op under the null sink. *)
 
-val name_of : record -> string
-(** Stable event name, ["health.<kind>"]. *)
-
-val detail_of : record -> string
-(** The ["key=value ..."] payload carried in the event detail. *)
-
-val parse_detail : string -> (string * string) list
-(** Split a detail payload back into key/value pairs. *)
-
 val of_event : name:string -> detail:string -> record option
 (** Reconstruct a record from a trace event; [None] for non-health or
     malformed events. *)

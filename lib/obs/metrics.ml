@@ -82,8 +82,6 @@ let gauges () =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) gauge_tbl [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let observe = Qhist.observe
-
 (* ------------------------------------------------------------------ *)
 (* Snapshots and deltas.                                              *)
 

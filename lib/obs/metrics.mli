@@ -47,10 +47,6 @@ val set_gauge : string -> float -> unit
 val gauges : unit -> (string * float) list
 (** All gauges, sorted by name. *)
 
-val observe : string -> float -> unit
-(** {!Qhist.observe}: feed one observation into the named histogram.
-    Read histograms back through {!Qhist.view} / {!Qhist.all}. *)
-
 type snapshot = Registry.snapshot
 
 val snapshot : unit -> snapshot
@@ -61,8 +57,7 @@ val since : snapshot -> (counter * int) list
 (** Counter deltas accumulated after [snapshot], nonzero ones only. *)
 
 val diff : snapshot -> snapshot -> (counter * int) list
-(** [diff snap now]: nonzero counter deltas between two snapshots
-    (both merged, or both domain-local). *)
+(** [diff snap now]: nonzero counter deltas between two snapshots. *)
 
 val reset : unit -> unit
 (** Zero every event counter, {!Cost} counter and histogram and drop

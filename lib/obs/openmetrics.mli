@@ -35,7 +35,3 @@ val validate : string -> (unit, string) result
 val write_file : string -> unit
 (** {!render}, {!validate} (raising [Failure] on an internal format
     bug) and write to a file. *)
-
-val sanitize : string -> string
-(** Map an arbitrary name onto the metric-name charset
-    [[a-zA-Z_][a-zA-Z0-9_]*] (invalid characters become ['_']). *)

@@ -85,17 +85,6 @@ let since (s0 : t) =
    that would otherwise be counted in both. *)
 let alloc_words t = t.minor_words +. t.major_words -. t.promoted_words
 
-let add a b =
-  {
-    minor_words = a.minor_words +. b.minor_words;
-    promoted_words = a.promoted_words +. b.promoted_words;
-    major_words = a.major_words +. b.major_words;
-    minor_collections = a.minor_collections + b.minor_collections;
-    major_collections = a.major_collections + b.major_collections;
-    heap_words = max a.heap_words b.heap_words;
-    top_heap_words = max a.top_heap_words b.top_heap_words;
-  }
-
 (* Stable field names used by every rendering (JSONL [prof.*] keys,
    Chrome-trace args, the bench gc block). *)
 let fields t =

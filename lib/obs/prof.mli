@@ -40,10 +40,6 @@ val alloc_words : t -> float
 (** Freshly allocated words in a delta: minor + major - promoted
     (promoted words appear in both minor and major counts). *)
 
-val add : t -> t -> t
-(** Sum two deltas (cumulative fields add; heap absolutes take the
-    max). *)
-
 val fields : t -> (string * float) list
 (** Stable field names used by every rendering ([prof.*] JSONL keys,
     Chrome-trace args, the bench gc block), in a fixed order. *)

@@ -1,12 +1,11 @@
 (** Deterministic log-linear quantile histograms.
 
-    The histograms behind {!Metrics.observe} and the per-span/per-scope
-    latency distributions: a fixed-geometry bucketed histogram per
-    name, a view over the histogram tables of the per-domain
+    Every named histogram, the per-span latency distributions
+    included: a fixed-geometry bucketed histogram per name, a view over the histogram tables of the per-domain
     {!Registry} store, so concurrent domains never contend on the hot
     path.
 
-    The geometry is {!sub_buckets} linear sub-buckets per power-of-two
+    The geometry is 4 linear sub-buckets per power-of-two
     octave over binary exponents [[e_min, e_max)], plus an underflow
     and an overflow bucket.  The bucket index is a pure function of
     the value's bits (exact [frexp]-based mantissa scaling), bucket
@@ -19,9 +18,6 @@
 
     Buckets cover half-open ranges [[lower, upper)]: a value exactly
     on a dyadic boundary counts toward the higher bucket. *)
-
-val sub_buckets : int
-(** Linear sub-buckets per octave (4). *)
 
 val n_buckets : int
 (** Total bucket count including underflow (index 0) and overflow

@@ -8,12 +8,7 @@
    every registered store under [mu]; after [Domain.join] the merge is
    exact because the child's stores happen-before the join.  While
    other domains are still running a read observes some interleaving
-   of word-sized stores, never a torn value.
-
-   A domain-local snapshot copies only the calling domain's slots, so
-   a delta taken on the same domain is exact even while other domains
-   run: that is what keeps concurrent scopes from smearing each
-   other's counts. *)
+   of word-sized stores, never a torn value. *)
 
 let cost_base = 12
 let n_slots = cost_base + 12
@@ -111,8 +106,6 @@ let snapshot () =
           done)
         !stores;
       out)
-
-let local () = (Domain.DLS.get key).slots
 
 let deltas index all (snap : snapshot) (now : snapshot) =
   List.filter_map

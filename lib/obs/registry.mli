@@ -58,15 +58,10 @@ val hists : unit -> (string * hist) list
     sorted by name. *)
 
 type snapshot = int array
-(** Slot values at a point in time, merged or domain-local. *)
+(** Merged slot values at a point in time. *)
 
 val snapshot : unit -> snapshot
 (** Merged slot totals (one locked pass over every store). *)
-
-val local : unit -> snapshot
-(** The calling domain's live slots — no lock, no merge.  A delta
-    between a copy and a later [local ()] on the same domain is exact
-    even while other domains run (the {!Scope} primitive). *)
 
 val deltas : ('c -> int) -> 'c list -> snapshot -> snapshot -> ('c * int) list
 (** [deltas slot all snap now]: nonzero [now - snap] per counter in

@@ -29,29 +29,20 @@ type event_record = {
   detail : string;
 }
 
-(* A closed telemetry scope: a span record with [prof = None] whose
-   counter/cost deltas are domain-local (exact under concurrency)
-   rather than merged. *)
-type scope_record = span_record
-
 type t = {
   on_span : span_record -> unit;
   on_event : event_record -> unit;
-  on_scope : scope_record -> unit;
   flush : unit -> unit;
 }
 
-let null =
-  { on_span = ignore; on_event = ignore; on_scope = ignore; flush = ignore }
+let null = { on_span = ignore; on_event = ignore; flush = ignore }
 
 (* ------------------------------------------------------------------ *)
 (* JSONL                                                              *)
 
 let json_escape = Json.escape
 
-(* Scope closes share the span wire shape under "type":"scope", so
-   readers that predate scopes skip them by type. *)
-let record_to_json ~tag (r : span_record) =
+let record_to_json (r : span_record) =
   let counters =
     r.counters
     |> List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v)
@@ -77,8 +68,8 @@ let record_to_json ~tag (r : span_record) =
     |> String.concat ""
   in
   Printf.sprintf
-    "{\"type\":\"%s\",\"name\":\"%s\",\"depth\":%d,\"start\":%.6f,\"dur\":%.6f,\"counters\":{%s}%s%s}"
-    tag (json_escape r.name) r.depth r.start r.dur counters prof cost
+    "{\"type\":\"span\",\"name\":\"%s\",\"depth\":%d,\"start\":%.6f,\"dur\":%.6f,\"counters\":{%s}%s%s}"
+    (json_escape r.name) r.depth r.start r.dur counters prof cost
 
 let event_to_json (r : event_record) =
   Printf.sprintf
@@ -87,10 +78,8 @@ let event_to_json (r : event_record) =
 
 let jsonl oc =
   {
-    on_span = (fun r -> output_string oc (record_to_json ~tag:"span" r ^ "\n"));
+    on_span = (fun r -> output_string oc (record_to_json r ^ "\n"));
     on_event = (fun r -> output_string oc (event_to_json r ^ "\n"));
-    on_scope =
-      (fun r -> output_string oc (record_to_json ~tag:"scope" r ^ "\n"));
     flush = (fun () -> flush oc);
   }
 
@@ -102,26 +91,18 @@ let jsonl_file path =
 (* ------------------------------------------------------------------ *)
 (* In-memory capture (tests).                                         *)
 
-type captured = {
-  spans : span_record list;
-  events : event_record list;
-  scopes : scope_record list;
-}
+type captured = { spans : span_record list; events : event_record list }
 
 let memory () =
-  let spans = ref [] and events = ref [] and scopes = ref [] in
+  let spans = ref [] and events = ref [] in
   let sink =
     {
       on_span = (fun r -> spans := r :: !spans);
       on_event = (fun r -> events := r :: !events);
-      on_scope = (fun r -> scopes := r :: !scopes);
       flush = ignore;
     }
   in
-  ( sink,
-    fun () ->
-      { spans = List.rev !spans; events = List.rev !events;
-        scopes = List.rev !scopes } )
+  (sink, fun () -> { spans = List.rev !spans; events = List.rev !events })
 
 (* ------------------------------------------------------------------ *)
 (* Current sink + environment initialization.                         *)

@@ -41,16 +41,9 @@ type event_record = {
   detail : string;
 }
 
-type scope_record = span_record
-(** A closed {!Scope}: a span record with [prof = None] whose
-    [counters]/[cost] are {e domain-local} deltas — exact for the
-    scope even while other domains run concurrently.  Rendered as a
-    ["type":"scope"] JSONL record. *)
-
 type t = {
   on_span : span_record -> unit;
   on_event : event_record -> unit;
-  on_scope : scope_record -> unit;
   flush : unit -> unit;
 }
 
@@ -64,16 +57,14 @@ val jsonl : out_channel -> t
 val jsonl_file : string -> t
 (** [jsonl] over a freshly opened file, closed at process exit. *)
 
-val record_to_json : tag:string -> span_record -> string
-(** One JSONL object for a span or scope record; [tag] is its ["type"]
-    member (["span"] or ["scope"]). *)
+val record_to_json : span_record -> string
+(** One ["type":"span"] JSONL object. *)
 
 val event_to_json : event_record -> string
 
 type captured = {
   spans : span_record list;
   events : event_record list;
-  scopes : scope_record list;
 }
 
 val memory : unit -> t * (unit -> captured)

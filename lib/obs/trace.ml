@@ -11,7 +11,6 @@
 type record =
   | Span of Sink.span_record
   | Event of Sink.event_record
-  | Scope of Sink.scope_record
 
 type item = Node of Sink.span_record * item list | Leaf of Sink.event_record
 
@@ -19,7 +18,6 @@ type t = {
   roots : item list;
   spans : Sink.span_record list;  (* emission order *)
   events : Sink.event_record list;  (* emission order *)
-  scopes : Sink.scope_record list;  (* emission order *)
 }
 
 exception Malformed of string
@@ -31,7 +29,7 @@ let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
 
 let record_of_json j : record =
   match Json.(to_str (member_exn "type" j)) with
-  | ("span" | "scope") as tag ->
+  | "span" ->
     let counters =
       Json.(to_obj (member_exn "counters" j))
       |> List.map (fun (k, v) -> (k, Json.to_int v))
@@ -49,7 +47,7 @@ let record_of_json j : record =
                | _ -> None
              else None)
     in
-    let r =
+    Span
       {
         Sink.name = Json.(to_str (member_exn "name" j));
         depth = Json.(to_int (member_exn "depth" j));
@@ -59,8 +57,6 @@ let record_of_json j : record =
         cost = List.map (fun (k, f) -> (k, int_of_float f)) (flat "cost.");
         prof = Prof.of_fields (flat "prof.");
       }
-    in
-    if tag = "span" then Span r else Scope r
   | "event" ->
     Event
       {
@@ -94,9 +90,6 @@ let build (records : record list) : item list =
   List.iter
     (fun r ->
       match r with
-      (* Scope depths are per-domain, so concurrent scopes interleave
-         arbitrarily — they stay out of the single-stack span tree. *)
-      | Scope _ -> ()
       | Event e ->
         let b = bucket e.Sink.depth in
         b := Leaf e :: !b
@@ -134,7 +127,6 @@ let of_records records =
     roots = build records;
     spans = List.filter_map (function Span s -> Some s | _ -> None) records;
     events = List.filter_map (function Event e -> Some e | _ -> None) records;
-    scopes = List.filter_map (function Scope s -> Some s | _ -> None) records;
   }
 
 let load path =

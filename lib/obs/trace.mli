@@ -9,7 +9,6 @@
 type record =
   | Span of Sink.span_record
   | Event of Sink.event_record
-  | Scope of Sink.scope_record
 
 type item = Node of Sink.span_record * item list | Leaf of Sink.event_record
 
@@ -17,9 +16,6 @@ type t = {
   roots : item list;  (** top-level items, in completion order *)
   spans : Sink.span_record list;  (** all spans, emission order *)
   events : Sink.event_record list;  (** all events, emission order *)
-  scopes : Sink.scope_record list;
-      (** all scope closes, emission order.  Scope depths are
-          per-domain, so scopes stay out of the span tree. *)
 }
 
 exception Malformed of string
@@ -115,14 +111,6 @@ val summarize : t -> health_summary
 
 val render_health : t -> string
 (** Human-readable numerical-health summary block. *)
-
-val counter_totals : t -> (string * int) list
-(** Whole-run kernel-counter totals: counters summed over depth-0
-    spans only (span counters are inclusive of children), sorted by
-    name. *)
-
-val cost_totals : t -> (string * int) list
-(** Whole-run {!Cost} totals over depth-0 spans, sorted by name. *)
 
 val render_diff : t -> t -> string
 (** Compare two traces: per-span-name total durations, whole-run

@@ -4,9 +4,6 @@
 
 open La
 
-val default_newton_tol : float
-val default_max_newton : int
-
 (** Integrate with fixed step [h] (shortened to land on sample
     instants). Raises [Types.Step_failure] if Newton stalls. *)
 val integrate :

@@ -2,9 +2,6 @@
 
 open La
 
-(** One RK4 step from [t] with step [h]. *)
-val step : Types.system -> Types.stats -> float -> float -> Vec.t -> Vec.t
-
 (** Integrate from [t0] to [t1] with internal step [h] (shortened to land
     exactly on the [samples] uniform output instants). *)
 val integrate :

@@ -4,9 +4,6 @@
 
 open La
 
-val default_rtol : float
-val default_atol : float
-
 (** Integrate from [t0] to [t1], sampling the solution on a uniform grid
     of [samples] points. [h0] is the initial step, [hmax] the cap
     (default: a tenth of the span).

@@ -47,7 +47,5 @@ val count : t -> int
 val degraded : t -> bool
 (** True when any event's action is a ["degrade:*"]. *)
 
-val event_string : event -> string
-
 val to_string : t -> string
 (** One event per line. *)

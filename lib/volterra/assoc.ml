@@ -199,13 +199,6 @@ let create ?recorder ?(policy = Robust.Policy.default ()) ?fault ?s0
 
 let s0 t = t.s0
 
-let qldae t = t.q
-
-let report t =
-  match t.recorder with
-  | None -> Robust.Report.empty
-  | Some r -> Robust.Report.events r
-
 (* Regularization strength for shifted Kronecker-sum retries, scaled to
    the expansion point so the pole displacement stays relative. *)
 let reg_mu t = t.policy.Robust.Policy.tikhonov_mu *. (1.0 +. Float.abs t.s0)

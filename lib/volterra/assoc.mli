@@ -58,11 +58,6 @@ val create :
 (** The expansion point in use. *)
 val s0 : t -> float
 
-val qldae : t -> Qldae.t
-
-(** Recovery events recorded so far (empty without a recorder). *)
-val report : t -> Robust.Report.t
-
 (** [series t ~order] for [order] 1, 2 or 3: one lazy moment series of
     [H_order] about [s0] per input combination — every input for [H1],
     every unordered pair [(a, b)], [a ≤ b], for [H2], every unordered

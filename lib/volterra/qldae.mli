@@ -42,7 +42,6 @@ val make :
 val dim : t -> int
 
 val n_inputs : t -> int
-val n_outputs : t -> int
 val has_d1 : t -> bool
 val has_g2 : t -> bool
 val has_g3 : t -> bool

@@ -118,9 +118,3 @@ let h3 t ~inputs:(a, b, c) (s1 : Complex.t) (s2 : Complex.t) (s3 : Complex.t) :
 (* Scalar (output-projected) transfer values cᵀ Hn. *)
 let output_h1 t ~input s =
   Cvec.dot (Cvec.of_real (Mat.row t.q.Qldae.c 0)) (h1 t ~input s)
-
-let output_h2 t ~inputs s1 s2 =
-  Cvec.dot (Cvec.of_real (Mat.row t.q.Qldae.c 0)) (h2 t ~inputs s1 s2)
-
-let output_h3 t ~inputs s1 s2 s3 =
-  Cvec.dot (Cvec.of_real (Mat.row t.q.Qldae.c 0)) (h3 t ~inputs s1 s2 s3)

@@ -24,13 +24,3 @@ val h3 :
 
 (** Output-projected scalar values [c₀ᵀ Hn]. *)
 val output_h1 : t -> input:int -> Complex.t -> Complex.t
-
-val output_h2 : t -> inputs:int * int -> Complex.t -> Complex.t -> Complex.t
-
-val output_h3 :
-  t ->
-  inputs:int * int * int ->
-  Complex.t ->
-  Complex.t ->
-  Complex.t ->
-  Complex.t

@@ -19,9 +19,6 @@ type responses = {
   x3 : Vec.t array;
 }
 
-(** The 3n-dimensional cascade as an ODE system. *)
-val cascade_system : Qldae.t -> input:(float -> Vec.t) -> Ode.Types.system
-
 (** Integrate the cascade from rest. *)
 val responses :
   ?rtol:float ->

@@ -8,7 +8,6 @@ val relative_error_series :
 
 val max_relative_error : reference:float array -> approx:float array -> float
 val rms : float array -> float
-val rms_error : reference:float array -> approx:float array -> float
 
 (** Largest magnitude of a series. *)
 val peak : float array -> float

@@ -18,8 +18,6 @@ let smooth_step ?(tau = 1.0) amplitude : t =
 let sine ?(phase = 0.0) ~freq amplitude : t =
  fun t -> amplitude *. sin ((2.0 *. Float.pi *. freq *. t) +. phase)
 
-let cosine ~freq amplitude : t = sine ~phase:(Float.pi /. 2.0) ~freq amplitude
-
 let two_tone ~f1 ~f2 a1 a2 : t =
  fun t ->
   (a1 *. sin (2.0 *. Float.pi *. f1 *. t)) +. (a2 *. sin (2.0 *. Float.pi *. f2 *. t))

@@ -15,7 +15,6 @@ val step : ?at:float -> float -> t
 val smooth_step : ?tau:float -> float -> t
 
 val sine : ?phase:float -> freq:float -> float -> t
-val cosine : freq:float -> float -> t
 val two_tone : f1:float -> f2:float -> float -> float -> t
 
 (** Damped sine burst — the oscillatory NLTL excitation. *)

@@ -134,7 +134,7 @@ let test_jsonl_roundtrip () =
     [ ("flops_lu", 144_000); ("flops_trisolve", 7_200); ("bytes_read", 57_600) ]
   in
   let j =
-    Obs.Sink.record_to_json ~tag:"span"
+    Obs.Sink.record_to_json
       {
         Obs.Sink.name = "lu.factor";
         depth = 2;

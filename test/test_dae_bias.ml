@@ -1,5 +1,5 @@
-(* Tests for the §4-remark features: algebraic-node elimination
-   (singular C) and DC operating point / equilibrium recentring. *)
+(* Tests for the §4-remark DC operating point and equilibrium
+   recentring. *)
 
 open La
 
@@ -13,106 +13,6 @@ let check_float name expected actual tol =
     (Printf.sprintf "%s (expected %.6g, got %.6g)" name expected actual)
     true
     (Float.abs (expected -. actual) <= tol)
-
-(* A divider circuit with a cap-less internal node: node 2 is purely
-   algebraic (resistive divider between nodes 1 and 3). *)
-let divider_netlist () =
-  Circuit.Netlist.make ~n_nodes:3 ~n_inputs:1 ~output_node:3
-    Circuit.Netlist.
-      [
-        Capacitor { n1 = 1; n2 = 0; c = 1.0 };
-        Capacitor { n1 = 3; n2 = 0; c = 2.0 };
-        Resistor { n1 = 1; n2 = 2; r = 1.0 };
-        Resistor { n1 = 2; n2 = 0; r = 4.0 };
-        Resistor { n1 = 2; n2 = 3; r = 2.0 };
-        Resistor { n1 = 3; n2 = 0; r = 5.0 };
-        Current_source { n1 = 1; n2 = 0; input = 0; gain = 1.0 };
-      ]
-
-let test_algebraic_detection () =
-  let a = Circuit.Netlist.assemble (divider_netlist ()) in
-  let r = Circuit.Reduce_dae.eliminate_algebraic a in
-  Alcotest.(check int) "one algebraic state" 1
-    (Array.length r.Circuit.Reduce_dae.algebraic_index);
-  Alcotest.(check int) "algebraic state is node 2" 1
-    r.Circuit.Reduce_dae.algebraic_index.(0);
-  Alcotest.(check int) "two dynamic states" 2
-    r.Circuit.Reduce_dae.assembled.Circuit.Netlist.n_states
-
-let test_algebraic_elimination_dynamics () =
-  (* the eliminated system must reproduce the reference dynamics
-     obtained by adding a tiny parasitic capacitance at node 2 *)
-  let a = Circuit.Netlist.assemble (divider_netlist ()) in
-  let r = Circuit.Reduce_dae.eliminate_algebraic a in
-  let reference =
-    Circuit.Netlist.make ~n_nodes:3 ~n_inputs:1 ~output_node:3
-      Circuit.Netlist.
-        [
-          Capacitor { n1 = 1; n2 = 0; c = 1.0 };
-          Capacitor { n1 = 2; n2 = 0; c = 1e-7 };
-          Capacitor { n1 = 3; n2 = 0; c = 2.0 };
-          Resistor { n1 = 1; n2 = 2; r = 1.0 };
-          Resistor { n1 = 2; n2 = 0; r = 4.0 };
-          Resistor { n1 = 2; n2 = 3; r = 2.0 };
-          Resistor { n1 = 3; n2 = 0; r = 5.0 };
-          Current_source { n1 = 1; n2 = 0; input = 0; gain = 1.0 };
-        ]
-  in
-  let input t = Vec.of_list [ 0.8 *. (1.0 -. Float.exp (-.t)) ] in
-  let sys_red =
-    Circuit.Netlist.to_ode_system r.Circuit.Reduce_dae.assembled ~input
-  in
-  let sys_ref = Circuit.Netlist.to_ode_system (Circuit.Netlist.assemble reference) ~input in
-  let sol_red =
-    Ode.Rkf45.integrate sys_red ~t0:0.0 ~t1:10.0 ~x0:(Vec.create 2) ~samples:6 ()
-  in
-  let sol_ref =
-    Ode.Rkf45.integrate sys_ref ~t0:0.0 ~t1:10.0 ~x0:(Vec.create 3) ~samples:6 ()
-  in
-  Array.iteri
-    (fun i xr ->
-      let xref = sol_ref.Ode.Types.states.(i) in
-      check_small "node 1 matches" (Float.abs (xr.(0) -. xref.(0))) 1e-5;
-      check_small "node 3 matches" (Float.abs (xr.(1) -. xref.(2))) 1e-5;
-      (* recovered algebraic voltage matches the parasitic-cap node *)
-      let xa =
-        r.Circuit.Reduce_dae.recover xr (input sol_red.Ode.Types.times.(i))
-      in
-      check_small "recovered node 2" (Float.abs (xa.(0) -. xref.(1))) 1e-5)
-    sol_red.Ode.Types.states
-
-let test_algebraic_rejects_nonlinear () =
-  let nl =
-    Circuit.Netlist.make ~n_nodes:2 ~n_inputs:1 ~output_node:1
-      Circuit.Netlist.
-        [
-          Capacitor { n1 = 1; n2 = 0; c = 1.0 };
-          Resistor { n1 = 1; n2 = 2; r = 1.0 };
-          Diode { n1 = 2; n2 = 0; alpha = 10.0; scale = 1.0 };
-          Current_source { n1 = 1; n2 = 0; input = 0; gain = 1.0 };
-        ]
-  in
-  let a = Circuit.Netlist.assemble nl in
-  Alcotest.(check bool) "nonlinear algebraic node rejected" true
-    (try
-       ignore (Circuit.Reduce_dae.eliminate_algebraic a);
-       false
-     with Robust.Error.Error (Robust.Error.Contract_violation _) -> true)
-
-let test_regular_passthrough () =
-  let a =
-    Circuit.Netlist.assemble
-      (Circuit.Netlist.make ~n_nodes:1 ~n_inputs:1 ~output_node:1
-         Circuit.Netlist.
-           [
-             Capacitor { n1 = 1; n2 = 0; c = 1.0 };
-             Resistor { n1 = 1; n2 = 0; r = 1.0 };
-             Current_source { n1 = 1; n2 = 0; input = 0; gain = 1.0 };
-           ])
-  in
-  let r = Circuit.Reduce_dae.eliminate_algebraic a in
-  Alcotest.(check int) "nothing eliminated" 0
-    (Array.length r.Circuit.Reduce_dae.algebraic_index)
 
 (* ---- DC operating point and equilibrium shift ---- *)
 
@@ -232,14 +132,6 @@ let test_biased_reduction () =
 let suite =
   let tc = Alcotest.test_case in
   [
-    ( "dae.algebraic",
-      [
-        tc "detection" `Quick test_algebraic_detection;
-        tc "elimination matches parasitic-cap reference" `Quick
-          test_algebraic_elimination_dynamics;
-        tc "nonlinear constraint rejected" `Quick test_algebraic_rejects_nonlinear;
-        tc "regular system passthrough" `Quick test_regular_passthrough;
-      ] );
     ( "dae.bias",
       [
         tc "diode DC operating point" `Quick test_dc_operating_point_diode;

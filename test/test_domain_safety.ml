@@ -176,7 +176,7 @@ let test_gauge_hist_merge () =
   let n_domains = 4 and per_domain = 25 in
   let worker d () =
     for i = 1 to per_domain do
-      Obs.Metrics.observe "ds_hist" (float_of_int (d + i));
+      Obs.Qhist.observe "ds_hist" (float_of_int (d + i));
       Obs.Metrics.set_gauge (Printf.sprintf "ds_gauge_%d" d) (float_of_int d)
     done
   in
@@ -216,8 +216,6 @@ let test_concurrent_span_depth () =
         (fun r -> Mutex.protect mu (fun () -> sink.Obs.Sink.on_span r));
       on_event =
         (fun r -> Mutex.protect mu (fun () -> sink.Obs.Sink.on_event r));
-      on_scope =
-        (fun r -> Mutex.protect mu (fun () -> sink.Obs.Sink.on_scope r));
       flush = sink.Obs.Sink.flush;
     }
   in

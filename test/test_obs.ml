@@ -145,9 +145,8 @@ let test_disabled_counters_are_noops () =
     (fun () ->
       Obs.Metrics.incr ~by:100 Obs.Metrics.Matvec;
       Obs.Metrics.set_gauge "obs_test_gauge" 1.0;
-      Obs.Metrics.observe "obs_test_hist" 1.0;
+      Obs.Qhist.observe "obs_test_hist" 1.0;
       Obs.Cost.charge Obs.Cost.Flops_lu 1_000 ~read:10 ~written:10;
-      Obs.Scope.with_ ~name:"obs_test_off" ignore;
       ignore
         (with_memory_sink (fun () ->
              Obs.Span.with_ ~name:"obs_test_off" ignore)));
@@ -157,12 +156,9 @@ let test_disabled_counters_are_noops () =
   Alcotest.(check (list (pair string int)))
     "cost untouched while disabled" []
     (List.map (fun (c, n) -> (Obs.Cost.name c, n)) (Obs.Cost.since csnap));
-  List.iter
-    (fun k ->
-      Alcotest.(check bool)
-        (k ^ " histogram not recorded while disabled") true
-        (Obs.Qhist.view k = None))
-    [ "scope.obs_test_off"; "span.obs_test_off" ];
+  Alcotest.(check bool)
+    "span.obs_test_off histogram not recorded while disabled" true
+    (Obs.Qhist.view "span.obs_test_off" = None);
   Alcotest.(check bool)
     "gauge not recorded while disabled" true
     (List.assoc_opt "obs_test_gauge" (Obs.Metrics.gauges ()) = None);
@@ -187,7 +183,7 @@ let test_jsonl_rendering () =
   Alcotest.(check string)
     "span json"
     "{\"type\":\"span\",\"name\":\"atmor.reduce\",\"depth\":1,\"start\":1.500000,\"dur\":0.250000,\"counters\":{\"lu_factor\":1,\"matvec\":42},\"cost.flops_matvec\":7200}"
-    (Obs.Sink.record_to_json ~tag:"span" span);
+    (Obs.Sink.record_to_json span);
   let event =
     {
       Obs.Sink.name = "recovery";
@@ -200,6 +196,44 @@ let test_jsonl_rendering () =
     "event json escapes quotes and newlines"
     "{\"type\":\"event\",\"name\":\"recovery\",\"depth\":2,\"time\":3.000000,\"detail\":\"pole \\\"hit\\\"\\nat s0\"}"
     (Obs.Sink.event_to_json event)
+
+(* The wire format knows spans and events only: the same record
+   retagged "scope" (a record type older traces carried) is rejected
+   like any unknown type, not half-parsed into the span tree. *)
+let test_scope_record_rejected () =
+  let span =
+    Obs.Sink.record_to_json
+      { Obs.Sink.name = "t.wire"; depth = 0; start = 0.0; dur = 0.1;
+        counters = [ ("matvec", 7) ]; cost = []; prof = None }
+  in
+  (match Obs.Trace.parse_line span with
+  | Obs.Trace.Span s -> Alcotest.(check string) "span parses" "t.wire" s.Obs.Sink.name
+  | Obs.Trace.Event _ -> Alcotest.fail "span parsed as an event");
+  let tag = "\"type\":\"span\"" in
+  let n = String.length tag in
+  let scope = "{\"type\":\"scope\"" ^ String.sub span (n + 1) (String.length span - n - 1) in
+  Alcotest.(check string) "retagged prefix" "{\"type\":\"scope\",\"name\""
+    (String.sub scope 0 22);
+  match Obs.Trace.parse_line scope with
+  | _ -> Alcotest.fail "a scope record must not parse"
+  | exception Obs.Trace.Malformed m ->
+    Alcotest.(check bool) ("names the type: " ^ m) true
+      (String.length m >= 7
+       && String.sub m (String.length m - 7) 7 = "\"scope\"")
+
+let test_clock_time () =
+  let v, dt = Obs.Clock.time (fun () -> 17) in
+  Alcotest.(check int) "value passes through" 17 v;
+  Alcotest.(check bool) "duration nonnegative" true (dt >= 0.0);
+  (* a thunk that spins for 2 ms must be timed at no less than that *)
+  let _, dt =
+    Obs.Clock.time (fun () ->
+        let t0 = Obs.Clock.now () in
+        while Obs.Clock.now () -. t0 < 0.002 do
+          ()
+        done)
+  in
+  Alcotest.(check bool) "covers the thunk's wall time" true (dt >= 0.002)
 
 let test_jsonl_file_roundtrip () =
   (* relative path: lands in the dune sandbox, not the source tree *)
@@ -447,6 +481,9 @@ let suite =
         Alcotest.test_case "null sink purity" `Quick test_null_sink_purity;
         Alcotest.test_case "disabled-instrumentation overhead <2%" `Slow
           test_disabled_overhead_budget;
+        Alcotest.test_case "scope record rejected" `Quick
+          test_scope_record_rejected;
+        Alcotest.test_case "clock times a thunk" `Quick test_clock_time;
       ] );
     ( "facade",
       [

@@ -63,7 +63,7 @@ let test_prof_disabled () =
   | _ -> Alcotest.fail "expected one span");
   (* the JSONL rendering then carries no prof.* members *)
   let j =
-    Obs.Sink.record_to_json ~tag:"span"
+    Obs.Sink.record_to_json
       { Obs.Sink.name = "quiet"; depth = 0; start = 0.0; dur = 0.1;
         counters = []; cost = []; prof = None }
   in
@@ -82,7 +82,7 @@ let test_prof_jsonl_roundtrip () =
     }
   in
   let j =
-    Obs.Sink.record_to_json ~tag:"span"
+    Obs.Sink.record_to_json
       { Obs.Sink.name = "k"; depth = 0; start = 1.0; dur = 0.5;
         counters = [ ("matvec", 7) ]; cost = [ ("flops_matvec", 840) ]; prof = Some p }
   in

@@ -1,12 +1,11 @@
-(* Tests for PR 10: per-request telemetry scopes (Obs.Scope),
-   deterministic quantile histograms (Obs.Qhist) and the OpenMetrics
-   exporter — plus the bench gate's latency block.
+(* Tests for the deterministic quantile histograms (Obs.Qhist), the
+   library call sites that feed them (ODE steppers, Arnoldi, the
+   reducer tail, health headlines), the OpenMetrics exporter and the
+   `vmor metrics` command, plus the bench gate's latency block.
 
-   The load-bearing assertions are the exactness ones: concurrent
-   per-scope deltas must sum to the process-wide delta (Scope diffs
-   domain-local accumulators, not merged snapshots), and Qhist bucket
-   counts / quantiles must come out bit-identical whether a value
-   stream is observed serially or split across 4 domains. *)
+   The load-bearing assertion is exactness: Qhist bucket counts and
+   quantiles must come out bit-identical whether a value stream is
+   observed serially or split across 4 domains. *)
 
 let check_int = Alcotest.(check int)
 
@@ -20,93 +19,6 @@ let lcg_stream ~seed n =
       let m = 1.0 +. (float_of_int (!x land 0xFFFF) /. 65536.0) in
       let e = ((!x lsr 16) mod 20) - 10 in
       Float.ldexp m e)
-
-(* ---- scopes: nesting and delta capture ---- *)
-
-let test_scope_nesting_and_deltas () =
-  let (), outer =
-    Obs.Scope.with_result ~name:"t.outer" (fun () ->
-        Obs.Metrics.incr ~by:2 Obs.Metrics.Lu_factor;
-        let (), inner =
-          Obs.Scope.with_result ~name:"t.inner" (fun () ->
-              (* depth () counts open scopes: outer + inner = 2 *)
-              check_int "inner depth" 2 (Obs.Scope.depth ());
-              Obs.Metrics.incr ~by:3 Obs.Metrics.Matvec)
-        in
-        check_int "inner is depth 1" 1 inner.Obs.Scope.depth;
-        Alcotest.(check (list (pair string int)))
-          "inner sees only its own counters"
-          [ ("matvec", 3) ]
-          (List.map
-             (fun (c, n) -> (Obs.Metrics.name c, n))
-             inner.Obs.Scope.counters))
-  in
-  check_int "outer is depth 0" 0 outer.Obs.Scope.depth;
-  check_int "depth restored" 0 (Obs.Scope.depth ());
-  (* outer deltas are inclusive of the nested scope *)
-  let get c =
-    Option.value ~default:0 (List.assoc_opt c outer.Obs.Scope.counters)
-  in
-  check_int "outer lu_factor" 2 (get Obs.Metrics.Lu_factor);
-  check_int "outer matvec (inclusive)" 3 (get Obs.Metrics.Matvec);
-  Alcotest.(check bool) "duration nonnegative" true (outer.Obs.Scope.dur >= 0.0)
-
-let test_scope_exception_safe () =
-  let before = Obs.Scope.depth () in
-  (match
-     Obs.Scope.with_ ~name:"t.raises" (fun () -> raise (Failure "boom"))
-   with
-  | () -> Alcotest.fail "expected Failure"
-  | exception Failure _ -> ());
-  check_int "depth restored after raise" before (Obs.Scope.depth ())
-
-(* Sum of concurrent per-scope deltas = process-wide delta, under 4
-   domains.  This is the property Span cannot give (it diffs merged
-   snapshots, smearing concurrent work): each scope diffs its own
-   domain's accumulator, so nothing is double-counted or lost. *)
-let test_concurrent_scope_exactness () =
-  Vmor.Par.with_domains (Some 4) (fun () ->
-      let snap = Obs.Metrics.snapshot () in
-      let csnap = Obs.Cost.snapshot () in
-      let items = List.init 16 (fun i -> i + 1) in
-      let scopes =
-        Vmor.Par.map_list
-          (fun i ->
-            snd
-              (Obs.Scope.with_result ~name:"t.conc" (fun () ->
-                   Obs.Metrics.incr ~by:i Obs.Metrics.Matvec;
-                   Obs.Cost.charge Obs.Cost.Flops_axpy (10 * i))))
-          items
-      in
-      let expected = List.fold_left ( + ) 0 items in
-      let scope_sum sel =
-        List.fold_left (fun acc s -> acc + sel s) 0 scopes
-      in
-      let metric_of (s : Obs.Scope.t) =
-        Option.value ~default:0
-          (List.assoc_opt Obs.Metrics.Matvec s.Obs.Scope.counters)
-      in
-      let cost_of (s : Obs.Scope.t) =
-        Option.value ~default:0
-          (List.assoc_opt Obs.Cost.Flops_axpy s.Obs.Scope.cost)
-      in
-      (* every scope captured exactly its own item's increments *)
-      List.iter2
-        (fun i s ->
-          check_int (Printf.sprintf "scope %d matvec" i) i (metric_of s);
-          check_int (Printf.sprintf "scope %d cost" i) (10 * i) (cost_of s))
-        items scopes;
-      (* ... and they sum to the process-wide deltas *)
-      check_int "scope matvec deltas sum to global" expected
-        (scope_sum metric_of);
-      check_int "global matvec delta" expected
-        (Option.value ~default:0
-           (List.assoc_opt Obs.Metrics.Matvec (Obs.Metrics.since snap)));
-      check_int "scope cost deltas sum to global" (10 * expected)
-        (scope_sum cost_of);
-      check_int "global cost delta" (10 * expected)
-        (Option.value ~default:0
-           (List.assoc_opt Obs.Cost.Flops_axpy (Obs.Cost.since csnap))))
 
 (* ---- qhist: geometry, merge exactness, quantile determinism ---- *)
 
@@ -211,8 +123,8 @@ let test_span_feeds_qhist () =
 
 (* the CSV summary carries per-stat columns (not a packed blob) *)
 let test_metrics_csv_columns () =
-  Obs.Metrics.observe "t.csv.h" 2.0;
-  Obs.Metrics.observe "t.csv.h" 4.0;
+  Obs.Qhist.observe "t.csv.h" 2.0;
+  Obs.Qhist.observe "t.csv.h" 4.0;
   let csv = Obs.Metrics.to_csv_string () in
   let contains needle =
     let nl = String.length needle and l = String.length csv in
@@ -228,11 +140,11 @@ let test_metrics_csv_columns () =
 
 let test_openmetrics_round_trip () =
   Obs.Metrics.incr ~by:5 Obs.Metrics.Matvec;
-  Obs.Metrics.observe "t.om.h" 0.25;
-  Obs.Metrics.observe "t.om.h" 4.0;
+  Obs.Qhist.observe "t.om.h" 0.25;
+  Obs.Qhist.observe "t.om.h" 4.0;
   (* overflow-bucket population must not duplicate the terminal +Inf
      sample (its upper edge is +Inf already) *)
-  Obs.Metrics.observe "t.om.h" Float.infinity;
+  Obs.Qhist.observe "t.om.h" Float.infinity;
   let text = Obs.Openmetrics.render () in
   (match Obs.Openmetrics.validate text with
   | Ok () -> ()
@@ -264,31 +176,163 @@ let test_openmetrics_validator_rejects () =
   reject "garbage line" (fun t -> "!! not a metric line\n" ^ t);
   reject "content after EOF" (fun t -> t ^ "vmor_matvec_total 1\n")
 
-(* scope records survive the JSONL round trip through Trace.load *)
-let test_scope_jsonl_round_trip () =
-  let path = Filename.temp_file "vmor_scope" ".jsonl" in
-  let oc = open_out path in
-  let sink = Obs.Sink.jsonl oc in
+(* ---- call sites: solvers, Krylov loops and reducers feed Qhist ---- *)
+
+let hist_count name =
+  match Obs.Qhist.view name with Some v -> v.Obs.Qhist.count | None -> 0
+
+let hist_sum name =
+  match Obs.Qhist.view name with Some v -> v.Obs.Qhist.sum | None -> 0.0
+
+(* x' = -x: smooth, linear, converges in one chord iteration per step *)
+let decay =
+  {
+    Ode.Types.dim = 1;
+    rhs = (fun _ x -> La.Vec.scale (-1.0) x);
+    jac = Some (fun _ _ -> La.Mat.diag (La.Vec.of_array [| -1.0 |]));
+  }
+
+let run_rkf45 () =
+  Ode.Rkf45.integrate decay ~t0:0.0 ~t1:2.0 ~x0:(La.Vec.of_array [| 1.0 |])
+    ~samples:5 ()
+
+(* diag(1..6) with an all-ones start vector: distinct eigenvalues and
+   every eigencomponent excited, so no breakdown before k = 4 *)
+let run_arnoldi () =
+  let a = La.Mat.diag (La.Vec.init 6 (fun i -> float_of_int (i + 1))) in
+  Mor.Arnoldi.run ~matvec:(La.Mat.mul_vec a) ~b:(La.Vec.init 6 (fun _ -> 1.0))
+    ~k:4 ()
+
+let test_rkf45_feeds_qhist () =
+  let steps0 = hist_count "rkf45.step_size"
+  and errs0 = hist_count "rkf45.local_error"
+  and sum0 = hist_sum "rkf45.step_size" in
+  let sol = run_rkf45 () in
+  let steps = sol.Ode.Types.stats.Ode.Types.steps in
+  Alcotest.(check bool) "integration took steps" true (steps > 0);
+  check_int "one step_size per accepted step" (steps0 + steps)
+    (hist_count "rkf45.step_size");
+  check_int "one local_error per accepted step" (errs0 + steps)
+    (hist_count "rkf45.local_error");
+  (* the accepted steps tile [t0, t1] exactly *)
+  Alcotest.(check (float 1e-9))
+    "step sizes sum to the span" 2.0
+    (hist_sum "rkf45.step_size" -. sum0)
+
+let test_imtrap_feeds_qhist () =
+  let steps0 = hist_count "imtrap.step_size"
+  and iters0 = hist_count "imtrap.newton_iters" in
+  let sol =
+    Ode.Imtrap.integrate decay ~t0:0.0 ~t1:1.0 ~x0:(La.Vec.of_array [| 1.0 |])
+      ~h:0.1 ~samples:5 ()
+  in
+  let steps = sol.Ode.Types.stats.Ode.Types.steps in
+  Alcotest.(check bool) "integration took steps" true (steps >= 10);
+  check_int "one step_size per step" (steps0 + steps)
+    (hist_count "imtrap.step_size");
+  check_int "one newton_iters per step" (iters0 + steps)
+    (hist_count "imtrap.newton_iters")
+
+let test_arnoldi_feeds_qhist () =
+  let sub0 = hist_count "arnoldi.subdiag"
+  and margin0 = hist_count "arnoldi.defl_margin"
+  and sum0 = hist_sum "arnoldi.subdiag" in
+  let r = run_arnoldi () in
+  Alcotest.(check bool) "no breakdown" false r.Mor.Arnoldi.breakdown;
+  check_int "one subdiag per iteration" (sub0 + 4)
+    (hist_count "arnoldi.subdiag");
+  check_int "one defl_margin per iteration" (margin0 + 4)
+    (hist_count "arnoldi.defl_margin");
+  (* the observed values are the Hessenberg subdiagonal itself *)
+  let expected =
+    List.fold_left
+      (fun acc j -> acc +. La.Mat.get r.Mor.Arnoldi.h (j + 1) j)
+      0.0 [ 0; 1; 2; 3 ]
+  in
+  Alcotest.(check (float 1e-9))
+    "subdiag observations sum to h(j+1,j)" expected
+    (hist_sum "arnoldi.subdiag" -. sum0)
+
+let test_reduce_feeds_qhist () =
+  let q =
+    Circuit.Models.qldae
+      (Circuit.Models.nltl ~stages:6 ~source:(`Voltage 1.0) ())
+  in
+  let before = hist_count "reduction_seconds" in
+  let r = Mor.Atmor.reduce ~orders:{ Mor.Atmor.k1 = 3; k2 = 1; k3 = 0 } q in
+  check_int "one observation per reduction" (before + 1)
+    (hist_count "reduction_seconds");
+  match Obs.Qhist.view "reduction_seconds" with
+  | Some v ->
+    Alcotest.(check bool) "reported time within the observed range" true
+      (r.Mor.Atmor.reduction_seconds <= v.Obs.Qhist.maxv)
+  | None -> Alcotest.fail "reduction_seconds histogram missing"
+
+(* health headlines reach Qhist only while a sink listens *)
+let test_health_feeds_qhist () =
+  let cond = Obs.Health.Cond { context = "t.cond"; dim = 3; cond = 1e7 } in
+  let before = hist_count "health.cond" in
+  Obs.Health.emit cond;
+  check_int "null sink: nothing observed" before (hist_count "health.cond");
+  let sink, _captured = Obs.Sink.memory () in
   Obs.Sink.set sink;
   Fun.protect
-    ~finally:(fun () ->
-      Obs.Sink.set Obs.Sink.null;
-      close_out_noerr oc)
+    ~finally:(fun () -> Obs.Sink.set Obs.Sink.null)
+    (fun () -> Obs.Health.emit cond);
+  check_int "active sink: one observation" (before + 1)
+    (hist_count "health.cond");
+  match Obs.Qhist.view "health.cond" with
+  | Some v ->
+    Alcotest.(check bool) "condition estimate recorded" true
+      (v.Obs.Qhist.maxv >= 1e7)
+  | None -> Alcotest.fail "health.cond histogram missing"
+
+let test_disabled_call_sites () =
+  let names =
+    [ "rkf45.step_size"; "rkf45.local_error"; "arnoldi.subdiag";
+      "arnoldi.defl_margin" ]
+  in
+  let before = List.map hist_count names in
+  Obs.Metrics.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled true)
     (fun () ->
-      Obs.Scope.with_ ~name:"t.wire" (fun () ->
-          Obs.Metrics.incr ~by:7 Obs.Metrics.Matvec);
-      sink.Obs.Sink.flush ());
-  let t = Obs.Trace.load path in
-  Sys.remove path;
-  (match t.Obs.Trace.scopes with
-  | [ s ] ->
-    Alcotest.(check string) "scope name" "t.wire" s.Obs.Sink.name;
-    check_int "scope depth" 0 s.Obs.Sink.depth;
-    check_int "scope counter delta" 7
-      (Option.value ~default:0 (List.assoc_opt "matvec" s.Obs.Sink.counters))
-  | l -> Alcotest.fail (Printf.sprintf "expected 1 scope, got %d" (List.length l)));
-  (* scopes stay out of the span tree *)
-  check_int "no spans from scopes" 0 (List.length t.Obs.Trace.spans)
+      ignore (run_rkf45 ());
+      ignore (run_arnoldi ()));
+  List.iter2
+    (fun name n -> check_int (name ^ " untouched while disabled") n (hist_count name))
+    names before
+
+(* ---- vmor metrics: timed requests reach the exposition ---- *)
+
+let cli_exe = Filename.concat Filename.parent_dir_name "bin/vmor_cli.exe"
+
+let test_metrics_cli_exposition () =
+  let path = Filename.temp_file "vmor_metrics" ".txt" in
+  let cmd =
+    Printf.sprintf
+      "env -u VMOR_DEADLINE %s metrics --model nltl-v --scale 0.1 \
+       --orders 3,1,0 --requests 3 -o %s > /dev/null 2>&1"
+      (Filename.quote cli_exe) (Filename.quote path)
+  in
+  let code = Sys.command cmd in
+  let text =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () -> In_channel.with_open_bin path In_channel.input_all)
+  in
+  check_int "metrics exit code" 0 code;
+  (match Obs.Openmetrics.validate text with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("exposition invalid: " ^ m));
+  let lines = String.split_on_char '\n' text in
+  let has line = List.mem line lines in
+  Alcotest.(check bool) "request histogram family" true
+    (has "# TYPE vmor_hist_request histogram");
+  Alcotest.(check bool) "one observation per request" true
+    (has "vmor_hist_request_count 3");
+  Alcotest.(check bool) "ROM transients feed the rkf45 family" true
+    (has "# TYPE vmor_hist_rkf45_step_size histogram")
 
 (* ---- bench gate: latency block pass/fail matrix ---- *)
 
@@ -337,14 +381,6 @@ let test_gate_latency_matrix () =
 
 let suite =
   [
-    ( "scope.deltas",
-      [
-        Alcotest.test_case "nesting and delta capture" `Quick
-          test_scope_nesting_and_deltas;
-        Alcotest.test_case "exception safety" `Quick test_scope_exception_safe;
-        Alcotest.test_case "concurrent exactness (4 domains)" `Quick
-          test_concurrent_scope_exactness;
-      ] );
     ( "qhist.determinism",
       [
         Alcotest.test_case "bucket geometry" `Quick test_qhist_geometry;
@@ -362,9 +398,20 @@ let suite =
           test_openmetrics_round_trip;
         Alcotest.test_case "validator rejects corruption" `Quick
           test_openmetrics_validator_rejects;
-        Alcotest.test_case "scope jsonl round trip" `Quick
-          test_scope_jsonl_round_trip;
         Alcotest.test_case "gate latency matrix" `Quick
           test_gate_latency_matrix;
+        Alcotest.test_case "vmor metrics exposition" `Quick
+          test_metrics_cli_exposition;
+      ] );
+    ( "qhist.call_sites",
+      [
+        Alcotest.test_case "rkf45 steps" `Quick test_rkf45_feeds_qhist;
+        Alcotest.test_case "imtrap steps" `Quick test_imtrap_feeds_qhist;
+        Alcotest.test_case "arnoldi iterations" `Quick test_arnoldi_feeds_qhist;
+        Alcotest.test_case "one reduction_seconds per reduce" `Quick
+          test_reduce_feeds_qhist;
+        Alcotest.test_case "health headlines under a sink" `Quick
+          test_health_feeds_qhist;
+        Alcotest.test_case "disabled recording" `Quick test_disabled_call_sites;
       ] );
   ]
