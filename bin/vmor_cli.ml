@@ -1,11 +1,11 @@
 (* vmor: command-line front end for the associated-transform NMOR
    library — run the paper's experiments, reduce the bundled circuit
-   models at chosen orders, simulate and compare transients, and trace
-   where a run spends its time.
+   models at chosen orders, simulate and compare transients, and read
+   back where a run spent its time.
 
-   Core subcommands (reduce | simulate | compare | trace) share flag
-   names with the [Vmor.Options] record; --trace/--metrics wire the
-   observability sinks. *)
+   Core subcommands (reduce | simulate | compare) share flag names
+   with the [Vmor.Options] record; --trace/--metrics wire the
+   observability sinks, and [report] reads a written trace. *)
 
 open Cmdliner
 
@@ -268,8 +268,8 @@ let build_options ~method_ ~points ?s0 ~tol ?domains () =
   in
   Vmor.Options.make ?s0 ~tol ~method_ ?domains ()
 
-(* A default excitation for simulate/compare/trace: one damped sine on
-   every input. *)
+(* A default excitation for simulate/compare: one damped sine on every
+   input. *)
 let default_input q ~freq ~amp =
   let m = Volterra.Qldae.n_inputs q in
   Waves.Source.vectorize
@@ -392,77 +392,6 @@ let compare_cmd =
       $ metrics_arg $ deadline_arg $ max_steps_arg $ max_iters_arg
       $ domains_arg $ const ())
 
-let trace_cmd =
-  let out_arg =
-    let doc = "Trace output path." in
-    Arg.(value & opt string "vmor_trace.jsonl" & info [ "o"; "out" ] ~docv:"FILE.jsonl" ~doc)
-  in
-  let run model orders method_ points s0 tol scale t1 samples freq amp out
-      deadline max_steps max_iters domains () =
-    setup_logs (Some Logs.Warning);
-    Robust.Budget.with_budget (budget_of ~deadline ~max_steps ~max_iters)
-    @@ fun () ->
-    (* Tee spans into the JSONL file and an in-memory capture, so the
-       command can both persist the trace and summarize it. *)
-    let mem, captured = Obs.Sink.memory () in
-    let js = Obs.Sink.jsonl_file out in
-    Obs.Sink.set
-      {
-        Obs.Sink.on_span =
-          (fun r -> mem.Obs.Sink.on_span r; js.Obs.Sink.on_span r);
-        on_event = (fun r -> mem.Obs.Sink.on_event r; js.Obs.Sink.on_event r);
-        flush = (fun () -> js.Obs.Sink.flush ());
-      };
-    let q = build_model ~scale model in
-    let k1, k2, k3 = orders in
-    let options =
-      build_options ~method_ ~points ?s0 ~tol ?domains:(domains_of domains) ()
-    in
-    let r = Vmor.reduce ~options ~orders:{ k1; k2; k3 } q in
-    let input = default_input q ~freq ~amp in
-    let c = Vmor.compare_transient ~samples q r ~input ~t1 in
-    Obs.Sink.set Obs.Sink.null;
-    let { Obs.Sink.spans; events } = captured () in
-    Printf.printf
-      "model %s: %d states -> %d, max rel error %.6f\n\
-       trace: %d spans, %d events -> %s\n"
-      model (Volterra.Qldae.dim q) (Vmor.order r) c.Vmor.max_rel_error
-      (List.length spans) (List.length events) out;
-    Printf.printf "where the time went:\n";
-    List.iter
-      (fun (s : Obs.Sink.span_record) ->
-        Printf.printf "  %s%-28s %8.3fs  %s\n"
-          (String.make (2 * s.Obs.Sink.depth) ' ')
-          s.Obs.Sink.name s.Obs.Sink.dur
-          (String.concat " "
-             (List.map
-                (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-                s.Obs.Sink.counters)))
-      (List.filter (fun (s : Obs.Sink.span_record) -> s.Obs.Sink.depth <= 1) spans);
-    print_string
-      (Obs.Trace.render_health
-         (Obs.Trace.of_records
-            (List.map (fun s -> Obs.Trace.Span s) spans
-            @ List.map (fun e -> Obs.Trace.Event e) events)));
-    prerr_string (Obs.Metrics.render_table ());
-    finish_with_report (Vmor.degradation r)
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Reduce + compare a bundled model with full tracing, write the JSONL \
-          trace, and summarize spans and kernel counts.")
-    Term.(
-      const
-        (fun model orders method_ points s0 tol scale t1 samples freq amp out
-             deadline max_steps max_iters domains ->
-          guarded
-            (run model orders method_ points s0 tol scale t1 samples freq amp
-               out deadline max_steps max_iters domains))
-      $ model_arg $ orders_arg $ method_arg $ points_arg $ s0_arg $ tol_arg
-      $ scale_arg $ t1_arg $ samples_arg $ freq_arg $ amp_arg $ out_arg
-      $ deadline_arg $ max_steps_arg $ max_iters_arg $ domains_arg $ const ())
-
 let load_trace path =
   try Obs.Trace.load path with
   | Obs.Trace.Malformed msg -> raise (Usage_error (path ^ ": " ^ msg))
@@ -470,7 +399,7 @@ let load_trace path =
 
 let report_cmd =
   let trace_file_arg =
-    let doc = "JSONL trace file (written by $(b,vmor trace) or --trace)." in
+    let doc = "JSONL trace file (written by --trace or VMOR_TRACE)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE.jsonl" ~doc)
   in
   let diff_arg =
@@ -485,99 +414,68 @@ let report_cmd =
     let doc = "Rows in the hot-kernels (exclusive time) table." in
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc)
   in
-  let run trace_file diff max_depth top () =
-    setup_logs (Some Logs.Warning);
-    match diff with
-    | Some old_file ->
-      (* --diff OLD NEW reads naturally left-to-right, so the
-         positional argument is the new trace. *)
-      print_string
-        (Obs.Trace.render_diff (load_trace old_file) (load_trace trace_file))
-    | None ->
-      let t = load_trace trace_file in
-      print_string (Obs.Trace.render_tree ?max_depth t);
-      print_newline ();
-      print_string (Obs.Trace.render_hot ~top t);
-      print_newline ();
-      print_string (Obs.Trace.render_health t)
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:
-         "Analyze a JSONL trace: where-the-time-went tree, hot-kernels \
-          table, and numerical-health summary, or a diff of two traces.")
-    Term.(
-      const (fun trace_file diff max_depth top ->
-          guarded (run trace_file diff max_depth top))
-      $ trace_file_arg $ diff_arg $ depth_arg $ top_arg $ const ())
-
-let profile_cmd =
-  let trace_file_arg =
-    let doc = "JSONL trace file (written by $(b,vmor trace) or --trace)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE.jsonl" ~doc)
-  in
   let chrome_arg =
     let doc =
-      "Write a Chrome trace-event JSON file (load in Perfetto or \
-       chrome://tracing)."
+      "Also write the trace as a Chrome trace-event JSON file (load in \
+       Perfetto or chrome://tracing)."
     in
     Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"OUT.json" ~doc)
   in
   let folded_arg =
     let doc =
-      "Write folded stacks (feed to flamegraph.pl or speedscope); counts \
-       are exclusive microseconds."
+      "Also write the trace as folded stacks (feed to flamegraph.pl or \
+       speedscope); counts are exclusive microseconds."
     in
     Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"OUT.txt" ~doc)
   in
-  let top_arg =
-    let doc = "Rows in the hot-kernels table." in
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc)
-  in
-  let write_file path contents =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc contents)
-  in
-  let run trace_file chrome folded top () =
+  let run trace_file diff max_depth top chrome folded () =
     setup_logs (Some Logs.Warning);
     let t = load_trace trace_file in
-    (match chrome with
-    | None -> ()
-    | Some out ->
-      write_file out (Obs.Trace.chrome_string t);
-      (* Re-read what was written and validate it structurally, so a
-         rendering bug fails the command instead of Perfetto. *)
-      let ic = open_in out in
-      let contents =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      (try Obs.Trace.validate_chrome (Obs.Json.parse contents) with
-      | Obs.Json.Parse_error msg ->
-        raise (Usage_error (out ^ ": emitted invalid JSON: " ^ msg))
-      | Obs.Trace.Malformed msg ->
-        raise (Usage_error (out ^ ": emitted invalid chrome trace: " ^ msg)));
-      Printf.printf "chrome trace -> %s\n" out);
-    (match folded with
-    | None -> ()
-    | Some out ->
-      write_file out (Obs.Trace.to_folded t);
-      Printf.printf "folded stacks -> %s\n" out);
-    print_string (Obs.Trace.render_hot ~top t)
+    (match diff with
+    | Some old_file ->
+      (* --diff OLD NEW reads naturally left-to-right, so the
+         positional argument is the new trace. *)
+      print_string (Obs.Trace.render_diff (load_trace old_file) t)
+    | None ->
+      print_string (Obs.Trace.render_tree ?max_depth t);
+      print_newline ();
+      print_string (Obs.Trace.render_hot ~top t);
+      print_newline ();
+      print_string (Obs.Trace.render_health t));
+    let write_file path contents =
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+    in
+    Option.iter
+      (fun out ->
+        write_file out (Obs.Trace.chrome_string t);
+        (* Re-read what was written and validate it structurally, so a
+           rendering bug fails the command instead of Perfetto. *)
+        let contents = In_channel.with_open_bin out In_channel.input_all in
+        (try Obs.Trace.validate_chrome (Obs.Json.parse contents) with
+        | Obs.Json.Parse_error msg ->
+          raise (Usage_error (out ^ ": emitted invalid JSON: " ^ msg))
+        | Obs.Trace.Malformed msg ->
+          raise (Usage_error (out ^ ": emitted invalid chrome trace: " ^ msg)));
+        Printf.printf "chrome trace -> %s\n" out)
+      chrome;
+    Option.iter
+      (fun out ->
+        write_file out (Obs.Trace.to_folded t);
+        Printf.printf "folded stacks -> %s\n" out)
+      folded
   in
   Cmd.v
-    (Cmd.info "profile"
+    (Cmd.info "report"
        ~doc:
-         "Profile a JSONL trace: hot-kernels table (exclusive time and \
-          allocation), Chrome trace-event export, and folded stacks for \
-          flamegraphs.")
+         "Analyze a JSONL trace: where-the-time-went tree, hot-kernels \
+          table (exclusive time, allocation and flops), and numerical-health \
+          summary, or a diff of two traces; optionally export it as Chrome \
+          trace events and folded stacks.")
     Term.(
-      const (fun trace_file chrome folded top ->
-          guarded (run trace_file chrome folded top))
-      $ trace_file_arg $ chrome_arg $ folded_arg $ top_arg $ const ())
+      const (fun trace_file diff max_depth top chrome folded ->
+          guarded (run trace_file diff max_depth top chrome folded))
+      $ trace_file_arg $ diff_arg $ depth_arg $ top_arg $ chrome_arg
+      $ folded_arg $ const ())
 
 let bench_history_cmd =
   let dir_arg =
@@ -609,84 +507,6 @@ let bench_history_cmd =
           snapshots.")
     Term.(const (fun dir csv -> guarded (run dir csv)) $ dir_arg $ csv_arg
           $ const ())
-
-(* Service-shaped telemetry export: reduce once, answer N timed
-   simulate requests out of the ROM, then render the OpenMetrics
-   exposition.  The workload mirrors the bench `latency` pass, so the
-   scraped histogram families carry genuine request-latency
-   distributions; the exposition is re-validated before it is written
-   so a format bug fails here rather than in the scraper. *)
-let metrics_cmd =
-  let requests_arg =
-    let doc =
-      "ROM simulate requests to run before the export (each request's wall \
-       time feeds the vmor_hist_request histogram)."
-    in
-    Arg.(value & opt int 8 & info [ "requests" ] ~docv:"N" ~doc)
-  in
-  let out_arg =
-    let doc = "Write the exposition to $(docv) instead of stdout." in
-    Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
-  in
-  let run model orders method_ points s0 tol scale t1 samples freq amp requests
-      out deadline max_steps max_iters domains () =
-    setup_logs (Some Logs.Warning);
-    if requests < 1 then raise (Usage_error "--requests must be >= 1");
-    Robust.Budget.with_budget (budget_of ~deadline ~max_steps ~max_iters)
-    @@ fun () ->
-    let q = build_model ~scale model in
-    let k1, k2, k3 = orders in
-    let options =
-      build_options ~method_ ~points ?s0 ~tol ?domains:(domains_of domains) ()
-    in
-    let r = Vmor.reduce ~options ~orders:{ k1; k2; k3 } q in
-    let rom = Vmor.rom r in
-    let input = default_input q ~freq ~amp in
-    for _i = 1 to requests do
-      let _, dt =
-        Obs.Clock.time (fun () -> Vmor.transient ~samples rom ~input ~t1)
-      in
-      Obs.Qhist.observe "request" dt
-    done;
-    let text = Obs.Openmetrics.render () in
-    (match Obs.Openmetrics.validate text with
-    | Ok () -> ()
-    | Error m ->
-      raise (Usage_error ("internal: invalid OpenMetrics exposition: " ^ m)));
-    (match out with
-    | None -> print_string text
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc text);
-      (match Obs.Qhist.view "request" with
-      | Some v ->
-        Printf.printf
-          "model %s: %d states -> %d; %d requests, p50 %.4gs p99 %.4gs\n"
-          model (Volterra.Qldae.dim q) (Vmor.order r) requests
-          (Obs.Qhist.quantile v 0.5) (Obs.Qhist.quantile v 0.99)
-      | None -> ());
-      Printf.printf "openmetrics -> %s\n" path);
-    finish_with_report (Vmor.degradation r)
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Run a service-shaped workload (reduce once, N timed ROM simulate \
-          requests) and export the OpenMetrics/Prometheus text exposition \
-          (counters, cost counters, gauges, latency histograms).")
-    Term.(
-      const
-        (fun model orders method_ points s0 tol scale t1 samples freq amp
-             requests out deadline max_steps max_iters domains ->
-          guarded
-            (run model orders method_ points s0 tol scale t1 samples freq amp
-               requests out deadline max_steps max_iters domains))
-      $ model_arg $ orders_arg $ method_arg $ points_arg $ s0_arg $ tol_arg
-      $ scale_arg $ t1_arg $ samples_arg $ freq_arg $ amp_arg $ requests_arg
-      $ out_arg $ deadline_arg $ max_steps_arg $ max_iters_arg $ domains_arg
-      $ const ())
 
 let autoselect_cmd =
   let run model scale trace metrics deadline max_steps max_iters domains () =
@@ -814,10 +634,7 @@ let () =
             reduce_cmd;
             simulate_cmd;
             compare_cmd;
-            trace_cmd;
             report_cmd;
-            profile_cmd;
-            metrics_cmd;
             bench_history_cmd;
             autoselect_cmd;
             distortion_cmd;

@@ -44,8 +44,8 @@ module Robust = Robust
 
 (** Observability layer: hierarchical timed spans, kernel counters and
     pluggable trace sinks (see DESIGN.md §8). Enable with the
-    [VMOR_TRACE]/[VMOR_METRICS] environment knobs or the CLI's
-    [--trace]/[--metrics] flags. *)
+    [VMOR_TRACE=FILE]/[VMOR_METRICS=1] environment knobs or the CLI's
+    [--trace]/[--metrics] flags; [vmor report] reads a trace back. *)
 module Obs = Obs
 
 module Ode = Ode

@@ -16,8 +16,8 @@
    [active ()], and [emit] itself is a no-op under the null sink.
 
    Alongside the (sink-gated) events, [emit] folds headline values
-   into [Metrics] histograms/gauges so `vmor trace`'s summary and the
-   CSV export surface worst-case health without trace parsing. *)
+   into [Metrics] histograms/gauges so the [--metrics] table surfaces
+   worst-case health without trace parsing. *)
 
 type record =
   | Arnoldi of {

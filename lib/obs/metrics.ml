@@ -98,35 +98,6 @@ let reset () =
 (* ------------------------------------------------------------------ *)
 (* Rendering.                                                         *)
 
-(* Histogram statistics get proper per-stat columns; counter and gauge
-   rows carry their single value in [value] and leave the stat columns
-   empty. *)
-let to_csv_string () =
-  let now = Registry.snapshot () in
-  let b = Buffer.create 512 in
-  Buffer.add_string b "kind,name,value,count,sum,sumsq,min,max,stddev\n";
-  List.iter
-    (fun c ->
-      Buffer.add_string b
-        (Printf.sprintf "counter,%s,%d,,,,,,\n" (name c) now.(index c)))
-    all;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b (Printf.sprintf "gauge,%s,%.9g,,,,,,\n" k v))
-    (gauges ());
-  List.iter
-    (fun (k, (h : Qhist.view)) ->
-      Buffer.add_string b
-        (Printf.sprintf "histogram,%s,,%d,%.9g,%.9g,%.9g,%.9g,%.9g\n"
-           k h.count h.sum h.sumsq h.minv h.maxv (Qhist.stddev h)))
-    (Qhist.all ());
-  Buffer.contents b
-
-let write_csv path =
-  let oc = open_out path in
-  output_string oc (to_csv_string ());
-  close_out oc
-
 let render_table () =
   let now = Registry.snapshot () in
   let b = Buffer.create 512 in

@@ -63,13 +63,5 @@ val reset : unit -> unit
 (** Zero every event counter, {!Cost} counter and histogram and drop
     every gauge. *)
 
-val to_csv_string : unit -> string
-(** CSV summary: [kind,name,value,count,sum,sumsq,min,max,stddev]
-    rows — counters and gauges fill [value], histograms fill the
-    per-stat columns. *)
-
-val write_csv : string -> unit
-(** Write {!to_csv_string} to a file. *)
-
 val render_table : unit -> string
 (** Human-readable table (the [--metrics] / [VMOR_METRICS=1] output). *)

@@ -30,7 +30,8 @@ val bucket_index : float -> int
     bucket. *)
 
 val upper_bound : int -> float
-(** Nominal upper edge of a bucket — the OpenMetrics [le] label.
+(** Nominal upper edge of a bucket (exclusive: bucket [i] holds
+    [upper_bound (i - 1) <= v < upper_bound i]).
     [upper_bound (n_buckets - 1)] is [infinity]. *)
 
 val observe : string -> float -> unit

@@ -5,10 +5,9 @@
    path, so a disabled tracer costs one load and one pointer compare
    per span.  Environment knobs:
 
-     VMOR_TRACE=<file.jsonl>        install a JSONL trace sink at startup
-     VMOR_METRICS=1|stderr          print the metrics table to stderr at exit
-     VMOR_METRICS=openmetrics:PATH  write the OpenMetrics exposition at exit
-     VMOR_METRICS=<file.csv>        write the metrics CSV summary at exit
+     VMOR_TRACE=<file.jsonl>  install a JSONL trace sink at startup
+     VMOR_METRICS=1|stderr    print the metrics table to stderr at exit
+                              (also true|on|yes; any other value is off)
 
    Explicit [set] (CLI flags, tests) overrides the environment. *)
 
@@ -116,17 +115,10 @@ let () =
   (match Sys.getenv_opt "VMOR_TRACE" with
   | Some path when path <> "" -> Atomic.set sink (jsonl_file path)
   | _ -> ());
-  match Sys.getenv_opt "VMOR_METRICS" with
-  | Some v when v <> "" -> (
-    match String.lowercase_ascii v with
-    | "1" | "true" | "on" | "yes" | "stderr" ->
-      at_exit (fun () -> prerr_string (Metrics.render_table ()))
-    | low when String.length low > 12 && String.sub low 0 12 = "openmetrics:" ->
-      (* keep the path's original case *)
-      let path = String.sub v 12 (String.length v - 12) in
-      at_exit (fun () -> Openmetrics.write_file path)
-    | _ -> at_exit (fun () -> Metrics.write_csv v))
-  | _ -> ()
+  match Option.map String.lowercase_ascii (Sys.getenv_opt "VMOR_METRICS") with
+  | Some ("1" | "true" | "on" | "yes" | "stderr") ->
+    at_exit (fun () -> prerr_string (Metrics.render_table ()))
+  | Some _ | None -> ()
 
 let current () = Atomic.get sink
 

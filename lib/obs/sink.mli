@@ -8,10 +8,8 @@
     domain can be spawned, so the install is race-free):
     - [VMOR_TRACE=<file.jsonl>] — install a {!jsonl_file} sink;
     - [VMOR_METRICS=1|true|on|yes|stderr] — print the metrics table to
-      stderr at process exit;
-    - [VMOR_METRICS=openmetrics:PATH] — write the {!Openmetrics} text
-      exposition to [PATH] at exit;
-    - [VMOR_METRICS=<file.csv>] — write the metrics CSV summary at exit.
+      stderr at process exit, as the CLI's [--metrics] does; any other
+      value leaves it off.
 
     Explicit {!set} (from CLI flags or tests) overrides the
     environment. *)

@@ -3,10 +3,11 @@
    The inverse of [Sink.jsonl]: parse a trace back into span/event
    records, rebuild the span hierarchy (spans are emitted when they
    close, so children precede parents and nesting is recovered from
-   the recorded depths), and render the three views the trace tooling
-   offers: a where-the-time-went tree, a numerical-health summary, and
-   a diff of two runs.  All renderers return strings; printing is the
-   caller's business. *)
+   the recorded depths), and render the views behind [vmor report]: a
+   where-the-time-went tree, a hot-kernels table, a numerical-health
+   summary, a diff of two runs, and the Chrome and folded-stack
+   exports.  All renderers return strings; printing is the caller's
+   business. *)
 
 type record =
   | Span of Sink.span_record
@@ -334,7 +335,8 @@ let render_health t =
    cost is self minus the sum over direct child spans, clamped at zero
    (clock skew between a parent and its children can make the raw
    difference slightly negative).  Aggregated per span name across the
-   whole trace. *)
+   whole trace: the walk visits every tree node, truncated-trace
+   orphans included, so every span record counts once. *)
 
 type attrib = {
   span : string;
@@ -617,18 +619,6 @@ let to_folded t =
 (* ------------------------------------------------------------------ *)
 (* Diffing two traces.                                                *)
 
-let span_totals t : (string * (int * float)) list =
-  let tbl : (string, int * float) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Sink.span_record) ->
-      let n, d =
-        Option.value ~default:(0, 0.0) (Hashtbl.find_opt tbl s.Sink.name)
-      in
-      Hashtbl.replace tbl s.Sink.name (n + 1, d +. s.Sink.dur))
-    t.spans;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (_, (_, a)) (_, (_, b)) -> compare b a)
-
 (* Kernel counters summed over top-level spans only: span counters are
    inclusive of children, so depth 0 gives whole-run totals without
    double counting. *)
@@ -661,6 +651,9 @@ let pct_change ~old ~fresh =
 let render_diff old_t new_t =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun m -> Buffer.add_string b (m ^ "\n")) fmt in
+  let span_totals t =
+    List.map (fun a -> (a.span, (a.calls, a.incl_s))) (attribution t)
+  in
   let old_spans = span_totals old_t and new_spans = span_totals new_t in
   let names =
     List.sort_uniq compare (List.map fst old_spans @ List.map fst new_spans)

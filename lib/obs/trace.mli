@@ -2,9 +2,9 @@
 
     Spans are emitted when they close, so a trace lists children
     before their parents; {!of_records} rebuilds the hierarchy from
-    the recorded depths.  The renderers back the [vmor report] and
-    [vmor profile] subcommands, and return strings — printing is the
-    caller's business. *)
+    the recorded depths.  The renderers back the [vmor report]
+    subcommand, and return strings — printing is the caller's
+    business. *)
 
 type record =
   | Span of Sink.span_record
@@ -49,7 +49,8 @@ type attrib = {
 }
 
 val attribution : t -> attrib list
-(** Per-span-name inclusive and exclusive time/allocation/work totals,
+(** Per-span-name inclusive and exclusive time/allocation/work totals
+    over every span in the trace (truncated-trace orphans included),
     sorted by exclusive time descending.  Exclusive cost is the span's
     own value minus the sum over its direct child spans, clamped at
     zero; allocation columns are zero for traces recorded without
@@ -113,6 +114,7 @@ val render_health : t -> string
 (** Human-readable numerical-health summary block. *)
 
 val render_diff : t -> t -> string
-(** Compare two traces: per-span-name total durations, whole-run
-    kernel counters and cost totals (depth-0 spans), and headline
-    health values, with percentage deltas. *)
+(** Compare two traces: per-span-name calls and inclusive seconds
+    (from {!attribution}), whole-run kernel counters and cost totals
+    (depth-0 spans), and headline health values, with percentage
+    deltas. *)

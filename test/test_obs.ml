@@ -2,7 +2,7 @@
    redesign that exposed it: span nesting and per-span counter
    attribution, counter determinism against a real reduction, JSONL
    round-trips, null-sink purity, the <2% disabled-instrumentation
-   budget, facade equivalence (deprecated wrapper vs Options path) and
+   budget, the VMOR_METRICS switch, facade equivalence (deprecated wrapper vs Options path) and
    the all-channel MIMO comparison fix. *)
 
 open La
@@ -459,6 +459,47 @@ let test_compare_transient_all_channels () =
     true
     (c_bad.Vmor.max_rel_error > 0.5)
 
+(* ---- VMOR_METRICS: the environment twin of --metrics ---- *)
+
+let cli_exe = Filename.concat Filename.parent_dir_name "bin/vmor_cli.exe"
+
+let test_metrics_env () =
+  let err = Filename.temp_file "vmor_metrics" ".err" in
+  let csv = Filename.temp_file "vmor_metrics" ".csv" in
+  Sys.remove csv;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ err; csv ])
+    (fun () ->
+      let stderr_with value =
+        let code =
+          Sys.command
+            (Printf.sprintf
+               "env -u VMOR_DEADLINE -u VMOR_TRACE VMOR_METRICS=%s %s reduce \
+                --model nltl-v --scale 0.1 --orders 3,1,0 > /dev/null 2> %s"
+               (Filename.quote value) (Filename.quote cli_exe)
+               (Filename.quote err))
+        in
+        Alcotest.(check int) ("exit code, VMOR_METRICS=" ^ value) 0 code;
+        In_channel.with_open_bin err In_channel.input_all
+      in
+      let has_table text =
+        let needle = "vmor metrics\n" in
+        let nl = String.length needle and l = String.length text in
+        let rec go i =
+          i + nl <= l && (String.equal (String.sub text i nl) needle || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) "stderr prints the table" true
+        (has_table (stderr_with "stderr"));
+      Alcotest.(check bool) "1 prints the table" true
+        (has_table (stderr_with "1"));
+      (* any other value is off: a path is no longer a CSV sink *)
+      Alcotest.(check bool) "a file path prints nothing" false
+        (has_table (stderr_with csv));
+      Alcotest.(check bool) "and writes no file" false (Sys.file_exists csv))
+
 let suite =
   [
     ( "obs",
@@ -484,6 +525,8 @@ let suite =
         Alcotest.test_case "scope record rejected" `Quick
           test_scope_record_rejected;
         Alcotest.test_case "clock times a thunk" `Quick test_clock_time;
+        Alcotest.test_case "VMOR_METRICS is the twin of --metrics" `Quick
+          test_metrics_env;
       ] );
     ( "facade",
       [

@@ -1,8 +1,8 @@
 (* Tests for the profiling layer: per-span GC/allocation capture
    (Obs.Prof), exclusive-time/allocation attribution, the Chrome
    trace-event and folded-stack exporters, the zero-denominator guard
-   in trace diffs, Obs.Json rendering edge cases, and the GC band of
-   the bench gate. *)
+   in trace diffs, Obs.Json rendering edge cases, the GC band of the
+   bench gate, and the `vmor report` command that reads a trace back. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -401,6 +401,94 @@ let test_gate_gc_band () =
   check_int "gc absent on both sides passes" 0
     (List.length (gate (gc_bench ()) (gc_bench ())))
 
+(* ---- truncated traces: attribution (and so the diff) sees orphans ---- *)
+
+let test_truncated_trace_fold () =
+  let span name depth dur =
+    Obs.Trace.Span
+      { Obs.Sink.name; depth; start = 0.0; dur; counters = []; cost = [];
+        prof = None }
+  in
+  (* the depth-0 root never closed, and "lone" has no closed parent:
+     "mid" and "lone" are orphan roots, "leaf" sits under "mid" *)
+  let t =
+    Obs.Trace.of_records
+      [ span "leaf" 2 0.1; span "mid" 1 0.3; span "lone" 2 0.05 ]
+  in
+  check_int "two orphan roots" 2 (List.length t.Obs.Trace.roots);
+  let rows = Obs.Trace.attribution t in
+  check_int "every span record counted once" (List.length t.Obs.Trace.spans)
+    (List.fold_left (fun acc a -> acc + a.Obs.Trace.calls) 0 rows);
+  let diff = Obs.Trace.render_diff t t in
+  List.iter
+    (fun row -> check_bool ("diff row " ^ row) true (contains diff row))
+    [ "leaf"; "   0.100/1"; "mid"; "   0.300/1"; "lone"; "   0.050/1" ]
+
+(* ---- vmor report: the one trace reader, end to end ---- *)
+
+let cli_exe = Filename.concat Filename.parent_dir_name "bin/vmor_cli.exe"
+
+let test_report_cli () =
+  let tmp suffix = Filename.temp_file "vmor_report" suffix in
+  let trace = tmp ".jsonl" and chrome = tmp ".json" and folded = tmp ".txt"
+  and out = tmp ".log" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ trace; chrome; folded; out ])
+    (fun () ->
+      let run args =
+        Sys.command
+          (Printf.sprintf "env -u VMOR_DEADLINE -u VMOR_TRACE %s %s > %s 2>&1"
+             (Filename.quote cli_exe) args (Filename.quote out))
+      in
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      let code =
+        run
+          (Printf.sprintf
+             "compare --model nltl-v --scale 0.1 --orders 3,1,0 --trace %s"
+             (Filename.quote trace))
+      in
+      (* 4 = ROM produced but degraded: still a complete trace *)
+      check_bool "compare exit 0 or 4" true (code = 0 || code = 4);
+      check_int "report exit code" 0
+        (run
+           (Printf.sprintf "report %s --chrome %s --folded %s"
+              (Filename.quote trace) (Filename.quote chrome)
+              (Filename.quote folded)));
+      let text = read out in
+      check_bool "tree lists the reduction span" true
+        (contains text "atmor.reduce");
+      check_bool "hot kernels header" true
+        (contains text "hot kernels (exclusive time");
+      check_bool "numerical health block" true
+        (contains text "numerical health");
+      Obs.Trace.validate_chrome (Obs.Json.parse (read chrome));
+      check_bool "folded stacks non-empty" true
+        (String.length (read folded) > 0))
+
+(* a trace is outside input: a malformed or missing file is a usage
+   error (exit 2) naming the file, never a backtrace *)
+let test_report_rejects_bad_trace () =
+  let bad = Filename.temp_file "vmor_report" ".jsonl"
+  and out = Filename.temp_file "vmor_report" ".log" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ bad; out ])
+    (fun () ->
+      Out_channel.with_open_bin bad (fun oc ->
+          output_string oc "{\"type\":\"span\"\n");
+      List.iter
+        (fun path ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s report %s > %s 2>&1" (Filename.quote cli_exe)
+                 (Filename.quote path) (Filename.quote out))
+          in
+          check_int ("exit code for " ^ path) 2 code;
+          check_bool "message names the file" true
+            (contains
+               (In_channel.with_open_bin out In_channel.input_all)
+               (Filename.basename path)))
+        [ bad; bad ^ ".missing" ])
+
 let suite =
   [
     ( "prof",
@@ -427,5 +515,11 @@ let suite =
         Alcotest.test_case "json render/parse round-trip" `Quick
           test_json_render_parse_roundtrip;
         Alcotest.test_case "bench gate gc bands" `Quick test_gate_gc_band;
+        Alcotest.test_case "vmor report tree, exports and health" `Quick
+          test_report_cli;
+        Alcotest.test_case "truncated trace: orphans in attribution and diff"
+          `Quick test_truncated_trace_fold;
+        Alcotest.test_case "vmor report rejects a bad trace with exit 2" `Quick
+          test_report_rejects_bad_trace;
       ] );
   ]

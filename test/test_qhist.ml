@@ -1,7 +1,7 @@
 (* Tests for the deterministic quantile histograms (Obs.Qhist), the
    library call sites that feed them (ODE steppers, Arnoldi, the
-   reducer tail, health headlines), the OpenMetrics exporter and the
-   `vmor metrics` command, plus the bench gate's latency block.
+   reducer tail, health headlines), and the bench gate's latency
+   block.
 
    The load-bearing assertion is exactness: Qhist bucket counts and
    quantiles must come out bit-identical whether a value stream is
@@ -120,61 +120,6 @@ let test_span_feeds_qhist () =
   match Obs.Qhist.view "span.t.fed" with
   | Some v -> check_int "span durations recorded" (before + 2) v.Obs.Qhist.count
   | None -> Alcotest.fail "span qhist missing"
-
-(* the CSV summary carries per-stat columns (not a packed blob) *)
-let test_metrics_csv_columns () =
-  Obs.Qhist.observe "t.csv.h" 2.0;
-  Obs.Qhist.observe "t.csv.h" 4.0;
-  let csv = Obs.Metrics.to_csv_string () in
-  let contains needle =
-    let nl = String.length needle and l = String.length csv in
-    let rec go i = i + nl <= l && (String.sub csv i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool)
-    "per-stat header" true
-    (contains "kind,name,value,count,sum,sumsq,min,max,stddev");
-  Alcotest.(check bool) "histogram row present" true (contains "histogram,t.csv.h")
-
-(* ---- openmetrics: render/validate round trip ---- *)
-
-let test_openmetrics_round_trip () =
-  Obs.Metrics.incr ~by:5 Obs.Metrics.Matvec;
-  Obs.Qhist.observe "t.om.h" 0.25;
-  Obs.Qhist.observe "t.om.h" 4.0;
-  (* overflow-bucket population must not duplicate the terminal +Inf
-     sample (its upper edge is +Inf already) *)
-  Obs.Qhist.observe "t.om.h" Float.infinity;
-  let text = Obs.Openmetrics.render () in
-  (match Obs.Openmetrics.validate text with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("render failed its own validator: " ^ m));
-  let contains needle =
-    let nl = String.length needle and l = String.length text in
-    let rec go i =
-      i + nl <= l && (String.sub text i nl = needle || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "counter family" true (contains "vmor_matvec_total");
-  Alcotest.(check bool)
-    "histogram family" true
-    (contains "vmor_hist_t_om_h_bucket");
-  Alcotest.(check bool) "+Inf bucket" true (contains "le=\"+Inf\"");
-  Alcotest.(check bool) "terminal EOF" true (contains "# EOF")
-
-let test_openmetrics_validator_rejects () =
-  let text = Obs.Openmetrics.render () in
-  let reject label mutate =
-    match Obs.Openmetrics.validate (mutate text) with
-    | Ok () -> Alcotest.fail (label ^ ": corruption not caught")
-    | Error _ -> ()
-  in
-  reject "missing EOF" (fun t ->
-      (* strip the trailing "# EOF\n" *)
-      String.sub t 0 (String.length t - 6));
-  reject "garbage line" (fun t -> "!! not a metric line\n" ^ t);
-  reject "content after EOF" (fun t -> t ^ "vmor_matvec_total 1\n")
 
 (* ---- call sites: solvers, Krylov loops and reducers feed Qhist ---- *)
 
@@ -303,37 +248,6 @@ let test_disabled_call_sites () =
     (fun name n -> check_int (name ^ " untouched while disabled") n (hist_count name))
     names before
 
-(* ---- vmor metrics: timed requests reach the exposition ---- *)
-
-let cli_exe = Filename.concat Filename.parent_dir_name "bin/vmor_cli.exe"
-
-let test_metrics_cli_exposition () =
-  let path = Filename.temp_file "vmor_metrics" ".txt" in
-  let cmd =
-    Printf.sprintf
-      "env -u VMOR_DEADLINE %s metrics --model nltl-v --scale 0.1 \
-       --orders 3,1,0 --requests 3 -o %s > /dev/null 2>&1"
-      (Filename.quote cli_exe) (Filename.quote path)
-  in
-  let code = Sys.command cmd in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () -> In_channel.with_open_bin path In_channel.input_all)
-  in
-  check_int "metrics exit code" 0 code;
-  (match Obs.Openmetrics.validate text with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("exposition invalid: " ^ m));
-  let lines = String.split_on_char '\n' text in
-  let has line = List.mem line lines in
-  Alcotest.(check bool) "request histogram family" true
-    (has "# TYPE vmor_hist_request histogram");
-  Alcotest.(check bool) "one observation per request" true
-    (has "vmor_hist_request_count 3");
-  Alcotest.(check bool) "ROM transients feed the rkf45 family" true
-    (has "# TYPE vmor_hist_rkf45_step_size histogram")
-
 (* ---- bench gate: latency block pass/fail matrix ---- *)
 
 let bench_src ?latency () =
@@ -389,19 +303,8 @@ let suite =
         Alcotest.test_case "moments" `Quick test_qhist_moments;
         Alcotest.test_case "span durations feed qhist" `Quick
           test_span_feeds_qhist;
-        Alcotest.test_case "csv per-stat columns" `Quick
-          test_metrics_csv_columns;
-      ] );
-    ( "openmetrics.format",
-      [
-        Alcotest.test_case "render/validate round trip" `Quick
-          test_openmetrics_round_trip;
-        Alcotest.test_case "validator rejects corruption" `Quick
-          test_openmetrics_validator_rejects;
         Alcotest.test_case "gate latency matrix" `Quick
           test_gate_latency_matrix;
-        Alcotest.test_case "vmor metrics exposition" `Quick
-          test_metrics_cli_exposition;
       ] );
     ( "qhist.call_sites",
       [

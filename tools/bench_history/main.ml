@@ -1,20 +1,16 @@
-(* Bench-trajectory CLI (see history.ml for the snapshot format):
+(* Bench-trajectory snapshot writer (see benchhistory.ml for the
+   snapshot format):
 
      bench_history append --pr N --src bench.json [--dir DIR]
-     bench_history render [--dir DIR] [--csv]
 
    `append` validates a bench --json file through the gate parser and
    snapshots it as DIR/BENCH_N.json (DIR defaults to the current
    directory — the repo root by convention, so snapshots are committed
-   alongside the PR they measure).  `render` loads every snapshot in
-   DIR and prints the per-experiment trajectory; --csv switches to
-   machine-readable output.  Exit 0 on success, 2 on usage/IO/schema
-   errors. *)
+   alongside the PR they measure).  `vmor bench-history` renders the
+   snapshots.  Exit 0 on success, 2 on usage/IO/schema errors. *)
 
 let usage () =
-  prerr_string
-    "usage: bench_history append --pr N --src BENCH.json [--dir DIR]\n\
-    \       bench_history render [--dir DIR] [--csv]\n";
+  prerr_string "usage: bench_history append --pr N --src BENCH.json [--dir DIR]\n";
   exit 2
 
 let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "bench_history: %s\n" m; exit 2) fmt
@@ -46,23 +42,4 @@ let () =
       | exception Benchhistory.Bad_history m -> fail "%s" m
       | exception Sys_error m -> fail "%s" m)
     | _ -> usage ())
-  | _ :: "render" :: rest ->
-    let dir = ref "." and csv = ref false in
-    let rec parse = function
-      | [] -> ()
-      | "--dir" :: v :: rest ->
-        dir := v;
-        parse rest
-      | "--csv" :: rest ->
-        csv := true;
-        parse rest
-      | _ -> usage ()
-    in
-    parse rest;
-    (match Benchhistory.load_series ~dir:!dir with
-    | series ->
-      print_string
-        (if !csv then Benchhistory.render_csv series else Benchhistory.render_table series)
-    | exception Benchhistory.Bad_history m -> fail "%s" m
-    | exception Sys_error m -> fail "%s" m)
   | _ -> usage ()
