@@ -56,6 +56,11 @@ let float_equal (x : float) (y : float) = x = y
 let approx_eq ?(tol = 1e-12) x y =
   Float.abs (x -. y) <= tol *. (1.0 +. Float.abs x +. Float.abs y)
 
+(* Purely relative comparison against a reference [x], no absolute
+   floor: for quantities on any scale, such as step sizes, where
+   approx_eq's floor of 1 would equate any two values far below 1. *)
+let close_rel ~rtol x y = Float.abs (x -. y) <= rtol *. Float.abs x
+
 (* ---- failure plumbing ---- *)
 
 let fail ctx rule details =

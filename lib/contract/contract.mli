@@ -32,6 +32,10 @@ val approx_eq : ?tol:float -> float -> float -> bool
 (** Symmetric relative comparison with absolute floor:
     [|x - y| <= tol * (1 + |x| + |y|)]. Default [tol] 1e-12. *)
 
+val close_rel : rtol:float -> float -> float -> bool
+(** [close_rel ~rtol x y] is [|x - y| <= rtol * |x|]: relative to the
+    reference [x], with no absolute floor, for values on any scale. *)
+
 (** {1 Cheap shape contracts (always on)} *)
 
 val require : string -> bool -> string -> string -> unit

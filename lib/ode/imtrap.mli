@@ -5,7 +5,10 @@
 open La
 
 (** Integrate with fixed step [h] (shortened to land on sample
-    instants). Raises [Types.Step_failure] if Newton stalls. *)
+    instants). The factored iteration matrix is reused while the step
+    stays within 1e-9 relative of the one it was built for, so steps
+    shortened by rounding alone do not refactor. Raises
+    [Types.Step_failure] if Newton stalls. *)
 val integrate :
   Types.system ->
   t0:float ->

@@ -8,8 +8,9 @@
    G2 and G3 are kept symmetrized so that contraction against distinct
    arguments matches the symmetrized Volterra formulas (14b)/(14c).
    Simulation never contracts them: every system also carries their
-   sum compiled onto distinct monomials (Polymap), which rhs, jacobian
-   and ode_system evaluate. *)
+   sum as a Polymap, which rhs, jacobian and ode_system evaluate —
+   compiled onto distinct monomials, or, for a projection where that is
+   cheaper, lifted around the full model's own field. *)
 
 open La
 
@@ -22,7 +23,7 @@ type t = {
   d1 : Mat.t array;  (* one n x n matrix per input (all zero allowed) *)
   b : Mat.t;  (* n x m input map *)
   c : Mat.t;  (* p x n output map *)
-  field : Polymap.t;  (* G2 + G3 on distinct monomials *)
+  field : Polymap.t;  (* G2 + G3, compiled or lifted *)
   d1_live : bool array;  (* D1_i <> 0, per input *)
 }
 
@@ -49,10 +50,11 @@ let validate ~g1 ~g2 ~g3 ~d1 ~b ~c =
   Contract.require_finite "Qldae.validate: G1" (Mat.data g1);
   Contract.require_finite "Qldae.validate: b" (Mat.data b)
 
-(* The one constructor: every system, given or derived, compiles its
-   polynomial vector field and D1 mask here, once. *)
-let build ~g1 ~g2 ~g3 ~d1 ~b ~c =
-  let field = Polymap.compile [ g2; g3 ] in
+(* The one constructor: every system, given or derived, gets its
+   polynomial vector field and D1 mask here, once; compiled from G2 and
+   G3 unless a projection supplies its own layout. *)
+let build ?field ~g1 ~g2 ~g3 ~d1 ~b ~c () =
+  let field = match field with Some f -> f | None -> Polymap.compile [ g2; g3 ] in
   let d1_live = Array.map (fun d -> Mat.norm_fro d > 0.0) d1 in
   { n = Mat.rows g1; m = Mat.cols b; g1; g2; g3; d1; b; c; field; d1_live }
 
@@ -73,7 +75,7 @@ let make ?g2 ?g3 ?d1 ~g1 ~b ~c () =
     match d1 with Some d -> d | None -> Array.init m (fun _ -> Mat.create n n)
   in
   validate ~g1 ~g2 ~g3 ~d1 ~b ~c;
-  build ~g1 ~g2 ~g3 ~d1 ~b ~c
+  build ~g1 ~g2 ~g3 ~d1 ~b ~c ()
 
 let dim t = t.n
 
@@ -248,22 +250,26 @@ let shift_equilibrium t ~(x0 : Vec.t) ~(u0 : Vec.t) : t =
   in
   let g2 = Sptensor.symmetrize g2 in
   validate ~g1 ~g2 ~g3:t.g3 ~d1:t.d1 ~b ~c:t.c;
-  build ~g1 ~g2 ~g3:t.g3 ~d1:t.d1 ~b ~c:t.c
+  build ~g1 ~g2 ~g3:t.g3 ~d1:t.d1 ~b ~c:t.c ()
 
 (* Wᵀ f(V xr, u) for test basis W and trial basis V: G1r = Wᵀ G1 V,
    G2r = Wᵀ G2 (V⊗V), G3r = Wᵀ G3 (V⊗V⊗V), D1r = Wᵀ D1 V, br = Wᵀ b,
-   cr = C V. Callers check the bases. *)
+   cr = C V. The field is Polymap.project's cheaper layout: Wᵀ P(V xr)
+   around the full model's field, or G2r + G3r compiled. Callers check
+   the bases. *)
 let project_onto t ~(w : Mat.t) ~(v : Mat.t) : t =
   let q = Mat.cols v and wt = Mat.transpose w in
   let tensor g arity =
     if Sptensor.is_zero g then Sptensor.zero ~n_out:q ~n_in:q ~arity
     else Sptensor.of_dense ~arity ~n_in:q (Sptensor.project ~w g v)
   in
+  let g2 = tensor t.g2 2 and g3 = tensor t.g3 3 in
   build
+    ~field:(Polymap.project ~wt ~v t.field [ g2; g3 ])
     ~g1:(Mat.mul wt (Mat.mul t.g1 v))
-    ~g2:(tensor t.g2 2) ~g3:(tensor t.g3 3)
+    ~g2 ~g3
     ~d1:(Array.map (fun d -> Mat.mul wt (Mat.mul d v)) t.d1)
-    ~b:(Mat.mul wt t.b) ~c:(Mat.mul t.c v)
+    ~b:(Mat.mul wt t.b) ~c:(Mat.mul t.c v) ()
 
 (* Petrov-Galerkin (oblique) projection with test basis W and trial
    basis V, assumed bi-orthogonal (Wᵀ V = I): the reduced model follows

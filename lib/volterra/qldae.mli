@@ -7,8 +7,14 @@
     [G2] and [G3] are stored symmetrized so that contractions against
     distinct arguments match the symmetrized Volterra transfer-function
     formulas (paper eqs. 14b/14c). Simulation evaluates [field], their
-    sum compiled once onto distinct monomials ({!La.Polymap}) by every
-    constructor; the record is private so no system skips that step. *)
+    sum as a {!La.Polymap} built once by every constructor; the record
+    is private so no system skips that step. [make] and
+    [shift_equilibrium] compile it onto distinct monomials. [project]
+    and [project_petrov] take whichever layout has the lower nominal
+    apply cost, a function of [n], [q] and the full field's structure:
+    the dense [G2r]/[G3r] compiled onto [q] variables, or the lifted
+    [Wᵀ P(V xr)] around the full model's field, in which case the dense
+    couplings are never compiled. *)
 
 open La
 
@@ -21,7 +27,7 @@ type t = private {
   d1 : Mat.t array;
   b : Mat.t;
   c : Mat.t;
-  field : Polymap.t;  (** [G2 x⊗x + G3 x⊗x⊗x], compiled *)
+  field : Polymap.t;  (** [G2 x⊗x + G3 x⊗x⊗x], compiled or lifted *)
   d1_live : bool array;  (** [D1_i ≠ 0], per input *)
 }
 

@@ -157,6 +157,23 @@ let test_imtrap_nonlinear () =
       check_small "logistic" (Float.abs (sol.Ode.Types.states.(i).(0) -. exact)) 1e-5)
     sol.Ode.Types.times
 
+(* h = 0.02 on the 101-sample grid over [0, 2]: each step is shortened
+   to land on its sample and so differs from h by rounding only. The
+   factor built on the first step serves the whole run, and the states
+   keep the trapezoid rule's accuracy (its exact recurrence is 1.5e-4
+   from expm here). *)
+let test_imtrap_reuses_factor () =
+  let a = Mat.of_list [ [ -1.0; 2.0 ]; [ -2.0; -1.0 ] ] and x0 = Vec.of_list [ 1.0; 0.5 ] in
+  let sol = Ode.Imtrap.integrate (linear_system a) ~t0:0.0 ~t1:2.0 ~x0 ~h:0.02 ~samples:101 () in
+  Alcotest.(check int) "one Jacobian per run" 1 sol.Ode.Types.stats.jac_evals;
+  Alcotest.(check int) "one step per sample" 100 sol.Ode.Types.stats.steps;
+  Array.iteri
+    (fun i t ->
+      check_small "trapezoid vs expm"
+        (Vec.dist2 sol.Ode.Types.states.(i) (Expm.expm_vec (Mat.scale t a) x0))
+        3e-4)
+    sol.Ode.Types.times
+
 let test_imtrap_requires_jacobian () =
   let nojac = { decay with Ode.Types.jac = None } in
   Alcotest.check_raises "missing jacobian"
@@ -241,6 +258,7 @@ let suite =
         tc "A-stability on stiff problem" `Quick test_imtrap_stiff_stability;
         tc "nonlinear logistic" `Quick test_imtrap_nonlinear;
         tc "missing jacobian rejected" `Quick test_imtrap_requires_jacobian;
+        tc "factor reused across rounding-level step changes" `Quick test_imtrap_reuses_factor;
       ] );
     ( "ode.common",
       [

@@ -221,14 +221,21 @@ let prop_at_vs_norm_equivalent =
       both_small (da.Mor.Romdiag.h1, dn.Mor.Romdiag.h1)
       && both_small (da.Mor.Romdiag.h2, dn.Mor.Romdiag.h2))
 
-(* ---- the compiled vector field ---- *)
+(* ---- the vector field, compiled and lifted ---- *)
 
-(* A seeded random QLDAE with every coupling: dense G2 and G3, D1 on
-   both of its 2 inputs; paired with its Galerkin ROM on a random
-   q-dimensional orthonormal basis and a random evaluation point for
-   each. *)
-let gen_cubic_miso ~n ~q =
-  let sizes = [ n * n; n * n * n; n * n * n * n; 2 * n * n; 2 * n; n; q * n; n; q ] in
+(* Couplings of a generated QLDAE: dense G2 and G3, or a chain with
+   x_i², x_i x_{i+1} and x_i³ in row i, sparse as a circuit's, where
+   Polymap.project lifts the ROM field. *)
+type couplings = Dense | Chain
+
+(* A seeded random QLDAE with every coupling, D1 on both of its 2
+   inputs; paired with its ROM on a random q-dimensional orthonormal
+   basis V and a random evaluation point for each. The ROM is Galerkin,
+   or with [~petrov] Petrov–Galerkin on W = V + (I − VVᵀ) R, so that
+   WᵀV = I with W ≠ V. *)
+let gen_cubic_miso ?(couplings = Dense) ?(petrov = false) ~n ~q () =
+  let tensor_sizes = match couplings with Dense -> [ n * n * n; n * n * n * n ] | Chain -> [ 3 * n ] in
+  let sizes = tensor_sizes @ [ n * n; 2 * n * n; 2 * n; n; q * n; q * n; n; q ] in
   QCheck2.Gen.(
     array_size (return (List.fold_left ( + ) 0 sizes)) (float_bound_inclusive 1.0)
     |> map (fun data ->
@@ -242,12 +249,22 @@ let gen_cubic_miso ~n ~q =
              let a = take (n * n) in
              Mat.sub (Mat.init n n (fun i j -> 0.4 *. a.((i * n) + j))) (Mat.scale 1.5 (Mat.identity n))
            in
-           let tensor arity k =
-             let a = take (n * k) in
-             Sptensor.of_dense ~arity ~n_in:n (Mat.init n k (fun i j -> 0.3 *. a.((i * k) + j)))
+           let g2, g3 =
+             match couplings with
+             | Dense ->
+               let tensor arity k =
+                 let a = take (n * k) in
+                 Sptensor.of_dense ~arity ~n_in:n (Mat.init n k (fun i j -> 0.3 *. a.((i * k) + j)))
+               in
+               let g2 = tensor 2 (n * n) in
+               (g2, tensor 3 (n * n * n))
+             | Chain ->
+               let a = take (3 * n) in
+               let entries arity f = Sptensor.create ~n_out:n ~n_in:n ~arity (List.concat (List.init n f)) in
+               ( entries 2 (fun i ->
+                     [ (i, [| i; i |], 0.3 *. a.(3 * i)); (i, [| i; (i + 1) mod n |], 0.3 *. a.((3 * i) + 1)) ]),
+                 entries 3 (fun i -> [ (i, [| i; i; i |], 0.3 *. a.((3 * i) + 2)) ]) )
            in
-           let g2 = tensor 2 (n * n) in
-           let g3 = tensor 3 (n * n * n) in
            let d1 =
              let a = take (2 * n * n) in
              Array.init 2 (fun p -> Mat.init n n (fun i j -> 0.2 *. a.((p * n * n) + (i * n) + j)))
@@ -259,7 +276,13 @@ let gen_cubic_miso ~n ~q =
              let a = take (q * n) in
              Qr.orth_mat (List.init q (fun j -> Vec.init n (fun i -> a.((j * n) + i))))
            in
-           let rom = Volterra.Qldae.project full basis in
+           let r = let a = take (q * n) in Mat.init n q (fun i j -> a.((i * q) + j)) in
+           let rom =
+             if petrov then
+               let w = Mat.add basis (Mat.sub r (Mat.mul basis (Mat.mul (Mat.transpose basis) r))) in
+               Volterra.Qldae.project_petrov full ~w ~v:basis
+             else Volterra.Qldae.project full basis
+           in
            ((full, take n), (rom, take q))))
 
 let miso_input t = Vec.of_list [ sin t; 0.5 *. cos (2.0 *. t) ]
@@ -277,17 +300,28 @@ let reference_rhs (q : Volterra.Qldae.t) x u =
 
 let both_systems check ((full, xf), (rom, xr)) = check full xf && check rom xr
 
-let prop_rhs_matches_contractions =
-  QCheck2.Test.make ~name:"qldae: compiled rhs matches the Sptensor contractions" ~count:20
-    (gen_cubic_miso ~n:4 ~q:3)
+(* The vector-field properties run on three generators: dense
+   couplings, whose ROM field is compiled, and chain couplings at sizes
+   where Polymap.project lifts the ROM field, Galerkin and
+   Petrov–Galerkin. *)
+let vector_field_cases =
+  [
+    ("", gen_cubic_miso ~n:4 ~q:3 ());
+    (" (lifted, Galerkin)", gen_cubic_miso ~couplings:Chain ~n:8 ~q:6 ());
+    (" (lifted, Petrov–Galerkin)", gen_cubic_miso ~couplings:Chain ~petrov:true ~n:8 ~q:6 ());
+  ]
+
+let prop_rhs_matches_contractions (label, gen) =
+  let field = if label = "" then "compiled rhs" else "rhs" in
+  QCheck2.Test.make ~name:("qldae: " ^ field ^ " matches the Sptensor contractions" ^ label)
+    ~count:20 gen
     (both_systems (fun q x ->
          let u = miso_input 0.7 in
          let r = reference_rhs q x u in
          Vec.dist2 (Volterra.Qldae.rhs q x u) r <= 1e-12 *. (1.0 +. Vec.norm2 r)))
 
-let prop_jacobian_matches_fd =
-  QCheck2.Test.make ~name:"qldae: jacobian matches central differences" ~count:20
-    (gen_cubic_miso ~n:4 ~q:3)
+let prop_jacobian_matches_fd (label, gen) =
+  QCheck2.Test.make ~name:("qldae: jacobian matches central differences" ^ label) ~count:20 gen
     (both_systems (fun q x ->
          let u = miso_input 1.3 and n = Array.length x and h = 1e-6 in
          let j = Volterra.Qldae.jacobian q x u in
@@ -306,9 +340,8 @@ let prop_jacobian_matches_fd =
          done;
          !ok))
 
-let prop_ode_system_bit_equal =
-  QCheck2.Test.make ~name:"qldae: ode_system rhs is bit-equal to rhs" ~count:20
-    (gen_cubic_miso ~n:4 ~q:3)
+let prop_ode_system_bit_equal (label, gen) =
+  QCheck2.Test.make ~name:("qldae: ode_system rhs is bit-equal to rhs" ^ label) ~count:20 gen
     (both_systems (fun q x ->
          let sys = Volterra.Qldae.ode_system q ~input:miso_input in
          (* repeated calls reuse the closure's scratch *)
@@ -320,6 +353,24 @@ let prop_ode_system_bit_equal =
                (fun p r -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float r))
                a b)
            [ 0.0; 0.4; 1.1; 0.4 ]))
+
+(* Flops_tensor one rhs call of [q] charges: the polynomial field's
+   nominal apply cost. *)
+let tensor_flops (q : Volterra.Qldae.t) =
+  let c0 = Obs.Cost.snapshot () in
+  ignore (Volterra.Qldae.rhs q (Vec.create q.n) (Vec.create q.m));
+  Option.value ~default:0 (List.assoc_opt Obs.Cost.Flops_tensor (Obs.Cost.since c0))
+
+(* A lifted ROM field charges the lift V z and the restriction Wᵀ P,
+   4·n·q flops, on top of the full field's own charge; compiled, it
+   would charge its own monomial count. *)
+let lifted_charge ((full, _), (rom, _)) =
+  tensor_flops rom = (4 * full.Volterra.Qldae.n * rom.Volterra.Qldae.n) + tensor_flops full
+
+let prop_layout_by_charge =
+  QCheck2.Test.make ~name:"qldae: chain-coupled ROMs take the lifted layout" ~count:10
+    QCheck2.Gen.(pair (gen_cubic_miso ~couplings:Chain ~n:8 ~q:6 ()) (gen_cubic_miso ~n:4 ~q:3 ()))
+    (fun (chain, dense) -> lifted_charge chain && not (lifted_charge dense))
 
 (* A q = 27 ROM has 378 quadratic monomials, a scratch of 378 floats:
    past the minor heap's size limit, so a per-call scratch would show
@@ -354,6 +405,24 @@ let test_rhs_no_major_alloc () =
   Alcotest.(check (float 0.0)) "no direct major-heap words" 0.0
     (d.Obs.Prof.major_words -. d.Obs.Prof.promoted_words)
 
+(* A lifted ROM's scratch holds V z and P(V z), n = 300 floats each:
+   past the minor heap's size limit, like the q = 27 monomials above. *)
+let test_lifted_rhs_no_major_alloc () =
+  let (full, _), (rom, x) =
+    QCheck2.Gen.generate1 ~rand:(Random.State.make [| 300 |])
+      (gen_cubic_miso ~couplings:Chain ~n:300 ~q:15 ())
+  in
+  Alcotest.(check bool) "lifted layout" true (lifted_charge ((full, x), (rom, x)));
+  let sys = Volterra.Qldae.ode_system rom ~input:miso_input in
+  ignore (sys.Ode.Types.rhs 0.0 x);
+  let p0 = Obs.Prof.take () in
+  for k = 1 to 1000 do
+    ignore (Sys.opaque_identity (sys.Ode.Types.rhs (float_of_int k *. 1e-3) x))
+  done;
+  let d = Obs.Prof.since p0 in
+  Alcotest.(check (float 0.0)) "no direct major-heap words" 0.0
+    (d.Obs.Prof.major_words -. d.Obs.Prof.promoted_words)
+
 let suite =
   [
     ( "properties.cross_module",
@@ -370,7 +439,17 @@ let suite =
           prop_at_vs_norm_equivalent;
         ] );
     ( "properties.vector_field",
-      List.map QCheck_alcotest.to_alcotest
-        [ prop_rhs_matches_contractions; prop_jacobian_matches_fd; prop_ode_system_bit_equal ]
-      @ [ Alcotest.test_case "1000 q=27 rhs calls, no major-heap words" `Quick test_rhs_no_major_alloc ] );
+      let props case =
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_rhs_matches_contractions case; prop_jacobian_matches_fd case;
+            prop_ode_system_bit_equal case ]
+      in
+      props (List.hd vector_field_cases)
+      @ [ Alcotest.test_case "1000 q=27 rhs calls, no major-heap words" `Quick test_rhs_no_major_alloc ]
+      @ List.concat_map props (List.tl vector_field_cases)
+      @ [
+          QCheck_alcotest.to_alcotest prop_layout_by_charge;
+          Alcotest.test_case "1000 lifted n=300 rhs calls, no major-heap words" `Quick
+            test_lifted_rhs_no_major_alloc;
+        ] );
   ]
