@@ -145,8 +145,6 @@ let kernel_tests () =
     Test.make ~name:"schur_prepare_60" (Staged.stage (fun () -> Ksolve.prepare a));
     Test.make ~name:"ksolve_k2_60"
       (Staged.stage (fun () -> Ksolve.solve_shifted_real ks ~k:2 ~sigma:1.0 w2));
-    Test.make ~name:"arnoldi_k8_60"
-      (Staged.stage (fun () -> Mor.Arnoldi.run ~matvec:(Lu.solve lu) ~b ~k:8 ()));
     Test.make ~name:"qldae_rhs_full_nltl20"
       (Staged.stage (fun () -> Volterra.Qldae.rhs q x u));
     Test.make ~name:"qldae_rhs_rom"

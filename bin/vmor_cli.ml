@@ -99,10 +99,6 @@ let max_steps_arg =
   let doc = "Budget: cap on ODE integration steps (accepted + rejected)." in
   Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"N" ~doc)
 
-let max_iters_arg =
-  let doc = "Budget: cap on Arnoldi/Krylov basis iterations." in
-  Arg.(value & opt (some int) None & info [ "max-iters" ] ~docv:"N" ~doc)
-
 (* ---- parallelism (shared by the reduction-running subcommands) ---- *)
 
 let domains_arg =
@@ -130,13 +126,10 @@ let domains_of = function
 
 (* No budget flags at all = no budget installed; unbudgeted runs stay
    bit-identical to pre-budget behavior. *)
-let budget_of ~deadline ~max_steps ~max_iters : Robust.Budget.t option =
-  match (deadline, max_steps, max_iters) with
-  | None, None, None -> None
-  | _ ->
-    Some
-      (Robust.Budget.make ?deadline ?max_ode_steps:max_steps
-         ?max_arnoldi_iters:max_iters ())
+let budget_of ~deadline ~max_steps : Robust.Budget.t option =
+  match (deadline, max_steps) with
+  | None, None -> None
+  | _ -> Some (Robust.Budget.make ?deadline ?max_ode_steps:max_steps ())
 
 (* ---- experiment reproduction commands ---- *)
 
@@ -279,10 +272,10 @@ let default_input q ~freq ~amp =
 
 let reduce_cmd =
   let run model orders method_ points s0 tol scale trace metrics deadline
-      max_steps max_iters domains () =
+      max_steps domains () =
     setup_logs (Some Logs.Warning);
     setup_obs ~trace ~metrics;
-    Robust.Budget.with_budget (budget_of ~deadline ~max_steps ~max_iters)
+    Robust.Budget.with_budget (budget_of ~deadline ~max_steps)
     @@ fun () ->
     let q = build_model ~scale model in
     let k1, k2, k3 = orders in
@@ -301,20 +294,19 @@ let reduce_cmd =
     Term.(
       const
         (fun model orders method_ points s0 tol scale trace metrics deadline
-             max_steps max_iters domains ->
+             max_steps domains ->
           guarded
             (run model orders method_ points s0 tol scale trace metrics
-               deadline max_steps max_iters domains))
+               deadline max_steps domains))
       $ model_arg $ orders_arg $ method_arg $ points_arg $ s0_arg $ tol_arg
       $ scale_arg $ trace_arg $ metrics_arg $ deadline_arg $ max_steps_arg
-      $ max_iters_arg $ domains_arg $ const ())
+      $ domains_arg $ const ())
 
 let simulate_cmd =
-  let run model scale t1 samples freq amp trace metrics deadline max_steps
-      max_iters () =
+  let run model scale t1 samples freq amp trace metrics deadline max_steps () =
     setup_logs (Some Logs.Warning);
     setup_obs ~trace ~metrics;
-    Robust.Budget.with_budget (budget_of ~deadline ~max_steps ~max_iters)
+    Robust.Budget.with_budget (budget_of ~deadline ~max_steps)
     @@ fun () ->
     let q = build_model ~scale model in
     let input = default_input q ~freq ~amp in
@@ -337,21 +329,19 @@ let simulate_cmd =
        ~doc:"Transient-simulate a bundled circuit model (first output).")
     Term.(
       const
-        (fun model scale t1 samples freq amp trace metrics deadline max_steps
-             max_iters ->
+        (fun model scale t1 samples freq amp trace metrics deadline max_steps ->
           guarded
             (run model scale t1 samples freq amp trace metrics deadline
-               max_steps max_iters))
+               max_steps))
       $ model_arg $ scale_arg $ t1_arg $ samples_arg $ freq_arg $ amp_arg
-      $ trace_arg $ metrics_arg $ deadline_arg $ max_steps_arg $ max_iters_arg
-      $ const ())
+      $ trace_arg $ metrics_arg $ deadline_arg $ max_steps_arg $ const ())
 
 let compare_cmd =
   let run model orders method_ points s0 tol scale t1 samples freq amp trace
-      metrics deadline max_steps max_iters domains () =
+      metrics deadline max_steps domains () =
     setup_logs (Some Logs.Warning);
     setup_obs ~trace ~metrics;
-    Robust.Budget.with_budget (budget_of ~deadline ~max_steps ~max_iters)
+    Robust.Budget.with_budget (budget_of ~deadline ~max_steps)
     @@ fun () ->
     let q = build_model ~scale model in
     let k1, k2, k3 = orders in
@@ -383,13 +373,13 @@ let compare_cmd =
     Term.(
       const
         (fun model orders method_ points s0 tol scale t1 samples freq amp trace
-             metrics deadline max_steps max_iters domains ->
+             metrics deadline max_steps domains ->
           guarded
             (run model orders method_ points s0 tol scale t1 samples freq amp
-               trace metrics deadline max_steps max_iters domains))
+               trace metrics deadline max_steps domains))
       $ model_arg $ orders_arg $ method_arg $ points_arg $ s0_arg $ tol_arg
       $ scale_arg $ t1_arg $ samples_arg $ freq_arg $ amp_arg $ trace_arg
-      $ metrics_arg $ deadline_arg $ max_steps_arg $ max_iters_arg
+      $ metrics_arg $ deadline_arg $ max_steps_arg
       $ domains_arg $ const ())
 
 let load_trace path =
@@ -509,11 +499,11 @@ let bench_history_cmd =
           $ const ())
 
 let autoselect_cmd =
-  let run model scale trace metrics deadline max_steps max_iters domains () =
+  let run model scale trace metrics deadline max_steps domains () =
     setup_logs (Some Logs.Warning);
     setup_obs ~trace ~metrics;
     Vmor.Par.with_domains (domains_of domains) @@ fun () ->
-    Robust.Budget.with_budget (budget_of ~deadline ~max_steps ~max_iters)
+    Robust.Budget.with_budget (budget_of ~deadline ~max_steps)
     @@ fun () ->
     let q = build_model ~scale model in
     (match Mor.Autoselect.suggest_k1 ~tol:1e-5 q with
@@ -535,11 +525,11 @@ let autoselect_cmd =
        ~doc:"Automatically select moment orders for a bundled model (§4).")
     Term.(
       const
-        (fun model scale trace metrics deadline max_steps max_iters domains ->
+        (fun model scale trace metrics deadline max_steps domains ->
           guarded
-            (run model scale trace metrics deadline max_steps max_iters domains))
+            (run model scale trace metrics deadline max_steps domains))
       $ model_arg $ scale_arg $ trace_arg $ metrics_arg $ deadline_arg
-      $ max_steps_arg $ max_iters_arg $ domains_arg $ const ())
+      $ max_steps_arg $ domains_arg $ const ())
 
 let distortion_cmd =
   let dfreq_arg =
@@ -606,8 +596,8 @@ let () =
         exit_degraded;
       Cmd.Exit.info
         ~doc:
-          "when a compute budget ($(b,--deadline), $(b,--max-steps), \
-           $(b,--max-iters)) was exhausted before any result was produced."
+          "when a compute budget ($(b,--deadline), $(b,--max-steps)) was \
+           exhausted before any result was produced."
         exit_budget;
     ]
     @ List.filter (fun i -> Cmd.Exit.info_code i <> 0) Cmd.Exit.defaults

@@ -1,7 +1,7 @@
 (* Numerical contracts for the AT-NMOR pipeline.
 
    Every dimension-sensitive kernel in the stack (Kronecker powers/sums,
-   Arnoldi bases, associated-transform state spaces) funnels its
+   projection bases, associated-transform state spaces) funnels its
    preconditions through this module so that violations fail loudly, at
    the boundary, with one message format:
 

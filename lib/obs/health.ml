@@ -3,10 +3,10 @@
    The span/counter layer says where the time went; this layer says
    whether the numerics can be trusted.  Each [record] is a typed
    diagnostic produced at a well-defined point of a reduction or
-   simulation: per-iteration Arnoldi orthogonality data, condition
-   estimates for the shifted solves behind the associated transforms,
-   ODE rejection streaks, a-posteriori moment-match residuals of a
-   finished ROM, and POD spectrum truncation energy.
+   simulation: condition estimates for the shifted solves behind the
+   associated transforms, ODE rejection streaks, a-posteriori
+   moment-match residuals of a finished ROM, and POD spectrum
+   truncation energy.
 
    Records ride the existing [Sink] as point events named
    ["health.<kind>"] with a ["key=value ..."] detail string, so a
@@ -20,13 +20,6 @@
    worst-case health without trace parsing. *)
 
 type record =
-  | Arnoldi of {
-      context : string;  (* which Krylov loop, e.g. "arnoldi.run" *)
-      iteration : int;
-      ortho_loss : float;  (* ||V^T V - I||_max over the current basis *)
-      subdiag : float;  (* Hessenberg subdiagonal magnitude h_{j+1,j} *)
-      defl_margin : float;  (* subdiag / deflation threshold; <= 1 deflates *)
-    }
   | Cond of {
       context : string;  (* which operator, e.g. "assoc.resolvent" *)
       dim : int;
@@ -56,7 +49,6 @@ type record =
 let active () = Sink.is_active ()
 
 let name_of = function
-  | Arnoldi _ -> "health.arnoldi"
   | Cond _ -> "health.cond"
   | Ode_streak _ -> "health.ode_streak"
   | Moment_residual _ -> "health.moment_residual"
@@ -68,9 +60,6 @@ let name_of = function
    [%.9g] round-trips every double we care about through the JSONL
    sink and back out of [parse_detail]. *)
 let detail_of = function
-  | Arnoldi { context; iteration; ortho_loss; subdiag; defl_margin } ->
-    Printf.sprintf "context=%s iter=%d ortho_loss=%.9g subdiag=%.9g defl_margin=%.9g"
-      context iteration ortho_loss subdiag defl_margin
   | Cond { context; dim; cond } ->
     Printf.sprintf "context=%s dim=%d cond=%.9g" context dim cond
   | Ode_streak { context; time; length } ->
@@ -104,9 +93,6 @@ let float_field fields key =
    metrics layer, so health shows up in `--metrics` output even when
    nobody parses the trace. *)
 let observe_headlines = function
-  | Arnoldi { ortho_loss; defl_margin; _ } ->
-    Qhist.observe "health.ortho_loss" ortho_loss;
-    Qhist.observe "health.defl_margin" defl_margin
   | Cond { cond; _ } -> Qhist.observe "health.cond" cond
   | Ode_streak { length; _ } ->
     Qhist.observe "health.ode_streak" (float_of_int length)
@@ -131,11 +117,6 @@ let of_event ~name ~detail : record option =
   let i key = Option.map int_of_float (f key) in
   let str key = field fields key in
   match name with
-  | "health.arnoldi" -> (
-    match (str "context", i "iter", f "ortho_loss", f "subdiag", f "defl_margin") with
-    | Some context, Some iteration, Some ortho_loss, Some subdiag, Some defl_margin ->
-      Some (Arnoldi { context; iteration; ortho_loss; subdiag; defl_margin })
-    | _ -> None)
   | "health.cond" -> (
     match (str "context", i "dim", f "cond") with
     | Some context, Some dim, Some cond -> Some (Cond { context; dim; cond })

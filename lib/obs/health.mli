@@ -1,10 +1,9 @@
 (** Numerical-health telemetry.
 
     Typed diagnostic records for the quantities that decide whether an
-    AT-NMOR run can be trusted: Arnoldi orthogonality loss and
-    deflation margins, condition estimates of the shifted solves, ODE
-    rejection streaks, a-posteriori moment-match residuals, and POD
-    spectrum truncation energy.
+    AT-NMOR run can be trusted: condition estimates of the shifted
+    solves, ODE rejection streaks, a-posteriori moment-match
+    residuals, and POD spectrum truncation energy.
 
     Records flow through the active {!Sink} as point events named
     ["health.<kind>"] with a ["key=value ..."] detail payload, and
@@ -14,15 +13,6 @@
     {!active} so the disabled-observability overhead budget holds. *)
 
 type record =
-  | Arnoldi of {
-      context : string;  (** which Krylov loop, e.g. ["arnoldi.run"] *)
-      iteration : int;
-      ortho_loss : float;
-          (** [||V^T V - I||_max] over the basis built so far *)
-      subdiag : float;  (** Hessenberg subdiagonal magnitude [h_{j+1,j}] *)
-      defl_margin : float;
-          (** [subdiag / deflation threshold]; values [<= 1] deflate *)
-    }
   | Cond of {
       context : string;  (** which operator, e.g. ["assoc.resolvent"] *)
       dim : int;
@@ -53,8 +43,8 @@ type record =
 
 val active : unit -> bool
 (** [true] iff a non-null sink is installed.  Guard any nontrivial
-    diagnostic computation (orthogonality checks, condition
-    estimators, residual solves) behind this. *)
+    diagnostic computation (condition estimators, residual solves)
+    behind this. *)
 
 val emit : record -> unit
 (** Deliver a record to the active sink and fold its headline value

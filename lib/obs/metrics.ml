@@ -1,6 +1,6 @@
 (* Process-wide kernel event counters, gauges and histograms.
 
-   Counters live in the first 12 slots of the per-domain [Registry]
+   Counters live in the first 11 slots of the per-domain [Registry]
    store (DESIGN.md section 8), so an increment is one atomic-flag
    load, one DLS fetch and one bounds-checked store.  [set_enabled] is
    the one switch for every counter, cost charge and histogram
@@ -14,7 +14,6 @@ type counter =
   | Lu_solve
   | Shifted_solve
   | Matvec
-  | Arnoldi_iter
   | Deflation_discard
   | Ode_step
   | Ode_rejected
@@ -28,21 +27,19 @@ let index = function
   | Lu_solve -> 1
   | Shifted_solve -> 2
   | Matvec -> 3
-  | Arnoldi_iter -> 4
-  | Deflation_discard -> 5
-  | Ode_step -> 6
-  | Ode_rejected -> 7
-  | Newton_iter -> 8
-  | Ladder_attempt -> 9
-  | Recovery_event -> 10
-  | Budget_poll -> 11
+  | Deflation_discard -> 4
+  | Ode_step -> 5
+  | Ode_rejected -> 6
+  | Newton_iter -> 7
+  | Ladder_attempt -> 8
+  | Recovery_event -> 9
+  | Budget_poll -> 10
 
 let name = function
   | Lu_factor -> "lu_factor"
   | Lu_solve -> "lu_solve"
   | Shifted_solve -> "shifted_solve"
   | Matvec -> "matvec"
-  | Arnoldi_iter -> "arnoldi_iter"
   | Deflation_discard -> "deflation_discard"
   | Ode_step -> "ode_step"
   | Ode_rejected -> "ode_rejected"
@@ -52,9 +49,9 @@ let name = function
   | Budget_poll -> "budget_poll"
 
 let all =
-  [ Lu_factor; Lu_solve; Shifted_solve; Matvec; Arnoldi_iter;
-    Deflation_discard; Ode_step; Ode_rejected; Newton_iter;
-    Ladder_attempt; Recovery_event; Budget_poll ]
+  [ Lu_factor; Lu_solve; Shifted_solve; Matvec; Deflation_discard;
+    Ode_step; Ode_rejected; Newton_iter; Ladder_attempt; Recovery_event;
+    Budget_poll ]
 
 let set_enabled b = Atomic.set Registry.enabled b
 

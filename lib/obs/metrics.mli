@@ -2,9 +2,9 @@
 
     Counters attribute reduction/simulation cost to the kernels the
     paper's complexity claims are stated in: LU factorizations,
-    shifted Kronecker-sum solves, matrix-vector products, Krylov
-    (Arnoldi) iterations, deflation discards, ODE steps/rejections,
-    Newton iterations and recovery-ladder attempts.
+    shifted Kronecker-sum solves, matrix-vector products, deflation
+    discards, ODE steps/rejections, Newton iterations and
+    recovery-ladder attempts.
 
     Counting is on by default.  The counters are a view over the
     per-domain {!Registry} store, which carries the domain-safety
@@ -16,7 +16,6 @@ type counter =
   | Lu_solve           (** triangular solves against an LU factor *)
   | Shifted_solve      (** shifted Kronecker-sum solves ([La.Ksolve]) *)
   | Matvec             (** dense matrix-vector products on Krylov paths *)
-  | Arnoldi_iter       (** Arnoldi/MGS iterations *)
   | Deflation_discard  (** basis candidates dropped by QR deflation *)
   | Ode_step           (** accepted integrator steps *)
   | Ode_rejected       (** rejected/halved integrator steps *)

@@ -10,7 +10,7 @@
    other domains are still running a read observes some interleaving
    of word-sized stores, never a torn value. *)
 
-let cost_base = 12
+let cost_base = 11
 let n_slots = cost_base + 12
 
 (* Mixed int/float record: the float fields are boxed, so every store

@@ -1,7 +1,7 @@
 (** The one per-domain store behind {!Metrics}, {!Cost} and {!Qhist}.
 
     Each domain owns one {!store}, held in a [Domain.DLS] slot: a flat
-    int array with the 12 {!Metrics} event slots followed by the 12
+    int array with the 11 {!Metrics} event slots followed by the 12
     {!Cost} slots, and a name -> histogram table.  A write touches
     only the calling domain's store — one atomic-flag load, one DLS
     fetch, plain word-sized stores, no lock.  Readers merge every

@@ -152,8 +152,8 @@ let format_counters counters =
   |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
   |> String.concat " "
 
-(* Point events inside a span are aggregated by name ([health.arnoldi]
-   fires once per Krylov iteration); recovery events are rare and
+(* Point events inside a span are aggregated by name ([health.cond]
+   fires once per Kronecker-sum order); recovery events are rare and
    individually meaningful, so those keep their detail line. *)
 let render_tree ?(max_depth = max_int) t =
   let b = Buffer.create 1024 in
@@ -212,8 +212,6 @@ let health_records t : Health.record list =
     t.events
 
 type health_summary = {
-  worst_ortho : (string * int * float) option;  (* context, iter, loss *)
-  min_margin : (string * int * float) option;  (* context, iter, margin *)
   max_cond : (string * int * float) list;  (* per context: dim, cond *)
   streaks : (string * float * int) list;  (* context, time, length *)
   residuals : (int * float * float) list;  (* k, s0, residual — last per k *)
@@ -223,9 +221,7 @@ type health_summary = {
 }
 
 let summarize t : health_summary =
-  let worst_ortho = ref None
-  and min_margin = ref None
-  and max_cond : (string, int * float) Hashtbl.t = Hashtbl.create 4
+  let max_cond : (string, int * float) Hashtbl.t = Hashtbl.create 4
   and streaks = ref []
   and residuals : (int, float * float) Hashtbl.t = Hashtbl.create 4
   and freq_worst = ref None
@@ -234,13 +230,6 @@ let summarize t : health_summary =
   List.iter
     (fun (r : Health.record) ->
       match r with
-      | Health.Arnoldi { context; iteration; ortho_loss; defl_margin; _ } ->
-        (match !worst_ortho with
-        | Some (_, _, best) when best >= ortho_loss -> ()
-        | _ -> worst_ortho := Some (context, iteration, ortho_loss));
-        (match !min_margin with
-        | Some (_, _, best) when best <= defl_margin -> ()
-        | _ -> min_margin := Some (context, iteration, defl_margin))
       | Health.Cond { context; dim; cond } -> (
         match Hashtbl.find_opt max_cond context with
         | Some (_, c) when c >= cond -> ()
@@ -258,8 +247,6 @@ let summarize t : health_summary =
         pod := Some (retained, total, energy, tail))
     (health_records t);
   {
-    worst_ortho = !worst_ortho;
-    min_margin = !min_margin;
     max_cond =
       Hashtbl.fold (fun ctx (d, c) acc -> (ctx, d, c) :: acc) max_cond []
       |> List.sort (fun (a, _, _) (b, _, _) -> compare a b);
@@ -279,16 +266,6 @@ let render_health t =
   line "numerical health";
   line "%s" (String.make 46 '-');
   let any = ref false in
-  (match s.worst_ortho with
-  | Some (ctx, it, loss) ->
-    any := true;
-    line "  worst orthogonality loss  %.3g  (%s, iter %d)" loss ctx it
-  | None -> ());
-  (match s.min_margin with
-  | Some (ctx, it, margin) ->
-    any := true;
-    line "  min deflation margin      %.3g  (%s, iter %d)" margin ctx it
-  | None -> ());
   List.iter
     (fun (ctx, dim, cond) ->
       any := true;
@@ -704,20 +681,14 @@ let render_diff old_t new_t =
   int_table ~header:"cost" (cost_totals old_t) (cost_totals new_t);
   (* headline health, old vs new *)
   let os = summarize old_t and ns = summarize new_t in
+  let max_cond s =
+    match s.max_cond with
+    | [] -> None
+    | l -> Some (List.fold_left (fun a (_, _, c) -> Float.max a c) 0.0 l)
+  in
   let health_rows =
-    [
-      ( "worst ortho loss",
-        Option.map (fun (_, _, v) -> v) os.worst_ortho,
-        Option.map (fun (_, _, v) -> v) ns.worst_ortho );
-      ( "max cond estimate",
-        (match os.max_cond with
-        | [] -> None
-        | l -> Some (List.fold_left (fun a (_, _, c) -> Float.max a c) 0.0 l)),
-        match ns.max_cond with
-        | [] -> None
-        | l -> Some (List.fold_left (fun a (_, _, c) -> Float.max a c) 0.0 l) );
-    ]
-    @ List.map
+    ("max cond estimate", max_cond os, max_cond ns)
+    :: List.map
         (fun k ->
           let get s =
             List.find_map

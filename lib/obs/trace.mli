@@ -92,10 +92,6 @@ val health_records : t -> Health.record list
 (** Every decodable health event, in emission order. *)
 
 type health_summary = {
-  worst_ortho : (string * int * float) option;
-      (** context, iteration, worst orthogonality loss *)
-  min_margin : (string * int * float) option;
-      (** context, iteration, smallest deflation margin *)
   max_cond : (string * int * float) list;
       (** per context: dimension and largest condition estimate *)
   streaks : (string * float * int) list;

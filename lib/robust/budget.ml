@@ -1,12 +1,12 @@
 (* Compute budgets and cooperative cancellation.
 
    A budget bounds one reduction/simulation: a wall-clock deadline
-   (absolute [Obs.Clock] time) plus counted resources (ODE steps,
-   Arnoldi iterations, ladder attempts).  The budget in force is held
-   in a process-wide ambient slot so hot kernels do not need a budget
-   parameter threaded through every signature: [check]/[tick_*] poll
-   the slot, and the fast path with no budget installed is a single
-   atomic load and a physical comparison against [None].
+   (absolute [Obs.Clock] time) plus a limit on ODE steps.  The budget
+   in force is held in a process-wide ambient slot so hot kernels do
+   not need a budget parameter threaded through every signature:
+   [check]/[poll]/[tick_ode_step] poll the slot, and the fast path
+   with no budget installed is a single atomic load and a physical
+   comparison against [None].
 
    Exhaustion surfaces as the typed [Error.Budget_exceeded], which the
    existing degradation machinery (ladder classification, Atmor /
@@ -23,8 +23,6 @@ type t = {
   allotted : float;  (* the relative seconds [make] was given, for
                         reporting "used X of Y" in wall-clock terms *)
   max_ode_steps : int;  (* max_int = unbounded *)
-  max_arnoldi_iters : int;
-  max_ladder_attempts : int;
   binding : bool;
       (* any limit at all? A budget that can never bind skips the
          slow path entirely — no counter bump, no deadline compare —
@@ -40,8 +38,6 @@ type t = {
          away instead of waiting for its stride slot — a hopeless
          deadline cannot let a retry slip through the gap *)
   ode_steps : int Atomic.t;
-  arnoldi_iters : int Atomic.t;
-  ladder_attempts : int Atomic.t;
 }
 
 (* The ambient slot and the virtual clock skew.  Both are atomics, so
@@ -49,11 +45,10 @@ type t = {
 let current : t option Atomic.t = Atomic.make None
 let skew : float Atomic.t = Atomic.make 0.0
 
-let make ?(deadline = infinity) ?(max_ode_steps = max_int)
-    ?(max_arnoldi_iters = max_int) ?(max_ladder_attempts = max_int) () =
+let make ?(deadline = infinity) ?(max_ode_steps = max_int) () =
   if deadline <= 0.0 then
     invalid_arg "Budget.make: deadline must be positive";
-  if max_ode_steps < 0 || max_arnoldi_iters < 0 || max_ladder_attempts < 0 then
+  if max_ode_steps < 0 then
     invalid_arg "Budget.make: limits must be nonnegative";
   let abs_deadline =
     if deadline = infinity then infinity else Obs.Clock.now () +. deadline
@@ -62,16 +57,10 @@ let make ?(deadline = infinity) ?(max_ode_steps = max_int)
     deadline = abs_deadline;
     allotted = deadline;
     max_ode_steps;
-    max_arnoldi_iters;
-    max_ladder_attempts;
-    binding =
-      deadline < infinity || max_ode_steps < max_int
-      || max_arnoldi_iters < max_int || max_ladder_attempts < max_int;
+    binding = deadline < infinity || max_ode_steps < max_int;
     polls = Atomic.make 0;
     spent = Atomic.make false;
     ode_steps = Atomic.make 0;
-    arnoldi_iters = Atomic.make 0;
-    ladder_attempts = Atomic.make 0;
   }
 
 let unbounded () = make ()
@@ -170,14 +159,6 @@ let poll site =
 let check site =
   match poll site with None -> () | Some e -> Error.raise_error e
 
-let tick counter max_ name b site =
-  let used = Atomic.fetch_and_add counter 1 + 1 in
-  if used > max_ then
-    Some
-      (exceeded_error site name ~used:(float_of_int used)
-         ~limit:(float_of_int max_))
-  else strided_deadline b site
-
 let tick_ode_step site =
   match Atomic.get current with
   | None -> None
@@ -185,30 +166,12 @@ let tick_ode_step site =
       if not b.binding then None
       else begin
         Obs.Metrics.incr Obs.Metrics.Budget_poll;
-        tick b.ode_steps b.max_ode_steps "ode-steps" b site
-      end
-
-let tick_arnoldi_iter site =
-  match Atomic.get current with
-  | None -> ()
-  | Some b ->
-      if b.binding then begin
-        Obs.Metrics.incr Obs.Metrics.Budget_poll;
-        match
-          tick b.arnoldi_iters b.max_arnoldi_iters "arnoldi-iters" b site
-        with
-        | None -> ()
-        | Some e -> Error.raise_error e
-      end
-
-let tick_ladder_attempt site =
-  match Atomic.get current with
-  | None -> None
-  | Some b ->
-      if not b.binding then None
-      else begin
-        Obs.Metrics.incr Obs.Metrics.Budget_poll;
-        tick b.ladder_attempts b.max_ladder_attempts "ladder-attempts" b site
+        let used = Atomic.fetch_and_add b.ode_steps 1 + 1 in
+        if used > b.max_ode_steps then
+          Some
+            (exceeded_error site "ode-steps" ~used:(float_of_int used)
+               ~limit:(float_of_int b.max_ode_steps))
+        else strided_deadline b site
       end
 
 (* Is a failure (or the terminal failure inside a [Budget_exhausted]

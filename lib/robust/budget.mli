@@ -1,18 +1,18 @@
 (** Compute budgets and cooperative cancellation.
 
     A budget bounds one reduction or simulation with a wall-clock
-    deadline (measured by {!Obs.Clock}) and counted resources: ODE
-    steps, Arnoldi iterations and recovery-ladder attempts.  The
+    deadline (measured by {!Obs.Clock}) and a limit on ODE steps.  The
     budget in force lives in a process-wide ambient slot ({!with_budget})
     rather than a parameter threaded through every kernel signature;
-    hot loops poll it with {!check} / [tick_*], whose fast path with no
-    budget installed is one atomic load and a [None] comparison.
+    hot loops poll it with {!check} / {!poll} / {!tick_ode_step}, whose
+    fast path with no budget installed is one atomic load and a [None]
+    comparison.
 
     Exhaustion raises (or returns) the typed
     {!Error.Budget_exceeded}; the degradation machinery turns it into
-    best-effort results — a truncated-but-orthonormal Krylov basis, a
-    best-so-far ROM with a degradation report entry, a partial time
-    series — instead of a killed process.  See DESIGN.md §13.
+    best-effort results — a best-so-far ROM with a degradation report
+    entry, a partial time series — instead of a killed process.  See
+    DESIGN.md §13.
 
     Each slow-path poll — a poll against a budget with at least one
     finite limit — increments the [budget_poll] counter and, on
@@ -22,20 +22,18 @@
     {!unbounded} costs the same as installing nothing. *)
 
 type t
-(** One budget: an absolute deadline plus shared resource counters.
-    Counters are cumulative across every kernel run under the same
+(** One budget: an absolute deadline plus a shared ODE-step counter.
+    The counter is cumulative across every kernel run under the same
     installed budget. *)
 
 val make :
   ?deadline:float ->
   ?max_ode_steps:int ->
-  ?max_arnoldi_iters:int ->
-  ?max_ladder_attempts:int ->
   unit ->
   t
 (** [make ~deadline:sec ()] builds a budget expiring [sec] seconds
-    from now ([infinity], the default, means no deadline); the counted
-    limits default to [max_int] (unbounded).  Raises
+    from now ([infinity], the default, means no deadline);
+    [max_ode_steps] defaults to [max_int] (unbounded).  Raises
     [Invalid_argument] on a nonpositive deadline or negative limit. *)
 
 val unbounded : unit -> t
@@ -76,21 +74,13 @@ val check : string -> unit
 
 val poll : string -> Error.t option
 (** Non-raising {!check}, for kernels that must return a best-effort
-    result instead of unwinding. *)
-
-val tick_arnoldi_iter : string -> unit
-(** Count one Arnoldi iteration and poll deadline + iteration limit;
-    raises on exhaustion (Arnoldi converts this into basis
-    truncation). *)
+    result instead of unwinding; {!Policy.run_ladder} polls it between
+    rungs and stops retrying on exhaustion. *)
 
 val tick_ode_step : string -> Error.t option
 (** Count one integrator step attempt and poll deadline + step limit;
     non-raising — integrators return the truncated series flagged
     [partial]. *)
-
-val tick_ladder_attempt : string -> Error.t option
-(** Count one fallback-ladder rung attempt and poll deadline + attempt
-    limit; non-raising — {!Policy.run_ladder} stops retrying. *)
 
 val advance_skew : float -> unit
 (** Advance the virtual clock skew added to every deadline poll.

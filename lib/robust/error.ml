@@ -17,8 +17,6 @@ type t =
          expansion/shift point when the solve was shifted (NaN
          otherwise), [distance] the observed distance from
          singularity (pivot magnitude, pole distance, ...) *)
-  | Arnoldi_breakdown of { loc : location; step : int; residual : float }
-      (* Krylov recurrence stopped early at iteration [step] *)
   | Step_failure of { loc : location; time : float; detail : string }
       (* a time integrator could not advance past [time] *)
   | Non_hurwitz of { loc : location; max_re : float }
@@ -36,7 +34,7 @@ type t =
   | Budget_exceeded of
       { loc : location; resource : string; used : float; limit : float }
       (* a compute budget ran out mid-kernel: [resource] is
-         "deadline" | "ode-steps" | "arnoldi-iters" | "ladder-attempts",
+         "deadline" | "ode-steps",
          [used]/[limit] in that resource's unit (absolute Clock seconds
          for the deadline, counts otherwise) *)
 
@@ -46,7 +44,6 @@ let loc ~subsystem ~operation = { subsystem; operation }
 
 let location = function
   | Singular_solve { loc; _ }
-  | Arnoldi_breakdown { loc; _ }
   | Step_failure { loc; _ }
   | Non_hurwitz { loc; _ }
   | Contract_violation { loc; _ }
@@ -57,7 +54,6 @@ let location = function
 
 let kind = function
   | Singular_solve _ -> "singular-solve"
-  | Arnoldi_breakdown _ -> "arnoldi-breakdown"
   | Step_failure _ -> "step-failure"
   | Non_hurwitz _ -> "non-hurwitz"
   | Contract_violation _ -> "contract-violation"
@@ -76,9 +72,6 @@ let rec to_string err =
     else
       Printf.sprintf "%s: singular solve at shift %g (distance %.3e)" at
         shift distance
-  | Arnoldi_breakdown { step; residual; _ } ->
-    Printf.sprintf "%s: Arnoldi breakdown at step %d (residual %.3e)" at step
-      residual
   | Step_failure { time; detail; _ } ->
     if Float.is_nan time then Printf.sprintf "%s: %s" at detail
     else Printf.sprintf "%s: %s (t = %g)" at detail time

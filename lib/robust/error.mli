@@ -14,8 +14,6 @@ type t =
       (** An (approximately) singular linear solve. [shift] is the
           expansion/shift point for shifted solves (NaN for plain
           solves); [distance] the observed distance from singularity. *)
-  | Arnoldi_breakdown of { loc : location; step : int; residual : float }
-      (** Krylov recurrence stopped early at iteration [step]. *)
   | Step_failure of { loc : location; time : float; detail : string }
       (** A time integrator could not advance past [time]. *)
   | Non_hurwitz of { loc : location; max_re : float }
@@ -32,10 +30,9 @@ type t =
   | Budget_exceeded of
       { loc : location; resource : string; used : float; limit : float }
       (** A compute budget ({!Budget}) ran out mid-kernel. [resource]
-          is ["deadline"], ["ode-steps"], ["arnoldi-iters"] or
-          ["ladder-attempts"]; [used]/[limit] are in that resource's
-          unit (absolute [Obs.Clock] seconds for the deadline, counts
-          otherwise). *)
+          is ["deadline"] or ["ode-steps"]; [used]/[limit] are in that
+          resource's unit (absolute [Obs.Clock] seconds for the
+          deadline, counts otherwise). *)
 
 exception Error of t
 (** The exception form, for call sites that cannot return [result]. A

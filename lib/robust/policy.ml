@@ -4,9 +4,8 @@
    Tikhonov strength) plus three engines: the deterministic
    shift-nudge sequence for near-singular shifted solves, the walk
    over those candidates ([Atmor.reduce] runs it per order level,
-   [Autoselect.reduce] for its H1 probe), and the generic ladder runner used by every fallback chain
-   in the stack (LU -> pivoted QR -> Tikhonov in [La.Ladder], RKF45 ->
-   implicit trapezoid in [Ode.Fallback]).
+   [Autoselect.reduce] for its H1 probe), and the generic ladder runner
+   behind the LU -> pivoted QR -> Tikhonov chain in [La.Ladder].
 
    VMOR_MAX_RETRIES overrides the default attempt budget. *)
 
@@ -104,10 +103,10 @@ let walk_nudges ~recorder ~(classify : exn -> Error.t option)
    "fallback:<next>" or "exhausted") and trigger escalation; foreign
    exceptions propagate.
 
-   The ambient compute budget gates every rung: when the deadline (or
-   the ladder-attempt allowance) is already spent, remaining rungs are
-   not attempted — retrying on attempt count alone could overshoot a
-   deadline the first rung has blown. The budget failure becomes the
+   The ambient compute budget gates every rung: when the deadline is
+   already spent, remaining rungs are not attempted — retrying on
+   attempt count alone could overshoot a deadline the first rung has
+   blown. The budget failure becomes the
    terminal [last] so the caller (and the CLI's exit-code mapping) can
    tell a budget halt from plain rung exhaustion. *)
 let run_ladder ?recorder ~(loc : Error.location)
@@ -117,7 +116,7 @@ let run_ladder ?recorder ~(loc : Error.location)
   let rec go attempts last = function
     | [] -> Result.Error (Error.Budget_exhausted { loc; attempts; last })
     | (name, f) :: rest -> (
-      match Budget.tick_ladder_attempt (Error.location_string loc) with
+      match Budget.poll (Error.location_string loc) with
       | Some err ->
         Report.record_opt recorder ~action:"budget:stop-retries" err;
         Result.Error (Error.Budget_exhausted { loc; attempts; last = Some err })

@@ -69,8 +69,8 @@ val run_ladder :
     exceptions propagate. Returns [Error (Budget_exhausted ...)] when
     every rung fails.
 
-    The ambient {!Budget} gates every rung: once the deadline or the
-    ladder-attempt allowance is spent, remaining rungs are not
+    The ambient {!Budget} gates every rung: it is polled before each
+    one, and once the deadline is spent the remaining rungs are not
     attempted (action ["budget:stop-retries"]) and the result is
     [Error (Budget_exhausted ...)] whose [last] is the
     [Budget_exceeded] failure. *)

@@ -1,7 +1,7 @@
 (* Tests for the compute-budget layer (DESIGN.md §13): the ambient
    slot, the deterministic virtual-clock cancellation via
    [Faultify.Stall], per-site cooperative cancellation in the ODE
-   integrators / Arnoldi / ladder / Atmor / Autoselect, anytime-ROM
+   integrators / ladder / Atmor / Autoselect, anytime-ROM
    validity of every best-effort result, the 4-vs-5 exit-code boundary
    at the CLI, and bit-identical determinism of budget-unbounded runs.
 
@@ -262,17 +262,47 @@ let test_counted_limits () =
             (Budget.is_budget_error e);
           Alcotest.(check bool) "names the resource" true
             (contains ~needle:"ode-steps" (Robust.Error.to_string e))
-      | None -> Alcotest.fail "4th ode step should exceed max_ode_steps=3");
+      | None -> Alcotest.fail "4th ode step should exceed max_ode_steps=3")
+
+(* A step tick polls the deadline too: once the (virtual) clock has
+   passed it, the tick fails on the deadline with steps still left. *)
+let test_deadline_binds_step_tick () =
   Budget.with_budget
-    (Some (Budget.make ~max_arnoldi_iters:2 ()))
+    (Some (Budget.make ~deadline:1.0 ~max_ode_steps:1000 ()))
     (fun () ->
-      Budget.tick_arnoldi_iter "test.counted";
-      Budget.tick_arnoldi_iter "test.counted";
-      match Budget.tick_arnoldi_iter "test.counted" with
-      | exception Robust.Error.Error e ->
-          Alcotest.(check bool) "3rd arnoldi iter raises typed" true
-            (Budget.is_budget_error e)
-      | () -> Alcotest.fail "3rd arnoldi iter should raise")
+      Alcotest.(check bool) "fresh budget allows a step" true
+        (Budget.tick_ode_step "test.tick" = None);
+      Budget.advance_skew 5.0;
+      match Budget.tick_ode_step "test.tick" with
+      | Some e ->
+          let s = Robust.Error.to_string e in
+          Alcotest.(check bool)
+            (Printf.sprintf "names the deadline (%s)" s)
+            true
+            (contains ~needle:"deadline" s
+            && not (contains ~needle:"ode-steps" s))
+      | None -> Alcotest.fail "a spent deadline must fail the step tick")
+
+(* The step counter is shared by every integrator run under one
+   install: a second run starts from what the first one spent, and a
+   fresh install starts from zero. *)
+let test_step_counter_is_cumulative () =
+  let q = diag_qldae () in
+  let run () =
+    Volterra.Qldae.simulate ~solver:(Volterra.Qldae.Rk4 0.02) q
+      ~input:step_input ~t0:0.0 ~t1:1.0 ~samples:11
+  in
+  let within_limit () =
+    Budget.with_budget (Some (Budget.make ~max_ode_steps:80 ()))
+  in
+  within_limit () (fun () ->
+      Alcotest.(check bool) "first run fits the limit" false
+        (run ()).Ode.Types.partial;
+      Alcotest.(check bool) "second run exhausts the shared counter" true
+        (run ()).Ode.Types.partial);
+  within_limit () (fun () ->
+      Alcotest.(check bool) "a fresh install starts a fresh counter" false
+        (run ()).Ode.Types.partial)
 
 (* ---- ODE integrators: partial-series truncation ---- *)
 
@@ -343,41 +373,6 @@ let test_ode_partial_series () =
         xs)
     part.Ode.Types.states
 
-(* ---- Arnoldi: truncated-but-orthonormal basis ---- *)
-
-let test_arnoldi_truncates_orthonormal () =
-  let n = 10 in
-  let a =
-    Mat.init n n (fun i j ->
-        if i = j then -.float_of_int (i + 1)
-        else if abs (i - j) = 1 then 0.1
-        else 0.0)
-  in
-  let matvec v = Mat.mul_vec a v in
-  let b = Vec.init n (fun _ -> 1.0) in
-  let clean = Mor.Arnoldi.run ~matvec ~b ~k:8 () in
-  Alcotest.(check int) "clean run builds the full basis" 8
-    (Mat.cols clean.Mor.Arnoldi.v);
-  let recorder = Robust.Report.recorder () in
-  let r =
-    Budget.with_budget
-      (Some (Budget.make ~max_arnoldi_iters:3 ()))
-      (fun () -> Mor.Arnoldi.run ~recorder ~matvec ~b ~k:8 ())
-  in
-  let cols = Mat.cols r.Mor.Arnoldi.v in
-  Alcotest.(check bool) "budget reported as breakdown" true
-    r.Mor.Arnoldi.breakdown;
-  Alcotest.(check bool)
-    (Printf.sprintf "basis truncated (%d < 8)" cols)
-    true (cols < 8);
-  Alcotest.(check bool) "some columns survive" true (cols >= 1);
-  check_small "truncated basis stays orthonormal"
-    (orthonormality r.Mor.Arnoldi.v) 1e-12;
-  Alcotest.(check bool) "truncation recorded as degrade" true
-    (has_action (Robust.Report.events recorder) "degrade:truncate-basis");
-  Alcotest.(check bool) "recorded error is a budget error" true
-    (has_budget_event (Robust.Report.events recorder))
-
 (* ---- ladder: budget gates the retries ---- *)
 
 let test_ladder_budget_stops_retries () =
@@ -386,18 +381,27 @@ let test_ladder_budget_stops_retries () =
     | Failure d -> Some (Robust.Error.Contract_violation { loc; detail = d })
     | _ -> None
   in
-  let rungs =
-    [ ("bad", fun () -> failwith "rung fails"); ("good", fun () -> 42) ]
+  let rungs stall =
+    [
+      ( "bad",
+        fun () ->
+          if stall then Budget.advance_skew 10.0;
+          failwith "rung fails" );
+      ("good", fun () -> 42);
+    ]
   in
   (* sanity: without a budget the second rung rescues the run *)
-  (match Robust.Policy.run_ladder ~loc ~classify rungs with
+  (match Robust.Policy.run_ladder ~loc ~classify (rungs false) with
   | Ok v -> Alcotest.(check int) "unbudgeted ladder recovers" 42 v
   | Error e -> Alcotest.failf "unbudgeted ladder failed: %s" (Robust.Error.to_string e));
+  (* the first rung spends the deadline (virtual clock), so the poll
+     before the second rung stops the ladder *)
   let recorder = Robust.Report.recorder () in
   let result =
     Budget.with_budget
-      (Some (Budget.make ~max_ladder_attempts:1 ()))
-      (fun () -> Robust.Policy.run_ladder ~recorder ~loc ~classify rungs)
+      (Some (Budget.make ~deadline:1.0 ()))
+      (fun () ->
+        Robust.Policy.run_ladder ~recorder ~loc ~classify (rungs true))
   in
   (match result with
   | Error (Robust.Error.Budget_exhausted { last = Some l; _ } as e) ->
@@ -407,9 +411,42 @@ let test_ladder_budget_stops_retries () =
         (Budget.is_budget_error e)
   | Error e ->
       Alcotest.failf "expected Budget_exhausted, got %s" (Robust.Error.to_string e)
-  | Ok _ -> Alcotest.fail "one attempt must not reach the second rung");
+  | Ok _ -> Alcotest.fail "a spent deadline must not reach the second rung");
   Alcotest.(check bool) "retry stop recorded" true
     (has_action (Robust.Report.events recorder) "budget:stop-retries")
+
+(* [run_ladder] polls the deadline once before each rung: one
+   [budget_poll] per rung under a binding budget, none without a budget
+   or under one that cannot bind. *)
+let test_ladder_polls_per_rung () =
+  let loc = Robust.Error.loc ~subsystem:"test" ~operation:"ladder" in
+  let classify = function
+    | Failure d -> Some (Robust.Error.Contract_violation { loc; detail = d })
+    | _ -> None
+  in
+  let rungs =
+    [
+      ("a", fun () -> failwith "a");
+      ("b", fun () -> failwith "b");
+      ("c", fun () -> 7);
+    ]
+  in
+  let polls budget =
+    let before = Obs.Metrics.get Obs.Metrics.Budget_poll in
+    (match
+       Budget.with_budget budget (fun () ->
+           Robust.Policy.run_ladder ~loc ~classify rungs)
+     with
+    | Ok v -> Alcotest.(check int) "third rung answers" 7 v
+    | Error e ->
+        Alcotest.failf "ladder failed: %s" (Robust.Error.to_string e));
+    Obs.Metrics.get Obs.Metrics.Budget_poll - before
+  in
+  Alcotest.(check int) "no budget: no polls" 0 (polls None);
+  Alcotest.(check int) "unbounded budget: no polls" 0
+    (polls (Some (Budget.unbounded ())));
+  Alcotest.(check int) "binding budget: one poll per rung" 3
+    (polls (Some (Budget.make ~deadline:1000.0 ())))
 
 (* ---- anytime ROMs: a stall sweep over every cancellation point ----
 
@@ -543,14 +580,15 @@ let test_unbounded_budget_bit_identical () =
 
 (* ---- CLI: the 4-vs-5 boundary and the documented exit table ---- *)
 
-let cli_exe = Filename.concat Filename.parent_dir_name "bin/vmor_cli.exe"
-
-let run_cli args =
+let run_cli ?(env = []) args =
   (* -u VMOR_DEADLINE: [test_of_env] can only reset the variable to ""
      ([Unix.putenv] cannot unset), and an empty value must not leak
-     into the spawned CLI. *)
+     into the spawned CLI; assignments after it set what a test is
+     about. *)
   let cmd =
-    Printf.sprintf "env -u VMOR_DEADLINE %s %s 2>&1" (Filename.quote cli_exe)
+    Printf.sprintf "env -u VMOR_DEADLINE %s %s %s 2>&1"
+      (String.concat " " (List.map Filename.quote env))
+      (Filename.quote Build_tree.vmor_cli)
       args
   in
   let ic = Unix.open_process_in cmd in
@@ -591,9 +629,37 @@ let test_cli_exit_codes () =
     (contains ~needle:"partial" out);
   check_exit "usage error beats budget" 2 (run_cli (base ^ " --max-steps=-7"))
 
+(* compare under a step limit: the reduction needs no ODE steps, the
+   full-model transient is truncated, and the run exits 4 with the
+   partial prefix reported. [VMOR_DEADLINE] is the env twin of
+   --deadline: a hopeless one exits 5 like the flag. *)
+let test_cli_compare_budgets () =
+  let base = "compare --model nltl-v --scale 0.1 --orders 3,1,0" in
+  let code, out = run_cli (base ^ " --max-steps 5") in
+  check_exit "step-limited compare" 4 (code, out);
+  Alcotest.(check bool)
+    (Printf.sprintf "truncated transient reported (%s)" out)
+    true
+    (contains ~needle:"partial: compute budget truncated the transient" out);
+  let code, out = run_cli ~env:[ "VMOR_DEADLINE=0.000001" ] base in
+  check_exit "hopeless VMOR_DEADLINE" 5 (code, out)
+
+(* An unknown flag is a cmdliner parse error (exit 124, as the README
+   table says) on every budgeted subcommand. *)
+let test_cli_unknown_flag () =
+  List.iter
+    (fun sub ->
+      let code, out = run_cli (sub ^ " --model nltl-v --no-such-flag") in
+      check_exit (sub ^ " --no-such-flag") 124 (code, out);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names the option (%s)" sub out)
+        true
+        (contains ~needle:"unknown option" out))
+    [ "reduce"; "simulate"; "compare"; "autoselect" ]
+
 (* The --help EXIT STATUS section and the README exit-code table must
-   list the same vmor-specific codes (cmdliner's own 123/124/125 are
-   excluded). *)
+   list the same codes: vmor's own 0-5 plus cmdliner's 124, the code
+   an unknown flag exits with (cmdliner's 123/125 are excluded). *)
 
 let read_lines path =
   let ic = open_in path in
@@ -635,14 +701,14 @@ let test_help_readme_exit_sync () =
         else
           let acc =
             match leading_int line with
-            | Some c when c <= 5 -> c :: acc
+            | Some c when c <= 5 || c = 124 -> c :: acc
             | _ -> acc
           in
           in_section acc true rest
   in
   let help_codes = List.sort_uniq compare (in_section [] false lines) in
   let readme_codes =
-    read_lines (Filename.concat Filename.parent_dir_name "README.md")
+    read_lines (Build_tree.path "README.md")
     |> List.filter_map (fun line ->
            let line = String.trim line in
            if String.length line > 4 && String.sub line 0 3 = "| `" then
@@ -654,7 +720,9 @@ let test_help_readme_exit_sync () =
   Alcotest.(check (list int))
     "README exit table matches vmor --help" help_codes readme_codes;
   Alcotest.(check bool) "budget exit code documented" true
-    (List.mem 5 help_codes)
+    (List.mem 5 help_codes);
+  Alcotest.(check bool) "parse-error exit code documented" true
+    (List.mem 124 help_codes)
 
 let suite =
   let tc = Alcotest.test_case in
@@ -667,7 +735,10 @@ let suite =
         tc "fast path is poll-free" `Quick test_fast_path_counts_no_polls;
         tc "Stall advances the virtual clock" `Quick
           test_stall_advances_virtual_clock;
-        tc "counted limits (steps, iters)" `Quick test_counted_limits;
+        tc "counted limit (ODE steps)" `Quick test_counted_limits;
+        tc "deadline binds the step tick" `Quick test_deadline_binds_step_tick;
+        tc "step counter is shared per install" `Quick
+          test_step_counter_is_cumulative;
         tc "symmetric k = 3 solve polls once per level" `Quick
           test_sym3_polls_per_level;
       ] );
@@ -675,10 +746,10 @@ let suite =
       [
         tc "ODE integrators truncate to a partial prefix" `Quick
           test_ode_partial_series;
-        tc "Arnoldi truncates to an orthonormal basis" `Quick
-          test_arnoldi_truncates_orthonormal;
         tc "ladder stops retrying on a spent budget" `Quick
           test_ladder_budget_stops_retries;
+        tc "ladder polls the deadline once per rung" `Quick
+          test_ladder_polls_per_rung;
         tc "Atmor stall sweep: valid ROM or typed raise" `Slow
           test_atmor_stall_sweep;
         tc "Autoselect stall sweep: valid selection or typed raise" `Slow
@@ -689,6 +760,9 @@ let suite =
     ( "budget.cli",
       [
         tc "exit codes 0/2/4/5" `Slow test_cli_exit_codes;
+        tc "compare under --max-steps and VMOR_DEADLINE" `Slow
+          test_cli_compare_budgets;
+        tc "unknown flag exits 124" `Quick test_cli_unknown_flag;
         tc "help and README exit tables agree" `Quick
           test_help_readme_exit_sync;
       ] );

@@ -77,18 +77,21 @@ let test_orthonormal_gating () =
 
 (* ---------- contracts accept real computed bases ---------- *)
 
-let test_orthonormal_accepts_arnoldi () =
+let test_orthonormal_accepts_atmor_basis () =
   with_checks true (fun () ->
-      let n = 24 in
-      let a = Mat.random ~rng n n in
-      let b = Vec.init n (fun i -> 1.0 +. float_of_int i) in
-      (* Mor.Arnoldi.run asserts orthonormality of V internally when checks
-         are on; reaching the checks below means it passed. *)
-      let r = Mor.Arnoldi.run ~matvec:(Mat.mul_vec a) ~b ~k:6 () in
-      Alcotest.(check int) "full Krylov basis" 6 (Mat.cols r.Mor.Arnoldi.v);
-      Contract.require_orthonormal "arnoldi basis" ~rows:n
-        ~cols:(Mat.cols r.Mor.Arnoldi.v)
-        (Mat.data r.Mor.Arnoldi.v))
+      let q =
+        Circuit.Models.qldae (Circuit.Models.nltl_current ~stages:8 ())
+      in
+      (* Atmor.finish asserts the basis contracts internally when checks
+         are on; reaching the checks below means they passed. *)
+      let r =
+        Mor.Atmor.reduce ~orders:{ Mor.Atmor.k1 = 4; k2 = 2; k3 = 0 } q
+      in
+      let v = r.Mor.Atmor.basis in
+      Alcotest.(check int) "basis height" (Volterra.Qldae.dim q) (Mat.rows v);
+      Alcotest.(check bool) "nonempty basis" true (Mat.cols v > 0);
+      Contract.require_orthonormal "atmor basis" ~rows:(Mat.rows v)
+        ~cols:(Mat.cols v) (Mat.data v))
 
 let test_orth_mat_contract () =
   with_checks true (fun () ->
@@ -168,8 +171,8 @@ let suite =
           test_finite_gating;
         Alcotest.test_case "orthonormality gated by VMOR_CHECKS" `Quick
           test_orthonormal_gating;
-        Alcotest.test_case "orthonormality accepts Arnoldi bases" `Quick
-          test_orthonormal_accepts_arnoldi;
+        Alcotest.test_case "orthonormality accepts Atmor bases" `Quick
+          test_orthonormal_accepts_atmor_basis;
         Alcotest.test_case "orth_mat passes its own contract" `Quick
           test_orth_mat_contract;
         Alcotest.test_case "la boundary guards" `Quick test_la_guards;

@@ -1,6 +1,6 @@
-(* Numerical-health telemetry (PR 4): Arnoldi orthogonality tracking,
-   condition estimators, a-posteriori moment residuals, trace analysis
-   round-trips, and the bench regression gate. *)
+(* Numerical-health telemetry: condition estimators, a-posteriori
+   moment residuals, trace analysis round-trips, and the bench
+   regression gate. *)
 
 open La
 open Volterra
@@ -25,68 +25,12 @@ let health_events (captured : Obs.Sink.captured) =
       Obs.Health.of_event ~name:e.Obs.Sink.name ~detail:e.Obs.Sink.detail)
     captured.Obs.Sink.events
 
-let arnoldi_losses captured =
-  List.filter_map
-    (function
-      | Obs.Health.Arnoldi { iteration; ortho_loss; _ } ->
-        Some (iteration, ortho_loss)
-      | _ -> None)
-    (health_events captured)
-
-let rec nondecreasing = function
-  | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
-  | _ -> true
-
-let stable_random n =
-  let rng = Random.State.make [| 314; n |] in
-  Mat.sub (Mat.scale 0.3 (Mat.random ~rng n n)) (Mat.scale 1.5 (Mat.identity n))
-
-(* ---- Arnoldi orthogonality loss ---- *)
-
-let test_ortho_monotone () =
-  let n = 30 in
-  let a = stable_random n in
-  let rng = Random.State.make [| 7 |] in
-  let b = Mat.random_vec ~rng n in
-  let r, captured =
-    with_memory_sink (fun () ->
-        Mor.Arnoldi.run ~matvec:(Mat.mul_vec a) ~b ~k:12 ())
+let contains hay needle =
+  let nl = String.length needle and l = String.length hay in
+  let rec go i =
+    i + nl <= l && (String.equal (String.sub hay i nl) needle || go (i + 1))
   in
-  let losses = arnoldi_losses captured in
-  check_bool "one record per iteration" true
-    (List.length losses >= Mat.cols r.Mor.Arnoldi.v - 1);
-  check_bool "iterations increase" true
-    (nondecreasing (List.map (fun (i, _) -> float_of_int i) losses));
-  check_bool "running max is nondecreasing" true
-    (nondecreasing (List.map snd losses));
-  List.iter
-    (fun (_, l) ->
-      check_bool "loss finite and small after reorthogonalization" true
-        (Float.is_finite l && l < 1e-10))
-    losses
-
-let test_ortho_monotone_under_perturbation () =
-  let n = 24 in
-  let a = stable_random n in
-  let rng = Random.State.make [| 11 |] in
-  let b = Mat.random_vec ~rng n in
-  (* corrupt every matvec output: the basis stays orthonormal (MGS
-     orthogonalizes whatever comes back), and the running-max loss must
-     stay monotone regardless *)
-  let fault =
-    Robust.Faultify.make
-      (Robust.Faultify.plan ~persist:true (Robust.Faultify.Perturb 1e-4))
-  in
-  let _, captured =
-    with_memory_sink (fun () ->
-        Mor.Arnoldi.run
-          ~matvec:(Robust.Faultify.wrap fault (Mat.mul_vec a))
-          ~b ~k:10 ())
-  in
-  let losses = arnoldi_losses captured in
-  check_bool "events emitted under fault" true (losses <> []);
-  check_bool "running max still nondecreasing" true
-    (nondecreasing (List.map snd losses))
+  go 0
 
 (* ---- condition estimators ---- *)
 
@@ -198,14 +142,7 @@ let make_trace path =
           Obs.Span.with_ ~name:"inner" (fun () ->
               Obs.Metrics.incr Obs.Metrics.Matvec);
           Obs.Health.emit
-            (Obs.Health.Arnoldi
-               {
-                 context = "test";
-                 iteration = 3;
-                 ortho_loss = 1.25e-13;
-                 subdiag = 0.5;
-                 defl_margin = 41.0;
-               });
+            (Obs.Health.Cond { context = "test"; dim = 3; cond = 1.25e13 });
           Obs.Health.emit
             (Obs.Health.Moment_residual { k = 2; s0 = 1.0; residual = 3e-9 })))
 
@@ -231,38 +168,132 @@ let test_trace_roundtrip () =
              children)
       | _ -> Alcotest.fail "expected a single root span");
       let summary = Obs.Trace.summarize t in
-      (match summary.Obs.Trace.worst_ortho with
-      | Some (ctx, it, loss) ->
-        Alcotest.(check string) "ortho context" "test" ctx;
-        check_int "ortho iteration" 3 it;
-        Alcotest.(check (float 1e-18)) "ortho loss survives re-parse" 1.25e-13
-          loss
-      | None -> Alcotest.fail "worst_ortho missing");
+      (match summary.Obs.Trace.max_cond with
+      | [ (ctx, dim, cond) ] ->
+        Alcotest.(check string) "cond context" "test" ctx;
+        check_int "cond dimension" 3 dim;
+        Alcotest.(check (float 0.0)) "cond survives re-parse" 1.25e13 cond
+      | _ -> Alcotest.fail "expected one max_cond entry");
+      (match summary.Obs.Trace.residuals with
+      | [ (k, s0, residual) ] ->
+        check_int "residual order" 2 k;
+        Alcotest.(check (float 0.0)) "residual s0" 1.0 s0;
+        Alcotest.(check (float 0.0)) "residual survives re-parse" 3e-9
+          residual
+      | _ -> Alcotest.fail "expected one moment residual");
       check_bool "tree mentions both spans" true
         (let tree = Obs.Trace.render_tree t in
-         let has needle =
-           let nl = String.length needle and l = String.length tree in
-           let rec go i =
-             i + nl <= l && (String.equal (String.sub tree i nl) needle || go (i + 1))
-           in
-           go 0
-         in
-         has "outer" && has "inner");
+         contains tree "outer" && contains tree "inner");
       check_bool "health block renders" true
         (String.length (Obs.Trace.render_health t) > 0);
       (* diff of a trace against itself: renders, lists the matched
          span, and reports zero deltas *)
       let diff = Obs.Trace.render_diff t t in
-      let has hay needle =
-        let nl = String.length needle and l = String.length hay in
-        let rec go i =
-          i + nl <= l && (String.equal (String.sub hay i nl) needle || go (i + 1))
-        in
-        go 0
-      in
-      check_bool "self-diff lists the span" true (has diff "outer");
+      check_bool "self-diff lists the span" true (contains diff "outer");
       (* the matvec counter is 1 in both traces -> an exact zero delta *)
-      check_bool "self-diff shows unchanged counters" true (has diff "+0.0%"))
+      check_bool "self-diff shows unchanged counters" true (contains diff "+0.0%"))
+
+(* Every record kind survives emit -> sink event -> [of_event]
+   unchanged (values exact at the %.9g the detail string carries). *)
+let test_records_roundtrip () =
+  let records =
+    Obs.Health.
+      [
+        Cond { context = "assoc.resolvent"; dim = 7; cond = 1.25e13 };
+        Ode_streak { context = "rkf45"; time = 0.5; length = 4 };
+        Moment_residual { k = 3; s0 = 0.25; residual = 3e-9 };
+        Freq_error { omega = 2.0; rel_err = 0.125 };
+        Pod_spectrum { retained = 5; total = 20; energy = 0.9375; tail = 1e-6 };
+      ]
+  in
+  let (), captured =
+    with_memory_sink (fun () -> List.iter Obs.Health.emit records)
+  in
+  check_bool "every record decodes to itself" true
+    (health_events captured = records)
+
+(* Kinds this build does not know (an older trace's, say) and records
+   missing a field decode to [None], so [vmor report] skips them. *)
+let test_unknown_records_skipped () =
+  let decode name detail = Obs.Health.of_event ~name ~detail in
+  check_bool "unknown kind" true
+    (decode "health.arnoldi" "context=x iter=1 ortho_loss=0 subdiag=1" = None);
+  check_bool "missing field" true
+    (decode "health.cond" "context=x dim=3" = None);
+  check_bool "malformed number" true
+    (decode "health.cond" "context=x dim=3 cond=abc" = None);
+  check_bool "not a health event" true
+    (decode "budget.install" "deadline=1" = None)
+
+let health_trace records =
+  let path = Filename.temp_file "vmor_health" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Obs.Sink.set (Obs.Sink.jsonl_file path);
+      Fun.protect
+        ~finally:(fun () -> Obs.Sink.set Obs.Sink.null)
+        (fun () ->
+          Obs.Span.with_ ~name:"run" (fun () ->
+              List.iter Obs.Health.emit records));
+      Obs.Trace.load path)
+
+(* The report's health block: the largest estimate per context, only
+   streaks of 3 or more, and the last residual per order. *)
+let test_render_health_rows () =
+  let t =
+    health_trace
+      Obs.Health.
+        [
+          Cond { context = "assoc.resolvent"; dim = 7; cond = 10.0 };
+          Cond { context = "assoc.resolvent"; dim = 7; cond = 4000.0 };
+          Ode_streak { context = "rkf45"; time = 0.5; length = 2 };
+          Ode_streak { context = "rkf45"; time = 1.5; length = 5 };
+          Moment_residual { k = 1; s0 = 0.5; residual = 1e-3 };
+          Moment_residual { k = 1; s0 = 0.5; residual = 2e-12 };
+        ]
+  in
+  let out = Obs.Trace.render_health t in
+  List.iter
+    (fun needle ->
+      check_bool (Printf.sprintf "%S in\n%s" needle out) true
+        (contains out needle))
+    [
+      "cond estimate             4e+03  (assoc.resolvent, n=7)";
+      "rkf45: 5 rejected near t=1.5";
+      "H1(s0=0.5)  rel residual 2e-12";
+    ];
+  check_bool "smaller cond estimate dropped" false (contains out " 10  (");
+  check_bool "short streak dropped" false (contains out "2 rejected")
+
+(* The report's diff: headline health old vs new, with a percentage
+   delta where both sides have the value and "new" where only the
+   fresh trace does. *)
+let test_render_diff_health () =
+  let old_t =
+    health_trace
+      [ Obs.Health.Cond { context = "assoc.resolvent"; dim = 7; cond = 100.0 } ]
+  and new_t =
+    health_trace
+      Obs.Health.
+        [
+          Cond { context = "assoc.resolvent"; dim = 7; cond = 200.0 };
+          Moment_residual { k = 2; s0 = 0.5; residual = 1e-9 };
+        ]
+  in
+  let out = Obs.Trace.render_diff old_t new_t in
+  let row name =
+    List.find_opt
+      (String.starts_with ~prefix:name)
+      (String.split_on_char '\n' out)
+  in
+  (match row "max cond estimate" with
+  | Some l -> check_bool ("cond row doubles: " ^ l) true (contains l "+100.0%")
+  | None -> Alcotest.failf "no cond row in\n%s" out);
+  (match row "H2 moment residual" with
+  | Some l -> check_bool ("residual row is new: " ^ l) true (contains l "new")
+  | None -> Alcotest.failf "no H2 row in\n%s" out);
+  check_bool "absent H1 row" true (row "H1 moment residual" = None)
 
 (* ---- bench gate ---- *)
 
@@ -389,10 +420,6 @@ let suite =
   [
     ( "health",
       [
-        Alcotest.test_case "arnoldi ortho loss is monotone" `Quick
-          test_ortho_monotone;
-        Alcotest.test_case "ortho loss monotone under Perturb fault" `Quick
-          test_ortho_monotone_under_perturbation;
         Alcotest.test_case "lu condest on known spectra" `Quick
           test_condest_diagonal;
         Alcotest.test_case "ksolve shifted cond estimate" `Quick
@@ -403,6 +430,13 @@ let suite =
           test_moment_residual_exact;
         Alcotest.test_case "reduce emits residual/cond/sweep records" `Quick
           test_reduce_emits_health;
+        Alcotest.test_case "every record kind round-trips" `Quick
+          test_records_roundtrip;
+        Alcotest.test_case "unknown and malformed records skipped" `Quick
+          test_unknown_records_skipped;
+        Alcotest.test_case "report health rows" `Quick test_render_health_rows;
+        Alcotest.test_case "report diff health rows" `Quick
+          test_render_diff_health;
         Alcotest.test_case "trace round-trip, report and self-diff" `Quick
           test_trace_roundtrip;
         Alcotest.test_case "bench gate pass/fail deltas" `Quick

@@ -1,5 +1,5 @@
-(* Tests for the MOR layer: Arnoldi, the proposed associated-transform
-   method (Atmor), the NORM baseline, and the eq.-18 Sylvester ablation.
+(* Tests for the MOR layer: the proposed associated-transform method
+   (Atmor), the NORM baseline, and the eq.-18 Sylvester ablation.
 
    Moment-matching semantics validated here (see DESIGN.md):
    - H1 moments match EXACTLY up to k1 for both methods (classical
@@ -40,79 +40,6 @@ let random_qldae ?(n = 8) ?(with_d1 = true) () =
   let c = Mat.init 1 n (fun _ _ -> 1.0) in
   Volterra.Qldae.make ~g2 ~d1 ~g1 ~b ~c ()
 
-(* ---- Arnoldi ---- *)
-
-let test_arnoldi_orthonormal () =
-  let n = 10 in
-  let a = random_stable n in
-  let b = Mat.random_vec ~rng n in
-  let r = Mor.Arnoldi.run ~matvec:(Mat.mul_vec a) ~b ~k:5 () in
-  let v = r.Mor.Arnoldi.v in
-  Alcotest.(check int) "5 columns" 5 (Mat.cols v);
-  check_small "V^T V = I"
-    (Mat.norm_fro (Mat.sub (Mat.mul (Mat.transpose v) v) (Mat.identity 5)))
-    1e-10
-
-let test_arnoldi_relation () =
-  (* A V_k = V_{k+1} H_{k+1,k} (Arnoldi relation), checked via
-     residual column by column. *)
-  let n = 9 in
-  let a = random_stable n in
-  let b = Mat.random_vec ~rng n in
-  let k = 4 in
-  let r = Mor.Arnoldi.run ~matvec:(Mat.mul_vec a) ~b ~k:(k + 1) () in
-  let v = r.Mor.Arnoldi.v and h = r.Mor.Arnoldi.h in
-  for j = 0 to k - 1 do
-    let av = Mat.mul_vec a (Mat.col v j) in
-    let recon = Vec.create n in
-    for i = 0 to min (j + 1) (Mat.cols v - 1) do
-      Vec.axpy ~alpha:(Mat.get h i j) (Mat.col v i) recon
-    done;
-    check_small (Printf.sprintf "Arnoldi relation col %d" j)
-      (Vec.dist2 av recon) 1e-9
-  done
-
-let test_arnoldi_span () =
-  (* span(V) = Krylov span: each A^j b projects onto V with no
-     residual. *)
-  let n = 8 in
-  let a = random_stable n in
-  let b = Mat.random_vec ~rng n in
-  let r = Mor.Arnoldi.run ~matvec:(Mat.mul_vec a) ~b ~k:4 () in
-  let v = r.Mor.Arnoldi.v in
-  let x = ref (Vec.copy b) in
-  for j = 0 to 3 do
-    let proj = Mat.mul_vec v (Mat.mul_vec_transpose v !x) in
-    check_small (Printf.sprintf "A^%d b in span V" j) (Vec.dist2 !x proj) 1e-9;
-    x := Mat.mul_vec a !x
-  done
-
-let test_arnoldi_breakdown () =
-  (* starting from an invariant subspace: an eigenvector of a symmetric
-     matrix (here: identity-like) *)
-  let a = Mat.identity 6 in
-  let b = Vec.basis 6 2 in
-  let r = Mor.Arnoldi.run ~matvec:(Mat.mul_vec a) ~b ~k:4 () in
-  Alcotest.(check bool) "breakdown flagged" true r.Mor.Arnoldi.breakdown;
-  Alcotest.(check int) "one vector kept" 1 (Mat.cols r.Mor.Arnoldi.v)
-
-let test_shifted_krylov_moments () =
-  (* shifted_krylov spans the H1 moment chain about s0 *)
-  let n = 9 in
-  let a = random_stable n in
-  let b = Mat.random_vec ~rng n in
-  let s0 = 0.7 in
-  let r = Mor.Arnoldi.shifted_krylov ~a ~b ~s0 ~k:4 () in
-  let v = r.Mor.Arnoldi.v in
-  let m = Mat.sub (Mat.scale s0 (Mat.identity n)) a in
-  let lu = Lu.factor m in
-  let x = ref b in
-  for j = 0 to 3 do
-    x := Lu.solve lu !x;
-    let proj = Mat.mul_vec v (Mat.mul_vec_transpose v !x) in
-    check_small (Printf.sprintf "moment %d in span" j) (Vec.dist2 !x proj) 1e-8
-  done
-
 (* ---- moment matching semantics ---- *)
 
 let output_h1_moments ?s0 q ~k =
@@ -139,6 +66,31 @@ let test_atmor_h1_exact () =
         (Float.abs ((a -. b) /. a))
         1e-10)
     (List.combine full red)
+
+(* State-level counterpart: the projection basis spans the H1 moment
+   chain (s0 I - G1)^-j b, j = 1..k1, that the QR step orthonormalizes. *)
+let test_atmor_basis_spans_h1_chain () =
+  let q = random_qldae ~with_d1:false () in
+  let s0 = 0.7 in
+  let r =
+    Mor.Atmor.reduce ~s0 ~orders:{ Mor.Atmor.k1 = 4; k2 = 0; k3 = 0 } q
+  in
+  let v = r.Mor.Atmor.basis in
+  Alcotest.(check int) "one column per moment" 4 (Mat.cols v);
+  let n = Volterra.Qldae.dim q in
+  let lu =
+    Lu.factor
+      (Mat.sub (Mat.scale s0 (Mat.identity n)) q.Volterra.Qldae.g1)
+  in
+  let x = ref (Mat.col q.Volterra.Qldae.b 0) in
+  for j = 1 to 4 do
+    x := Lu.solve lu !x;
+    let proj = Mat.mul_vec v (Mat.mul_vec_transpose v !x) in
+    check_small
+      (Printf.sprintf "moment %d in span" j)
+      (Vec.dist2 !x proj /. Vec.norm2 !x)
+      1e-9
+  done
 
 let test_atmor_h2_approx () =
   let q = random_qldae () in
@@ -390,17 +342,11 @@ let test_projection_consistency () =
 let suite =
   let tc = Alcotest.test_case in
   [
-    ( "mor.arnoldi",
-      [
-        tc "orthonormal basis" `Quick test_arnoldi_orthonormal;
-        tc "Arnoldi relation" `Quick test_arnoldi_relation;
-        tc "Krylov span" `Quick test_arnoldi_span;
-        tc "breakdown detection" `Quick test_arnoldi_breakdown;
-        tc "shifted Krylov = moment chain" `Quick test_shifted_krylov_moments;
-      ] );
     ( "mor.moments",
       [
         tc "proposed: H1 moments exact" `Quick test_atmor_h1_exact;
+        tc "proposed: basis spans the H1 chain" `Quick
+          test_atmor_basis_spans_h1_chain;
         tc "proposed: H2 moments approximate" `Quick test_atmor_h2_approx;
         tc "NORM: associated H2 moments exact" `Quick test_norm_h2_exact;
         tc "order counts: O(k) vs O(k^3)" `Quick test_order_counts;

@@ -166,6 +166,27 @@ let test_disabled_counters_are_noops () =
     "histogram not recorded while disabled" true
     (List.assoc_opt "obs_test_hist" (Obs.Qhist.all ()) = None)
 
+(* Every counter owns one registry slot: bumping each by a distinct
+   amount shows exactly those deltas under their own names, and no Cost
+   slot (which start right after the event slots) moves. *)
+let test_counter_slots_distinct () =
+  Alcotest.(check int)
+    "cost slots start after the event slots"
+    (List.length Obs.Metrics.all)
+    Obs.Registry.cost_base;
+  let names = List.map Obs.Metrics.name Obs.Metrics.all in
+  Alcotest.(check int) "counter names are distinct" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  let snap = Obs.Metrics.snapshot () and csnap = Obs.Cost.snapshot () in
+  List.iteri (fun i c -> Obs.Metrics.incr ~by:(i + 1) c) Obs.Metrics.all;
+  Alcotest.(check (list (pair string int)))
+    "each counter lands in its own slot"
+    (List.mapi (fun i name -> (name, i + 1)) names)
+    (List.map (fun (c, n) -> (Obs.Metrics.name c, n)) (Obs.Metrics.since snap));
+  Alcotest.(check (list (pair string int)))
+    "cost slots untouched" []
+    (List.map (fun (c, n) -> (Obs.Cost.name c, n)) (Obs.Cost.since csnap))
+
 (* ---- JSONL ---- *)
 
 let test_jsonl_rendering () =
@@ -447,8 +468,6 @@ let test_compare_transient_all_channels () =
 
 (* ---- VMOR_METRICS: the environment twin of --metrics ---- *)
 
-let cli_exe = Filename.concat Filename.parent_dir_name "bin/vmor_cli.exe"
-
 let test_metrics_env () =
   let err = Filename.temp_file "vmor_metrics" ".err" in
   let csv = Filename.temp_file "vmor_metrics" ".csv" in
@@ -463,7 +482,7 @@ let test_metrics_env () =
             (Printf.sprintf
                "env -u VMOR_DEADLINE -u VMOR_TRACE VMOR_METRICS=%s %s reduce \
                 --model nltl-v --scale 0.1 --orders 3,1,0 > /dev/null 2> %s"
-               (Filename.quote value) (Filename.quote cli_exe)
+               (Filename.quote value) (Filename.quote Build_tree.vmor_cli)
                (Filename.quote err))
         in
         Alcotest.(check int) ("exit code, VMOR_METRICS=" ^ value) 0 code;
@@ -500,6 +519,8 @@ let suite =
           test_counter_determinism;
         Alcotest.test_case "span counters match metrics deltas" `Quick
           test_span_counters_match_metrics;
+        Alcotest.test_case "one registry slot per counter" `Quick
+          test_counter_slots_distinct;
         Alcotest.test_case "disabled metrics are no-ops" `Quick
           test_disabled_counters_are_noops;
         Alcotest.test_case "jsonl rendering" `Quick test_jsonl_rendering;

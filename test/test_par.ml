@@ -352,15 +352,13 @@ let test_options_domains_validation () =
 
 (* ---- CLI: --domains / VMOR_DOMAINS parse failures exit 2 ---- *)
 
-let cli_exe = Filename.concat Filename.parent_dir_name "bin/vmor_cli.exe"
-
 let run_cli ?(env = []) args =
   (* -u scrubs ambient test configuration; assignments after it set the
      variables this test is about. *)
   let cmd =
     Printf.sprintf "env -u VMOR_DEADLINE -u VMOR_DOMAINS %s %s %s 2>&1"
       (String.concat " " (List.map Filename.quote env))
-      (Filename.quote cli_exe) args
+      (Filename.quote Build_tree.vmor_cli) args
   in
   let ic = Unix.open_process_in cmd in
   let buf = Buffer.create 1024 in
@@ -401,9 +399,7 @@ let test_cli_domains () =
 (* ---- domain-safety baseline: zero shared-write exports ---- *)
 
 let test_domain_safety_baseline () =
-  let path =
-    Filename.concat Filename.parent_dir_name "tools/lint/domain_safety.expected"
-  in
+  let path = Build_tree.path "tools/lint/domain_safety.expected" in
   let ic = open_in_bin path in
   let src = really_input_string ic (in_channel_length ic) in
   close_in ic;

@@ -426,8 +426,6 @@ let test_truncated_trace_fold () =
 
 (* ---- vmor report: the one trace reader, end to end ---- *)
 
-let cli_exe = Filename.concat Filename.parent_dir_name "bin/vmor_cli.exe"
-
 let test_report_cli () =
   let tmp suffix = Filename.temp_file "vmor_report" suffix in
   let trace = tmp ".jsonl" and chrome = tmp ".json" and folded = tmp ".txt"
@@ -438,7 +436,7 @@ let test_report_cli () =
       let run args =
         Sys.command
           (Printf.sprintf "env -u VMOR_DEADLINE -u VMOR_TRACE %s %s > %s 2>&1"
-             (Filename.quote cli_exe) args (Filename.quote out))
+             (Filename.quote Build_tree.vmor_cli) args (Filename.quote out))
       in
       let read path = In_channel.with_open_bin path In_channel.input_all in
       let code =
@@ -479,7 +477,8 @@ let test_report_rejects_bad_trace () =
         (fun path ->
           let code =
             Sys.command
-              (Printf.sprintf "%s report %s > %s 2>&1" (Filename.quote cli_exe)
+              (Printf.sprintf "%s report %s > %s 2>&1"
+                 (Filename.quote Build_tree.vmor_cli)
                  (Filename.quote path) (Filename.quote out))
           in
           check_int ("exit code for " ^ path) 2 code;

@@ -1,6 +1,6 @@
 (* Tests for the deterministic quantile histograms (Obs.Qhist), the
-   library call sites that feed them (ODE steppers, Arnoldi, the
-   reducer tail, health headlines), and the bench gate's latency
+   library call sites that feed them (ODE steppers, the reducer tail,
+   health headlines), and the bench gate's latency
    block.
 
    The load-bearing assertion is exactness: Qhist bucket counts and
@@ -141,13 +141,6 @@ let run_rkf45 () =
   Ode.Rkf45.integrate decay ~t0:0.0 ~t1:2.0 ~x0:(La.Vec.of_array [| 1.0 |])
     ~samples:5 ()
 
-(* diag(1..6) with an all-ones start vector: distinct eigenvalues and
-   every eigencomponent excited, so no breakdown before k = 4 *)
-let run_arnoldi () =
-  let a = La.Mat.diag (La.Vec.init 6 (fun i -> float_of_int (i + 1))) in
-  Mor.Arnoldi.run ~matvec:(La.Mat.mul_vec a) ~b:(La.Vec.init 6 (fun _ -> 1.0))
-    ~k:4 ()
-
 let test_rkf45_feeds_qhist () =
   let steps0 = hist_count "rkf45.step_size"
   and errs0 = hist_count "rkf45.local_error"
@@ -164,39 +157,20 @@ let test_rkf45_feeds_qhist () =
     "step sizes sum to the span" 2.0
     (hist_sum "rkf45.step_size" -. sum0)
 
+let run_imtrap () =
+  Ode.Imtrap.integrate decay ~t0:0.0 ~t1:1.0 ~x0:(La.Vec.of_array [| 1.0 |])
+    ~h:0.1 ~samples:5 ()
+
 let test_imtrap_feeds_qhist () =
   let steps0 = hist_count "imtrap.step_size"
   and iters0 = hist_count "imtrap.newton_iters" in
-  let sol =
-    Ode.Imtrap.integrate decay ~t0:0.0 ~t1:1.0 ~x0:(La.Vec.of_array [| 1.0 |])
-      ~h:0.1 ~samples:5 ()
-  in
+  let sol = run_imtrap () in
   let steps = sol.Ode.Types.stats.Ode.Types.steps in
   Alcotest.(check bool) "integration took steps" true (steps >= 10);
   check_int "one step_size per step" (steps0 + steps)
     (hist_count "imtrap.step_size");
   check_int "one newton_iters per step" (iters0 + steps)
     (hist_count "imtrap.newton_iters")
-
-let test_arnoldi_feeds_qhist () =
-  let sub0 = hist_count "arnoldi.subdiag"
-  and margin0 = hist_count "arnoldi.defl_margin"
-  and sum0 = hist_sum "arnoldi.subdiag" in
-  let r = run_arnoldi () in
-  Alcotest.(check bool) "no breakdown" false r.Mor.Arnoldi.breakdown;
-  check_int "one subdiag per iteration" (sub0 + 4)
-    (hist_count "arnoldi.subdiag");
-  check_int "one defl_margin per iteration" (margin0 + 4)
-    (hist_count "arnoldi.defl_margin");
-  (* the observed values are the Hessenberg subdiagonal itself *)
-  let expected =
-    List.fold_left
-      (fun acc j -> acc +. La.Mat.get r.Mor.Arnoldi.h (j + 1) j)
-      0.0 [ 0; 1; 2; 3 ]
-  in
-  Alcotest.(check (float 1e-9))
-    "subdiag observations sum to h(j+1,j)" expected
-    (hist_sum "arnoldi.subdiag" -. sum0)
 
 let test_reduce_feeds_qhist () =
   let q =
@@ -234,8 +208,8 @@ let test_health_feeds_qhist () =
 
 let test_disabled_call_sites () =
   let names =
-    [ "rkf45.step_size"; "rkf45.local_error"; "arnoldi.subdiag";
-      "arnoldi.defl_margin" ]
+    [ "rkf45.step_size"; "rkf45.local_error"; "imtrap.step_size";
+      "imtrap.newton_iters" ]
   in
   let before = List.map hist_count names in
   Obs.Metrics.set_enabled false;
@@ -243,7 +217,7 @@ let test_disabled_call_sites () =
     ~finally:(fun () -> Obs.Metrics.set_enabled true)
     (fun () ->
       ignore (run_rkf45 ());
-      ignore (run_arnoldi ()));
+      ignore (run_imtrap ()));
   List.iter2
     (fun name n -> check_int (name ^ " untouched while disabled") n (hist_count name))
     names before
@@ -310,7 +284,6 @@ let suite =
       [
         Alcotest.test_case "rkf45 steps" `Quick test_rkf45_feeds_qhist;
         Alcotest.test_case "imtrap steps" `Quick test_imtrap_feeds_qhist;
-        Alcotest.test_case "arnoldi iterations" `Quick test_arnoldi_feeds_qhist;
         Alcotest.test_case "one reduction_seconds per reduce" `Quick
           test_reduce_feeds_qhist;
         Alcotest.test_case "health headlines under a sink" `Quick

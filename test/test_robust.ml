@@ -1,6 +1,6 @@
 (* Tests for the recovery layer: the typed error taxonomy, the fault
-   injection harness, the generic policy ladder, the concrete fallback
-   ladders (LU -> QR -> Tikhonov, RKF45 -> implicit trapezoid), and the
+   injection harness, the generic policy ladder, the concrete
+   LU -> QR -> Tikhonov fallback ladder, RKF45 recovery, and the
    graceful ROM degradation in Atmor/Autoselect.
 
    Every fault here is injected deterministically through
@@ -81,6 +81,33 @@ let test_error_rendering () =
   in
   Alcotest.(check string) "nested kind" "budget-exhausted"
     (Robust.Error.kind nested)
+
+(* Every variant has its own kind string and a rendering that names
+   its location, so reports and CLI messages can tell them apart. *)
+let test_error_kinds_distinct () =
+  let loc = Robust.Error.loc ~subsystem:"t" ~operation:"Op.run" in
+  let all : Robust.Error.t list =
+    [
+      Singular_solve { loc; shift = Float.nan; distance = 0.0 };
+      Step_failure { loc; time = 1.0; detail = "d" };
+      Non_hurwitz { loc; max_re = 0.5 };
+      Contract_violation { loc; detail = "d" };
+      Convergence_failure { loc; detail = "d" };
+      Budget_exhausted { loc; attempts = 1; last = None };
+      Budget_exceeded { loc; resource = "ode-steps"; used = 4.0; limit = 3.0 };
+    ]
+  in
+  let kinds = List.map Robust.Error.kind all in
+  Alcotest.(check int) "kinds are distinct" (List.length all)
+    (List.length (List.sort_uniq compare kinds));
+  List.iter
+    (fun e ->
+      let s = Robust.Error.to_string e in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names its location (%s)" (Robust.Error.kind e) s)
+        true
+        (contains ~needle:"t.Op.run" s))
+    all
 
 let test_report_accounting () =
   let r = Robust.Report.recorder () in
@@ -368,7 +395,7 @@ let test_ksolve_resonant_shift () =
   Alcotest.(check bool) "regularized solve finite on the pole" true
     (Vec.is_finite x)
 
-(* ---- transient fallbacks ---- *)
+(* ---- transient recovery ---- *)
 
 let decay =
   {
@@ -419,71 +446,32 @@ let test_rkf45_step_budget () =
   | _ -> Alcotest.fail "2-step budget cannot cover the span"
   | exception Ode.Types.Step_failure _ -> ()
 
-(* Fast relaxation onto the slow manifold x = cos t: far too stiff for
-   RKF45 under a small step budget, trivial for the A-stable implicit
-   trapezoid — the ladder must switch over and report it. *)
-let stiff_relaxation =
-  {
-    Ode.Types.dim = 1;
-    rhs = (fun t x -> Vec.of_list [ -1e6 *. (x.(0) -. Float.cos t) ]);
-    jac = Some (fun _ _ -> Mat.of_list [ [ -1e6 ] ]);
-  }
-
-let test_fallback_rkf45_to_imtrap () =
-  let r = Robust.Report.recorder () in
-  match
-    Ode.Fallback.try_integrate stiff_relaxation ~t0:0.0 ~t1:1.0
-      ~x0:(Vec.of_list [ 1.0 ]) ~max_steps:200 ~recorder:r ~samples:11 ()
-  with
-  | Error e ->
-    Alcotest.failf "ladder failed: %s" (Robust.Error.to_string e)
-  | Ok sol ->
-    Alcotest.(check bool) "states finite" true
-      (Array.for_all Vec.is_finite sol.Ode.Types.states);
-    check_small "tracks the slow manifold"
-      (Float.abs (sol.Ode.Types.states.(10).(0) -. Float.cos 1.0))
-      1e-2;
-    Alcotest.(check bool) "escalation to imtrap recorded" true
-      (has_action (Robust.Report.events r) "fallback:imtrap")
-
-let test_fallback_without_jacobian_exhausts () =
-  (* No Jacobian, so the ladder has a single rung; the stiff problem
-     exhausts it and the error is typed, not an escaped exception. *)
-  let sys = { stiff_relaxation with Ode.Types.jac = None } in
-  match
-    Ode.Fallback.try_integrate sys ~t0:0.0 ~t1:1.0 ~x0:(Vec.of_list [ 1.0 ])
-      ~max_steps:200 ~samples:5 ()
-  with
-  | Ok _ -> Alcotest.fail "stiff system within 200 explicit steps"
-  | Error (Robust.Error.Budget_exhausted { last = Some _; _ }) -> ()
-  | Error e -> Alcotest.failf "unexpected error: %s" (Robust.Error.to_string e)
-
-(* ---- Arnoldi truncation ---- *)
-
-let test_arnoldi_nan_truncates_basis () =
-  let a = Mat.diag (Vec.of_list [ -1.0; -2.0; -3.0; -4.0; -5.0; -6.0 ]) in
-  let f =
-    Robust.Faultify.make
-      (Robust.Faultify.plan ~on_call:3 ~persist:true Robust.Faultify.Nan)
+(* Fast relaxation onto the slow manifold x = cos t: too stiff for
+   RKF45 under a 200-step limit, which fails typed, while the A-stable
+   implicit trapezoid tracks it at a step 10^4 times the fast time
+   constant. *)
+let test_imtrap_tracks_stiff_relaxation () =
+  let sys =
+    {
+      Ode.Types.dim = 1;
+      rhs = (fun t x -> Vec.of_list [ -1e6 *. (x.(0) -. Float.cos t) ]);
+      jac = Some (fun _ _ -> Mat.of_list [ [ -1e6 ] ]);
+    }
   in
-  let matvec = Robust.Faultify.wrap f (Mat.mul_vec a) in
-  let b = Vec.init 6 (fun i -> 1.0 /. float_of_int (i + 1)) in
-  let r = Robust.Report.recorder () in
-  let res = Mor.Arnoldi.run ~recorder:r ~matvec ~b ~k:6 () in
-  Alcotest.(check bool) "breakdown flagged" true res.Mor.Arnoldi.breakdown;
-  Alcotest.(check int) "basis truncated at the poisoned column" 3
-    (Mat.cols res.Mor.Arnoldi.v);
-  let v = res.Mor.Arnoldi.v in
-  check_small "truncated basis still orthonormal"
-    (Mat.norm_fro (Mat.sub (Mat.mul (Mat.transpose v) v) (Mat.identity 3)))
-    1e-10;
-  let events = Robust.Report.events r in
-  Alcotest.(check bool) "breakdown reported" true
-    (List.exists
-       (fun (e : Robust.Report.event) ->
-         Robust.Error.kind e.error = "arnoldi-breakdown"
-         && e.action = "degrade:truncate-basis")
-       events)
+  let x0 = Vec.of_list [ 1.0 ] in
+  (match
+     Ode.Rkf45.integrate sys ~t0:0.0 ~t1:1.0 ~x0 ~max_steps:200 ~samples:11 ()
+   with
+  | _ -> Alcotest.fail "RKF45 covered a stiff span in 200 steps"
+  | exception Ode.Types.Step_failure _ -> ());
+  let sol =
+    Ode.Imtrap.integrate sys ~t0:0.0 ~t1:1.0 ~x0 ~h:0.01 ~samples:11 ()
+  in
+  Alcotest.(check bool) "states finite" true
+    (Array.for_all Vec.is_finite sol.Ode.Types.states);
+  check_small "tracks the slow manifold"
+    (Float.abs (sol.Ode.Types.states.(10).(0) -. Float.cos 1.0))
+    1e-2
 
 (* ---- graceful ROM degradation ---- *)
 
@@ -672,6 +660,8 @@ let suite =
     ( "robust.taxonomy",
       [
         tc "error rendering" `Quick test_error_rendering;
+        tc "distinct kinds, located renderings" `Quick
+          test_error_kinds_distinct;
         tc "report accounting" `Quick test_report_accounting;
       ] );
     ( "robust.faultify",
@@ -701,15 +691,11 @@ let suite =
         tc "RKF45 persistent NaN fails typed" `Quick
           test_rkf45_persistent_nan_fails_typed;
         tc "RKF45 step budget" `Quick test_rkf45_step_budget;
-        tc "RKF45 -> implicit trapezoid fallback" `Quick
-          test_fallback_rkf45_to_imtrap;
-        tc "ladder exhaustion without a Jacobian" `Quick
-          test_fallback_without_jacobian_exhausts;
+        tc "implicit trapezoid tracks a stiff relaxation" `Quick
+          test_imtrap_tracks_stiff_relaxation;
       ] );
     ( "robust.degradation",
       [
-        tc "mid-Arnoldi NaN truncates the basis" `Quick
-          test_arnoldi_nan_truncates_basis;
         tc "resonant s0 is nudged off the pole" `Quick
           test_atmor_resonant_s0_nudges;
         tc "H3 failure degrades to (k1, k2, 0)" `Quick test_atmor_h3_degrades;

@@ -116,12 +116,6 @@ let test_mor_bad_args () =
         ~orders:{ Mor.Atmor.k1 = 2; k2 = 0; k3 = 0 }
         q)
 
-let test_arnoldi_bad_args () =
-  expect_invalid "zero start" (fun () ->
-      Mor.Arnoldi.run ~matvec:Fun.id ~b:(Vec.create 4) ~k:3 ());
-  expect_invalid "k < 1" (fun () ->
-      Mor.Arnoldi.run ~matvec:Fun.id ~b:(Vec.of_list [ 1.0 ]) ~k:0 ())
-
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -135,6 +129,5 @@ let suite =
         tc "finite escape detection" `Quick test_finite_escape_detected;
         tc "solver arguments" `Quick test_solver_bad_args;
         tc "mor arguments" `Quick test_mor_bad_args;
-        tc "arnoldi arguments" `Quick test_arnoldi_bad_args;
       ] );
   ]

@@ -64,7 +64,7 @@ let rules =
       boundary (Mutex.protect)");
     ("unbudgeted-loop",
      "while / let-rec loop in a budget-mandatory kernel file \
-      (lib/la/ksolve.ml, lib/mor/arnoldi.ml, lib/ode/) that never \
+      (lib/la/ksolve.ml, lib/ode/) that never \
       polls Robust.Budget; annotate [@vmor.unbudgeted \"reason\"] if \
       structurally bounded");
     ("stale-allowlist",
@@ -277,15 +277,11 @@ let check_expression ctx path (e : expression) =
 (* ---------- unbudgeted-loop ---------- *)
 
 (* Kernel files whose hot loops must cooperate with the compute budget
-   (DESIGN.md §13): the shifted Kronecker back-substitution, the
-   Arnoldi iteration, and every ODE integrator. *)
+   (DESIGN.md §13): the shifted Kronecker back-substitution and every
+   ODE integrator. *)
 let budget_mandatory path =
   (in_lib_la path && basename path = "ksolve.ml")
-  ||
-  match after_lib path with
-  | Some [ "mor"; "arnoldi.ml" ] -> true
-  | Some [ "ode"; _ ] -> true
-  | _ -> false
+  || match after_lib path with Some [ "ode"; _ ] -> true | _ -> false
 
 (* [@vmor.unbudgeted "reason"] exempts one loop: the annotation is the
    documented claim that the loop is structurally bounded (so at most a
