@@ -65,18 +65,6 @@ let make ?(deadline = infinity) ?(max_ode_steps = max_int) () =
 
 let unbounded () = make ()
 
-let of_env () =
-  match Sys.getenv_opt "VMOR_DEADLINE" with
-  | None | Some "" -> None
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some d when d > 0.0 -> Some (make ~deadline:d ())
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "VMOR_DEADLINE=%s: expected positive seconds" s))
-
-let installed () = Atomic.get current
-
 (* [None] means "leave the ambient budget alone", so a library layer
    passing through an absent [Options.budget] does not clear a budget
    the CLI installed around the whole command. *)

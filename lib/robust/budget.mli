@@ -42,20 +42,12 @@ val unbounded : unit -> t
     no clock reads.  The [budget_overhead] bench compares exactly this
     install against no budget at all. *)
 
-val of_env : unit -> t option
-(** [Some (make ~deadline ())] when [VMOR_DEADLINE] is set to positive
-    seconds, [None] when unset/empty.  Raises [Invalid_argument] on a
-    malformed value. *)
-
 val with_budget : t option -> (unit -> 'a) -> 'a
 (** [with_budget (Some b) f] installs [b] as the ambient budget around
     [f] (resetting the virtual clock skew) and restores the previous
     budget afterwards, even on exceptions.  [with_budget None f] runs
     [f] without touching the ambient slot, so an absent
     [Options.budget] does not clear a budget installed by the CLI. *)
-
-val installed : unit -> t option
-(** The ambient budget, if any (one atomic load). *)
 
 val check : string -> unit
 (** [check site] polls the deadline; raises [Error

@@ -79,66 +79,67 @@ let test_make_validation () =
     (invalid (fun () -> Budget.make ~deadline:0.0 ()));
   Alcotest.(check bool) "negative step limit rejected" true
     (invalid (fun () -> Budget.make ~max_ode_steps:(-1) ()));
-  (* unbounded budgets construct fine and nothing is ambient outside
-     an install *)
+  (* a zero step limit is valid: it binds on the first tick *)
+  let _ = Budget.make ~max_ode_steps:0 () in
   let _ = Budget.unbounded () in
-  Alcotest.(check bool) "no ambient budget by default" true
-    (Budget.installed () = None)
+  ()
 
-let test_of_env () =
-  let with_env v f =
-    Unix.putenv "VMOR_DEADLINE" v;
-    Fun.protect ~finally:(fun () -> Unix.putenv "VMOR_DEADLINE" "") f
-  in
-  with_env "" (fun () ->
-      Alcotest.(check bool) "empty VMOR_DEADLINE ignored" true
-        (Budget.of_env () = None));
-  with_env "2.5" (fun () ->
-      match Budget.of_env () with
-      | Some _ -> ()
-      | None -> Alcotest.fail "VMOR_DEADLINE=2.5 should build a budget");
-  let rejects v =
-    with_env v (fun () ->
-        match Budget.of_env () with
-        | exception Invalid_argument _ -> true
-        | _ -> false)
-  in
-  Alcotest.(check bool) "junk VMOR_DEADLINE rejected" true (rejects "junk");
-  Alcotest.(check bool) "negative VMOR_DEADLINE rejected" true (rejects "-3")
+(* Which budget is ambient, seen through one step tick: a tick with
+   nothing installed (or an unbounded budget) is free; a binding budget
+   fails it on the resource that is spent. *)
+let ambient_resource () =
+  match Budget.tick_ode_step "test.ambient" with
+  | None -> "none"
+  | Some (Robust.Error.Budget_exceeded { resource; _ }) -> resource
+  | Some e -> Alcotest.failf "unexpected error: %s" (Robust.Error.to_string e)
 
 let test_ambient_slot () =
-  Alcotest.(check bool) "starts empty" true (Budget.installed () = None);
-  (* None leaves whatever is ambient untouched *)
-  let outer = Budget.make ~deadline:60.0 () in
-  Budget.with_budget (Some outer) (fun () ->
-      (match Budget.installed () with
-      | Some b -> Alcotest.(check bool) "outer installed" true (b == outer)
-      | None -> Alcotest.fail "no budget installed");
+  Alcotest.(check string) "starts empty" "none" (ambient_resource ());
+  (* [outer] binds on ODE steps; [inner] on a deadline spent through
+     the virtual skew, so the two are told apart by the failing
+     resource *)
+  let outer () = Budget.make ~max_ode_steps:0 () in
+  Budget.with_budget (Some (outer ())) (fun () ->
+      Alcotest.(check string) "outer installed" "ode-steps"
+        (ambient_resource ());
+      (* None leaves whatever is ambient untouched *)
       Budget.with_budget None (fun () ->
-          match Budget.installed () with
-          | Some b ->
-              Alcotest.(check bool) "None passes ambient through" true
-                (b == outer)
-          | None -> Alcotest.fail "None cleared the ambient budget");
-      (* nesting restores the outer budget *)
-      let inner = Budget.unbounded () in
-      Budget.with_budget (Some inner) (fun () ->
-          match Budget.installed () with
-          | Some b -> Alcotest.(check bool) "inner wins while nested" true (b == inner)
-          | None -> Alcotest.fail "nested install missing");
-      match Budget.installed () with
-      | Some b -> Alcotest.(check bool) "outer restored after nest" true (b == outer)
-      | None -> Alcotest.fail "outer budget lost after nested install");
-  Alcotest.(check bool) "empty again after install" true
-    (Budget.installed () = None);
+          Alcotest.(check string) "None passes ambient through" "ode-steps"
+            (ambient_resource ()));
+      Budget.with_budget (Some (Budget.make ~deadline:1.0 ())) (fun () ->
+          Budget.advance_skew 10.0;
+          Alcotest.(check string) "inner wins while nested" "deadline"
+            (ambient_resource ()));
+      Alcotest.(check string) "outer restored after nest" "ode-steps"
+        (ambient_resource ()));
+  Alcotest.(check string) "empty again after install" "none"
+    (ambient_resource ());
   (* the installer restores even when the body raises *)
-  (try
-     Budget.with_budget
-       (Some (Budget.unbounded ()))
-       (fun () -> failwith "body")
+  (try Budget.with_budget (Some (outer ())) (fun () -> failwith "body")
    with Failure _ -> ());
-  Alcotest.(check bool) "restored after a raising body" true
-    (Budget.installed () = None)
+  Alcotest.(check string) "restored after a raising body" "none"
+    (ambient_resource ())
+
+(* Exhaustion latches: once a poll sees the deadline spent, every later
+   poll reads the clock and fails, where an unlatched budget would skip
+   the next 31 clock reads and pass.  The deadline is spent by the real
+   clock (a 1 ms allotment, then a few ms of spinning), not by the
+   skew: a nonzero skew makes every poll read the clock anyway. *)
+let test_spent_deadline_latches () =
+  let b = Budget.make ~deadline:0.001 () in
+  let t0 = Obs.Clock.now () in
+  while Obs.Clock.now () < t0 +. 0.005 do
+    ()
+  done;
+  Budget.with_budget (Some b) (fun () ->
+      for i = 1 to 40 do
+        match Budget.poll "test.latch" with
+        | Some (Robust.Error.Budget_exceeded { resource = "deadline"; _ }) ->
+            ()
+        | Some e ->
+            Alcotest.failf "unexpected error: %s" (Robust.Error.to_string e)
+        | None -> Alcotest.failf "poll %d on a spent deadline passed" i
+      done)
 
 let test_fast_path_counts_no_polls () =
   Alcotest.(check string) "counter name" "budget_poll"
@@ -581,9 +582,8 @@ let test_unbounded_budget_bit_identical () =
 (* ---- CLI: the 4-vs-5 boundary and the documented exit table ---- *)
 
 let run_cli ?(env = []) args =
-  (* -u VMOR_DEADLINE: [test_of_env] can only reset the variable to ""
-     ([Unix.putenv] cannot unset), and an empty value must not leak
-     into the spawned CLI; assignments after it set what a test is
+  (* -u VMOR_DEADLINE: a deadline in the caller's environment must not
+     leak into the spawned CLI; assignments after it set what a test is
      about. *)
   let cmd =
     Printf.sprintf "env -u VMOR_DEADLINE %s %s %s 2>&1"
@@ -627,22 +627,20 @@ let test_cli_exit_codes () =
     (Printf.sprintf "exit-4 transient reports the partial prefix (%s)" out)
     true
     (contains ~needle:"partial" out);
-  check_exit "usage error beats budget" 2 (run_cli (base ^ " --max-steps=-7"))
-
-(* compare under a step limit: the reduction needs no ODE steps, the
-   full-model transient is truncated, and the run exits 4 with the
-   partial prefix reported. [VMOR_DEADLINE] is the env twin of
-   --deadline: a hopeless one exits 5 like the flag. *)
-let test_cli_compare_budgets () =
-  let base = "compare --model nltl-v --scale 0.1 --orders 3,1,0" in
-  let code, out = run_cli (base ^ " --max-steps 5") in
+  (* compare under a step limit: the reduction needs no ODE steps, the
+     full-model transient is truncated and reported partial *)
+  let code, out =
+    run_cli "compare --model nltl-v --scale 0.1 --orders 3,1,0 --max-steps 5"
+  in
   check_exit "step-limited compare" 4 (code, out);
   Alcotest.(check bool)
     (Printf.sprintf "truncated transient reported (%s)" out)
     true
     (contains ~needle:"partial: compute budget truncated the transient" out);
-  let code, out = run_cli ~env:[ "VMOR_DEADLINE=0.000001" ] base in
-  check_exit "hopeless VMOR_DEADLINE" 5 (code, out)
+  (* VMOR_DEADLINE is the env twin of --deadline *)
+  check_exit "hopeless VMOR_DEADLINE" 5
+    (run_cli ~env:[ "VMOR_DEADLINE=0.000001" ] base);
+  check_exit "usage error beats budget" 2 (run_cli (base ^ " --max-steps=-7"))
 
 (* An unknown flag is a cmdliner parse error (exit 124, as the README
    table says) on every budgeted subcommand. *)
@@ -656,6 +654,19 @@ let test_cli_unknown_flag () =
         true
         (contains ~needle:"unknown option" out))
     [ "reduce"; "simulate"; "compare"; "autoselect" ]
+
+(* VMOR_DEADLINE goes through the parser of --deadline: a non-number
+   is a cmdliner parse error naming the variable (124), a nonpositive
+   value a usage error (2). *)
+let test_cli_deadline_env_rejected () =
+  let base = "reduce --model nltl-v --scale 0.1 --orders 3,1,0" in
+  let code, out = run_cli ~env:[ "VMOR_DEADLINE=junk" ] base in
+  check_exit "VMOR_DEADLINE=junk" 124 (code, out);
+  Alcotest.(check bool)
+    (Printf.sprintf "parse error names the variable (%s)" out)
+    true
+    (contains ~needle:"VMOR_DEADLINE" out);
+  check_exit "VMOR_DEADLINE=-3" 2 (run_cli ~env:[ "VMOR_DEADLINE=-3" ] base)
 
 (* The --help EXIT STATUS section and the README exit-code table must
    list the same codes: vmor's own 0-5 plus cmdliner's 124, the code
@@ -730,17 +741,17 @@ let suite =
     ( "budget.core",
       [
         tc "make validation" `Quick test_make_validation;
-        tc "VMOR_DEADLINE parsing" `Quick test_of_env;
         tc "ambient slot install/restore/nesting" `Quick test_ambient_slot;
         tc "fast path is poll-free" `Quick test_fast_path_counts_no_polls;
         tc "Stall advances the virtual clock" `Quick
           test_stall_advances_virtual_clock;
         tc "counted limit (ODE steps)" `Quick test_counted_limits;
+        tc "symmetric k = 3 solve polls once per level" `Quick
+          test_sym3_polls_per_level;
         tc "deadline binds the step tick" `Quick test_deadline_binds_step_tick;
         tc "step counter is shared per install" `Quick
           test_step_counter_is_cumulative;
-        tc "symmetric k = 3 solve polls once per level" `Quick
-          test_sym3_polls_per_level;
+        tc "a spent deadline latches" `Quick test_spent_deadline_latches;
       ] );
     ( "budget.anytime",
       [
@@ -760,10 +771,10 @@ let suite =
     ( "budget.cli",
       [
         tc "exit codes 0/2/4/5" `Slow test_cli_exit_codes;
-        tc "compare under --max-steps and VMOR_DEADLINE" `Slow
-          test_cli_compare_budgets;
-        tc "unknown flag exits 124" `Quick test_cli_unknown_flag;
         tc "help and README exit tables agree" `Quick
           test_help_readme_exit_sync;
+        tc "unknown flag exits 124" `Quick test_cli_unknown_flag;
+        tc "malformed VMOR_DEADLINE is rejected" `Quick
+          test_cli_deadline_env_rejected;
       ] );
   ]

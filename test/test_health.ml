@@ -430,13 +430,6 @@ let suite =
           test_moment_residual_exact;
         Alcotest.test_case "reduce emits residual/cond/sweep records" `Quick
           test_reduce_emits_health;
-        Alcotest.test_case "every record kind round-trips" `Quick
-          test_records_roundtrip;
-        Alcotest.test_case "unknown and malformed records skipped" `Quick
-          test_unknown_records_skipped;
-        Alcotest.test_case "report health rows" `Quick test_render_health_rows;
-        Alcotest.test_case "report diff health rows" `Quick
-          test_render_diff_health;
         Alcotest.test_case "trace round-trip, report and self-diff" `Quick
           test_trace_roundtrip;
         Alcotest.test_case "bench gate pass/fail deltas" `Quick
@@ -445,5 +438,12 @@ let suite =
           test_gate_structural;
         Alcotest.test_case "bench gate overheads and par bands" `Quick
           test_gate_overheads_par;
+        Alcotest.test_case "every record kind round-trips" `Quick
+          test_records_roundtrip;
+        Alcotest.test_case "unknown and malformed records skipped" `Quick
+          test_unknown_records_skipped;
+        Alcotest.test_case "report health rows" `Quick test_render_health_rows;
+        Alcotest.test_case "report diff health rows" `Quick
+          test_render_diff_health;
       ] );
   ]

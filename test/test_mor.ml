@@ -345,11 +345,11 @@ let suite =
     ( "mor.moments",
       [
         tc "proposed: H1 moments exact" `Quick test_atmor_h1_exact;
-        tc "proposed: basis spans the H1 chain" `Quick
-          test_atmor_basis_spans_h1_chain;
         tc "proposed: H2 moments approximate" `Quick test_atmor_h2_approx;
         tc "NORM: associated H2 moments exact" `Quick test_norm_h2_exact;
         tc "order counts: O(k) vs O(k^3)" `Quick test_order_counts;
+        tc "proposed: basis spans the H1 chain" `Quick
+          test_atmor_basis_spans_h1_chain;
       ] );
     ( "mor.transient",
       [

@@ -519,8 +519,6 @@ let suite =
           test_counter_determinism;
         Alcotest.test_case "span counters match metrics deltas" `Quick
           test_span_counters_match_metrics;
-        Alcotest.test_case "one registry slot per counter" `Quick
-          test_counter_slots_distinct;
         Alcotest.test_case "disabled metrics are no-ops" `Quick
           test_disabled_counters_are_noops;
         Alcotest.test_case "jsonl rendering" `Quick test_jsonl_rendering;
@@ -534,6 +532,8 @@ let suite =
         Alcotest.test_case "clock times a thunk" `Quick test_clock_time;
         Alcotest.test_case "VMOR_METRICS is the twin of --metrics" `Quick
           test_metrics_env;
+        Alcotest.test_case "one registry slot per counter" `Quick
+          test_counter_slots_distinct;
       ] );
     ( "facade",
       [

@@ -136,7 +136,25 @@ let test_imtrap_stiff_stability () =
     0.05;
   check_small "stiff midpoint bounded"
     (Float.abs sol.Ode.Types.states.(1).(0))
-    1.0
+    1.0;
+  (* forced relaxation onto the slow manifold x = cos t, at a step
+     10^4 times the fast time constant: the iterates track cos t *)
+  let forced =
+    {
+      Ode.Types.dim = 1;
+      rhs = (fun t x -> Vec.of_list [ -1e6 *. (x.(0) -. Float.cos t) ]);
+      jac = Some (fun _ _ -> Mat.of_list [ [ -1e6 ] ]);
+    }
+  in
+  let sol =
+    Ode.Imtrap.integrate forced ~t0:0.0 ~t1:1.0 ~x0:(Vec.of_list [ 1.0 ])
+      ~h:0.01 ~samples:11 ()
+  in
+  Alcotest.(check bool) "forced states finite" true
+    (Array.for_all Vec.is_finite sol.Ode.Types.states);
+  check_small "forced tracks the slow manifold"
+    (Float.abs (sol.Ode.Types.states.(10).(0) -. Float.cos 1.0))
+    1e-2
 
 let test_imtrap_nonlinear () =
   (* logistic x' = x (1 - x), x(0)=0.1: x(t) = 1/(1 + 9 e^-t) *)

@@ -446,33 +446,6 @@ let test_rkf45_step_budget () =
   | _ -> Alcotest.fail "2-step budget cannot cover the span"
   | exception Ode.Types.Step_failure _ -> ()
 
-(* Fast relaxation onto the slow manifold x = cos t: too stiff for
-   RKF45 under a 200-step limit, which fails typed, while the A-stable
-   implicit trapezoid tracks it at a step 10^4 times the fast time
-   constant. *)
-let test_imtrap_tracks_stiff_relaxation () =
-  let sys =
-    {
-      Ode.Types.dim = 1;
-      rhs = (fun t x -> Vec.of_list [ -1e6 *. (x.(0) -. Float.cos t) ]);
-      jac = Some (fun _ _ -> Mat.of_list [ [ -1e6 ] ]);
-    }
-  in
-  let x0 = Vec.of_list [ 1.0 ] in
-  (match
-     Ode.Rkf45.integrate sys ~t0:0.0 ~t1:1.0 ~x0 ~max_steps:200 ~samples:11 ()
-   with
-  | _ -> Alcotest.fail "RKF45 covered a stiff span in 200 steps"
-  | exception Ode.Types.Step_failure _ -> ());
-  let sol =
-    Ode.Imtrap.integrate sys ~t0:0.0 ~t1:1.0 ~x0 ~h:0.01 ~samples:11 ()
-  in
-  Alcotest.(check bool) "states finite" true
-    (Array.for_all Vec.is_finite sol.Ode.Types.states);
-  check_small "tracks the slow manifold"
-    (Float.abs (sol.Ode.Types.states.(10).(0) -. Float.cos 1.0))
-    1e-2
-
 (* ---- graceful ROM degradation ---- *)
 
 let test_atmor_resonant_s0_nudges () =
@@ -660,9 +633,9 @@ let suite =
     ( "robust.taxonomy",
       [
         tc "error rendering" `Quick test_error_rendering;
+        tc "report accounting" `Quick test_report_accounting;
         tc "distinct kinds, located renderings" `Quick
           test_error_kinds_distinct;
-        tc "report accounting" `Quick test_report_accounting;
       ] );
     ( "robust.faultify",
       [ tc "every fault kind, scheduling, persistence" `Quick test_faultify_kinds ]
@@ -691,8 +664,6 @@ let suite =
         tc "RKF45 persistent NaN fails typed" `Quick
           test_rkf45_persistent_nan_fails_typed;
         tc "RKF45 step budget" `Quick test_rkf45_step_budget;
-        tc "implicit trapezoid tracks a stiff relaxation" `Quick
-          test_imtrap_tracks_stiff_relaxation;
       ] );
     ( "robust.degradation",
       [
