@@ -92,8 +92,15 @@ let deadline_arg =
      nothing was produced."
   in
   let env = Cmd.Env.info "VMOR_DEADLINE" ~doc:"See option $(b,--deadline)." in
-  Arg.(
-    value & opt (some float) None & info [ "deadline" ] ~docv:"SEC" ~env ~doc)
+  (* an empty value means unset, as for VMOR_TRACE and VMOR_DOMAINS *)
+  let seconds =
+    let parse = function
+      | "" -> Ok None
+      | s -> Result.map Option.some (Arg.conv_parser Arg.float s)
+    in
+    Arg.conv (parse, Fmt.(option float))
+  in
+  Arg.(value & opt seconds None & info [ "deadline" ] ~docv:"SEC" ~env ~doc)
 
 let max_steps_arg =
   let doc = "Budget: cap on ODE integration steps (accepted + rejected)." in
@@ -112,9 +119,11 @@ let domains_arg =
     value & opt (some string) None & info [ "domains" ] ~docv:"N" ~env ~doc)
 
 (* Parsed by hand so a malformed --domains/VMOR_DOMAINS exits 2 like
-   every other flag error, instead of cmdliner's generic 124. *)
+   every other flag error, instead of cmdliner's generic 124. An empty
+   value means unset. *)
 let domains_of = function
   | None -> None
+  | Some s when String.trim s = "" -> None
   | Some s -> (
     match int_of_string_opt (String.trim s) with
     | Some n when n >= 1 && n <= 64 -> Some n

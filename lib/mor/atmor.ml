@@ -37,8 +37,8 @@ let require_orders ctx (orders : orders) =
    basis is finite right before the Galerkin projection consumes it
    (VMOR_CHECKS-gated), project, publish the order and time, and — only
    when someone is listening — check a posteriori that the moment match
-   held at s0. The check is timed after [dt], so the diagnostic never
-   inflates the reported reduction time. *)
+   held at s0 for the orders it realized. The check is timed after
+   [dt], so the diagnostic never inflates the reported reduction time. *)
 let finish ~ctx ~t_start ~s0 ~orders ~raw_moments ~degradation (q : Qldae.t)
     (basis : Mat.t) : result =
   Contract.require_finite (ctx ^ ": basis") (Mat.data basis);
@@ -46,7 +46,10 @@ let finish ~ctx ~t_start ~s0 ~orders ~raw_moments ~degradation (q : Qldae.t)
   let dt = Obs.Clock.now () -. t_start in
   Obs.Metrics.set_gauge "reduced_order" (float_of_int (Mat.cols basis));
   Obs.Qhist.observe "reduction_seconds" dt;
-  if Obs.Health.active () then ignore (Romdiag.emit_health ~s0 ~full:q ~rom ());
+  if Obs.Health.active () then
+    ignore
+      (Romdiag.emit_health ~orders:(orders.k1, orders.k2, orders.k3) ~s0
+         ~full:q ~rom ());
   { basis; rom; orders; s0; raw_moments; reduction_seconds = dt; degradation }
 
 let reduce_loc = Robust.Error.loc ~subsystem:"mor" ~operation:"Atmor.reduce"

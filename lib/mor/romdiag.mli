@@ -1,6 +1,6 @@
 (** A-posteriori ROM accuracy diagnostics.
 
-    Evaluates the associated transfer functions [H1]/[H2]/[H3] of the
+    Compares the associated transfer functions [H1]/[H2]/[H3] of the
     full and reduced QLDAE at the expansion point (and [H1] at a few
     points off the real axis) and reports relative output-space
     residuals — the "did the moment match actually hold" check behind
@@ -15,22 +15,23 @@ open Volterra
 
 type report = {
   h1 : float option;
-  h2 : float option;  (** [None] when absent, skipped, or failed *)
+  h2 : float option;  (** [None] when not matched, absent, or failed *)
   h3 : float option;
 }
 
 val moment_residuals :
-  ?h2_dim_cap:int ->
-  ?h3_dim_cap:int ->
+  orders:int * int * int ->
   s0:float ->
   full:Qldae.t ->
   rom:Qldae.t ->
   unit ->
   report
-(** Relative residuals [‖H_k^full(s0) − H_k^rom(s0)‖/‖H_k^full(s0)‖].
-    [H2]/[H3] are skipped when the model has no matching couplings or
-    its dimension exceeds the cap (defaults 600/300) — a traced run
-    must not dwarf the reduction it is diagnosing. *)
+(** Relative residuals [‖C H_k^full(s0) − C_r H_k^rom(s0)‖/‖C H_k^full(s0)‖],
+    each [H_k(s0)] taken as the head of the model's own
+    {!Assoc.series} about [s0].  [orders = (k1, k2, k3)] are the moment
+    counts the reduction matched: [H_k] is checked only when its count
+    is positive (and the model has the coupling), so the check steps
+    each series once where the reduction stepped it [k] times. *)
 
 val freq_sweep :
   ?omegas:float list ->
@@ -43,9 +44,7 @@ val freq_sweep :
     (default [0.01, 0.1, 1, 10]); failed points are dropped. *)
 
 val emit_health :
-  ?h2_dim_cap:int ->
-  ?h3_dim_cap:int ->
-  ?omegas:float list ->
+  orders:int * int * int ->
   s0:float ->
   full:Qldae.t ->
   rom:Qldae.t ->

@@ -6,10 +6,7 @@
    mirroring what raw-clock does for the wall clock.  [Span.with_] snapshots on entry and computes the delta
    on close — but only when a sink is installed, so the null-sink fast
    path never touches the GC.  [Gc.quick_stat] reads counters without
-   walking the heap, so a capture costs one small record allocation.
-
-   VMOR_PROF=0|off|false|no disables capture even under an active sink
-   (spans then carry no prof fields), for isolating the capture cost. *)
+   walking the heap, so a capture costs one small record allocation. *)
 
 type t = {
   minor_words : float;
@@ -20,30 +17,6 @@ type t = {
   heap_words : int;
   top_heap_words : int;
 }
-
-let zero =
-  {
-    minor_words = 0.0;
-    promoted_words = 0.0;
-    major_words = 0.0;
-    minor_collections = 0;
-    major_collections = 0;
-    heap_words = 0;
-    top_heap_words = 0;
-  }
-
-(* The environment knob is read eagerly at module init (before any
-   domain can exist), so the flag is a plain atomic — no lazy cell,
-   which would race under concurrent forcing. *)
-let enabled =
-  Atomic.make
-    (match Sys.getenv_opt "VMOR_PROF" with
-    | Some v ->
-      not (List.mem (String.lowercase_ascii v) [ "0"; "off"; "false"; "no" ])
-    | None -> true)
-
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
 
 (* On OCaml 5.x the word counters in [Gc.quick_stat] are only
    refreshed at collection boundaries, so a span that triggers no

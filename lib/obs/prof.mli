@@ -5,11 +5,7 @@
     [Gc.counters] outside lib/obs).  {!Span.with_} snapshots on entry
     and attaches the delta to the finished span record, so traced
     spans report where allocation pressure comes from; the null-sink
-    fast path never reaches this module.
-
-    [VMOR_PROF=0|off|false|no] disables capture even under an active
-    sink, read once at module initialization; {!set_enabled} overrides
-    it (atomically — safe to flip from any domain). *)
+    fast path never reaches this module. *)
 
 type t = {
   minor_words : float;  (** words allocated on the minor heap *)
@@ -24,8 +20,6 @@ type t = {
 }
 (** A GC snapshot, or (from {!since}) a delta of the cumulative fields
     with at-close absolutes for the two heap-size fields. *)
-
-val zero : t
 
 val take : unit -> t
 (** Current counters via [Gc.quick_stat] (no heap walk; one small
@@ -48,9 +42,3 @@ val of_fields : (string * float) list -> t option
 (** Inverse of {!fields}; [None] when no [minor_words] key is present
     (a record that predates prof capture).  Missing fields default to
     zero. *)
-
-val set_enabled : bool -> unit
-(** Enable/disable capture under an active sink (default: enabled
-    unless [VMOR_PROF] says otherwise). *)
-
-val is_enabled : unit -> bool

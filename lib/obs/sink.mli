@@ -28,8 +28,8 @@ type span_record = {
           [cost.*] JSON members *)
   prof : Prof.t option;
       (** GC/allocation deltas over the span (inclusive of children),
-          rendered as flat [prof.*] JSON members; [None] when capture
-          is disabled *)
+          rendered as flat [prof.*] JSON members; [None] for a parsed
+          record that predates prof capture *)
 }
 
 type event_record = {

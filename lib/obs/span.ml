@@ -16,15 +16,14 @@ let with_ ~name f =
     let depth = Domain.DLS.get depth_key in
     let d = !depth in
     depth := d + 1;
-    let prof_on = Prof.is_enabled () in
-    let gc0 = if prof_on then Prof.take () else Prof.zero in
+    let gc0 = Prof.take () in
     let start = Clock.now () in
     let snap = Registry.snapshot () in
     Fun.protect
       ~finally:(fun () ->
         (* GC delta first: the counter-list allocations below would
            otherwise be charged to the span being closed. *)
-        let prof = if prof_on then Some (Prof.since gc0) else None in
+        let prof = Some (Prof.since gc0) in
         let dur = Clock.now () -. start in
         let now = Registry.snapshot () in
         let counters =

@@ -16,7 +16,8 @@
    Determinism: tests advance [skew] (virtual clock skew, see
    [Faultify.Stall]) instead of sleeping, so every cancellation point
    fires at an exact scheduled kernel call.  The skew is reset on each
-   install. *)
+   install and restored with the previous budget, so an outer deadline
+   a stall has spent stays spent after a nested install returns. *)
 
 type t = {
   deadline : float;  (* absolute Clock time; infinity = unbounded *)
@@ -72,7 +73,7 @@ let with_budget opt f =
   match opt with
   | None -> f ()
   | Some b ->
-      let prev = Atomic.get current in
+      let prev = Atomic.get current and prev_skew = Atomic.get skew in
       Atomic.set skew 0.0;
       Atomic.set current (Some b);
       Obs.Span.event "budget.install"
@@ -80,7 +81,11 @@ let with_budget opt f =
           (if not b.binding then "unbounded"
            else if b.deadline = infinity then "counted-only"
            else Printf.sprintf "deadline=%g" b.allotted);
-      Fun.protect ~finally:(fun () -> Atomic.set current prev) f
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set current prev;
+          Atomic.set skew prev_skew)
+        f
 
 let advance_skew dt = Atomic.set skew (Atomic.get skew +. dt)
 

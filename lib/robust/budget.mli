@@ -45,7 +45,7 @@ val unbounded : unit -> t
 val with_budget : t option -> (unit -> 'a) -> 'a
 (** [with_budget (Some b) f] installs [b] as the ambient budget around
     [f] (resetting the virtual clock skew) and restores the previous
-    budget afterwards, even on exceptions.  [with_budget None f] runs
+    budget and skew afterwards, even on exceptions.  [with_budget None f] runs
     [f] without touching the ambient slot, so an absent
     [Options.budget] does not clear a budget installed by the CLI. *)
 
@@ -77,7 +77,8 @@ val tick_ode_step : string -> Error.t option
 val advance_skew : float -> unit
 (** Advance the virtual clock skew added to every deadline poll.
     Deterministic tests ({!Faultify.Stall}) use this instead of
-    sleeping; the skew resets on each {!with_budget} install. *)
+    sleeping; the skew resets on each {!with_budget} install and is
+    restored when that install returns. *)
 
 val is_budget_error : Error.t -> bool
 (** Is this failure a budget exhaustion — [Budget_exceeded], or a

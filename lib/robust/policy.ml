@@ -5,9 +5,7 @@
    shift-nudge sequence for near-singular shifted solves, the walk
    over those candidates ([Atmor.reduce] runs it per order level,
    [Autoselect.reduce] for its H1 probe), and the generic ladder runner
-   behind the LU -> pivoted QR -> Tikhonov chain in [La.Ladder].
-
-   VMOR_MAX_RETRIES overrides the default attempt budget. *)
+   behind the LU -> pivoted QR -> Tikhonov chain in [La.Ladder]. *)
 
 type t = {
   max_retries : int;  (* extra attempts after the first *)
@@ -16,19 +14,9 @@ type t = {
   tikhonov_mu : float;  (* relative Tikhonov regularization *)
 }
 
-let default_max_retries = 4
-
-let env_max_retries () =
-  match Sys.getenv_opt "VMOR_MAX_RETRIES" with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> Some n
-    | _ -> None)
-
 let default () =
   {
-    max_retries = Option.value (env_max_retries ()) ~default:default_max_retries;
+    max_retries = 4;
     nudge_eps = 1e-4;
     nudge_base = 1.0;
     tikhonov_mu = 1e-8;

@@ -10,11 +10,9 @@ type t = {
   tikhonov_mu : float;  (** relative Tikhonov regularization strength *)
 }
 
-val default_max_retries : int
-
 val default : unit -> t
-(** The standard policy; [VMOR_MAX_RETRIES] (a non-negative integer)
-    overrides the attempt budget. *)
+(** The standard policy: four retries, relative nudges of [1e-4],
+    Tikhonov strength [1e-8]. *)
 
 val none : t
 (** No retries, no regularization — the uninstrumented baseline used

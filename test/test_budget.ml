@@ -34,15 +34,6 @@ let has_budget_event report =
     (fun (e : Robust.Report.event) -> Budget.is_budget_error e.error)
     report
 
-(* A fixed policy so the tests do not depend on VMOR_MAX_RETRIES. *)
-let test_policy =
-  {
-    Robust.Policy.max_retries = 4;
-    nudge_eps = 1e-4;
-    nudge_base = 1.0;
-    tikhonov_mu = 1e-8;
-  }
-
 (* Small SISO QLDAE with a diagonal stable G1 and a weak quadratic
    coupling — cheap enough to reduce dozens of times in the stall
    sweeps below. *)
@@ -140,6 +131,23 @@ let test_spent_deadline_latches () =
             Alcotest.failf "unexpected error: %s" (Robust.Error.to_string e)
         | None -> Alcotest.failf "poll %d on a spent deadline passed" i
       done)
+
+(* A nested install restores the skew it reset: an outer deadline that
+   a virtual stall spent stays spent once the inner install returns. *)
+let test_nested_install_keeps_spent_deadline () =
+  Budget.with_budget (Some (Budget.make ~deadline:60.0 ())) (fun () ->
+      Budget.advance_skew 120.0;
+      let spent what =
+        match Budget.poll "test.nested" with
+        | Some (Robust.Error.Budget_exceeded { resource = "deadline"; _ }) -> ()
+        | Some e ->
+            Alcotest.failf "%s: unexpected error: %s" what
+              (Robust.Error.to_string e)
+        | None -> Alcotest.failf "%s: the spent deadline polled clean" what
+      in
+      spent "before the nested install";
+      Budget.with_budget (Some (Budget.unbounded ())) ignore;
+      spent "after the nested install")
 
 let test_fast_path_counts_no_polls () =
   Alcotest.(check string) "counter name" "budget_poll"
@@ -501,11 +509,11 @@ let stall_sweep ~name ~max_call ~reduce_with_fault ~order_of ~report_of
 let test_atmor_stall_sweep () =
   let q = diag_qldae () in
   let orders = { Mor.Atmor.k1 = 4; k2 = 2; k3 = 1 } in
-  let clean = Mor.Atmor.reduce ~policy:test_policy ~orders q in
+  let clean = Mor.Atmor.reduce ~orders q in
   let clean_order = Mor.Atmor.order clean in
   stall_sweep ~name:"atmor" ~max_call:25
     ~reduce_with_fault:(fun fault ->
-      Mor.Atmor.reduce ~policy:test_policy ~fault ~orders q)
+      Mor.Atmor.reduce ~fault ~orders q)
     ~order_of:Mor.Atmor.order
     ~report_of:(fun (r : Mor.Atmor.result) -> r.Mor.Atmor.degradation)
     ~valid:(fun label r ->
@@ -518,7 +526,7 @@ let test_autoselect_stall_sweep () =
   let max_orders = { Mor.Atmor.k1 = 6; k2 = 3; k3 = 2 } in
   stall_sweep ~name:"autoselect" ~max_call:25
     ~reduce_with_fault:(fun fault ->
-      Mor.Autoselect.reduce ~policy:test_policy ~fault ~max_orders q)
+      Mor.Autoselect.reduce ~fault ~max_orders q)
     ~order_of:(fun (s : Mor.Autoselect.selection) -> Mor.Atmor.order s.result)
     ~report_of:(fun (s : Mor.Autoselect.selection) ->
       s.result.Mor.Atmor.degradation)
@@ -668,6 +676,15 @@ let test_cli_deadline_env_rejected () =
     (contains ~needle:"VMOR_DEADLINE" out);
   check_exit "VMOR_DEADLINE=-3" 2 (run_cli ~env:[ "VMOR_DEADLINE=-3" ] base)
 
+(* A set-but-empty knob means unset, for the budget and lane-count
+   variables as for the trace and metrics ones. *)
+let test_cli_empty_env_unset () =
+  let base = "reduce --model nltl-v --scale 0.1 --orders 3,1,0" in
+  List.iter
+    (fun var ->
+      check_exit (var ^ " empty") 0 (run_cli ~env:[ var ^ "=" ] base))
+    [ "VMOR_DEADLINE"; "VMOR_DOMAINS"; "VMOR_TRACE"; "VMOR_METRICS" ]
+
 (* The --help EXIT STATUS section and the README exit-code table must
    list the same codes: vmor's own 0-5 plus cmdliner's 124, the code
    an unknown flag exits with (cmdliner's 123/125 are excluded). *)
@@ -752,6 +769,8 @@ let suite =
         tc "step counter is shared per install" `Quick
           test_step_counter_is_cumulative;
         tc "a spent deadline latches" `Quick test_spent_deadline_latches;
+        tc "a nested install keeps a spent deadline spent" `Quick
+          test_nested_install_keeps_spent_deadline;
       ] );
     ( "budget.anytime",
       [
@@ -776,5 +795,6 @@ let suite =
         tc "unknown flag exits 124" `Quick test_cli_unknown_flag;
         tc "malformed VMOR_DEADLINE is rejected" `Quick
           test_cli_deadline_env_rejected;
+        tc "empty env knobs mean unset" `Quick test_cli_empty_env_unset;
       ] );
   ]

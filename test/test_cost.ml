@@ -127,6 +127,32 @@ let test_span_cost_attribution () =
   Alcotest.(check cost_list) "atmor.reduce span cost = process delta" total2
     root.Obs.Sink.cost
 
+(* Romdiag checks each matched order on one step of the model's own
+   series, so under a memory sink its inclusive flops stay within the
+   H3 moments it diagnoses (a full-model re-evaluation through the
+   unfolded H2/H3 evaluators cost about 10x those). *)
+let test_romdiag_within_h3_moments () =
+  let q =
+    Circuit.Models.qldae (Circuit.Models.rf_receiver ~lna_stages:8 ~pa_stages:8 ())
+  in
+  let c =
+    with_memory_sink (fun () ->
+        ignore
+          (Mor.Atmor.reduce ~orders:{ Mor.Atmor.k1 = 6; k2 = 3; k3 = 2 } q))
+  in
+  let flops name =
+    let s =
+      List.find (fun (s : Obs.Sink.span_record) -> s.Obs.Sink.name = name) c.Obs.Sink.spans
+    in
+    List.fold_left
+      (fun acc (k, v) ->
+        if String.starts_with ~prefix:"flops_" k then acc + v else acc)
+      0 s.Obs.Sink.cost
+  in
+  let diag = flops "romdiag.health" and h3 = flops "assoc.h3_moments" in
+  if diag > h3 then
+    Alcotest.failf "romdiag.health %d flops > assoc.h3_moments %d" diag h3
+
 (* ---- JSONL round-trip ---- *)
 
 let test_jsonl_roundtrip () =
@@ -333,5 +359,7 @@ let suite =
           test_gate_cost_exact;
         Alcotest.test_case "bench-history round-trip" `Quick
           test_history_roundtrip;
+        Alcotest.test_case "romdiag flops within the H3 moments" `Quick
+          test_romdiag_within_h3_moments;
       ] );
   ]

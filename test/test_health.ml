@@ -95,7 +95,7 @@ let test_moment_residual_exact () =
      residual is zero up to roundoff *)
   let rom = Qldae.project q (Mat.identity n) in
   let s0 = Assoc.s0 (Assoc.create q) in
-  let r = Mor.Romdiag.moment_residuals ~s0 ~full:q ~rom () in
+  let r = Mor.Romdiag.moment_residuals ~orders:(1, 1, 1) ~s0 ~full:q ~rom () in
   let expect_tiny name = function
     | Some v -> check_bool (name ^ " residual ~ 0") true (v < 1e-8)
     | None -> Alcotest.fail (name ^ " residual missing")
@@ -130,6 +130,83 @@ let test_reduce_emits_health () =
     (List.exists
        (function Obs.Health.Freq_error _ -> true | _ -> false)
        records)
+
+(* The H2/H3 residuals as computed before they came from series heads:
+   both models' H_k(s0) through the unfolded Assoc.h2_eval / h3_eval,
+   over pairs a <= b and diagonal triples. *)
+let eval_residual ~s0 ~(full : Qldae.t) ~(rom : Qldae.t) eval combos =
+  let sigma = { Complex.re = s0; im = 0.0 } in
+  let out (q : Qldae.t) x =
+    let y = eval (Assoc.create ~s0 q) x sigma in
+    Mat.mul_vec q.Qldae.c (Cvec.real_part y)
+  in
+  let err2, ref2 =
+    List.fold_left
+      (fun (e2, r2) x ->
+        let yf = out full x in
+        let d = Vec.dist2 yf (out rom x) and r = Vec.norm2 yf in
+        (e2 +. (d *. d), r2 +. (r *. r)))
+      (0.0, 0.0) combos
+  in
+  if ref2 <= 1e-300 then None else Some (sqrt (err2 /. ref2))
+
+(* The series-head residuals are the quantity the eval path computes.
+   An H1-only ROM leaves H2/H3 unmatched, so those residuals are O(1)
+   and the two paths must agree on them well above rounding. *)
+let test_residuals_match_eval_oracle () =
+  List.iter
+    (fun (name, model) ->
+      let q = Circuit.Models.qldae model in
+      let r = Mor.Atmor.reduce ~orders:{ Mor.Atmor.k1 = 3; k2 = 0; k3 = 0 } q in
+      let s0 = r.Mor.Atmor.s0 and rom = r.Mor.Atmor.rom in
+      let got =
+        Mor.Romdiag.moment_residuals ~orders:(1, 1, 1) ~s0 ~full:q ~rom ()
+      in
+      let m = Qldae.n_inputs q in
+      let pairs =
+        List.concat (List.init m (fun a -> List.init (m - a) (fun i -> (a, a + i))))
+      in
+      let h2 =
+        eval_residual ~s0 ~full:q ~rom
+          (fun e ab s -> Assoc.h2_eval e ~inputs:ab s) pairs
+      and h3 =
+        eval_residual ~s0 ~full:q ~rom
+          (fun e abc s -> Assoc.h3_eval e ~inputs:abc s)
+          (List.init m (fun a -> (a, a, a)))
+      in
+      let agree what want got =
+        match (want, got) with
+        | None, None -> ()
+        | Some w, Some g ->
+          if Float.abs (g -. w) > 1e-9 *. w then
+            Alcotest.failf "%s %s: series %.12g, eval %.12g" name what g w
+        | _ -> Alcotest.failf "%s %s: present on one path only" name what
+      in
+      agree "H2" h2 got.Mor.Romdiag.h2;
+      agree "H3" h3 got.Mor.Romdiag.h3;
+      match got.Mor.Romdiag.h1 with
+      | Some v when v < 1e-10 -> ()
+      | _ -> Alcotest.failf "%s H1 residual not below 1e-10" name)
+    [
+      ("nltl-v", Circuit.Models.nltl_voltage ~stages:5 ());
+      ("nltl-i", Circuit.Models.nltl_current ~stages:5 ());
+      ("rf", Circuit.Models.rf_receiver ~lna_stages:4 ~pa_stages:4 ());
+      ("varistor", Circuit.Models.varistor ~sections:4 ());
+    ]
+
+(* Only the orders the reduction realized are checked. *)
+let test_residuals_follow_orders () =
+  let q = Circuit.Models.qldae (Circuit.Models.nltl_voltage ~stages:6 ()) in
+  let residual_ks orders =
+    let _, captured = with_memory_sink (fun () -> Mor.Atmor.reduce ~orders q) in
+    List.filter_map
+      (function Obs.Health.Moment_residual { k; _ } -> Some k | _ -> None)
+      (health_events captured)
+  in
+  Alcotest.(check (list int)) "k3 = 0: no H3 residual" [ 1; 2 ]
+    (residual_ks { Mor.Atmor.k1 = 6; k2 = 3; k3 = 0 });
+  Alcotest.(check (list int)) "(6,3,2): all three" [ 1; 2; 3 ]
+    (residual_ks { Mor.Atmor.k1 = 6; k2 = 3; k3 = 2 })
 
 (* ---- trace round-trip, report and diff ---- *)
 
@@ -445,5 +522,9 @@ let suite =
         Alcotest.test_case "report health rows" `Quick test_render_health_rows;
         Alcotest.test_case "report diff health rows" `Quick
           test_render_diff_health;
+        Alcotest.test_case "series-head residuals match the eval oracle" `Quick
+          test_residuals_match_eval_oracle;
+        Alcotest.test_case "residuals only for the realized orders" `Quick
+          test_residuals_follow_orders;
       ] );
   ]

@@ -19,15 +19,6 @@ let contains ~needle hay =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(* Fixed policy so nothing here depends on VMOR_MAX_RETRIES. *)
-let test_policy =
-  {
-    Robust.Policy.max_retries = 4;
-    nudge_eps = 1e-4;
-    nudge_base = 1.0;
-    tikhonov_mu = 1e-8;
-  }
-
 let small_nltl_v () =
   Circuit.Models.qldae (Circuit.Models.nltl ~stages:8 ~source:(`Voltage 1.0) ())
 
@@ -175,7 +166,7 @@ let check_same_reduction name (a : Mor.Atmor.result) (b : Mor.Atmor.result) =
 
 let reduce_with ?method_ ~domains q =
   Vmor.reduce
-    ~options:(Vmor.Options.make ?method_ ~policy:test_policy ?domains ())
+    ~options:(Vmor.Options.make ?method_ ?domains ())
     ~orders q
 
 (* Large enough that the first levels of the symmetric ⊕³ solve
@@ -220,7 +211,7 @@ let test_autoselect_bit_identical () =
     (fun (name, s0, q) ->
       let go d =
         Par.with_domains d (fun () ->
-            Mor.Autoselect.reduce ~policy:test_policy ?s0
+            Mor.Autoselect.reduce ?s0
               ~max_orders:{ Mor.Atmor.k1 = 5; k2 = 2; k3 = 1 } q)
       in
       let serial = go None and par4 = go (Some 4) in
@@ -235,7 +226,7 @@ let test_autoselect_bit_identical () =
 
 let test_freq_sweep_bit_identical () =
   let q = small_nltl_i () in
-  let rom = (Mor.Atmor.reduce ~policy:test_policy ~orders q).Mor.Atmor.rom in
+  let rom = (Mor.Atmor.reduce ~orders q).Mor.Atmor.rom in
   let s0 = 1.0 in
   let omegas = List.init 12 (fun i -> 0.01 *. float_of_int (1 + i)) in
   let go d =
@@ -278,7 +269,7 @@ let test_stall_under_parallelism () =
     match
       Vmor.reduce
         ~options:
-          (Vmor.Options.make ~policy:test_policy ~fault
+          (Vmor.Options.make ~fault
              ~budget:(Budget.make ~deadline:60.0 ())
              ~domains:4 ())
         ~orders q
@@ -316,7 +307,7 @@ let test_multipoint_stall_under_parallelism () =
         ~options:
           (Vmor.Options.make
              ~method_:(Vmor.Multipoint [ 0.5; 2.0 ])
-             ~policy:test_policy ~fault
+             ~fault
              ~budget:(Budget.make ~deadline:60.0 ())
              ~domains:4 ())
         ~orders q

@@ -49,19 +49,9 @@ let test_span_prof_capture () =
     (outer.Obs.Prof.minor_words >= inner.Obs.Prof.minor_words);
   check_bool "heap absolutes are positive" true (inner.Obs.Prof.heap_words > 0)
 
-let test_prof_disabled () =
-  Obs.Prof.set_enabled false;
-  let c =
-    Fun.protect
-      ~finally:(fun () -> Obs.Prof.set_enabled true)
-      (fun () ->
-        with_memory_sink (fun () -> Obs.Span.with_ ~name:"quiet" (fun () -> ())))
-  in
-  (match c.Obs.Sink.spans with
-  | [ s ] ->
-    check_bool "prof omitted when disabled" true (s.Obs.Sink.prof = None)
-  | _ -> Alcotest.fail "expected one span");
-  (* the JSONL rendering then carries no prof.* members *)
+(* A record without prof (as parsed from a trace that predates prof
+   capture) renders no prof.* members. *)
+let test_prof_absent_renders_nothing () =
   let j =
     Obs.Sink.record_to_json
       { Obs.Sink.name = "quiet"; depth = 0; start = 0.0; dur = 0.1;
@@ -494,8 +484,8 @@ let suite =
       [
         Alcotest.test_case "span prof capture and inclusivity" `Quick
           test_span_prof_capture;
-        Alcotest.test_case "VMOR_PROF off omits prof fields" `Quick
-          test_prof_disabled;
+        Alcotest.test_case "prof-less record renders no prof fields" `Quick
+          test_prof_absent_renders_nothing;
         Alcotest.test_case "prof JSONL round-trip" `Quick
           test_prof_jsonl_roundtrip;
         Alcotest.test_case "exclusive attribution math" `Quick test_attribution;

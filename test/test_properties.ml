@@ -196,7 +196,8 @@ let prop_reduce_moments_match =
           q
       in
       let d =
-        Mor.Romdiag.moment_residuals ~s0:0.5 ~full:q ~rom:r.Mor.Atmor.rom ()
+        Mor.Romdiag.moment_residuals ~orders:(3, 2, 0) ~s0:0.5 ~full:q
+          ~rom:r.Mor.Atmor.rom ()
       in
       let small = function None -> true | Some x -> x < 1e-6 in
       small d.Mor.Romdiag.h1 && small d.Mor.Romdiag.h2)
@@ -211,7 +212,7 @@ let prop_at_vs_norm_equivalent =
       let at = Mor.Atmor.reduce ~s0:0.5 ~orders q in
       let norm = Mor.Norm.reduce ~s0:0.5 ~orders q in
       let res rom =
-        Mor.Romdiag.moment_residuals ~s0:0.5 ~full:q ~rom ()
+        Mor.Romdiag.moment_residuals ~orders:(3, 2, 0) ~s0:0.5 ~full:q ~rom ()
       in
       let da = res at.Mor.Atmor.rom and dn = res norm.Mor.Atmor.rom in
       let both_small = function

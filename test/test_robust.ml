@@ -39,7 +39,7 @@ let contains ~needle hay =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(* A fixed policy so the tests do not depend on VMOR_MAX_RETRIES. *)
+(* A fixed policy: the nudge expectations below are computed from it. *)
 let test_policy =
   {
     Robust.Policy.max_retries = 4;
@@ -194,16 +194,6 @@ let test_nudge_sequence () =
   (* determinism *)
   Alcotest.(check bool) "sequence is deterministic" true
     (Robust.Policy.nudges test_policy 2.0 = cands)
-
-let test_max_retries_env () =
-  Unix.putenv "VMOR_MAX_RETRIES" "2";
-  let n = (Robust.Policy.default ()).Robust.Policy.max_retries in
-  Unix.putenv "VMOR_MAX_RETRIES" "not-a-number";
-  let bad = (Robust.Policy.default ()).Robust.Policy.max_retries in
-  Unix.putenv "VMOR_MAX_RETRIES" "";
-  Alcotest.(check int) "VMOR_MAX_RETRIES honored" 2 n;
-  Alcotest.(check int) "garbage falls back to default"
-    Robust.Policy.default_max_retries bad
 
 (* Every fault kind driven through the generic ladder runner: the
    faulty rung produces a corrupted vector that [validate] rejects, the
@@ -643,7 +633,6 @@ let suite =
     ( "robust.policy",
       [
         tc "deterministic nudge sequence" `Quick test_nudge_sequence;
-        tc "VMOR_MAX_RETRIES override" `Quick test_max_retries_env;
         tc "ladder recovers from every fault kind" `Quick
           test_run_ladder_recovers_each_fault;
         tc "ladder exhaustion is typed" `Quick test_run_ladder_exhaustion;
