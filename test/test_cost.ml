@@ -129,8 +129,7 @@ let test_span_cost_attribution () =
 
 (* Romdiag checks each matched order on one step of the model's own
    series, so under a memory sink its inclusive flops stay within the
-   H3 moments it diagnoses (a full-model re-evaluation through the
-   unfolded H2/H3 evaluators cost about 10x those). *)
+   H3 moments it diagnoses. *)
 let test_romdiag_within_h3_moments () =
   let q =
     Circuit.Models.qldae (Circuit.Models.rf_receiver ~lna_stages:8 ~pa_stages:8 ())

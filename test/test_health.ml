@@ -131,20 +131,20 @@ let test_reduce_emits_health () =
        (function Obs.Health.Freq_error _ -> true | _ -> false)
        records)
 
-(* The H2/H3 residuals as computed before they came from series heads:
-   both models' H_k(s0) through the unfolded Assoc.h2_eval / h3_eval,
-   over pairs a <= b and diagonal triples. *)
+(* Oracle for the H2/H3 residuals: both models' H_k(s0) through the
+   unfolded Assoc.h2_eval / h3_eval, over the given input combinations. *)
 let eval_residual ~s0 ~(full : Qldae.t) ~(rom : Qldae.t) eval combos =
   let sigma = { Complex.re = s0; im = 0.0 } in
-  let out (q : Qldae.t) x =
-    let y = eval (Assoc.create ~s0 q) x sigma in
-    Mat.mul_vec q.Qldae.c (Cvec.real_part y)
+  let out (q : Qldae.t) =
+    let eng = Assoc.create ~s0 q in
+    fun x -> Mat.mul_vec q.Qldae.c (Cvec.real_part (eval eng x sigma))
   in
+  let out_full = out full and out_rom = out rom in
   let err2, ref2 =
     List.fold_left
       (fun (e2, r2) x ->
-        let yf = out full x in
-        let d = Vec.dist2 yf (out rom x) and r = Vec.norm2 yf in
+        let yf = out_full x in
+        let d = Vec.dist2 yf (out_rom x) and r = Vec.norm2 yf in
         (e2 +. (d *. d), r2 +. (r *. r)))
       (0.0, 0.0) combos
   in
