@@ -55,8 +55,8 @@ module Mor = Mor
 module Waves = Waves
 module Experiments = Experiments
 
-(** Deterministic multicore primitives (domain pool, [parallel_for],
-    [map_reduce]); the lane count a reduction uses is set by
+(** Deterministic multicore primitives (domain pool, [tiles],
+    [map_list]); the lane count a reduction uses is set by
     {!Options.t.domains} (see DESIGN.md §14). *)
 module Par = Par
 

@@ -37,20 +37,22 @@ let require_orders ctx (orders : orders) =
    basis is finite right before the Galerkin projection consumes it
    (VMOR_CHECKS-gated), project, publish the order and time, and — only
    when someone is listening — check a posteriori that the moment match
-   held at s0 for the orders it realized. The check is timed after
-   [dt], so the diagnostic never inflates the reported reduction time. *)
-let finish ~ctx ~t_start ~s0 ~orders ~raw_moments ~degradation (q : Qldae.t)
-    (basis : Mat.t) : result =
+   held at s0, on the full model's [side] as the reducer computed it.
+   The check is timed after [dt], so the diagnostic never inflates the
+   reported reduction time. *)
+let finish ~ctx ~t_start ~s0 ~orders ~raw_moments ~degradation ~side
+    (q : Qldae.t) (basis : Mat.t) : result =
   Contract.require_finite (ctx ^ ": basis") (Mat.data basis);
   let rom = Qldae.project q basis in
   let dt = Obs.Clock.now () -. t_start in
   Obs.Metrics.set_gauge "reduced_order" (float_of_int (Mat.cols basis));
   Obs.Qhist.observe "reduction_seconds" dt;
   if Obs.Health.active () then
-    ignore
-      (Romdiag.emit_health ~orders:(orders.k1, orders.k2, orders.k3) ~s0
-         ~full:q ~rom ());
+    ignore (Romdiag.emit_health side ~full:q ~rom);
   { basis; rom; orders; s0; raw_moments; reduction_seconds = dt; degradation }
+
+(* The series heads of moments laid out [k] per input combination. *)
+let heads k m = List.filteri (fun i _ -> i mod max k 1 = 0) m
 
 let reduce_loc = Robust.Error.loc ~subsystem:"mor" ~operation:"Atmor.reduce"
 
@@ -138,7 +140,12 @@ let reduce ?recorder ?policy ?fault ?s0 ?(tol = 1e-8) ?(h3_triples = `All)
              detail = Printf.sprintf "non-finite moments at s0 = %g" cand;
            })
     | vectors ->
-      Robust.Policy.outcome_of_events (vectors, !realized)
+      let r = !realized in
+      let side =
+        Romdiag.side ~triples_mode:h3_triples (Lazy.from_val eng)
+          (heads r.k1 m1, heads r.k2 m2, heads r.k3 m3)
+      in
+      Robust.Policy.outcome_of_events (vectors, r, side)
         (Robust.Report.since rec0 mark)
   in
   let classify = Ladder.classify ~loc:reduce_loc in
@@ -151,7 +158,7 @@ let reduce ?recorder ?policy ?fault ?s0 ?(tol = 1e-8) ?(h3_triples = `All)
         Robust.Policy.walk_nudges ~recorder:rec0 ~classify
           (List.map (fun cand -> (cand, attempt eff cand)) candidates)
       with
-      | Ok (s0, (vectors, realized)) -> (s0, vectors, realized)
+      | Ok found -> found
       | Error (n, last) ->
         let action =
           match rest with
@@ -161,11 +168,11 @@ let reduce ?recorder ?policy ?fault ?s0 ?(tol = 1e-8) ?(h3_triples = `All)
         Option.iter (Robust.Report.record rec0 ~action) last;
         walk_levels (attempts + n) last rest)
   in
-  let s0, vectors, realized = walk_levels 0 None levels in
+  let s0, (vectors, realized, side) = walk_levels 0 None levels in
   finish ~ctx:"Atmor.reduce" ~t_start ~s0 ~orders:realized
     ~raw_moments:(List.length vectors)
     ~degradation:(Robust.Report.since rec0 mark0)
-    q (Qr.orth_mat ~tol vectors)
+    ~side q (Qr.orth_mat ~tol vectors)
 
 (* Multipoint expansion (paper §4, third bullet: "non-DC or multipoint
    frequency expansion is particularly straightforward with this
@@ -183,7 +190,8 @@ let reduce_multipoint ?recorder ?(tol = 1e-8) ?(h3_triples = `All)
      [Par] work items.  Each point records into a private recorder —
      sharing [rec0] across lanes would race — spliced back in point
      order below, which rebuilds exactly the report a serial
-     left-to-right pass over [points] produces. *)
+     left-to-right pass over [points] produces. The first point's
+     engine and moments are the full model's side of the check. *)
   let per_point =
     Par.map_list
       (fun s0 ->
@@ -197,21 +205,26 @@ let reduce_multipoint ?recorder ?(tol = 1e-8) ?(h3_triples = `All)
             Assoc.h3_moments ~triples_mode:h3_triples eng ~k:orders.k3
           else []
         in
-        (m1 @ m2 @ m3, rec_p))
+        (eng, (m1, m2, m3), rec_p))
       points
+  in
+  let side =
+    let eng, (m1, m2, m3), _ = List.hd per_point in
+    Romdiag.side ~triples_mode:h3_triples (Lazy.from_val eng)
+      (heads orders.k1 m1, heads orders.k2 m2, heads orders.k3 m3)
   in
   let vectors =
     List.concat_map
-      (fun (moments, rec_p) ->
+      (fun (_, (m1, m2, m3), rec_p) ->
         Robust.Report.splice rec0 rec_p;
-        moments)
+        m1 @ m2 @ m3)
       per_point
   in
   if vectors = [] then invalid_arg "Atmor.reduce_multipoint: no moments";
   finish ~ctx:"Atmor.reduce_multipoint" ~t_start ~s0:(List.hd points) ~orders
     ~raw_moments:(List.length vectors)
     ~degradation:(Robust.Report.since rec0 mark0)
-    q (Qr.orth_mat ~tol vectors)
+    ~side q (Qr.orth_mat ~tol vectors)
 
 (* ---- eq. 18 ablation: Sylvester-decoupled H2 moment generation ----
 
@@ -237,7 +250,7 @@ let reduce_sylvester ?s0 ?(tol = 1e-8) ~(orders : orders) (q : Qldae.t) :
   let s0v = Assoc.s0 eng in
   let n = Qldae.dim q in
   let m1 = if orders.k1 > 0 then Assoc.h1_moments eng ~k:orders.k1 else [] in
-  let m2 =
+  let m2, h2 =
     if orders.k2 > 0 then begin
       let schur = Schur.decompose q.Qldae.g1 in
       let g2d = Sptensor.to_dense q.Qldae.g2 in
@@ -275,12 +288,16 @@ let reduce_sylvester ?s0 ?(tol = 1e-8) ~(orders : orders) (q : Qldae.t) :
         in
         go w 0 []
       in
-      branch1 @ branch2
+      (* eq. 18 at s0: H2(s0) is the sum of the two branch heads *)
+      (branch1 @ branch2, [ Vec.add (List.hd branch1) (List.hd branch2) ])
     end
-    else []
+    else ([], [])
   in
   let m3 = if orders.k3 > 0 then Assoc.h3_moments eng ~k:orders.k3 else [] in
   let vectors = m1 @ m2 @ m3 in
   finish ~ctx:"Atmor.reduce_sylvester" ~t_start ~s0:s0v ~orders
-    ~raw_moments:(List.length vectors) ~degradation:Robust.Report.empty q
-    (Qr.orth_mat ~tol vectors)
+    ~raw_moments:(List.length vectors) ~degradation:Robust.Report.empty
+    ~side:
+      (Romdiag.side (Lazy.from_val eng)
+         (heads orders.k1 m1, h2, heads orders.k3 m3))
+    q (Qr.orth_mat ~tol vectors)

@@ -46,9 +46,9 @@ val require_orders : string -> orders -> unit
     (VMOR_CHECKS-gated, failing as [ctx ^ ": basis"]), Galerkin-project
     the QLDAE onto it, set the [reduced_order] gauge and observe
     [reduction_seconds] (measured from [t_start]), emit the
-    {!Romdiag.emit_health} moment-match block at [s0] for the orders
-    [orders] realized when [Obs.Health.active ()], and build the
-    {!result}. *)
+    {!Romdiag.emit_health} moment-match block on [side], the full
+    model's engine and series heads as the reducer computed them, when
+    [Obs.Health.active ()], and build the {!result}. *)
 val finish :
   ctx:string ->
   t_start:float ->
@@ -56,6 +56,7 @@ val finish :
   orders:orders ->
   raw_moments:int ->
   degradation:Robust.Report.t ->
+  side:Romdiag.side ->
   Qldae.t ->
   Mat.t ->
   result

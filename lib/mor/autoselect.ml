@@ -72,57 +72,39 @@ let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
   let rec0 = match recorder with Some r -> r | None -> Robust.Report.recorder () in
   let mark0 = Robust.Report.mark rec0 in
   (* Pick the expansion point by probing one H1 moment per candidate of
-     the nudge sequence — a singular (s0 I − G1) or a pole-riding shift
-     fails fast here instead of mid-growth — and walking the outcomes
-     with [Policy.walk_nudges]. The growth run below uses a fresh
-     engine, so fault-injection schedules are not consumed by
-     probing. *)
+     the nudge sequence, on demand — a singular (s0 I − G1) or a
+     pole-riding shift fails fast here instead of mid-growth — and
+     walking the outcomes with [Policy.walk_nudges]. The growth run
+     below uses a fresh engine, so fault-injection schedules are not
+     consumed by probing. *)
   let s0_req = match s0 with Some s -> s | None -> Assoc.default_s0 q in
   let s0_sel =
-    (* One probe, isolated: it records into a private recorder (spliced
-       into [rec0] only when the walk actually visits the candidate)
-       and catches everything, so probes can run speculatively on Par
-       lanes without racing the shared report. *)
-    let probe cand =
+    (* One probe: it records into a private recorder, spliced into
+       [rec0] when the walk visits the candidate. *)
+    let probe cand () =
       let rec_c = Robust.Report.recorder () in
-      match
-        (* budget poll between probe candidates: post-deadline
-           candidates fail fast into the classified path *)
-        Robust.Budget.check "mor.Autoselect.reduce";
-        let eng = Assoc.create ~recorder:rec_c ~policy ~s0:cand q in
-        List.for_all Vec.is_finite (Assoc.h1_moments eng ~k:1)
-      with
-      | finite -> (rec_c, Ok finite)
-      | exception exn -> (rec_c, Error exn)
-    in
-    let visit cand (rec_c, verdict) () =
-      Robust.Report.splice rec0 rec_c;
-      match verdict with
-      | Error exn -> raise exn
-      | Ok false ->
+      let finite =
+        Fun.protect
+          ~finally:(fun () -> Robust.Report.splice rec0 rec_c)
+          (fun () ->
+            (* budget poll between probe candidates: post-deadline
+               candidates fail fast into the classified path *)
+            Robust.Budget.check "mor.Autoselect.reduce";
+            let eng = Assoc.create ~recorder:rec_c ~policy ~s0:cand q in
+            List.for_all Vec.is_finite (Assoc.h1_moments eng ~k:1))
+      in
+      if finite then Robust.Policy.outcome_of_events () (Robust.Report.events rec_c)
+      else
         Robust.Policy.Failed
           (Robust.Error.Contract_violation
              {
                loc = reduce_loc;
                detail = Printf.sprintf "non-finite H1 probe at s0 = %g" cand;
              })
-      | Ok true -> Robust.Policy.outcome_of_events () (Robust.Report.events rec_c)
     in
-    let candidates = Robust.Policy.nudges policy s0_req in
-    (* With parallelism on, speculate: probe every nudge candidate at
-       once, then walk the precomputed outcomes.  Probes past the
-       winner are wasted work but never touch [rec0], so the
-       degradation report stays bit-identical to the serial walk.
-       Serial keeps the lazy probe-on-demand order. *)
     let probed =
-      if Par.domains () > 1 then
-        List.map2
-          (fun cand r -> (cand, visit cand r))
-          candidates
-          (Par.map_list probe candidates)
-      else
-        List.map (fun cand -> (cand, fun () -> visit cand (probe cand) ()))
-          candidates
+      List.map (fun cand -> (cand, probe cand))
+        (Robust.Policy.nudges policy s0_req)
     in
     match
       Robust.Policy.walk_nudges ~recorder:rec0
@@ -174,12 +156,15 @@ let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
   (* A transfer order whose series generation fails (classified
      numerical error, injected fault) is dropped to zero moments, with
      the basis and raw count rolled back to before the block — the lower
-     orders still yield a ROM, and the report says what happened. *)
+     orders still yield a ROM, and the report says what happened. A
+     kept block also returns each series' step-0 head (memoized by the
+     series, so free): the full model's side of the health check. *)
   let last_block_err = ref None in
   let grow_block what ~kmax series =
     let basis0 = !basis and raw0 = !raw in
     match grow ~kmax series with
-    | k -> k
+    | 0 -> (0, [])
+    | k -> (k, List.map (fun s -> fst (Option.get (Seq.uncons s))) series)
     | exception exn -> (
       match Ladder.classify ~loc:reduce_loc exn with
       | None -> raise exn
@@ -193,11 +178,11 @@ let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
         | Some e when Robust.Budget.is_budget_error e -> ()
         | _ -> last_block_err := Some err);
         Robust.Report.record rec0 ~action:("degrade:" ^ what) err;
-        0)
+        (0, []))
   in
-  let k1 = grow_block "h1" ~kmax:max_orders.Atmor.k1 (Assoc.series eng ~order:1) in
-  let k2 = grow_block "h2" ~kmax:max_orders.Atmor.k2 (Assoc.series eng ~order:2) in
-  let k3 =
+  let k1, h1 = grow_block "h1" ~kmax:max_orders.Atmor.k1 (Assoc.series eng ~order:1) in
+  let k2, h2 = grow_block "h2" ~kmax:max_orders.Atmor.k2 (Assoc.series eng ~order:2) in
+  let k3, h3 =
     grow_block "h3" ~kmax:max_orders.Atmor.k3
       (Assoc.series ~triples_mode:h3_triples eng ~order:3)
   in
@@ -223,6 +208,8 @@ let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
     Atmor.finish ~ctx:"Autoselect.reduce" ~t_start ~s0:(Assoc.s0 eng)
       ~orders:chosen ~raw_moments:!raw
       ~degradation:(Robust.Report.since rec0 mark0)
+      ~side:
+        (Romdiag.side ~triples_mode:h3_triples (Lazy.from_val eng) (h1, h2, h3))
       q
       (Mat.of_cols (List.rev !basis))
   in

@@ -24,10 +24,10 @@ let reduce ?s0 ?(tol = 1e-8) ~(orders : Atmor.orders) (q : Qldae.t) : result =
   Atmor.require_orders "Norm.reduce" orders;
   Obs.Span.with_ ~name:"norm.reduce" @@ fun () ->
   let t_start = Obs.Clock.now () in
-  (* reuse the Assoc default so both methods expand at the same point *)
-  let s0 =
-    match s0 with Some s -> s | None -> Assoc.s0 (Assoc.create q)
-  in
+  (* reuse the Assoc default so both methods expand at the same point;
+     the engine is built only for that default or for the health check *)
+  let eng = lazy (Assoc.create ?s0 q) in
+  let s0 = match s0 with Some s -> s | None -> Assoc.s0 (Lazy.force eng) in
   let n = Qldae.dim q in
   let m = Qldae.n_inputs q in
   let { Atmor.k1; k2; k3 } = orders in
@@ -151,6 +151,12 @@ let reduce ?s0 ?(tol = 1e-8) ~(orders : Atmor.orders) (q : Qldae.t) : result =
    end);
   let vectors = List.rev !vectors in
   if vectors = [] then invalid_arg "Norm.reduce: no moments requested";
+  (* NORM steps no associated-transform H2/H3 series: only its H1
+     heads are checked *)
+  let h1 =
+    if k1 > 0 then Array.to_list (Array.map (fun c -> c.(0)) chains) else []
+  in
   Atmor.finish ~ctx:"Norm.reduce" ~t_start ~s0 ~orders
-    ~raw_moments:(List.length vectors) ~degradation:Robust.Report.empty q
-    (Qr.orth_mat ~tol vectors)
+    ~raw_moments:(List.length vectors) ~degradation:Robust.Report.empty
+    ~side:(Romdiag.side eng (h1, [], []))
+    q (Qr.orth_mat ~tol vectors)

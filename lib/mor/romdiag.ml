@@ -8,15 +8,16 @@
    reduced QLDAE and reporting relative output-space residuals, plus
    an H1 frequency sweep at a handful of points off the real axis.
 
-   H_k(s0) is the head (element 0) of the model's own Assoc.series
-   about s0: one resolvent-chain step through the same folded,
-   symmetric Kronecker-sum solves the reduction runs. Only the orders
-   the reduction matched are checked, each series stepped once where
-   the reduction stepped it k times, so the check costs no more than
-   the moments it diagnoses. It runs only behind an active health sink
-   (the shared reducer tail {!Atmor.finish}); an untraced reduction
-   never pays for it. Residuals aggregate over inputs/outputs in the
-   Frobenius sense; H3 uses diagonal input triples (a,a,a). *)
+   H_k(s0) is the head (element 0) of a resolvent chain about s0. The
+   full model's heads are the ones the reduction itself stepped, handed
+   over with its engine (a {!side}); the full model costs nothing here
+   but C·head and the H1 sweep, whose Schur factorization is the
+   engine's. Only the ROM's q-dimensional heads are stepped, through
+   one fresh engine under the same triples mode. Orders the reduction
+   did not match hand over no heads and are not checked. It runs only
+   behind an active health sink (the shared reducer tail
+   {!Atmor.finish}); an untraced reduction never pays for it. Residuals
+   aggregate over inputs/outputs in the Frobenius sense. *)
 
 open La
 open Volterra
@@ -46,41 +47,45 @@ let protect f = try f () with
   | Invalid_argument _ ->
     None
 
-(* C H_order(s0) per input combination: the head of every series. *)
-let heads eng (q : Qldae.t) ~order =
-  List.map
-    (fun s -> Mat.mul_vec q.Qldae.c (fst (Option.get (Seq.uncons s))))
-    (Assoc.series ~triples_mode:`Diagonal eng ~order)
+type side = {
+  eng : Assoc.t Lazy.t;
+  heads : Vec.t list * Vec.t list * Vec.t list;
+  triples_mode : [ `All | `Diagonal ];
+}
 
-(* The order-[order] residual between the two engines' series heads;
-   [None] for a model without that order's coupling. The C-applications
-   and series steps charge themselves; the glue is a difference and two
-   squared norms per p-vector pair. *)
-let head_gap ~eng_full ~eng_rom ~(full : Qldae.t) ~(rom : Qldae.t) order =
+let side ?(triples_mode = `All) eng heads = { eng; heads; triples_mode }
+
+(* The order-[order] residual between the full model's heads [xf] and
+   the ROM engine's series heads. The C-applications and series steps
+   charge themselves; the glue is a difference and two squared norms
+   per p-vector pair. *)
+let head_gap ~eng_rom ~triples_mode ~(full : Qldae.t) ~(rom : Qldae.t) order
+    xf =
   let p = Mat.rows full.Qldae.c in
-  match heads eng_full full ~order with
-  | [] -> None
-  | yf ->
-    let yr = heads eng_rom rom ~order in
-    let words = p * List.length yf in
-    Obs.Cost.charge Obs.Cost.Flops_axpy (5 * words) ~read:(2 * words);
-    let sq x = x *. x in
-    let err2 = List.fold_left2 (fun e f r -> e +. sq (Vec.dist2 f r)) 0.0 yf yr in
-    let ref2 = List.fold_left (fun e f -> e +. sq (Vec.norm2 f)) 0.0 yf in
-    relative ~err2 ~ref2
-
-let moment_residuals ~orders:(k1, k2, k3) ~s0 ~(full : Qldae.t)
-    ~(rom : Qldae.t) () : report =
-  let eng_full = lazy (Assoc.create ~s0 full) in
-  let eng_rom = lazy (Assoc.create ~s0 rom) in
-  let gap k order =
-    if k <= 0 then None
-    else
-      protect (fun () ->
-          head_gap ~eng_full:(Lazy.force eng_full)
-            ~eng_rom:(Lazy.force eng_rom) ~full ~rom order)
+  let yf = List.map (Mat.mul_vec full.Qldae.c) xf in
+  let yr =
+    List.map
+      (fun s -> Mat.mul_vec rom.Qldae.c (fst (Option.get (Seq.uncons s))))
+      (Assoc.series ~triples_mode eng_rom ~order)
   in
-  { h1 = gap k1 1; h2 = gap k2 2; h3 = gap k3 3 }
+  let words = p * List.length yf in
+  Obs.Cost.charge Obs.Cost.Flops_axpy (5 * words) ~read:(2 * words);
+  let sq x = x *. x in
+  let err2 = List.fold_left2 (fun e f r -> e +. sq (Vec.dist2 f r)) 0.0 yf yr in
+  let ref2 = List.fold_left (fun e f -> e +. sq (Vec.norm2 f)) 0.0 yf in
+  relative ~err2 ~ref2
+
+let moment_residuals side ~(full : Qldae.t) ~(rom : Qldae.t) : report =
+  let eng_rom = lazy (Assoc.create ~s0:(Assoc.s0 (Lazy.force side.eng)) rom) in
+  let gap order = function
+    | [] -> None
+    | xf ->
+      protect (fun () ->
+          head_gap ~eng_rom:(Lazy.force eng_rom) ~triples_mode:side.triples_mode
+            ~full ~rom order xf)
+  in
+  let h1, h2, h3 = side.heads in
+  { h1 = gap 1 h1; h2 = gap 2 h2; h3 = gap 3 h3 }
 
 (* H1(s) = C (sI − G1)⁻¹ B at a complex point, all input columns, via
    the k = 1 shifted Kronecker-sum solve (one Schur factorization per
@@ -108,32 +113,30 @@ let h1_gap ~ks_full ~ks_rom ~(full : Qldae.t) ~(rom : Qldae.t) sigma =
   done;
   relative ~err2:!err2 ~ref2:!ref2
 
-let default_omegas = [ 0.01; 0.1; 1.0; 10.0 ]
+let omegas = [ 0.01; 0.1; 1.0; 10.0 ]
 
-let freq_sweep ?(omegas = default_omegas) ~s0 ~(full : Qldae.t)
-    ~(rom : Qldae.t) () : (float * float) list =
+(* The full model's Schur factorization is the one its engine already
+   holds; only the ROM is factored here. *)
+let freq_sweep side ~(full : Qldae.t) ~(rom : Qldae.t) : (float * float) list =
   match
     protect (fun () ->
-        let ks_full = Ksolve.prepare full.Qldae.g1 in
+        let eng = Lazy.force side.eng in
+        let s0 = Assoc.s0 eng in
+        let ks_full = Assoc.ksolve eng in
         let ks_rom = Ksolve.prepare rom.Qldae.g1 in
         Some
-          (List.filter_map Fun.id
-             (* sweep points are independent reads of the two prepared
-                solvers, so they fan out over Par work items; the
-                index-ordered merge keeps the point list identical to a
-                serial sweep *)
-             (Par.map_list
-                (fun omega ->
-                  protect (fun () ->
-                      (* budget poll per sweep point; [protect] swallows
-                         the raise, so a spent budget drops the remaining
-                         points instead of failing the diagnostic *)
-                      Robust.Budget.check "mor.Romdiag.freq_sweep";
-                      let sigma = { Complex.re = s0; im = omega } in
-                      Option.map
-                        (fun r -> (omega, r))
-                        (h1_gap ~ks_full ~ks_rom ~full ~rom sigma)))
-                omegas)))
+          (List.filter_map
+             (fun omega ->
+               protect (fun () ->
+                   (* budget poll per sweep point; [protect] swallows
+                      the raise, so a spent budget drops the remaining
+                      points instead of failing the diagnostic *)
+                   Robust.Budget.check "mor.Romdiag.freq_sweep";
+                   let sigma = { Complex.re = s0; im = omega } in
+                   Option.map
+                     (fun r -> (omega, r))
+                     (h1_gap ~ks_full ~ks_rom ~full ~rom sigma)))
+             omegas))
   with
   | Some points -> points
   | None -> []
@@ -141,18 +144,19 @@ let freq_sweep ?(omegas = default_omegas) ~s0 ~(full : Qldae.t)
 (* The hook the shared reducer tail {!Atmor.finish} calls when a
    health sink is active: compute residuals + sweep inside a dedicated
    span and emit the health records. *)
-let emit_health ~orders ~s0 ~(full : Qldae.t) ~(rom : Qldae.t) () =
+let emit_health side ~(full : Qldae.t) ~(rom : Qldae.t) =
   Obs.Span.with_ ~name:"romdiag.health" @@ fun () ->
-  let r = moment_residuals ~orders ~s0 ~full ~rom () in
+  let r = moment_residuals side ~full ~rom in
   List.iter
     (fun (k, res) ->
       match res with
       | Some residual ->
+        let s0 = Assoc.s0 (Lazy.force side.eng) in
         Obs.Health.emit (Obs.Health.Moment_residual { k; s0; residual })
       | None -> ())
     [ (1, r.h1); (2, r.h2); (3, r.h3) ];
   List.iter
     (fun (omega, rel_err) ->
       Obs.Health.emit (Obs.Health.Freq_error { omega; rel_err }))
-    (freq_sweep ~s0 ~full ~rom ());
+    (freq_sweep side ~full ~rom);
   r

@@ -6,11 +6,12 @@
     residuals — the "did the moment match actually hold" check behind
     the {!Obs.Health.Moment_residual} / {!Obs.Health.Freq_error}
     telemetry.  Residuals aggregate over all inputs and outputs in the
-    Frobenius sense; [H3] uses diagonal input triples [(a,a,a)].
+    Frobenius sense.
 
     Everything here is diagnostic: numerical failures inside an
     evaluator drop the affected entry ([None]) instead of raising. *)
 
+open La
 open Volterra
 
 type report = {
@@ -19,37 +20,34 @@ type report = {
   h3 : float option;
 }
 
-val moment_residuals :
-  orders:int * int * int ->
-  s0:float ->
-  full:Qldae.t ->
-  rom:Qldae.t ->
-  unit ->
-  report
-(** Relative residuals [‖C H_k^full(s0) − C_r H_k^rom(s0)‖/‖C H_k^full(s0)‖],
-    each [H_k(s0)] taken as the head of the model's own
-    {!Assoc.series} about [s0].  [orders = (k1, k2, k3)] are the moment
-    counts the reduction matched: [H_k] is checked only when its count
-    is positive (and the model has the coupling), so the check steps
-    each series once where the reduction stepped it [k] times. *)
+type side
+(** The full model's side of the check, as the reduction computed it. *)
 
-val freq_sweep :
-  ?omegas:float list ->
-  s0:float ->
-  full:Qldae.t ->
-  rom:Qldae.t ->
-  unit ->
-  (float * float) list
-(** Relative [H1] error at [s0 + iω] for each sample [ω]
-    (default [0.01, 0.1, 1, 10]); failed points are dropped. *)
+val side :
+  ?triples_mode:[ `All | `Diagonal ] ->
+  Assoc.t Lazy.t ->
+  Vec.t list * Vec.t list * Vec.t list ->
+  side
+(** [side eng (h1, h2, h3)]: [eng] is the engine the reduction stepped,
+    for [s0] and the Schur factorization of [G1] (forced only here, so
+    a reducer that needs no engine builds one only under a sink).
+    [h_k] holds [H_k(s0)], the head of every order-[k] series the
+    reduction stepped, one per input combination in {!Assoc.series}
+    order, with [H3] over the [triples_mode] (default [`All]) triples.
+    An empty [h_k] means the reduction did not match order [k], which is
+    then not checked. *)
 
-val emit_health :
-  orders:int * int * int ->
-  s0:float ->
-  full:Qldae.t ->
-  rom:Qldae.t ->
-  unit ->
-  report
+val moment_residuals : side -> full:Qldae.t -> rom:Qldae.t -> report
+(** Relative residuals [‖C H_k^full(s0) − C_r H_k^rom(s0)‖/‖C H_k^full(s0)‖]
+    for every order whose heads [side] holds; the ROM's heads are its
+    own {!Assoc.series} heads about the same [s0]. *)
+
+val freq_sweep : side -> full:Qldae.t -> rom:Qldae.t -> (float * float) list
+(** Relative [H1] error at [s0 + iω] for ω in [0.01, 0.1, 1, 10]; failed
+    points are dropped. The full model's Schur factorization is the
+    engine's. *)
+
+val emit_health : side -> full:Qldae.t -> rom:Qldae.t -> report
 (** Compute {!moment_residuals} and {!freq_sweep} inside a
     ["romdiag.health"] span and emit the corresponding health records.
     Callers gate this behind {!Obs.Health.active}. *)

@@ -82,9 +82,13 @@ let jsonl oc =
     flush = (fun () -> flush oc);
   }
 
+(* Flushed, never closed, at exit: a sink installed at run time
+   registers this hook after earlier ones (the Par pool's shutdown),
+   so it runs before them, and their last events still need the
+   channel. The runtime's final flush of every channel writes those. *)
 let jsonl_file path =
   let oc = open_out path in
-  at_exit (fun () -> close_out_noerr oc);
+  at_exit (fun () -> flush oc);
   jsonl oc
 
 (* ------------------------------------------------------------------ *)

@@ -53,7 +53,7 @@ val jsonl : out_channel -> t
     so parents appear after their children in the stream. *)
 
 val jsonl_file : string -> t
-(** [jsonl] over a freshly opened file, closed at process exit. *)
+(** [jsonl] over a freshly opened file, flushed at process exit. *)
 
 val record_to_json : span_record -> string
 (** One ["type":"span"] JSONL object. *)

@@ -7,8 +7,6 @@
    order canonical, and the lowest lane/item exception is re-raised so
    failures match a serial left-to-right run.  See DESIGN.md §14. *)
 
-module Pool = Pool
-
 let max_domains = 64
 
 (* Ambient lane count (1 = serial), the shared pool, and the
@@ -92,12 +90,6 @@ let tiles ?(min_chunk = default_min_chunk) ~lo ~hi body =
         reraise_lowest errs)
   end
 
-let parallel_for ?min_chunk ~lo ~hi body =
-  tiles ?min_chunk ~lo ~hi (fun ~lo ~hi ->
-      for i = lo to hi - 1 do
-        body i
-      done)
-
 let map_array f xs =
   let n = Array.length xs in
   if n = 0 then [||]
@@ -126,5 +118,3 @@ let map_array f xs =
   end
 
 let map_list f xs = Array.to_list (map_array f (Array.of_list xs))
-
-let map_reduce ~map ~reduce ~init xs = List.fold_left reduce init (map_list map xs)

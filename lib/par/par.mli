@@ -4,9 +4,9 @@
     codebase ([Domain.spawn] anywhere else fails the
     [raw-domain-spawn] lint): a process-wide ambient lane count set by
     {!with_domains} (which [Vmor.reduce] installs from
-    [Options.domains]), plus two primitives — {!parallel_for} /
-    {!tiles} over an index range and {!map_list} / {!map_reduce} over
-    work items — that split work across a lazily-created {!Pool}.
+    [Options.domains]), plus two primitives — {!tiles} over an index
+    range and {!map_list} over work items — that split work across a
+    lazily-created worker pool.
 
     {b Determinism.} Every primitive is bit-identical to its serial
     counterpart on success: ranges split into contiguous per-lane
@@ -29,8 +29,6 @@
     (domain-local) depth.  The JSONL trace sink is not internally
     locked — run traced reductions serially, or accept interleaved
     lines. *)
-
-module Pool = Pool
 
 val max_domains : int
 (** Upper bound (64) accepted by {!with_domains}; [Options.make]
@@ -65,26 +63,11 @@ val tiles :
     is called exactly once with the whole range — the serial path.
     [body] must write only to range-indexed slots of its own tile. *)
 
-val parallel_for : ?min_chunk:int -> lo:int -> hi:int -> (int -> unit) -> unit
-(** [parallel_for ~lo ~hi body] calls [body i] for every [i] in
-    [\[lo, hi)], in increasing order within each contiguous per-lane
-    tile.  Same serial-fallback rules as {!tiles}. *)
-
-val map_array : ('a -> 'b) -> 'a array -> 'b array
-(** [map_array f xs] is [Array.map f xs] with items claimed by a
-    shared atomic cursor and results written into pre-sized index
-    slots, so the output order (and, on failure, the raised exception
-    — lowest item index wins) matches the serial map. *)
-
 val map_list : ('a -> 'b) -> 'a list -> 'b list
-(** [map_list f xs] is [List.map f xs], parallelized like
-    {!map_array}. *)
-
-val map_reduce :
-  map:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> init:'acc -> 'a list -> 'acc
-(** [map_reduce ~map ~reduce ~init xs] maps in parallel, then folds
-    the results in item order on the calling domain — deterministic
-    even for non-associative [reduce] (floating-point sums). *)
+(** [map_list f xs] is [List.map f xs] with items claimed by a shared
+    atomic cursor and results written into pre-sized index slots, so
+    the output order (and, on failure, the raised exception — lowest
+    item index wins) matches the serial map. *)
 
 val shutdown_pool : unit -> unit
 (** Join the shared worker pool, if one was created.  Runs

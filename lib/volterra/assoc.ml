@@ -199,6 +199,8 @@ let create ?recorder ?(policy = Robust.Policy.default ()) ?fault ?s0
 
 let s0 t = t.s0
 
+let ksolve t = Lazy.force t.ks
+
 (* Regularization strength for shifted Kronecker-sum retries, scaled to
    the expansion point so the pole displacement stays relative. *)
 let reg_mu t = t.policy.Robust.Policy.tikhonov_mu *. (1.0 +. Float.abs t.s0)

@@ -58,6 +58,10 @@ val create :
 (** The expansion point in use. *)
 val s0 : t -> float
 
+(** The Schur factorization of [G1] behind the Kronecker-sum solves,
+    computed on first use and shared with the engine's series. *)
+val ksolve : t -> Ksolve.t
+
 (** [series t ~order] for [order] 1, 2 or 3: one lazy moment series of
     [H_order] about [s0] per input combination — every input for [H1],
     every unordered pair [(a, b)], [a ≤ b], for [H2], every unordered

@@ -28,9 +28,11 @@ let test_merge_exact_4domains () =
   let snap = Cost.snapshot () in
   let iters = 1_000 in
   Par.with_domains (Some 4) (fun () ->
-      Par.parallel_for ~min_chunk:1 ~lo:0 ~hi:iters (fun _ ->
-          Cost.charge Cost.Flops_axpy 3 ~read:2 ~written:1;
-          Cost.charge Cost.Flops_matvec 5));
+      Par.tiles ~min_chunk:1 ~lo:0 ~hi:iters (fun ~lo ~hi ->
+          for _ = lo to hi - 1 do
+            Cost.charge Cost.Flops_axpy 3 ~read:2 ~written:1;
+            Cost.charge Cost.Flops_matvec 5
+          done));
   let deltas = Cost.since snap in
   let get c = Option.value ~default:0 (List.assoc_opt c deltas) in
   (* every lane's ticks must merge exactly: no lost updates, no
@@ -151,6 +153,35 @@ let test_romdiag_within_h3_moments () =
   let diag = flops "romdiag.health" and h3 = flops "assoc.h3_moments" in
   if diag > h3 then
     Alcotest.failf "romdiag.health %d flops > assoc.h3_moments %d" diag h3
+
+(* The full model's side of the check is the reduction's own engine and
+   heads, so the only Schur factorizations under romdiag.health are the
+   q-dimensional ROM's: one in its engine, one in the sweep. *)
+let test_romdiag_factors_rom_only () =
+  let q =
+    Circuit.Models.qldae
+      (Circuit.Models.rf_receiver ~lna_stages:20 ~pa_stages:20 ())
+  in
+  let order = ref 0 in
+  let c =
+    with_memory_sink (fun () ->
+        order :=
+          Mor.Atmor.order
+            (Mor.Atmor.reduce ~orders:{ Mor.Atmor.k1 = 6; k2 = 3; k3 = 2 } q))
+  in
+  let order = !order in
+  let diag =
+    List.find
+      (fun (s : Obs.Sink.span_record) -> s.Obs.Sink.name = "romdiag.health")
+      c.Obs.Sink.spans
+  in
+  let schur =
+    Option.value ~default:0 (List.assoc_opt "flops_schur" diag.Obs.Sink.cost)
+  in
+  let bound = 2 * 25 * order * order * order in
+  if schur > bound then
+    Alcotest.failf "romdiag.health flops_schur %d > 2·25q³ = %d (q = %d, n = %d)"
+      schur bound order (Volterra.Qldae.dim q)
 
 (* ---- JSONL round-trip ---- *)
 
@@ -360,5 +391,7 @@ let suite =
           test_history_roundtrip;
         Alcotest.test_case "romdiag flops within the H3 moments" `Quick
           test_romdiag_within_h3_moments;
+        Alcotest.test_case "romdiag factors only the ROM" `Quick
+          test_romdiag_factors_rom_only;
       ] );
   ]

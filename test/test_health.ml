@@ -95,7 +95,8 @@ let test_moment_residual_exact () =
      residual is zero up to roundoff *)
   let rom = Qldae.project q (Mat.identity n) in
   let s0 = Assoc.s0 (Assoc.create q) in
-  let r = Mor.Romdiag.moment_residuals ~orders:(1, 1, 1) ~s0 ~full:q ~rom () in
+  let side = Romdiag_side.fresh ~orders:(1, 1, 1) ~s0 q in
+  let r = Mor.Romdiag.moment_residuals side ~full:q ~rom in
   let expect_tiny name = function
     | Some v -> check_bool (name ^ " residual ~ 0") true (v < 1e-8)
     | None -> Alcotest.fail (name ^ " residual missing")
@@ -103,7 +104,7 @@ let test_moment_residual_exact () =
   expect_tiny "H1" r.Mor.Romdiag.h1;
   expect_tiny "H2" r.Mor.Romdiag.h2;
   expect_tiny "H3" r.Mor.Romdiag.h3;
-  let sweep = Mor.Romdiag.freq_sweep ~s0 ~full:q ~rom () in
+  let sweep = Mor.Romdiag.freq_sweep side ~full:q ~rom in
   check_bool "sweep evaluated" true (sweep <> []);
   List.iter
     (fun (_, e) -> check_bool "sweep error ~ 0" true (e < 1e-8))
@@ -160,7 +161,9 @@ let test_residuals_match_eval_oracle () =
       let r = Mor.Atmor.reduce ~orders:{ Mor.Atmor.k1 = 3; k2 = 0; k3 = 0 } q in
       let s0 = r.Mor.Atmor.s0 and rom = r.Mor.Atmor.rom in
       let got =
-        Mor.Romdiag.moment_residuals ~orders:(1, 1, 1) ~s0 ~full:q ~rom ()
+        Mor.Romdiag.moment_residuals
+          (Romdiag_side.fresh ~triples_mode:`Diagonal ~orders:(1, 1, 1) ~s0 q)
+          ~full:q ~rom
       in
       let m = Qldae.n_inputs q in
       let pairs =
@@ -207,6 +210,88 @@ let test_residuals_follow_orders () =
     (residual_ks { Mor.Atmor.k1 = 6; k2 = 3; k3 = 0 });
   Alcotest.(check (list int)) "(6,3,2): all three" [ 1; 2; 3 ]
     (residual_ks { Mor.Atmor.k1 = 6; k2 = 3; k3 = 2 })
+
+(* The residuals a traced reduction emitted on its own series heads
+   agree, within [tol], with those of a fresh engine's heads at the
+   orders it realized. The health gauges hold the emitted residuals
+   unrounded. *)
+let check_against_fresh ~name ~tol q (r : Mor.Atmor.result) captured =
+  let emitted =
+    List.filter_map
+      (function Obs.Health.Moment_residual { k; _ } -> Some k | _ -> None)
+      (health_events captured)
+  in
+  check_bool (name ^ ": H1 checked") true (List.mem 1 emitted);
+  let gauge k =
+    if List.mem k emitted then
+      List.assoc_opt
+        (Printf.sprintf "health.moment_residual.h%d" k)
+        (Obs.Metrics.gauges ())
+    else None
+  in
+  let { Mor.Atmor.k1; k2; k3 } = r.Mor.Atmor.orders in
+  let fresh =
+    Mor.Romdiag.moment_residuals
+      (Romdiag_side.fresh ~orders:(k1, k2, k3) ~s0:r.Mor.Atmor.s0 q)
+      ~full:q ~rom:r.Mor.Atmor.rom
+  in
+  List.iter
+    (fun (k, want) ->
+      match (want, gauge k) with
+      | None, None -> ()
+      | Some w, Some g when Float.abs (g -. w) <= tol -> ()
+      | w, g ->
+        let show = Option.fold ~none:"none" ~some:(Printf.sprintf "%.17g") in
+        Alcotest.failf "%s H%d: own heads %s, fresh engine %s" name k (show g)
+          (show w))
+    [ (1, fresh.Mor.Romdiag.h1); (2, fresh.Mor.Romdiag.h2); (3, fresh.Mor.Romdiag.h3) ]
+
+(* Every k-th moment of Atmor.reduce is the head a fresh engine steps:
+   the residuals agree bit for bit. *)
+let test_own_heads_match_fresh_engine () =
+  List.iter
+    (fun (name, model) ->
+      let q = Circuit.Models.qldae model in
+      let r, captured =
+        with_memory_sink (fun () ->
+            Mor.Atmor.reduce ~orders:{ Mor.Atmor.k1 = 4; k2 = 3; k3 = 2 } q)
+      in
+      check_against_fresh ~name ~tol:0.0 q r captured)
+    [
+      ("nltl-v", Circuit.Models.nltl_voltage ~stages:5 ());
+      ("nltl-i", Circuit.Models.nltl_current ~stages:5 ());
+      ("varistor", Circuit.Models.varistor ~sections:4 ());
+    ]
+
+(* The eq.-18 ablation hands over H2(s0) as the sum of its two branch
+   heads, which equals the Assoc head up to rounding. *)
+let test_sylvester_h2_head () =
+  let q = Test_mor.random_qldae ~n:7 () in
+  let r, captured =
+    with_memory_sink (fun () ->
+        Mor.Atmor.reduce_sylvester ~s0:0.6
+          ~orders:{ Mor.Atmor.k1 = 3; k2 = 3; k3 = 1 } q)
+  in
+  check_against_fresh ~name:"sylvester" ~tol:1e-9 q r captured
+
+(* NORM steps no associated-transform H2/H3 series, so a traced NORM
+   reduce checks H1 only, plus the sweep. *)
+let test_norm_checks_h1_only () =
+  let q = Circuit.Models.qldae (Circuit.Models.nltl_voltage ~stages:6 ()) in
+  let _, captured =
+    with_memory_sink (fun () ->
+        Mor.Norm.reduce ~orders:{ Mor.Atmor.k1 = 4; k2 = 2; k3 = 1 } q)
+  in
+  let records = health_events captured in
+  Alcotest.(check (list int)) "H1 residual only" [ 1 ]
+    (List.filter_map
+       (function Obs.Health.Moment_residual { k; _ } -> Some k | _ -> None)
+       records);
+  check_int "four sweep points" 4
+    (List.length
+       (List.filter
+          (function Obs.Health.Freq_error _ -> true | _ -> false)
+          records))
 
 (* ---- trace round-trip, report and diff ---- *)
 
@@ -526,5 +611,11 @@ let suite =
           test_residuals_match_eval_oracle;
         Alcotest.test_case "residuals only for the realized orders" `Quick
           test_residuals_follow_orders;
+        Alcotest.test_case "own heads match a fresh engine's bit for bit"
+          `Quick test_own_heads_match_fresh_engine;
+        Alcotest.test_case "traced NORM checks H1 only, plus the sweep" `Quick
+          test_norm_checks_h1_only;
+        Alcotest.test_case "sylvester's eq.-18 H2 head checks like Assoc's"
+          `Quick test_sylvester_h2_head;
       ] );
   ]

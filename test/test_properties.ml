@@ -196,8 +196,9 @@ let prop_reduce_moments_match =
           q
       in
       let d =
-        Mor.Romdiag.moment_residuals ~orders:(3, 2, 0) ~s0:0.5 ~full:q
-          ~rom:r.Mor.Atmor.rom ()
+        Mor.Romdiag.moment_residuals
+          (Romdiag_side.fresh ~orders:(3, 2, 0) ~s0:0.5 q)
+          ~full:q ~rom:r.Mor.Atmor.rom
       in
       let small = function None -> true | Some x -> x < 1e-6 in
       small d.Mor.Romdiag.h1 && small d.Mor.Romdiag.h2)
@@ -211,9 +212,8 @@ let prop_at_vs_norm_equivalent =
       let orders = { Mor.Atmor.k1 = 3; k2 = 2; k3 = 0 } in
       let at = Mor.Atmor.reduce ~s0:0.5 ~orders q in
       let norm = Mor.Norm.reduce ~s0:0.5 ~orders q in
-      let res rom =
-        Mor.Romdiag.moment_residuals ~orders:(3, 2, 0) ~s0:0.5 ~full:q ~rom ()
-      in
+      let side = Romdiag_side.fresh ~orders:(3, 2, 0) ~s0:0.5 q in
+      let res rom = Mor.Romdiag.moment_residuals side ~full:q ~rom in
       let da = res at.Mor.Atmor.rom and dn = res norm.Mor.Atmor.rom in
       let both_small = function
         | Some a, Some b -> a < 1e-6 && b < 1e-6

@@ -51,8 +51,8 @@ let rules =
      "Gc.stat / quick_stat / counters / minor_words outside lib/obs \
       (Obs.Prof is the GC reader)");
     ("raw-domain-spawn",
-     "Domain.spawn outside lib/par (Par.parallel_for / Par.map_list \
-      own the worker pool)");
+     "Domain.spawn outside lib/par (Par.tiles / Par.map_list own the \
+      worker pool)");
     ("raw-quantile",
      "quantile/percentile computed outside lib/obs and not through \
       Obs.Qhist (bucketed quantiles are the deterministic ones)");
@@ -112,7 +112,7 @@ let in_lib_la path =
 let in_lib_obs path =
   match after_lib path with Some ("obs" :: _) -> true | _ -> false
 
-(* Par.Pool is the one blessed home of Domain.spawn: everything else
+(* lib/par's pool is the one blessed home of Domain.spawn: everything else
    must go through the Par primitives so determinism, budget latching
    and pool sizing stay in one place. *)
 let in_lib_par path =
@@ -251,8 +251,8 @@ let check_expression ctx path (e : expression) =
    | Some ([ "Domain"; "spawn" ] | [ "Stdlib"; "Domain"; "spawn" ])
      when not (in_lib_par path) ->
        report ctx path line "raw-domain-spawn"
-         "Domain.spawn outside lib/par; use Par.parallel_for / \
-          Par.map_list so pool sizing, determinism and budget latching \
+         "Domain.spawn outside lib/par; use Par.tiles / Par.map_list \
+          so pool sizing, determinism and budget latching \
           stay centralized"
    | Some name
      when (match List.rev name with
