@@ -585,8 +585,8 @@ let obs_overhead () =
     Circuit.Models.qldae (Circuit.Models.nltl ~stages:30 ~source:(`Voltage 1.0) ())
   in
   let orders = { Mor.Atmor.k1 = 6; k2 = 3; k3 = 1 } in
-  (* one switch covers event counters, Cost charges and histograms —
-     the disabled side is the genuinely uninstrumented baseline *)
+  (* one switch covers event counters, gauges and Cost charges — the
+     disabled side is the genuinely uninstrumented baseline *)
   let with_metrics enabled f =
     Obs.Metrics.set_enabled enabled;
     Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled true) f
@@ -785,17 +785,9 @@ let par_speedup ~scale () =
 (* ---- request latency (timed fig2 simulates) ---- *)
 
 (* Reduce the fig2 NLTL once, then answer N repeated simulate requests
-   out of the ROM, timing each into the "bench.request" Qhist, so its
-   latency distribution's p50/p99 land in bench.json for the gate's
-   banded wall checks.
-
-   Wall quantiles are noisy, so the block also carries a "det"
-   fingerprint the gate pins with *exact* bands even under
-   --ignore-wall: a fixed LCG-generated value stream (integer
-   arithmetic + ldexp only — bit-identical on every host) pushed
-   through the same Qhist geometry, recording bucket-population count
-   and p50/p90/p99.  Any drift in bucket indexing, merge arithmetic or
-   quantile interpolation moves these and fails the gate. *)
+   out of the ROM, timing each, so the p50/p99 of the request walls
+   (nearest rank, Obs.Clock.quantile) land in bench.json for the
+   gate's banded wall checks. *)
 let latency ~scale () =
   Printf.printf "== request latency (timed fig2-ROM simulates) ==\n%!";
   let stages = max 4 (int_of_float (50.0 *. scale)) in
@@ -809,66 +801,29 @@ let latency ~scale () =
            Waves.Source.damped_sine ~freq:0.125 ~decay:0.08 0.8))
   in
   let requests = 32 in
-  for _ = 1 to requests do
-    let _, dt =
-      Obs.Clock.time (fun () ->
-          Sys.opaque_identity (Vmor.transient ~samples:101 rom ~input ~t1:30.0))
-    in
-    Obs.Qhist.observe "bench.request" dt
-  done;
-  let view =
-    match Obs.Qhist.view "bench.request" with
-    | Some v -> v
-    | None -> assert false (* the loop above fed it *)
+  let walls =
+    Array.init requests (fun _ ->
+        snd
+          (Obs.Clock.time (fun () ->
+               Sys.opaque_identity
+                 (Vmor.transient ~samples:101 rom ~input ~t1:30.0))))
   in
-  let p50 = Obs.Qhist.quantile view 0.5 in
-  let p99 = Obs.Qhist.quantile view 0.99 in
-  (* deterministic fingerprint: 4096 LCG values spanning ~12 octaves *)
-  let det_name = "bench.latency.det" in
-  let x = ref 123457 in
-  for _ = 1 to 4096 do
-    x := ((!x * 1103515245) + 12345) land 0x3FFFFFFF;
-    let m = 1.0 +. (float_of_int (!x land 0xFFFF) /. 65536.0) in
-    let e = ((!x lsr 16) mod 40) - 30 in
-    Obs.Qhist.observe det_name (Float.ldexp m e)
-  done;
-  let dv =
-    match Obs.Qhist.view det_name with Some v -> v | None -> assert false
-  in
-  let det_count = dv.Obs.Qhist.count and det_nonzero = Obs.Qhist.nonzero_buckets dv in
-  let q = Obs.Qhist.quantile dv in
-  let det =
-    [
-      ("count", of_int det_count);
-      ("nonzero_buckets", of_int det_nonzero);
-      ("p50", Obs.Json.Num (q 0.5));
-      ("p90", Num (q 0.9));
-      ("p99", Num (q 0.99));
-    ]
-  in
+  let p50 = Obs.Clock.quantile walls 0.5 in
+  let p99 = Obs.Clock.quantile walls 0.99 in
   ensure_out_dir ();
   let path = Filename.concat out_dir "latency.csv" in
   let oc = open_out path in
   output_string oc "stat,value\n";
   Printf.fprintf oc "requests,%d\np50_s,%.6f\np99_s,%.6f\n" requests p50 p99;
-  List.iter
-    (fun (k, v) -> Printf.fprintf oc "det_%s,%s\n" k (Obs.Json.render v))
-    det;
   close_out oc;
-  Printf.printf
-    "  %d requests on a %d-state ROM: p50 %.4fs  p99 %.4fs\n\
-    \  det fingerprint: %d obs in %d buckets, p50/p90/p99 = %.6g/%.6g/%.6g\n"
-    requests (Vmor.order r) p50 p99 det_count det_nonzero (q 0.5) (q 0.9)
-    (q 0.99);
+  Printf.printf "  %d requests on a %d-state ROM: p50 %.4fs  p99 %.4fs\n"
+    requests (Vmor.order r) p50 p99;
   Printf.printf "(written to %s)\n\n%!" path;
-  (* the det quantiles render exactly, so the gate's exact band compares
-     the identical doubles after the JSON round trip *)
   Obs.Json.Obj
     [
       ("requests", of_int requests);
       ("p50_s", fixed 6 p50);
       ("p99_s", fixed 6 p99);
-      ("det", Obj det);
     ]
 
 let ablations ~scale () =

@@ -46,7 +46,6 @@ let finish ~ctx ~t_start ~s0 ~orders ~raw_moments ~degradation ~side
   let rom = Qldae.project q basis in
   let dt = Obs.Clock.now () -. t_start in
   Obs.Metrics.set_gauge "reduced_order" (float_of_int (Mat.cols basis));
-  Obs.Qhist.observe "reduction_seconds" dt;
   if Obs.Health.active () then
     ignore (Romdiag.emit_health side ~full:q ~rom);
   { basis; rom; orders; s0; raw_moments; reduction_seconds = dt; degradation }
@@ -191,10 +190,13 @@ let reduce_multipoint ?recorder ?(tol = 1e-8) ?(h3_triples = `All)
      sharing [rec0] across lanes would race — spliced back in point
      order below, which rebuilds exactly the report a serial
      left-to-right pass over [points] produces. The first point's
-     engine and moments are the full model's side of the check. *)
+     engine and moments are the full model's side of the check. Each
+     point runs in its own span, so on a worker lane, where it is a
+     root, that span holds all of the lane's work for it. *)
   let per_point =
     Par.map_list
       (fun s0 ->
+        Obs.Span.with_ ~name:"atmor.multipoint.point" @@ fun () ->
         Robust.Budget.check "mor.Atmor.reduce_multipoint";
         let rec_p = Robust.Report.recorder () in
         let eng = Assoc.create ~recorder:rec_p ~s0 q in

@@ -13,7 +13,8 @@
    over with its engine (a {!side}); the full model costs nothing here
    but C·head and the H1 sweep, whose Schur factorization is the
    engine's. Only the ROM's q-dimensional heads are stepped, through
-   one fresh engine under the same triples mode. Orders the reduction
+   one fresh engine under the same triples mode, whose Schur
+   factorization also serves the ROM's side of the sweep. Orders the reduction
    did not match hand over no heads and are not checked. It runs only
    behind an active health sink (the shared reducer tail
    {!Atmor.finish}); an untraced reduction never pays for it. Residuals
@@ -75,8 +76,12 @@ let head_gap ~eng_rom ~triples_mode ~(full : Qldae.t) ~(rom : Qldae.t) order
   let ref2 = List.fold_left (fun e f -> e +. sq (Vec.norm2 f)) 0.0 yf in
   relative ~err2 ~ref2
 
-let moment_residuals side ~(full : Qldae.t) ~(rom : Qldae.t) : report =
-  let eng_rom = lazy (Assoc.create ~s0:(Assoc.s0 (Lazy.force side.eng)) rom) in
+(* The ROM's engine about the full side's s0, built on first use (inside
+   [protect], so a failing ROM resolvent drops the entry). *)
+let rom_engine side rom =
+  lazy (Assoc.create ~s0:(Assoc.s0 (Lazy.force side.eng)) rom)
+
+let residuals eng_rom side ~(full : Qldae.t) ~(rom : Qldae.t) : report =
   let gap order = function
     | [] -> None
     | xf ->
@@ -86,6 +91,9 @@ let moment_residuals side ~(full : Qldae.t) ~(rom : Qldae.t) : report =
   in
   let h1, h2, h3 = side.heads in
   { h1 = gap 1 h1; h2 = gap 2 h2; h3 = gap 3 h3 }
+
+let moment_residuals side ~full ~rom =
+  residuals (rom_engine side rom) side ~full ~rom
 
 (* H1(s) = C (sI − G1)⁻¹ B at a complex point, all input columns, via
    the k = 1 shifted Kronecker-sum solve (one Schur factorization per
@@ -115,15 +123,14 @@ let h1_gap ~ks_full ~ks_rom ~(full : Qldae.t) ~(rom : Qldae.t) sigma =
 
 let omegas = [ 0.01; 0.1; 1.0; 10.0 ]
 
-(* The full model's Schur factorization is the one its engine already
-   holds; only the ROM is factored here. *)
-let freq_sweep side ~(full : Qldae.t) ~(rom : Qldae.t) : (float * float) list =
+(* Each model's Schur factorization is the one its engine holds. *)
+let sweep eng_rom side ~(full : Qldae.t) ~(rom : Qldae.t) : (float * float) list =
   match
     protect (fun () ->
         let eng = Lazy.force side.eng in
         let s0 = Assoc.s0 eng in
         let ks_full = Assoc.ksolve eng in
-        let ks_rom = Ksolve.prepare rom.Qldae.g1 in
+        let ks_rom = Assoc.ksolve (Lazy.force eng_rom) in
         Some
           (List.filter_map
              (fun omega ->
@@ -141,12 +148,15 @@ let freq_sweep side ~(full : Qldae.t) ~(rom : Qldae.t) : (float * float) list =
   | Some points -> points
   | None -> []
 
+let freq_sweep side ~full ~rom = sweep (rom_engine side rom) side ~full ~rom
+
 (* The hook the shared reducer tail {!Atmor.finish} calls when a
    health sink is active: compute residuals + sweep inside a dedicated
-   span and emit the health records. *)
+   span, through one ROM engine, and emit the health records. *)
 let emit_health side ~(full : Qldae.t) ~(rom : Qldae.t) =
   Obs.Span.with_ ~name:"romdiag.health" @@ fun () ->
-  let r = moment_residuals side ~full ~rom in
+  let eng_rom = rom_engine side rom in
+  let r = residuals eng_rom side ~full ~rom in
   List.iter
     (fun (k, res) ->
       match res with
@@ -158,5 +168,5 @@ let emit_health side ~(full : Qldae.t) ~(rom : Qldae.t) =
   List.iter
     (fun (omega, rel_err) ->
       Obs.Health.emit (Obs.Health.Freq_error { omega; rel_err }))
-    (freq_sweep side ~full ~rom);
+    (sweep eng_rom side ~full ~rom);
   r

@@ -45,9 +45,10 @@ val moment_residuals : side -> full:Qldae.t -> rom:Qldae.t -> report
 val freq_sweep : side -> full:Qldae.t -> rom:Qldae.t -> (float * float) list
 (** Relative [H1] error at [s0 + iω] for ω in [0.01, 0.1, 1, 10]; failed
     points are dropped. The full model's Schur factorization is the
-    engine's. *)
+    engine's, the ROM's that of a ROM engine about [s0]. *)
 
 val emit_health : side -> full:Qldae.t -> rom:Qldae.t -> report
-(** Compute {!moment_residuals} and {!freq_sweep} inside a
+(** Compute {!moment_residuals} and {!freq_sweep} through one ROM
+    engine (so the ROM's [G1] is factored once) inside a
     ["romdiag.health"] span and emit the corresponding health records.
     Callers gate this behind {!Obs.Health.active}. *)

@@ -15,9 +15,9 @@
    producers must guard any nontrivial diagnostic computation with
    [active ()], and [emit] itself is a no-op under the null sink.
 
-   Alongside the (sink-gated) events, [emit] folds headline values
-   into [Metrics] histograms/gauges so the [--metrics] table surfaces
-   worst-case health without trace parsing. *)
+   Alongside the (sink-gated) events, [emit] keeps the last moment
+   residual per order and the last POD energy as [Metrics] gauges, so
+   the [--metrics] table shows them without trace parsing. *)
 
 type record =
   | Cond of {
@@ -89,21 +89,15 @@ let float_field fields key =
   | None -> None
   | Some v -> float_of_string_opt v
 
-(* Headline aggregates: keep the worst value seen per kind in the
-   metrics layer, so health shows up in `--metrics` output even when
-   nobody parses the trace. *)
-let observe_headlines = function
-  | Cond { cond; _ } -> Qhist.observe "health.cond" cond
-  | Ode_streak { length; _ } ->
-    Qhist.observe "health.ode_streak" (float_of_int length)
+let set_gauge = function
   | Moment_residual { k; residual; _ } ->
     Metrics.set_gauge (Printf.sprintf "health.moment_residual.h%d" k) residual
-  | Freq_error { rel_err; _ } -> Qhist.observe "health.freq_error" rel_err
   | Pod_spectrum { energy; _ } -> Metrics.set_gauge "health.pod_energy" energy
+  | Cond _ | Ode_streak _ | Freq_error _ -> ()
 
 let emit r =
   if active () then begin
-    observe_headlines r;
+    set_gauge r;
     Span.event ~detail:(detail_of r) (name_of r)
   end
 

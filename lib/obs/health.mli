@@ -6,8 +6,9 @@
     residuals, and POD spectrum truncation energy.
 
     Records flow through the active {!Sink} as point events named
-    ["health.<kind>"] with a ["key=value ..."] detail payload, and
-    headline values are folded into {!Metrics} histograms/gauges.
+    ["health.<kind>"] with a ["key=value ..."] detail payload; the
+    moment residuals and POD energy are also kept as {!Metrics}
+    gauges.
     With the null sink installed, {!emit} is a no-op; producers must
     additionally guard any expensive diagnostic {e computation} behind
     {!active} so the disabled-observability overhead budget holds. *)
@@ -47,8 +48,8 @@ val active : unit -> bool
     behind this. *)
 
 val emit : record -> unit
-(** Deliver a record to the active sink and fold its headline value
-    into {!Metrics}.  No-op under the null sink. *)
+(** Deliver a record to the active sink, and set the {!Metrics} gauge
+    of a moment residual or POD spectrum.  No-op under the null sink. *)
 
 val of_event : name:string -> detail:string -> record option
 (** Reconstruct a record from a trace event; [None] for non-health or

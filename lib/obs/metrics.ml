@@ -1,13 +1,12 @@
-(* Process-wide kernel event counters, gauges and histograms.
+(* Process-wide kernel event counters and gauges.
 
    Counters live in the first 11 slots of the per-domain [Registry]
    store (DESIGN.md section 8), so an increment is one atomic-flag
    load, one DLS fetch and one bounds-checked store.  [set_enabled] is
-   the one switch for every counter, cost charge and histogram
-   observation: [false] makes them all no-ops, the genuinely
-   uninstrumented baseline of the overhead benchmark.  Gauges are
-   string-keyed, only touched on cold paths, and guarded by the
-   registry's mutex. *)
+   the one switch for every counter, gauge and cost charge: [false]
+   makes them all no-ops, the genuinely uninstrumented baseline of the
+   overhead benchmark.  Gauges are string-keyed, only touched on cold
+   paths, and guarded by the registry's mutex. *)
 
 type counter =
   | Lu_factor
@@ -110,14 +109,5 @@ let render_table () =
   List.iter
     (fun (k, v) -> Buffer.add_string b (Printf.sprintf "  %-24s %12.6g\n" k v))
     (gauges ());
-  List.iter
-    (fun (k, (h : Qhist.view)) ->
-      Buffer.add_string b
-        (Printf.sprintf "  %-24s n=%d avg=%.4g sd=%.4g min=%.4g max=%.4g\n" k
-           h.count
-           (h.sum /. float_of_int (max 1 h.count))
-           (if h.count = 0 then 0.0 else Qhist.stddev h)
-           h.minv h.maxv))
-    (Qhist.all ());
   Buffer.add_string b (rule ^ "\n");
   Buffer.contents b

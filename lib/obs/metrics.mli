@@ -1,4 +1,4 @@
-(** Process-wide kernel counters, gauges and histograms.
+(** Process-wide kernel counters and gauges.
 
     Counters attribute reduction/simulation cost to the kernels the
     paper's complexity claims are stated in: LU factorizations,
@@ -9,7 +9,7 @@
     Counting is on by default.  The counters are a view over the
     per-domain {!Registry} store, which carries the domain-safety
     contract.  {!set_enabled} is the one switch for every counter,
-    {!Cost} charge and {!Qhist} observation. *)
+    gauge and {!Cost} charge. *)
 
 type counter =
   | Lu_factor          (** dense LU factorizations ([La.Lu.factor]) *)
@@ -36,8 +36,8 @@ val incr : ?by:int -> counter -> unit
 val get : counter -> int
 
 val set_enabled : bool -> unit
-(** Globally enable/disable all recording — counters, gauges, {!Cost}
-    charges and {!Qhist} observations (default: enabled).  [false] is
+(** Globally enable/disable all recording — counters, gauges and
+    {!Cost} charges (default: enabled).  [false] is
     the uninstrumented baseline of the overhead benchmark. *)
 
 val set_gauge : string -> float -> unit
@@ -59,8 +59,9 @@ val diff : snapshot -> snapshot -> (counter * int) list
 (** [diff snap now]: nonzero counter deltas between two snapshots. *)
 
 val reset : unit -> unit
-(** Zero every event counter, {!Cost} counter and histogram and drop
-    every gauge. *)
+(** Zero every event counter and {!Cost} counter and drop every
+    gauge. *)
 
 val render_table : unit -> string
-(** Human-readable table (the [--metrics] / [VMOR_METRICS=1] output). *)
+(** Human-readable table of every nonzero counter and every gauge (the
+    [--metrics] / [VMOR_METRICS=1] output). *)

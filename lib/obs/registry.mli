@@ -1,45 +1,28 @@
-(** The one per-domain store behind {!Metrics}, {!Cost} and {!Qhist}.
+(** The one per-domain store behind {!Metrics} and {!Cost}.
 
     Each domain owns one {!store}, held in a [Domain.DLS] slot: a flat
     int array with the 11 {!Metrics} event slots followed by the 12
-    {!Cost} slots, and a name -> histogram table.  A write touches
-    only the calling domain's store — one atomic-flag load, one DLS
-    fetch, plain word-sized stores, no lock.  Readers merge every
-    store ever handed out (stores outlive their domain) under {!mu}.
-    After [Domain.join] the merged totals are exact; while other
-    domains still run, a read observes some interleaving of
-    word-sized stores, never a torn value.
+    {!Cost} slots.  A write touches only the calling domain's store —
+    one atomic-flag load, one DLS fetch, plain word-sized stores, no
+    lock.  Readers merge every store ever handed out (stores outlive
+    their domain) under {!mu}.  After [Domain.join] the merged totals
+    are exact; while other domains still run, a read observes some
+    interleaving of word-sized stores, never a torn value.
 
     One flag, {!enabled}, gates every write (switched by
-    {!Metrics.set_enabled}); one {!reset} zeroes everything.  The
-    three modules above are views: they own their enums, names,
-    bucket geometry and rendering, and read and write through
-    here. *)
+    {!Metrics.set_enabled}); one {!reset} zeroes everything.  The two
+    modules above are views: they own their enums, names and
+    rendering, and read and write through here. *)
 
 val cost_base : int
 (** Index of the first {!Cost} slot (the {!Metrics} slots start at 0). *)
 
-type hist = private {
-  buckets : int array;  (** integer bucket counts, {!Qhist} geometry *)
-  mutable count : int;
-  mutable sum : float;
-  mutable sumsq : float;
-  mutable minv : float;  (** [infinity] when empty *)
-  mutable maxv : float;  (** [neg_infinity] when empty *)
-}
-(** One histogram accumulator; written only through {!observe} and
-    {!reset}. *)
-
 type store = private {
   slots : int array;  (** event then cost slots, written by the owner only *)
-  hists : (string, hist) Hashtbl.t;
-      (** new names are added under {!mu}; ticks on existing names are
-          lock-free *)
 }
 
 val mu : Mutex.t
-(** Guards the store list and histogram-name insertion (and
-    {!Metrics}' gauge table). *)
+(** Guards the store list (and {!Metrics}' gauge table). *)
 
 val key : store Domain.DLS.key
 (** The calling domain's store, registered on first use.  Hot paths
@@ -48,17 +31,8 @@ val key : store Domain.DLS.key
 val enabled : bool Atomic.t
 (** The one recording switch; every write checks it. *)
 
-val observe : n_buckets:int -> string -> int -> float -> unit
-(** [observe ~n_buckets name i v] ticks bucket [i] and the moments of
-    the calling domain's [name] histogram with value [v] (created with
-    [n_buckets] zero buckets on first use), unless disabled. *)
-
-val hists : unit -> (string * hist) list
-(** Every histogram, merged over domains into fresh accumulators,
-    sorted by name. *)
-
 type snapshot = int array
-(** Merged slot values at a point in time. *)
+(** Slot values at a point in time. *)
 
 val snapshot : unit -> snapshot
 (** Merged slot totals (one locked pass over every store). *)
@@ -68,5 +42,4 @@ val deltas : ('c -> int) -> 'c list -> snapshot -> snapshot -> ('c * int) list
     [all] order, [slot] mapping a counter to its slot. *)
 
 val reset : unit -> unit
-(** Zero every slot and histogram of every store (histogram names stay
-    registered). *)
+(** Zero every slot of every store. *)

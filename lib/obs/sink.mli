@@ -20,12 +20,12 @@ type span_record = {
   start : float;           (** {!Clock.now} at span entry *)
   dur : float;             (** elapsed seconds *)
   counters : (string * int) list;
-      (** nonzero counter deltas accumulated inside the span,
-          inclusive of child spans *)
+      (** nonzero counter deltas the span's domain accumulated inside
+          the span, inclusive of child spans *)
   cost : (string * int) list;
-      (** nonzero {!Cost} deltas (nominal flops/bytes) accumulated
-          inside the span, inclusive of child spans; rendered as flat
-          [cost.*] JSON members *)
+      (** nonzero {!Cost} deltas (nominal flops/bytes) the span's
+          domain accumulated inside the span, inclusive of child spans;
+          rendered as flat [cost.*] JSON members *)
   prof : Prof.t option;
       (** GC/allocation deltas over the span (inclusive of children),
           rendered as flat [prof.*] JSON members; [None] for a parsed

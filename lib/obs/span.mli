@@ -1,8 +1,10 @@
 (** Hierarchical timed spans.
 
     A span measures one named region of work; spans nest, and every
-    finished span carries the nonzero {!Metrics} counter deltas that
-    accumulated inside it (inclusive of children).  With the default
+    finished span carries the nonzero {!Metrics} and {!Cost} deltas
+    that the calling domain accumulated inside it (inclusive of
+    children).  Work a concurrent domain does lands in that domain's
+    own spans, which are roots there.  With the default
     null sink the overhead of an un-traced span is one load and one
     pointer comparison. *)
 

@@ -120,8 +120,6 @@ let integrate (sys : Types.system) ~t0 ~t1 ~(x0 : Vec.t) ~h
       (* Nearly exhausting the iteration budget on a reused factor
          means the Jacobian has drifted: refresh on the next step. *)
       if (not fresh) && iters > max_newton / 2 then cache := None;
-      Obs.Qhist.observe "imtrap.newton_iters" (float_of_int iters);
-      Obs.Qhist.observe "imtrap.step_size" step_h;
       if not converged then
         raise
           (Types.Step_failure

@@ -96,14 +96,11 @@ let integrate (sys : Types.system) ~t0 ~t1 ~(x0 : Vec.t) ?(rtol = default_rtol)
      the controller is fighting the dynamics (stiffness, a kink). *)
   let reject_streak = ref 0 in
   let close_streak () =
-    if !reject_streak > 0 then begin
-      Obs.Qhist.observe "rkf45.reject_streak" (float_of_int !reject_streak);
-      if !reject_streak >= 3 then
-        Obs.Health.emit
-          (Obs.Health.Ode_streak
-             { context = "rkf45"; time = !t; length = !reject_streak });
-      reject_streak := 0
-    end
+    if !reject_streak >= 3 then
+      Obs.Health.emit
+        (Obs.Health.Ode_streak
+           { context = "rkf45"; time = !t; length = !reject_streak });
+    reject_streak := 0
   in
   let fail detail =
     let err =
@@ -145,8 +142,6 @@ let integrate (sys : Types.system) ~t0 ~t1 ~(x0 : Vec.t) ?(rtol = default_rtol)
         close_streak ();
         stats.steps <- stats.steps + 1;
         Obs.Metrics.incr Obs.Metrics.Ode_step;
-        Obs.Qhist.observe "rkf45.step_size" step_h;
-        Obs.Qhist.observe "rkf45.local_error" enorm;
         t := !t +. step_h;
         x := x5
       end

@@ -155,8 +155,9 @@ let test_romdiag_within_h3_moments () =
     Alcotest.failf "romdiag.health %d flops > assoc.h3_moments %d" diag h3
 
 (* The full model's side of the check is the reduction's own engine and
-   heads, so the only Schur factorizations under romdiag.health are the
-   q-dimensional ROM's: one in its engine, one in the sweep. *)
+   heads, so the only Schur factorization under romdiag.health is the
+   q-dimensional ROM's, in the one ROM engine that steps its heads and
+   serves the sweep. *)
 let test_romdiag_factors_rom_only () =
   let q =
     Circuit.Models.qldae
@@ -178,10 +179,50 @@ let test_romdiag_factors_rom_only () =
   let schur =
     Option.value ~default:0 (List.assoc_opt "flops_schur" diag.Obs.Sink.cost)
   in
-  let bound = 2 * 25 * order * order * order in
+  let bound = 25 * order * order * order in
   if schur > bound then
-    Alcotest.failf "romdiag.health flops_schur %d > 2·25q³ = %d (q = %d, n = %d)"
+    Alcotest.failf "romdiag.health flops_schur %d > 25q³ = %d (q = %d, n = %d)"
       schur bound order (Volterra.Qldae.dim q)
+
+(* A span counts only its own domain's work.  Under two lanes the
+   second point's moments run on a worker, in spans that are roots
+   there, so the depth-0 spans of all lanes together account for the
+   call's whole Obs.Cost delta, and tally the same at either lane
+   count. *)
+let test_depth0_cost_per_lane () =
+  let q = Circuit.Models.qldae (Circuit.Models.nltl_voltage ~stages:5 ()) in
+  let run domains =
+    let snap = Cost.snapshot () in
+    let c =
+      with_memory_sink (fun () ->
+          Par.with_domains (Some domains) (fun () ->
+              ignore
+                (Mor.Atmor.reduce_multipoint ~points:[ 0.5; 2.0 ]
+                   ~orders:{ Mor.Atmor.k1 = 3; k2 = 1; k3 = 0 } q)))
+    in
+    let delta = named (Cost.since snap) in
+    let roots =
+      List.map
+        (fun k ->
+          ( Cost.name k,
+            List.fold_left
+              (fun acc (s : Obs.Sink.span_record) ->
+                if s.Obs.Sink.depth <> 0 then acc
+                else
+                  acc
+                  + Option.value ~default:0
+                      (List.assoc_opt (Cost.name k) s.Obs.Sink.cost))
+              0 c.Obs.Sink.spans ))
+        Cost.all
+      |> List.filter (fun (_, n) -> n <> 0)
+    in
+    Alcotest.(check cost_list)
+      (Printf.sprintf "depth-0 cost = call delta at %d lanes" domains)
+      delta roots;
+    roots
+  in
+  let two = run 2 in
+  Alcotest.(check cost_list) "depth-0 cost same at 1 and 2 lanes" (run 1) two
 
 (* ---- JSONL round-trip ---- *)
 
@@ -393,5 +434,7 @@ let suite =
           test_romdiag_within_h3_moments;
         Alcotest.test_case "romdiag factors only the ROM" `Quick
           test_romdiag_factors_rom_only;
+        Alcotest.test_case "depth-0 spans count each lane once" `Quick
+          test_depth0_cost_per_lane;
       ] );
   ]

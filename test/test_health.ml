@@ -578,6 +578,53 @@ let test_gate_overheads_par () =
   check_int "par key appearing fails under ignore-wall" 1
     (List.length (gate ~ignore_wall:true no_wall_2 base))
 
+(* the run-level latency block: requests exact, p50/p99 walls banded
+   (skipped under --ignore-wall), its presence structural *)
+let latency_json ?latency () =
+  let lat =
+    match latency with
+    | None -> ""
+    | Some (p50, p99) ->
+      Printf.sprintf
+        ",\n  \"latency\": {\"requests\": 32, \"p50_s\": %s, \"p99_s\": %s}"
+        p50 p99
+  in
+  Printf.sprintf "{\"scale\": 0.25,\n  \"experiments\": []%s}\n" lat
+
+let test_gate_latency_matrix () =
+  let good = latency_json ~latency:("0.5", "0.75") () in
+  check_int "identical passes" 0 (List.length (gate good good));
+  let slow = latency_json ~latency:("1.2", "0.75") () in
+  check_int "p50 blowup fails with walls on" 1 (List.length (gate good slow));
+  check_int "p50 blowup skipped under ignore-wall" 0
+    (List.length (gate ~ignore_wall:true good slow));
+  let wobble = latency_json ~latency:("0.5625", "0.875") () in
+  check_int "small wall wobble passes" 0 (List.length (gate good wobble));
+  let absent = latency_json () in
+  check_int "block disappearing fails" 1
+    (List.length (gate ~ignore_wall:true good absent));
+  check_int "block appearing vs old baseline fails" 1
+    (List.length (gate ~ignore_wall:true absent good))
+
+(* health gauges move only while a sink listens *)
+let test_health_gauges_under_sink () =
+  let pod =
+    Obs.Health.Pod_spectrum { retained = 3; total = 9; energy = 0.75; tail = 0.01 }
+  in
+  let gauge () = List.assoc_opt "health.pod_energy" (Obs.Metrics.gauges ()) in
+  let before = gauge () in
+  Obs.Health.emit pod;
+  check_bool "null sink: gauge untouched" true (gauge () = before);
+  ignore (with_memory_sink (fun () -> Obs.Health.emit pod));
+  check_bool "active sink: gauge set" true (gauge () = Some 0.75);
+  ignore
+    (with_memory_sink (fun () ->
+         Obs.Health.emit
+           (Obs.Health.Moment_residual { k = 2; s0 = 0.0; residual = 1e-9 })));
+  check_bool "moment residual gauge set" true
+    (List.assoc_opt "health.moment_residual.h2" (Obs.Metrics.gauges ())
+    = Some 1e-9)
+
 let suite =
   [
     ( "health",
@@ -600,6 +647,10 @@ let suite =
           test_gate_structural;
         Alcotest.test_case "bench gate overheads and par bands" `Quick
           test_gate_overheads_par;
+        Alcotest.test_case "gate latency matrix" `Quick
+          test_gate_latency_matrix;
+        Alcotest.test_case "health gauges under a sink" `Quick
+          test_health_gauges_under_sink;
         Alcotest.test_case "every record kind round-trips" `Quick
           test_records_roundtrip;
         Alcotest.test_case "unknown and malformed records skipped" `Quick

@@ -15,8 +15,8 @@
    - kernel counters and ROM orders are deterministic at fixed scale ->
      exact, with a +-10% escape hatch for counts that legitimately
      wobble with iteration-dependent control flow;
-   - Obs.Cost counters and the latency fingerprint are exact, even
-     under --ignore-wall: they are the wall-free performance pin;
+   - Obs.Cost counters are exact, even under --ignore-wall: they are
+     the wall-free performance pin;
    - accuracy must never quietly regress -> max_rel_error may drift but
      not beyond 2x the baseline.
 
@@ -88,10 +88,9 @@ let wall_derived = function
      across runtimes, so their band is wider than the counter one.
    - Overheads are ratios of two walls; a 0.1% baseline doubling to
      0.2% is noise, so the band is absolute percentage points.
-   - Latency quantiles are sub-second and carry order-statistic noise
-     plus the Qhist's ~19% bucket quantization: a wider band over a
-     tighter floor.  The latency [det] fingerprint is a fixed synthetic
-     stream through the production Qhist geometry, so it is exact. *)
+   - Latency quantiles are sub-second nearest-rank order statistics of
+     32 walls, so they carry sampling noise: a wider band over a
+     tighter floor. *)
 let bands : (string list * band) list =
   List.map
     (fun (p, b) -> (String.split_on_char '.' p, b))
@@ -111,7 +110,6 @@ let bands : (string list * band) list =
       ("par.speedup_4", Floor 2.5);
       ("par.overhead_1_pct", Ceiling 2.0);
       ("latency.requests", Exact);
-      ("latency.det.*", Exact);
       ("latency.p50_s", Wall { tol = 0.50; floor = 0.15 });
       ("latency.p99_s", Wall { tol = 0.50; floor = 0.15 });
     ]

@@ -55,7 +55,7 @@ let rules =
       worker pool)");
     ("raw-quantile",
      "quantile/percentile computed outside lib/obs and not through \
-      Obs.Qhist (bucketed quantiles are the deterministic ones)");
+      Obs.Clock.quantile (the one nearest-rank implementation)");
     ("toplevel-mutable",
      "module-level mutable state in lib/ (ref, mutable record, array, \
       Hashtbl, Buffer, lazy); domains race on it");
@@ -256,18 +256,16 @@ let check_expression ctx path (e : expression) =
           stay centralized"
    | Some name
      when (match List.rev name with
+           | "quantile" :: "Clock" :: _ -> false
            | ("quantile" | "percentile") :: _ -> true
            | _ -> false)
-          && (not (List.mem "Qhist" name))
           && not (in_lib_obs path) ->
-       (* Obs.Qhist.quantile is the blessed implementation: rank-based
-          over integer bucket counts, so bit-identical across runs and
-          domain splits.  An ad-hoc sort-and-index quantile silently
-          loses that guarantee (and ties break differently). *)
+       (* Obs.Clock.quantile is the blessed implementation: exact
+          nearest rank over a sorted copy, so every quantile in the
+          repo breaks ties and rounds ranks the same way. *)
        report ctx path line "raw-quantile"
-         "ad-hoc quantile/percentile outside lib/obs; derive quantiles \
-          from an Obs.Qhist view so they stay deterministic and \
-          merge-exact"
+         "ad-hoc quantile/percentile outside lib/obs; use \
+          Obs.Clock.quantile so every quantile ranks the same way"
    | Some name when in_lib path && List.mem name stdout_printers ->
        report ctx path line "lib-printf"
          (Printf.sprintf "%s in library code; return strings or use Format \
