@@ -2,8 +2,10 @@
    redesign that exposed it: span nesting and per-span counter
    attribution, counter determinism against a real reduction, JSONL
    round-trips, null-sink purity, the <2% disabled-instrumentation
-   budget, the VMOR_METRICS switch, facade equivalence (deprecated wrapper vs Options path) and
-   the all-channel MIMO comparison fix. *)
+   budget, the VMOR_METRICS switch, the counters the integrators and the
+   reducer tail record, Clock.quantile's nearest rank, facade
+   equivalence (deprecated wrapper vs Options path) and the all-channel
+   MIMO comparison fix. *)
 
 open La
 
@@ -498,6 +500,176 @@ let test_metrics_env () =
         (has_table (stderr_with csv));
       Alcotest.(check bool) "and writes no file" false (Sys.file_exists csv))
 
+(* ---- call sites: what the integrators and the reducer tail record ---- *)
+
+(* x' = -x: smooth, linear, converges in one chord iteration per step *)
+let decay =
+  {
+    Ode.Types.dim = 1;
+    rhs = (fun _ x -> Vec.scale (-1.0) x);
+    jac = Some (fun _ _ -> Mat.diag (Vec.of_array [| -1.0 |]));
+  }
+
+let run_rkf45 () =
+  Ode.Rkf45.integrate decay ~t0:0.0 ~t1:2.0 ~x0:(Vec.of_array [| 1.0 |])
+    ~samples:5 ()
+
+let run_imtrap () =
+  Ode.Imtrap.integrate decay ~t0:0.0 ~t1:1.0 ~x0:(Vec.of_array [| 1.0 |])
+    ~h:0.1 ~samples:5 ()
+
+let ode_counters () =
+  List.map Obs.Metrics.get
+    Obs.Metrics.[ Ode_step; Ode_rejected; Newton_iter ]
+
+let ode_deltas before =
+  List.map2 (fun a b -> b - a) before (ode_counters ())
+
+let test_rkf45_counted () =
+  let before = ode_counters () in
+  let sol = run_rkf45 () in
+  let st = sol.Ode.Types.stats in
+  Alcotest.(check bool) "integration took steps" true (st.Ode.Types.steps > 0);
+  Alcotest.(check (list int))
+    "Ode_step, Ode_rejected, Newton_iter deltas = the solver's stats"
+    [ st.Ode.Types.steps; st.Ode.Types.rejected; 0 ]
+    (ode_deltas before);
+  Alcotest.(check (float 0.0))
+    "the accepted steps reach t1" 2.0
+    sol.Ode.Types.times.(Array.length sol.Ode.Types.times - 1)
+
+let test_imtrap_counted () =
+  let before = ode_counters () in
+  let sol = run_imtrap () in
+  let st = sol.Ode.Types.stats in
+  Alcotest.(check bool) "one step per h" true (st.Ode.Types.steps >= 10);
+  Alcotest.(check bool)
+    "at least one Newton iteration per step" true
+    (st.Ode.Types.newton_iters >= st.Ode.Types.steps);
+  Alcotest.(check (list int))
+    "Ode_step, Ode_rejected, Newton_iter deltas = the solver's stats"
+    [ st.Ode.Types.steps; 0; st.Ode.Types.newton_iters ]
+    (ode_deltas before)
+
+(* Switching recording off stops the counters and nothing else: both
+   integrators return bit-identical solutions either way. *)
+let test_disabled_call_sites () =
+  let on_rk = run_rkf45 () and on_it = run_imtrap () in
+  let before = ode_counters () in
+  let off_rk, off_it =
+    Obs.Metrics.set_enabled false;
+    Fun.protect
+      ~finally:(fun () -> Obs.Metrics.set_enabled true)
+      (fun () -> (run_rkf45 (), run_imtrap ()))
+  in
+  Alcotest.(check (list int)) "no counter moves while disabled" [ 0; 0; 0 ]
+    (ode_deltas before);
+  let same name (a : Ode.Types.solution) (b : Ode.Types.solution) =
+    Alcotest.(check (array (float 0.0))) (name ^ " times") a.Ode.Types.times
+      b.Ode.Types.times;
+    Array.iteri
+      (fun i x ->
+        Alcotest.(check (array (float 0.0)))
+          (Printf.sprintf "%s state %d" name i)
+          x b.Ode.Types.states.(i))
+      a.Ode.Types.states
+  in
+  same "rkf45" on_rk off_rk;
+  same "imtrap" on_it off_it
+
+(* The reducer tail reports its own wall and the order it reached. *)
+let test_reduction_tail () =
+  let q =
+    Circuit.Models.qldae
+      (Circuit.Models.nltl ~stages:6 ~source:(`Voltage 1.0) ())
+  in
+  let r, wall =
+    Obs.Clock.time (fun () ->
+        Mor.Atmor.reduce ~orders:{ Mor.Atmor.k1 = 3; k2 = 1; k3 = 0 } q)
+  in
+  let secs = r.Mor.Atmor.reduction_seconds in
+  Alcotest.(check bool) "reduction_seconds nonnegative" true (secs >= 0.0);
+  Alcotest.(check bool) "reduction_seconds within the call's wall" true
+    (secs <= wall);
+  Alcotest.(check (option (float 0.0)))
+    "reduced_order gauge = basis columns"
+    (Some (float_of_int (Mat.cols r.Mor.Atmor.basis)))
+    (List.assoc_opt "reduced_order" (Obs.Metrics.gauges ()))
+
+(* A span's start and duration lie inside the wall of the code that
+   opened it: the trace is the one record of how long a call took. *)
+let test_span_inside_caller_wall () =
+  let t0 = ref 0.0 and wall = ref 0.0 in
+  let c =
+    with_memory_sink (fun () ->
+        t0 := Obs.Clock.now ();
+        let (), dt =
+          Obs.Clock.time (fun () ->
+              Obs.Span.with_ ~name:"t.walled" (fun () ->
+                  let s = Obs.Clock.now () in
+                  while Obs.Clock.now () -. s < 0.001 do
+                    ()
+                  done))
+        in
+        wall := dt)
+  in
+  match c.Obs.Sink.spans with
+  | [ s ] ->
+    Alcotest.(check bool) "starts after the caller" true (s.Obs.Sink.start >= !t0);
+    Alcotest.(check bool) "covers its body" true (s.Obs.Sink.dur >= 0.001);
+    Alcotest.(check bool) "ends inside the caller's wall" true
+      (s.Obs.Sink.dur <= !wall)
+  | spans ->
+    Alcotest.failf "expected one span, got %d" (List.length spans)
+
+(* ---- Clock.quantile: exact nearest rank ---- *)
+
+let test_quantile_nearest_rank () =
+  let xs = [| 5.0; 1.0; 4.0; 2.0; 3.0 |] in
+  let q = Obs.Clock.quantile xs in
+  List.iter
+    (fun (p, want) ->
+      Alcotest.(check (float 0.0)) (Printf.sprintf "q=%g" p) want (q p))
+    [ (0.0, 1.0); (0.2, 1.0); (0.21, 2.0); (0.5, 3.0); (0.99, 5.0); (1.0, 5.0) ];
+  Alcotest.(check (array (float 0.0)))
+    "input untouched" [| 5.0; 1.0; 4.0; 2.0; 3.0 |] xs;
+  Alcotest.(check bool) "empty gives nan" true
+    (Float.is_nan (Obs.Clock.quantile [||] 0.5));
+  Alcotest.(check (float 0.0)) "one sample is every quantile" 7.0
+    (Obs.Clock.quantile [| 7.0 |] 0.99);
+  (* the bench latency pass: 32 walls, p50 the 16th, p99 the 32nd *)
+  let walls = Array.init 32 (fun i -> float_of_int (32 - i)) in
+  Alcotest.(check (float 0.0)) "p50 of 32" 16.0 (Obs.Clock.quantile walls 0.5);
+  Alcotest.(check (float 0.0)) "p99 of 32" 32.0 (Obs.Clock.quantile walls 0.99)
+
+(* Over a fixed pseudo-random stream: the quantile is one of the
+   samples, ignores their order, and is monotone in q. *)
+let test_quantile_order_free () =
+  let x = ref 42 in
+  let xs =
+    Array.init 2000 (fun _ ->
+        x := ((!x * 1103515245) + 12345) land 0x3FFFFFFF;
+        Float.ldexp (1.0 +. (float_of_int (!x land 0xFFFF) /. 65536.0))
+          (((!x lsr 16) mod 20) - 10))
+  in
+  let rev = Array.init (Array.length xs) (fun i -> xs.(Array.length xs - 1 - i)) in
+  let qs = [ 0.0; 0.1; 0.5; 0.9; 0.99; 1.0 ] in
+  let vals = List.map (Obs.Clock.quantile xs) qs in
+  List.iter2
+    (fun p v ->
+      Alcotest.(check bool) (Printf.sprintf "q=%g is a sample" p) true
+        (Array.exists (Float.equal v) xs);
+      Alcotest.(check bool) (Printf.sprintf "q=%g ignores order" p) true
+        (Float.equal v (Obs.Clock.quantile rev p)))
+    qs vals;
+  Alcotest.(check bool) "monotone in q" true
+    (List.sort Float.compare vals = vals);
+  Alcotest.(check (float 0.0)) "q=0 is the minimum"
+    (Array.fold_left Float.min Float.infinity xs) (List.hd vals);
+  Alcotest.(check (float 0.0)) "q=1 is the maximum"
+    (Array.fold_left Float.max Float.neg_infinity xs)
+    (List.nth vals (List.length vals - 1))
+
 let suite =
   [
     ( "obs",
@@ -527,6 +699,22 @@ let suite =
           test_metrics_env;
         Alcotest.test_case "one registry slot per counter" `Quick
           test_counter_slots_distinct;
+      ] );
+    ( "obs.call_sites",
+      [
+        Alcotest.test_case "rkf45 steps counted" `Quick test_rkf45_counted;
+        Alcotest.test_case "imtrap steps and Newton iterations counted" `Quick
+          test_imtrap_counted;
+        Alcotest.test_case "disabled recording leaves solutions alone" `Quick
+          test_disabled_call_sites;
+        Alcotest.test_case "reduction wall and reduced_order gauge" `Quick
+          test_reduction_tail;
+        Alcotest.test_case "span inside its caller's wall" `Quick
+          test_span_inside_caller_wall;
+        Alcotest.test_case "quantile is exact nearest rank" `Quick
+          test_quantile_nearest_rank;
+        Alcotest.test_case "quantile ignores order, monotone in q" `Quick
+          test_quantile_order_free;
       ] );
     ( "facade",
       [
