@@ -48,9 +48,6 @@ let guarded f () =
   | Ode.Types.Step_failure msg ->
     Printf.eprintf "vmor: numerical failure: %s\n" msg;
     exit exit_numerical
-  | Mor.Balanced.Unstable_linear_part ->
-    Printf.eprintf "vmor: numerical failure: linear part is not Hurwitz\n";
-    exit exit_numerical
 
 (* Degraded-but-produced: report what the recovery layer did, then exit
    with the dedicated code so scripts can tell clean from recovered. *)

@@ -32,8 +32,6 @@ module Options = struct
     s0 : float option;
     tol : float;
     method_ : method_;
-    policy : Robust.Policy.t option;
-    recorder : Robust.Report.recorder option;
     fault : Robust.Faultify.plan option;
     h3_triples : [ `All | `Diagonal ];
     budget : Robust.Budget.t option;
@@ -45,16 +43,14 @@ module Options = struct
       s0 = None;
       tol = 1e-8;
       method_ = Associated_transform;
-      policy = None;
-      recorder = None;
       fault = None;
       h3_triples = `All;
       budget = None;
       domains = None;
     }
 
-  let make ?s0 ?(tol = 1e-8) ?(method_ = Associated_transform) ?policy
-      ?recorder ?fault ?(h3_triples = `All) ?budget ?domains () =
+  let make ?s0 ?(tol = 1e-8) ?(method_ = Associated_transform) ?fault
+      ?(h3_triples = `All) ?budget ?domains () =
     (match domains with
     | Some n when n < 1 || n > Par.max_domains ->
       (* a typed error, not [invalid_arg]: callers wiring user input
@@ -67,31 +63,21 @@ module Options = struct
                Printf.sprintf "domains = %d outside [1, %d]" n Par.max_domains;
            })
     | _ -> ());
-    { s0; tol; method_; policy; recorder; fault; h3_triples; budget; domains }
+    { s0; tol; method_; fault; h3_triples; budget; domains }
 end
 
 let reduce ?(options = Options.default) ~orders (q : system) : reduction =
-  let {
-    Options.s0;
-    tol;
-    method_;
-    policy;
-    recorder;
-    fault;
-    h3_triples;
-    budget;
-    domains;
-  } =
+  let { Options.s0; tol; method_; fault; h3_triples; budget; domains } =
     options
   in
   Par.with_domains domains @@ fun () ->
   Robust.Budget.with_budget budget @@ fun () ->
   match method_ with
   | Associated_transform ->
-    Mor.Atmor.reduce ?recorder ?policy ?fault ?s0 ~tol ~h3_triples ~orders q
+    Mor.Atmor.reduce ?fault ?s0 ~tol ~h3_triples ~orders q
   | Norm_baseline -> Mor.Norm.reduce ?s0 ~tol ~orders q
   | Multipoint points ->
-    Mor.Atmor.reduce_multipoint ?recorder ~tol ~h3_triples ~points ~orders q
+    Mor.Atmor.reduce_multipoint ~tol ~h3_triples ~points ~orders q
 
 (* Recovery events behind a reduction (empty = clean run). *)
 let degradation (r : reduction) : Robust.Report.t = r.Mor.Atmor.degradation

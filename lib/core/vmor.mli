@@ -13,9 +13,9 @@
       print_string (Vmor.plot_comparison c)
     ]}
 
-    Non-default knobs (expansion point, recovery policy, fault
-    injection, MISO third-order coverage, the NORM baseline or a
-    multipoint expansion) are bundled in one {!Options} value:
+    Non-default knobs (expansion point, fault injection, MISO
+    third-order coverage, the NORM baseline, a multipoint expansion, a
+    compute budget or the lane count) are bundled in one {!Options} value:
     {[
       let r =
         Vmor.reduce
@@ -80,10 +80,6 @@ module Options : sig
     s0 : float option;  (** expansion point; [None] = automatic *)
     tol : float;  (** deflation tolerance of the basis QR *)
     method_ : method_;
-    policy : Robust.Policy.t option;  (** recovery/retry policy *)
-    recorder : Robust.Report.recorder option;
-        (** shared event recorder; reduction events also land in the
-            result's [degradation] either way *)
     fault : Robust.Faultify.plan option;  (** fault injection (tests) *)
     h3_triples : [ `All | `Diagonal ];
         (** MISO third-order input-triple coverage *)
@@ -103,14 +99,14 @@ module Options : sig
 
   val default : t
   (** [Associated_transform] at the automatic expansion point,
-      [tol = 1e-8], no recovery overrides, [`All] triples, no budget. *)
+      [tol = 1e-8], no fault plan, [`All] triples, no budget. The
+      recovery policy is always {!Robust.Policy.default}; recovery
+      events land in the result's [degradation]. *)
 
   val make :
     ?s0:float ->
     ?tol:float ->
     ?method_:method_ ->
-    ?policy:Robust.Policy.t ->
-    ?recorder:Robust.Report.recorder ->
     ?fault:Robust.Faultify.plan ->
     ?h3_triples:[ `All | `Diagonal ] ->
     ?budget:Robust.Budget.t ->

@@ -94,11 +94,3 @@ let solve t (b : Cvec.t) : Cvec.t =
   x
 
 let solve_system a b = solve (factor a) b
-
-(* Solve (sigma I - A) x = b for a real matrix A at a complex shift. *)
-let solve_shifted (a : Mat.t) (sigma : Complex.t) (b : Cvec.t) : Cvec.t =
-  let n = Mat.rows a in
-  let m = Cmat.scale { Complex.re = -1.0; im = 0.0 } (Cmat.of_real a) in
-  let m = Cmat.add_diag m sigma in
-  if Cvec.dim b <> n then invalid_arg "Clu.solve_shifted: dimension mismatch";
-  solve_system m b

@@ -1,6 +1,8 @@
-(** Complex LU factorization with partial pivoting. Powers the
-    frequency-domain evaluation of Volterra transfer functions at complex
-    frequencies [(sI − G1)^-1 v]. *)
+(** Complex LU factorization with partial pivoting. Powers
+    [Volterra.Transfer]'s dense frequency-domain evaluation of the
+    multivariate transfer functions (its cached resolvents
+    [(σI − G1)^-1]) and the dense test references; the associated
+    transforms solve on [G1]'s Schur form through {!Ksolve} instead. *)
 
 type t
 
@@ -13,6 +15,3 @@ val solve : t -> Cvec.t -> Cvec.t
 
 (** One-shot solve. *)
 val solve_system : Cmat.t -> Cvec.t -> Cvec.t
-
-(** [solve_shifted a σ b] solves [(σ I − a) x = b] for real [a]. *)
-val solve_shifted : Mat.t -> Complex.t -> Cvec.t -> Cvec.t

@@ -307,15 +307,6 @@ let solve_shifted_real ?mu t ~k ~sigma (v : Vec.t) : Vec.t =
   | Some mu when mu > 0.0 -> Cvec.real_part x
   | _ -> Cvec.to_real ~tol:1e-5 x
 
-let try_solve_shifted_real ?(loc = Robust.Error.loc ~subsystem:"la"
-                               ~operation:"Ksolve.solve_shifted_real") t ~k
-    ~sigma (v : Vec.t) : (Vec.t, Robust.Error.t) result =
-  match solve_shifted_real t ~k ~sigma v with
-  | x -> Ok x
-  | exception Near_singular d ->
-    Error (Robust.Error.Singular_solve { loc; shift = sigma; distance = d })
-  | exception Robust.Error.Error e -> Error e
-
 (* ---- Schur-coordinate interface ----
 
    Series recursions (repeated solves at one shift) pay the unitary

@@ -46,17 +46,6 @@ val solve_shifted :
 val solve_shifted_real :
   ?mu:float -> t -> k:int -> sigma:float -> Vec.t -> Vec.t
 
-(** Result-returning variant of {!solve_shifted_real}: [Near_singular]
-    becomes [Robust.Error.Singular_solve] with the shift and pole
-    distance. *)
-val try_solve_shifted_real :
-  ?loc:Robust.Error.location ->
-  t ->
-  k:int ->
-  sigma:float ->
-  Vec.t ->
-  (Vec.t, Robust.Error.t) result
-
 (** [apply_shifted ~g ~k ~sigma x] applies [(σ I − ⊕^k G)] to a flat
     real vector — the residual-check companion of the solver. *)
 val apply_shifted : g:Mat.t -> k:int -> sigma:float -> Vec.t -> Vec.t

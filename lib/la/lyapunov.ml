@@ -1,17 +1,38 @@
-(* Continuous-time Lyapunov equations A P + P Aᵀ + Q = 0 (via the
-   Bartels-Stewart Sylvester solver) and Hankel singular values — the
-   "measure inherent to linear MOR" the paper's §4 suggests for
-   automatic moment-order selection. *)
+(* Continuous-time Lyapunov equations A P + P Aᵀ + Q = 0 and Hankel
+   singular values — the "measure inherent to linear MOR" the paper's
+   §4 suggests for automatic moment-order selection.
 
-(* Solve A P + P Aᵀ + Q = 0 for stable A (symmetric Q gives symmetric
-   P). *)
+   With P row-major, vec(A P + P Aᵀ) = (A ⊗ I + I ⊗ A) vec P = ⊕²A vec P,
+   so the equation is the shifted Kronecker-sum solve
+   (0·I − ⊕²A) vec P = vec Q: one Schur factorization of A, whose
+   eigenvalues also decide stability. *)
+
+(* Solve A P + P Aᵀ + Q = 0 for Hurwitz A (symmetric Q gives symmetric
+   P); anything with max Re λ >= -1e-9 raises the typed Non_hurwitz. *)
 let solve ~(a : Mat.t) ~(q : Mat.t) : Mat.t =
   Contract.require_square "Lyapunov.solve: a" (Mat.dims a);
   Contract.require_dims "Lyapunov.solve: q" ~expected:(Mat.dims a)
     ~actual:(Mat.dims q);
-  let p = Sylvester.solve ~a ~b:(Mat.neg (Mat.transpose a)) ~c:(Mat.neg q) in
+  let n = Mat.rows a in
+  let schur = Schur.decompose a in
+  let max_re =
+    Array.fold_left
+      (fun acc (z : Complex.t) -> Float.max acc z.re)
+      Float.neg_infinity (Schur.eigenvalues schur)
+  in
+  if max_re >= -1e-9 then
+    Robust.Error.raise_error
+      (Robust.Error.Non_hurwitz
+         {
+           loc = Robust.Error.loc ~subsystem:"la" ~operation:"Lyapunov.solve";
+           max_re;
+         });
+  let p =
+    Ksolve.solve_shifted_real (Ksolve.of_schur ~n schur) ~k:2 ~sigma:0.0
+      (Mat.data q)
+  in
   (* symmetrize (numerical dust) *)
-  Mat.scale 0.5 (Mat.add p (Mat.transpose p))
+  Mat.init n n (fun i j -> 0.5 *. (p.((i * n) + j) +. p.((j * n) + i)))
 
 (* Controllability gramian: A P + P Aᵀ + B Bᵀ = 0. *)
 let controllability ~(a : Mat.t) ~(b : Mat.t) : Mat.t =

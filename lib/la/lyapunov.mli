@@ -1,16 +1,24 @@
 (** Continuous-time Lyapunov equations and Hankel singular values — the
     "measure inherent to linear MOR" the paper's §4 suggests for
-    automatic moment-order selection. Dense, via the Bartels–Stewart
-    Sylvester solver; intended for the moderate sizes of this library's
-    systems. *)
+    automatic moment-order selection. Dense: [A P + P Aᵀ] is [⊕²A]
+    acting on the row-major [vec P], so every solve is one
+    {!Ksolve.solve_shifted_real} at [k = 2], [σ = 0] on one Schur
+    factorization of [A] ([O(n⁴)] work, [O(n²)] memory); intended for
+    the moderate sizes of this library's systems. *)
 
-(** Solve [A P + P Aᵀ + Q = 0] for stable [A]. *)
+(** Solve [A P + P Aᵀ + Q = 0] for Hurwitz [A]. The Schur
+    factorization's eigenvalues decide stability: max [Re λ ≥ −1e-9]
+    raises [Robust.Error.Error (Non_hurwitz { max_re; _ })], the one
+    stability rule of the gramian users ([Balanced],
+    [Autoselect.suggest_k1]). *)
 val solve : a:Mat.t -> q:Mat.t -> Mat.t
 
-(** Controllability gramian [A P + P Aᵀ + B Bᵀ = 0]. *)
+(** Controllability gramian [A P + P Aᵀ + B Bᵀ = 0]; raises as
+    {!solve}. *)
 val controllability : a:Mat.t -> b:Mat.t -> Mat.t
 
-(** Observability gramian [Aᵀ Q + Q A + Cᵀ C = 0]. *)
+(** Observability gramian [Aᵀ Q + Q A + Cᵀ C = 0]; raises as
+    {!solve}. *)
 val observability : a:Mat.t -> c:Mat.t -> Mat.t
 
 (** Hankel singular values (descending). *)

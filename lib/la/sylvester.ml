@@ -1,66 +1,7 @@
-(* Bartels-Stewart Sylvester solvers.
-
-   Generic: A X - X B = C for dense A (n x n) and B (m x m).
-
-   Specialized (paper eq. 18): G1 Π + G2 = Π (⊕² G1), i.e.
-   A = G1, B = ⊕² G1, C = -G2 — where B is n² x n² but its Schur form is
-   inherited from G1's, so the solve costs O(n^4) and never builds B. *)
-
-(* Triangular solve (T - mu I) x = b with T upper triangular complex. *)
-let shifted_tri_solve (t : Cmat.t) (mu : Complex.t) (b : Cvec.t) : Cvec.t =
-  let n = Cmat.rows t in
-  let x = Cvec.copy b in
-  let tre = t.Cmat.re and tim = t.Cmat.im in
-  for i = n - 1 downto 0 do
-    let ar = ref x.Cvec.re.(i) and ai = ref x.Cvec.im.(i) in
-    for j = i + 1 to n - 1 do
-      let cr = tre.((i * n) + j) and ci = tim.((i * n) + j) in
-      if Contract.nonzero cr || Contract.nonzero ci then begin
-        ar := !ar -. ((cr *. x.Cvec.re.(j)) -. (ci *. x.Cvec.im.(j)));
-        ai := !ai -. ((cr *. x.Cvec.im.(j)) +. (ci *. x.Cvec.re.(j)))
-      end
-    done;
-    let dr = tre.((i * n) + i) -. mu.re and di = tim.((i * n) + i) -. mu.im in
-    let dm = (dr *. dr) +. (di *. di) in
-    if dm < 1e-300 then raise (Ksolve.Near_singular (sqrt dm));
-    x.Cvec.re.(i) <- ((!ar *. dr) +. (!ai *. di)) /. dm;
-    x.Cvec.im.(i) <- ((!ai *. dr) -. (!ar *. di)) /. dm
-  done;
-  x
-
-(* Generic dense Sylvester: A X - X B = C. Solvable iff the spectra of A
-   and B are disjoint. *)
-let solve ~(a : Mat.t) ~(b : Mat.t) ~(c : Mat.t) : Mat.t =
-  Contract.require_square "Sylvester.solve" (Mat.dims a);
-  Contract.require_square "Sylvester.solve" (Mat.dims b);
-  let n = Mat.rows a and m = Mat.rows b in
-  Contract.require_dims "Sylvester.solve" ~expected:(n, m)
-    ~actual:(Mat.dims c);
-  let sa = Schur.decompose a and sb = Schur.decompose b in
-  let ua = Schur.unitary sa and ta = Schur.triangular sa in
-  let ub = Schur.unitary sb and tb = Schur.triangular sb in
-  (* C~ = Ua^H C Ub *)
-  let chat = Cmat.mul (Cmat.adjoint ua) (Cmat.mul (Cmat.of_real c) ub) in
-  (* Ta Y - Y Tb = C~, column by column. *)
-  let y = Cmat.create n m in
-  for j = 0 to m - 1 do
-    let rhs = Cmat.col chat j in
-    for i = 0 to j - 1 do
-      Cvec.axpy ~alpha:(Cmat.get tb i j) (Cmat.col y i) rhs
-    done;
-    let yj = shifted_tri_solve ta (Cmat.get tb j j) rhs in
-    Cmat.set_col y j yj
-  done;
-  let x = Cmat.mul ua (Cmat.mul y (Cmat.adjoint ub)) in
-  let imag = Mat.norm_fro (Cmat.imag_part x) in
-  if imag > 1e-6 *. (1.0 +. Cmat.norm_fro x) then
-    Robust.Error.raise_error
-      (Robust.Error.Contract_violation
-         {
-           loc = Robust.Error.loc ~subsystem:"la" ~operation:"Sylvester.solve";
-           detail = "non-negligible imaginary residue";
-         });
-  Cmat.real_part x
+(* Bartels-Stewart for the paper's eq. 18 Sylvester equation
+   G1 Π + G2 = Π (⊕² G1), i.e. A X - X B = C with A = G1, B = ⊕² G1,
+   C = -G2 — where B is n² x n² but its Schur form is inherited from
+   G1's, so the solve costs O(n^4) and never builds B. *)
 
 (* Pi from G1 Pi + G2 = Pi (⊕² G1) given the Schur factorization of G1
    directly. *)
@@ -88,6 +29,7 @@ let solve_pi_schur ~(schur : Schur.t) ~(g2 : Mat.t) : Mat.t =
             eigs)
         eigs)
     eigs;
+  let ks = Ksolve.of_schur ~n schur in
   let m = n * n in
   let ut = Cmat.transpose u in
   let uconj = Cmat.init n n (fun i j -> Complex.conj (Cmat.get u i j)) in
@@ -136,7 +78,14 @@ let solve_pi_schur ~(schur : Schur.t) ~(g2 : Mat.t) : Mat.t =
         | None -> ()
     done;
     let mu = Complex.add (Cmat.get t j1 j1) (Cmat.get t j2 j2) in
-    let col = shifted_tri_solve t mu rhs in
+    (* (T - mu I) y = rhs as (mu I - T) y = -rhs: negation is exact, so
+       y has the bits of the direct back-substitution *)
+    let col =
+      Ksolve.tri_solve_shifted ks ~k:1 ~sigma:mu
+        (Cvec.make
+           ~re:(Array.map Float.neg rhs.Cvec.re)
+           ~im:(Array.map Float.neg rhs.Cvec.im))
+    in
     ycol.(j) <- Some col;
     Cmat.set_col y j col
   done;
@@ -168,14 +117,3 @@ let solve_pi_schur ~(schur : Schur.t) ~(g2 : Mat.t) : Mat.t =
            detail = "non-negligible imaginary residue";
          });
   Cmat.real_part pi
-
-(* Residual ‖A X - X B - C‖_F / (1 + ‖C‖_F), for tests. *)
-let residual ~a ~b ~c ~x =
-  Contract.require_square "Sylvester.residual: a" (Mat.dims a);
-  Contract.require_square "Sylvester.residual: b" (Mat.dims b);
-  Contract.require_dims "Sylvester.residual: c"
-    ~expected:(Mat.rows a, Mat.cols b) ~actual:(Mat.dims c);
-  Contract.require_dims "Sylvester.residual: x"
-    ~expected:(Mat.rows a, Mat.cols b) ~actual:(Mat.dims x);
-  let r = Mat.sub (Mat.sub (Mat.mul a x) (Mat.mul x b)) c in
-  Mat.norm_fro r /. (1.0 +. Mat.norm_fro c)

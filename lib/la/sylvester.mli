@@ -1,16 +1,9 @@
-(** Bartels–Stewart Sylvester solvers.
-
-    The specialized entry point implements the paper's eq. (18)
-    decoupling: solving [G1 Π + G2 = Π (⊕² G1)] splits the second-order
-    associated transfer function [H2(s)] into two parallel LTI branches.
-    The right-hand operator is [n²×n²], but its Schur form is inherited
-    from [G1]'s, so the solve costs [O(n⁴)] and the big operator is never
-    formed. *)
-
-(** [solve ~a ~b ~c] solves [A X − X B = C] for dense square [A], [B].
-    Solvable iff the spectra of [A] and [B] are disjoint; raises
-    [Ksolve.Near_singular] otherwise. *)
-val solve : a:Mat.t -> b:Mat.t -> c:Mat.t -> Mat.t
+(** Bartels–Stewart for the paper's eq. (18) decoupling: solving
+    [G1 Π + G2 = Π (⊕² G1)] splits the second-order associated transfer
+    function [H2(s)] into two parallel LTI branches. The right-hand
+    operator is [n²×n²], but its Schur form is inherited from [G1]'s, so
+    the solve costs [O(n⁴)], runs its [n²] column solves through
+    {!Ksolve.tri_solve_shifted}, and never forms the big operator. *)
 
 (** [solve_pi_schur ~schur ~g2] solves [G1 Π + G2 = Π (⊕² G1)] for
     [Π ∈ R^(n×n²)], given the complex Schur form of [G1] and [G2] as a
@@ -18,6 +11,3 @@ val solve : a:Mat.t -> b:Mat.t -> c:Mat.t -> Mat.t
     [λ_i(G1) ≠ λ_j(G1) + λ_k(G1)] for all triples — always true for
     stable [G1] (paper §2.3). *)
 val solve_pi_schur : schur:Schur.t -> g2:Mat.t -> Mat.t
-
-(** Relative residual [‖A X − X B − C‖_F / (1 + ‖C‖_F)]. *)
-val residual : a:Mat.t -> b:Mat.t -> c:Mat.t -> x:Mat.t -> float

@@ -59,14 +59,13 @@ let reduce_loc = Robust.Error.loc ~subsystem:"mor" ~operation:"Atmor.reduce"
    H3 dropped, then H2 as well) walks the policy's nudge candidates
    through [Policy.walk_nudges]; a lower-order basis with an honest
    report beats an uncaught exception. *)
-let reduce ?recorder ?policy ?fault ?s0 ?(tol = 1e-8) ?(h3_triples = `All)
+let reduce ?policy ?fault ?s0 ?(tol = 1e-8) ?(h3_triples = `All)
     ~(orders : orders) (q : Qldae.t) : result =
   require_orders "Atmor.reduce" orders;
   Obs.Span.with_ ~name:"atmor.reduce" @@ fun () ->
   let t_start = Obs.Clock.now () in
   let policy = match policy with Some p -> p | None -> Robust.Policy.default () in
-  let rec0 = match recorder with Some r -> r | None -> Robust.Report.recorder () in
-  let mark0 = Robust.Report.mark rec0 in
+  let rec0 = Robust.Report.recorder () in
   let s0_req = match s0 with Some s -> s | None -> Assoc.default_s0 q in
   let candidates = Robust.Policy.nudges policy s0_req in
   let levels =
@@ -170,26 +169,24 @@ let reduce ?recorder ?policy ?fault ?s0 ?(tol = 1e-8) ?(h3_triples = `All)
   let s0, (vectors, realized, side) = walk_levels 0 None levels in
   finish ~ctx:"Atmor.reduce" ~t_start ~s0 ~orders:realized
     ~raw_moments:(List.length vectors)
-    ~degradation:(Robust.Report.since rec0 mark0)
+    ~degradation:(Robust.Report.events rec0)
     ~side q (Qr.orth_mat ~tol vectors)
 
 (* Multipoint expansion (paper §4, third bullet: "non-DC or multipoint
    frequency expansion is particularly straightforward with this
    associated transform approach"): union of the moment subspaces
    generated at several expansion points. *)
-let reduce_multipoint ?recorder ?(tol = 1e-8) ?(h3_triples = `All)
+let reduce_multipoint ?(tol = 1e-8) ?(h3_triples = `All)
     ~(points : float list) ~(orders : orders) (q : Qldae.t) : result =
   require_orders "Atmor.reduce_multipoint" orders;
   if points = [] then invalid_arg "Atmor.reduce_multipoint: no points";
   Obs.Span.with_ ~name:"atmor.reduce_multipoint" @@ fun () ->
   let t_start = Obs.Clock.now () in
-  let rec0 = match recorder with Some r -> r | None -> Robust.Report.recorder () in
-  let mark0 = Robust.Report.mark rec0 in
   (* The per-point moment blocks are independent, so they fan out over
      [Par] work items.  Each point records into a private recorder —
-     sharing [rec0] across lanes would race — spliced back in point
-     order below, which rebuilds exactly the report a serial
-     left-to-right pass over [points] produces. The first point's
+     sharing one across lanes would race — concatenated in point order
+     below, which rebuilds exactly the report a serial left-to-right
+     pass over [points] produces. The first point's
      engine and moments are the full model's side of the check. Each
      point runs in its own span, so on a worker lane, where it is a
      root, that span holds all of the lane's work for it. *)
@@ -216,16 +213,14 @@ let reduce_multipoint ?recorder ?(tol = 1e-8) ?(h3_triples = `All)
       (heads orders.k1 m1, heads orders.k2 m2, heads orders.k3 m3)
   in
   let vectors =
-    List.concat_map
-      (fun (_, (m1, m2, m3), rec_p) ->
-        Robust.Report.splice rec0 rec_p;
-        m1 @ m2 @ m3)
-      per_point
+    List.concat_map (fun (_, (m1, m2, m3), _) -> m1 @ m2 @ m3) per_point
   in
   if vectors = [] then invalid_arg "Atmor.reduce_multipoint: no moments";
   finish ~ctx:"Atmor.reduce_multipoint" ~t_start ~s0:(List.hd points) ~orders
     ~raw_moments:(List.length vectors)
-    ~degradation:(Robust.Report.since rec0 mark0)
+    ~degradation:
+      (List.concat_map (fun (_, _, rec_p) -> Robust.Report.events rec_p)
+         per_point)
     ~side q (Qr.orth_mat ~tol vectors)
 
 (* ---- eq. 18 ablation: Sylvester-decoupled H2 moment generation ----

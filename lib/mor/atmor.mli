@@ -70,13 +70,11 @@ val finish :
     {!Robust.Policy.walk_nudges}; when every candidate fails at the
     requested orders the H3 (then H2) moments are dropped
     (["degrade:h3"], ["degrade:h2"]) and a lower-order basis is
-    returned, with the full story in [degradation] (and in [recorder],
-    when supplied). [fault] threads a
+    returned, with the full story in [degradation]. [fault] threads a
     {!Robust.Faultify} plan into the moment engine (each attempt arms a
     fresh counter). Raises [Robust.Error.Error Budget_exhausted] only
     when every (orders, point) combination fails. *)
 val reduce :
-  ?recorder:Robust.Report.recorder ->
   ?policy:Robust.Policy.t ->
   ?fault:Robust.Faultify.plan ->
   ?s0:float ->
@@ -89,9 +87,8 @@ val reduce :
 (** Multipoint expansion (paper §4, third bullet): union of the moment
     subspaces generated at each expansion point in [points]. The
     reported [s0] is the first point. Per-point engines record their
-    recoveries into [recorder] / [degradation] but do not nudge. *)
+    recoveries into [degradation], in point order, but do not nudge. *)
 val reduce_multipoint :
-  ?recorder:Robust.Report.recorder ->
   ?tol:float ->
   ?h3_triples:[ `All | `Diagonal ] ->
   points:float list ->

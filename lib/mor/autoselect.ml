@@ -27,13 +27,13 @@ type selection = {
   chosen : Atmor.orders;  (* orders actually kept *)
 }
 
+(* The gramian solves decide stability (Lyapunov's Hurwitz rule). *)
 let suggest_k1 ?(tol = 1e-6) (q : Qldae.t) : int option =
-  let g1 = q.Qldae.g1 in
-  let eigs = Schur.eigenvalues (Schur.decompose g1) in
-  let stable = Array.for_all (fun (z : Complex.t) -> z.re < -1e-9) eigs in
-  if not stable then None
-  else
-    Some (Lyapunov.suggested_order ~tol ~a:g1 ~b:q.Qldae.b ~c:q.Qldae.c ())
+  match
+    Lyapunov.suggested_order ~tol ~a:q.Qldae.g1 ~b:q.Qldae.b ~c:q.Qldae.c ()
+  with
+  | k -> Some k
+  | exception Robust.Error.Error (Robust.Error.Non_hurwitz _) -> None
 
 (* Incremental orthonormal basis: add a vector, report whether it
    contributed a new direction. *)
@@ -62,15 +62,14 @@ let add_to_basis ~tol basis (v : Vec.t) =
 
 let reduce_loc = Robust.Error.loc ~subsystem:"mor" ~operation:"Autoselect.reduce"
 
-let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
+let reduce ?policy ?fault ?s0 ?(growth_tol = 1e-7)
     ?(max_orders = { Atmor.k1 = 12; k2 = 6; k3 = 3 }) ?(h3_triples = `All)
     (q : Qldae.t) : selection =
   Atmor.require_orders "Autoselect.reduce" max_orders;
   Obs.Span.with_ ~name:"autoselect.reduce" @@ fun () ->
   let t_start = Obs.Clock.now () in
   let policy = match policy with Some p -> p | None -> Robust.Policy.default () in
-  let rec0 = match recorder with Some r -> r | None -> Robust.Report.recorder () in
-  let mark0 = Robust.Report.mark rec0 in
+  let rec0 = Robust.Report.recorder () in
   (* Pick the expansion point by probing one H1 moment per candidate of
      the nudge sequence, on demand — a singular (s0 I − G1) or a
      pole-riding shift fails fast here instead of mid-growth — and
@@ -207,7 +206,7 @@ let reduce ?recorder ?policy ?fault ?s0 ?(growth_tol = 1e-7)
   let result =
     Atmor.finish ~ctx:"Autoselect.reduce" ~t_start ~s0:(Assoc.s0 eng)
       ~orders:chosen ~raw_moments:!raw
-      ~degradation:(Robust.Report.since rec0 mark0)
+      ~degradation:(Robust.Report.events rec0)
       ~side:
         (Romdiag.side ~triples_mode:h3_triples (Lazy.from_val eng) (h1, h2, h3))
       q

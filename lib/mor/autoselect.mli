@@ -32,14 +32,13 @@ val suggest_k1 : ?tol:float -> Qldae.t -> int option
     the [policy]'s nudge sequence, and a transfer order whose series
     generation fails is dropped to zero moments, its vectors removed
     from the basis (recorded as ["degrade:h1"/"h2"/"h3"] in the
-    result's [degradation] and in [recorder]). A budget spent by the
+    result's [degradation]). A budget spent by the
     time a step is computed truncates the order to the steps before it
     (["degrade:truncate-series"]). The basis is projected by {!Atmor.finish}. Negative
     [max_orders] entries raise [Invalid_argument]
     ({!Atmor.require_orders}). [fault] arms a {!Robust.Faultify} plan
     on the growth engine's resolvent. *)
 val reduce :
-  ?recorder:Robust.Report.recorder ->
   ?policy:Robust.Policy.t ->
   ?fault:Robust.Faultify.plan ->
   ?s0:float ->

@@ -23,13 +23,6 @@ type result = {
   order : int;
 }
 
-exception Unstable_linear_part
-
-let check_stable (g1 : Mat.t) =
-  let eigs = Schur.eigenvalues (Schur.decompose g1) in
-  if not (Array.for_all (fun (z : Complex.t) -> z.re < 0.0) eigs) then
-    raise Unstable_linear_part
-
 (* SVD of a (small) dense matrix M = U Σ Vᵀ via symmetric
    eigendecompositions; only singular values above [tol] * largest are
    kept. *)
@@ -53,8 +46,9 @@ let thin_svd ?(tol = 1e-10) (m : Mat.t) : Mat.t * float array * Mat.t =
   done;
   (u, sigma, v1)
 
+(* The gramian solves own the Hurwitz check: an unstable G1 raises the
+   typed Non_hurwitz from the first Lyapunov.solve. *)
 let reduce ?(order : int option) ?(tol = 1e-8) (q : Qldae.t) : result =
-  check_stable q.Qldae.g1;
   let a = q.Qldae.g1 and b = q.Qldae.b and c = q.Qldae.c in
   let p = Lyapunov.controllability ~a ~b in
   let qg = Lyapunov.observability ~a ~c in
@@ -94,22 +88,14 @@ let reduce ?(order : int option) ?(tol = 1e-8) (q : Qldae.t) : result =
   let rom = Qldae.project_petrov q ~w ~v in
   { rom; v; w; hsv = sigma; order = k }
 
-(* Result-returning entry point: an unstable linear part becomes the
-   typed [Non_hurwitz] (with the offending spectral abscissa), other
-   recognized numerical failures their taxonomy class. *)
+(* Result-returning entry point: typed errors (an unstable linear part's
+   [Non_hurwitz] among them) are returned, other recognized numerical
+   failures map to their taxonomy class. *)
 let try_reduce ?order ?tol (q : Qldae.t) :
     (result, Robust.Error.t) Stdlib.result =
   let loc = Robust.Error.loc ~subsystem:"mor" ~operation:"Balanced.reduce" in
   match reduce ?order ?tol q with
   | r -> Ok r
-  | exception Unstable_linear_part ->
-    let eigs = Schur.eigenvalues (Schur.decompose q.Qldae.g1) in
-    let max_re =
-      Array.fold_left
-        (fun acc (z : Complex.t) -> Float.max acc z.re)
-        Float.neg_infinity eigs
-    in
-    Error (Robust.Error.Non_hurwitz { loc; max_re })
   | exception exn -> (
     match Ladder.classify ~loc exn with
     | Some err -> Error err

@@ -4,9 +4,9 @@
     11], provided as an additional baseline and as the concrete
     "Hankel-singular-value machinery" of the §4 remark.
 
-    Requires a Hurwitz [G1] (raises {!Unstable_linear_part} otherwise —
-    in particular quadratized diode circuits are excluded; use
-    {!Atmor}). *)
+    Requires a Hurwitz [G1]: the gramian solves of [La.Lyapunov] raise
+    [Robust.Error.Error (Non_hurwitz _)] otherwise — in particular
+    quadratized diode circuits are excluded; use {!Atmor}. *)
 
 open Volterra
 
@@ -18,15 +18,13 @@ type result = {
   order : int;
 }
 
-exception Unstable_linear_part
-
 (** Reduce to [order] states (or to all HSVs above [tol] relative to
-    the largest, default [1e-8]). *)
+    the largest, default [1e-8]). Two Schur factorizations in all, one
+    per gramian. *)
 val reduce : ?order:int -> ?tol:float -> Qldae.t -> result
 
-(** Result-returning variant: {!Unstable_linear_part} becomes the typed
-    [Robust.Error.Non_hurwitz] carrying the spectral abscissa of [G1];
-    other recognized numerical failures map through
-    [La.Ladder.classify]. *)
+(** Result-returning variant: the typed [Robust.Error.Non_hurwitz]
+    (carrying the spectral abscissa of [G1]) and every other recognized
+    numerical failure map through [La.Ladder.classify] to [Error]. *)
 val try_reduce :
   ?order:int -> ?tol:float -> Qldae.t -> (result, Robust.Error.t) Stdlib.result

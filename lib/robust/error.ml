@@ -21,7 +21,7 @@ type t =
       (* a time integrator could not advance past [time] *)
   | Non_hurwitz of { loc : location; max_re : float }
       (* a stability-requiring method met eigenvalues with
-         max Re = [max_re] >= 0 *)
+         max Re = [max_re] >= -1e-9 *)
   | Contract_violation of { loc : location; detail : string }
       (* a numerical contract (finiteness, orthonormality, residual
          bound) failed *)

@@ -18,7 +18,7 @@ type t =
       (** A time integrator could not advance past [time]. *)
   | Non_hurwitz of { loc : location; max_re : float }
       (** A stability-requiring method met spectral abscissa
-          [max_re] >= 0. *)
+          [max_re] >= -1e-9 ([La.Lyapunov.solve]'s Hurwitz rule). *)
   | Contract_violation of { loc : location; detail : string }
       (** A numerical contract (finiteness, orthonormality, residual
           bound) failed. *)

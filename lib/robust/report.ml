@@ -32,11 +32,11 @@ let record r ~action error =
 let record_opt r ~action error =
   match r with None -> () | Some r -> record r ~action error
 
-(* Raw list splice for parallel workers: each worker records into its
-   own recorder (recording into a shared one would race, and replaying
-   through [record] would re-emit the Obs bridge events).  Splicing the
-   children into the parent in increasing work-item order reproduces
-   exactly the newest-first layout a serial run would have built. *)
+(* Raw list splice for sub-steps run against a private recorder (such as
+   Autoselect's expansion-point probes): replaying through [record]
+   would re-emit the Obs bridge events.  Splicing children into the
+   parent in the order they ran reproduces exactly the newest-first
+   layout recording into the parent directly would have built. *)
 let splice parent child =
   parent.rev_events <- child.rev_events @ parent.rev_events
 

@@ -25,9 +25,9 @@ val splice : recorder -> recorder -> unit
 (** [splice parent child] moves (appends) [child]'s events into
     [parent] as if they had just been recorded there, {e without}
     re-emitting the [Obs] bridge events ({!record} already emitted
-    them when the child recorded).  Parallel kernels give each worker
-    a private recorder and splice the children back in increasing
-    work-item order, which reproduces the serial report exactly. *)
+    them when the child recorded).  Splicing children in the order
+    they ran reproduces the report that recording into [parent]
+    directly would have built. *)
 
 val events : recorder -> t
 (** Events recorded so far, oldest first. *)

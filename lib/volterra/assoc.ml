@@ -606,10 +606,8 @@ let h3_moments ?triples_mode t ~k = moments ?triples_mode t ~order:3 ~k
 
 (* ---- single-s evaluation of the associated transfer functions ---- *)
 
-(* complex resolvent solve (sI - G1)^-1 v *)
-let msolve_c t (s : Complex.t) (v : Cvec.t) : Cvec.t =
-  Clu.solve_shifted t.q.Qldae.g1 s v
-
+(* (sI - ⊕^k G1)^-1 v on the engine's Schur factorization; k = 1 is the
+   resolvent itself. *)
 let nsolve_c t ~k (s : Complex.t) (v : Cvec.t) : Cvec.t =
   Ksolve.solve_shifted (Lazy.force t.ks) ~k ~sigma:s v
 
@@ -628,7 +626,7 @@ let h2_eval t ~inputs:(a, b) (s : Complex.t) : Cvec.t =
       ~im:(Sptensor.apply_flat q.Qldae.g2 (Cvec.imag_part r))
   in
   let rhs = Cvec.add g2r (Cvec.of_real (d_pair q a b)) in
-  msolve_c t s rhs
+  nsolve_c t ~k:1 s rhs
 
 (* H3^{abc}(s) = A3(H3^{abc}) evaluated at a complex s. *)
 let h3_eval t ~inputs:(a, b, c) (s : Complex.t) : Cvec.t =
@@ -677,4 +675,4 @@ let h3_eval t ~inputs:(a, b, c) (s : Complex.t) : Cvec.t =
     in
     Cvec.axpy ~alpha:Complex.one g3r acc
   end;
-  msolve_c t s acc
+  nsolve_c t ~k:1 s acc

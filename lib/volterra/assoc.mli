@@ -93,8 +93,11 @@ val h2_moments : t -> k:int -> Vec.t list
     [triples_mode], as {!h1_moments} over {!series} [~order:3]. *)
 val h3_moments : ?triples_mode:[ `All | `Diagonal ] -> t -> k:int -> Vec.t list
 
-(** Evaluate the associated [H2^{ab}(s)] at a complex frequency. *)
+(** Evaluate the associated [H2^{ab}(s)] at a complex frequency. Every
+    solve, the resolvent [(sI − G1)^-1] included, runs on the engine's
+    one Schur factorization ({!La.Ksolve.solve_shifted}). *)
 val h2_eval : t -> inputs:int * int -> Complex.t -> Cvec.t
 
-(** Evaluate the associated [H3^{abc}(s)] at a complex frequency. *)
+(** Evaluate the associated [H3^{abc}(s)] at a complex frequency, on the
+    same Schur factorization as {!h2_eval}. *)
 val h3_eval : t -> inputs:int * int * int -> Complex.t -> Cvec.t

@@ -176,7 +176,7 @@ let test_balanced_rejects_unstable () =
     (try
        ignore (Mor.Balanced.reduce q);
        false
-     with Mor.Balanced.Unstable_linear_part -> true)
+     with Robust.Error.Error (Robust.Error.Non_hurwitz _) -> true)
 
 (* ---- TPWL ---- *)
 

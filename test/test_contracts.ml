@@ -107,9 +107,6 @@ let test_la_guards () =
   let a = Mat.identity 3 and b = Mat.identity 4 in
   Alcotest.(check bool) "Mat.add shape guard" true
     (raises_invalid (fun () -> Mat.add a b));
-  Alcotest.(check bool) "Sylvester.solve shape guard" true
-    (raises_invalid (fun () ->
-         Sylvester.solve ~a ~b:(Mat.identity 2) ~c:(Mat.create 5 5)));
   Alcotest.(check bool) "Lyapunov.solve shape guard" true
     (raises_invalid (fun () -> Lyapunov.solve ~a ~q:(Mat.create 2 2)));
   let ks = Ksolve.prepare (Mat.random ~rng 3 3) in

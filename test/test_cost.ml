@@ -184,6 +184,64 @@ let test_romdiag_factors_rom_only () =
     Alcotest.failf "romdiag.health flops_schur %d > 25q³ = %d (q = %d, n = %d)"
       schur bound order (Volterra.Qldae.dim q)
 
+(* Tracing a paper figure turns on the Romdiag health check, which
+   steps only the ROM; the figure's whole Obs.Cost flops stay within
+   1.1x of the untraced run, and every ROM is the same to the bit. *)
+let test_traced_figs_flops () =
+  let roms (e : Experiments.Common.t) =
+    List.map
+      (fun (r : Experiments.Common.rom_run) ->
+        Printf.sprintf "%s %d %d %h" r.Experiments.Common.method_name
+          r.Experiments.Common.order r.Experiments.Common.raw_moments
+          r.Experiments.Common.max_rel_error)
+      e.Experiments.Common.runs
+  in
+  let run f =
+    let snap = Cost.snapshot () in
+    let e = f () in
+    (Cost.total_flops (Cost.since snap), roms e)
+  in
+  List.iter
+    (fun (name, f) ->
+      let plain, plain_roms = run f in
+      let traced, traced_roms = ref 0, ref [] in
+      ignore
+        (with_memory_sink (fun () ->
+             let fl, r = run f in
+             traced := fl;
+             traced_roms := r));
+      Alcotest.(check (list string)) (name ^ " ROMs traced = untraced")
+        plain_roms !traced_roms;
+      let ratio = float_of_int !traced /. float_of_int plain in
+      if ratio > 1.1 then
+        Alcotest.failf "%s traced flops %d = %.4fx untraced %d > 1.1x" name
+          !traced ratio plain)
+    [
+      ("fig2", fun () -> Experiments.Paper.fig2 ~scale:0.25 ~samples:41 ());
+      ("fig3", fun () -> Experiments.Paper.fig3 ~scale:0.25 ~samples:41 ());
+      ("fig4", fun () -> Experiments.Paper.fig4 ~scale:0.25 ());
+      ("fig5", fun () -> Experiments.Paper.fig5 ~scale:0.25 ~samples:41 ());
+    ]
+
+(* The gramians own the Hurwitz check: Balanced.reduce factors G1 once
+   per gramian and nothing more, and suggest_k1 adds only the Schur
+   form of P Q behind the Hankel singular values. *)
+let test_gramian_schur_count () =
+  let q =
+    Circuit.Models.qldae (Circuit.Models.rf_receiver ~lna_stages:8 ~pa_stages:8 ())
+  in
+  let n = Volterra.Qldae.dim q in
+  let schur_of f =
+    let snap = Cost.snapshot () in
+    ignore (Sys.opaque_identity (f ()));
+    Option.value ~default:0 (List.assoc_opt Cost.Flops_schur (Cost.since snap))
+  in
+  check_int "n" 16 n;
+  check_int "Balanced.reduce: two Schur factorizations" (2 * 25 * n * n * n)
+    (schur_of (fun () -> Mor.Balanced.reduce ~tol:1e-9 q));
+  check_int "suggest_k1: three Schur factorizations" (3 * 25 * n * n * n)
+    (schur_of (fun () -> Mor.Autoselect.suggest_k1 ~tol:1e-5 q))
+
 (* A span counts only its own domain's work.  Under two lanes the
    second point's moments run on a worker, in spans that are roots
    there, so the depth-0 spans of all lanes together account for the
@@ -436,5 +494,9 @@ let suite =
           test_romdiag_factors_rom_only;
         Alcotest.test_case "depth-0 spans count each lane once" `Quick
           test_depth0_cost_per_lane;
+        Alcotest.test_case "traced fig2-5 flops within 1.1x untraced" `Slow
+          test_traced_figs_flops;
+        Alcotest.test_case "gramians factor G1 once each" `Quick
+          test_gramian_schur_count;
       ] );
   ]

@@ -26,6 +26,28 @@ let test_lyapunov_residual () =
   check_small "Lyapunov residual" (Mat.norm_fro r /. (1.0 +. Mat.norm_fro q)) 1e-8;
   Alcotest.(check bool) "P symmetric" true (Mat.is_symmetric ~tol:1e-8 p)
 
+(* The Schur factorization behind the solve decides stability: an
+   eigenvalue at 0.5 raises the typed Non_hurwitz with that abscissa. *)
+let test_lyapunov_non_hurwitz () =
+  let a = Mat.diag (Vec.of_list [ 0.5; -2.0 ]) in
+  match Lyapunov.solve ~a ~q:(Mat.identity 2) with
+  | _ -> Alcotest.fail "unstable A accepted"
+  | exception Robust.Error.Error (Robust.Error.Non_hurwitz { max_re; _ }) ->
+    check_small "spectral abscissa" (Float.abs (max_re -. 0.5)) 1e-12
+
+(* A paper-scale gramian: the varistor's G1 (n = 102, four complex
+   eigenvalues) through the ⊕² solve. *)
+let test_lyapunov_varistor () =
+  let q = Circuit.Models.qldae (Circuit.Models.varistor ()) in
+  let a = q.Volterra.Qldae.g1 and b = q.Volterra.Qldae.b in
+  Alcotest.(check int) "paper's 102 states" 102 (Mat.rows a);
+  let bbt = Mat.mul b (Mat.transpose b) in
+  let p = Lyapunov.controllability ~a ~b in
+  let r = Mat.add (Mat.add (Mat.mul a p) (Mat.mul p (Mat.transpose a))) bbt in
+  check_small "controllability residual"
+    (Mat.norm_fro r /. (1.0 +. Mat.norm_fro bbt))
+    1e-10
+
 let test_gramian_scalar () =
   (* scalar system x' = -a x + b u: P = b^2 / (2a) *)
   let a = Mat.of_list [ [ -2.0 ] ] and b = Mat.of_list [ [ 3.0 ] ] in
@@ -211,6 +233,8 @@ let suite =
         tc "scalar Hankel value" `Quick test_hankel_scalar;
         tc "ladder HSV decay" `Quick test_hankel_decay_ladder;
         tc "HSVs descending" `Quick test_hankel_balanced_truncation_bound;
+        tc "non-Hurwitz A is typed" `Quick test_lyapunov_non_hurwitz;
+        tc "varistor controllability residual" `Quick test_lyapunov_varistor;
       ] );
     ( "ext.autoselect",
       [

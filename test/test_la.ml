@@ -286,11 +286,11 @@ let test_clu_solve () =
   let x' = Clu.solve_system a b in
   check_small "complex LU residual" (Cvec.dist x x') 1e-9
 
-let test_clu_solve_shifted () =
+let test_resolvent_solve () =
   let a = random_stable 6 in
   let sigma = { Complex.re = 0.5; im = 2.0 } in
   let b = Cvec.of_real (Mat.random_vec ~rng 6) in
-  let x = Clu.solve_shifted a sigma b in
+  let x = Ksolve.solve_shifted (Ksolve.prepare a) ~k:1 ~sigma b in
   (* residual: (sigma I - A) x - b *)
   let ax = Cmat.mul_vec (Cmat.of_real a) x in
   let r = Cvec.sub (Cvec.sub (Cvec.scale sigma x) ax) b in
@@ -522,14 +522,6 @@ let test_sym3_charge () =
 
 (* ---------- Sylvester ---------- *)
 
-let test_sylvester_generic () =
-  let a = random_stable 7 in
-  let b = Mat.scale (-1.0) (random_stable 5) in
-  (* spectra disjoint: a stable, -b anti-stable *)
-  let c = Mat.random ~rng 7 5 in
-  let x = Sylvester.solve ~a ~b ~c in
-  check_small "generic Sylvester residual" (Sylvester.residual ~a ~b ~c ~x) 1e-8
-
 let test_sylvester_pi () =
   let n = 5 in
   let g1 = random_stable n in
@@ -752,7 +744,7 @@ let suite =
         tc "cvec kron" `Quick test_cvec_kron;
         tc "cmat adjoint action" `Quick test_cmat_mul_adjoint;
         tc "complex LU" `Quick test_clu_solve;
-        tc "shifted resolvent solve" `Quick test_clu_solve_shifted;
+        tc "shifted resolvent solve" `Quick test_resolvent_solve;
       ] );
     ( "la.schur",
       [
@@ -778,7 +770,6 @@ let suite =
       ] );
     ( "la.sylvester",
       [
-        tc "generic Bartels-Stewart" `Quick test_sylvester_generic;
         tc "paper eq.18 Pi equation" `Quick test_sylvester_pi;
       ] );
     ( "la.sptensor",

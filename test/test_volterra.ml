@@ -167,6 +167,11 @@ let test_h2_matches_variational_single_tone () =
 (* ---- dense reference realizations (paper eq. 17 and the third-order
    block system) ---- *)
 
+(* (sI - m)^-1 v by a dense complex LU of the materialized shifted
+   matrix. *)
+let dense_shifted_solve (m : Mat.t) (s : Complex.t) (v : Cvec.t) : Cvec.t =
+  Clu.solve_system (Cmat.add_diag (Cmat.scale (cx (-1.0) 0.0) (Cmat.of_real m)) s) v
+
 (* top n rows of (sI - A~2)^-1 b~2, materialized. *)
 let dense_h2_assoc (q : Volterra.Qldae.t) (s : Complex.t) : Cvec.t =
   let n = Volterra.Qldae.dim q in
@@ -180,7 +185,7 @@ let dense_h2_assoc (q : Volterra.Qldae.t) (s : Complex.t) : Cvec.t =
   let b = Volterra.Qldae.b_col q 0 in
   let d1b = Mat.mul_vec q.Volterra.Qldae.d1.(0) b in
   let b2 = Vec.concat [ d1b; Kron.vec b b ] in
-  let x = Clu.solve_shifted a2 s (Cvec.of_real b2) in
+  let x = dense_shifted_solve a2 s (Cvec.of_real b2) in
   Cvec.make
     ~re:(Vec.slice (Cvec.real_part x) ~pos:0 ~len:n)
     ~im:(Vec.slice (Cvec.imag_part x) ~pos:0 ~len:n)
@@ -210,12 +215,7 @@ let dense_h3_assoc (q : Volterra.Qldae.t) (s : Complex.t) : Cvec.t =
   let d1 = q.Volterra.Qldae.d1.(0) in
   let d1b = Mat.mul_vec d1 b in
   let n2 = Kron.sum_pow g1 2 and n3 = Kron.sum_pow g1 3 in
-  let solve m (v : Cvec.t) =
-    let nn = Mat.rows m in
-    let cm = Cmat.add_diag (Cmat.scale (cx (-1.0) 0.0) (Cmat.of_real m)) s in
-    ignore nn;
-    Clu.solve_system cm v
-  in
+  let solve m v = dense_shifted_solve m s v in
   let apply_real_mat m (v : Cvec.t) =
     Cvec.make ~re:(Mat.mul_vec m (Cvec.real_part v))
       ~im:(Mat.mul_vec m (Cvec.imag_part v))
@@ -630,13 +630,13 @@ let test_miso_h2_eval_vs_dense () =
   let w =
     Vec.scale 0.5 (Vec.add (Kron.vec b0 b1) (Kron.vec b1 b0))
   in
-  let r = Clu.solve_shifted (Kron.sum_pow g1 2) s (Cvec.of_real w) in
+  let r = dense_shifted_solve (Kron.sum_pow g1 2) s (Cvec.of_real w) in
   let g2d = Sptensor.to_dense q.Volterra.Qldae.g2 in
   let g2r =
     Cvec.make ~re:(Mat.mul_vec g2d (Cvec.real_part r))
       ~im:(Mat.mul_vec g2d (Cvec.imag_part r))
   in
-  let dense = Clu.solve_shifted g1 s g2r in
+  let dense = dense_shifted_solve g1 s g2r in
   check_small "mixed-input H2assoc structured = dense"
     (Cvec.dist fast dense /. (1.0 +. Cvec.norm2 dense))
     1e-8
