@@ -513,9 +513,8 @@ let ablation_baselines () =
 
 (* The fault-free path must not pay for the fallback machinery: a clean
    reduction under the default policy against the uninstrumented
-   [Robust.Policy.none], plus the per-solve cost of [La.Ladder] against
-   a bare LU, recorded to bench/out/ with the <5% budget target from
-   DESIGN.md §7. *)
+   [Robust.Policy.none], recorded to bench/out/ with the <5% budget
+   target from DESIGN.md §7. *)
 let recovery_overhead () =
   Printf.printf "== recovery-layer overhead (fault-free paths) ==\n%!";
   let q =
@@ -527,36 +526,8 @@ let recovery_overhead () =
         Mor.Atmor.reduce ~policy:Robust.Policy.none ~orders q)
   in
   let t_full = time_best ~reps:5 (fun () -> Mor.Atmor.reduce ~orders q) in
-  (* per-solve ladder cost vs a bare LU backsolve *)
-  let open La in
-  let rng = Random.State.make [| 23 |] in
-  let n = 60 in
-  let a =
-    Mat.sub (Mat.scale 0.4 (Mat.random ~rng n n)) (Mat.scale 1.5 (Mat.identity n))
-  in
-  let b = Mat.random_vec ~rng n in
-  let lu = Lu.factor a in
-  let ladder = Ladder.make a in
-  let solves = 20_000 in
-  let t_lu =
-    time_best ~reps:5 (fun () ->
-        for _ = 1 to solves do
-          ignore (Sys.opaque_identity (Lu.solve lu b))
-        done)
-  in
-  let t_ladder =
-    time_best ~reps:5 (fun () ->
-        for _ = 1 to solves do
-          ignore (Sys.opaque_identity (Ladder.solve ladder b))
-        done)
-  in
   let pct base instr = 100.0 *. (instr -. base) /. base in
-  let rows =
-    [
-      ("atmor_reduce_nltl30", t_bare, t_full, pct t_bare t_full);
-      ("ladder_solve_60", t_lu, t_ladder, pct t_lu t_ladder);
-    ]
-  in
+  let rows = [ ("atmor_reduce_nltl30", t_bare, t_full, pct t_bare t_full) ] in
   ensure_out_dir ();
   let path = Filename.concat out_dir "recovery_overhead.csv" in
   let oc = open_out path in

@@ -30,7 +30,7 @@ let expected_len n k =
   done;
   !s
 
-let of_schur ~n schur = { n; schur }
+let schur t = t.schur
 
 (* Every distinct eigenvalue sum [lam_i1 + ... + lam_ik], the diagonal
    of (sigma I - ⊕^k T) up to the shift: enumerated over sorted index
@@ -178,14 +178,40 @@ let mode_mul_real ~n ~k ~m (mat : Mat.t) (x : Vec.t) : Vec.t =
 
 exception Near_singular of float
 
+(* Squared pole threshold of an unregularized solve: a diagonal entry
+   sigma - (t_i1 + ... + t_ik) within n·eps·(|sigma| + k·max|t_ii|) of
+   zero is a pole to working precision. A backward-stable Schur places
+   eigenvalues only to about eps·‖G‖, so an exact pole (a singular G at
+   sigma = 0, say) shows up as a rounding-sized nonzero, not as 0. A
+   regularized solve (mu > 0) is finite at a pole and only guards
+   underflow. *)
+let pole_tol2 ~mu (tmat : Cmat.t) ~k ~(sigma : Complex.t) =
+  if mu > 0.0 then 1e-300
+  else begin
+    let n = Cmat.rows tmat in
+    let rho = ref 0.0 in
+    for i = 0 to n - 1 do
+      rho :=
+        Float.max !rho
+          (Float.hypot tmat.Cmat.re.((i * n) + i) tmat.Cmat.im.((i * n) + i))
+    done;
+    let tol =
+      float_of_int n *. epsilon_float
+      *. (Complex.norm sigma +. (float_of_int k *. !rho))
+    in
+    Float.max 1e-300 (tol *. tol)
+  end
+
 (* Recursive triangular solve: (sigma I - ⊕^k T) y = w with T upper
    triangular. Operates in place on a copy of [w]. With [mu] > 0 each
    scalar division uses the Tikhonov-regularized inverse
    conj(d) / (|d|^2 + mu^2) — the diagonal regularization behind the
-   recovery ladder's last rung, exact minimum-norm at d = 0. *)
+   one retry of a near-singular shifted solve, exact minimum-norm at
+   d = 0. *)
 let tri_solve ?(mu = 0.0) (tmat : Cmat.t) ~k ~(sigma : Complex.t) (w : Cvec.t)
     : Cvec.t =
   let mu2 = mu *. mu in
+  let tol2 = pole_tol2 ~mu tmat ~k ~sigma in
   let n = Cmat.rows tmat in
   let tre = tmat.Cmat.re and tim = tmat.Cmat.im in
   let y = Cvec.copy w in
@@ -214,7 +240,7 @@ let tri_solve ?(mu = 0.0) (tmat : Cmat.t) ~k ~(sigma : Complex.t) (w : Cvec.t)
         done;
         let dr = sre -. tre.((i * n) + i) and di = sim -. tim.((i * n) + i) in
         let dm = (dr *. dr) +. (di *. di) +. mu2 in
-        if dm < 1e-300 then raise (Near_singular (sqrt dm));
+        if dm < tol2 then raise (Near_singular (sqrt dm));
         yre.(off + i) <- ((!accr *. dr) +. (!acci *. di)) /. dm;
         yim.(off + i) <- ((!acci *. dr) -. (!accr *. di)) /. dm
       done
@@ -358,6 +384,7 @@ let tri_solve_sym3 ?(mu = 0.0) t ~(sigma : Complex.t) (w : Cvec.t) : Cvec.t =
     ~written:(2 * n * n2);
   let mu2 = mu *. mu in
   let tmat = Schur.triangular t.schur in
+  let tol2 = pole_tol2 ~mu tmat ~k:3 ~sigma in
   let tre = tmat.Cmat.re and tim = tmat.Cmat.im in
   let y = Cvec.copy w in
   let yre = y.Cvec.re and yim = y.Cvec.im in
@@ -417,7 +444,7 @@ let tri_solve_sym3 ?(mu = 0.0) t ~(sigma : Complex.t) (w : Cvec.t) : Cvec.t =
         let dr = sj_re -. tre.((l * n) + l)
         and di = sj_im -. tim.((l * n) + l) in
         let dm = (dr *. dr) +. (di *. di) +. mu2 in
-        if dm < 1e-300 then raise (Near_singular (sqrt dm));
+        if dm < tol2 then raise (Near_singular (sqrt dm));
         let xr = ((!accr *. dr) +. (!acci *. di)) /. dm
         and xi = ((!acci *. dr) -. (!accr *. di)) /. dm in
         (* the six permutations of (i, j, l) *)

@@ -10,15 +10,18 @@
 
 type t
 
-(** Raised when a shift collides with an eigenvalue sum
-    [λ_{i1} + ... + λ_{ik}] (the operator is singular there). *)
+(** Raised by an unregularized solve when a shift collides with an
+    eigenvalue sum [λ_{i1} + ... + λ_{ik}] to working precision,
+    [|σ − Σλ| ≤ n·ε·(|σ| + k·max|λ_i|)] (the operator is singular
+    there; a rounding-sized computed eigenvalue of a singular [G] counts
+    as the pole it is). Carries the distance [|σ − Σλ|]. *)
 exception Near_singular of float
 
 (** Factor once; reuse for any [k] and any shift. *)
 val prepare : Mat.t -> t
 
-(** Wrap an existing Schur factorization. *)
-val of_schur : n:int -> Schur.t -> t
+(** The Schur factorization [G = U T U^H] itself. *)
+val schur : t -> Schur.t
 
 (** Diagnostic distance from [σ] to the nearest pole
     [λ_{i1} + ... + λ_{ik}]: exact for k = 1, for k = 2 at n ≤ 400 and
@@ -36,7 +39,7 @@ val cond_estimate : t -> k:int -> sigma:Complex.t -> float
     [mu > 0] makes it Tikhonov-regularized: every scalar division in the
     triangular back-substitution uses [conj(d) / (|d|² + μ²)], finite
     even when [σ] sits exactly on a pole (minimum-norm there) — the
-    recovery ladder's last rung for shifted Kronecker-sum solves. *)
+    one retry of a near-singular shifted solve, at every [k]. *)
 val solve_shifted :
   ?mu:float -> t -> k:int -> sigma:Complex.t -> Cvec.t -> Cvec.t
 

@@ -34,12 +34,3 @@ val solve_system : Mat.t -> Vec.t -> Vec.t
 
 (** One-shot [A X = B]. *)
 val solve_mat_system : Mat.t -> Mat.t -> Mat.t
-
-(** Crude reciprocal 1-norm condition estimate (computes the explicit
-    inverse; intended for diagnostics on small systems). *)
-val rcond_estimate : Mat.t -> float
-
-(** Cheap 1-norm condition estimate [‖A‖₁·est(‖A⁻¹‖₁)] on existing
-    factors (Hager-style power iteration, a handful of O(n²) solves).
-    The health-telemetry companion of {!factor}. *)
-val condest : t -> float

@@ -1,6 +1,8 @@
 (* Continuous-time Lyapunov equations A P + P Aᵀ + Q = 0 and Hankel
    singular values — the "measure inherent to linear MOR" the paper's
-   §4 suggests for automatic moment-order selection.
+   §4 suggests for automatic moment-order selection — computed once,
+   the square-root way, for both of their users (Balanced,
+   Autoselect.suggest_k1).
 
    With P row-major, vec(A P + P Aᵀ) = (A ⊗ I + I ⊗ A) vec P = ⊕²A vec P,
    so the equation is the shifted Kronecker-sum solve
@@ -14,11 +16,12 @@ let solve ~(a : Mat.t) ~(q : Mat.t) : Mat.t =
   Contract.require_dims "Lyapunov.solve: q" ~expected:(Mat.dims a)
     ~actual:(Mat.dims q);
   let n = Mat.rows a in
-  let schur = Schur.decompose a in
+  let ks = Ksolve.prepare a in
   let max_re =
     Array.fold_left
       (fun acc (z : Complex.t) -> Float.max acc z.re)
-      Float.neg_infinity (Schur.eigenvalues schur)
+      Float.neg_infinity
+      (Schur.eigenvalues (Ksolve.schur ks))
   in
   if max_re >= -1e-9 then
     Robust.Error.raise_error
@@ -27,10 +30,7 @@ let solve ~(a : Mat.t) ~(q : Mat.t) : Mat.t =
            loc = Robust.Error.loc ~subsystem:"la" ~operation:"Lyapunov.solve";
            max_re;
          });
-  let p =
-    Ksolve.solve_shifted_real (Ksolve.of_schur ~n schur) ~k:2 ~sigma:0.0
-      (Mat.data q)
-  in
+  let p = Ksolve.solve_shifted_real ks ~k:2 ~sigma:0.0 (Mat.data q) in
   (* symmetrize (numerical dust) *)
   Mat.init n n (fun i j -> 0.5 *. (p.((i * n) + j) +. p.((j * n) + i)))
 
@@ -50,19 +50,59 @@ let observability ~(a : Mat.t) ~(c : Mat.t) : Mat.t =
        (Mat.cols a));
   solve ~a:(Mat.transpose a) ~q:(Mat.mul (Mat.transpose c) c)
 
-(* Hankel singular values: sqrt of the eigenvalues of P Q. The product
-   of two symmetric PSD matrices has real non-negative spectrum; we read
-   it off the complex Schur diagonal and clip rounding noise. *)
-let hankel_singular_values ~(a : Mat.t) ~(b : Mat.t) ~(c : Mat.t) :
-    float array =
-  let p = controllability ~a ~b in
-  let q = observability ~a ~c in
-  let eigs = Schur.eigenvalues (Schur.decompose (Mat.mul p q)) in
-  let svs =
-    Array.map (fun (z : Complex.t) -> sqrt (Float.max 0.0 z.re)) eigs
-  in
-  Array.sort (fun x y -> compare y x) svs;
-  svs
+(* SVD of a (small) dense matrix M = U Σ Vᵀ via the symmetric
+   eigendecomposition of MᵀM; only singular values above [tol] * largest
+   are kept. *)
+let thin_svd ?(tol = 1e-10) (m : Mat.t) : Mat.t * float array * Mat.t =
+  let mtm = Mat.mul (Mat.transpose m) m in
+  let { Symeig.values; vectors } = Symeig.decompose_sorted mtm in
+  let smax = sqrt (Float.max 0.0 values.(0)) in
+  let rank = ref 0 in
+  Array.iter
+    (fun lam -> if sqrt (Float.max 0.0 lam) > tol *. smax then incr rank)
+    values;
+  let rank = !rank in
+  let sigma = Array.init rank (fun i -> sqrt (Float.max 0.0 values.(i))) in
+  let v1 = Mat.submatrix vectors ~row:0 ~col:0 ~rows:(Mat.rows vectors) ~cols:rank in
+  (* U = M V Σ^-1 *)
+  let u = Mat.mul m v1 in
+  for j = 0 to rank - 1 do
+    for i = 0 to Mat.rows u - 1 do
+      Mat.set u i j (Mat.get u i j /. sigma.(j))
+    done
+  done;
+  (u, sigma, v1)
+
+type square_root = {
+  r : Mat.t;
+  s : Mat.t;
+  u : Mat.t;
+  hsv : float array;
+  v : Mat.t;
+}
+
+(* The square-root method: P = R Rᵀ, Q = S Sᵀ (pivoted semi-definite
+   Cholesky), then the thin SVD Sᵀ R = U Σ Vᵀ. Σ are the Hankel
+   singular values, accurate down to the rounding of the factors, where
+   the eigenvalues of the nonsymmetric P Q are not. A zero gramian has
+   no singular values. *)
+let square_root ~(a : Mat.t) ~(b : Mat.t) ~(c : Mat.t) : square_root =
+  let r = Chol.factor_semidefinite (controllability ~a ~b) in
+  let s = Chol.factor_semidefinite (observability ~a ~c) in
+  if Mat.cols r = 0 || Mat.cols s = 0 then
+    {
+      r;
+      s;
+      u = Mat.create (Mat.cols s) 0;
+      hsv = [||];
+      v = Mat.create (Mat.cols r) 0;
+    }
+  else begin
+    let u, hsv, v = thin_svd (Mat.mul (Mat.transpose s) r) in
+    { r; s; u; hsv; v }
+  end
+
+let hankel_singular_values ~a ~b ~c = (square_root ~a ~b ~c).hsv
 
 (* Number of Hankel singular values above [tol] relative to the largest
    — a principled reduced-order suggestion for an LTI system. *)

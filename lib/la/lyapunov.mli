@@ -21,7 +21,23 @@ val controllability : a:Mat.t -> b:Mat.t -> Mat.t
     {!solve}. *)
 val observability : a:Mat.t -> c:Mat.t -> Mat.t
 
-(** Hankel singular values (descending). *)
+(** Square-root balancing factors of [(A, B, C)]: the gramians'
+    pivoted semi-definite square roots [P = R Rᵀ], [Q = S Sᵀ]
+    ({!Chol.factor_semidefinite}) and the thin SVD [Sᵀ R = U Σ Vᵀ],
+    keeping the singular values above [1e-10·σ₁]. [hsv] is [Σ]; all
+    fields are empty past [r]/[s] when a gramian is zero. Raises as
+    {!solve}; two Schur factorizations of [A] in all. *)
+type square_root = {
+  r : Mat.t;  (** [n × rank P] *)
+  s : Mat.t;  (** [n × rank Q] *)
+  u : Mat.t;  (** left singular vectors of [Sᵀ R] *)
+  hsv : float array;  (** Hankel singular values, descending *)
+  v : Mat.t;  (** right singular vectors of [Sᵀ R] *)
+}
+
+val square_root : a:Mat.t -> b:Mat.t -> c:Mat.t -> square_root
+
+(** The [hsv] of {!square_root}: Hankel singular values, descending. *)
 val hankel_singular_values : a:Mat.t -> b:Mat.t -> c:Mat.t -> float array
 
 (** Count of Hankel singular values above [tol] (relative to the

@@ -3,9 +3,10 @@
    C = -G2 — where B is n² x n² but its Schur form is inherited from
    G1's, so the solve costs O(n^4) and never builds B. *)
 
-(* Pi from G1 Pi + G2 = Pi (⊕² G1) given the Schur factorization of G1
-   directly. *)
-let solve_pi_schur ~(schur : Schur.t) ~(g2 : Mat.t) : Mat.t =
+(* Pi from G1 Pi + G2 = Pi (⊕² G1) on the Schur factorization of G1
+   that [ks] holds. *)
+let solve_pi_schur ~(ks : Ksolve.t) ~(g2 : Mat.t) : Mat.t =
+  let schur = Ksolve.schur ks in
   let u = Schur.unitary schur and t = Schur.triangular schur in
   let n = Cmat.rows u in
   Contract.require_dims "Sylvester.solve_pi_schur" ~expected:(n, n * n)
@@ -29,7 +30,6 @@ let solve_pi_schur ~(schur : Schur.t) ~(g2 : Mat.t) : Mat.t =
             eigs)
         eigs)
     eigs;
-  let ks = Ksolve.of_schur ~n schur in
   let m = n * n in
   let ut = Cmat.transpose u in
   let uconj = Cmat.init n n (fun i j -> Complex.conj (Cmat.get u i j)) in

@@ -5,9 +5,9 @@
     the solve costs [O(n⁴)], runs its [n²] column solves through
     {!Ksolve.tri_solve_shifted}, and never forms the big operator. *)
 
-(** [solve_pi_schur ~schur ~g2] solves [G1 Π + G2 = Π (⊕² G1)] for
-    [Π ∈ R^(n×n²)], given the complex Schur form of [G1] and [G2] as a
-    dense [n×n²] matrix. Solvability needs
+(** [solve_pi_schur ~ks ~g2] solves [G1 Π + G2 = Π (⊕² G1)] for
+    [Π ∈ R^(n×n²)], on the complex Schur form of [G1] held by [ks] and
+    [G2] as a dense [n×n²] matrix. Solvability needs
     [λ_i(G1) ≠ λ_j(G1) + λ_k(G1)] for all triples — always true for
     stable [G1] (paper §2.3). *)
-val solve_pi_schur : schur:Schur.t -> g2:Mat.t -> Mat.t
+val solve_pi_schur : ks:Ksolve.t -> g2:Mat.t -> Mat.t

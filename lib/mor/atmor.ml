@@ -33,6 +33,29 @@ let require_orders ctx (orders : orders) =
     (Printf.sprintf "moment orders (%d, %d, %d) must be non-negative"
        orders.k1 orders.k2 orders.k3)
 
+(* Contract failures name their rule in the message (Contract's
+   "<ctx>: <rule> (<details>)" format). *)
+let mentions_non_finite msg =
+  let sub = "non-finite" in
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Exceptions a reducer's recovery walk handles, as typed errors;
+   anything else propagates. *)
+let classify ~loc = function
+  | Lu.Singular _ ->
+    Some
+      (Robust.Error.Singular_solve { loc; shift = Float.nan; distance = 0.0 })
+  | Ksolve.Near_singular d ->
+    Some (Robust.Error.Singular_solve { loc; shift = Float.nan; distance = d })
+  | Robust.Error.Error e -> Some e
+  | Invalid_argument msg when mentions_non_finite msg ->
+    Some (Robust.Error.Contract_violation { loc; detail = msg })
+  | _ -> None
+
 (* The one tail behind every moment-matching reducer: re-assert the
    basis is finite right before the Galerkin projection consumes it
    (VMOR_CHECKS-gated), project, publish the order and time, and — only
@@ -146,7 +169,7 @@ let reduce ?policy ?fault ?s0 ?(tol = 1e-8) ?(h3_triples = `All)
       Robust.Policy.outcome_of_events (vectors, r, side)
         (Robust.Report.since rec0 mark)
   in
-  let classify = Ladder.classify ~loc:reduce_loc in
+  let classify = classify ~loc:reduce_loc in
   let rec walk_levels attempts last = function
     | [] ->
       Robust.Error.raise_error
@@ -249,42 +272,30 @@ let reduce_sylvester ?s0 ?(tol = 1e-8) ~(orders : orders) (q : Qldae.t) :
   let m1 = if orders.k1 > 0 then Assoc.h1_moments eng ~k:orders.k1 else [] in
   let m2, h2 =
     if orders.k2 > 0 then begin
-      let schur = Schur.decompose q.Qldae.g1 in
+      let ks = Assoc.ksolve eng in
       let g2d = Sptensor.to_dense q.Qldae.g2 in
-      let pi = Sylvester.solve_pi_schur ~schur ~g2:g2d in
+      let pi = Sylvester.solve_pi_schur ~ks ~g2:g2d in
       let b = Qldae.b_col q 0 in
       let w = Kron.vec b b in
       let d =
         if Qldae.has_d1 q then Mat.mul_vec q.Qldae.d1.(0) b else Vec.create n
       in
-      (* branch 1: (s0 I - G1)-chains of (d - Π w) *)
-      let mmat = Mat.sub (Mat.scale s0v (Mat.identity n)) q.Qldae.g1 in
-      let mlu = Lu.factor mmat in
-      let start = Vec.sub d (Mat.mul_vec pi w) in
-      let branch1 =
+      (* [k2] steps of the (s0 I - ⊕^k G1) chain from [v], each step
+         mapped through [f]; branch 1 is the k = 1 chain of (d - Π w),
+         branch 2 Π times the k = 2 chain of w *)
+      let branch ~k f v =
         let rec go v j acc =
           Robust.Budget.check "mor.Atmor.reduce_sylvester";
           if j >= orders.k2 then List.rev acc
           else begin
-            let v' = Lu.solve mlu v in
-            go v' (j + 1) (v' :: acc)
+            let v' = Ksolve.solve_shifted_real ks ~k ~sigma:s0v v in
+            go v' (j + 1) (f v' :: acc)
           end
         in
-        go start 0 []
+        go v 0 []
       in
-      (* branch 2: Π (s0 I - ⊕²G1)-chains of w *)
-      let ks = Ksolve.of_schur ~n schur in
-      let branch2 =
-        let rec go v j acc =
-          Robust.Budget.check "mor.Atmor.reduce_sylvester";
-          if j >= orders.k2 then List.rev acc
-          else begin
-            let v' = Ksolve.solve_shifted_real ks ~k:2 ~sigma:s0v v in
-            go v' (j + 1) (Mat.mul_vec pi v' :: acc)
-          end
-        in
-        go w 0 []
-      in
+      let branch1 = branch ~k:1 Fun.id (Vec.sub d (Mat.mul_vec pi w)) in
+      let branch2 = branch ~k:2 (Mat.mul_vec pi) w in
       (* eq. 18 at s0: H2(s0) is the sum of the two branch heads *)
       (branch1 @ branch2, [ Vec.add (List.hd branch1) (List.hd branch2) ])
     end

@@ -40,6 +40,14 @@ val order : result -> int
     {!orders} checks them through it. *)
 val require_orders : string -> orders -> unit
 
+(** Map the numerical layer's exceptions ([Lu.Singular],
+    [Ksolve.Near_singular], non-finite [Invalid_argument] contracts,
+    [Robust.Error.Error]) to the typed taxonomy, located at [loc];
+    [None] for foreign exceptions. The one classifier of the reducers'
+    recovery walks ({!reduce}, {!Autoselect.reduce},
+    {!Balanced.try_reduce}). *)
+val classify : loc:Robust.Error.location -> exn -> Robust.Error.t option
+
 (** The tail every moment-matching reducer ends in ({!reduce},
     {!reduce_multipoint}, {!reduce_sylvester}, {!Norm.reduce},
     {!Autoselect.reduce}): check the orthonormal [basis] is finite

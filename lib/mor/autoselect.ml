@@ -74,15 +74,16 @@ let reduce ?policy ?fault ?s0 ?(growth_tol = 1e-7)
      the nudge sequence, on demand — a singular (s0 I − G1) or a
      pole-riding shift fails fast here instead of mid-growth — and
      walking the outcomes with [Policy.walk_nudges]. The growth run
-     below uses a fresh engine, so fault-injection schedules are not
-     consumed by probing. *)
+     below rearms the selected probe's engine (its Schur factorization
+     reused) with a fresh fault plan, so fault-injection schedules are
+     not consumed by probing. *)
   let s0_req = match s0 with Some s -> s | None -> Assoc.default_s0 q in
-  let s0_sel =
+  let probe_eng =
     (* One probe: it records into a private recorder, spliced into
        [rec0] when the walk visits the candidate. *)
     let probe cand () =
       let rec_c = Robust.Report.recorder () in
-      let finite =
+      let eng, finite =
         Fun.protect
           ~finally:(fun () -> Robust.Report.splice rec0 rec_c)
           (fun () ->
@@ -90,9 +91,9 @@ let reduce ?policy ?fault ?s0 ?(growth_tol = 1e-7)
                candidates fail fast into the classified path *)
             Robust.Budget.check "mor.Autoselect.reduce";
             let eng = Assoc.create ~recorder:rec_c ~policy ~s0:cand q in
-            List.for_all Vec.is_finite (Assoc.h1_moments eng ~k:1))
+            (eng, List.for_all Vec.is_finite (Assoc.h1_moments eng ~k:1)))
       in
-      if finite then Robust.Policy.outcome_of_events () (Robust.Report.events rec_c)
+      if finite then Robust.Policy.outcome_of_events eng (Robust.Report.events rec_c)
       else
         Robust.Policy.Failed
           (Robust.Error.Contract_violation
@@ -107,14 +108,14 @@ let reduce ?policy ?fault ?s0 ?(growth_tol = 1e-7)
     in
     match
       Robust.Policy.walk_nudges ~recorder:rec0
-        ~classify:(Ladder.classify ~loc:reduce_loc) probed
+        ~classify:(Atmor.classify ~loc:reduce_loc) probed
     with
-    | Ok (s0, ()) -> s0
+    | Ok (_, eng) -> eng
     | Error (attempts, last) ->
       Robust.Error.raise_error
         (Robust.Error.Budget_exhausted { loc = reduce_loc; attempts; last })
   in
-  let eng = Assoc.create ~recorder:rec0 ~policy ?fault ~s0:s0_sel q in
+  let eng = Assoc.rearm probe_eng ~recorder:rec0 ~fault in
   let basis = ref [] in
   let raw = ref 0 in
   (* Grow one transfer order over its lazy series (one per input
@@ -165,7 +166,7 @@ let reduce ?policy ?fault ?s0 ?(growth_tol = 1e-7)
     | 0 -> (0, [])
     | k -> (k, List.map (fun s -> fst (Option.get (Seq.uncons s))) series)
     | exception exn -> (
-      match Ladder.classify ~loc:reduce_loc exn with
+      match Atmor.classify ~loc:reduce_loc exn with
       | None -> raise exn
       | Some err ->
         basis := basis0;

@@ -5,10 +5,11 @@
    NMOR the paper cites as ref [10], with balanced instead of Krylov
    subspaces.
 
-   Algorithm: P = R Rᵀ, Q = S Sᵀ (pivoted semi-definite Cholesky of the
-   gramians); the SVD of Sᵀ R — obtained from the symmetric
-   eigendecomposition of (SᵀR)ᵀ(SᵀR) — gives Hankel singular values Σ
-   and the bi-orthogonal projectors
+   Algorithm (Lyapunov.square_root, shared with the Hankel singular
+   values of Autoselect.suggest_k1): P = R Rᵀ, Q = S Sᵀ (pivoted
+   semi-definite Cholesky of the gramians); the SVD of Sᵀ R — obtained
+   from the symmetric eigendecomposition of (SᵀR)ᵀ(SᵀR) — gives Hankel
+   singular values Σ and the bi-orthogonal projectors
 
      V = R V₁ Σ^{-1/2},   W = S U₁ Σ^{-1/2},   Wᵀ V = I. *)
 
@@ -23,37 +24,12 @@ type result = {
   order : int;
 }
 
-(* SVD of a (small) dense matrix M = U Σ Vᵀ via symmetric
-   eigendecompositions; only singular values above [tol] * largest are
-   kept. *)
-let thin_svd ?(tol = 1e-10) (m : Mat.t) : Mat.t * float array * Mat.t =
-  let mtm = Mat.mul (Mat.transpose m) m in
-  let { Symeig.values; vectors } = Symeig.decompose_sorted mtm in
-  let smax = sqrt (Float.max 0.0 values.(0)) in
-  let rank = ref 0 in
-  Array.iter
-    (fun lam -> if sqrt (Float.max 0.0 lam) > tol *. smax then incr rank)
-    values;
-  let rank = !rank in
-  let sigma = Array.init rank (fun i -> sqrt (Float.max 0.0 values.(i))) in
-  let v1 = Mat.submatrix vectors ~row:0 ~col:0 ~rows:(Mat.rows vectors) ~cols:rank in
-  (* U = M V Σ^-1 *)
-  let u = Mat.mul m v1 in
-  for j = 0 to rank - 1 do
-    for i = 0 to Mat.rows u - 1 do
-      Mat.set u i j (Mat.get u i j /. sigma.(j))
-    done
-  done;
-  (u, sigma, v1)
-
 (* The gramian solves own the Hurwitz check: an unstable G1 raises the
    typed Non_hurwitz from the first Lyapunov.solve. *)
 let reduce ?(order : int option) ?(tol = 1e-8) (q : Qldae.t) : result =
-  let a = q.Qldae.g1 and b = q.Qldae.b and c = q.Qldae.c in
-  let p = Lyapunov.controllability ~a ~b in
-  let qg = Lyapunov.observability ~a ~c in
-  let r = Chol.factor_semidefinite p in
-  let s = Chol.factor_semidefinite qg in
+  let { Lyapunov.r; s; u; hsv = sigma; v = v1 } =
+    Lyapunov.square_root ~a:q.Qldae.g1 ~b:q.Qldae.b ~c:q.Qldae.c
+  in
   if Mat.cols r = 0 || Mat.cols s = 0 then
     Robust.Error.raise_error
       (Robust.Error.Contract_violation
@@ -61,7 +37,6 @@ let reduce ?(order : int option) ?(tol = 1e-8) (q : Qldae.t) : result =
            loc = Robust.Error.loc ~subsystem:"mor" ~operation:"Balanced.reduce";
            detail = "zero gramian (uncontrollable or unobservable)";
          });
-  let u, sigma, v1 = thin_svd (Mat.mul (Mat.transpose s) r) in
   let kmax = Array.length sigma in
   let k =
     match order with
@@ -97,6 +72,6 @@ let try_reduce ?order ?tol (q : Qldae.t) :
   match reduce ?order ?tol q with
   | r -> Ok r
   | exception exn -> (
-    match Ladder.classify ~loc exn with
+    match Atmor.classify ~loc exn with
     | Some err -> Error err
     | None -> raise exn)

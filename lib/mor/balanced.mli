@@ -25,6 +25,6 @@ val reduce : ?order:int -> ?tol:float -> Qldae.t -> result
 
 (** Result-returning variant: the typed [Robust.Error.Non_hurwitz]
     (carrying the spectral abscissa of [G1]) and every other recognized
-    numerical failure map through [La.Ladder.classify] to [Error]. *)
+    numerical failure map through {!Atmor.classify} to [Error]. *)
 val try_reduce :
   ?order:int -> ?tol:float -> Qldae.t -> (result, Robust.Error.t) Stdlib.result

@@ -2,7 +2,7 @@
 
    Moment matching guarantees Taylor agreement at the expansion point
    by construction — but only if nothing went numerically wrong on the
-   way (deflation, ladder fallbacks, lost orthogonality). This module
+   way (deflation, Tikhonov fallbacks, lost orthogonality). This module
    closes the loop after a reduction by comparing the associated
    transfer functions H1(s0), H2(s0), H3(s0) of the full and the
    reduced QLDAE and reporting relative output-space residuals, plus

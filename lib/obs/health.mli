@@ -15,9 +15,9 @@
 
 type record =
   | Cond of {
-      context : string;  (** which operator, e.g. ["assoc.resolvent"] *)
+      context : string;  (** which operator, e.g. ["assoc.ksum.k1"] *)
       dim : int;
-      cond : float;  (** 1-norm condition estimate *)
+      cond : float;  (** condition estimate *)
     }
   | Ode_streak of {
       context : string;  (** integrator name *)

@@ -1,6 +1,6 @@
 (* Process-wide kernel event counters and gauges.
 
-   Counters live in the first 11 slots of the per-domain [Registry]
+   Counters live in the first 10 slots of the per-domain [Registry]
    store (DESIGN.md section 8), so an increment is one atomic-flag
    load, one DLS fetch and one bounds-checked store.  [set_enabled] is
    the one switch for every counter, gauge and cost charge: [false]
@@ -17,7 +17,6 @@ type counter =
   | Ode_step
   | Ode_rejected
   | Newton_iter
-  | Ladder_attempt
   | Recovery_event
   | Budget_poll
 
@@ -30,9 +29,8 @@ let index = function
   | Ode_step -> 5
   | Ode_rejected -> 6
   | Newton_iter -> 7
-  | Ladder_attempt -> 8
-  | Recovery_event -> 9
-  | Budget_poll -> 10
+  | Recovery_event -> 8
+  | Budget_poll -> 9
 
 let name = function
   | Lu_factor -> "lu_factor"
@@ -43,14 +41,12 @@ let name = function
   | Ode_step -> "ode_step"
   | Ode_rejected -> "ode_rejected"
   | Newton_iter -> "newton_iter"
-  | Ladder_attempt -> "ladder_attempt"
   | Recovery_event -> "recovery_event"
   | Budget_poll -> "budget_poll"
 
 let all =
   [ Lu_factor; Lu_solve; Shifted_solve; Matvec; Deflation_discard;
-    Ode_step; Ode_rejected; Newton_iter; Ladder_attempt; Recovery_event;
-    Budget_poll ]
+    Ode_step; Ode_rejected; Newton_iter; Recovery_event; Budget_poll ]
 
 let set_enabled b = Atomic.set Registry.enabled b
 

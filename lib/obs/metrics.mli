@@ -3,8 +3,8 @@
     Counters attribute reduction/simulation cost to the kernels the
     paper's complexity claims are stated in: LU factorizations,
     shifted Kronecker-sum solves, matrix-vector products, deflation
-    discards, ODE steps/rejections, Newton iterations and
-    recovery-ladder attempts.
+    discards, ODE steps/rejections, Newton iterations, recovery events
+    and budget polls.
 
     Counting is on by default.  The counters are a view over the
     per-domain {!Registry} store, which carries the domain-safety
@@ -20,7 +20,6 @@ type counter =
   | Ode_step           (** accepted integrator steps *)
   | Ode_rejected       (** rejected/halved integrator steps *)
   | Newton_iter        (** Newton iterations inside implicit integrators *)
-  | Ladder_attempt     (** solver fallback-ladder rung executions *)
   | Recovery_event     (** events recorded via [Robust.Report] *)
   | Budget_poll        (** slow-path budget polls ([Robust.Budget]) *)
 

@@ -10,7 +10,7 @@
    running a read observes some interleaving of word-sized stores,
    never a torn value. *)
 
-let cost_base = 11
+let cost_base = 10
 let n_slots = cost_base + 12
 
 type store = { slots : int array }

@@ -1,7 +1,7 @@
 (** The one per-domain store behind {!Metrics} and {!Cost}.
 
     Each domain owns one {!store}, held in a [Domain.DLS] slot: a flat
-    int array with the 11 {!Metrics} event slots followed by the 12
+    int array with the 10 {!Metrics} event slots followed by the 12
     {!Cost} slots.  A write touches only the calling domain's store —
     one atomic-flag load, one DLS fetch, plain word-sized stores, no
     lock.  Readers merge every store ever handed out (stores outlive

@@ -9,7 +9,7 @@
    comparison against [None].
 
    Exhaustion surfaces as the typed [Error.Budget_exceeded], which the
-   existing degradation machinery (ladder classification, Atmor /
+   existing degradation machinery (reducer classification, Atmor /
    Autoselect best-so-far, ODE partial series) converts into
    best-effort results rather than a killed process.
 

@@ -66,8 +66,8 @@ val check : string -> unit
 
 val poll : string -> Error.t option
 (** Non-raising {!check}, for kernels that must return a best-effort
-    result instead of unwinding; {!Policy.run_ladder} polls it between
-    rungs and stops retrying on exhaustion. *)
+    result instead of unwinding (e.g. [Autoselect]'s anytime growth,
+    which truncates a series on exhaustion). *)
 
 val tick_ode_step : string -> Error.t option
 (** Count one integrator step attempt and poll deadline + step limit;

@@ -1,11 +1,10 @@
 (* Retry/fallback policy engine.
 
    One small record of knobs (bounded attempts, nudge geometry,
-   Tikhonov strength) plus three engines: the deterministic
-   shift-nudge sequence for near-singular shifted solves, the walk
-   over those candidates ([Atmor.reduce] runs it per order level,
-   [Autoselect.reduce] for its H1 probe), and the generic ladder runner
-   behind the LU -> pivoted QR -> Tikhonov chain in [La.Ladder]. *)
+   Tikhonov strength) plus two engines: the deterministic shift-nudge
+   sequence for near-singular shifted solves, and the walk over those
+   candidates ([Atmor.reduce] runs it per order level,
+   [Autoselect.reduce] for its H1 probe). *)
 
 type t = {
   max_retries : int;  (* extra attempts after the first *)
@@ -85,47 +84,3 @@ let walk_nudges ~recorder ~(classify : exn -> Error.t option)
         go (attempts + 1) (Some err) usable rest)
   in
   go 0 None None cands
-
-(* Run [rungs] in order until one returns a value accepted by
-   [validate]. Failures recognized by [classify] are recorded (action
-   "fallback:<next>" or "exhausted") and trigger escalation; foreign
-   exceptions propagate.
-
-   The ambient compute budget gates every rung: when the deadline is
-   already spent, remaining rungs are not attempted — retrying on
-   attempt count alone could overshoot a deadline the first rung has
-   blown. The budget failure becomes the
-   terminal [last] so the caller (and the CLI's exit-code mapping) can
-   tell a budget halt from plain rung exhaustion. *)
-let run_ladder ?recorder ~(loc : Error.location)
-    ~(classify : exn -> Error.t option) ?validate
-    (rungs : (string * (unit -> 'a)) list) : ('a, Error.t) result =
-  let valid x = match validate with None -> true | Some f -> f x in
-  let rec go attempts last = function
-    | [] -> Result.Error (Error.Budget_exhausted { loc; attempts; last })
-    | (name, f) :: rest -> (
-      match Budget.poll (Error.location_string loc) with
-      | Some err ->
-        Report.record_opt recorder ~action:"budget:stop-retries" err;
-        Result.Error (Error.Budget_exhausted { loc; attempts; last = Some err })
-      | None -> (
-        let action =
-          match rest with
-          | (next, _) :: _ -> "fallback:" ^ next
-          | [] -> "exhausted"
-        in
-        let fail err =
-          Report.record_opt recorder ~action err;
-          go (attempts + 1) (Some err) rest
-        in
-        match f () with
-        | x ->
-          if valid x then Ok x
-          else
-            fail
-              (Error.Contract_violation
-                 { loc; detail = name ^ " produced an invalid result" })
-        | exception exn -> (
-          match classify exn with None -> raise exn | Some err -> fail err)))
-  in
-  go 0 None rungs

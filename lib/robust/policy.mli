@@ -1,7 +1,6 @@
-(** Retry/fallback policy engine: attempt budgets plus three engines —
+(** Retry/fallback policy engine: attempt budgets plus two engines —
     the deterministic shift-nudge sequence for near-singular shifted
-    solves, the walk over those candidates, and the generic
-    fallback-ladder runner. *)
+    solves, and the walk over those candidates. *)
 
 type t = {
   max_retries : int;  (** extra attempts after the first *)
@@ -51,24 +50,3 @@ val walk_nudges :
     Returns [Ok (s0, v)] for the accepted candidate, or
     [Error (attempts, last)] when every candidate failed ([last] is
     the final failure, [None] for an empty list). *)
-
-val run_ladder :
-  ?recorder:Report.recorder ->
-  loc:Error.location ->
-  classify:(exn -> Error.t option) ->
-  ?validate:('a -> bool) ->
-  (string * (unit -> 'a)) list ->
-  ('a, Error.t) result
-(** Run the named rungs in order until one returns a value accepted by
-    [validate] (default: accept anything). A rung fails by raising an
-    exception recognized by [classify] or by failing [validate]; each
-    failure is recorded against [recorder] (action ["fallback:<next>"],
-    or ["exhausted"] on the last rung) before escalating. Unrecognized
-    exceptions propagate. Returns [Error (Budget_exhausted ...)] when
-    every rung fails.
-
-    The ambient {!Budget} gates every rung: it is polled before each
-    one, and once the deadline is spent the remaining rungs are not
-    attempted (action ["budget:stop-retries"]) and the result is
-    [Error (Budget_exhausted ...)] whose [last] is the
-    [Budget_exceeded] failure. *)

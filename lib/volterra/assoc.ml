@@ -45,9 +45,10 @@
    (s0 = 0 when G1 is invertible, s0 > 0 for quadratized diode circuits
    whose augmented G1 has nullity = #diodes — see DESIGN.md). Every
    order's series is one resolvent chain (see chain) over that order's
-   inner terms; every n²/n³ operation goes through the structured
-   Kronecker-sum solver {!La.Ksolve}, so nothing of size n² x n² is
-   ever materialized. The m-th vector produced is
+   inner terms; every solve, the resolvent's (k = 1) included, goes
+   through the structured Kronecker-sum solver {!La.Ksolve} on one Schur
+   factorization of G1, so nothing of size n² x n² is ever
+   materialized. The m-th vector produced is
    the exact coefficient of (-δ)^m, i.e. (-1)^m times the Taylor
    coefficient — the sign is irrelevant for subspace spanning and
    accounted for in tests. *)
@@ -60,8 +61,8 @@ type t = {
   policy : Robust.Policy.t;
   recorder : Robust.Report.recorder option;
   fault : Robust.Faultify.t option;  (* injected on msolve outputs *)
-  ladder : Ladder.t;  (* (s0 I - G1) through LU -> pivoted QR -> Tikhonov *)
-  ks : Ksolve.t lazy_t;  (* Schur of G1 for Kronecker-sum solves *)
+  ks : Ksolve.t lazy_t;
+      (* Schur of G1: every (s0 I - ⊕^k G1) solve, the resolvent at k = 1 *)
   g2_sym : Cmat.t lazy_t;
       (* n x n(n+1)/2: column (j <= l) is G2 (u_j ⊗ u_l + u_l ⊗ u_j), or
          G2 (u_j ⊗ u_j) at j = l — the right half of the Schur-basis
@@ -101,12 +102,11 @@ let create ?recorder ?(policy = Robust.Policy.default ()) ?fault ?s0
     (q : Qldae.t) : t =
   let s0 = match s0 with Some s -> s | None -> default_s0 q in
   let n = Qldae.dim q in
-  let m = Mat.sub (Mat.scale s0 (Mat.identity n)) q.Qldae.g1 in
   let ks =
     lazy
       (let ks = Ksolve.prepare q.Qldae.g1 in
-       (* Conditioning of the shifted Kronecker-sum operators the
-          higher-order series will run through — sampled off the Schur
+       (* Conditioning of the resolvent and of the shifted Kronecker-sum
+          operators the series run through — sampled off the Schur
           eigenvalues, so cheap enough to record at first use. *)
        if Obs.Health.active () then begin
          let sigma = { Complex.re = s0; im = 0.0 } in
@@ -119,7 +119,7 @@ let create ?recorder ?(policy = Robust.Policy.default ()) ?fault ?s0
                     dim = n;
                     cond = Ksolve.cond_estimate ks ~k ~sigma;
                   }))
-           [ 2; 3 ]
+           [ 1; 2; 3 ]
        end;
        ks)
   in
@@ -171,31 +171,19 @@ let create ?recorder ?(policy = Robust.Policy.default ()) ?fault ?s0
                |> Array.of_list ))
       |> Array.of_list)
   in
-  let ladder =
-    Ladder.make ?recorder ~mu:policy.Robust.Policy.tikhonov_mu
-      ~loc:(Robust.Error.loc ~subsystem:"volterra" ~operation:"Assoc.msolve")
-      m
-  in
-  (* Conditioning of (s0 I - G1): the ladder factors its LU rung
-     eagerly, so the estimate reuses that factorization. *)
-  (if Obs.Health.active () then
-     match Ladder.lu ladder with
-     | Some lu ->
-       Obs.Health.emit
-         (Obs.Health.Cond
-            { context = "assoc.resolvent"; dim = n; cond = Lu.condest lu })
-     | None -> ());
   {
     q;
     s0;
     policy;
     recorder;
     fault = Option.map Robust.Faultify.make fault;
-    ladder;
     ks;
     g2_sym;
     g3_lead;
   }
+
+let rearm t ~recorder ~fault =
+  { t with recorder = Some recorder; fault = Option.map Robust.Faultify.make fault }
 
 let s0 t = t.s0
 
@@ -206,13 +194,6 @@ let ksolve t = Lazy.force t.ks
 let reg_mu t = t.policy.Robust.Policy.tikhonov_mu *. (1.0 +. Float.abs t.s0)
 
 let nsolve_loc = Robust.Error.loc ~subsystem:"volterra" ~operation:"Assoc.nsolve"
-
-(* (s0 I - G1)^-1 v, through the fallback ladder; the fault-injection
-   hook corrupts the output on scheduled calls. Every moment of every
-   order ends in an msolve, so this one hook covers H1/H2/H3. *)
-let msolve t v =
-  let x = Ladder.solve t.ladder v in
-  match t.fault with None -> x | Some f -> Robust.Faultify.inject f x
 
 (* A solve [solve ~mu v] (mu = 0: unregularized) whose near-singular
    shift retries once with the Tikhonov-regularized scalar inverse
@@ -231,6 +212,13 @@ let tikhonov_retry t solve v =
 let nsolve t ~k v =
   let ks = Lazy.force t.ks in
   tikhonov_retry t (fun ~mu -> Ksolve.solve_shifted_real ~mu ks ~k ~sigma:t.s0) v
+
+(* (s0 I - G1)^-1 v: the k = 1 solve, whose fault-injection hook
+   corrupts the output on scheduled calls. Every moment of every order
+   ends in an msolve, so this one hook covers H1/H2/H3. *)
+let msolve t v =
+  let x = nsolve t ~k:1 v in
+  match t.fault with None -> x | Some f -> Robust.Faultify.inject f x
 
 (* symmetrized Kronecker pair of input columns *)
 let w_pair (q : Qldae.t) a b =

@@ -40,13 +40,15 @@ type t
     baseline the engine would pick. *)
 val default_s0 : Qldae.t -> float
 
-(** Build the engine. [s0] defaults to {!default_s0}. The resolvent
-    [(s0 I − G1)⁻¹] is wrapped in the {!La.Ladder} fallback chain and
-    near-singular Kronecker-sum shifts retry with Tikhonov-regularized
-    scalar inverses ([policy.tikhonov_mu], disabled when [0]); both
-    record against [recorder]. [fault] arms a deterministic
-    fault-injection plan on the resolvent outputs (each [create] gets a
-    fresh call counter, so schedules are reproducible per engine). *)
+(** Build the engine. [s0] defaults to {!default_s0}. Every solve, the
+    resolvent [(s0 I − G1)⁻¹] included, is a {!La.Ksolve} solve on one
+    Schur factorization of [G1], computed on first use; a near-singular
+    shift retries once with Tikhonov-regularized scalar inverses
+    ([policy.tikhonov_mu], disabled when [0]), recorded against
+    [recorder] as ["fallback:tikhonov"], the same way at every order.
+    [fault] arms a deterministic fault-injection plan on the resolvent
+    outputs (each [create] gets a fresh call counter, so schedules are
+    reproducible per engine). *)
 val create :
   ?recorder:Robust.Report.recorder ->
   ?policy:Robust.Policy.t ->
@@ -55,11 +57,18 @@ val create :
   Qldae.t ->
   t
 
+(** [rearm t ~recorder ~fault]: the same engine (model, [s0], policy
+    and every factorization already computed, shared) recording into
+    [recorder] with a fresh fault plan. Lets a probe's engine serve the
+    run it selects without factoring [G1] again. *)
+val rearm :
+  t -> recorder:Robust.Report.recorder -> fault:Robust.Faultify.plan option -> t
+
 (** The expansion point in use. *)
 val s0 : t -> float
 
-(** The Schur factorization of [G1] behind the Kronecker-sum solves,
-    computed on first use and shared with the engine's series. *)
+(** The Schur factorization of [G1] behind every solve of the engine,
+    computed on first use and shared with its series. *)
 val ksolve : t -> Ksolve.t
 
 (** [series t ~order] for [order] 1, 2 or 3: one lazy moment series of

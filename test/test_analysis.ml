@@ -132,6 +132,9 @@ let test_balanced_linear_accuracy () =
         (2.0 *. tail *. 1.5 +. 1e-12))
     [ 0.0; 0.5; 1.0; 3.0 ]
 
+(* Square-root HSVs against an independent route: sqrt of the
+   eigenvalues of P·Q off a Schur factorization. That route loses the
+   small values to noise, so only those above 1e-6·σ₁ are compared. *)
 let test_balanced_hsv_match_lyapunov () =
   let n = 9 in
   let g1 = random_stable n in
@@ -139,15 +142,52 @@ let test_balanced_hsv_match_lyapunov () =
   let c = Mat.random ~rng 1 n in
   let q = Volterra.Qldae.make ~g1 ~b ~c () in
   let r = Mor.Balanced.reduce ~tol:1e-12 q in
-  let svs = Lyapunov.hankel_singular_values ~a:g1 ~b ~c in
-  Array.iteri
-    (fun i s ->
-      if i < Array.length r.Mor.Balanced.hsv then
-        check_small
-          (Printf.sprintf "HSV %d agreement" i)
-          (Float.abs (s -. r.Mor.Balanced.hsv.(i)) /. (1.0 +. s))
-          1e-6)
+  let reference =
+    let pq =
+      Mat.mul (Lyapunov.controllability ~a:g1 ~b) (Lyapunov.observability ~a:g1 ~c)
+    in
+    let svs =
+      Array.map
+        (fun (z : Complex.t) -> sqrt (Float.max 0.0 z.re))
+        (Schur.eigenvalues (Schur.decompose pq))
+    in
+    Array.sort (fun x y -> compare y x) svs;
     svs
+  in
+  let svs = Lyapunov.hankel_singular_values ~a:g1 ~b ~c in
+  let leading = Array.to_list reference |> List.filter (fun s -> s > 1e-6 *. reference.(0)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least the %d leading values" (List.length leading))
+    true
+    (Array.length svs >= List.length leading
+    && Array.length r.Mor.Balanced.hsv >= List.length leading);
+  List.iteri
+    (fun i s ->
+      check_small
+        (Printf.sprintf "HSV %d agreement" i)
+        (Float.abs (s -. svs.(i)) /. (1.0 +. s))
+        1e-6;
+      check_small
+        (Printf.sprintf "balanced HSV %d agreement" i)
+        (Float.abs (s -. r.Mor.Balanced.hsv.(i)) /. (1.0 +. s))
+        1e-6)
+    leading
+
+(* One Hankel-singular-value routine: Lyapunov's HSVs are Balanced's,
+   bit for bit, on the 40-state RF receiver whose trailing values sit
+   far below 1e-8 σ₁. *)
+let test_hsv_one_routine () =
+  let q =
+    Circuit.Models.qldae (Circuit.Models.rf_receiver ~lna_stages:20 ~pa_stages:20 ())
+  in
+  let hsv =
+    Lyapunov.hankel_singular_values ~a:q.Volterra.Qldae.g1 ~b:q.Volterra.Qldae.b
+      ~c:q.Volterra.Qldae.c
+  in
+  let bits a = Array.to_list (Array.map Int64.bits_of_float a) in
+  Alcotest.(check (list int64)) "element for element"
+    (bits (Mor.Balanced.reduce q).Mor.Balanced.hsv)
+    (bits hsv)
 
 let test_balanced_nonlinear_rom () =
   (* balanced projection of a full QLDAE stays accurate in transients *)
@@ -373,6 +413,7 @@ let suite =
       [
         tc "linear accuracy + HSV bound" `Quick test_balanced_linear_accuracy;
         tc "HSVs match Lyapunov" `Quick test_balanced_hsv_match_lyapunov;
+        tc "one HSV routine (RF 20+20)" `Quick test_hsv_one_routine;
         tc "nonlinear ROM" `Slow test_balanced_nonlinear_rom;
         tc "unstable rejected" `Quick test_balanced_rejects_unstable;
       ] );

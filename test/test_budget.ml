@@ -1,7 +1,7 @@
 (* Tests for the compute-budget layer (DESIGN.md §13): the ambient
    slot, the deterministic virtual-clock cancellation via
    [Faultify.Stall], per-site cooperative cancellation in the ODE
-   integrators / ladder / Atmor / Autoselect, anytime-ROM
+   integrators / Atmor / Autoselect, anytime-ROM
    validity of every best-effort result, the 4-vs-5 exit-code boundary
    at the CLI, and bit-identical determinism of budget-unbounded runs.
 
@@ -21,13 +21,6 @@ let check_small name value tol =
   Alcotest.(check bool)
     (Printf.sprintf "%s (got %.3e, tol %.1e)" name value tol)
     true (value <= tol)
-
-let has_action report prefix =
-  List.exists
-    (fun (e : Robust.Report.event) ->
-      String.length e.action >= String.length prefix
-      && String.sub e.action 0 (String.length prefix) = prefix)
-    report
 
 let has_budget_event report =
   List.exists
@@ -382,80 +375,55 @@ let test_ode_partial_series () =
         xs)
     part.Ode.Types.states
 
-(* ---- ladder: budget gates the retries ---- *)
+(* ---- the resolvent's Tikhonov retry under a budget ---- *)
 
-let test_ladder_budget_stops_retries () =
-  let loc = Robust.Error.loc ~subsystem:"test" ~operation:"ladder" in
-  let classify = function
-    | Failure d -> Some (Robust.Error.Contract_violation { loc; detail = d })
-    | _ -> None
-  in
-  let rungs stall =
-    [
-      ( "bad",
-        fun () ->
-          if stall then Budget.advance_skew 10.0;
-          failwith "rung fails" );
-      ("good", fun () -> 42);
-    ]
-  in
-  (* sanity: without a budget the second rung rescues the run *)
-  (match Robust.Policy.run_ladder ~loc ~classify (rungs false) with
-  | Ok v -> Alcotest.(check int) "unbudgeted ladder recovers" 42 v
-  | Error e -> Alcotest.failf "unbudgeted ladder failed: %s" (Robust.Error.to_string e));
-  (* the first rung spends the deadline (virtual clock), so the poll
-     before the second rung stops the ladder *)
-  let recorder = Robust.Report.recorder () in
-  let result =
-    Budget.with_budget
-      (Some (Budget.make ~deadline:1.0 ()))
-      (fun () ->
-        Robust.Policy.run_ladder ~recorder ~loc ~classify (rungs true))
-  in
-  (match result with
-  | Error (Robust.Error.Budget_exhausted { last = Some l; _ } as e) ->
-      Alcotest.(check bool) "terminal failure is the budget" true
-        (Budget.is_budget_error l);
-      Alcotest.(check bool) "wrapper classifies as budget error" true
-        (Budget.is_budget_error e)
-  | Error e ->
-      Alcotest.failf "expected Budget_exhausted, got %s" (Robust.Error.to_string e)
-  | Ok _ -> Alcotest.fail "a spent deadline must not reach the second rung");
-  Alcotest.(check bool) "retry stop recorded" true
-    (has_action (Robust.Report.events recorder) "budget:stop-retries")
-
-(* [run_ladder] polls the deadline once before each rung: one
-   [budget_poll] per rung under a binding budget, none without a budget
-   or under one that cannot bind. *)
-let test_ladder_polls_per_rung () =
-  let loc = Robust.Error.loc ~subsystem:"test" ~operation:"ladder" in
-  let classify = function
-    | Failure d -> Some (Robust.Error.Contract_violation { loc; detail = d })
-    | _ -> None
-  in
-  let rungs =
-    [
-      ("a", fun () -> failwith "a");
-      ("b", fun () -> failwith "b");
-      ("c", fun () -> 7);
-    ]
-  in
-  let polls budget =
+(* Each k = 1 solve polls the deadline once, the Tikhonov retry of a
+   solve on a pole once more: two H1 moments poll twice at a clean s0
+   and four times on a pole of G1 — under a binding budget only. *)
+let test_resolvent_polls_per_attempt () =
+  let q = diag_qldae () in
+  let polls budget s0 =
     let before = Obs.Metrics.get Obs.Metrics.Budget_poll in
-    (match
-       Budget.with_budget budget (fun () ->
-           Robust.Policy.run_ladder ~loc ~classify rungs)
-     with
-    | Ok v -> Alcotest.(check int) "third rung answers" 7 v
-    | Error e ->
-        Alcotest.failf "ladder failed: %s" (Robust.Error.to_string e));
+    let ms =
+      Budget.with_budget budget (fun () ->
+          Volterra.Assoc.h1_moments (Volterra.Assoc.create ~s0 q) ~k:2)
+    in
+    Alcotest.(check bool) "moments finite" true (List.for_all Vec.is_finite ms);
     Obs.Metrics.get Obs.Metrics.Budget_poll - before
   in
-  Alcotest.(check int) "no budget: no polls" 0 (polls None);
-  Alcotest.(check int) "unbounded budget: no polls" 0
-    (polls (Some (Budget.unbounded ())));
-  Alcotest.(check int) "binding budget: one poll per rung" 3
-    (polls (Some (Budget.make ~deadline:1000.0 ())))
+  List.iter
+    (fun (label, s0, binding) ->
+      Alcotest.(check int) (label ^ ", no budget: no polls") 0 (polls None s0);
+      Alcotest.(check int)
+        (label ^ ", unbounded budget: no polls")
+        0
+        (polls (Some (Budget.unbounded ())) s0);
+      Alcotest.(check int)
+        (label ^ ", binding budget: one poll per attempt")
+        binding
+        (polls (Some (Budget.make ~deadline:1000.0 ())) s0))
+    [ ("clean s0", 0.5, 2); ("s0 on a pole", -1.0, 4) ]
+
+(* A deadline already spent stops the first attempt at its poll, so a
+   solve on a pole raises the budget error and never retries. *)
+let test_spent_budget_skips_retry () =
+  let q = diag_qldae () in
+  let recorder = Robust.Report.recorder () in
+  (match
+     Budget.with_budget
+       (Some (Budget.make ~deadline:1.0 ()))
+       (fun () ->
+         Budget.advance_skew 10.0;
+         Volterra.Assoc.h1_moments
+           (Volterra.Assoc.create ~recorder ~s0:(-1.0) q)
+           ~k:1)
+   with
+  | _ -> Alcotest.fail "a spent deadline must stop the solve"
+  | exception Robust.Error.Error e ->
+    Alcotest.(check bool) "terminal failure is the budget" true
+      (Budget.is_budget_error e));
+  Alcotest.(check bool) "no Tikhonov retry recorded" true
+    (Robust.Report.is_empty (Robust.Report.events recorder))
 
 (* ---- anytime ROMs: a stall sweep over every cancellation point ----
 
@@ -776,10 +744,10 @@ let suite =
       [
         tc "ODE integrators truncate to a partial prefix" `Quick
           test_ode_partial_series;
-        tc "ladder stops retrying on a spent budget" `Quick
-          test_ladder_budget_stops_retries;
-        tc "ladder polls the deadline once per rung" `Quick
-          test_ladder_polls_per_rung;
+        tc "resolvent polls once per attempt" `Quick
+          test_resolvent_polls_per_attempt;
+        tc "spent budget skips the Tikhonov retry" `Quick
+          test_spent_budget_skips_retry;
         tc "Atmor stall sweep: valid ROM or typed raise" `Slow
           test_atmor_stall_sweep;
         tc "Autoselect stall sweep: valid selection or typed raise" `Slow

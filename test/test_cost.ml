@@ -224,8 +224,8 @@ let test_traced_figs_flops () =
     ]
 
 (* The gramians own the Hurwitz check: Balanced.reduce factors G1 once
-   per gramian and nothing more, and suggest_k1 adds only the Schur
-   form of P Q behind the Hankel singular values. *)
+   per gramian and nothing more, and so does suggest_k1, whose Hankel
+   singular values come from the same square-root factors. *)
 let test_gramian_schur_count () =
   let q =
     Circuit.Models.qldae (Circuit.Models.rf_receiver ~lna_stages:8 ~pa_stages:8 ())
@@ -239,8 +239,26 @@ let test_gramian_schur_count () =
   check_int "n" 16 n;
   check_int "Balanced.reduce: two Schur factorizations" (2 * 25 * n * n * n)
     (schur_of (fun () -> Mor.Balanced.reduce ~tol:1e-9 q));
-  check_int "suggest_k1: three Schur factorizations" (3 * 25 * n * n * n)
+  check_int "suggest_k1: two Schur factorizations" (2 * 25 * n * n * n)
     (schur_of (fun () -> Mor.Autoselect.suggest_k1 ~tol:1e-5 q))
+
+(* An engine factors G1 once: every solve of a fixed-s0 AT reduction,
+   the resolvent's included, runs on the one Schur factorization, and
+   nothing is LU-factored (fig3's model at scale 0.25, n = 16, at its
+   default expansion point s0 = 1, given so that picking it costs no
+   LU either). *)
+let test_engine_factors_once () =
+  let q = Circuit.Models.qldae (Circuit.Models.nltl_current ~stages:8 ()) in
+  let n = Volterra.Qldae.dim q in
+  check_int "n" 16 n;
+  let snap = Cost.snapshot () in
+  ignore
+    (Mor.Atmor.reduce ~s0:1.0 ~orders:{ Mor.Atmor.k1 = 6; k2 = 3; k3 = 2 } q);
+  let d = Cost.since snap in
+  let get c = Option.value ~default:0 (List.assoc_opt c d) in
+  check_int "flops_lu" 0 (get Cost.Flops_lu);
+  check_int "flops_schur: one factorization" (25 * n * n * n)
+    (get Cost.Flops_schur)
 
 (* A span counts only its own domain's work.  Under two lanes the
    second point's moments run on a worker, in spans that are roots
@@ -498,5 +516,7 @@ let suite =
           test_traced_figs_flops;
         Alcotest.test_case "gramians factor G1 once each" `Quick
           test_gramian_schur_count;
+        Alcotest.test_case "an engine factors G1 once" `Quick
+          test_engine_factors_once;
       ] );
   ]

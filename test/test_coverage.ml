@@ -44,15 +44,20 @@ let test_mat_outer () =
   check_float "outer entry" 10.0 (Mat.get o 1 2) 1e-15;
   Alcotest.(check (pair int int)) "outer dims" (2, 3) (Mat.dims o)
 
-let test_lu_rcond () =
-  let well = Mat.identity 5 in
-  let r1 = Lu.rcond_estimate well in
-  check_float "rcond of I" 1.0 r1 1e-12;
-  let ill =
-    Mat.of_list [ [ 1.0; 1.0 ]; [ 1.0; 1.0 +. 1e-10 ] ]
-  in
-  Alcotest.(check bool) "ill-conditioned detected" true
-    (Lu.rcond_estimate ill < 1e-8)
+(* Square-root HSVs on systems with known values: one state
+   x' = -a x + b u, y = c x has the single value |b c| / (2 a); a zero
+   input column leaves a zero gramian and no values. *)
+let test_hsv_known () =
+  let a = Mat.of_list [ [ -2.0 ] ] in
+  let b = Mat.of_list [ [ 3.0 ] ] and c = Mat.of_list [ [ 0.5 ] ] in
+  (match Lyapunov.hankel_singular_values ~a ~b ~c with
+  | [| s |] -> check_float "scalar HSV" 0.375 s 1e-12
+  | svs -> Alcotest.failf "expected one HSV, got %d" (Array.length svs));
+  Alcotest.(check int) "zero gramian: no HSVs" 0
+    (Array.length
+       (Lyapunov.hankel_singular_values
+          ~a:(Mat.diag (Vec.of_list [ -1.0; -2.0 ]))
+          ~b:(Mat.create 2 1) ~c:(Mat.init 1 2 (fun _ _ -> 1.0))))
 
 let test_ksolve_pole_distance () =
   let a = Mat.diag (Vec.of_list [ -1.0; -2.0; -4.0 ]) in
@@ -265,7 +270,7 @@ let suite =
         tc "matrix norms" `Quick test_mat_norms_concrete;
         tc "diag roundtrip" `Quick test_mat_diag_roundtrip;
         tc "outer product" `Quick test_mat_outer;
-        tc "rcond estimate" `Quick test_lu_rcond;
+        tc "square-root HSVs of known systems" `Quick test_hsv_known;
         tc "ksolve pole distance" `Quick test_ksolve_pole_distance;
         tc "cvec to_real guard" `Quick test_cvec_to_real_guard;
         tc "complex-input Schur" `Quick test_schur_complex_input;

@@ -34,21 +34,6 @@ let contains hay needle =
 
 (* ---- condition estimators ---- *)
 
-let test_condest_diagonal () =
-  let n = 12 in
-  (* diag(1 .. 1e6), log-spaced: 1-norm condition number is exactly 1e6 *)
-  let a =
-    Mat.init n n (fun i j ->
-        if i = j then
-          10.0 ** (6.0 *. float_of_int i /. float_of_int (n - 1))
-        else 0.0)
-  in
-  let est = Lu.condest (Lu.factor a) in
-  check_bool "diag estimate within a decade" true (est >= 1e5 && est <= 1e7);
-  let id_est = Lu.condest (Lu.factor (Mat.identity n)) in
-  check_bool "identity is perfectly conditioned" true
-    (id_est >= 1.0 && id_est < 10.0)
-
 let test_ksolve_cond_estimate () =
   (* diag(-1, -2): at sigma = 1 the k = 1 pole distances are 2 and 3 *)
   let a = Mat.init 2 2 (fun i j -> if i = j then -.float_of_int (i + 1) else 0.0) in
@@ -85,6 +70,39 @@ let test_ksolve_k3_mixed_poles () =
     (Ksolve.min_pole_distance ks ~k:3 ~sigma);
   Alcotest.(check (float 1e-12)) "k=3 ratio over the mixed sums" 9.0
     (Ksolve.cond_estimate ks ~k:3 ~sigma)
+
+(* An engine's first solve records one Cond per Kronecker order the
+   series run through, k = 1 (the resolvent) to 3, all off the one
+   Schur factorization. *)
+let test_assoc_cond_records () =
+  let q =
+    Qldae.make
+      ~g1:(Mat.diag (Vec.of_list [ -1.0; -2.0 ]))
+      ~b:(Mat.init 2 1 (fun _ _ -> 1.0))
+      ~c:(Mat.init 1 2 (fun _ _ -> 1.0))
+      ()
+  in
+  let _, captured =
+    with_memory_sink (fun () -> Assoc.ksolve (Assoc.create ~s0:1.0 q))
+  in
+  let conds =
+    List.filter_map
+      (function
+        | Obs.Health.Cond { context; dim; cond } -> Some (context, dim, cond)
+        | _ -> None)
+      (health_events captured)
+  in
+  Alcotest.(check (list (pair string int)))
+    "one record per order"
+    [ ("assoc.ksum.k1", 2); ("assoc.ksum.k2", 2); ("assoc.ksum.k3", 2) ]
+    (List.map (fun (c, d, _) -> (c, d)) conds);
+  (* pole distances at s0 = 1: k = 1 {2, 3}, k = 2 {3, 4, 5},
+     k = 3 {4, 5, 6, 7}; the event detail prints 9 digits *)
+  List.iter2
+    (fun (context, _, got) want ->
+      Alcotest.(check (float 1e-8)) (context ^ " ratio") want got)
+    conds
+    [ 1.5; 5.0 /. 3.0; 7.0 /. 4.0 ]
 
 (* ---- moment residuals ---- *)
 
@@ -629,12 +647,12 @@ let suite =
   [
     ( "health",
       [
-        Alcotest.test_case "lu condest on known spectra" `Quick
-          test_condest_diagonal;
         Alcotest.test_case "ksolve shifted cond estimate" `Quick
           test_ksolve_cond_estimate;
         Alcotest.test_case "ksolve k=3 mixed-sum poles" `Quick
           test_ksolve_k3_mixed_poles;
+        Alcotest.test_case "assoc cond records for k = 1..3" `Quick
+          test_assoc_cond_records;
         Alcotest.test_case "moment residuals vanish on exact ROM" `Quick
           test_moment_residual_exact;
         Alcotest.test_case "reduce emits residual/cond/sweep records" `Quick

@@ -526,8 +526,7 @@ let test_sylvester_pi () =
   let n = 5 in
   let g1 = random_stable n in
   let g2 = Mat.random ~rng n (n * n) in
-  let schur = Schur.decompose g1 in
-  let pi = Sylvester.solve_pi_schur ~schur ~g2 in
+  let pi = Sylvester.solve_pi_schur ~ks:(Ksolve.prepare g1) ~g2 in
   (* check G1 Pi + G2 = Pi (⊕² G1) *)
   let lhs = Mat.add (Mat.mul g1 pi) g2 in
   let rhs = Mat.mul pi (Kron.sum_pow g1 2) in

@@ -111,7 +111,9 @@ let test_counter_determinism () =
   let get name =
     match List.assoc_opt name first with Some n -> n | None -> 0
   in
-  Alcotest.(check bool) "at least one LU factorization" true (get "lu_factor" >= 1);
+  (* a D1 model expands at s0 = 1 without probing G1's LU, and every
+     solve runs on the engine's Schur factorization *)
+  Alcotest.(check int) "no LU factorization" 0 (get "lu_factor");
   Alcotest.(check bool) "shifted solves counted" true (get "shifted_solve" > 0);
   Alcotest.(check bool) "matvecs counted" true (get "matvec" > 0)
 

@@ -1,7 +1,7 @@
 (* Tests for the recovery layer: the typed error taxonomy, the fault
-   injection harness, the generic policy ladder, the concrete
-   LU -> QR -> Tikhonov fallback ladder, RKF45 recovery, and the
-   graceful ROM degradation in Atmor/Autoselect.
+   injection harness, the nudge policy, the Tikhonov-regularized
+   shifted solve, RKF45 recovery, and the graceful ROM degradation in
+   Atmor/Autoselect.
 
    Every fault here is injected deterministically through
    [Robust.Faultify] so the assertions can match the emitted
@@ -65,17 +65,17 @@ let diag_qldae () =
 (* ---- taxonomy ---- *)
 
 let test_error_rendering () =
-  let loc = Robust.Error.loc ~subsystem:"la" ~operation:"Ladder.solve" in
+  let loc = Robust.Error.loc ~subsystem:"volterra" ~operation:"Assoc.nsolve" in
   let e = Robust.Error.Singular_solve { loc; shift = 2.0; distance = 1e-14 } in
   Alcotest.(check string) "kind" "singular-solve" (Robust.Error.kind e);
   Alcotest.(check string)
-    "location" "la.Ladder.solve"
+    "location" "volterra.Assoc.nsolve"
     (Robust.Error.location_string (Robust.Error.location e));
   let s = Robust.Error.to_string e in
   Alcotest.(check bool)
     (Printf.sprintf "rendering mentions location (%s)" s)
     true
-    (contains ~needle:"Ladder.solve" s);
+    (contains ~needle:"Assoc.nsolve" s);
   let nested =
     Robust.Error.Budget_exhausted { loc; attempts = 3; last = Some e }
   in
@@ -195,63 +195,6 @@ let test_nudge_sequence () =
   Alcotest.(check bool) "sequence is deterministic" true
     (Robust.Policy.nudges test_policy 2.0 = cands)
 
-(* Every fault kind driven through the generic ladder runner: the
-   faulty rung produces a corrupted vector that [validate] rejects, the
-   clean rung recovers, and the report names the escalation. *)
-let test_run_ladder_recovers_each_fault () =
-  let loc = Robust.Error.loc ~subsystem:"test" ~operation:"ladder" in
-  let good = [| 1.0; -2.0; 0.5 |] in
-  let valid x = Vec.is_finite x && Vec.dist2 x good < 1e-9 in
-  List.iter
-    (fun fault ->
-      let f = Robust.Faultify.make (Robust.Faultify.plan fault) in
-      let r = Robust.Report.recorder () in
-      let rungs =
-        [
-          ("faulty", fun () -> Robust.Faultify.inject f (Array.copy good));
-          ("clean", fun () -> Array.copy good);
-        ]
-      in
-      match
-        Robust.Policy.run_ladder ~recorder:r ~loc ~classify:Ladder.classify
-          ~validate:valid rungs
-      with
-      | Ok x ->
-        Alcotest.(check bool)
-          (Robust.Faultify.fault_name fault ^ ": recovered value")
-          true (valid x);
-        Alcotest.(check bool)
-          (Robust.Faultify.fault_name fault ^ ": escalation recorded")
-          true
-          (has_action (Robust.Report.events r) "fallback:clean")
-      | Error e ->
-        Alcotest.failf "ladder failed under %s fault: %s"
-          (Robust.Faultify.fault_name fault)
-          (Robust.Error.to_string e))
-    [
-      Robust.Faultify.Nan;
-      Robust.Faultify.Inf;
-      Robust.Faultify.Zero;
-      Robust.Faultify.Perturb 0.5;
-    ]
-
-let test_run_ladder_exhaustion () =
-  let loc = Robust.Error.loc ~subsystem:"test" ~operation:"ladder" in
-  let r = Robust.Report.recorder () in
-  match
-    Robust.Policy.run_ladder ~recorder:r ~loc ~classify:Ladder.classify
-      ~validate:Vec.is_finite
-      [ ("always-nan", fun () -> [| Float.nan |]) ]
-  with
-  | Ok _ -> Alcotest.fail "invalid rung accepted"
-  | Error (Robust.Error.Budget_exhausted { attempts; last; _ }) ->
-    Alcotest.(check int) "one attempt" 1 attempts;
-    Alcotest.(check bool) "last failure kept" true (last <> None);
-    Alcotest.(check bool) "final rung recorded as exhausted" true
-      (has_action (Robust.Report.events r) "exhausted")
-  | Error e ->
-    Alcotest.failf "unexpected error: %s" (Robust.Error.to_string e)
-
 let test_walk_nudges () =
   let loc = Robust.Error.loc ~subsystem:"test" ~operation:"walk" in
   let err d = Robust.Error.Contract_violation { loc; detail = d } in
@@ -321,68 +264,115 @@ let test_walk_nudges () =
     | _ -> false
     | exception Not_found -> true)
 
-(* ---- linear-solve ladder ---- *)
-
-let test_ladder_lu_clean () =
-  let a = Mat.of_list [ [ 4.0; 1.0 ]; [ 1.0; 3.0 ] ] in
-  let r = Robust.Report.recorder () in
-  let l = Ladder.make ~recorder:r a in
-  let b = Vec.of_list [ 1.0; 2.0 ] in
-  let x = Ladder.solve l b in
-  check_small "LU residual" (Vec.dist2 (Mat.mul_vec a x) b) 1e-12;
-  Alcotest.(check bool) "stayed on the LU rung" true (Ladder.last_rung l = `Lu);
-  Alcotest.(check bool) "clean solve records nothing" true
-    (Robust.Report.is_empty (Robust.Report.events r))
-
-let test_ladder_singular_escalates_to_qr () =
-  (* rank-2 matrix, consistent rhs: LU fails at factorization (recorded
-     eagerly at [make]), pivoted QR produces an exact solution. *)
-  let a = Mat.diag (Vec.of_list [ 1.0; 2.0; 0.0 ]) in
-  let r = Robust.Report.recorder () in
-  let l = Ladder.make ~recorder:r a in
-  Alcotest.(check bool) "singular LU recorded at construction" true
-    (has_action (Robust.Report.events r) "fallback:qr");
-  let b = Vec.of_list [ 1.0; 4.0; 0.0 ] in
-  let x = Ladder.solve l b in
-  check_small "QR residual on consistent rhs"
-    (Vec.dist2 (Mat.mul_vec a x) b)
-    1e-10;
-  Alcotest.(check bool) "answered from the QR rung" true
-    (Ladder.last_rung l = `Qr)
-
-let test_ladder_tikhonov_rung () =
-  (* Force the last rung alone: it must stay finite on a singular
-     operator and be accurate on a well-conditioned one. *)
-  let sing = Mat.diag (Vec.of_list [ 1.0; 0.0 ]) in
-  let x =
-    Ladder.solve
-      (Ladder.make ~rungs:[ `Tikhonov ] sing)
-      (Vec.of_list [ 1.0; 0.0 ])
-  in
-  Alcotest.(check bool) "finite on a singular operator" true (Vec.is_finite x);
-  check_small "min-norm component" (Float.abs x.(1)) 1e-8;
-  let a = Mat.of_list [ [ 3.0; 1.0 ]; [ -1.0; 2.0 ] ] in
-  let l = Ladder.make ~rungs:[ `Tikhonov ] a in
-  let b = Vec.of_list [ 2.0; 1.0 ] in
-  check_small "accurate when regular"
-    (Vec.dist2 (Mat.mul_vec a (Ladder.solve l b)) b)
-    1e-6;
-  Alcotest.(check bool) "rung reported" true (Ladder.last_rung l = `Tikhonov)
+(* ---- Tikhonov-regularized shifted solves ---- *)
 
 let test_ksolve_resonant_shift () =
-  (* G = diag(-1, -2): the k = 2 Kronecker sum has poles {-2, -3, -4}.
-     sigma = -3 rides a pole exactly: the plain solve must refuse with
-     Near_singular at the pole distance, the Tikhonov variant must stay
-     finite. *)
+  (* G = diag(-1, -2): the resolvent (k = 1) has poles {-1, -2}, the
+     k = 2 Kronecker sum {-2, -3, -4}. A sigma riding a pole exactly:
+     the plain solve must refuse with Near_singular at the pole
+     distance, the Tikhonov variant must stay finite. *)
   let ks = Ksolve.prepare (Mat.diag (Vec.of_list [ -1.0; -2.0 ])) in
-  let v = Vec.of_list [ 1.0; 1.0; 1.0; 1.0 ] in
-  (match Ksolve.solve_shifted_real ks ~k:2 ~sigma:(-3.0) v with
-  | _ -> Alcotest.fail "resonant shift accepted"
-  | exception Ksolve.Near_singular distance ->
-    check_small "pole distance ~ 0" distance 1e-9);
-  let x = Ksolve.solve_shifted_real ~mu:1e-6 ks ~k:2 ~sigma:(-3.0) v in
-  Alcotest.(check bool) "regularized solve finite on the pole" true
-    (Vec.is_finite x)
+  List.iter
+    (fun (k, sigma) ->
+      let label = Printf.sprintf "k = %d, sigma = %g" k sigma in
+      let v = Vec.constant (if k = 1 then 2 else 4) 1.0 in
+      (match Ksolve.solve_shifted_real ks ~k ~sigma v with
+      | _ -> Alcotest.failf "%s: resonant shift accepted" label
+      | exception Ksolve.Near_singular distance ->
+        check_small (label ^ ": pole distance ~ 0") distance 1e-9);
+      let x = Ksolve.solve_shifted_real ~mu:1e-6 ks ~k ~sigma v in
+      Alcotest.(check bool)
+        (label ^ ": regularized solve finite on the pole")
+        true (Vec.is_finite x);
+      (* the regularized scalar inverse conj(d) / (|d|^2 + mu^2) is
+         minimum-norm on the pole (its mode drops out) and within
+         O(mu^2) of the plain solve off it *)
+      if k = 1 then begin
+        check_small (label ^ ": pole mode dropped") (Float.abs x.(0)) 1e-9;
+        check_small (label ^ ": regular mode solved")
+          (Float.abs (x.(1) -. 1.0)) 1e-9;
+        let plain = Ksolve.solve_shifted_real ks ~k ~sigma:0.5 v in
+        let reg = Ksolve.solve_shifted_real ~mu:1e-6 ks ~k ~sigma:0.5 v in
+        check_small (label ^ ": off the pole the retry agrees")
+          (Vec.dist2 plain reg) 1e-10
+      end)
+    [ (1, -1.0); (2, -3.0) ]
+
+(* A clean expansion point: the resolvent chain (s0 I - G1) m_j = m_{j-1}
+   holds to roundoff and the engine records nothing. *)
+let test_resolvent_clean () =
+  let q = diag_qldae () in
+  let r = Robust.Report.recorder () in
+  let eng = Volterra.Assoc.create ~recorder:r ~policy:test_policy ~s0:0.5 q in
+  let apply x = Ksolve.apply_shifted ~g:q.Volterra.Qldae.g1 ~k:1 ~sigma:0.5 x in
+  (match Volterra.Assoc.h1_moments eng ~k:2 with
+  | [ m0; m1 ] ->
+    check_small "(s0 I - G1) m0 = b"
+      (Vec.dist2 (apply m0) (Volterra.Qldae.b_col q 0))
+      1e-12;
+    check_small "(s0 I - G1) m1 = m0" (Vec.dist2 (apply m1) m0) 1e-12
+  | ms -> Alcotest.failf "expected 2 moments, got %d" (List.length ms));
+  Alcotest.(check bool) "clean solves record nothing" true
+    (Robust.Report.is_empty (Robust.Report.events r))
+
+(* s0 on an eigenvalue of G1: each resolvent solve retries once with
+   the Tikhonov inverse, recorded as a located singular solve, and the
+   moments stay finite with the pole's mode dropped. *)
+let test_resolvent_pole_retries () =
+  let q = diag_qldae () in
+  let r = Robust.Report.recorder () in
+  let eng = Volterra.Assoc.create ~recorder:r ~policy:test_policy ~s0:(-1.0) q in
+  let ms = Volterra.Assoc.h1_moments eng ~k:2 in
+  Alcotest.(check bool) "moments finite" true (List.for_all Vec.is_finite ms);
+  List.iteri
+    (fun j m ->
+      check_small (Printf.sprintf "m%d: pole mode dropped" j) (Float.abs m.(0)) 1e-6)
+    ms;
+  let events = Robust.Report.events r in
+  check_actions "one retry per solve"
+    [ "fallback:tikhonov"; "fallback:tikhonov" ] events;
+  List.iter
+    (fun (e : Robust.Report.event) ->
+      match e.error with
+      | Robust.Error.Singular_solve { loc; shift; distance } ->
+        Alcotest.(check string) "located at the engine" "volterra.Assoc.nsolve"
+          (Robust.Error.location_string loc);
+        check_s0 "shift is s0" (-1.0) shift;
+        check_small "on the pole" distance 1e-9
+      | e -> Alcotest.failf "unexpected error %s" (Robust.Error.to_string e))
+    events
+
+(* The engine's fault hook sits on the resolvent output: the second
+   solve's moment is corrupted as scheduled and the first is not. Read
+   off the raw series, ahead of h1_moments' VMOR_CHECKS finiteness
+   sweep. *)
+let test_resolvent_fault_hook () =
+  let q = diag_qldae () in
+  let moments ?fault () =
+    match
+      Volterra.Assoc.series (Volterra.Assoc.create ?fault ~s0:0.5 q) ~order:1
+    with
+    | [ s ] -> List.of_seq (Seq.take 2 s)
+    | l -> Alcotest.failf "expected one H1 series, got %d" (List.length l)
+  in
+  let clean = moments () in
+  List.iter
+    (fun (fault, pred) ->
+      let name = Robust.Faultify.fault_name fault in
+      match moments ~fault:(Robust.Faultify.plan ~on_call:2 fault) () with
+      | [ m0; m1 ] ->
+        Alcotest.(check bool) (name ^ ": first solve untouched") true
+          (m0 = List.nth clean 0);
+        Alcotest.(check bool) (name ^ ": second solve corrupted") true
+          (pred (List.nth clean 1) m1)
+      | ms -> Alcotest.failf "%s: expected 2 moments, got %d" name (List.length ms))
+    [
+      (Robust.Faultify.Nan, fun _ x -> Float.is_nan x.(0));
+      (Robust.Faultify.Inf, fun _ x -> Float.equal x.(0) Float.infinity);
+      (Robust.Faultify.Zero, fun _ x -> Array.for_all Contract.is_zero x);
+      ( Robust.Faultify.Perturb 0.5,
+        fun c x -> Vec.dist2 x (Vec.scale 1.5 c) <= 1e-15 *. Vec.norm2 c );
+    ]
 
 (* ---- transient recovery ---- *)
 
@@ -455,17 +445,48 @@ let test_atmor_resonant_s0_nudges () =
     (List.nth (Robust.Policy.nudges test_policy (-1.0)) 1)
     res.Mor.Atmor.s0;
   check_orders "orders kept" (2, 1, 0) res.Mor.Atmor.orders;
-  (* Without the VMOR_CHECKS residual bound every QR-rung solve is
-     accepted, so the pole is a recovered candidate and the clean nudge
-     beats it; with the bound a later solve fails every rung, so the
-     pole is a failed candidate. *)
+  (* Each of the pole candidate's three resolvent solves (two H1 steps,
+     one H2 step) retries once with the Tikhonov-regularized inverse, so
+     the pole is a recovered candidate and the clean nudge beats it —
+     the same story with and without VMOR_CHECKS. *)
   check_actions "report tells the story"
-    (if Contract.checks_enabled () then
-       [
-         "fallback:qr"; "fallback:qr"; "fallback:tikhonov"; "exhausted";
-         "nudge:-1.0001";
-       ]
-     else [ "fallback:qr"; "fallback:qr"; "fallback:qr"; "fallback:qr" ])
+    [ "fallback:tikhonov"; "fallback:tikhonov"; "fallback:tikhonov" ]
+    res.Mor.Atmor.degradation
+
+(* With tikhonov_mu = 0 the pole candidate fails outright instead of
+   recovering: the walk records one nudge and the next candidate is
+   clean, at the same orders. *)
+let test_atmor_pole_without_tikhonov_nudges () =
+  let q = diag_qldae () in
+  let policy = { test_policy with Robust.Policy.tikhonov_mu = 0.0 } in
+  let res =
+    Mor.Atmor.reduce ~policy ~s0:(-1.0)
+      ~orders:{ Mor.Atmor.k1 = 2; k2 = 1; k3 = 0 }
+      q
+  in
+  check_s0 "second nudge candidate"
+    (List.nth (Robust.Policy.nudges policy (-1.0)) 1)
+    res.Mor.Atmor.s0;
+  check_orders "orders kept" (2, 1, 0) res.Mor.Atmor.orders;
+  check_actions "the failed pole, then the nudge" [ "nudge:-1.0001" ]
+    res.Mor.Atmor.degradation
+
+(* fig3's line has a singular G1, whose exact zero eigenvalues the
+   Schur form returns as rounding-sized nonzeros (|lambda| ~ 1e-16 ..
+   1e-14 against max |lambda| ~ 158). A user s0 = 0 sits on them: every
+   resolvent solve must still be flagged and retried, and the walk must
+   settle on the first clean nudge. *)
+let test_atmor_singular_g1_at_zero () =
+  let q = Circuit.Models.qldae (Circuit.Models.nltl_current ~stages:8 ()) in
+  let res =
+    Mor.Atmor.reduce ~s0:0.0 ~orders:{ Mor.Atmor.k1 = 6; k2 = 0; k3 = 0 } q
+  in
+  check_s0 "nudged off the pole"
+    (List.nth (Robust.Policy.nudges (Robust.Policy.default ()) 0.0) 1)
+    res.Mor.Atmor.s0;
+  check_orders "orders kept" (6, 0, 0) res.Mor.Atmor.orders;
+  check_actions "one Tikhonov retry per resolvent solve at the pole"
+    (List.init 6 (fun _ -> "fallback:tikhonov"))
     res.Mor.Atmor.degradation
 
 (* The nudge sequence of test_policy from s0 = 0 (the default point of
@@ -596,14 +617,8 @@ let test_autoselect_probe_nudges () =
     (List.nth (Robust.Policy.nudges test_policy (-1.0)) 1)
     sel.Mor.Autoselect.result.Mor.Atmor.s0;
   check_orders "orders grown" (2, 1, 0) sel.Mor.Autoselect.chosen;
-  check_actions "pole probe's recovery, then the nudge"
-    (if Contract.checks_enabled () then
-       [
-         "fallback:qr"; "fallback:qr"; "fallback:tikhonov"; "exhausted";
-         "nudge:-1.0001";
-       ]
-     else [ "fallback:qr"; "fallback:qr" ])
-    sel.Mor.Autoselect.result.Mor.Atmor.degradation
+  check_actions "the pole probe's one Tikhonov retry"
+    [ "fallback:tikhonov" ] sel.Mor.Autoselect.result.Mor.Atmor.degradation
 
 let test_balanced_try_reduce_non_hurwitz () =
   let g1 = Mat.diag (Vec.of_list [ 0.5; -2.0 ]) in
@@ -632,18 +647,16 @@ let suite =
     ( "robust.policy",
       [
         tc "deterministic nudge sequence" `Quick test_nudge_sequence;
-        tc "ladder recovers from every fault kind" `Quick
-          test_run_ladder_recovers_each_fault;
-        tc "ladder exhaustion is typed" `Quick test_run_ladder_exhaustion;
         tc "nudge walk over scripted outcomes" `Quick test_walk_nudges;
       ] );
-    ( "robust.la-ladder",
+    ( "robust.shifted-solve",
       [
-        tc "clean solve stays on LU" `Quick test_ladder_lu_clean;
-        tc "singular operator escalates to QR" `Quick
-          test_ladder_singular_escalates_to_qr;
-        tc "Tikhonov rung" `Quick test_ladder_tikhonov_rung;
         tc "resonant Kronecker shift" `Quick test_ksolve_resonant_shift;
+        tc "clean resolvent records nothing" `Quick test_resolvent_clean;
+        tc "resolvent on a pole retries once per solve" `Quick
+          test_resolvent_pole_retries;
+        tc "fault hook on the resolvent output" `Quick
+          test_resolvent_fault_hook;
       ] );
     ( "robust.transient",
       [
@@ -657,6 +670,10 @@ let suite =
       [
         tc "resonant s0 is nudged off the pole" `Quick
           test_atmor_resonant_s0_nudges;
+        tc "resonant s0 without Tikhonov fails over to a nudge" `Quick
+          test_atmor_pole_without_tikhonov_nudges;
+        tc "s0 on a singular G1's zero eigenvalues is nudged" `Quick
+          test_atmor_singular_g1_at_zero;
         tc "H3 failure degrades to (k1, k2, 0)" `Quick test_atmor_h3_degrades;
         tc "H3 then H2 degrade chain" `Quick test_atmor_h3_then_h2_degrade;
         tc "total failure raises Budget_exhausted" `Quick

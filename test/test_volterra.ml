@@ -337,10 +337,12 @@ let test_h3_moments_vs_fd () =
         (List.of_seq (Seq.take 3 (List.nth (Volterra.Assoc.series eng2 ~order:3) i))))
     [ ((0, 0, 1), 1); ((0, 1, 1), 2) ]
 
-(* One ⊕³ series, one ⊕² series and one H2 series per distinct D1 pair:
-   exactly 3k shifted solves for a SISO G2+G3+D1 triple, 4k for the
-   2-input triple (0,0,1), whose pairings use the pairs (0,1) and (0,0):
-   the series at index 1 of (0,0,0) (0,0,1) (0,1,1) (1,1,1). *)
+(* One ⊕³ series, one ⊕² series and one H2 series per distinct D1 pair,
+   each step closed by a resolvent (k = 1) solve on the same Schur
+   factorization: exactly 5k shifted solves for a SISO G2+G3+D1 triple
+   (⊕³, ⊕², the H2 series' ⊕² and two resolvents), 7k for the 2-input
+   triple (0,0,1), whose pairings use the pairs (0,1) and (0,0): the
+   series at index 1 of (0,0,0) (0,0,1) (0,1,1) (1,1,1). *)
 let test_h3_shifted_solve_count () =
   let k = 3 in
   let count eng i =
@@ -353,9 +355,9 @@ let test_h3_shifted_solve_count () =
   let rng = Random.State.make [| 16 |] in
   let siso = random_qldae ~rng ~n:3 ~with_g3:true () in
   let miso = random_qldae ~rng ~n:3 ~inputs:2 ~with_g3:true () in
-  Alcotest.(check int) "SISO (0,0,0)" (3 * k)
+  Alcotest.(check int) "SISO (0,0,0)" (5 * k)
     (count (Volterra.Assoc.create ~s0:0.7 siso) 0);
-  Alcotest.(check int) "2-input (0,0,1)" (4 * k)
+  Alcotest.(check int) "2-input (0,0,1)" (7 * k)
     (count (Volterra.Assoc.create ~s0:0.7 miso) 1)
 
 (* Exact bits of per-combination moment lists, as one hex digest. *)
@@ -372,10 +374,10 @@ let bits_digest (vss : Vec.t list list) =
 
 (* [Seq.take k] of every series — orders 1-3, k = 1..4, both triple
    modes, on a SISO and a 2-input G2+G3+D1 system — is bit-identical to
-   the moments of the per-order eager loops the series replaced (their
-   digest, recorded on x86-64), to the concatenated hN_moments of a
-   fresh engine, and to a longer prefix forced after a shorter one on
-   the same series. Building the series solves nothing. *)
+   a digest recorded on x86-64 (with the resolvent on the engine's Schur
+   factorization), to the concatenated hN_moments of a fresh engine,
+   and to a longer prefix forced after a shorter one on the same
+   series. Building the series solves nothing. *)
 let test_series_bit_equal () =
   let rng = Random.State.make [| 19 |] in
   let systems =
@@ -421,8 +423,80 @@ let test_series_bit_equal () =
           done)
         [ `All; `Diagonal ])
     systems;
-  Alcotest.(check string) "bits of the eager per-order loops"
-    "3002fc73755a54f75de98132498fec62" (bits_digest (List.concat (List.rev !all)))
+  Alcotest.(check string) "recorded moment bits"
+    "a2f377f4fdef16045cb90375f4918aae" (bits_digest (List.concat (List.rev !all)))
+
+(* The digest above is backed by an independent computation: on the
+   SISO system of test_series_bit_equal, the first four moments of each
+   order equal the top n rows of (s0 I - A)^-(m+1) b_aug for a dense
+   block realization (A, b_aug) of H1, H2 (paper eq. 17) and H3, each
+   power applied by a dense complex LU of the materialized shifted
+   matrix. H3's state stacks [x1; W; z; h2; r2]: z = N3^-1 b⊗³ feeds
+   both W = N2^-1 (b ⊗ d1b + (I ⊗ G2) z) and the G3 term, and
+   h2 = G1-resolvent of (G2 r2 + d1b), r2 = N2^-1 b⊗b, as in
+   dense_h3_assoc. *)
+let test_series_vs_dense_realization () =
+  let rng = Random.State.make [| 19 |] in
+  let q = random_qldae ~rng ~n:3 ~with_g3:true () in
+  let s0 = 0.7 and k = 4 in
+  let n = Volterra.Qldae.dim q in
+  let g1 = q.Volterra.Qldae.g1 in
+  let g2d = Sptensor.to_dense q.Volterra.Qldae.g2 in
+  let g3d = Sptensor.to_dense q.Volterra.Qldae.g3 in
+  let d1 = q.Volterra.Qldae.d1.(0) in
+  let b = Volterra.Qldae.b_col q 0 in
+  let d1b = Mat.mul_vec d1 b in
+  let n2 = Kron.sum_pow g1 2 and n3 = Kron.sum_pow g1 3 in
+  (* square block matrix from (block row, block col, block) over the
+     block sizes [sizes] *)
+  let assemble sizes blocks =
+    let offs = Array.make (Array.length sizes) 0 in
+    for i = 1 to Array.length sizes - 1 do
+      offs.(i) <- offs.(i - 1) + sizes.(i - 1)
+    done;
+    let dim = Array.fold_left ( + ) 0 sizes in
+    let a = Mat.create dim dim in
+    List.iter (fun (i, j, m) -> Mat.blit ~src:m ~dst:a ~row:offs.(i) ~col:offs.(j)) blocks;
+    a
+  in
+  let h1 = (g1, b) in
+  let h2 =
+    (assemble [| n; n * n |] [ (0, 0, g1); (0, 1, g2d); (1, 1, n2) ],
+     Vec.concat [ d1b; Kron.vec b b ])
+  in
+  let h3 =
+    ( assemble
+        [| n; n * n; n * n * n; n; n * n |]
+        [
+          (0, 0, g1); (0, 1, Mat.scale 2.0 g2d); (0, 2, g3d); (0, 3, d1);
+          (1, 1, n2); (1, 2, Kron.mat (Mat.identity n) g2d);
+          (2, 2, n3);
+          (3, 3, g1); (3, 4, g2d);
+          (4, 4, n2);
+        ],
+      Vec.concat
+        [ Vec.create n; Kron.vec b d1b; Kron.vec_pow b 3; d1b; Kron.vec b b ] )
+  in
+  let eng = Volterra.Assoc.create ~s0 q in
+  List.iteri
+    (fun i (a, b_aug) ->
+      let order = i + 1 in
+      let series =
+        match Volterra.Assoc.series eng ~order with
+        | s :: _ -> List.of_seq (Seq.take k s)
+        | [] -> Alcotest.failf "order %d: no series" order
+      in
+      let v = ref (Cvec.of_real b_aug) in
+      List.iteri
+        (fun m moment ->
+          v := dense_shifted_solve a (cx s0 0.0) !v;
+          let expected = Vec.slice (Cvec.real_part !v) ~pos:0 ~len:n in
+          check_small
+            (Printf.sprintf "order %d, moment %d" order m)
+            (Vec.rel_err ~exact:expected ~approx:moment)
+            1e-9)
+        series)
+    [ h1; h2; h3 ]
 
 (* hN_moments builds, takes and drops one series at a time, so an
    earlier triple's n³ solver state is garbage once its k moments are
@@ -665,6 +739,8 @@ let suite =
         tc "H3 moments = Taylor coefficients" `Quick test_h3_moments_vs_fd;
         tc "H3 shifted solves per triple" `Quick test_h3_shifted_solve_count;
         tc "lazy series = eager per-order moments" `Quick test_series_bit_equal;
+        tc "series moments = dense block realization" `Quick
+          test_series_vs_dense_realization;
         tc "H3 moments drop finished series" `Quick
           test_h3_moments_drop_finished_series;
         tc "default s0 for scaled G1" `Quick test_default_s0_scaled_g1;
