@@ -2,17 +2,25 @@
 
      (sigma I - ⊕^k G) x = v,   v of length n^k,  k = 1, 2, 3, ...
 
-   never materializing the n^k x n^k operator. One complex Schur
-   factorization G = U T U^H gives
+   never materializing the n^k x n^k operator. One Schur factorization
+   G = U T U^H gives
 
      sigma I - ⊕^k G = (U ⊗..⊗ U)(sigma I - ⊕^k T)(U ⊗..⊗ U)^H
 
    and the triangular middle solve is a recursive block
    back-substitution over order-k tensors (cost O(k n^{k+1}), memory
-   O(n^k)). This is the §2.3 trick of the paper, in complex form.
-   Permutation-symmetric order-3 data (the third-order associated
-   series) has its own back-substitution over the i <= j <= l entries
-   only, tri_solve_sym3. *)
+   O(n^k)). This is the §2.3 trick of the paper. A real shift runs on
+   the real Schur form (Schur.real_factors) in real arithmetic: a
+   quarter of the flops and half the words of the split-complex
+   kernels, which serve complex shifts on the complex triangular form.
+   When G's spectrum is real the real T is triangular and the real
+   kernels mirror the complex ones; a complex pair leaves a 2x2 block,
+   whose tuples of unknowns the same back-substitution solves together
+   in small dense systems. The block list and the eigenvalues come from
+   Schur (blocks, eigenvalues). Permutation-symmetric
+   order-3 data (the third-order associated series) has its own
+   back-substitution over the i <= j <= l entries only,
+   tri_solve_sym3. *)
 
 type t = { n : int; schur : Schur.t }
 
@@ -20,8 +28,7 @@ let prepare (g : Mat.t) : t =
   Contract.require_square "Ksolve.prepare" (Mat.dims g);
   Obs.Span.with_ ~name:"ksolve.prepare" (fun () ->
       (* the dense Schur factorization charges itself *)
-      let n = Mat.rows g in
-      { n; schur = Schur.decompose g })
+      { n = Mat.rows g; schur = Schur.decompose g })
 
 let expected_len n k =
   let s = ref 1 in
@@ -138,8 +145,10 @@ let mode_mul ~n ~k ~m ?(adjoint = false) (mat : Cmat.t) (x : Cvec.t) : Cvec.t =
   done;
   out
 
-(* Real mode multiply used by the residual checker. *)
-let mode_mul_real ~n ~k ~m (mat : Mat.t) (x : Vec.t) : Vec.t =
+(* Real variant of mode_mul: multiply along mode [m] by [mat] (or its
+   transpose). *)
+let mode_mul_real ~n ~k ~m ?(transpose = false) (mat : Mat.t) (x : Vec.t) :
+    Vec.t =
   Contract.require_dims "Ksolve.mode_mul_real" ~expected:(n, n)
     ~actual:(Mat.dims mat);
   let total = Array.length x in
@@ -164,7 +173,7 @@ let mode_mul_real ~n ~k ~m (mat : Mat.t) (x : Vec.t) : Vec.t =
     for i = 0 to n - 1 do
       let obase = base + (i * stride_r) in
       for j = 0 to n - 1 do
-        let c = Mat.get mat i j in
+        let c = if transpose then Mat.get mat j i else Mat.get mat i j in
         if Contract.nonzero c then begin
           let xbase = base + (j * stride_r) in
           for r = 0 to stride_r - 1 do
@@ -184,23 +193,72 @@ exception Near_singular of float
    eigenvalues only to about eps·‖G‖, so an exact pole (a singular G at
    sigma = 0, say) shows up as a rounding-sized nonzero, not as 0. A
    regularized solve (mu > 0) is finite at a pole and only guards
-   underflow. *)
-let pole_tol2 ~mu (tmat : Cmat.t) ~k ~(sigma : Complex.t) =
+   underflow. [diag_abs i] is |t_ii|. *)
+let pole_tol2 ~mu ~n ~diag_abs ~k ~sigma_abs =
   if mu > 0.0 then 1e-300
   else begin
-    let n = Cmat.rows tmat in
     let rho = ref 0.0 in
     for i = 0 to n - 1 do
-      rho :=
-        Float.max !rho
-          (Float.hypot tmat.Cmat.re.((i * n) + i) tmat.Cmat.im.((i * n) + i))
+      rho := Float.max !rho (diag_abs i)
     done;
     let tol =
       float_of_int n *. epsilon_float
-      *. (Complex.norm sigma +. (float_of_int k *. !rho))
+      *. (sigma_abs +. (float_of_int k *. !rho))
     in
     Float.max 1e-300 (tol *. tol)
   end
+
+let pole_tol2_complex ~mu (tmat : Cmat.t) ~k ~(sigma : Complex.t) =
+  let n = Cmat.rows tmat in
+  pole_tol2 ~mu ~n ~k ~sigma_abs:(Complex.norm sigma) ~diag_abs:(fun i ->
+      Float.hypot tmat.Cmat.re.((i * n) + i) tmat.Cmat.im.((i * n) + i))
+
+(* the real kernels' threshold: |lam_i| read off the real factor's
+   eigenvalues, |t_ii| on a triangular T *)
+let pole_tol2_real ~mu (eig : Complex.t array) ~k ~sigma =
+  pole_tol2 ~mu ~n:(Array.length eig) ~k ~sigma_abs:(Float.abs sigma)
+    ~diag_abs:(fun i -> Complex.norm eig.(i))
+
+(* Nominal charges of the back-substitutions, per arithmetic: flops per
+   multiply-add and per (Tikhonov) scalar division, and 8-byte words per
+   scalar. A complex multiply-add is 8 flops on 2 words; the real one 2
+   on 1. *)
+type arith = { madd : int; div : int; word : int }
+
+let complex_arith = { madd = 8; div = 11; word = 2 }
+
+let real_arith = { madd = 2; div = 5; word = 1 }
+
+(* The charge of a whole recursive solve, on the caller and outside
+   the Par tiles, so counts are identical at any domain count: level k'
+   of the recursion has n^(k-k') nodes, each the rhs updates of its n
+   blocks of n^(k'-1) entries, or at k' = 1 the scalar
+   back-substitution. *)
+let charge_tri a ~n ~k =
+  for lev = k downto 1 do
+    let nodes = expected_len n (k - lev) in
+    if lev = 1 then
+      Obs.Cost.charge Obs.Cost.Flops_trisolve
+        (nodes * ((a.madd * n * (n - 1) / 2) + (a.div * n)))
+        ~read:(nodes * ((a.word * n * n / 2) + (a.word * n)))
+        ~written:(nodes * a.word * n)
+    else begin
+      let block = expected_len n (lev - 1) in
+      Obs.Cost.charge Obs.Cost.Flops_trisolve
+        (nodes * (a.madd * block * n * (n - 1) / 2))
+        ~read:(nodes * ((a.word * n * n / 2) + (a.word * n * block)))
+        ~written:(nodes * a.word * n * block)
+    end
+  done
+
+(* the one charge of tri_solve_sym3: (n-1)n(n+1)(n+2)/4 multiply-adds
+   over the unique entries, one division each *)
+let charge_sym3 a ~n =
+  let madds = (n - 1) * n * (n + 1) * (n + 2) / 4 in
+  Obs.Cost.charge Obs.Cost.Flops_trisolve
+    ((a.madd * madds) + (a.div * (n * (n + 1) * (n + 2) / 6)))
+    ~read:((a.word * n * n / 2) + (a.word * madds))
+    ~written:(a.word * n * n * n)
 
 (* Recursive triangular solve: (sigma I - ⊕^k T) y = w with T upper
    triangular. Operates in place on a copy of [w]. With [mu] > 0 each
@@ -211,24 +269,19 @@ let pole_tol2 ~mu (tmat : Cmat.t) ~k ~(sigma : Complex.t) =
 let tri_solve ?(mu = 0.0) (tmat : Cmat.t) ~k ~(sigma : Complex.t) (w : Cvec.t)
     : Cvec.t =
   let mu2 = mu *. mu in
-  let tol2 = pole_tol2 ~mu tmat ~k ~sigma in
+  let tol2 = pole_tol2_complex ~mu tmat ~k ~sigma in
   let n = Cmat.rows tmat in
   let tre = tmat.Cmat.re and tim = tmat.Cmat.im in
   let y = Cvec.copy w in
   let yre = y.Cvec.re and yim = y.Cvec.im in
+  charge_tri complex_arith ~n ~k;
   (* solve the block starting at [off] of order [k] with shift
      [sre + i*sim], in place *)
   let rec go ~k ~off ~sre ~sim =
     (* one deadline poll per tensor block (tile): O(n^k) arithmetic per
        poll amortizes the clock read into noise *)
     Robust.Budget.check "la.Ksolve.tri_solve";
-    (* Nominal per-node charge, on the caller and outside the Par
-       tiles below, so counts are identical at any domain count. *)
     if k = 1 then begin
-      Obs.Cost.charge Obs.Cost.Flops_trisolve
-        ((4 * n * (n - 1)) + (11 * n))
-        ~read:((n * n) + (2 * n))
-        ~written:(2 * n);
       for i = n - 1 downto 0 do
         let accr = ref yre.(off + i) and acci = ref yim.(off + i) in
         for j = i + 1 to n - 1 do
@@ -246,17 +299,7 @@ let tri_solve ?(mu = 0.0) (tmat : Cmat.t) ~k ~(sigma : Complex.t) (w : Cvec.t)
       done
     end
     else begin
-      let block =
-        let s = ref 1 in
-        for _ = 2 to k do
-          s := !s * n
-        done;
-        !s
-      in
-      Obs.Cost.charge Obs.Cost.Flops_trisolve
-        (4 * block * n * (n - 1))
-        ~read:((n * n) + (2 * n * block))
-        ~written:(2 * n * block);
+      let block = expected_len n (k - 1) in
       for i = n - 1 downto 0 do
         let bi = off + (i * block) in
         (* rhs += sum_{j>i} T[i,j] * y_j-block.  Element [bi + r] reads
@@ -288,50 +331,231 @@ let tri_solve ?(mu = 0.0) (tmat : Cmat.t) ~k ~(sigma : Complex.t) (w : Cvec.t)
   go ~k ~off:0 ~sre:sigma.re ~sim:sigma.im;
   y
 
-(* x -> (U^H)^{⊗k} x *)
-let to_schur t ~k (v : Cvec.t) : Cvec.t =
+(* ---- real arithmetic on the real quasi-triangular T ----
+
+   A real shift runs on the real Schur factors. On a real spectrum T is
+   triangular and the kernels below are the complex ones scalar for
+   scalar: the same recursion, Par tiles, per-entry sum order, budget
+   polls and pole rule, with the real Tikhonov inverse d / (d² + mu²).
+   A complex pair leaves a 2x2 diagonal block, and (sigma - ⊕^k T) is
+   then block upper triangular over k-tuples of diagonal blocks
+   (Jonsson-Kågström): the unknowns of a tuple that holds a 2x2 block
+   take the same sums over later blocks and are then solved together,
+   a dense real system of at most 2^k unknowns whose poles are the
+   tuple's eigenvalue sums. mu > 0 solves that system's Tikhonov normal
+   equations (MᵀM + mu² I) y = Mᵀ rhs, which on a 1x1 tuple is the
+   scalar inverse. *)
+
+(* One tuple's system: the m x m row-major [a] y = [b], solved in place
+   in [b] ([a] is overwritten); [zr], [zi] are its eigenvalues, each
+   tested as the scalar step tests its diagonal. Gaussian elimination
+   with partial pivoting, on the normal equations when mu > 0. *)
+let small_solve ~mu ~tol2 m (a : float array) (b : float array)
+    (zr : float array) (zi : float array) =
+  let mu2 = mu *. mu in
+  for u = 0 to m - 1 do
+    let dm = (zr.(u) *. zr.(u)) +. (zi.(u) *. zi.(u)) +. mu2 in
+    if dm < tol2 then raise (Near_singular (sqrt dm))
+  done;
+  let a, x =
+    if mu > 0.0 then
+      ( Array.init (m * m) (fun ij ->
+            let i = ij / m and j = ij mod m in
+            let s = ref (if i = j then mu2 else 0.0) in
+            for r = 0 to m - 1 do
+              s := !s +. (a.((r * m) + i) *. a.((r * m) + j))
+            done;
+            !s),
+        Array.init m (fun i ->
+            let s = ref 0.0 in
+            for r = 0 to m - 1 do
+              s := !s +. (a.((r * m) + i) *. b.(r))
+            done;
+            !s) )
+    else (a, b)
+  in
+  for c = 0 to m - 1 do
+    let p = ref c in
+    for r = c + 1 to m - 1 do
+      if Float.abs a.((r * m) + c) > Float.abs a.((!p * m) + c) then p := r
+    done;
+    if !p <> c then begin
+      for j = 0 to m - 1 do
+        let t = a.((c * m) + j) in
+        a.((c * m) + j) <- a.((!p * m) + j);
+        a.((!p * m) + j) <- t
+      done;
+      let t = x.(c) in
+      x.(c) <- x.(!p);
+      x.(!p) <- t
+    end;
+    for r = c + 1 to m - 1 do
+      let f = a.((r * m) + c) /. a.((c * m) + c) in
+      if Contract.nonzero f then begin
+        for j = c to m - 1 do
+          a.((r * m) + j) <- a.((r * m) + j) -. (f *. a.((c * m) + j))
+        done;
+        x.(r) <- x.(r) -. (f *. x.(c))
+      end
+    done
+  done;
+  for r = m - 1 downto 0 do
+    let s = ref x.(r) in
+    for j = r + 1 to m - 1 do
+      s := !s -. (a.((r * m) + j) *. x.(j))
+    done;
+    x.(r) <- !s /. a.((r * m) + r)
+  done;
+  if x != b then Array.blit x 0 b 0 m
+
+let real_exn name t =
+  match Schur.real_factors t.schur with
+  | Some f -> f
+  | None -> invalid_arg (name ^ ": the Schur factorization is complex")
+
+let tri_solve_real ?(mu = 0.0) t ~k ~sigma (w : Vec.t) : Vec.t =
+  let _, tmat = real_exn "Ksolve.tri_solve_shifted_real" t in
+  let n = t.n in
+  let tt = Mat.data tmat in
+  let blocks = Schur.blocks t.schur and eig = Schur.eigenvalues t.schur in
+  let nb = Array.length blocks in
+  let mu2 = mu *. mu in
+  let tol2 = pole_tol2_real ~mu eig ~k ~sigma in
+  let y = Array.copy w in
+  charge_tri real_arith ~n ~k;
+  (* y[off + row] + Σ_{j >= from} T[row, j] y[off + j] *)
+  let leaf_sum ~row ~off ~from =
+    let acc = ref y.(off + row) in
+    for j = from to n - 1 do
+      let c = tt.((row * n) + j) in
+      if Contract.nonzero c then acc := !acc +. (c *. y.(off + j))
+    done;
+    !acc
+  in
+  (* The rhs of the block [row] of a node at [off] gets the finished
+     blocks j >= from: element r reads only the same r of later blocks,
+     so the r-range splits into contiguous Par tiles, each keeping the
+     serial accumulation order (increasing j): bit-identical at any
+     domain count. *)
+  let update ~row ~off ~from ~block =
+    let bi = off + (row * block) in
+    Par.tiles ~lo:0 ~hi:block (fun ~lo ~hi ->
+        for j = from to n - 1 do
+          let c = tt.((row * n) + j) in
+          if Contract.nonzero c then begin
+            let bj = off + (j * block) in
+            for r = lo to hi - 1 do
+              y.(bi + r) <- y.(bi + r) +. (c *. y.(bj + r))
+            done
+          end
+        done)
+  in
+  (* The diagonal block [b, e) of the current mode for the coupled rows
+     [offs] (order-k nodes, one per unknown of the tuple so far) with
+     the tuple's shift matrix [sm] and eigenvalue shifts [zr], [zi]:
+     its sums over later blocks, then the tuple grows by the block,
+     solved at the last mode and otherwise a node of its own, over every
+     block of the next mode. *)
+  let rec step ~k ~offs ~sm ~zr ~zi (b, e) =
+    let m = Array.length offs and sz = e - b in
+    let block = expected_len n (k - 1) in
+    Array.iter
+      (fun off ->
+        for row = b to e - 1 do
+          if k = 1 then y.(off + row) <- leaf_sum ~row ~off ~from:e
+          else update ~row ~off ~from:e ~block
+        done)
+      offs;
+    let m' = m * sz in
+    let offs = Array.init m' (fun x -> offs.(x / sz) + ((b + (x mod sz)) * block)) in
+    let sm =
+      Array.init (m' * m') (fun xz ->
+          let x = xz / m' and z = xz mod m' in
+          let u = x / sz and r = x mod sz and v = z / sz and q = z mod sz in
+          (if r = q then sm.((u * m) + v) else 0.0)
+          -. if u = v then tt.(((b + r) * n) + b + q) else 0.0)
+    in
+    let zr = Array.init m' (fun x -> zr.(x / sz) -. eig.(b + (x mod sz)).re)
+    and zi = Array.init m' (fun x -> zi.(x / sz) -. eig.(b + (x mod sz)).im) in
+    if k = 1 then begin
+      let x = Array.map (fun o -> y.(o)) offs in
+      small_solve ~mu ~tol2 m' sm x zr zi;
+      Array.iteri (fun u o -> y.(o) <- x.(u)) offs
+    end
+    else begin
+      Robust.Budget.check "la.Ksolve.tri_solve";
+      for x = nb - 1 downto 0 do
+        step ~k:(k - 1) ~offs ~sm ~zr ~zi blocks.(x)
+      done
+    end
+  in
+  (* the node at [off] of order [k] with scalar shift [s]: 1x1 blocks
+     as in tri_solve, 2x2 blocks through [step] *)
+  let rec go ~k ~off ~s =
+    Robust.Budget.check "la.Ksolve.tri_solve";
+    for x = nb - 1 downto 0 do
+      let b, e = blocks.(x) in
+      if e > b + 1 then step ~k ~offs:[| off |] ~sm:[| s |] ~zr:[| s |] ~zi:[| 0.0 |] (b, e)
+      else if k = 1 then begin
+        let acc = leaf_sum ~row:b ~off ~from:e in
+        let d = s -. tt.((b * n) + b) in
+        let dm = (d *. d) +. mu2 in
+        if dm < tol2 then raise (Near_singular (sqrt dm));
+        y.(off + b) <- acc *. d /. dm
+      end
+      else begin
+        let block = expected_len n (k - 1) in
+        update ~row:b ~off ~from:e ~block;
+        go ~k:(k - 1) ~off:(off + (b * block)) ~s:(s -. tt.((b * n) + b))
+      end
+    done
+  in
+  go ~k ~off:0 ~s:sigma;
+  y
+
+(* x -> (U^H)^{⊗k} x, or U^{⊗k} x *)
+let modes t ~k ~adjoint (v : Cvec.t) : Cvec.t =
   let u = Schur.unitary t.schur in
   let w = ref v in
   for m = 0 to k - 1 do
-    w := mode_mul ~n:t.n ~k ~m ~adjoint:true u !w
+    w := mode_mul ~n:t.n ~k ~m ~adjoint u !w
   done;
   !w
 
-(* x -> U^{⊗k} x *)
-let from_schur t ~k (v : Cvec.t) : Cvec.t =
-  let u = Schur.unitary t.schur in
+(* the same on real data with a real orthogonal U *)
+let modes_real ~u ~k ~transpose (v : Vec.t) : Vec.t =
   let w = ref v in
   for m = 0 to k - 1 do
-    w := mode_mul ~n:t.n ~k ~m u !w
+    w := mode_mul_real ~n:(Mat.rows u) ~k ~m ~transpose u !w
   done;
   !w
+
+let require_solve name t ~k len =
+  Contract.require name (k >= 1) "kron incompatibility"
+    (Printf.sprintf "order k = %d must be >= 1" k);
+  Contract.require_len name ~expected:(expected_len t.n k) ~actual:len
+
+let real_unitary t = fst (real_exn "Ksolve.real_unitary" t)
 
 (* (sigma I - ⊕^k G) x = v through the Schur basis:
    x = U^⊗k (sigma I - ⊕^k T)^-1 (U^H)^⊗k v.  [mu] > 0 uses the
    Tikhonov-regularized scalar inverse of tri_solve. *)
 let solve_shifted ?mu t ~k ~(sigma : Complex.t) (v : Cvec.t) : Cvec.t =
-  Contract.require "Ksolve.solve_shifted" (k >= 1) "kron incompatibility"
-    (Printf.sprintf "order k = %d must be >= 1" k);
-  Contract.require_len "Ksolve.solve_shifted" ~expected:(expected_len t.n k)
-    ~actual:(Cvec.dim v);
+  require_solve "Ksolve.solve_shifted" t ~k (Cvec.dim v);
   Obs.Metrics.incr Obs.Metrics.Shifted_solve;
   Obs.Span.with_ ~name:"ksolve.solve_shifted" (fun () ->
-      from_schur t ~k
-        (tri_solve ?mu (Schur.triangular t.schur) ~k ~sigma (to_schur t ~k v)))
+      modes t ~k ~adjoint:false
+        (tri_solve ?mu (Schur.triangular t.schur) ~k ~sigma
+           (modes t ~k ~adjoint:true v)))
 
-(* Real data through a complex factorization returns a real answer up
-   to rounding: the plain solve tolerates a modest residue. Conjugate
-   symmetry survives the diagonal regularization, but near an exact
-   pole the rounding residue can be larger, so a regularized solve
-   takes the real part without the residue guard. *)
+(* Real data at a real shift, in real arithmetic on the real factors. *)
 let solve_shifted_real ?mu t ~k ~sigma (v : Vec.t) : Vec.t =
-  let x =
-    solve_shifted ?mu t ~k ~sigma:{ Complex.re = sigma; im = 0.0 }
-      (Cvec.of_real v)
-  in
-  match mu with
-  | Some mu when mu > 0.0 -> Cvec.real_part x
-  | _ -> Cvec.to_real ~tol:1e-5 x
+  let u, _ = real_exn "Ksolve.solve_shifted_real" t in
+  require_solve "Ksolve.solve_shifted_real" t ~k (Array.length v);
+  Obs.Metrics.incr Obs.Metrics.Shifted_solve;
+  Obs.Span.with_ ~name:"ksolve.solve_shifted" (fun () ->
+      modes_real ~u ~k ~transpose:false
+        (tri_solve_real ?mu t ~k ~sigma (modes_real ~u ~k ~transpose:true v)))
 
 (* ---- Schur-coordinate interface ----
 
@@ -340,11 +564,27 @@ let solve_shifted_real ?mu t ~k ~sigma (v : Vec.t) : Vec.t =
    the iterates are kept in the Schur basis: each step is then a single
    triangular tensor back-substitution. *)
 
+
+(* x -> U^{⊗k} x *)
+let from_schur t ~k (v : Cvec.t) : Cvec.t =
+  Obs.Span.with_ ~name:"ksolve.from_schur" (fun () -> modes t ~k ~adjoint:false v)
+
+let from_schur_real t ~k (v : Vec.t) : Vec.t =
+  let u, _ = real_exn "Ksolve.from_schur_real" t in
+  Obs.Span.with_ ~name:"ksolve.from_schur" (fun () ->
+      modes_real ~u ~k ~transpose:false v)
+
 (* U^H b for a real vector: the Schur-basis image of a rank-1 factor. *)
 let adjoint_vec t (b : Vec.t) : Cvec.t =
   Contract.require_len "Ksolve.adjoint_vec" ~expected:t.n
     ~actual:(Array.length b);
   Cmat.mul_vec_adjoint (Schur.unitary t.schur) (Cvec.of_real b)
+
+let adjoint_vec_real t (b : Vec.t) : Vec.t =
+  let u, _ = real_exn "Ksolve.adjoint_vec_real" t in
+  Contract.require_len "Ksolve.adjoint_vec_real" ~expected:t.n
+    ~actual:(Array.length b);
+  Mat.mul_vec_transpose u b
 
 (* The triangular middle solve only: (sigma I - ⊕^k T) y = w for
    Schur-basis data. *)
@@ -353,6 +593,12 @@ let tri_solve_shifted ?mu t ~k ~(sigma : Complex.t) (w : Cvec.t) : Cvec.t =
     ~expected:(expected_len t.n k) ~actual:(Cvec.dim w);
   Obs.Metrics.incr Obs.Metrics.Shifted_solve;
   tri_solve ?mu (Schur.triangular t.schur) ~k ~sigma w
+
+let tri_solve_shifted_real ?mu t ~k ~sigma (w : Vec.t) : Vec.t =
+  Contract.require_len "Ksolve.tri_solve_shifted_real"
+    ~expected:(expected_len t.n k) ~actual:(Array.length w);
+  Obs.Metrics.incr Obs.Metrics.Shifted_solve;
+  tri_solve_real ?mu t ~k ~sigma w
 
 (* Triangular ⊕³ solve for permutation-symmetric data:
    (sigma I - ⊕³T) y = w with w, hence y, invariant under every
@@ -373,18 +619,13 @@ let tri_solve_sym3 ?(mu = 0.0) t ~(sigma : Complex.t) (w : Cvec.t) : Cvec.t =
   Contract.require_len "Ksolve.tri_solve_sym3" ~expected:(expected_len n 3)
     ~actual:(Cvec.dim w);
   Obs.Metrics.incr Obs.Metrics.Shifted_solve;
+  Obs.Span.with_ ~name:"ksolve.tri_sym3" @@ fun () ->
   let n2 = n * n in
-  (* Nominal charge, on the caller and outside the Par tiles: 8 flops
-     per complex multiply-add, (n-1)n(n+1)(n+2)/4 of them over the
-     unique entries, and 11 per scalar division. *)
-  let madds = (n - 1) * n * (n + 1) * (n + 2) / 4 in
-  Obs.Cost.charge Obs.Cost.Flops_trisolve
-    ((8 * madds) + (11 * (n * (n + 1) * (n + 2) / 6)))
-    ~read:((n * n) + (2 * madds))
-    ~written:(2 * n * n2);
+  (* Nominal charge, on the caller and outside the Par tiles. *)
+  charge_sym3 complex_arith ~n;
   let mu2 = mu *. mu in
   let tmat = Schur.triangular t.schur in
-  let tol2 = pole_tol2 ~mu tmat ~k:3 ~sigma in
+  let tol2 = pole_tol2_complex ~mu tmat ~k:3 ~sigma in
   let tre = tmat.Cmat.re and tim = tmat.Cmat.im in
   let y = Cvec.copy w in
   let yre = y.Cvec.re and yim = y.Cvec.im in
@@ -458,6 +699,164 @@ let tri_solve_sym3 ?(mu = 0.0) t ~(sigma : Complex.t) (w : Cvec.t) : Cvec.t =
         yre.(p3) <- xr; yim.(p3) <- xi;
         yre.(p4) <- xr; yim.(p4) <- xi;
         yre.(p5) <- xr; yim.(p5) <- xi
+      done
+    done
+  done;
+  y
+
+(* tri_solve_sym3 in real arithmetic, for a real factorization and a
+   real shift. On a triangular T: the same entry order, tiles, sum order
+   per entry, polls and pole rule as the complex kernel, with the real
+   Tikhonov inverse. A 2x2 block makes the levels, rows and entries
+   block-wise: sorted block triples B0 <= B1 <= B2, one budget poll per
+   level block B0, and a triple that holds a 2x2 block is solved for
+   all of B0 x B1 x B2 together, each unknown's right-hand side read at
+   its sorted position and each solution written to its six
+   permutations. *)
+let tri_solve_sym3_real ?(mu = 0.0) t ~sigma (w : Vec.t) : Vec.t =
+  let n = t.n in
+  let _, tmat = real_exn "Ksolve.tri_solve_sym3_real" t in
+  Contract.require_len "Ksolve.tri_solve_sym3_real" ~expected:(expected_len n 3)
+    ~actual:(Array.length w);
+  Obs.Metrics.incr Obs.Metrics.Shifted_solve;
+  Obs.Span.with_ ~name:"ksolve.tri_sym3" @@ fun () ->
+  let n2 = n * n in
+  charge_sym3 real_arith ~n;
+  let mu2 = mu *. mu in
+  let blocks = Schur.blocks t.schur and eig = Schur.eigenvalues t.schur in
+  let nb = Array.length blocks in
+  let tol2 = pole_tol2_real ~mu eig ~k:3 ~sigma in
+  let tt = Mat.data tmat in
+  let y = Array.copy w in
+  let store i j l x =
+    let ii = i * n2 and jj = j * n2 and ll = l * n2 in
+    y.(ii + (j * n) + l) <- x;
+    y.(ii + (l * n) + j) <- x;
+    y.(jj + (i * n) + l) <- x;
+    y.(jj + (l * n) + i) <- x;
+    y.(ll + (i * n) + j) <- x;
+    y.(ll + (j * n) + i) <- x
+  in
+  (* Slot-0 sums of the row [i] of the level whose second block starts
+     at [e0] or later, which read only finished levels p >= e0: the pair
+     range splits into Par tiles. Each tile runs p outermost over its
+     contiguous l-runs, keeping every entry's accumulation order
+     (increasing p) that of the serial solve, so the result is
+     bit-identical at any domain count. *)
+  let slot0 i e0 =
+    let m = n - e0 in
+    Par.tiles ~lo:0 ~hi:(m * (m + 1) / 2) (fun ~lo ~hi ->
+        for p = e0 to n - 1 do
+          let c = tt.((i * n) + p) in
+          (* row j holds pairs [off, off + n - j) of the level *)
+          let off = ref 0 in
+          for j = e0 to n - 1 do
+            let a = max lo !off and b = min hi (!off + n - j) in
+            (* pair index x sits at (i, j, j + x - off) *)
+            let bi = (i * n2) + (j * n) + j - !off
+            and bp = (p * n2) + (j * n) + j - !off in
+            for x = a to b - 1 do
+              y.(bi + x) <- y.(bi + x) +. (c *. y.(bp + x))
+            done;
+            off := !off + n - j
+          done
+        done)
+  in
+  (* Slot-1 sums of the row (i, j) for the entries l >= e1, which read
+     only rows c >= e1: over contiguous l, each entry still adding its
+     terms in increasing c after its slot-0 sum, as the sweep would. *)
+  let slot1 i j e1 =
+    let row = (i * n2) + (j * n) in
+    for c = e1 to n - 1 do
+      let tc = tt.((j * n) + c) and src = (i * n2) + (c * n) in
+      for l = e1 to n - 1 do
+        y.(row + l) <- y.(row + l) +. (tc *. y.(src + l))
+      done
+    done
+  in
+  (* a triple of blocks [i0, e0) x [j0, e1) x [l0, e2) with a 2x2 block:
+     at most 8 unknowns *)
+  let sa = Array.make 64 0.0 and sb = Array.make 8 0.0 in
+  let zr = Array.make 8 0.0 and zi = Array.make 8 0.0 in
+  let block_triple i0 e0 j0 e1 l0 e2 =
+    let s1 = e1 - j0 and s2 = e2 - l0 in
+    let m = (e0 - i0) * s1 * s2 in
+    let idx u = (i0 + (u / (s1 * s2)), j0 + (u / s2 mod s1), l0 + (u mod s2)) in
+    for u = 0 to m - 1 do
+      let i, j, l = idx u in
+      let a = min i (min j l) and c = max i (max j l) in
+      let acc = ref y.((a * n2) + ((i + j + l - a - c) * n) + c) in
+      (* the slots the pre-passes left: 0 while B1 = B0, 1 while
+         B2 = B1 or B1 = B0 *)
+      if j0 < e0 then
+        for c = e0 to n - 1 do
+          acc := !acc +. (tt.((i * n) + c) *. y.((c * n2) + (j * n) + l))
+        done;
+      if j0 < e0 || l0 < e1 then
+        for c = e1 to n - 1 do
+          acc := !acc +. (tt.((j * n) + c) *. y.((i * n2) + (c * n) + l))
+        done;
+      for c = e2 to n - 1 do
+        acc := !acc +. (tt.((l * n) + c) *. y.((i * n2) + (j * n) + c))
+      done;
+      sb.(u) <- !acc;
+      zr.(u) <- sigma -. eig.(i).re -. eig.(j).re -. eig.(l).re;
+      zi.(u) <- eig.(i).im +. eig.(j).im +. eig.(l).im;
+      for v = 0 to m - 1 do
+        let i', j', l' = idx v in
+        sa.((u * m) + v) <-
+          (if u = v then sigma else 0.0)
+          -. (if j = j' && l = l' then tt.((i * n) + i') else 0.0)
+          -. (if i = i' && l = l' then tt.((j * n) + j') else 0.0)
+          -. if i = i' && j = j' then tt.((l * n) + l') else 0.0
+      done
+    done;
+    small_solve ~mu ~tol2 m sa sb zr zi;
+    for u = 0 to m - 1 do
+      let i, j, l = idx u in
+      store i j l sb.(u)
+    done
+  in
+  for x0 = nb - 1 downto 0 do
+    Robust.Budget.check "la.Ksolve.tri_solve_sym3";
+    let i0, e0 = blocks.(x0) in
+    for r = i0 to e0 - 1 do
+      slot0 r e0
+    done;
+    for x1 = nb - 1 downto x0 do
+      let j0, e1 = blocks.(x1) in
+      (* B1 = B0 sums slot 0 in the sweep, so all of its slots stay
+         there *)
+      if x1 > x0 then
+        for r = i0 to e0 - 1 do
+          for q = j0 to e1 - 1 do
+            slot1 r q e1
+          done
+        done;
+      for x2 = nb - 1 downto x1 do
+        let l0, e2 = blocks.(x2) in
+        if i0 + 1 = e0 && j0 + 1 = e1 && l0 + 1 = e2 then begin
+          let i = i0 and j = j0 and l = l0 in
+          let acc = ref y.((i * n2) + (j * n) + l) in
+          (* slots 0 (p, row i; only on the row j = i), 1 (q; here only
+             on j = i or l = j) and 2 (r) *)
+          if j = i then
+            for c = i + 1 to n - 1 do
+              acc := !acc +. (tt.((i * n) + c) *. y.((c * n2) + (j * n) + l))
+            done;
+          if j = i || l = j then
+            for c = j + 1 to n - 1 do
+              acc := !acc +. (tt.((j * n) + c) *. y.((i * n2) + (c * n) + l))
+            done;
+          for c = l + 1 to n - 1 do
+            acc := !acc +. (tt.((l * n) + c) *. y.((i * n2) + (j * n) + c))
+          done;
+          let d = sigma -. tt.((i * n) + i) -. tt.((j * n) + j) -. tt.((l * n) + l) in
+          let dm = (d *. d) +. mu2 in
+          if dm < tol2 then raise (Near_singular (sqrt dm));
+          store i j l (!acc *. d /. dm)
+        end
+        else block_triple i0 e0 j0 e1 l0 e2
       done
     done
   done;

@@ -2,11 +2,18 @@
     [(σ I − ⊕^k G) x = v] with [v] of length [n^k], never materializing
     the [n^k × n^k] operator.
 
-    One complex Schur factorization [G = U T U^H] turns every such solve
-    into mode-wise unitary transforms plus a recursive triangular tensor
+    One Schur factorization [G = U T U^H] turns every such solve into
+    mode-wise unitary transforms plus a recursive triangular tensor
     back-substitution — cost [O(k n^(k+1))], memory [O(n^k)]. This is
     how the associated-transform moments of [H2(s)] and [H3(s)] stay
-    tractable (paper §2.3). *)
+    tractable (paper §2.3). A real shift runs in real arithmetic on
+    the real Schur factors ({!Schur.real_factors}): {!solve_shifted_real}
+    and the [_real] Schur-coordinate kernels, charged at 2 flops per
+    multiply-add on 8-byte words. On a real spectrum [T] is triangular;
+    each complex pair leaves a 2x2 block, solved in small dense real
+    systems over tuples of diagonal blocks. A complex shift runs the
+    split-complex kernels on the complex triangular form (8 flops per
+    multiply-add, two words per scalar). *)
 
 type t
 
@@ -43,9 +50,10 @@ val cond_estimate : t -> k:int -> sigma:Complex.t -> float
 val solve_shifted :
   ?mu:float -> t -> k:int -> sigma:Complex.t -> Cvec.t -> Cvec.t
 
-(** Real shift / real data convenience. Without [mu] (or at [mu = 0])
-    it fails if the result has a non-negligible imaginary residue; a
-    regularized solve returns the real part unguarded. *)
+(** Real shift, real data, in real arithmetic on the real Schur
+    factors. [mu > 0] regularizes as {!solve_shifted} does on a
+    triangular [T]; on a 2x2 block it solves the block system's
+    Tikhonov normal equations [(MᵀM + μ²I) y = Mᵀ r] instead. *)
 val solve_shifted_real :
   ?mu:float -> t -> k:int -> sigma:float -> Vec.t -> Vec.t
 
@@ -60,17 +68,36 @@ val apply_shifted : g:Mat.t -> k:int -> sigma:float -> Vec.t -> Vec.t
     the Schur basis; each step is then one triangular tensor
     back-substitution. *)
 
-(** [U^⊗k x]. *)
+(** The real orthogonal [U] of the real Schur factors, the basis of
+    the [_real] kernels below. *)
+val real_unitary : t -> Mat.t
+
+(** [U^⊗k x], in a [ksolve.from_schur] span. *)
 val from_schur : t -> k:int -> Cvec.t -> Cvec.t
+
+(** Real variant of {!from_schur}. *)
+val from_schur_real : t -> k:int -> Vec.t -> Vec.t
 
 (** [U^H b] for real [b] — the Schur image of a rank-1 factor. *)
 val adjoint_vec : t -> Vec.t -> Cvec.t
+
+(** Real variant of {!adjoint_vec}: [Uᵀ b]. *)
+val adjoint_vec_real : t -> Vec.t -> Vec.t
 
 (** The triangular middle solve only: [(σI − ⊕^k T) y = w] on
     Schur-basis data. [mu] applies the Tikhonov-regularized scalar
     inverse of {!solve_shifted}. *)
 val tri_solve_shifted :
   ?mu:float -> t -> k:int -> sigma:Complex.t -> Cvec.t -> Cvec.t
+
+(** Real variant of {!tri_solve_shifted}: on a triangular [T] the same
+    recursion, tiles, sum order, budget polls and pole rule, with the
+    real Tikhonov inverse [d / (d² + μ²)]. A tuple of unknowns that
+    holds a 2x2 block of [T] is solved together (Tikhonov: its normal
+    equations); a poll is one per node of the recursion over diagonal
+    blocks, [1 + nb] for [k = 2] over [nb] blocks. *)
+val tri_solve_shifted_real :
+  ?mu:float -> t -> k:int -> sigma:float -> Vec.t -> Vec.t
 
 (** {!tri_solve_shifted} at [k = 3] for permutation-symmetric data:
     [w] (hence [y]) unchanged by any permutation of its three indices,
@@ -81,8 +108,14 @@ val tri_solve_shifted :
     [Near_singular] check, Tikhonov [mu], one budget poll per level
     [i]; one nominal [Flops_trisolve] charge of
     [2(n−1)n(n+1)(n+2) + 11·n(n+1)(n+2)/6] (about a sixth of the full
-    solve's [12n³(n−1) + 11n³]). Bit-identical at any domain count. *)
+    solve's [12n³(n−1) + 11n³]). Bit-identical at any domain count.
+    Runs in a [ksolve.tri_sym3] span. *)
 val tri_solve_sym3 : ?mu:float -> t -> sigma:Complex.t -> Cvec.t -> Cvec.t
+
+(** Real variant of {!tri_solve_sym3}, charged
+    [(n−1)n(n+1)(n+2)/2 + 5·n(n+1)(n+2)/6] flops; its levels are the
+    diagonal blocks of [T], one budget poll each. *)
+val tri_solve_sym3_real : ?mu:float -> t -> sigma:float -> Vec.t -> Vec.t
 
 (** The unitary Schur factor, for assembling custom Schur-basis
     operators such as [U^H G2 (U ⊗ U)]. *)
@@ -94,5 +127,6 @@ val unitary : t -> Cmat.t
 val mode_mul :
   n:int -> k:int -> m:int -> ?adjoint:bool -> Cmat.t -> Cvec.t -> Cvec.t
 
-(** Real variant of {!mode_mul}. *)
-val mode_mul_real : n:int -> k:int -> m:int -> Mat.t -> Vec.t -> Vec.t
+(** Real variant of {!mode_mul}; [transpose] multiplies by [matᵀ]. *)
+val mode_mul_real :
+  n:int -> k:int -> m:int -> ?transpose:bool -> Mat.t -> Vec.t -> Vec.t

@@ -63,11 +63,11 @@ type t = {
   fault : Robust.Faultify.t option;  (* injected on msolve outputs *)
   ks : Ksolve.t lazy_t;
       (* Schur of G1: every (s0 I - ⊕^k G1) solve, the resolvent at k = 1 *)
-  g2_sym : Cmat.t lazy_t;
+  g2_sym : Mat.t lazy_t;
       (* n x n(n+1)/2: column (j <= l) is G2 (u_j ⊗ u_l + u_l ⊗ u_j), or
          G2 (u_j ⊗ u_j) at j = l — the right half of the Schur-basis
-         coupling U^H G2 (U ⊗ U) on data symmetric in its trailing pair
-         (see h3_inner) *)
+         coupling Uᵀ G2 (U ⊗ U) on data symmetric in its trailing pair
+         (see h3_inner); built by g2_form *)
   g3_lead : (int * (int * (int * int * float) array) array) array lazy_t;
       (* G3's entries grouped by leading index i1, then by i2:
          (i1, [| (i2, [| (row, i3, coeff) |]) |]), the contraction plan
@@ -82,6 +82,92 @@ let runs key l =
       | (k, xs) :: rest when k = key x -> (k, x :: xs) :: rest
       | _ -> (key x, [ x ]) :: acc)
     l []
+
+(* The n x n(n+1)/2 matrix whose row [row], packed column (j <= l), is
+   Σ over G2's entries (row, (i1, i2), c) of
+   c (U[i1,j] U[i2,l] + U[i1,l] U[i2,j]), the second product dropped
+   at j = l, for the row-major n x n U: the symmetrized right half of
+   G2 (U ⊗ U) (see h3_inner). A
+   row of G2 with at most n entries is accumulated entry by entry,
+   about 3n²/2 multiply-adds each. A denser row (a projected ROM's G2)
+   goes through its n x n slice M as the symmetric Uᵀ (M + Mᵀ) U,
+   whose upper triangle, diagonal halved, costs n³ + n²(n+1)/2.
+   Charged at 2 flops per multiply-add. *)
+let g2_form (q : Qldae.t) ~(u : float array) : Mat.t =
+  let n = Qldae.dim q in
+  let np = n * (n + 1) / 2 in
+  let out = Mat.create n np in
+  let o = Mat.data out in
+  let by_row =
+    List.stable_sort
+      (fun (r, _, _) (r', _, _) -> compare r r')
+      (Sptensor.entries q.Qldae.g2)
+    |> runs (fun (row, _, _) -> row)
+  in
+  let dense es = List.length es > n in
+  let madds =
+    List.fold_left
+      (fun acc (_, es) ->
+        acc + if dense es then (n * n * n) + (n * np) else List.length es * 3 * np)
+      0 by_row
+  in
+  Obs.Cost.charge Obs.Cost.Flops_tensor (2 * madds)
+    ~read:((n * n) + (3 * Sptensor.nnz q.Qldae.g2))
+    ~written:(n * np);
+  let scratch () = Mat.data (Mat.create n n) in
+  let m = scratch () and w = scratch () and sm = scratch () in
+  (* dst[p, l >= lmin p] = Σ_r coef p r · b[r, l] *)
+  let mul ~coef ~(b : float array) ~(dst : float array) lmin =
+    Array.fill dst 0 (n * n) 0.0;
+    for r = 0 to n - 1 do
+      for p = 0 to n - 1 do
+        let a = coef p r in
+        if Contract.nonzero a then
+          for l = lmin p to n - 1 do
+            dst.((p * n) + l) <- dst.((p * n) + l) +. (a *. b.((r * n) + l))
+          done
+      done
+    done
+  in
+  List.iter
+    (fun (row, es) ->
+      if dense es then begin
+        (* m = M + Mᵀ, w = m U, sm = Uᵀ w on and above the diagonal *)
+        Array.fill m 0 (n * n) 0.0;
+        List.iter
+          (fun (_, (idx : int array), c) ->
+            let i1 = idx.(0) and i2 = idx.(1) in
+            m.((i1 * n) + i2) <- m.((i1 * n) + i2) +. c;
+            m.((i2 * n) + i1) <- m.((i2 * n) + i1) +. c)
+          es;
+        mul ~coef:(fun p r -> m.((p * n) + r)) ~b:u ~dst:w (fun _ -> 0);
+        mul ~coef:(fun p r -> u.((r * n) + p)) ~b:w ~dst:sm Fun.id;
+        let col = ref (row * np) in
+        for j = 0 to n - 1 do
+          for l = j to n - 1 do
+            o.(!col) <-
+              (if l = j then 0.5 *. sm.((j * n) + j) else sm.((j * n) + l));
+            incr col
+          done
+        done
+      end
+      else
+        List.iter
+          (fun (_, (idx : int array), coeff) ->
+            let i1 = idx.(0) * n and i2 = idx.(1) * n in
+            let col = ref (row * np) in
+            for j = 0 to n - 1 do
+              let a = u.(i1 + j) and b = u.(i2 + j) in
+              for l = j to n - 1 do
+                let v = a *. u.(i2 + l) in
+                let v = if l = j then v else v +. (u.(i1 + l) *. b) in
+                o.(!col) <- o.(!col) +. (coeff *. v);
+                incr col
+              done
+            done)
+          es)
+    by_row;
+  out
 
 let default_s0 (q : Qldae.t) =
   (* Quadratized diode circuits have singular G1 (see DESIGN.md): their
@@ -124,36 +210,7 @@ let create ?recorder ?(policy = Robust.Policy.default ()) ?fault ?s0
        ks)
   in
   let g2_sym =
-    lazy
-      (let u = Ksolve.unitary (Lazy.force ks) in
-       let ure = u.Cmat.re and uim = u.Cmat.im in
-       let out = Cmat.create n (n * (n + 1) / 2) in
-       let ore_ = out.Cmat.re and oim = out.Cmat.im in
-       (* accumulated straight off the sparse entries: entry
-          (row, (i1, i2), c) adds c (U[i1,j] U[i2,l] + U[i1,l] U[i2,j])
-          to packed column (j <= l), the second product dropped at
-          j = l *)
-       List.iter
-         (fun (row, (idx : int array), coeff) ->
-           let i1 = idx.(0) * n and i2 = idx.(1) * n in
-           let col = ref (row * (n * (n + 1) / 2)) in
-           for j = 0 to n - 1 do
-             let ar = ure.(i1 + j) and ai = uim.(i1 + j) in
-             let br = ure.(i2 + j) and bi = uim.(i2 + j) in
-             for l = j to n - 1 do
-               let cr = ure.(i1 + l) and ci = uim.(i1 + l) in
-               let dr = ure.(i2 + l) and di = uim.(i2 + l) in
-               let vr = (ar *. dr) -. (ai *. di)
-               and vi = (ar *. di) +. (ai *. dr) in
-               let vr = if l = j then vr else vr +. ((cr *. br) -. (ci *. bi))
-               and vi = if l = j then vi else vi +. ((cr *. bi) +. (ci *. br)) in
-               ore_.(!col) <- ore_.(!col) +. (coeff *. vr);
-               oim.(!col) <- oim.(!col) +. (coeff *. vi);
-               incr col
-             done
-           done)
-         (Sptensor.entries q.Qldae.g2);
-       out)
+    lazy (g2_form q ~u:(Mat.data (Ksolve.real_unitary (Lazy.force ks))))
   in
   let g3_lead =
     lazy
@@ -317,64 +374,53 @@ let i_kron_g2 (q : Qldae.t) (z : Vec.t) : Vec.t =
   done;
   out
 
-(* G3 U^⊗3 r for a Schur-basis order-3 tensor r (real part), with U
-   contracted only at G3's stored index triples rather than by three full
-   mode transforms (24 n⁴ flops): per distinct leading index i1 one n³
-   pass forms y = Σ_j1 U[i1,j1] r[j1,:,:], per distinct (i1,i2) one n²
-   pass forms z = Σ_j2 U[i2,j2] y[j2,:], and each entry finishes with
-   Re Σ_j3 U[i3,j3] z[j3]. *)
-let apply_g3_schur t (r : Cvec.t) : Vec.t =
+(* G3 U^⊗3 r for a Schur-basis order-3 tensor r, with U contracted
+   only at G3's stored index triples rather than by three full mode
+   transforms (6 n⁴ flops): per distinct leading index i1 one n³ pass
+   forms y = Σ_j1 U[i1,j1] r[j1,:,:], per distinct (i1,i2) one n² pass
+   forms z = Σ_j2 U[i2,j2] y[j2,:], and each entry finishes with
+   Σ_j3 U[i3,j3] z[j3]. *)
+let apply_g3_schur t (u : Mat.t) (r : Vec.t) : Vec.t =
+  Obs.Span.with_ ~name:"assoc.g3" @@ fun () ->
   let n = Qldae.dim t.q in
   let n2 = n * n in
-  let u = Ksolve.unitary (Lazy.force t.ks) in
-  let ure = u.Cmat.re and uim = u.Cmat.im in
+  let ud = Mat.data u in
   let plan = Lazy.force t.g3_lead in
   let n_lead = Array.length plan in
   let n_pair = Array.fold_left (fun s (_, g) -> s + Array.length g) 0 plan in
   let nnz = Sptensor.nnz t.q.Qldae.g3 in
   Obs.Cost.charge Obs.Cost.Flops_tensor
-    ((8 * n_lead * n * n2) + (8 * n_pair * n2) + (nnz * ((4 * n) + 2)))
-    ~read:((n_lead * 2 * (n + 1) * n2) + (n_pair * 4 * n2) + (nnz * 4 * n))
-    ~written:((n_lead * 2 * n2) + (n_pair * 2 * n) + nnz);
+    ((2 * n_lead * n * n2) + (2 * n_pair * n2) + (nnz * ((2 * n) + 2)))
+    ~read:((n_lead * (n + 1) * n2) + (n_pair * 2 * n2) + (nnz * 2 * n))
+    ~written:((n_lead * n2) + (n_pair * n) + nnz);
   let out = Vec.create n in
-  let yre = Array.make n2 0.0 and yim = Array.make n2 0.0 in
-  let zre = Array.make n 0.0 and zim = Array.make n 0.0 in
+  let y = Array.make n2 0.0 and z = Array.make n 0.0 in
   Array.iter
     (fun (i1, by_i2) ->
-      Array.fill yre 0 n2 0.0;
-      Array.fill yim 0 n2 0.0;
+      Array.fill y 0 n2 0.0;
       for j1 = 0 to n - 1 do
-        let cr = ure.((i1 * n) + j1) and ci = uim.((i1 * n) + j1) in
-        if Contract.nonzero cr || Contract.nonzero ci then begin
+        let c = ud.((i1 * n) + j1) in
+        if Contract.nonzero c then begin
           let base = j1 * n2 in
           for x = 0 to n2 - 1 do
-            let rr = r.Cvec.re.(base + x) and ri = r.Cvec.im.(base + x) in
-            yre.(x) <- yre.(x) +. ((cr *. rr) -. (ci *. ri));
-            yim.(x) <- yim.(x) +. ((cr *. ri) +. (ci *. rr))
+            y.(x) <- y.(x) +. (c *. r.(base + x))
           done
         end
       done;
       Array.iter
         (fun (i2, es) ->
           for j3 = 0 to n - 1 do
-            let sre = ref 0.0 and sim = ref 0.0 in
+            let s = ref 0.0 in
             for j2 = 0 to n - 1 do
-              let cr = ure.((i2 * n) + j2) and ci = uim.((i2 * n) + j2) in
-              let vr = yre.((j2 * n) + j3) and vi = yim.((j2 * n) + j3) in
-              sre := !sre +. ((cr *. vr) -. (ci *. vi));
-              sim := !sim +. ((cr *. vi) +. (ci *. vr))
+              s := !s +. (ud.((i2 * n) + j2) *. y.((j2 * n) + j3))
             done;
-            zre.(j3) <- !sre;
-            zim.(j3) <- !sim
+            z.(j3) <- !s
           done;
           Array.iter
             (fun (row, i3, coeff) ->
               let x = ref 0.0 in
               for j3 = 0 to n - 1 do
-                x :=
-                  !x
-                  +. ((ure.((i3 * n) + j3) *. zre.(j3))
-                     -. (uim.((i3 * n) + j3) *. zim.(j3)))
+                x := !x +. (ud.((i3 * n) + j3) *. z.(j3))
               done;
               out.(row) <- out.(row) +. (coeff *. !x))
             es)
@@ -384,11 +430,18 @@ let apply_g3_schur t (r : Cvec.t) : Vec.t =
 
 (* sym³(x0, x1, x2) = (1/6) Σ_perms x_a ⊗ x_b ⊗ x_c, written in one pass
    on the entries i <= j <= l only (zeros elsewhere): all that
-   Ksolve.tri_solve_sym3 reads. Each entry adds the six products
-   (x_a[i] x_b[j]) x_c[l] / 6 in a fixed order. *)
-let sym3_upper n (x : Cvec.t array) : Cvec.t =
-  let q3 = Cvec.create (n * n * n) in
-  let perms = [| 0; 1; 2; 0; 2; 1; 1; 0; 2; 1; 2; 0; 2; 0; 1; 2; 1; 0 |] in
+   Ksolve.tri_solve_sym3_real reads. Each entry adds the six products
+   (x_a[i] x_b[j]) x_c[l] / 6 in a fixed order, 4 flops each. *)
+let sym3_perms = [| 0; 1; 2; 0; 2; 1; 1; 0; 2; 1; 2; 0; 2; 0; 1; 2; 1; 0 |]
+
+let sym3_entries n = n * (n + 1) * (n + 2) / 6
+
+let sym3_upper n (x : Vec.t array) : Vec.t =
+  Obs.Span.with_ ~name:"assoc.sym3_upper" @@ fun () ->
+  Obs.Cost.charge Obs.Cost.Flops_tensor (24 * sym3_entries n)
+    ~read:(3 * n) ~written:(sym3_entries n);
+  let q3 = Vec.create (n * n * n) in
+  let perms = sym3_perms in
   let sixth = 1.0 /. 6.0 in
   for i = 0 to n - 1 do
     for j = i to n - 1 do
@@ -398,19 +451,58 @@ let sym3_upper n (x : Cvec.t array) : Cvec.t =
           let xa = x.(perms.(3 * s))
           and xb = x.(perms.((3 * s) + 1))
           and xc = x.(perms.((3 * s) + 2)) in
-          let ar = xa.Cvec.re.(i) and ai = xa.Cvec.im.(i) in
-          let br = xb.Cvec.re.(j) and bi = xb.Cvec.im.(j) in
-          let cr = xc.Cvec.re.(l) and ci = xc.Cvec.im.(l) in
-          let pr = (ar *. br) -. (ai *. bi) and pi = (ar *. bi) +. (ai *. br) in
-          q3.Cvec.re.(at) <-
-            q3.Cvec.re.(at) +. (sixth *. ((pr *. cr) -. (pi *. ci)));
-          q3.Cvec.im.(at) <-
-            q3.Cvec.im.(at) +. (sixth *. ((pr *. ci) +. (pi *. cr)))
+          q3.(at) <- q3.(at) +. (sixth *. (xa.(i) *. xb.(j) *. xc.(l)))
         done
       done
     done
   done;
   q3
+
+(* C^ = I ⊗ (Uᵀ G2 (U ⊗ U)) applied to a Schur-basis order-3 tensor
+   symmetric in its trailing pair: slice-wise dense matvec against the
+   packed columns of g2_sym (reading z[i, j <= l] only), followed by
+   Uᵀ. Hand-rolled dense n x n(n+1)/2 matvec per slice, n slices; the
+   trailing Uᵀ products charge themselves. *)
+let apply_coupling t (u : Mat.t) (z : Vec.t) : Vec.t =
+  Obs.Span.with_ ~name:"assoc.coupling" @@ fun () ->
+  let n = Qldae.dim t.q in
+  let m1 = Mat.data (Lazy.force t.g2_sym) in
+  let n2 = n * n and np = n * (n + 1) / 2 in
+  Obs.Cost.charge Obs.Cost.Flops_tensor (2 * n * n * np)
+    ~read:(2 * n * np) ~written:(n * n);
+  let out = Vec.create (n * n) in
+  let tmp = Array.init 4 (fun _ -> Vec.create n) in
+  (* four slices per pass over g2_sym (n x n(n+1)/2, the one large
+     operand), each sum in the order of a slice-by-slice pass; a last
+     group of fewer than four repeats its final slice *)
+  for g = 0 to (n - 1) / 4 do
+    let i0 = 4 * g in
+    let base k = min (i0 + k) (n - 1) * n2 in
+    let b0 = base 0 and b1 = base 1 and b2 = base 2 and b3 = base 3 in
+    for r = 0 to n - 1 do
+      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+      let col = ref (r * np) in
+      for j = 0 to n - 1 do
+        let jn = j * n in
+        for l = j to n - 1 do
+          let m = m1.(!col) and x = jn + l in
+          s0 := !s0 +. (m *. z.(b0 + x));
+          s1 := !s1 +. (m *. z.(b1 + x));
+          s2 := !s2 +. (m *. z.(b2 + x));
+          s3 := !s3 +. (m *. z.(b3 + x));
+          incr col
+        done
+      done;
+      tmp.(0).(r) <- !s0;
+      tmp.(1).(r) <- !s1;
+      tmp.(2).(r) <- !s2;
+      tmp.(3).(r) <- !s3
+    done;
+    for k = 0 to min 3 (n - 1 - i0) do
+      Array.blit (Mat.mul_vec_transpose u tmp.(k)) 0 out ((i0 + k) * n) n
+    done
+  done;
+  out
 
 (* Inner terms of H3^{abc}(s) about s0 for one input triple.
 
@@ -419,7 +511,7 @@ let sym3_upper n (x : Cvec.t array) : Cvec.t =
    application of the Schur-basis coupling — never a full set of
    unitary mode transforms. The identity making this work:
 
-     (U^H ⊗ U^H ⊗ U^H)(I ⊗ G2)(U ⊗ U ⊗ U) = I ⊗ (U^H G2 (U ⊗ U)),
+     (Uᵀ ⊗ Uᵀ ⊗ Uᵀ)(I ⊗ G2)(U ⊗ U ⊗ U) = I ⊗ (Uᵀ G2 (U ⊗ U)),
 
    so the block coupling C = I ⊗ G2 of the (sI - G1 ⊕ A~2)^-1 solve acts
    slice-wise through G2 (U ⊗ U); on the symmetric r_m below only its
@@ -434,77 +526,40 @@ let sym3_upper n (x : Cvec.t array) : Cvec.t =
 
    so the inner term of order m is
    2 G2 U^⊗2 w_m + (1/3) Σ_pairings D1_i H2^{jk}_m + G3 U^⊗3 r_m,
-   with one H2 series per distinct pair (j,k). *)
+   with one H2 series per distinct pair (j,k). Every Schur-basis state
+   is real: the real Schur factors (2x2 blocks included) at the real
+   s0. *)
 let h3_inner t (a, b, c) : Vec.t option Seq.t =
  fun () ->
   let q = t.q in
   let n = Qldae.dim q in
   let has_g2 = Qldae.has_g2 q and has_g3 = Qldae.has_g3 q in
   let ks = Lazy.force t.ks in
-  let sigma = { Complex.re = t.s0; im = 0.0 } in
+  let u = Ksolve.real_unitary ks in
   let tri2 =
-    tikhonov_retry t (fun ~mu -> Ksolve.tri_solve_shifted ~mu ks ~k:2 ~sigma)
+    tikhonov_retry t (fun ~mu -> Ksolve.tri_solve_shifted_real ~mu ks ~k:2 ~sigma:t.s0)
   in
-  let tri3 = tikhonov_retry t (fun ~mu -> Ksolve.tri_solve_sym3 ~mu ks ~sigma) in
-  let u = Ksolve.unitary ks in
+  let tri3 = tikhonov_retry t (fun ~mu -> Ksolve.tri_solve_sym3_real ~mu ks ~sigma:t.s0) in
   let pairings = [ (a, (b, c)); (b, (a, c)); (c, (a, b)) ] in
-  (* apply C^ = I ⊗ (U^H G2 (U ⊗ U)) to a Schur-basis order-3 tensor
-     symmetric in its trailing pair: slice-wise dense matvec against
-     the packed columns of g2_sym (reading z[i, j <= l] only),
-     followed by U^H *)
-  let apply_coupling (z : Cvec.t) : Cvec.t =
-    let m1 = Lazy.force t.g2_sym in
-    let n2 = n * n and np = n * (n + 1) / 2 in
-    (* Hand-rolled dense complex n x n(n+1)/2 matvec per slice, n
-       slices: 8 flops per complex multiply-add.  The trailing U^H
-       rotations (Cmat.mul_vec_adjoint) charge themselves. *)
-    Obs.Cost.charge Obs.Cost.Flops_tensor (8 * n * n * np)
-      ~read:((2 * n * np) + (2 * n * np)) ~written:(2 * n * n);
-    let out = Cvec.create (n * n) in
-    let tmp = Cvec.create n in
-    for i = 0 to n - 1 do
-      (* tmp = m1 * z[i, j <= l] *)
-      for r = 0 to n - 1 do
-        let sre = ref 0.0 and sim = ref 0.0 in
-        let col = ref (r * np) in
-        for j = 0 to n - 1 do
-          let zb = (i * n2) + (j * n) in
-          for l = j to n - 1 do
-            let mr = m1.Cmat.re.(!col) and mi = m1.Cmat.im.(!col) in
-            let zr = z.Cvec.re.(zb + l) and zi = z.Cvec.im.(zb + l) in
-            sre := !sre +. ((mr *. zr) -. (mi *. zi));
-            sim := !sim +. ((mr *. zi) +. (mi *. zr));
-            incr col
-          done
-        done;
-        tmp.Cvec.re.(r) <- !sre;
-        tmp.Cvec.im.(r) <- !sim
-      done;
-      let hat = Cmat.mul_vec_adjoint u tmp in
-      Array.blit hat.Cvec.re 0 out.Cvec.re (i * n) n;
-      Array.blit hat.Cvec.im 0 out.Cvec.im (i * n) n
-    done;
-    out
-  in
   (* the states before step 0: q = sym³ of the triple's Schur input
      columns for the ⊕³ series, p for the merged ⊕² one *)
   let q3 =
     if has_g2 || has_g3 then
       Some
         (sym3_upper n
-           (Array.map (fun i -> Ksolve.adjoint_vec ks (Qldae.b_col q i)) [| a; b; c |]))
+           (Array.map (fun i -> Ksolve.adjoint_vec_real ks (Qldae.b_col q i)) [| a; b; c |]))
     else None
   in
   let p =
     if has_g2 then begin
-      let p = Cvec.create (n * n) in
+      let p = Vec.create (n * n) in
       if Qldae.has_d1 q then
         List.iter
           (fun (i, (j, l)) ->
-            let dhat = Cmat.mul_vec_adjoint u (Cvec.of_real (d_pair q j l)) in
-            Cvec.axpy
-              ~alpha:{ Complex.re = 1.0 /. 3.0; im = 0.0 }
-              (Cvec.kron (Ksolve.adjoint_vec ks (Qldae.b_col q i)) dhat)
+            Vec.axpy ~alpha:(1.0 /. 3.0)
+              (Kron.vec
+                 (Ksolve.adjoint_vec_real ks (Qldae.b_col q i))
+                 (Ksolve.adjoint_vec_real ks (d_pair q j l)))
               p)
           pairings;
       Some p
@@ -516,7 +571,7 @@ let h3_inner t (a, b, c) : Vec.t option Seq.t =
     let r = Option.map tri3 r in
     ( r,
       match (r, w) with
-      | Some r, Some w -> Some (tri2 (Cvec.add w (apply_coupling r)))
+      | Some r, Some w -> Some (tri2 (Vec.add w (apply_coupling t u r)))
       | _ -> None )
   in
   (* D1 part: one memoized H2 series per distinct input pair, shared by
@@ -536,15 +591,14 @@ let h3_inner t (a, b, c) : Vec.t option Seq.t =
     let acc = Vec.create n in
     Option.iter
       (fun w ->
-        (* W_m back in original coordinates (real up to rounding) *)
-        let w_m = Cvec.real_part (Ksolve.from_schur ks ~k:2 w) in
-        Vec.axpy ~alpha:2.0 (Sptensor.apply_flat q.Qldae.g2 w_m) acc)
+        (* W_m back in original coordinates *)
+        Vec.axpy ~alpha:2.0 (Sptensor.apply_flat q.Qldae.g2 (Ksolve.from_schur_real ks ~k:2 w)) acc)
       w;
     List.iter
       (fun (d1, h2) -> Vec.axpy ~alpha:(1.0 /. 3.0) (Mat.mul_vec d1 (nth h2 m)) acc)
       d1_terms;
     (match r with
-    | Some r when has_g3 -> Vec.axpy ~alpha:1.0 (apply_g3_schur t r) acc
+    | Some r when has_g3 -> Vec.axpy ~alpha:1.0 (apply_g3_schur t u r) acc
     | _ -> ());
     Some acc
   in

@@ -198,22 +198,38 @@ let test_fast_path_counts_no_polls () =
     (polls (Budget.make ~deadline:3600.0 ()))
 
 (* The other Ksolve poll site: the symmetric third-order solve behind
-   every H3 series polls once per level i, so n times per solve. *)
+   every H3 series polls once per level, a diagonal block of T: n times
+   per solve on a triangular T. A 2x2 block (a complex pair) is one
+   level of the symmetric solve and one node of the k-solve recursion,
+   which polls once per node: 1 + nb for k = 2 over nb blocks. *)
 let test_sym3_polls_per_level () =
+  let polls budget f =
+    let p0 = Obs.Metrics.get Obs.Metrics.Budget_poll in
+    Budget.with_budget (Some budget) (fun () -> ignore (f ()));
+    Obs.Metrics.get Obs.Metrics.Budget_poll - p0
+  in
+  let binding = Budget.make ~deadline:3600.0 () in
   let n = 6 in
   let g = Mat.init n n (fun i j -> if i = j then -.float_of_int (i + 1) else 0.05) in
   let ks = Ksolve.prepare g in
-  let w = Cvec.of_real (Vec.init (n * n * n) (fun i -> 1.0 /. float_of_int (i + 1))) in
-  let polls budget =
-    let p0 = Obs.Metrics.get Obs.Metrics.Budget_poll in
-    Budget.with_budget (Some budget) (fun () ->
-        ignore (Ksolve.tri_solve_sym3 ks ~sigma:{ Complex.re = 1.0; im = 0.0 } w));
-    Obs.Metrics.get Obs.Metrics.Budget_poll - p0
-  in
+  let w = Vec.init (n * n * n) (fun i -> 1.0 /. float_of_int (i + 1)) in
+  let sym3 () = Ksolve.tri_solve_sym3_real ks ~sigma:1.0 w in
   Alcotest.(check int) "unbounded budget: no slow-path poll" 0
-    (polls (Budget.unbounded ()));
-  Alcotest.(check int) "binding budget: one poll per level" n
-    (polls (Budget.make ~deadline:3600.0 ()))
+    (polls (Budget.unbounded ()) sym3);
+  Alcotest.(check int) "binding budget: one poll per level" n (polls binding sym3);
+  (* the varistor's G1: complex pairs, so fewer blocks than states *)
+  let q = Circuit.Models.qldae (Circuit.Models.varistor ~sections:4 ()) in
+  let ks = Ksolve.prepare q.Volterra.Qldae.g1 in
+  let n = Volterra.Qldae.dim q in
+  let nb = Array.length (Schur.blocks (Ksolve.schur ks)) in
+  Alcotest.(check bool) (Printf.sprintf "varistor has 2x2 blocks (%d blocks, n = %d)" nb n) true
+    (nb < n);
+  let w3 = Vec.init (n * n * n) (fun i -> 1.0 /. float_of_int (i + 1)) in
+  Alcotest.(check int) "varistor sym3: one poll per level block" nb
+    (polls binding (fun () -> Ksolve.tri_solve_sym3_real ks ~sigma:0.5 w3));
+  let w2 = Vec.init (n * n) (fun i -> 1.0 /. float_of_int (i + 1)) in
+  Alcotest.(check int) "varistor k = 2: one poll per node" (1 + nb)
+    (polls binding (fun () -> Ksolve.tri_solve_shifted_real ks ~k:2 ~sigma:0.5 w2))
 
 (* ---- deterministic cancellation: the virtual clock ---- *)
 

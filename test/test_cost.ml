@@ -57,23 +57,40 @@ let test_disabled_is_noop () =
 
 (* ---- fig2/fig3 cost determinism: runs and domain counts ---- *)
 
-let cost_of ~domains f =
-  let snap = Cost.snapshot () in
-  Par.with_domains domains (fun () -> ignore (Sys.opaque_identity (f ())));
-  named (Cost.since snap)
+let roms_of (e : Experiments.Common.t) =
+  List.map
+    (fun (r : Experiments.Common.rom_run) ->
+      Printf.sprintf "%s %d %d %h" r.Experiments.Common.method_name
+        r.Experiments.Common.order r.Experiments.Common.raw_moments
+        r.Experiments.Common.max_rel_error)
+    e.Experiments.Common.runs
 
+(* cost, kernel counters and ROMs of one run *)
+let run_of ~domains f =
+  let snap = Cost.snapshot () and msnap = Obs.Metrics.snapshot () in
+  let e = Par.with_domains domains f in
+  ( named (Cost.since snap),
+    List.map (fun (c, n) -> (Obs.Metrics.name c, n)) (Obs.Metrics.since msnap),
+    roms_of e )
+
+(* fig2/fig3 reduce NLTLs, whose G1 has a real spectrum, so their
+   reductions run the real Schur path. *)
 let test_fig_determinism () =
+  Obs.Metrics.set_enabled true;
   List.iter
     (fun (name, build) ->
-      let run domains () = cost_of ~domains build in
-      let first = run (Some 1) () in
-      check_bool (name ^ " produces cost counters") true (first <> []);
-      Alcotest.(check cost_list)
-        (name ^ " cost identical across repeated runs")
-        first (run (Some 1) ());
-      Alcotest.(check cost_list)
-        (name ^ " cost identical at --domains 4")
-        first (run (Some 4) ()))
+      let run domains () = run_of ~domains build in
+      let ((cost, _, _) as first) = run (Some 1) () in
+      check_bool (name ^ " produces cost counters") true (cost <> []);
+      let same label (c, k, r) =
+        let c0, k0, r0 = first in
+        Alcotest.(check cost_list) (name ^ " cost identical " ^ label) c0 c;
+        Alcotest.(check cost_list) (name ^ " counters identical " ^ label) k0 k;
+        Alcotest.(check (list string)) (name ^ " ROMs identical " ^ label) r0 r
+      in
+      same "across repeated runs" (run (Some 1) ());
+      same "at --domains 2" (run (Some 2) ());
+      same "at --domains 4" (run (Some 4) ()))
     [
       ( "fig2",
         fun () -> Experiments.Paper.fig2 ~scale:0.25 ~samples:41 () );
@@ -188,14 +205,7 @@ let test_romdiag_factors_rom_only () =
    steps only the ROM; the figure's whole Obs.Cost flops stay within
    1.1x of the untraced run, and every ROM is the same to the bit. *)
 let test_traced_figs_flops () =
-  let roms (e : Experiments.Common.t) =
-    List.map
-      (fun (r : Experiments.Common.rom_run) ->
-        Printf.sprintf "%s %d %d %h" r.Experiments.Common.method_name
-          r.Experiments.Common.order r.Experiments.Common.raw_moments
-          r.Experiments.Common.max_rel_error)
-      e.Experiments.Common.runs
-  in
+  let roms = roms_of in
   let run f =
     let snap = Cost.snapshot () in
     let e = f () in
@@ -241,6 +251,62 @@ let test_gramian_schur_count () =
     (schur_of (fun () -> Mor.Balanced.reduce ~tol:1e-9 q));
   check_int "suggest_k1: two Schur factorizations" (2 * 25 * n * n * n)
     (schur_of (fun () -> Mor.Autoselect.suggest_k1 ~tol:1e-5 q))
+
+(* The nominal charges of the series kernels are pure functions of n
+   and the arithmetic: the real kernels 2 flops per multiply-add and
+   one 8-byte word per scalar, on the RF receiver (real spectrum) and on
+   the varistor (complex pairs, 2x2 blocks) alike; the complex kernels,
+   run on the varistor's complex form, 8 flops and two words. *)
+let test_path_charges () =
+  let charge f =
+    let snap = Cost.snapshot () in
+    ignore (Sys.opaque_identity (f ()));
+    let d = Cost.since snap in
+    let get c = Option.value ~default:0 (List.assoc_opt c d) in
+    (get Cost.Flops_trisolve, get Cost.Bytes_read, get Cost.Bytes_written)
+  in
+  let engine model =
+    let q = Circuit.Models.qldae model in
+    (Volterra.Qldae.dim q, Volterra.Assoc.ksolve (Volterra.Assoc.create q))
+  in
+  let sym3 n = n * (n + 1) * (n + 2) / 6 and madds3 n = (n - 1) * n * (n + 1) * (n + 2) / 4 in
+  let check3 tag n (fl, rd, wr) ~madd ~div ~word =
+    check_int (tag ^ ": sym3 flops") ((madd * madds3 n) + (div * sym3 n)) fl;
+    check_int (tag ^ ": sym3 bytes read")
+      (8 * ((word * n * n / 2) + (word * madds3 n))) rd;
+    check_int (tag ^ ": sym3 bytes written") (8 * word * n * n * n) wr
+  in
+  (* k = 2: the top level's n(n-1)/2 block updates of n, then n leaves *)
+  let check2 tag n (fl, rd, wr) ~madd ~div ~word =
+    check_int (tag ^ ": k=2 flops")
+      ((madd * n * n * (n - 1) / 2) + (n * ((madd * n * (n - 1) / 2) + (div * n))))
+      fl;
+    check_int (tag ^ ": k=2 bytes read")
+      (8 * ((word * n * n / 2) + (word * n * n) + (n * ((word * n * n / 2) + (word * n)))))
+      rd;
+    check_int (tag ^ ": k=2 bytes written") (8 * ((word * n * n) + (n * word * n))) wr
+  in
+  let n, ks = engine (Circuit.Models.rf_receiver ~lna_stages:7 ~pa_stages:7 ()) in
+  check_bool "RF receiver: triangular real T" true
+    (let _, t = Option.get (Schur.real_factors (Ksolve.schur ks)) in
+       List.for_all (fun i -> Contract.is_zero (Mat.get t (i + 1) i))
+         (List.init (Mat.rows t - 1) Fun.id));
+  let w3 = Vec.create (n * n * n) and w2 = Vec.create (n * n) in
+  check3 "real" n ~madd:2 ~div:5 ~word:1
+    (charge (fun () -> Ksolve.tri_solve_sym3_real ks ~sigma:0.5 w3));
+  check2 "real" n ~madd:2 ~div:5 ~word:1
+    (charge (fun () -> Ksolve.tri_solve_shifted_real ks ~k:2 ~sigma:0.5 w2));
+  let n, ks = engine (Circuit.Models.varistor ~sections:6 ()) in
+  let w3 = Vec.create (n * n * n) and w2 = Vec.create (n * n) in
+  check3 "real, blocks" n ~madd:2 ~div:5 ~word:1
+    (charge (fun () -> Ksolve.tri_solve_sym3_real ks ~sigma:0.5 w3));
+  check2 "real, blocks" n ~madd:2 ~div:5 ~word:1
+    (charge (fun () -> Ksolve.tri_solve_shifted_real ks ~k:2 ~sigma:0.5 w2));
+  let sigma = { Complex.re = 0.5; im = 0.0 } in
+  check3 "complex" n ~madd:8 ~div:11 ~word:2
+    (charge (fun () -> Ksolve.tri_solve_sym3 ks ~sigma (Cvec.create (n * n * n))));
+  check2 "complex" n ~madd:8 ~div:11 ~word:2
+    (charge (fun () -> Ksolve.tri_solve_shifted ks ~k:2 ~sigma (Cvec.create (n * n))))
 
 (* An engine factors G1 once: every solve of a fixed-s0 AT reduction,
    the resolvent's included, runs on the one Schur factorization, and
@@ -518,5 +584,7 @@ let suite =
           test_gramian_schur_count;
         Alcotest.test_case "an engine factors G1 once" `Quick
           test_engine_factors_once;
+        Alcotest.test_case "real and complex nominal charges" `Quick
+          test_path_charges;
       ] );
   ]

@@ -342,6 +342,134 @@ let test_schur_defective () =
   let s = Schur.decompose a in
   check_small "Jordan block residual" (Schur.residual ~a s) 1e-9
 
+(* G1 = Q R Qᵀ with Q orthogonal and R upper triangular: a non-normal
+   matrix whose spectrum is the diagonal of R, real. *)
+let real_spectrum ?(rng = rng) (diag : float array) =
+  let n = Array.length diag in
+  let q =
+    Mat.of_cols (Qr.orthonormalize (List.init n (fun _ -> Mat.random_vec ~rng n)))
+  in
+  let r =
+    Mat.init n n (fun i j ->
+        if i = j then diag.(i)
+        else if j > i then 0.5 *. Random.State.float rng 2.0 -. 0.5
+        else 0.0)
+  in
+  Mat.mul q (Mat.mul r (Mat.transpose q))
+
+(* The real path: U orthogonal, A = U T Uᵀ to 1e-12·‖A‖ and T exactly
+   upper triangular, on distinct, repeated and defective real spectra
+   and at n = 1, 2. *)
+let test_schur_real_form () =
+  let check name a =
+    let n = Mat.rows a in
+    match Schur.real_factors (Schur.decompose a) with
+    | None -> Alcotest.failf "%s: real spectrum took the complex path" name
+    | Some (u, t) ->
+      check_small (name ^ ": UᵀU = I")
+        (Mat.norm_fro (Mat.sub (Mat.mul (Mat.transpose u) u) (Mat.identity n)))
+        1e-12;
+      check_small (name ^ ": ‖A − UTUᵀ‖/‖A‖")
+        (Mat.norm_fro (Mat.sub a (Mat.mul u (Mat.mul t (Mat.transpose u))))
+        /. Mat.norm_fro a)
+        1e-12;
+      for i = 0 to n - 1 do
+        for j = 0 to i - 1 do
+          if Contract.nonzero (Mat.get t i j) then
+            Alcotest.failf "%s: T(%d,%d) = %g below the diagonal" name i j
+              (Mat.get t i j)
+        done
+      done
+  in
+  check "distinct" (real_spectrum (Array.init 12 (fun i -> -1.0 -. (0.37 *. float_of_int i))));
+  (* a repeated semisimple eigenvalue: S D S⁻¹ (a defective one of
+     multiplicity m splits by eps^(1/m), into complex pairs as often
+     as not, and is left to test_schur_defective) *)
+  let sm = Mat.add (Mat.identity 7) (Mat.scale 0.3 (Mat.random ~rng 7 7)) in
+  check "repeated"
+    (Mat.mul sm
+       (Mat.mul (Mat.diag (Vec.of_list [ -1.0; -1.0; -2.0; -2.0; -2.0; -3.5; -1.0 ]))
+          (Lu.inverse (Lu.factor sm))));
+  let c = cos 0.7 and s = sin 0.7 in
+  let rot = Mat.of_list [ [ c; -.s ]; [ s; c ] ] in
+  check "2x2 Jordan block"
+    (Mat.mul rot (Mat.mul (Mat.of_list [ [ 2.0; 1.0 ]; [ 0.0; 2.0 ] ]) (Mat.transpose rot)));
+  check "n = 1" (Mat.of_list [ [ -3.0 ] ]);
+  check "n = 2" (Mat.of_list [ [ 1.0; 2.0 ]; [ 0.5; -1.0 ] ]);
+  check "n = 2, already triangular" (Mat.of_list [ [ 1.0; 2.0 ]; [ 0.0; -1.0 ] ])
+
+(* Complex pairs: the real factors are quasi-triangular, one
+   standardized 2x2 block [a b; c a], b c < 0, per pair, and the complex
+   QR finishes copies of them into the complex triangular form. *)
+let test_schur_handover () =
+  List.iter
+    (fun (name, a) ->
+      let s = Schur.decompose a in
+      let n = Mat.rows a in
+      (match Schur.real_factors s with
+      | None -> Alcotest.failf "%s: no real factors" name
+      | Some (u, t) ->
+        check_small (name ^ ": UᵀU = I")
+          (Mat.norm_fro (Mat.sub (Mat.mul (Mat.transpose u) u) (Mat.identity n)))
+          1e-12;
+        check_small (name ^ ": ‖A − UTUᵀ‖/‖A‖")
+          (Mat.norm_fro (Mat.sub a (Mat.mul u (Mat.mul t (Mat.transpose u))))
+          /. Mat.norm_fro a)
+          1e-12;
+        let pairs = ref 0 in
+        for i = 0 to n - 1 do
+          for j = 0 to i - 1 do
+            let x = Mat.get t i j in
+            if Contract.nonzero x then begin
+              if j <> i - 1 || (i >= 2 && Contract.nonzero (Mat.get t (i - 1) (i - 2))) then
+                Alcotest.failf "%s: T(%d,%d) outside a 2x2 block" name i j;
+              incr pairs;
+              if Mat.get t j j <> Mat.get t i i || Mat.get t j i *. x >= 0.0 then
+                Alcotest.failf "%s: block at %d not a standard complex pair" name j
+            end
+          done
+        done;
+        Alcotest.(check bool) (name ^ ": has a complex pair") true (!pairs > 0);
+        (* the block list comes off the real factor: a 2x2 block
+           exactly where T has a subdiagonal entry *)
+        let expected =
+          let rec go i acc =
+            if i >= n then List.rev acc
+            else if i + 1 < n && Contract.nonzero (Mat.get t (i + 1) i) then
+              go (i + 2) ((i, i + 2) :: acc)
+            else go (i + 1) ((i, i + 1) :: acc)
+          in
+          go 0 []
+        in
+        Alcotest.(check (list (pair int int))) (name ^ ": diagonal blocks") expected
+          (Array.to_list (Schur.blocks s)));
+      check_small (name ^ ": complex residual") (Schur.residual ~a s) 1e-13;
+      (* every eigenvalue read off the real blocks is one of the complex
+         form's diagonal *)
+      let diag = Array.init n (fun i -> Cmat.get (Schur.triangular s) i i) in
+      Array.iter
+        (fun lam ->
+          check_small (name ^ ": eigenvalue on the complex diagonal")
+            (Array.fold_left (fun m d -> Float.min m (Complex.norm (Complex.sub d lam))) infinity diag
+            /. Mat.norm_fro a)
+            1e-12)
+        (Schur.eigenvalues s);
+      let u = Schur.unitary s in
+      check_small (name ^ ": U unitary")
+        (Cmat.norm_fro (Cmat.sub (Cmat.mul (Cmat.adjoint u) u) (Cmat.identity n)))
+        1e-12;
+      let t = Schur.triangular s in
+      for i = 0 to n - 1 do
+        for j = 0 to i - 1 do
+          if Contract.nonzero (Complex.norm (Cmat.get t i j)) then
+            Alcotest.failf "%s: complex T(%d,%d) below the diagonal" name i j
+        done
+      done)
+    [
+      ("random", random_stable 12);
+      ("rotation block", Mat.of_list [ [ -1.0; -3.0; 0.5 ]; [ 2.0; -1.0; 0.0 ]; [ 0.1; 0.0; -4.0 ] ]);
+    ]
+
 (* ---------- Ksolve ---------- *)
 
 let test_ksolve_k1 () =
@@ -519,6 +647,156 @@ let test_sym3_charge () =
     full;
   Alcotest.(check bool) "at most a quarter of the full solve" true
     (4 * sym <= full)
+
+(* ---------- real against complex solves ---------- *)
+
+(* On a real factorization the real kernels agree with the complex
+   kernels run on the complex view of the same factors: k = 1, 2, 3
+   and the symmetric ⊕³ solve, unregularized and at mu > 0, the mode
+   transforms, and the same poles raise Near_singular. *)
+let test_real_vs_complex_solves () =
+  let n = 6 in
+  let ks =
+    Ksolve.prepare (real_spectrum (Array.init n (fun i -> -0.5 -. (0.45 *. float_of_int i))))
+  in
+  Alcotest.(check bool) "triangular real T" true
+    (let _, t = Option.get (Schur.real_factors (Ksolve.schur ks)) in
+       List.for_all (fun i -> Contract.is_zero (Mat.get t (i + 1) i))
+         (List.init (Mat.rows t - 1) Fun.id));
+  let rel a b = Vec.dist2 a b /. Vec.norm2 b in
+  let cplx v = Cvec.of_real v and re (v : Cvec.t) = Cvec.real_part v in
+  List.iter
+    (fun (sigma, mu) ->
+      let tag k = Printf.sprintf "k=%d sigma=%g mu=%g" k sigma mu in
+      let sc = { Complex.re = sigma; im = 0.0 } in
+      List.iter
+        (fun k ->
+          let w = Mat.random_vec ~rng (int_of_float (float_of_int n ** float_of_int k)) in
+          check_small (tag k ^ " tri_solve")
+            (rel
+               (Ksolve.tri_solve_shifted_real ~mu ks ~k ~sigma w)
+               (re (Ksolve.tri_solve_shifted ~mu ks ~k ~sigma:sc (cplx w))))
+            1e-12;
+          check_small (tag k ^ " from_schur")
+            (rel (Ksolve.from_schur_real ks ~k w) (re (Ksolve.from_schur ks ~k (cplx w))))
+            1e-12)
+        [ 1; 2; 3 ];
+      let upper = Vec.create (n * n * n) in
+      for i = 0 to n - 1 do
+        for j = i to n - 1 do
+          for l = j to n - 1 do
+            upper.((((i * n) + j) * n) + l) <- Random.State.float rng 1.0
+          done
+        done
+      done;
+      check_small (tag 3 ^ " sym3")
+        (rel
+           (Ksolve.tri_solve_sym3_real ~mu ks ~sigma upper)
+           (re (Ksolve.tri_solve_sym3 ~mu ks ~sigma:sc (cplx upper))))
+        1e-12)
+    [ (0.3, 0.0); (-1.1, 0.0); (0.3, 1e-3) ];
+  let b = Mat.random_vec ~rng n in
+  check_small "adjoint_vec"
+    (rel (Ksolve.adjoint_vec_real ks b) (re (Ksolve.adjoint_vec ks b)))
+    1e-12;
+  (* poles of diag(-1, -2, -4): -2 (k = 1), -3 (k = 2), -7 (k = 3) *)
+  let ks = Ksolve.prepare (Mat.diag (Vec.of_list [ -1.0; -2.0; -4.0 ])) in
+  let raises f = match f () with _ -> false | exception Ksolve.Near_singular _ -> true in
+  List.iter
+    (fun (k, sigma) ->
+      let w = Vec.init (int_of_float (3.0 ** float_of_int k)) (fun i -> float_of_int (i + 1)) in
+      let sc = { Complex.re = sigma; im = 0.0 } in
+      let tag = Printf.sprintf "pole k=%d sigma=%g" k sigma in
+      Alcotest.(check bool) (tag ^ ": real raises") true
+        (raises (fun () -> Ksolve.tri_solve_shifted_real ks ~k ~sigma w));
+      Alcotest.(check bool) (tag ^ ": complex raises") true
+        (raises (fun () -> Ksolve.tri_solve_shifted ks ~k ~sigma:sc (cplx w)));
+      Alcotest.(check bool) (tag ^ ": solve_shifted_real raises") true
+        (raises (fun () -> Ksolve.solve_shifted_real ks ~k ~sigma w)))
+    [ (1, -2.0); (2, -3.0); (3, -7.0) ];
+  let w = Vec.init 27 (fun i -> float_of_int (i + 1)) in
+  Alcotest.(check bool) "pole sym3: real raises" true
+    (raises (fun () -> Ksolve.tri_solve_sym3_real ks ~sigma:(-7.0) w));
+  Alcotest.(check bool) "pole sym3: complex raises" true
+    (raises (fun () ->
+         Ksolve.tri_solve_sym3 ks ~sigma:{ Complex.re = -7.0; im = 0.0 } (cplx w)))
+
+(* The real shifted solves against the dense operator and against the
+   complex kernels, on a real spectrum (triangular T, also at mu > 0)
+   and on complex pairs (2x2 blocks); the symmetric ⊕³
+   kernel through the Schur basis agrees with the k = 3 solve. *)
+let test_real_solve_residual () =
+  let n = 5 in
+  List.iter
+    (fun (name, a) ->
+      let ks = Ksolve.prepare a in
+      let u = Ksolve.real_unitary ks in
+      List.iter
+        (fun k ->
+          let v = Mat.random_vec ~rng (int_of_float (float_of_int n ** float_of_int k)) in
+          let x = Ksolve.solve_shifted_real ks ~k ~sigma:0.4 v in
+          check_small (Printf.sprintf "%s k=%d residual" name k)
+            (Vec.dist2 (Ksolve.apply_shifted ~g:a ~k ~sigma:0.4 x) v /. Vec.norm2 v)
+            1e-12;
+          List.iter
+            (fun mu ->
+              let xc =
+                Ksolve.solve_shifted ~mu ks ~k ~sigma:{ Complex.re = 0.4; im = 0.0 }
+                  (Cvec.of_real v)
+              in
+              check_small (Printf.sprintf "%s k=%d mu=%g real = complex" name k mu)
+                (Vec.dist2 (Ksolve.solve_shifted_real ~mu ks ~k ~sigma:0.4 v)
+                   (Cvec.real_part xc)
+                /. Cvec.norm2 xc)
+                1e-12)
+            (* Tikhonov on a 2x2 block regularizes the block system, not
+               the complex form's scalar divisions: equal only at mu = 0 *)
+            (if name = "real" then [ 0.0; 0.05 ] else [ 0.0 ]))
+        [ 1; 2; 3 ];
+      (* a symmetric rhs: sym³ of three real vectors *)
+      let b = Array.init 3 (fun _ -> Mat.random_vec ~rng n) in
+      let q = Vec.create (n * n * n) in
+      List.iter
+        (fun (i, j, l) -> Vec.axpy ~alpha:(1.0 /. 6.0) (Kron.vec (Kron.vec b.(i) b.(j)) b.(l)) q)
+        [ (0, 1, 2); (0, 2, 1); (1, 0, 2); (1, 2, 0); (2, 0, 1); (2, 1, 0) ];
+      let to_schur v =
+        List.fold_left
+          (fun w m -> Ksolve.mode_mul_real ~n ~k:3 ~m ~transpose:true u w)
+          v [ 0; 1; 2 ]
+      in
+      check_small (name ^ " sym3 = k=3 solve")
+        (Vec.dist2
+           (Ksolve.from_schur_real ks ~k:3
+              (Ksolve.tri_solve_sym3_real ks ~sigma:0.4 (to_schur q)))
+           (Ksolve.solve_shifted_real ks ~k:3 ~sigma:0.4 q)
+        /. Vec.norm2 q)
+        1e-12)
+    [
+      ("real", real_spectrum (Array.init n (fun i -> -0.8 -. (0.6 *. float_of_int i))));
+      ("pairs", random_stable n);
+    ];
+  (* blockdiag([-1 2; -2 -1], -4) rotated: poles -2 (k = 2, the pair's
+     real sum) and -6 (k = 3) *)
+  let c = cos 0.4 and s = sin 0.4 in
+  let r = Mat.of_list [ [ c; -.s; 0.0 ]; [ s; c; 0.0 ]; [ 0.0; 0.0; 1.0 ] ] in
+  let a =
+    Mat.mul r
+      (Mat.mul (Mat.of_list [ [ -1.0; 2.0; 0.3 ]; [ -2.0; -1.0; 0.1 ]; [ 0.0; 0.0; -4.0 ] ])
+         (Mat.transpose r))
+  in
+  let ks = Ksolve.prepare a in
+  let raises f = match f () with _ -> false | exception Ksolve.Near_singular _ -> true in
+  List.iter
+    (fun (k, sigma) ->
+      let v = Vec.init (int_of_float (3.0 ** float_of_int k)) (fun i -> float_of_int (i + 1)) in
+      Alcotest.(check bool) (Printf.sprintf "block pole k=%d sigma=%g" k sigma) true
+        (raises (fun () -> Ksolve.solve_shifted_real ks ~k ~sigma v));
+      Alcotest.(check bool) (Printf.sprintf "block pole k=%d sigma=%g, complex" k sigma) true
+        (raises (fun () ->
+             Ksolve.solve_shifted ks ~k ~sigma:{ Complex.re = sigma; im = 0.0 } (Cvec.of_real v))))
+    [ (2, -2.0); (3, -6.0) ];
+  Alcotest.(check bool) "block pole sym3" true
+    (raises (fun () -> Ksolve.tri_solve_sym3_real ks ~sigma:(-6.0) (Vec.create 27)))
 
 (* ---------- Sylvester ---------- *)
 
@@ -752,6 +1030,8 @@ let suite =
         tc "2x2 imaginary eigenvalues" `Quick test_schur_eigenvalues_2x2;
         tc "eigenvalue sum = trace" `Quick test_schur_eigenvalues_sum_trace;
         tc "defective matrix" `Quick test_schur_defective;
+        tc "real Schur form on real spectra" `Quick test_schur_real_form;
+        tc "complex pairs hand over to the complex QR" `Quick test_schur_handover;
       ] );
     ( "la.ksolve",
       [
@@ -766,6 +1046,8 @@ let suite =
           test_sym3_permutation_symmetric;
         tc "sym3 solve on an exact pole" `Quick test_sym3_pole;
         tc "sym3 solve cost charge" `Quick test_sym3_charge;
+        tc "real kernels = complex kernels" `Quick test_real_vs_complex_solves;
+        tc "real shifted solves vs dense" `Quick test_real_solve_residual;
       ] );
     ( "la.sylvester",
       [

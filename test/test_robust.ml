@@ -296,7 +296,88 @@ let test_ksolve_resonant_shift () =
         check_small (label ^ ": off the pole the retry agrees")
           (Vec.dist2 plain reg) 1e-10
       end)
-    [ (1, -1.0); (2, -3.0) ]
+    [ (1, -1.0); (2, -3.0) ];
+  (* A complex pair: G = R blockdiag([-1 2; -2 -1], -4) Rᵀ has a 2x2
+     block in its real Schur form and real poles only where the pair's
+     sum is real, -2 (k = 2) and -6 (k = 3). The regularized solve is
+     finite there, and since T is block diagonal it is the whole
+     operator's Tikhonov solution: x solves (AᵀA + mu² I) x = Aᵀ v for
+     A = sigma I - ⊕^k G. Off the poles it is within O(mu²) of the plain
+     solve. *)
+  let c = cos 0.4 and s = sin 0.4 in
+  let r = Mat.of_list [ [ c; -.s; 0.0 ]; [ s; c; 0.0 ]; [ 0.0; 0.0; 1.0 ] ] in
+  let g =
+    Mat.mul r
+      (Mat.mul (Mat.of_list [ [ -1.0; 2.0; 0.0 ]; [ -2.0; -1.0; 0.0 ]; [ 0.0; 0.0; -4.0 ] ])
+         (Mat.transpose r))
+  in
+  let ks = Ksolve.prepare g in
+  let u = Ksolve.real_unitary ks in
+  Alcotest.(check (list (pair int int))) "one 2x2 block" [ (0, 2); (2, 3) ]
+    (Array.to_list (Schur.blocks (Ksolve.schur ks)));
+  let mu = 1e-3 in
+  let normal_residual ~k ~sigma v x =
+    let len = Array.length v in
+    let a =
+      Mat.of_cols
+        (List.init len (fun j -> Ksolve.apply_shifted ~g ~k ~sigma (Vec.basis len j)))
+    in
+    let lhs = Mat.mul_vec_transpose a (Mat.mul_vec a x) in
+    Vec.axpy ~alpha:(mu *. mu) x lhs;
+    let atv = Mat.mul_vec_transpose a v in
+    Vec.dist2 lhs atv /. ((Mat.norm_fro a ** 2.0 *. Vec.norm2 x) +. Vec.norm2 atv)
+  in
+  (* sym³ of three vectors: the data of the symmetric kernel *)
+  let sym3 =
+    let b = [| Vec.of_list [ 1.0; 0.5; -0.3 ]; Vec.of_list [ 0.2; -1.0; 0.7 ]; Vec.of_list [ 0.4; 0.1; 1.0 ] |] in
+    let q = Vec.create 27 in
+    List.iter
+      (fun (i, j, l) -> Vec.axpy ~alpha:(1.0 /. 6.0) (Kron.vec (Kron.vec b.(i) b.(j)) b.(l)) q)
+      [ (0, 1, 2); (0, 2, 1); (1, 0, 2); (1, 2, 0); (2, 0, 1); (2, 1, 0) ];
+    q
+  in
+  let through_sym3 ?mu ~sigma v =
+    let w =
+      List.fold_left
+        (fun w m -> Ksolve.mode_mul_real ~n:3 ~k:3 ~m ~transpose:true u w)
+        v [ 0; 1; 2 ]
+    in
+    Ksolve.from_schur_real ks ~k:3 (Ksolve.tri_solve_sym3_real ?mu ks ~sigma w)
+  in
+  List.iter
+    (fun (label, k, sigma, pole, tol, solve) ->
+      let label = Printf.sprintf "2x2 block, %s, sigma = %g" label sigma in
+      let v =
+        if k = 3 then sym3 else Vec.init (if k = 1 then 3 else 9) (fun i -> 1.0 +. (0.1 *. float_of_int i))
+      in
+      if pole then
+        (match solve ?mu:None ~sigma v with
+        | _ -> Alcotest.failf "%s: resonant shift accepted" label
+        | exception Ksolve.Near_singular distance ->
+          check_small (label ^ ": pole distance ~ 0") distance 1e-9);
+      let x = solve ?mu:(Some mu) ~sigma v in
+      Alcotest.(check bool) (label ^ ": regularized solve finite") true (Vec.is_finite x);
+      check_small (label ^ ": normal equations") (normal_residual ~k ~sigma v x) tol;
+      let plain = solve ?mu:None ~sigma:0.5 v in
+      check_small (label ^ ": off the pole within O(mu²)")
+        (Vec.dist2 (solve ?mu:(Some mu) ~sigma:0.5 v) plain /. Vec.norm2 plain)
+        (10.0 *. mu *. mu))
+    [
+      (* k = 1 has no real pole: -1 is the pair's real part *)
+      ("k = 1", 1, -1.0, false, 1e-13, fun ?mu ~sigma v -> Ksolve.solve_shifted_real ?mu ks ~k:1 ~sigma v);
+      ("k = 2", 2, -2.0, true, 1e-13, fun ?mu ~sigma v -> Ksolve.solve_shifted_real ?mu ks ~k:2 ~sigma v);
+      ("k = 3", 3, -6.0, true, 1e-13, fun ?mu ~sigma v -> Ksolve.solve_shifted_real ?mu ks ~k:3 ~sigma v);
+      (* the symmetric kernel copies each sorted tuple's solution to
+         its permutations rather than solving their own systems, so its
+         residual there is the forward error of a system of condition
+         ‖A‖²/mu² ≈ 1e8: about 1e8·ε *)
+      ("sym3", 3, -6.0, true, 1e-10, through_sym3);
+    ];
+  check_small "2x2 block, sym3 = k = 3 solve on the pole"
+    (Vec.dist2 (through_sym3 ~mu ~sigma:(-6.0) sym3)
+       (Ksolve.solve_shifted_real ~mu ks ~k:3 ~sigma:(-6.0) sym3)
+    /. Vec.norm2 sym3)
+    1e-8
 
 (* A clean expansion point: the resolvent chain (s0 I - G1) m_j = m_{j-1}
    holds to roundoff and the engine records nothing. *)

@@ -337,6 +337,74 @@ let test_h3_moments_vs_fd () =
         (List.of_seq (Seq.take 3 (List.nth (Volterra.Assoc.series eng2 ~order:3) i))))
     [ ((0, 0, 1), 1); ((0, 1, 1), 2) ]
 
+(* The series run in real arithmetic: on a real-spectrum G1 (triangular
+   real Schur factor) their H2/H3 moments match the Taylor coefficients
+   of h2_eval/h3_eval, which run the complex kernels, and so do those of
+   the 2-input random system, whose G1 has complex pairs (2x2 blocks). *)
+let test_real_path_moments () =
+  let rng = Random.State.make [| 31 |] in
+  let q = random_qldae ~rng ~n:4 ~with_g3:true () in
+  let n = Volterra.Qldae.dim q in
+  let basis =
+    Mat.of_cols (Qr.orthonormalize (List.init n (fun _ -> Mat.random_vec ~rng n)))
+  in
+  let r =
+    Mat.init n n (fun i j ->
+        if i = j then -1.0 -. (0.4 *. float_of_int i)
+        else if j > i then Random.State.float rng 0.6 -. 0.3
+        else 0.0)
+  in
+  let q =
+    Volterra.Qldae.make ~g2:q.Volterra.Qldae.g2 ~g3:q.Volterra.Qldae.g3
+      ~d1:q.Volterra.Qldae.d1 ~b:q.Volterra.Qldae.b ~c:q.Volterra.Qldae.c
+      ~g1:(Mat.mul basis (Mat.mul r (Mat.transpose basis)))
+      ()
+  in
+  let s0 = 0.7 in
+  let eng = Volterra.Assoc.create ~s0 q in
+  Alcotest.(check bool) "triangular real T" true
+    (let _, t = Option.get (Schur.real_factors (Ksolve.schur (Volterra.Assoc.ksolve eng))) in
+       List.for_all (fun i -> Contract.is_zero (Mat.get t (i + 1) i))
+         (List.init (Mat.rows t - 1) Fun.id));
+  let check name eval moments tol =
+    List.iteri
+      (fun m moment ->
+        let taylor = fd_taylor_coeff eval s0 m in
+        let expected =
+          Vec.scale (if m mod 2 = 0 then 1.0 else -1.0) (Cvec.real_part taylor)
+        in
+        check_small
+          (Printf.sprintf "%s moment %d = Taylor coefficient" name m)
+          (Vec.rel_err ~exact:expected ~approx:moment)
+          tol)
+      moments
+  in
+  check "H2" (fun s -> Volterra.Assoc.h2_eval eng ~inputs:(0, 0) s)
+    (Volterra.Assoc.h2_moments eng ~k:3) 1e-5;
+  check "H3" (fun s -> Volterra.Assoc.h3_eval eng ~inputs:(0, 0, 0) s)
+    (Volterra.Assoc.h3_moments eng ~k:3) 1e-4;
+  let q2 = random_qldae ~rng ~n:3 ~inputs:2 ~with_g3:true () in
+  let c = cos 0.4 and s = sin 0.4 in
+  let rot = Mat.of_list [ [ c; -.s; 0.0 ]; [ s; c; 0.0 ]; [ 0.0; 0.0; 1.0 ] ] in
+  let q2 =
+    Volterra.Qldae.make ~g2:q2.Volterra.Qldae.g2 ~g3:q2.Volterra.Qldae.g3
+      ~d1:q2.Volterra.Qldae.d1 ~b:q2.Volterra.Qldae.b ~c:q2.Volterra.Qldae.c
+      ~g1:
+        (Mat.mul rot
+           (Mat.mul
+              (Mat.of_list [ [ -1.0; 0.8; 0.3 ]; [ -0.8; -1.0; 0.1 ]; [ 0.2; 0.0; -1.6 ] ])
+              (Mat.transpose rot)))
+      ()
+  in
+  let eng2 = Volterra.Assoc.create ~s0 q2 in
+  let _, t = Option.get (Schur.real_factors (Ksolve.schur (Volterra.Assoc.ksolve eng2))) in
+  Alcotest.(check bool) "2-input system: a 2x2 block" true
+    (Contract.nonzero (Mat.get t 1 0) || Contract.nonzero (Mat.get t 2 1));
+  check "H3 (0,0,1), 2x2 block"
+    (fun s -> Volterra.Assoc.h3_eval eng2 ~inputs:(0, 0, 1) s)
+    (List.of_seq (Seq.take 3 (List.nth (Volterra.Assoc.series eng2 ~order:3) 1)))
+    1e-4
+
 (* One ⊕³ series, one ⊕² series and one H2 series per distinct D1 pair,
    each step closed by a resolvent (k = 1) solve on the same Schur
    factorization: exactly 5k shifted solves for a SISO G2+G3+D1 triple
@@ -374,7 +442,7 @@ let bits_digest (vss : Vec.t list list) =
 
 (* [Seq.take k] of every series — orders 1-3, k = 1..4, both triple
    modes, on a SISO and a 2-input G2+G3+D1 system — is bit-identical to
-   a digest recorded on x86-64 (with the resolvent on the engine's Schur
+   a digest recorded on x86-64 (on the engine's Francis-QR Schur
    factorization), to the concatenated hN_moments of a fresh engine,
    and to a longer prefix forced after a shorter one on the same
    series. Building the series solves nothing. *)
@@ -424,7 +492,7 @@ let test_series_bit_equal () =
         [ `All; `Diagonal ])
     systems;
   Alcotest.(check string) "recorded moment bits"
-    "a2f377f4fdef16045cb90375f4918aae" (bits_digest (List.concat (List.rev !all)))
+    "43ba31f692e1ca74afd8ac20b44d0b7c" (bits_digest (List.concat (List.rev !all)))
 
 (* The digest above is backed by an independent computation: on the
    SISO system of test_series_bit_equal, the first four moments of each
@@ -738,6 +806,7 @@ let suite =
         tc "H2 moments = Taylor coefficients" `Quick test_h2_moments_vs_fd;
         tc "H3 moments = Taylor coefficients" `Quick test_h3_moments_vs_fd;
         tc "H3 shifted solves per triple" `Quick test_h3_shifted_solve_count;
+        tc "real path moments = Taylor coefficients" `Quick test_real_path_moments;
         tc "lazy series = eager per-order moments" `Quick test_series_bit_equal;
         tc "series moments = dense block realization" `Quick
           test_series_vs_dense_realization;
