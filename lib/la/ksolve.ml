@@ -559,20 +559,15 @@ let solve_shifted_real ?mu t ~k ~sigma (v : Vec.t) : Vec.t =
 
 (* ---- Schur-coordinate interface ----
 
-   Series recursions (repeated solves at one shift) pay the unitary
-   mode transforms (to_schur, from_schur) only at entry and exit when
-   the iterates are kept in the Schur basis: each step is then a single
-   triangular tensor back-substitution. *)
-
+   Series recursions (repeated solves at one shift) keep their iterates
+   in the Schur basis: each step is then a single triangular tensor
+   back-substitution, entered through the Schur images of rank-1
+   factors (adjoint_vec) and read out by the caller's own contraction
+   with U, never by full mode transforms. *)
 
 (* x -> U^{⊗k} x *)
 let from_schur t ~k (v : Cvec.t) : Cvec.t =
   Obs.Span.with_ ~name:"ksolve.from_schur" (fun () -> modes t ~k ~adjoint:false v)
-
-let from_schur_real t ~k (v : Vec.t) : Vec.t =
-  let u, _ = real_exn "Ksolve.from_schur_real" t in
-  Obs.Span.with_ ~name:"ksolve.from_schur" (fun () ->
-      modes_real ~u ~k ~transpose:false v)
 
 (* U^H b for a real vector: the Schur-basis image of a rank-1 factor. *)
 let adjoint_vec t (b : Vec.t) : Cvec.t =

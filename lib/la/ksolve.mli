@@ -63,10 +63,10 @@ val apply_shifted : g:Mat.t -> k:int -> sigma:float -> Vec.t -> Vec.t
 
 (** {2 Schur-coordinate interface}
 
-    Series recursions (repeated solves at one shift) pay the unitary
-    mode transforms only at entry and exit when the iterates are kept in
-    the Schur basis; each step is then one triangular tensor
-    back-substitution. *)
+    Series recursions (repeated solves at one shift) keep their iterates
+    in the Schur basis; each step is then one triangular tensor
+    back-substitution, entered through {!adjoint_vec_real} on rank-1
+    factors and read out by the caller's own contraction with [U]. *)
 
 (** The real orthogonal [U] of the real Schur factors, the basis of
     the [_real] kernels below. *)
@@ -74,9 +74,6 @@ val real_unitary : t -> Mat.t
 
 (** [U^⊗k x], in a [ksolve.from_schur] span. *)
 val from_schur : t -> k:int -> Cvec.t -> Cvec.t
-
-(** Real variant of {!from_schur}. *)
-val from_schur_real : t -> k:int -> Vec.t -> Vec.t
 
 (** [U^H b] for real [b] — the Schur image of a rank-1 factor. *)
 val adjoint_vec : t -> Vec.t -> Cvec.t

@@ -154,36 +154,63 @@ let of_dense ~arity ~n_in (m : Mat.t) : t =
   create ~n_out:(Mat.rows m) ~n_in ~arity (List.rev !entries)
 
 (* Project through a basis: W^T M (V ⊗ ... ⊗ V), where V is n x q and
-   the test basis W (default V, Galerkin) has the same shape. Result is
-   dense q x q^k — the reduced-order coupling tensor. *)
-let project ?w t (v : Mat.t) : Mat.t =
+   the test basis W (default V, Galerkin) has the same shape — the
+   reduced-order coupling tensor, for an M symmetric in its k indices
+   (Qldae keeps G2 and G3 so). Then the reduced value at a column tuple
+   is the one at its sorted permutation, so only the sorted tuples
+   a1 <= ... <= ak are contracted (one apply_kron and one W^T matvec
+   each, about q^k/k! of them), and each value is written to every
+   permutation of its tuple: the result is exactly symmetric. Entries
+   come in to_dense's order (row, then flat column), exact zeros
+   dropped. *)
+let project ?w t (v : Mat.t) : t =
   let w = Option.value w ~default:v in
   if Mat.rows v <> t.n_in then invalid_arg "Sptensor.project: dim";
   if t.n_out <> t.n_in then
     invalid_arg "Sptensor.project: square systems only";
   Contract.require_dims "Sptensor.project: test basis" ~expected:(Mat.dims v)
     ~actual:(Mat.dims w);
-  let q = Mat.cols v in
-  let out = Mat.create q (pow q t.arity) in
+  let q = Mat.cols v and k = t.arity in
   let cols = Array.init q (fun j -> Mat.col v j) in
-  (* enumerate all q^k column tuples *)
-  let tuple = Array.make t.arity 0 in
-  let rec loop depth flat =
-    if depth = t.arity then begin
-      let mv = apply_kron t (Array.map (fun j -> cols.(j)) tuple) in
-      let reduced = Mat.mul_vec_transpose w mv in
-      for i = 0 to q - 1 do
-        Mat.set out i flat reduced.(i)
-      done
-    end
-    else
-      for j = 0 to q - 1 do
-        tuple.(depth) <- j;
-        loop (depth + 1) ((flat * q) + j)
-      done
-  in
-  loop 0 0;
-  out
+  let ncols = pow q k in
+  (* tuples.(c): the index tuple of flat column c; reduced.(c): the
+     reduced column, shared with the sorted permutation of the tuple,
+     whose flat index is the smallest and so comes first *)
+  let tuples = Array.make ncols [||] in
+  let reduced = Array.make ncols [||] in
+  for c = 0 to ncols - 1 do
+    let idx = Array.make k 0 in
+    let rest = ref c in
+    for m = k - 1 downto 0 do
+      idx.(m) <- !rest mod q;
+      rest := !rest / q
+    done;
+    tuples.(c) <- idx;
+    let sorted = Array.copy idx in
+    Array.sort Int.compare sorted;
+    let sc = Array.fold_left (fun f i -> (f * q) + i) 0 sorted in
+    reduced.(c) <-
+      (if sc < c then reduced.(sc)
+       else Mat.mul_vec_transpose w (apply_kron t (Array.map (fun j -> cols.(j)) idx)))
+  done;
+  let count = ref 0 in
+  for r = 0 to q - 1 do
+    for c = 0 to ncols - 1 do
+      if Contract.nonzero reduced.(c).(r) then incr count
+    done
+  done;
+  let entries = Array.make !count { row = 0; idx = [||]; coeff = 0.0 } in
+  let e = ref 0 in
+  for r = 0 to q - 1 do
+    for c = 0 to ncols - 1 do
+      let x = reduced.(c).(r) in
+      if Contract.nonzero x then begin
+        entries.(!e) <- { row = r; idx = tuples.(c); coeff = x };
+        incr e
+      end
+    done
+  done;
+  { n_out = q; n_in = q; arity = k; entries }
 
 (* Symmetrize: average coefficients over all permutations of each
    entry's indices. M x^⊗k is unchanged; contractions against

@@ -49,10 +49,13 @@ val to_dense : t -> Mat.t
 val of_dense : arity:int -> n_in:int -> Mat.t -> t
 
 (** [project ?w t v] is the reduced coupling [Wᵀ M (V ⊗ ... ⊗ V)]
-    (dense [q × q^k]) for a trial basis [V] with [q] columns and a test
-    basis [W] of the same shape (default [V]: Galerkin). Requires
-    [n_out = n_in]. *)
-val project : ?w:Mat.t -> t -> Mat.t -> Mat.t
+    for a trial basis [V] with [q] columns and a test basis [W] of the
+    same shape (default [V]: Galerkin), for an [M] symmetric in its
+    indices (as {!symmetrize} leaves it). Only the sorted column tuples
+    are contracted, each value written to every permutation of its
+    tuple, so the result is exactly symmetric; entries in {!to_dense}
+    order, exact zeros dropped. Requires [n_out = n_in]. *)
+val project : ?w:Mat.t -> t -> Mat.t -> t
 
 (** Average coefficients over index permutations; [M x^⊗k] is
     unchanged, contractions against distinct arguments become the

@@ -41,6 +41,16 @@
    sixth of the work), and the G2 coupling, symmetric in its trailing
    pair, multiplies n(n+1)/2 packed columns instead of n² (DESIGN.md §2).
 
+   Every n²/n³ series state lives in the Schur basis G1 = U T Uᵀ: it
+   starts from the Uᵀ images of input columns (O(n²)/O(n³), no mode
+   transform), steps by triangular solves with ⊕^k T, and is read back
+   only through the couplings, never by mode transforms: G2 U^⊗2 w
+   through the same packed columns (g2_read, which needs only G2's
+   symmetry, so it serves the non-symmetric merged ⊕² state too) and
+   G3 U^⊗3 r at G3's stored index triples (apply_g3_schur). An engine
+   steps one H2 series per input pair (h2_series), read by the order-2
+   moments and by every H3 D1 term that needs the pair.
+
    Moments: Taylor coefficients about a real expansion point s0
    (s0 = 0 when G1 is invertible, s0 > 0 for quadratized diode circuits
    whose augmented G1 has nullity = #diodes — see DESIGN.md). Every
@@ -65,13 +75,17 @@ type t = {
       (* Schur of G1: every (s0 I - ⊕^k G1) solve, the resolvent at k = 1 *)
   g2_sym : Mat.t lazy_t;
       (* n x n(n+1)/2: column (j <= l) is G2 (u_j ⊗ u_l + u_l ⊗ u_j), or
-         G2 (u_j ⊗ u_j) at j = l — the right half of the Schur-basis
-         coupling Uᵀ G2 (U ⊗ U) on data symmetric in its trailing pair
-         (see h3_inner); built by g2_form *)
+         G2 (u_j ⊗ u_j) at j = l — G2 (U ⊗ U) on symmetric data: the
+         right half of H3's Schur-basis coupling (apply_coupling) and
+         the read-out of every ⊕² state (g2_read); built by g2_form *)
   g3_lead : (int * (int * (int * int * float) array) array) array lazy_t;
       (* G3's entries grouped by leading index i1, then by i2:
          (i1, [| (i2, [| (row, i3, coeff) |]) |]), the contraction plan
          of apply_g3_schur *)
+  h2 : (int * int, Vec.t Seq.t) Hashtbl.t;
+      (* the memoized H2 series of each input pair forced so far, read by
+         the order-2 moments and the H3 D1 terms alike (h2_series); new
+         with every create and rearm *)
 }
 
 (* consecutive runs of equal [key] in a list, in order *)
@@ -86,12 +100,13 @@ let runs key l =
 (* The n x n(n+1)/2 matrix whose row [row], packed column (j <= l), is
    Σ over G2's entries (row, (i1, i2), c) of
    c (U[i1,j] U[i2,l] + U[i1,l] U[i2,j]), the second product dropped
-   at j = l, for the row-major n x n U: the symmetrized right half of
-   G2 (U ⊗ U) (see h3_inner). A
-   row of G2 with at most n entries is accumulated entry by entry,
-   about 3n²/2 multiply-adds each. A denser row (a projected ROM's G2)
-   goes through its n x n slice M as the symmetric Uᵀ (M + Mᵀ) U,
-   whose upper triangle, diagonal halved, costs n³ + n²(n+1)/2.
+   at j = l, for the row-major n x n U: the symmetrized G2 (U ⊗ U)
+   (see g2_read and h3_inner). Per row of G2, with M its n x n slice,
+   that is the upper triangle of the symmetric Uᵀ (M + Mᵀ) U, diagonal
+   halved: W = (M + Mᵀ) U on the rows p that M + Mᵀ touches, one
+   multiply-add per structural entry and column, then Σ_p U[p,j] W[p,l]
+   over those d rows, d n(n+1)/2 more. A circuit's sparse row costs a
+   few d n(n+1)/2; a dense row (a projected ROM's G2) n³ + n²(n+1)/2.
    Charged at 2 flops per multiply-add. *)
 let g2_form (q : Qldae.t) ~(u : float array) : Mat.t =
   let n = Qldae.dim q in
@@ -104,69 +119,58 @@ let g2_form (q : Qldae.t) ~(u : float array) : Mat.t =
       (Sptensor.entries q.Qldae.g2)
     |> runs (fun (row, _, _) -> row)
   in
-  let dense es = List.length es > n in
-  let madds =
-    List.fold_left
-      (fun acc (_, es) ->
-        acc + if dense es then (n * n * n) + (n * np) else List.length es * 3 * np)
-      0 by_row
-  in
-  Obs.Cost.charge Obs.Cost.Flops_tensor (2 * madds)
-    ~read:((n * n) + (3 * Sptensor.nnz q.Qldae.g2))
-    ~written:(n * np);
-  let scratch () = Mat.data (Mat.create n n) in
-  let m = scratch () and w = scratch () and sm = scratch () in
-  (* dst[p, l >= lmin p] = Σ_r coef p r · b[r, l] *)
-  let mul ~coef ~(b : float array) ~(dst : float array) lmin =
-    Array.fill dst 0 (n * n) 0.0;
-    for r = 0 to n - 1 do
-      for p = 0 to n - 1 do
-        let a = coef p r in
-        if Contract.nonzero a then
-          for l = lmin p to n - 1 do
-            dst.((p * n) + l) <- dst.((p * n) + l) +. (a *. b.((r * n) + l))
-          done
-      done
-    done
-  in
+  (* m = M + Mᵀ, its structural entries (p, r) listed as [cols.(p)] *)
+  let m = Vec.create (n * n) and w = Vec.create (n * n) in
+  let cols = Array.make n [] in
+  let madds = ref 0 in
   List.iter
     (fun (row, es) ->
-      if dense es then begin
-        (* m = M + Mᵀ, w = m U, sm = Uᵀ w on and above the diagonal *)
-        Array.fill m 0 (n * n) 0.0;
-        List.iter
-          (fun (_, (idx : int array), c) ->
-            let i1 = idx.(0) and i2 = idx.(1) in
-            m.((i1 * n) + i2) <- m.((i1 * n) + i2) +. c;
-            m.((i2 * n) + i1) <- m.((i2 * n) + i1) +. c)
-          es;
-        mul ~coef:(fun p r -> m.((p * n) + r)) ~b:u ~dst:w (fun _ -> 0);
-        mul ~coef:(fun p r -> u.((r * n) + p)) ~b:w ~dst:sm Fun.id;
-        let col = ref (row * np) in
-        for j = 0 to n - 1 do
-          for l = j to n - 1 do
-            o.(!col) <-
-              (if l = j then 0.5 *. sm.((j * n) + j) else sm.((j * n) + l));
-            incr col
-          done
-        done
-      end
-      else
-        List.iter
-          (fun (_, (idx : int array), coeff) ->
-            let i1 = idx.(0) * n and i2 = idx.(1) * n in
-            let col = ref (row * np) in
-            for j = 0 to n - 1 do
-              let a = u.(i1 + j) and b = u.(i2 + j) in
-              for l = j to n - 1 do
-                let v = a *. u.(i2 + l) in
-                let v = if l = j then v else v +. (u.(i1 + l) *. b) in
-                o.(!col) <- o.(!col) +. (coeff *. v);
-                incr col
-              done
-            done)
-          es)
+      List.iter
+        (fun (_, (idx : int array), c) ->
+          let i1 = idx.(0) and i2 = idx.(1) in
+          m.((i1 * n) + i2) <- m.((i1 * n) + i2) +. c;
+          m.((i2 * n) + i1) <- m.((i2 * n) + i1) +. c;
+          cols.(i1) <- i2 :: cols.(i1);
+          cols.(i2) <- i1 :: cols.(i2))
+        es;
+      let rows = List.filter (fun p -> cols.(p) <> []) (List.init n Fun.id) in
+      (* w[p, :] = Σ_r m[p,r] U[r, :], r increasing *)
+      List.iter
+        (fun p ->
+          List.iter
+            (fun r ->
+              madds := !madds + n;
+              let a = m.((p * n) + r) in
+              for l = 0 to n - 1 do
+                w.((p * n) + l) <- w.((p * n) + l) +. (a *. u.((r * n) + l))
+              done)
+            (List.sort_uniq Int.compare cols.(p)))
+        rows;
+      (* out[row, (j <= l)] += U[p,j] w[p,l], halved at l = j *)
+      List.iter
+        (fun p ->
+          madds := !madds + np;
+          let col = ref (row * np) in
+          for j = 0 to n - 1 do
+            let a = u.((p * n) + j) in
+            o.(!col) <- o.(!col) +. (0.5 *. (a *. w.((p * n) + j)));
+            incr col;
+            for l = j + 1 to n - 1 do
+              o.(!col) <- o.(!col) +. (a *. w.((p * n) + l));
+              incr col
+            done
+          done)
+        rows;
+      List.iter
+        (fun p ->
+          Array.fill m (p * n) n 0.0;
+          Array.fill w (p * n) n 0.0;
+          cols.(p) <- [])
+        rows)
     by_row;
+  Obs.Cost.charge Obs.Cost.Flops_tensor (2 * !madds)
+    ~read:((n * n) + (3 * Sptensor.nnz q.Qldae.g2))
+    ~written:(n * np);
   out
 
 let default_s0 (q : Qldae.t) =
@@ -237,10 +241,18 @@ let create ?recorder ?(policy = Robust.Policy.default ()) ?fault ?s0
     ks;
     g2_sym;
     g3_lead;
+    h2 = Hashtbl.create 4;
   }
 
+(* A fresh H2 memo too: series computed under the old fault plan are
+   never served under the new one. *)
 let rearm t ~recorder ~fault =
-  { t with recorder = Some recorder; fault = Option.map Robust.Faultify.make fault }
+  {
+    t with
+    recorder = Some recorder;
+    fault = Option.map Robust.Faultify.make fault;
+    h2 = Hashtbl.create 4;
+  }
 
 let s0 t = t.s0
 
@@ -250,7 +262,9 @@ let ksolve t = Lazy.force t.ks
    the expansion point so the pole displacement stays relative. *)
 let reg_mu t = t.policy.Robust.Policy.tikhonov_mu *. (1.0 +. Float.abs t.s0)
 
-let nsolve_loc = Robust.Error.loc ~subsystem:"volterra" ~operation:"Assoc.nsolve"
+(* where every retry below is recorded: the engine's shifted solves,
+   under the operation name recovery reports carry *)
+let retry_loc = Robust.Error.loc ~subsystem:"volterra" ~operation:"Assoc.nsolve"
 
 (* A solve [solve ~mu v] (mu = 0: unregularized) whose near-singular
    shift retries once with the Tikhonov-regularized scalar inverse
@@ -262,27 +276,81 @@ let tikhonov_retry t solve v =
   | Ksolve.Near_singular d when t.policy.Robust.Policy.tikhonov_mu > 0.0 ->
     Robust.Report.record_opt t.recorder ~action:"fallback:tikhonov"
       (Robust.Error.Singular_solve
-         { loc = nsolve_loc; shift = t.s0; distance = d });
+         { loc = retry_loc; shift = t.s0; distance = d });
     solve ~mu:(reg_mu t) v
 
-(* (s0 I - ⊕^k G1)^-1 v *)
-let nsolve t ~k v =
-  let ks = Lazy.force t.ks in
-  tikhonov_retry t (fun ~mu -> Ksolve.solve_shifted_real ~mu ks ~k ~sigma:t.s0) v
-
-(* (s0 I - G1)^-1 v: the k = 1 solve, whose fault-injection hook
-   corrupts the output on scheduled calls. Every moment of every order
-   ends in an msolve, so this one hook covers H1/H2/H3. *)
+(* (s0 I - G1)^-1 v: the resolvent, the one solve of the engine in
+   original coordinates, whose fault-injection hook corrupts the output
+   on scheduled calls. Every moment of every order ends in an msolve,
+   so this one hook covers H1/H2/H3. *)
 let msolve t v =
-  let x = nsolve t ~k:1 v in
+  let ks = Lazy.force t.ks in
+  let x =
+    tikhonov_retry t (fun ~mu -> Ksolve.solve_shifted_real ~mu ks ~k:1 ~sigma:t.s0) v
+  in
   match t.fault with None -> x | Some f -> Robust.Faultify.inject f x
 
+(* (s0 - ⊕²T)^-1 on Schur-basis data: one triangular solve per step of
+   the H2 series and of H3's merged ⊕² state *)
+let tri2 t =
+  let ks = Lazy.force t.ks in
+  tikhonov_retry t (fun ~mu -> Ksolve.tri_solve_shifted_real ~mu ks ~k:2 ~sigma:t.s0)
+
+(* G2 U^⊗2 w for a Schur-basis order-2 tensor w, symmetric or not.
+   G2 is symmetrized (Qldae), so G2 (u_j ⊗ u_l) = G2 (u_l ⊗ u_j) and the
+   sum over (j, l) folds onto the packed columns of g2_sym:
+
+     G2 U^⊗2 w = Σ_{j <= l} g2_sym[:, (j,l)] s_jl,
+         s_jj = w_jj,  s_jl = (w_jl + w_lj)/2,
+
+   one contiguous n x n(n+1)/2 matvec where the two order-2 mode
+   transforms back to original coordinates would take 2n³ strided
+   multiply-adds. Charged at 2 flops per multiply-add, the packing's
+   one per off-diagonal pair included. *)
+let g2_read t (w : Vec.t) : Vec.t =
+  let n = Qldae.dim t.q in
+  let np = n * (n + 1) / 2 in
+  let g = Mat.data (Lazy.force t.g2_sym) in
+  Obs.Cost.charge Obs.Cost.Flops_tensor ((2 * n * np) + (n * (n - 1)))
+    ~read:((n * np) + (n * n)) ~written:(np + n);
+  let s = Vec.create np in
+  let col = ref 0 in
+  for j = 0 to n - 1 do
+    s.(!col) <- w.((j * n) + j);
+    incr col;
+    for l = j + 1 to n - 1 do
+      s.(!col) <- 0.5 *. (w.((j * n) + l) +. w.((l * n) + j));
+      incr col
+    done
+  done;
+  (* four rows per pass over s, each row summed in increasing column; a
+     last group of fewer than four repeats its final row *)
+  let out = Vec.create n in
+  for grp = 0 to (n - 1) / 4 do
+    let r0 = 4 * grp in
+    let base k = min (r0 + k) (n - 1) * np in
+    let b0 = base 0 and b1 = base 1 and b2 = base 2 and b3 = base 3 in
+    let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
+    for c = 0 to np - 1 do
+      let x = s.(c) in
+      a0 := !a0 +. (g.(b0 + c) *. x);
+      a1 := !a1 +. (g.(b1 + c) *. x);
+      a2 := !a2 +. (g.(b2 + c) *. x);
+      a3 := !a3 +. (g.(b3 + c) *. x)
+    done;
+    out.(r0) <- !a0;
+    if r0 + 1 < n then out.(r0 + 1) <- !a1;
+    if r0 + 2 < n then out.(r0 + 2) <- !a2;
+    if r0 + 3 < n then out.(r0 + 3) <- !a3
+  done;
+  out
+
+(* sym(x ⊗ y) = (x ⊗ y + y ⊗ x)/2, exactly x ⊗ x at x = y *)
+let sym_pair (x : Vec.t) (y : Vec.t) =
+  Vec.scale 0.5 (Vec.add (Kron.vec x y) (Kron.vec y x))
+
 (* symmetrized Kronecker pair of input columns *)
-let w_pair (q : Qldae.t) a b =
-  let ba = Qldae.b_col q a and bb = Qldae.b_col q b in
-  if a = b then Kron.vec ba bb
-  else
-    Vec.scale 0.5 (Vec.add (Kron.vec ba bb) (Kron.vec bb ba))
+let w_pair (q : Qldae.t) a b = sym_pair (Qldae.b_col q a) (Qldae.b_col q b)
 
 let d_pair (q : Qldae.t) a b =
   let ba = Qldae.b_col q a and bb = Qldae.b_col q b in
@@ -349,16 +417,39 @@ let nth s m =
 (* ---- H2 ---- *)
 
 (* Inner terms of H2^{ab}(s) about s0: G2 r_0 + d_ab, then G2 r_j with
-   r_j = (s0 I - ⊕²G1)^-(j+1) w_ab. *)
+   r_j = (s0 I - ⊕²G1)^-(j+1) w_ab. The series runs in the Schur basis,
+   r_j = U^⊗2 r^_j: from w^_ab = sym(Uᵀb_a ⊗ Uᵀb_b) (O(n²), no mode
+   transform), each step is one triangular solve r^_j = tri2 r^_{j-1},
+   read back through G2 by g2_read. *)
 let h2_inner t (a, b) : Vec.t option Seq.t =
  fun () ->
   let q = t.q in
-  let g2r r = Sptensor.apply_flat q.Qldae.g2 r in
+  let schur i = Ksolve.adjoint_vec_real (Lazy.force t.ks) (Qldae.b_col q i) in
+  let xa = schur a in
+  let w = sym_pair xa (if a = b then xa else schur b) in
   let d = d_pair q a b in
   Seq.mapi
-    (fun j r -> Some (if j = 0 then Vec.add (g2r r) d else g2r r))
-    (Seq.drop 1 (Seq.iterate (nsolve t ~k:2) (w_pair q a b)))
+    (fun j r ->
+      let g = g2_read t r in
+      Some (if j = 0 then Vec.add g d else g))
+    (Seq.drop 1 (Seq.iterate (tri2 t) w))
     ()
+
+(* The engine's H2 series of the input pair [ab] (a <= b): looked up,
+   or built and kept, when its head is forced, so the order-2 moments
+   and every H3 D1 term that needs the pair step one series between
+   them. The memo holds its n² state and n-vectors only. *)
+let h2_series t ab : Vec.t Seq.t =
+ fun () ->
+  let s =
+    match Hashtbl.find_opt t.h2 ab with
+    | Some s -> s
+    | None ->
+      let s = chain t (h2_inner t ab) in
+      Hashtbl.add t.h2 ab s;
+      s
+  in
+  s ()
 
 (* ---- H3 ---- *)
 
@@ -526,9 +617,9 @@ let apply_coupling t (u : Mat.t) (z : Vec.t) : Vec.t =
 
    so the inner term of order m is
    2 G2 U^⊗2 w_m + (1/3) Σ_pairings D1_i H2^{jk}_m + G3 U^⊗3 r_m,
-   with one H2 series per distinct pair (j,k). Every Schur-basis state
-   is real: the real Schur factors (2x2 blocks included) at the real
-   s0. *)
+   the first read by g2_read, the second from the engine's H2 series
+   of each pair (j,k). Every Schur-basis state is real: the real Schur
+   factors (2x2 blocks included) at the real s0. *)
 let h3_inner t (a, b, c) : Vec.t option Seq.t =
  fun () ->
   let q = t.q in
@@ -536,9 +627,7 @@ let h3_inner t (a, b, c) : Vec.t option Seq.t =
   let has_g2 = Qldae.has_g2 q and has_g3 = Qldae.has_g3 q in
   let ks = Lazy.force t.ks in
   let u = Ksolve.real_unitary ks in
-  let tri2 =
-    tikhonov_retry t (fun ~mu -> Ksolve.tri_solve_shifted_real ~mu ks ~k:2 ~sigma:t.s0)
-  in
+  let tri2 = tri2 t in
   let tri3 = tikhonov_retry t (fun ~mu -> Ksolve.tri_solve_sym3_real ~mu ks ~sigma:t.s0) in
   let pairings = [ (a, (b, c)); (b, (a, c)); (c, (a, b)) ] in
   (* the states before step 0: q = sym³ of the triple's Schur input
@@ -574,26 +663,15 @@ let h3_inner t (a, b, c) : Vec.t option Seq.t =
       | Some r, Some w -> Some (tri2 (Vec.add w (apply_coupling t u r)))
       | _ -> None )
   in
-  (* D1 part: one memoized H2 series per distinct input pair, shared by
-     the pairings that use it *)
+  (* D1 part: the engine's H2 series of each pairing's pair *)
   let d1_terms =
-    if Qldae.has_d1 q then begin
-      let h2 =
-        List.map
-          (fun jl -> (jl, chain t (h2_inner t jl)))
-          (List.sort_uniq compare (List.map snd pairings))
-      in
-      List.map (fun (i, jl) -> (q.Qldae.d1.(i), List.assoc jl h2)) pairings
-    end
+    if Qldae.has_d1 q then
+      List.map (fun (i, jl) -> (q.Qldae.d1.(i), h2_series t jl)) pairings
     else []
   in
   let inner m (r, w) =
     let acc = Vec.create n in
-    Option.iter
-      (fun w ->
-        (* W_m back in original coordinates *)
-        Vec.axpy ~alpha:2.0 (Sptensor.apply_flat q.Qldae.g2 (Ksolve.from_schur_real ks ~k:2 w)) acc)
-      w;
+    Option.iter (fun w -> Vec.axpy ~alpha:2.0 (g2_read t w) acc) w;
     List.iter
       (fun (d1, h2) -> Vec.axpy ~alpha:(1.0 /. 3.0) (Mat.mul_vec d1 (nth h2 m)) acc)
       d1_terms;
@@ -617,7 +695,7 @@ let combinations ?(triples_mode = `All) t ~order : (unit -> Vec.t Seq.t) list =
   | 1 ->
     List.init m (fun a () ->
         chain t (fun () -> Seq.Cons (Some (Qldae.b_col q a), Seq.repeat None)))
-  | 2 when g2_or_d1 -> List.map (fun ab () -> chain t (h2_inner t ab)) (pairs m)
+  | 2 when g2_or_d1 -> List.map (fun ab () -> h2_series t ab) (pairs m)
   | 3 when g2_or_d1 || Qldae.has_g3 q ->
     List.map (fun abc () -> chain t (h3_inner t abc)) (triples triples_mode m)
   | 2 | 3 -> []
@@ -630,7 +708,7 @@ let series ?triples_mode t ~order : Vec.t Seq.t list =
    another, under the order's span (none for an order without
    coupling). Each series is built, taken and dropped before the next,
    so only one combination's solver state (n³ for H3) is live at a
-   time. *)
+   time; the engine's H2 memo holds n² states and n-vectors only. *)
 let moments ?triples_mode t ~order ~k : Vec.t list =
   match combinations ?triples_mode t ~order with
   | [] -> []

@@ -15,6 +15,11 @@
     [p = (1/3)Σ b_i ⊗ d_jk]: the moments run one [⊕³] series (shared
     with the [G3] term) and one [⊕²] series per triple.
 
+    The [n²]/[n³] series states stay in the Schur basis of [G1]: they
+    start from the [Uᵀ] images of input columns, step by triangular
+    solves, and are read back only through the couplings ({!g2_read}
+    for [G2]), never by full mode transforms.
+
     Every order is a function of the one variable [s], so a
     Krylov/moment subspace about a {e single} [s] serves every order —
     the paper's escape from the exponential subspace growth of
@@ -59,8 +64,10 @@ val create :
 
 (** [rearm t ~recorder ~fault]: the same engine (model, [s0], policy
     and every factorization already computed, shared) recording into
-    [recorder] with a fresh fault plan. Lets a probe's engine serve the
-    run it selects without factoring [G1] again. *)
+    [recorder] with a fresh fault plan and an empty [H2] memo, so no
+    series computed under the old plan is served under the new one.
+    Lets a probe's engine serve the run it selects without factoring
+    [G1] again. *)
 val rearm :
   t -> recorder:Robust.Report.recorder -> fault:Robust.Faultify.plan option -> t
 
@@ -70,6 +77,13 @@ val s0 : t -> float
 (** The Schur factorization of [G1] behind every solve of the engine,
     computed on first use and shared with its series. *)
 val ksolve : t -> Ksolve.t
+
+(** [g2_read t w] is [G2 (U ⊗ U) w] for an [n²] tensor [w] in the
+    Schur basis [U] of {!ksolve}, symmetric or not: with [G2]
+    symmetrized, one [n × n(n+1)/2] matvec against the engine's packed
+    [G2 (U ⊗ U)] columns, built on first use. How the H2 series and
+    H3's [⊕²] state leave the Schur basis. *)
+val g2_read : t -> Vec.t -> Vec.t
 
 (** [series t ~order] for [order] 1, 2 or 3: one lazy moment series of
     [H_order] about [s0] per input combination — every input for [H1],
@@ -82,10 +96,15 @@ val ksolve : t -> Ksolve.t
     Each series computes its next moment (one resolvent step plus the
     order's inner-term step) only when that element is forced, so
     [Seq.take k] costs exactly [k] steps, and memoizes what it computed.
-    Calling [series] computes nothing and is domain-safe (the
-    domain-safety inventory lists it so), but forcing a returned series
-    is not: its memo cells are [Lazy] values, so force each series on
-    one domain. Raises [Invalid_argument] for any other [order]. *)
+    The engine keeps the [H2] series of every input pair it has
+    forced: [series ~order:2] and the [D1] terms of [series ~order:3]
+    read the same one, so an [H2] step runs once per engine, and a
+    second call steps nothing already taken. Calling [series] computes
+    nothing and is domain-safe (the domain-safety inventory lists it
+    so), but forcing a returned series is not: its memo cells are
+    [Lazy] values and the engine's [H2] memo a table, so force an
+    engine's series on one domain. Raises [Invalid_argument] for any
+    other [order]. *)
 val series :
   ?triples_mode:[ `All | `Diagonal ] -> t -> order:int -> Vec.t Seq.t list
 

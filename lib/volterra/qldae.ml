@@ -261,7 +261,7 @@ let project_onto t ~(w : Mat.t) ~(v : Mat.t) : t =
   let q = Mat.cols v and wt = Mat.transpose w in
   let tensor g arity =
     if Sptensor.is_zero g then Sptensor.zero ~n_out:q ~n_in:q ~arity
-    else Sptensor.of_dense ~arity ~n_in:q (Sptensor.project ~w g v)
+    else Sptensor.project ~w g v
   in
   let g2 = tensor t.g2 2 and g3 = tensor t.g3 3 in
   build

@@ -326,6 +326,67 @@ let test_engine_factors_once () =
   check_int "flops_schur: one factorization" (25 * n * n * n)
     (get Cost.Flops_schur)
 
+(* The H2 series runs in the Schur basis. Per input pair and step,
+   h2_moments charges one order-2 triangular solve, one g2_read
+   (2(n·n(n+1)/2 + n(n-1)/2) tensor flops) and the resolvent's k = 1
+   solve, whose two n x n transforms (2n² flops each) are the only mode
+   transforms left; once per engine, the g2_sym build (per row of G2,
+   n multiply-adds per structural entry of M + Mᵀ and n(n+1)/2 per
+   index it touches). No order-2 mode transform (2n³ flops each, four
+   per step before) is charged. RF receiver 6+6, n = 12, two inputs:
+   three pairs. *)
+let test_h2_schur_charges () =
+  let q =
+    Circuit.Models.qldae (Circuit.Models.rf_receiver ~lna_stages:6 ~pa_stages:6 ())
+  in
+  let n = Volterra.Qldae.dim q and m = Volterra.Qldae.n_inputs q in
+  let pairs = m * (m + 1) / 2 and np = n * (n + 1) / 2 and k = 3 in
+  let g2 = Sptensor.entries q.Volterra.Qldae.g2 in
+  let g2_form =
+    List.fold_left
+      (fun acc r ->
+        let es = List.filter (fun (row, _, _) -> row = r) g2 in
+        let positions =
+          List.sort_uniq compare
+            (List.concat_map (fun (_, i, _) -> [ (i.(0), i.(1)); (i.(1), i.(0)) ]) es)
+        in
+        let touched = List.sort_uniq compare (List.concat_map (fun (i, j) -> [ i; j ]) positions) in
+        acc + (2 * ((List.length positions * n) + (List.length touched * np))))
+      0 (List.init n Fun.id)
+  in
+  let eng = Volterra.Assoc.create ~s0:0.5 q in
+  ignore (Volterra.Assoc.ksolve eng);
+  let snap = Cost.snapshot () in
+  ignore (Volterra.Assoc.h2_moments eng ~k);
+  let d = Cost.since snap in
+  let get c = Option.value ~default:0 (List.assoc_opt c d) in
+  let g2_read = (2 * n * np) + (n * (n - 1)) in
+  let resolvent_modes = 2 * (2 * n * n) in
+  check_int "flops_tensor: g2_sym build + k (g2_read + resolvent transforms) per pair"
+    (g2_form + (pairs * k * (g2_read + resolvent_modes)))
+    (get Cost.Flops_tensor);
+  let tri1 = (2 * n * (n - 1) / 2) + (5 * n) in
+  let tri2 = (2 * n * n * (n - 1) / 2) + (n * tri1) in
+  check_int "flops_trisolve: k (order-2 + resolvent) solves per pair"
+    (pairs * k * (tri2 + tri1))
+    (get Cost.Flops_trisolve)
+
+(* One H2 series per input pair per engine: an AT reduction of fig2's
+   model (NLTL with a voltage source, whose D1 term feeds H2 into H3;
+   12 stages, the paper's orders (6,3,2) at fig2's s0 = 0.5) solves k1
+   resolvents, 2 per H2 step (⊕², k = 1) and 3 per H3 step (⊕³, ⊕²,
+   k = 1): its D1 term reads the H2 series the order-2 moments already
+   stepped (k3 <= k2), where a chain of its own took 2·k3 more. *)
+let test_h2_shared_with_d1 () =
+  Obs.Metrics.set_enabled true;
+  let q = Circuit.Models.qldae (Circuit.Models.nltl_voltage ~stages:12 ()) in
+  check_bool "D1 present" true (Volterra.Qldae.has_d1 q);
+  let snap = Obs.Metrics.snapshot () in
+  ignore (Mor.Atmor.reduce ~s0:0.5 ~orders:{ Mor.Atmor.k1 = 6; k2 = 3; k3 = 2 } q);
+  check_int "shifted solves" (6 + (2 * 3) + (3 * 2))
+    (Option.value ~default:0
+       (List.assoc_opt Obs.Metrics.Shifted_solve (Obs.Metrics.since snap)))
+
 (* A span counts only its own domain's work.  Under two lanes the
    second point's moments run on a worker, in spans that are roots
    there, so the depth-0 spans of all lanes together account for the
@@ -582,6 +643,10 @@ let suite =
           test_traced_figs_flops;
         Alcotest.test_case "gramians factor G1 once each" `Quick
           test_gramian_schur_count;
+        Alcotest.test_case "H2 series charges in the Schur basis" `Quick
+          test_h2_schur_charges;
+        Alcotest.test_case "the D1 term shares the H2 series" `Quick
+          test_h2_shared_with_d1;
         Alcotest.test_case "an engine factors G1 once" `Quick
           test_engine_factors_once;
         Alcotest.test_case "real and complex nominal charges" `Quick

@@ -342,6 +342,14 @@ let test_schur_defective () =
   let s = Schur.decompose a in
   check_small "Jordan block residual" (Schur.residual ~a s) 1e-9
 
+(* U^⊗k x on the real Schur factors, by the real mode multiplies: the
+   test oracle of the Schur-basis kernels *)
+let from_schur_real ks ~k (x : Vec.t) =
+  let u = Ksolve.real_unitary ks in
+  List.fold_left
+    (fun x m -> Ksolve.mode_mul_real ~n:(Mat.rows u) ~k ~m u x)
+    x (List.init k Fun.id)
+
 (* G1 = Q R Qᵀ with Q orthogonal and R upper triangular: a non-normal
    matrix whose spectrum is the diagonal of R, real. *)
 let real_spectrum ?(rng = rng) (diag : float array) =
@@ -678,7 +686,7 @@ let test_real_vs_complex_solves () =
                (re (Ksolve.tri_solve_shifted ~mu ks ~k ~sigma:sc (cplx w))))
             1e-12;
           check_small (tag k ^ " from_schur")
-            (rel (Ksolve.from_schur_real ks ~k w) (re (Ksolve.from_schur ks ~k (cplx w))))
+            (rel (from_schur_real ks ~k w) (re (Ksolve.from_schur ks ~k (cplx w))))
             1e-12)
         [ 1; 2; 3 ];
       let upper = Vec.create (n * n * n) in
@@ -766,7 +774,7 @@ let test_real_solve_residual () =
       in
       check_small (name ^ " sym3 = k=3 solve")
         (Vec.dist2
-           (Ksolve.from_schur_real ks ~k:3
+           (from_schur_real ks ~k:3
               (Ksolve.tri_solve_sym3_real ks ~sigma:0.4 (to_schur q)))
            (Ksolve.solve_shifted_real ks ~k:3 ~sigma:0.4 q)
         /. Vec.norm2 q)
@@ -871,16 +879,56 @@ let test_sptensor_jacobian () =
     (Vec.dist2 (Mat.mul_vec jac h) fd)
     1e-8
 
+(* The sorted-tuple projection of a symmetric G2 and G3 against the
+   dense Wᵀ·to_dense(G)·(V⊗V[⊗V]), with a test basis W distinct from V,
+   and its exact symmetry: every column tuple holds the same bits as
+   each of its permutations. *)
 let test_sptensor_project () =
-  let n = 4 and q = 2 in
-  let dense = Mat.random ~rng n (n * n) in
-  let t = Sptensor.of_dense ~arity:2 ~n_in:n dense in
+  let n = 5 and q = 3 in
   let v = Qr.orth_mat (List.init q (fun _ -> Mat.random_vec ~rng n)) in
-  let reduced = Sptensor.project t v in
-  (* reference: V^T M (V kron V) *)
-  let vk = Kron.mat v v in
-  let reference = Mat.mul (Mat.transpose v) (Mat.mul dense vk) in
-  check_small "projection" (Mat.norm_fro (Mat.sub reduced reference)) 1e-10
+  let w = Mat.random ~rng n q in
+  let rec pow b k = if k = 0 then 1 else b * pow b (k - 1) in
+  (* the index tuples that are permutations of column c's (with
+     multiplicity), as flat columns *)
+  let rec perms = function
+    | [] -> [ [] ]
+    | l ->
+      List.concat_map
+        (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) l)))
+        l
+  in
+  let permuted ~arity c =
+    let digit m = c / pow q (arity - 1 - m) mod q in
+    List.map
+      (List.fold_left (fun f m -> (f * q) + digit m) 0)
+      (perms (List.init arity Fun.id))
+  in
+  List.iter
+    (fun arity ->
+      let t =
+        Sptensor.symmetrize
+          (Sptensor.of_dense ~arity ~n_in:n (Mat.random ~rng n (pow n arity)))
+      in
+      let d = Sptensor.to_dense (Sptensor.project ~w t v) in
+      let vk = if arity = 2 then Kron.mat v v else Kron.mat v (Kron.mat v v) in
+      let reference = Mat.mul (Mat.transpose w) (Mat.mul (Sptensor.to_dense t) vk) in
+      check_small
+        (Printf.sprintf "arity %d: projection" arity)
+        (Mat.norm_fro (Mat.sub d reference) /. Mat.norm_fro reference)
+        1e-13;
+      Alcotest.(check bool)
+        (Printf.sprintf "arity %d: exactly symmetric" arity)
+        true
+        (List.for_all
+           (fun r ->
+             List.for_all
+               (fun c ->
+                 List.for_all
+                   (fun c' -> Float.equal (Mat.get d r c) (Mat.get d r c'))
+                   (permuted ~arity c))
+               (List.init (pow q arity) Fun.id))
+           (List.init q Fun.id)))
+    [ 2; 3 ]
 
 let test_sptensor_symmetrize () =
   let t =

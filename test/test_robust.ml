@@ -342,7 +342,10 @@ let test_ksolve_resonant_shift () =
         (fun w m -> Ksolve.mode_mul_real ~n:3 ~k:3 ~m ~transpose:true u w)
         v [ 0; 1; 2 ]
     in
-    Ksolve.from_schur_real ks ~k:3 (Ksolve.tri_solve_sym3_real ?mu ks ~sigma w)
+    List.fold_left
+      (fun x m -> Ksolve.mode_mul_real ~n:3 ~k:3 ~m u x)
+      (Ksolve.tri_solve_sym3_real ?mu ks ~sigma w)
+      [ 0; 1; 2 ]
   in
   List.iter
     (fun (label, k, sigma, pole, tol, solve) ->

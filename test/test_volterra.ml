@@ -337,12 +337,11 @@ let test_h3_moments_vs_fd () =
         (List.of_seq (Seq.take 3 (List.nth (Volterra.Assoc.series eng2 ~order:3) i))))
     [ ((0, 0, 1), 1); ((0, 1, 1), 2) ]
 
-(* The series run in real arithmetic: on a real-spectrum G1 (triangular
-   real Schur factor) their H2/H3 moments match the Taylor coefficients
-   of h2_eval/h3_eval, which run the complex kernels, and so do those of
-   the 2-input random system, whose G1 has complex pairs (2x2 blocks). *)
-let test_real_path_moments () =
-  let rng = Random.State.make [| 31 |] in
+(* The two systems of the real-path tests, drawn from [rng] in this
+   order: a SISO G2+G3+D1 system on a G1 with a real spectrum (its real
+   Schur factor triangular), and a 2-input G2+G3+D1 system whose G1 has
+   a complex pair (a 2x2 block). *)
+let real_spectrum_system rng =
   let q = random_qldae ~rng ~n:4 ~with_g3:true () in
   let n = Volterra.Qldae.dim q in
   let basis =
@@ -354,16 +353,38 @@ let test_real_path_moments () =
         else if j > i then Random.State.float rng 0.6 -. 0.3
         else 0.0)
   in
-  let q =
-    Volterra.Qldae.make ~g2:q.Volterra.Qldae.g2 ~g3:q.Volterra.Qldae.g3
-      ~d1:q.Volterra.Qldae.d1 ~b:q.Volterra.Qldae.b ~c:q.Volterra.Qldae.c
-      ~g1:(Mat.mul basis (Mat.mul r (Mat.transpose basis)))
-      ()
-  in
+  Volterra.Qldae.make ~g2:q.Volterra.Qldae.g2 ~g3:q.Volterra.Qldae.g3
+    ~d1:q.Volterra.Qldae.d1 ~b:q.Volterra.Qldae.b ~c:q.Volterra.Qldae.c
+    ~g1:(Mat.mul basis (Mat.mul r (Mat.transpose basis)))
+    ()
+
+let block_system rng =
+  let q2 = random_qldae ~rng ~n:3 ~inputs:2 ~with_g3:true () in
+  let c = cos 0.4 and s = sin 0.4 in
+  let rot = Mat.of_list [ [ c; -.s; 0.0 ]; [ s; c; 0.0 ]; [ 0.0; 0.0; 1.0 ] ] in
+  Volterra.Qldae.make ~g2:q2.Volterra.Qldae.g2 ~g3:q2.Volterra.Qldae.g3
+    ~d1:q2.Volterra.Qldae.d1 ~b:q2.Volterra.Qldae.b ~c:q2.Volterra.Qldae.c
+    ~g1:
+      (Mat.mul rot
+         (Mat.mul
+            (Mat.of_list [ [ -1.0; 0.8; 0.3 ]; [ -0.8; -1.0; 0.1 ]; [ 0.2; 0.0; -1.6 ] ])
+            (Mat.transpose rot)))
+    ()
+
+let real_t eng =
+  snd (Option.get (Schur.real_factors (Ksolve.schur (Volterra.Assoc.ksolve eng))))
+
+(* The series run in real arithmetic: on a real-spectrum G1 (triangular
+   real Schur factor) their H2/H3 moments match the Taylor coefficients
+   of h2_eval/h3_eval, which run the complex kernels, and so do those of
+   the 2-input random system, whose G1 has complex pairs (2x2 blocks). *)
+let test_real_path_moments () =
+  let rng = Random.State.make [| 31 |] in
+  let q = real_spectrum_system rng in
   let s0 = 0.7 in
   let eng = Volterra.Assoc.create ~s0 q in
   Alcotest.(check bool) "triangular real T" true
-    (let _, t = Option.get (Schur.real_factors (Ksolve.schur (Volterra.Assoc.ksolve eng))) in
+    (let t = real_t eng in
        List.for_all (fun i -> Contract.is_zero (Mat.get t (i + 1) i))
          (List.init (Mat.rows t - 1) Fun.id));
   let check name eval moments tol =
@@ -383,27 +404,114 @@ let test_real_path_moments () =
     (Volterra.Assoc.h2_moments eng ~k:3) 1e-5;
   check "H3" (fun s -> Volterra.Assoc.h3_eval eng ~inputs:(0, 0, 0) s)
     (Volterra.Assoc.h3_moments eng ~k:3) 1e-4;
-  let q2 = random_qldae ~rng ~n:3 ~inputs:2 ~with_g3:true () in
-  let c = cos 0.4 and s = sin 0.4 in
-  let rot = Mat.of_list [ [ c; -.s; 0.0 ]; [ s; c; 0.0 ]; [ 0.0; 0.0; 1.0 ] ] in
-  let q2 =
-    Volterra.Qldae.make ~g2:q2.Volterra.Qldae.g2 ~g3:q2.Volterra.Qldae.g3
-      ~d1:q2.Volterra.Qldae.d1 ~b:q2.Volterra.Qldae.b ~c:q2.Volterra.Qldae.c
-      ~g1:
-        (Mat.mul rot
-           (Mat.mul
-              (Mat.of_list [ [ -1.0; 0.8; 0.3 ]; [ -0.8; -1.0; 0.1 ]; [ 0.2; 0.0; -1.6 ] ])
-              (Mat.transpose rot)))
-      ()
-  in
-  let eng2 = Volterra.Assoc.create ~s0 q2 in
-  let _, t = Option.get (Schur.real_factors (Ksolve.schur (Volterra.Assoc.ksolve eng2))) in
+  let eng2 = Volterra.Assoc.create ~s0 (block_system rng) in
+  let t = real_t eng2 in
   Alcotest.(check bool) "2-input system: a 2x2 block" true
     (Contract.nonzero (Mat.get t 1 0) || Contract.nonzero (Mat.get t 2 1));
   check "H3 (0,0,1), 2x2 block"
     (fun s -> Volterra.Assoc.h3_eval eng2 ~inputs:(0, 0, 1) s)
     (List.of_seq (Seq.take 3 (List.nth (Volterra.Assoc.series eng2 ~order:3) 1)))
     1e-4
+
+(* U^⊗2 x by the two real mode multiplies on the engine's Schur factor *)
+let from_schur2 eng (x : Vec.t) =
+  let u = Ksolve.real_unitary (Volterra.Assoc.ksolve eng) in
+  let n = Mat.rows u in
+  Ksolve.mode_mul_real ~n ~k:2 ~m:1 u (Ksolve.mode_mul_real ~n ~k:2 ~m:0 u x)
+
+(* The H2 series runs in G1's Schur basis. Its moments equal those of
+   the original-basis series m_j = (s0 - G1)^-1 (m_{j-1} + G2 r_j),
+   r_j = (s0 - ⊕²G1)^-(j+1) w_ab, plus d_ab at j = 0, with every ⊕²
+   solve a full Ksolve.solve_shifted_real (mode transforms included):
+   on every input pair of the real-spectrum and the 2x2-block systems,
+   four moments each, to 1e-12 relative. *)
+let test_h2_schur_basis () =
+  let rng = Random.State.make [| 31 |] in
+  let s0 = 0.7 and k = 4 in
+  List.iter
+    (fun (name, q) ->
+      let n = Volterra.Qldae.dim q in
+      let eng = Volterra.Assoc.create ~s0 q in
+      let ks = Volterra.Assoc.ksolve eng in
+      let m = Volterra.Qldae.n_inputs q in
+      let pairs =
+        List.concat (List.init m (fun a -> List.init (m - a) (fun i -> (a, a + i))))
+      in
+      List.iter2
+        (fun (a, b) series ->
+          let ba = Volterra.Qldae.b_col q a and bb = Volterra.Qldae.b_col q b in
+          let d1 = q.Volterra.Qldae.d1 in
+          let r = ref (Vec.scale 0.5 (Vec.add (Kron.vec ba bb) (Kron.vec bb ba))) in
+          let d = Vec.scale 0.5 (Vec.add (Mat.mul_vec d1.(a) bb) (Mat.mul_vec d1.(b) ba)) in
+          let prev = ref (Vec.create n) in
+          List.iteri
+            (fun j moment ->
+              r := Ksolve.solve_shifted_real ks ~k:2 ~sigma:s0 !r;
+              let inner = Sptensor.apply_flat q.Volterra.Qldae.g2 !r in
+              let inner = if j = 0 then Vec.add inner d else inner in
+              prev := Ksolve.solve_shifted_real ks ~k:1 ~sigma:s0 (Vec.add !prev inner);
+              check_small
+                (Printf.sprintf "%s, pair (%d,%d), moment %d" name a b j)
+                (Vec.rel_err ~exact:!prev ~approx:moment)
+                1e-12)
+            (List.of_seq (Seq.take k series)))
+        pairs
+        (Volterra.Assoc.series eng ~order:2))
+    [ ("real spectrum", real_spectrum_system rng); ("2x2 block", block_system rng) ]
+
+(* g2_read folds G2 U^⊗2 w onto g2_sym's packed columns, which takes
+   G2's symmetry only: on a non-symmetric Schur-basis w it equals G2
+   applied to the two real mode transforms of w, on both systems. *)
+let test_g2_read_nonsymmetric () =
+  let rng = Random.State.make [| 31 |] in
+  List.iter
+    (fun (name, q) ->
+      let n = Volterra.Qldae.dim q in
+      let eng = Volterra.Assoc.create ~s0:0.7 q in
+      let w = Mat.random_vec ~rng (n * n) in
+      Alcotest.(check bool) (name ^ ": w not symmetric") false
+        (Float.equal w.(1) w.(n));
+      check_small (name ^ ": g2_read = G2 U^⊗2 w")
+        (Vec.rel_err
+           ~exact:(Sptensor.apply_flat q.Volterra.Qldae.g2 (from_schur2 eng w))
+           ~approx:(Volterra.Assoc.g2_read eng w))
+        1e-12)
+    [ ("real spectrum", real_spectrum_system rng); ("2x2 block", block_system rng) ]
+
+(* An engine steps one H2 series per input pair: the order-2 moments
+   and the H3 D1 terms share it, and asking again solves nothing. rearm
+   starts a fresh memo, so a fault scheduled on the rearmed engine
+   reaches the H2 heads (the first resolvent output, scaled by 1 + 1e-3)
+   while the probe engine still serves its clean series. *)
+let test_rearm_resets_h2 () =
+  Obs.Metrics.set_enabled true;
+  let solves f =
+    let snap = Obs.Metrics.snapshot () in
+    let x = f () in
+    ( x,
+      Option.value ~default:0
+        (List.assoc_opt Obs.Metrics.Shifted_solve (Obs.Metrics.since snap)) )
+  in
+  let q = random_qldae ~rng:(Random.State.make [| 5 |]) ~n:3 () in
+  let eng = Volterra.Assoc.create ~s0:0.7 q in
+  let clean, n_clean = solves (fun () -> Volterra.Assoc.h2_moments eng ~k:2) in
+  Alcotest.(check int) "two steps of one pair" 4 n_clean;
+  let again, n_again = solves (fun () -> Volterra.Assoc.h2_moments eng ~k:2) in
+  Alcotest.(check int) "the memo solves nothing" 0 n_again;
+  Alcotest.(check bool) "same bits" true (List.for_all2 ( == ) clean again);
+  let eps = 1e-3 in
+  let rearmed =
+    Volterra.Assoc.rearm eng ~recorder:(Robust.Report.recorder ())
+      ~fault:(Some (Robust.Faultify.plan (Robust.Faultify.Perturb eps)))
+  in
+  let heads, n_rearmed = solves (fun () -> Volterra.Assoc.h2_moments rearmed ~k:1) in
+  Alcotest.(check int) "rearm recomputes the head" 2 n_rearmed;
+  check_small "the fault reaches the H2 head"
+    (Vec.rel_err ~exact:(Vec.scale (1.0 +. eps) (List.hd clean)) ~approx:(List.hd heads))
+    1e-15;
+  let probe, n_probe = solves (fun () -> Volterra.Assoc.h2_moments eng ~k:2) in
+  Alcotest.(check int) "the probe keeps its memo" 0 n_probe;
+  Alcotest.(check bool) "and its clean bits" true (List.for_all2 ( == ) clean probe)
 
 (* One ⊕³ series, one ⊕² series and one H2 series per distinct D1 pair,
    each step closed by a resolvent (k = 1) solve on the same Schur
@@ -492,7 +600,7 @@ let test_series_bit_equal () =
         [ `All; `Diagonal ])
     systems;
   Alcotest.(check string) "recorded moment bits"
-    "43ba31f692e1ca74afd8ac20b44d0b7c" (bits_digest (List.concat (List.rev !all)))
+    "76357e9ae3326a8f2c19ef95bd20827d" (bits_digest (List.concat (List.rev !all)))
 
 (* The digest above is backed by an independent computation: on the
    SISO system of test_series_bit_equal, the first four moments of each
@@ -568,8 +676,9 @@ let test_series_vs_dense_realization () =
 
 (* hN_moments builds, takes and drops one series at a time, so an
    earlier triple's n³ solver state is garbage once its k moments are
-   taken. Sampled after a full major GC at every H2 solve of the D1
-   terms (a closing ksolve.solve_shifted span), the heap of a 3-input
+   taken. Sampled after a full major GC at every resolvent solve (a
+   closing ksolve.solve_shifted span; the D1 terms' H2 series are the
+   engine's, stepped by the first run), the heap of a 3-input
    `All run (10 triples, n = 16) grows by less than two ⊕³ states over
    the run; keeping every series head alive until the last triple
    would hold nine. *)
@@ -807,6 +916,9 @@ let suite =
         tc "H3 moments = Taylor coefficients" `Quick test_h3_moments_vs_fd;
         tc "H3 shifted solves per triple" `Quick test_h3_shifted_solve_count;
         tc "real path moments = Taylor coefficients" `Quick test_real_path_moments;
+        tc "Schur-basis H2 = original-basis series" `Quick test_h2_schur_basis;
+        tc "g2_read on non-symmetric data" `Quick test_g2_read_nonsymmetric;
+        tc "rearm resets the H2 memo" `Quick test_rearm_resets_h2;
         tc "lazy series = eager per-order moments" `Quick test_series_bit_equal;
         tc "series moments = dense block realization" `Quick
           test_series_vs_dense_realization;
