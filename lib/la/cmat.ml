@@ -10,8 +10,6 @@ let create rows cols =
     im = Array.make (rows * cols) 0.0;
   }
 
-let dims m = (m.rows, m.cols)
-
 let rows m = m.rows
 
 let cols m = m.cols
@@ -39,9 +37,6 @@ let init rows cols f =
   done;
   m
 
-let identity n =
-  init n n (fun i j -> if i = j then Complex.one else Complex.zero)
-
 let of_real (a : Mat.t) =
   {
     rows = Mat.rows a;
@@ -51,24 +46,6 @@ let of_real (a : Mat.t) =
   }
 
 let copy m = { m with re = Array.copy m.re; im = Array.copy m.im }
-
-let real_part (m : t) =
-  { Mat.rows = m.rows; Mat.cols = m.cols; Mat.data = Array.copy m.re }
-
-let imag_part (m : t) =
-  { Mat.rows = m.rows; Mat.cols = m.cols; Mat.data = Array.copy m.im }
-
-let check_same_dims name a b =
-  if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg (Printf.sprintf "Cmat.%s: dimension mismatch" name)
-
-let sub a b =
-  check_same_dims "sub" a b;
-  {
-    a with
-    re = Array.init (Array.length a.re) (fun k -> a.re.(k) -. b.re.(k));
-    im = Array.init (Array.length a.im) (fun k -> a.im.(k) -. b.im.(k));
-  }
 
 let scale (alpha : Complex.t) m =
   {
@@ -84,32 +61,6 @@ let scale (alpha : Complex.t) m =
 (* Conjugate transpose. *)
 let adjoint m =
   init m.cols m.rows (fun i j -> Complex.conj (get m j i))
-
-let transpose m = init m.cols m.rows (fun i j -> get m j i)
-
-let mul a b =
-  if a.cols <> b.rows then invalid_arg "Cmat.mul: inner dimension mismatch";
-  let c = create a.rows b.cols in
-  let n = a.cols and p = b.cols in
-  Obs.Cost.charge Obs.Cost.Flops_matmul
-    (8 * a.rows * n * p)
-    ~read:(2 * ((a.rows * n) + (n * p)))
-    ~written:(2 * a.rows * p);
-  for i = 0 to a.rows - 1 do
-    let arow = i * n and crow = i * p in
-    for k = 0 to n - 1 do
-      let ar = a.re.(arow + k) and ai = a.im.(arow + k) in
-      if Contract.nonzero ar || Contract.nonzero ai then begin
-        let brow = k * p in
-        for j = 0 to p - 1 do
-          let br = b.re.(brow + j) and bi = b.im.(brow + j) in
-          c.re.(crow + j) <- c.re.(crow + j) +. (ar *. br) -. (ai *. bi);
-          c.im.(crow + j) <- c.im.(crow + j) +. (ar *. bi) +. (ai *. br)
-        done
-      end
-    done
-  done;
-  c
 
 let mul_vec m (v : Cvec.t) : Cvec.t =
   if m.cols <> Cvec.dim v then invalid_arg "Cmat.mul_vec: dimension mismatch";
@@ -152,21 +103,6 @@ let mul_vec_adjoint m (v : Cvec.t) : Cvec.t =
       done
   done;
   out
-
-let norm_fro m =
-  let s = ref 0.0 in
-  for k = 0 to Array.length m.re - 1 do
-    s := !s +. (m.re.(k) *. m.re.(k)) +. (m.im.(k) *. m.im.(k))
-  done;
-  sqrt !s
-
-let col m j = Cvec.init m.rows (fun i -> get m i j)
-
-let set_col m j (v : Cvec.t) =
-  Contract.require_len "Cmat.set_col" ~expected:m.rows ~actual:(Cvec.dim v);
-  for i = 0 to m.rows - 1 do
-    set m i j (Cvec.get v i)
-  done
 
 (* shift the diagonal: m + sigma I *)
 let add_diag m (sigma : Complex.t) =

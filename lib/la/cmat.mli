@@ -3,40 +3,26 @@
 type t = { rows : int; cols : int; re : float array; im : float array }
 
 val create : int -> int -> t
-val dims : t -> int * int
 val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> Complex.t
 val set : t -> int -> int -> Complex.t -> unit
 val add_to : t -> int -> int -> Complex.t -> unit
 val init : int -> int -> (int -> int -> Complex.t) -> t
-val identity : int -> t
 
 (** Embed a real matrix. *)
 val of_real : Mat.t -> t
 
 val copy : t -> t
-val real_part : t -> Mat.t
-val imag_part : t -> Mat.t
-val sub : t -> t -> t
 val scale : Complex.t -> t -> t
 
 (** Conjugate transpose. *)
 val adjoint : t -> t
 
-(** Plain transpose (no conjugation). *)
-val transpose : t -> t
-
-val mul : t -> t -> t
 val mul_vec : t -> Cvec.t -> Cvec.t
 
 (** [mul_vec_adjoint m v] is [m^H v] without forming the adjoint. *)
 val mul_vec_adjoint : t -> Cvec.t -> Cvec.t
-
-val norm_fro : t -> float
-
-val col : t -> int -> Cvec.t
-val set_col : t -> int -> Cvec.t -> unit
 
 (** [add_diag m σ] is [m + σ I]. *)
 val add_diag : t -> Complex.t -> t

@@ -92,9 +92,8 @@ let axpy ~(alpha : Complex.t) x y =
 
 let dist a b = norm2 (sub a b)
 
-(* Real part, failing loudly if the imaginary residue is not negligible.
-   Used after Kronecker-sum solves of real data through the complex Schur
-   form, where the exact answer is real. *)
+(* Real part, failing loudly if the imaginary residue is not negligible:
+   for complex data whose exact answer is real. *)
 let to_real ?(tol = 1e-6) v : Vec.t =
   let im = imag_norm v and re = norm2 v in
   if im > tol *. (1.0 +. re) then

@@ -2,25 +2,23 @@
 
      (sigma I - ⊕^k G) x = v,   v of length n^k,  k = 1, 2, 3, ...
 
-   never materializing the n^k x n^k operator. One Schur factorization
-   G = U T U^H gives
+   never materializing the n^k x n^k operator. One real Schur
+   factorization G = U T Uᵀ gives
 
-     sigma I - ⊕^k G = (U ⊗..⊗ U)(sigma I - ⊕^k T)(U ⊗..⊗ U)^H
+     sigma I - ⊕^k G = (U ⊗..⊗ U)(sigma I - ⊕^k T)(U ⊗..⊗ U)ᵀ
 
-   and the triangular middle solve is a recursive block
-   back-substitution over order-k tensors (cost O(k n^{k+1}), memory
-   O(n^k)). This is the §2.3 trick of the paper. A real shift runs on
-   the real Schur form (Schur.real_factors) in real arithmetic: a
-   quarter of the flops and half the words of the split-complex
-   kernels, which serve complex shifts on the complex triangular form.
-   When G's spectrum is real the real T is triangular and the real
-   kernels mirror the complex ones; a complex pair leaves a 2x2 block,
+   and the middle solve is a recursive block back-substitution over
+   order-k tensors (cost O(k n^{k+1}), memory O(n^k)). This is the §2.3
+   trick of the paper. When G's spectrum is real, T is triangular and
+   the back-substitution is scalar; a complex pair leaves a 2x2 block,
    whose tuples of unknowns the same back-substitution solves together
-   in small dense systems. The block list and the eigenvalues come from
-   Schur (blocks, eigenvalues). Permutation-symmetric
-   order-3 data (the third-order associated series) has its own
-   back-substitution over the i <= j <= l entries only,
-   tri_solve_sym3. *)
+   in small dense real systems. A complex shift a + ib runs on the same
+   real factors: its data is a tuple of two real slots (re, im) with the
+   shift matrix [a -b; b a], and every sum over the real T applies to
+   both slots unchanged. The block list and the eigenvalues come from
+   Schur (blocks, eigenvalues). Permutation-symmetric order-3 data (the
+   third-order associated series) has its own back-substitution over
+   the i <= j <= l entries only, tri_solve_sym3_real. *)
 
 type t = { n : int; schur : Schur.t }
 
@@ -93,60 +91,11 @@ let cond_estimate t ~k ~(sigma : Complex.t) =
       if d > !dmax then dmax := d);
   if !dmin <= 0.0 then infinity else !dmax /. !dmin
 
-(* ---- tensor primitives on split-complex flat arrays ---- *)
+
+(* ---- tensor primitives on flat arrays ---- *)
 
 (* Multiply the order-k tensor [x] (dims all [n], row-major, mode 0
-   slowest) along mode [m] by the n x n complex matrix [mat] (or its
-   adjoint). *)
-let mode_mul ~n ~k ~m ?(adjoint = false) (mat : Cmat.t) (x : Cvec.t) : Cvec.t =
-  Contract.require_dims "Ksolve.mode_mul" ~expected:(n, n)
-    ~actual:(Cmat.dims mat);
-  let total = Cvec.dim x in
-  Contract.require "Ksolve.mode_mul"
-    (m >= 0 && m < k && total = expected_len n k)
-    "kron incompatibility"
-    (Printf.sprintf "mode %d of order %d, operand length %d, n %d" m k total n);
-  let stride_r =
-    let s = ref 1 in
-    for _ = m + 1 to k - 1 do
-      s := !s * n
-    done;
-    !s
-  in
-  let block = n * stride_r in
-  let nblocks = total / block in
-  Obs.Cost.charge Obs.Cost.Flops_tensor (8 * n * total)
-    ~read:((2 * n * n) + (2 * total))
-    ~written:(2 * total);
-  let out = Cvec.create total in
-  let mre = mat.Cmat.re and mim = mat.Cmat.im in
-  let xre = x.Cvec.re and xim = x.Cvec.im in
-  let ore_ = out.Cvec.re and oim = out.Cvec.im in
-  for l = 0 to nblocks - 1 do
-    let base = l * block in
-    for i = 0 to n - 1 do
-      let obase = base + (i * stride_r) in
-      for j = 0 to n - 1 do
-        (* coefficient M[i,j] (or conj(M[j,i]) for the adjoint) *)
-        let cr, ci =
-          if adjoint then (mre.((j * n) + i), -.mim.((j * n) + i))
-          else (mre.((i * n) + j), mim.((i * n) + j))
-        in
-        if Contract.nonzero cr || Contract.nonzero ci then begin
-          let xbase = base + (j * stride_r) in
-          for r = 0 to stride_r - 1 do
-            let xr = xre.(xbase + r) and xi = xim.(xbase + r) in
-            ore_.(obase + r) <- ore_.(obase + r) +. ((cr *. xr) -. (ci *. xi));
-            oim.(obase + r) <- oim.(obase + r) +. ((cr *. xi) +. (ci *. xr))
-          done
-        end
-      done
-    done
-  done;
-  out
-
-(* Real variant of mode_mul: multiply along mode [m] by [mat] (or its
-   transpose). *)
+   slowest) along mode [m] by [mat] (or its transpose). *)
 let mode_mul_real ~n ~k ~m ?(transpose = false) (mat : Mat.t) (x : Vec.t) :
     Vec.t =
   Contract.require_dims "Ksolve.mode_mul_real" ~expected:(n, n)
@@ -188,46 +137,37 @@ let mode_mul_real ~n ~k ~m ?(transpose = false) (mat : Mat.t) (x : Vec.t) :
 exception Near_singular of float
 
 (* Squared pole threshold of an unregularized solve: a diagonal entry
-   sigma - (t_i1 + ... + t_ik) within n·eps·(|sigma| + k·max|t_ii|) of
-   zero is a pole to working precision. A backward-stable Schur places
-   eigenvalues only to about eps·‖G‖, so an exact pole (a singular G at
-   sigma = 0, say) shows up as a rounding-sized nonzero, not as 0. A
-   regularized solve (mu > 0) is finite at a pole and only guards
-   underflow. [diag_abs i] is |t_ii|. *)
-let pole_tol2 ~mu ~n ~diag_abs ~k ~sigma_abs =
+   sigma - (lam_i1 + ... + lam_ik) within n·eps·(|sigma| + k·max|lam_i|)
+   of zero is a pole to working precision. A backward-stable Schur
+   places eigenvalues only to about eps·‖G‖, so an exact pole (a
+   singular G at sigma = 0, say) shows up as a rounding-sized nonzero,
+   not as 0. A regularized solve (mu > 0) is finite at a pole and only
+   guards underflow. The |lam_i| are read off the real factor's
+   eigenvalues (|t_ii| on a triangular T). *)
+let pole_tol2 ~mu (eig : Complex.t array) ~k ~sigma_abs =
   if mu > 0.0 then 1e-300
   else begin
-    let rho = ref 0.0 in
-    for i = 0 to n - 1 do
-      rho := Float.max !rho (diag_abs i)
-    done;
+    let rho = Array.fold_left (fun r z -> Float.max r (Complex.norm z)) 0.0 eig in
     let tol =
-      float_of_int n *. epsilon_float
-      *. (sigma_abs +. (float_of_int k *. !rho))
+      float_of_int (Array.length eig) *. epsilon_float
+      *. (sigma_abs +. (float_of_int k *. rho))
     in
     Float.max 1e-300 (tol *. tol)
   end
 
-let pole_tol2_complex ~mu (tmat : Cmat.t) ~k ~(sigma : Complex.t) =
-  let n = Cmat.rows tmat in
-  pole_tol2 ~mu ~n ~k ~sigma_abs:(Complex.norm sigma) ~diag_abs:(fun i ->
-      Float.hypot tmat.Cmat.re.((i * n) + i) tmat.Cmat.im.((i * n) + i))
-
-(* the real kernels' threshold: |lam_i| read off the real factor's
-   eigenvalues, |t_ii| on a triangular T *)
-let pole_tol2_real ~mu (eig : Complex.t array) ~k ~sigma =
-  pole_tol2 ~mu ~n:(Array.length eig) ~k ~sigma_abs:(Float.abs sigma)
-    ~diag_abs:(fun i -> Complex.norm eig.(i))
 
 (* Nominal charges of the back-substitutions, per arithmetic: flops per
    multiply-add and per (Tikhonov) scalar division, and 8-byte words per
-   scalar. A complex multiply-add is 8 flops on 2 words; the real one 2
-   on 1. *)
+   scalar. A real multiply-add is 2 flops on 1 word; data of m real
+   slots on the real T (a complex shift's (re, im) pair, m = 2) is
+   charged as m real solves: 4 flops per multiply-add on 2 words for
+   complex data. *)
 type arith = { madd : int; div : int; word : int }
 
-let complex_arith = { madd = 8; div = 11; word = 2 }
-
 let real_arith = { madd = 2; div = 5; word = 1 }
+
+let tuple_arith m =
+  { madd = m * real_arith.madd; div = m * real_arith.div; word = m * real_arith.word }
 
 (* The charge of a whole recursive solve, on the caller and outside
    the Par tiles, so counts are identical at any domain count: level k'
@@ -260,91 +200,25 @@ let charge_sym3 a ~n =
     ~read:((a.word * n * n / 2) + (a.word * madds))
     ~written:(a.word * n * n * n)
 
-(* Recursive triangular solve: (sigma I - ⊕^k T) y = w with T upper
-   triangular. Operates in place on a copy of [w]. With [mu] > 0 each
-   scalar division uses the Tikhonov-regularized inverse
-   conj(d) / (|d|^2 + mu^2) — the diagonal regularization behind the
-   one retry of a near-singular shifted solve, exact minimum-norm at
-   d = 0. *)
-let tri_solve ?(mu = 0.0) (tmat : Cmat.t) ~k ~(sigma : Complex.t) (w : Cvec.t)
-    : Cvec.t =
-  let mu2 = mu *. mu in
-  let tol2 = pole_tol2_complex ~mu tmat ~k ~sigma in
-  let n = Cmat.rows tmat in
-  let tre = tmat.Cmat.re and tim = tmat.Cmat.im in
-  let y = Cvec.copy w in
-  let yre = y.Cvec.re and yim = y.Cvec.im in
-  charge_tri complex_arith ~n ~k;
-  (* solve the block starting at [off] of order [k] with shift
-     [sre + i*sim], in place *)
-  let rec go ~k ~off ~sre ~sim =
-    (* one deadline poll per tensor block (tile): O(n^k) arithmetic per
-       poll amortizes the clock read into noise *)
-    Robust.Budget.check "la.Ksolve.tri_solve";
-    if k = 1 then begin
-      for i = n - 1 downto 0 do
-        let accr = ref yre.(off + i) and acci = ref yim.(off + i) in
-        for j = i + 1 to n - 1 do
-          let cr = tre.((i * n) + j) and ci = tim.((i * n) + j) in
-          if Contract.nonzero cr || Contract.nonzero ci then begin
-            accr := !accr +. ((cr *. yre.(off + j)) -. (ci *. yim.(off + j)));
-            acci := !acci +. ((cr *. yim.(off + j)) +. (ci *. yre.(off + j)))
-          end
-        done;
-        let dr = sre -. tre.((i * n) + i) and di = sim -. tim.((i * n) + i) in
-        let dm = (dr *. dr) +. (di *. di) +. mu2 in
-        if dm < tol2 then raise (Near_singular (sqrt dm));
-        yre.(off + i) <- ((!accr *. dr) +. (!acci *. di)) /. dm;
-        yim.(off + i) <- ((!acci *. dr) -. (!accr *. di)) /. dm
-      done
-    end
-    else begin
-      let block = expected_len n (k - 1) in
-      for i = n - 1 downto 0 do
-        let bi = off + (i * block) in
-        (* rhs += sum_{j>i} T[i,j] * y_j-block.  Element [bi + r] reads
-           only the same [r] of later blocks, so the r-range splits into
-           contiguous Par tiles — each lane runs the j-loop serially
-           over its own subrange, keeping every element's accumulation
-           order (increasing j) identical to the serial solve, so the
-           parallel result is bit-identical. *)
-        Par.tiles ~lo:0 ~hi:block (fun ~lo ~hi ->
-            for j = i + 1 to n - 1 do
-              let cr = tre.((i * n) + j) and ci = tim.((i * n) + j) in
-              if Contract.nonzero cr || Contract.nonzero ci then begin
-                let bj = off + (j * block) in
-                for r = lo to hi - 1 do
-                  yre.(bi + r) <-
-                    yre.(bi + r)
-                    +. ((cr *. yre.(bj + r)) -. (ci *. yim.(bj + r)));
-                  yim.(bi + r) <-
-                    yim.(bi + r)
-                    +. ((cr *. yim.(bj + r)) +. (ci *. yre.(bj + r)))
-                done
-              end
-            done);
-        go ~k:(k - 1) ~off:bi ~sre:(sre -. tre.((i * n) + i))
-          ~sim:(sim -. tim.((i * n) + i))
-      done
-    end
-  in
-  go ~k ~off:0 ~sre:sigma.re ~sim:sigma.im;
-  y
+(* ---- the back-substitution on the real quasi-triangular T ----
 
-(* ---- real arithmetic on the real quasi-triangular T ----
-
-   A real shift runs on the real Schur factors. On a real spectrum T is
-   triangular and the kernels below are the complex ones scalar for
-   scalar: the same recursion, Par tiles, per-entry sum order, budget
-   polls and pole rule, with the real Tikhonov inverse d / (d² + mu²).
-   A complex pair leaves a 2x2 diagonal block, and (sigma - ⊕^k T) is
-   then block upper triangular over k-tuples of diagonal blocks
-   (Jonsson-Kågström): the unknowns of a tuple that holds a 2x2 block
-   take the same sums over later blocks and are then solved together,
-   a dense real system of at most 2^k unknowns whose poles are the
-   tuple's eigenvalue sums. mu > 0 solves that system's Tikhonov normal
+   On a real spectrum T is triangular and a scalar shift's solve is a
+   scalar back-substitution: a recursion over the modes with Par tiles,
+   a fixed per-entry sum order, budget polls and the relative pole rule,
+   and the real Tikhonov inverse d / (d² + mu²). A complex pair leaves a
+   2x2 diagonal block, and (sigma - ⊕^k T) is then block upper
+   triangular over k-tuples of diagonal blocks (Jonsson-Kågström): the
+   unknowns of a tuple that holds a 2x2 block take the same sums over
+   later blocks and are then solved together, a dense real system of at
+   most 2^k unknowns (times the slots) whose poles are the tuple's
+   eigenvalue sums. mu > 0 solves that system's Tikhonov normal
    equations (MᵀM + mu² I) y = Mᵀ rhs, which on a 1x1 tuple is the
-   scalar inverse. *)
+   scalar inverse. A shift given as m real slots with an m x m shift
+   matrix S (a complex sigma = a + ib: its (re, im) pair and
+   [a -b; b a]) starts every block as such a tuple, so
+   (S ⊗ I - I ⊗ ⊕^k T) y = w runs through the same sums; on a 1x1
+   tuple of a complex sigma the Tikhonov system is the complex inverse
+   conj(d) / (|d|² + mu²). *)
 
 (* One tuple's system: the m x m row-major [a] y = [b], solved in place
    in [b] ([a] is overwritten); [zr], [zi] are its eigenvalues, each
@@ -408,21 +282,27 @@ let small_solve ~mu ~tol2 m (a : float array) (b : float array)
   done;
   if x != b then Array.blit x 0 b 0 m
 
-let real_exn name t =
-  match Schur.real_factors t.schur with
-  | Some f -> f
-  | None -> invalid_arg (name ^ ": the Schur factorization is complex")
+(* The shift of a back-substitution: a real scalar, or a tuple of m real
+   slots of the data (slot u at u·n^k) with the real m x m shift matrix
+   [sm] (row-major) and its eigenvalues [eig]. *)
+type shift = Scalar of float | Tuple of { sm : float array; eig : Complex.t array }
 
-let tri_solve_real ?(mu = 0.0) t ~k ~sigma (w : Vec.t) : Vec.t =
-  let _, tmat = real_exn "Ksolve.tri_solve_shifted_real" t in
+let tri_solve_real ?(mu = 0.0) t ~k shift (w : Vec.t) : Vec.t =
   let n = t.n in
-  let tt = Mat.data tmat in
+  let tt = Mat.data (snd (Schur.real_factors t.schur)) in
   let blocks = Schur.blocks t.schur and eig = Schur.eigenvalues t.schur in
   let nb = Array.length blocks in
   let mu2 = mu *. mu in
-  let tol2 = pole_tol2_real ~mu eig ~k ~sigma in
+  let sigma_abs, arith =
+    match shift with
+    | Scalar s -> (Float.abs s, real_arith)
+    | Tuple { eig = z; _ } ->
+      ( Array.fold_left (fun r z -> Float.max r (Complex.norm z)) 0.0 z,
+        tuple_arith (Array.length z) )
+  in
+  let tol2 = pole_tol2 ~mu eig ~k ~sigma_abs in
   let y = Array.copy w in
-  charge_tri real_arith ~n ~k;
+  charge_tri arith ~n ~k;
   (* y[off + row] + Σ_{j >= from} T[row, j] y[off + j] *)
   let leaf_sum ~row ~off ~from =
     let acc = ref y.(off + row) in
@@ -490,7 +370,7 @@ let tri_solve_real ?(mu = 0.0) t ~k ~sigma (w : Vec.t) : Vec.t =
     end
   in
   (* the node at [off] of order [k] with scalar shift [s]: 1x1 blocks
-     as in tri_solve, 2x2 blocks through [step] *)
+     scalar, 2x2 blocks through [step] *)
   let rec go ~k ~off ~s =
     Robust.Budget.check "la.Ksolve.tri_solve";
     for x = nb - 1 downto 0 do
@@ -510,19 +390,20 @@ let tri_solve_real ?(mu = 0.0) t ~k ~sigma (w : Vec.t) : Vec.t =
       end
     done
   in
-  go ~k ~off:0 ~s:sigma;
+  (match shift with
+  | Scalar s -> go ~k ~off:0 ~s
+  | Tuple { sm; eig = z } ->
+    (* every block starts a tuple of the slots *)
+    let offs = Array.init (Array.length z) (fun u -> u * expected_len n k) in
+    let zr = Array.map (fun (c : Complex.t) -> c.re) z
+    and zi = Array.map (fun (c : Complex.t) -> c.im) z in
+    Robust.Budget.check "la.Ksolve.tri_solve";
+    for x = nb - 1 downto 0 do
+      step ~k ~offs ~sm ~zr ~zi blocks.(x)
+    done);
   y
 
-(* x -> (U^H)^{⊗k} x, or U^{⊗k} x *)
-let modes t ~k ~adjoint (v : Cvec.t) : Cvec.t =
-  let u = Schur.unitary t.schur in
-  let w = ref v in
-  for m = 0 to k - 1 do
-    w := mode_mul ~n:t.n ~k ~m ~adjoint u !w
-  done;
-  !w
-
-(* the same on real data with a real orthogonal U *)
+(* x -> (Uᵀ)^{⊗k} x, or U^{⊗k} x, for the real orthogonal U *)
 let modes_real ~u ~k ~transpose (v : Vec.t) : Vec.t =
   let w = ref v in
   for m = 0 to k - 1 do
@@ -535,70 +416,80 @@ let require_solve name t ~k len =
     (Printf.sprintf "order k = %d must be >= 1" k);
   Contract.require_len name ~expected:(expected_len t.n k) ~actual:len
 
-let real_unitary t = fst (real_exn "Ksolve.real_unitary" t)
+let real_unitary t = fst (Schur.real_factors t.schur)
+
+let transpose t = { t with schur = Schur.transpose t.schur }
 
 (* (sigma I - ⊕^k G) x = v through the Schur basis:
-   x = U^⊗k (sigma I - ⊕^k T)^-1 (U^H)^⊗k v.  [mu] > 0 uses the
-   Tikhonov-regularized scalar inverse of tri_solve. *)
+   x = U^⊗k (sigma I - ⊕^k T)^-1 (Uᵀ)^⊗k v. U is real, so the mode
+   transforms act on the real and imaginary parts apart, and the middle
+   solve runs on their (re, im) tuple with the shift matrix
+   [a -b; b a] of sigma = a + ib. *)
 let solve_shifted ?mu t ~k ~(sigma : Complex.t) (v : Cvec.t) : Cvec.t =
   require_solve "Ksolve.solve_shifted" t ~k (Cvec.dim v);
   Obs.Metrics.incr Obs.Metrics.Shifted_solve;
   Obs.Span.with_ ~name:"ksolve.solve_shifted" (fun () ->
-      modes t ~k ~adjoint:false
-        (tri_solve ?mu (Schur.triangular t.schur) ~k ~sigma
-           (modes t ~k ~adjoint:true v)))
+      let u = real_unitary t and len = Cvec.dim v in
+      let y =
+        tri_solve_real ?mu t ~k
+          (Tuple
+             {
+               sm = [| sigma.re; -.sigma.im; sigma.im; sigma.re |];
+               eig = [| sigma; Complex.conj sigma |];
+             })
+          (Array.append
+             (modes_real ~u ~k ~transpose:true v.Cvec.re)
+             (modes_real ~u ~k ~transpose:true v.Cvec.im))
+      in
+      Cvec.make
+        ~re:(modes_real ~u ~k ~transpose:false (Array.sub y 0 len))
+        ~im:(modes_real ~u ~k ~transpose:false (Array.sub y len len)))
 
 (* Real data at a real shift, in real arithmetic on the real factors. *)
 let solve_shifted_real ?mu t ~k ~sigma (v : Vec.t) : Vec.t =
-  let u, _ = real_exn "Ksolve.solve_shifted_real" t in
+  let u = real_unitary t in
   require_solve "Ksolve.solve_shifted_real" t ~k (Array.length v);
   Obs.Metrics.incr Obs.Metrics.Shifted_solve;
   Obs.Span.with_ ~name:"ksolve.solve_shifted" (fun () ->
       modes_real ~u ~k ~transpose:false
-        (tri_solve_real ?mu t ~k ~sigma (modes_real ~u ~k ~transpose:true v)))
+        (tri_solve_real ?mu t ~k (Scalar sigma) (modes_real ~u ~k ~transpose:true v)))
 
 (* ---- Schur-coordinate interface ----
 
    Series recursions (repeated solves at one shift) keep their iterates
    in the Schur basis: each step is then a single triangular tensor
    back-substitution, entered through the Schur images of rank-1
-   factors (adjoint_vec) and read out by the caller's own contraction
-   with U, never by full mode transforms. *)
+   factors (adjoint_vec_real) and read out by the caller's own
+   contraction with U, never by full mode transforms. *)
 
-(* x -> U^{⊗k} x *)
-let from_schur t ~k (v : Cvec.t) : Cvec.t =
-  Obs.Span.with_ ~name:"ksolve.from_schur" (fun () -> modes t ~k ~adjoint:false v)
-
-(* U^H b for a real vector: the Schur-basis image of a rank-1 factor. *)
-let adjoint_vec t (b : Vec.t) : Cvec.t =
-  Contract.require_len "Ksolve.adjoint_vec" ~expected:t.n
-    ~actual:(Array.length b);
-  Cmat.mul_vec_adjoint (Schur.unitary t.schur) (Cvec.of_real b)
-
+(* Uᵀ b: the Schur-basis image of a rank-1 factor. *)
 let adjoint_vec_real t (b : Vec.t) : Vec.t =
-  let u, _ = real_exn "Ksolve.adjoint_vec_real" t in
   Contract.require_len "Ksolve.adjoint_vec_real" ~expected:t.n
     ~actual:(Array.length b);
-  Mat.mul_vec_transpose u b
+  Mat.mul_vec_transpose (real_unitary t) b
 
-(* The triangular middle solve only: (sigma I - ⊕^k T) y = w for
-   Schur-basis data. *)
-let tri_solve_shifted ?mu t ~k ~(sigma : Complex.t) (w : Cvec.t) : Cvec.t =
-  Contract.require_len "Ksolve.tri_solve_shifted"
-    ~expected:(expected_len t.n k) ~actual:(Cvec.dim w);
-  Obs.Metrics.incr Obs.Metrics.Shifted_solve;
-  tri_solve ?mu (Schur.triangular t.schur) ~k ~sigma w
-
+(* The middle solve only: (sigma I - ⊕^k T) y = w for Schur-basis
+   data. *)
 let tri_solve_shifted_real ?mu t ~k ~sigma (w : Vec.t) : Vec.t =
   Contract.require_len "Ksolve.tri_solve_shifted_real"
     ~expected:(expected_len t.n k) ~actual:(Array.length w);
   Obs.Metrics.incr Obs.Metrics.Shifted_solve;
-  tri_solve_real ?mu t ~k ~sigma w
+  tri_solve_real ?mu t ~k (Scalar sigma) w
 
-(* Triangular ⊕³ solve for permutation-symmetric data:
+(* (S ⊗ I - I ⊗ T) y = w for Schur-basis data in m slots: an eq.-18
+   column tuple (Sylvester). *)
+let tri_solve_tuple t ~(sm : Mat.t) ~eig (w : Vec.t) : Vec.t =
+  let m = Array.length eig in
+  Contract.require_dims "Ksolve.tri_solve_tuple" ~expected:(m, m) ~actual:(Mat.dims sm);
+  Contract.require_len "Ksolve.tri_solve_tuple" ~expected:(m * t.n)
+    ~actual:(Array.length w);
+  Obs.Metrics.incr Obs.Metrics.Shifted_solve;
+  tri_solve_real t ~k:1 (Tuple { sm = Mat.data sm; eig }) w
+
+(* Triangular ⊕³ solve for permutation-symmetric data, at a real shift:
    (sigma I - ⊕³T) y = w with w, hence y, invariant under every
-   permutation of (i, j, l) (⊕³T commutes with them). Only the
-   n(n+1)(n+2)/6 entries with i <= j <= l are solved, as
+   permutation of (i, j, l) (⊕³T commutes with them). On a triangular T
+   only the n(n+1)(n+2)/6 entries with i <= j <= l are solved, as
 
      y_ijl = (w_ijl + Σ_{p>i} T_ip y_pjl + Σ_{q>j} T_jq y_iql
                     + Σ_{r>l} T_lr y_ijr) / (sigma - t_ii - t_jj - t_ll),
@@ -607,110 +498,15 @@ let tri_solve_shifted_real ?mu t ~k ~sigma (w : Vec.t) : Vec.t =
    value goes to all six permutations, so the result is the full n³
    layout. Everything an entry reads is an earlier entry of that order
    (or its permutation). Entries off i <= j <= l of [w] are never
-   read. Schur triangles are dense, so unlike {!tri_solve} the inner
-   loops carry no zero-coefficient test. *)
-let tri_solve_sym3 ?(mu = 0.0) t ~(sigma : Complex.t) (w : Cvec.t) : Cvec.t =
-  let n = t.n in
-  Contract.require_len "Ksolve.tri_solve_sym3" ~expected:(expected_len n 3)
-    ~actual:(Cvec.dim w);
-  Obs.Metrics.incr Obs.Metrics.Shifted_solve;
-  Obs.Span.with_ ~name:"ksolve.tri_sym3" @@ fun () ->
-  let n2 = n * n in
-  (* Nominal charge, on the caller and outside the Par tiles. *)
-  charge_sym3 complex_arith ~n;
-  let mu2 = mu *. mu in
-  let tmat = Schur.triangular t.schur in
-  let tol2 = pole_tol2_complex ~mu tmat ~k:3 ~sigma in
-  let tre = tmat.Cmat.re and tim = tmat.Cmat.im in
-  let y = Cvec.copy w in
-  let yre = y.Cvec.re and yim = y.Cvec.im in
-  for i = n - 1 downto 0 do
-    Robust.Budget.check "la.Ksolve.tri_solve_sym3";
-    (* Slot-0 sums of the pairs i < j <= l (row-major), which read only
-       finished levels p > i: the pair range splits into Par tiles.
-       Each tile runs p outermost over its contiguous l-runs, keeping every
-       entry's accumulation order (increasing p) that of the serial
-       solve, so the result is bit-identical at any domain count. The
-       row j = i reads its own level and is summed in the sweep. *)
-    let m = n - 1 - i in
-    Par.tiles ~lo:0 ~hi:(m * (m + 1) / 2) (fun ~lo ~hi ->
-        for p = i + 1 to n - 1 do
-          let cr = tre.((i * n) + p) and ci = tim.((i * n) + p) in
-          (* row j holds pairs [off, off + n - j) of the level *)
-          let off = ref 0 in
-          for j = i + 1 to n - 1 do
-            let a = max lo !off and b = min hi (!off + n - j) in
-            (* pair index x sits at (i, j, j + x - off) *)
-            let bi = (i * n2) + (j * n) + j - !off
-            and bp = (p * n2) + (j * n) + j - !off in
-            for x = a to b - 1 do
-              yre.(bi + x) <-
-                yre.(bi + x) +. ((cr *. yre.(bp + x)) -. (ci *. yim.(bp + x)));
-              yim.(bi + x) <-
-                yim.(bi + x) +. ((cr *. yim.(bp + x)) +. (ci *. yre.(bp + x)))
-            done;
-            off := !off + n - j
-          done
-        done);
-    let si_re = sigma.re -. tre.((i * n) + i)
-    and si_im = sigma.im -. tim.((i * n) + i) in
-    for j = n - 1 downto i do
-      let sj_re = si_re -. tre.((j * n) + j)
-      and sj_im = si_im -. tim.((j * n) + j) in
-      for l = n - 1 downto j do
-        let at = (i * n2) + (j * n) + l in
-        let accr = ref yre.(at) and acci = ref yim.(at) in
-        (* slot s sums T[row, c] y[base + c stride] over c > row: slot 0
-           (p, row i) only on the row j = i, then slots 1 (q) and 2 (r) *)
-        for s = (if j = i then 0 else 1) to 2 do
-          let row = if s = 0 then i else if s = 1 then j else l in
-          let base =
-            if s = 0 then (j * n) + l
-            else if s = 1 then (i * n2) + l
-            else (i * n2) + (j * n)
-          in
-          let stride = if s = 0 then n2 else if s = 1 then n else 1 in
-          for c = row + 1 to n - 1 do
-            let cr = tre.((row * n) + c) and ci = tim.((row * n) + c) in
-            let src = base + (c * stride) in
-            accr := !accr +. ((cr *. yre.(src)) -. (ci *. yim.(src)));
-            acci := !acci +. ((cr *. yim.(src)) +. (ci *. yre.(src)))
-          done
-        done;
-        let dr = sj_re -. tre.((l * n) + l)
-        and di = sj_im -. tim.((l * n) + l) in
-        let dm = (dr *. dr) +. (di *. di) +. mu2 in
-        if dm < tol2 then raise (Near_singular (sqrt dm));
-        let xr = ((!accr *. dr) +. (!acci *. di)) /. dm
-        and xi = ((!acci *. dr) -. (!accr *. di)) /. dm in
-        (* the six permutations of (i, j, l) *)
-        let ii = i * n2 and jj = j * n2 and ll = l * n2 in
-        let p0 = ii + (j * n) + l and p1 = ii + (l * n) + j in
-        let p2 = jj + (i * n) + l and p3 = jj + (l * n) + i in
-        let p4 = ll + (i * n) + j and p5 = ll + (j * n) + i in
-        yre.(p0) <- xr; yim.(p0) <- xi;
-        yre.(p1) <- xr; yim.(p1) <- xi;
-        yre.(p2) <- xr; yim.(p2) <- xi;
-        yre.(p3) <- xr; yim.(p3) <- xi;
-        yre.(p4) <- xr; yim.(p4) <- xi;
-        yre.(p5) <- xr; yim.(p5) <- xi
-      done
-    done
-  done;
-  y
-
-(* tri_solve_sym3 in real arithmetic, for a real factorization and a
-   real shift. On a triangular T: the same entry order, tiles, sum order
-   per entry, polls and pole rule as the complex kernel, with the real
-   Tikhonov inverse. A 2x2 block makes the levels, rows and entries
-   block-wise: sorted block triples B0 <= B1 <= B2, one budget poll per
-   level block B0, and a triple that holds a 2x2 block is solved for
-   all of B0 x B1 x B2 together, each unknown's right-hand side read at
-   its sorted position and each solution written to its six
-   permutations. *)
+   read. Schur triangles are dense, so unlike {!tri_solve_real} the
+   inner loops carry no zero-coefficient test. A 2x2 block makes the
+   levels, rows and entries block-wise: sorted block triples
+   B0 <= B1 <= B2, one budget poll per level block B0, and a triple that
+   holds a 2x2 block is solved for all of B0 x B1 x B2 together, each
+   unknown's right-hand side read at its sorted position and each
+   solution written to its six permutations. *)
 let tri_solve_sym3_real ?(mu = 0.0) t ~sigma (w : Vec.t) : Vec.t =
   let n = t.n in
-  let _, tmat = real_exn "Ksolve.tri_solve_sym3_real" t in
   Contract.require_len "Ksolve.tri_solve_sym3_real" ~expected:(expected_len n 3)
     ~actual:(Array.length w);
   Obs.Metrics.incr Obs.Metrics.Shifted_solve;
@@ -720,8 +516,8 @@ let tri_solve_sym3_real ?(mu = 0.0) t ~sigma (w : Vec.t) : Vec.t =
   let mu2 = mu *. mu in
   let blocks = Schur.blocks t.schur and eig = Schur.eigenvalues t.schur in
   let nb = Array.length blocks in
-  let tol2 = pole_tol2_real ~mu eig ~k:3 ~sigma in
-  let tt = Mat.data tmat in
+  let tol2 = pole_tol2 ~mu eig ~k:3 ~sigma_abs:(Float.abs sigma) in
+  let tt = Mat.data (snd (Schur.real_factors t.schur)) in
   let y = Array.copy w in
   let store i j l x =
     let ii = i * n2 and jj = j * n2 and ll = l * n2 in
@@ -856,10 +652,6 @@ let tri_solve_sym3_real ?(mu = 0.0) t ~sigma (w : Vec.t) : Vec.t =
     done
   done;
   y
-
-(* The unitary factor, for callers assembling custom Schur-basis
-   operators (e.g. U^H G2 (U ⊗ U)). *)
-let unitary t : Cmat.t = Schur.unitary t.schur
 
 (* Apply (sigma I - ⊕^k G) to a real flat vector — residual checking. *)
 let apply_shifted ~(g : Mat.t) ~k ~sigma (x : Vec.t) : Vec.t =

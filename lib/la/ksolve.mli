@@ -2,18 +2,18 @@
     [(σ I − ⊕^k G) x = v] with [v] of length [n^k], never materializing
     the [n^k × n^k] operator.
 
-    One Schur factorization [G = U T U^H] turns every such solve into
-    mode-wise unitary transforms plus a recursive triangular tensor
-    back-substitution — cost [O(k n^(k+1))], memory [O(n^k)]. This is
-    how the associated-transform moments of [H2(s)] and [H3(s)] stay
-    tractable (paper §2.3). A real shift runs in real arithmetic on
-    the real Schur factors ({!Schur.real_factors}): {!solve_shifted_real}
-    and the [_real] Schur-coordinate kernels, charged at 2 flops per
-    multiply-add on 8-byte words. On a real spectrum [T] is triangular;
-    each complex pair leaves a 2x2 block, solved in small dense real
-    systems over tuples of diagonal blocks. A complex shift runs the
-    split-complex kernels on the complex triangular form (8 flops per
-    multiply-add, two words per scalar). *)
+    One real Schur factorization [G = U T Uᵀ] ({!Schur.real_factors})
+    turns every such solve into mode-wise orthogonal transforms plus a
+    recursive block-triangular tensor back-substitution — cost
+    [O(k n^(k+1))], memory [O(n^k)]. This is how the
+    associated-transform moments of [H2(s)] and [H3(s)] stay tractable
+    (paper §2.3). Every solve runs in real arithmetic on those factors,
+    charged at 2 flops per multiply-add on 8-byte words. On a real
+    spectrum [T] is triangular; each complex pair leaves a 2x2 block,
+    solved in small dense real systems over tuples of diagonal blocks.
+    A complex shift [a + ib] solves its real and imaginary parts as one
+    two-slot tuple with the shift matrix [[a, −b], [b, a]], charged as
+    two real solves (4 flops per multiply-add on two words). *)
 
 type t
 
@@ -27,8 +27,12 @@ exception Near_singular of float
 (** Factor once; reuse for any [k] and any shift. *)
 val prepare : Mat.t -> t
 
-(** The Schur factorization [G = U T U^H] itself. *)
+(** The Schur factorization [G = U T Uᵀ] itself. *)
 val schur : t -> Schur.t
+
+(** The solver of [Gᵀ] on the same factorization ({!Schur.transpose}):
+    no second Schur factorization. *)
+val transpose : t -> t
 
 (** Diagnostic distance from [σ] to the nearest pole
     [λ_{i1} + ... + λ_{ik}]: exact for k = 1, for k = 2 at n ≤ 400 and
@@ -42,18 +46,20 @@ val min_pole_distance : t -> k:int -> sigma:Complex.t -> float
     diagnostic, not a bound. *)
 val cond_estimate : t -> k:int -> sigma:Complex.t -> float
 
-(** [solve_shifted t ~k ~sigma v] solves [(σ I − ⊕^k G) x = v].
-    [mu > 0] makes it Tikhonov-regularized: every scalar division in the
-    triangular back-substitution uses [conj(d) / (|d|² + μ²)], finite
-    even when [σ] sits exactly on a pole (minimum-norm there) — the
-    one retry of a near-singular shifted solve, at every [k]. *)
+(** [solve_shifted t ~k ~sigma v] solves [(σ I − ⊕^k G) x = v], on the
+    real factors with [v]'s real and imaginary parts as a two-slot
+    tuple. [mu > 0] makes it Tikhonov-regularized: each tuple's system
+    [M y = r] is solved as [(MᵀM + μ²I) y = Mᵀ r], which on a 1x1 block
+    of [T] is the scalar inverse [conj(d) / (|d|² + μ²)], finite even
+    when [σ] sits exactly on a pole (minimum-norm there) — the one
+    retry of a near-singular shifted solve, at every [k]. *)
 val solve_shifted :
   ?mu:float -> t -> k:int -> sigma:Complex.t -> Cvec.t -> Cvec.t
 
-(** Real shift, real data, in real arithmetic on the real Schur
-    factors. [mu > 0] regularizes as {!solve_shifted} does on a
-    triangular [T]; on a 2x2 block it solves the block system's
-    Tikhonov normal equations [(MᵀM + μ²I) y = Mᵀ r] instead. *)
+(** Real shift, real data: the scalar back-substitution on a triangular
+    [T], with the Tikhonov inverse [d / (d² + μ²)] at [mu > 0]; a tuple
+    with a 2x2 block solves its Tikhonov normal equations
+    [(MᵀM + μ²I) y = Mᵀ r]. *)
 val solve_shifted_real :
   ?mu:float -> t -> k:int -> sigma:float -> Vec.t -> Vec.t
 
@@ -69,61 +75,47 @@ val apply_shifted : g:Mat.t -> k:int -> sigma:float -> Vec.t -> Vec.t
     factors and read out by the caller's own contraction with [U]. *)
 
 (** The real orthogonal [U] of the real Schur factors, the basis of
-    the [_real] kernels below. *)
+    the kernels below. *)
 val real_unitary : t -> Mat.t
 
-(** [U^⊗k x], in a [ksolve.from_schur] span. *)
-val from_schur : t -> k:int -> Cvec.t -> Cvec.t
-
-(** [U^H b] for real [b] — the Schur image of a rank-1 factor. *)
-val adjoint_vec : t -> Vec.t -> Cvec.t
-
-(** Real variant of {!adjoint_vec}: [Uᵀ b]. *)
+(** [Uᵀ b] — the Schur image of a rank-1 factor. *)
 val adjoint_vec_real : t -> Vec.t -> Vec.t
 
-(** The triangular middle solve only: [(σI − ⊕^k T) y = w] on
-    Schur-basis data. [mu] applies the Tikhonov-regularized scalar
-    inverse of {!solve_shifted}. *)
-val tri_solve_shifted :
-  ?mu:float -> t -> k:int -> sigma:Complex.t -> Cvec.t -> Cvec.t
-
-(** Real variant of {!tri_solve_shifted}: on a triangular [T] the same
-    recursion, tiles, sum order, budget polls and pole rule, with the
-    real Tikhonov inverse [d / (d² + μ²)]. A tuple of unknowns that
-    holds a 2x2 block of [T] is solved together (Tikhonov: its normal
-    equations); a poll is one per node of the recursion over diagonal
-    blocks, [1 + nb] for [k = 2] over [nb] blocks. *)
+(** The middle solve only: [(σI − ⊕^k T) y = w] on Schur-basis data.
+    On a triangular [T] a scalar back-substitution with Par tiles, a
+    fixed per-entry sum order, budget polls, the relative pole rule of
+    {!Near_singular} and the Tikhonov inverse [d / (d² + μ²)]. A tuple
+    of unknowns that holds a 2x2 block of [T] is solved together
+    (Tikhonov: its normal equations); a poll is one per node of the
+    recursion over diagonal blocks, [1 + nb] for [k = 2] over [nb]
+    blocks. *)
 val tri_solve_shifted_real :
   ?mu:float -> t -> k:int -> sigma:float -> Vec.t -> Vec.t
 
-(** {!tri_solve_shifted} at [k = 3] for permutation-symmetric data:
-    [w] (hence [y]) unchanged by any permutation of its three indices,
-    such as the [sym³] series of the third-order associated transform.
-    Solves only the [n(n+1)(n+2)/6] entries with [i ≤ j ≤ l] and writes
-    each to its six permutations, so the result is the full [n³]
-    layout; entries of [w] off [i ≤ j ≤ l] are never read. Same
-    [Near_singular] check, Tikhonov [mu], one budget poll per level
-    [i]; one nominal [Flops_trisolve] charge of
-    [2(n−1)n(n+1)(n+2) + 11·n(n+1)(n+2)/6] (about a sixth of the full
-    solve's [12n³(n−1) + 11n³]). Bit-identical at any domain count.
-    Runs in a [ksolve.tri_sym3] span. *)
-val tri_solve_sym3 : ?mu:float -> t -> sigma:Complex.t -> Cvec.t -> Cvec.t
+(** [tri_solve_tuple t ~sm ~eig w] solves [(S ⊗ I − I_m ⊗ T) y = w] on
+    Schur-basis data of [m] slots: slot [u] of [w] (length [m·n]) at
+    [u·n], [S = sm] real [m × m] with eigenvalues [eig] (which the pole
+    rule reads). Every diagonal block of [T] starts a tuple of the [m]
+    slots, through the sums of {!tri_solve_shifted_real} at [k = 1];
+    charged as [m] real solves. The eq.-18 Sylvester solve's column
+    tuples run here. *)
+val tri_solve_tuple : t -> sm:Mat.t -> eig:Complex.t array -> Vec.t -> Vec.t
 
-(** Real variant of {!tri_solve_sym3}, charged
-    [(n−1)n(n+1)(n+2)/2 + 5·n(n+1)(n+2)/6] flops; its levels are the
-    diagonal blocks of [T], one budget poll each. *)
+(** {!tri_solve_shifted_real} at [k = 3] for permutation-symmetric
+    data: [w] (hence [y]) unchanged by any permutation of its three
+    indices, such as the [sym³] series of the third-order associated
+    transform. Solves only the [n(n+1)(n+2)/6] entries with
+    [i ≤ j ≤ l] and writes each to its six permutations, so the result
+    is the full [n³] layout; entries of [w] off [i ≤ j ≤ l] are never
+    read. Same [Near_singular] check and Tikhonov [mu]; its levels are
+    the diagonal blocks of [T], one budget poll each; one nominal
+    [Flops_trisolve] charge of [(n−1)n(n+1)(n+2)/2 + 5·n(n+1)(n+2)/6]
+    (about a sixth of the full solve's [3n³(n−1) + 5n³]).
+    Bit-identical at any domain count. Runs in a [ksolve.tri_sym3]
+    span. *)
 val tri_solve_sym3_real : ?mu:float -> t -> sigma:float -> Vec.t -> Vec.t
 
-(** The unitary Schur factor, for assembling custom Schur-basis
-    operators such as [U^H G2 (U ⊗ U)]. *)
-val unitary : t -> Cmat.t
-
 (** Multiply an order-[k] tensor (flat, dims all [n], mode 0 slowest)
-    along mode [m] by a complex matrix or its adjoint. Exposed for the
-    block solves of the third-order associated realization. *)
-val mode_mul :
-  n:int -> k:int -> m:int -> ?adjoint:bool -> Cmat.t -> Cvec.t -> Cvec.t
-
-(** Real variant of {!mode_mul}; [transpose] multiplies by [matᵀ]. *)
+    along mode [m] by [mat], or by [matᵀ] with [transpose]. *)
 val mode_mul_real :
   n:int -> k:int -> m:int -> ?transpose:bool -> Mat.t -> Vec.t -> Vec.t

@@ -7,16 +7,15 @@
    With P row-major, vec(A P + P Aᵀ) = (A ⊗ I + I ⊗ A) vec P = ⊕²A vec P,
    so the equation is the shifted Kronecker-sum solve
    (0·I − ⊕²A) vec P = vec Q: one Schur factorization of A, whose
-   eigenvalues also decide stability. *)
+   eigenvalues also decide stability. The observability equation is the
+   same solve for Aᵀ, on the transposed factors of the same
+   factorization (Ksolve.transpose). *)
 
 (* Solve A P + P Aᵀ + Q = 0 for Hurwitz A (symmetric Q gives symmetric
-   P); anything with max Re λ >= -1e-9 raises the typed Non_hurwitz. *)
-let solve ~(a : Mat.t) ~(q : Mat.t) : Mat.t =
-  Contract.require_square "Lyapunov.solve: a" (Mat.dims a);
-  Contract.require_dims "Lyapunov.solve: q" ~expected:(Mat.dims a)
-    ~actual:(Mat.dims q);
-  let n = Mat.rows a in
-  let ks = Ksolve.prepare a in
+   P) on A's solver [ks]; anything with max Re λ >= -1e-9 raises the
+   typed Non_hurwitz. *)
+let solve_on ks ~(q : Mat.t) : Mat.t =
+  let n = Mat.rows q in
   let max_re =
     Array.fold_left
       (fun acc (z : Complex.t) -> Float.max acc z.re)
@@ -34,21 +33,36 @@ let solve ~(a : Mat.t) ~(q : Mat.t) : Mat.t =
   (* symmetrize (numerical dust) *)
   Mat.init n n (fun i j -> 0.5 *. (p.((i * n) + j) +. p.((j * n) + i)))
 
-(* Controllability gramian: A P + P Aᵀ + B Bᵀ = 0. *)
-let controllability ~(a : Mat.t) ~(b : Mat.t) : Mat.t =
+let solve ~(a : Mat.t) ~(q : Mat.t) : Mat.t =
+  Contract.require_square "Lyapunov.solve: a" (Mat.dims a);
+  Contract.require_dims "Lyapunov.solve: q" ~expected:(Mat.dims a)
+    ~actual:(Mat.dims q);
+  solve_on (Ksolve.prepare a) ~q
+
+(* The right-hand sides: B Bᵀ of the controllability equation, Cᵀ C
+   of the observability one. *)
+let input_gram ~(a : Mat.t) ~(b : Mat.t) =
   Contract.require "Lyapunov.controllability" (Mat.rows b = Mat.rows a)
     "dimension mismatch"
     (Printf.sprintf "b has %d rows, a is %dx%d" (Mat.rows b) (Mat.rows a)
        (Mat.cols a));
-  solve ~a ~q:(Mat.mul b (Mat.transpose b))
+  Mat.mul b (Mat.transpose b)
 
-(* Observability gramian: Aᵀ Q + Q A + Cᵀ C = 0. *)
-let observability ~(a : Mat.t) ~(c : Mat.t) : Mat.t =
+let output_gram ~(a : Mat.t) ~(c : Mat.t) =
   Contract.require "Lyapunov.observability" (Mat.cols c = Mat.rows a)
     "dimension mismatch"
     (Printf.sprintf "c has %d cols, a is %dx%d" (Mat.cols c) (Mat.rows a)
        (Mat.cols a));
-  solve ~a:(Mat.transpose a) ~q:(Mat.mul (Mat.transpose c) c)
+  Mat.mul (Mat.transpose c) c
+
+(* Controllability gramian: A P + P Aᵀ + B Bᵀ = 0. *)
+let controllability ~a ~b = solve ~a ~q:(input_gram ~a ~b)
+
+(* Observability gramian: Aᵀ Q + Q A + Cᵀ C = 0, the solve for Aᵀ on
+   the transposed factors of A's. *)
+let observability ~a ~c =
+  let q = output_gram ~a ~c in
+  solve_on (Ksolve.transpose (Ksolve.prepare a)) ~q
 
 (* SVD of a (small) dense matrix M = U Σ Vᵀ via the symmetric
    eigendecomposition of MᵀM; only singular values above [tol] * largest
@@ -85,10 +99,14 @@ type square_root = {
    Cholesky), then the thin SVD Sᵀ R = U Σ Vᵀ. Σ are the Hankel
    singular values, accurate down to the rounding of the factors, where
    the eigenvalues of the nonsymmetric P Q are not. A zero gramian has
-   no singular values. *)
+   no singular values. Both gramians run on one Schur factorization of
+   A. *)
 let square_root ~(a : Mat.t) ~(b : Mat.t) ~(c : Mat.t) : square_root =
-  let r = Chol.factor_semidefinite (controllability ~a ~b) in
-  let s = Chol.factor_semidefinite (observability ~a ~c) in
+  let ks = Ksolve.prepare a in
+  let r = Chol.factor_semidefinite (solve_on ks ~q:(input_gram ~a ~b)) in
+  let s =
+    Chol.factor_semidefinite (solve_on (Ksolve.transpose ks) ~q:(output_gram ~a ~c))
+  in
   if Mat.cols r = 0 || Mat.cols s = 0 then
     {
       r;

@@ -26,7 +26,7 @@ val observability : a:Mat.t -> c:Mat.t -> Mat.t
     ({!Chol.factor_semidefinite}) and the thin SVD [Sᵀ R = U Σ Vᵀ],
     keeping the singular values above [1e-10·σ₁]. [hsv] is [Σ]; all
     fields are empty past [r]/[s] when a gramian is zero. Raises as
-    {!solve}; two Schur factorizations of [A] in all. *)
+    {!solve}; one Schur factorization of [A] serves both gramians. *)
 type square_root = {
   r : Mat.t;  (** [n × rank P] *)
   s : Mat.t;  (** [n × rank Q] *)

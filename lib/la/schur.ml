@@ -1,198 +1,21 @@
-(* Schur decomposition A = U T U^H (T upper triangular, U unitary).
-
-   A real matrix goes through the real Schur form first (paper §2.3):
-   Householder-Hessenberg reduction and Francis double-shift QR
-   (Golub-Van Loan §7.5, LAPACK dlahqr) give a real orthogonal U and a
-   real quasi-triangular T, and every 2x2 block with real eigenvalues is
-   split into triangular form (LAPACK dlanv2). Complex pairs stay as
-   standard 2x2 blocks. The real factors drive every real-shift
-   Kronecker-sum solve of {!Ksolve} in real arithmetic, and the
-   eigenvalues are read off its diagonal blocks. Only complex shifts
-   need the complex triangular form: on first use the complex
-   single-shift (Wilkinson) QR iteration below finishes the 2x2 blocks
-   on copies of the same (U, T); with no block left the complex form is
-   the real one. *)
+(* Real Schur decomposition A = U T Uᵀ (paper §2.3): U real orthogonal,
+   T real quasi-triangular. Householder-Hessenberg reduction and Francis
+   double-shift QR (Golub-Van Loan §7.5, LAPACK dlahqr) give the
+   factors, and every 2x2 block with real eigenvalues is split into
+   triangular form (LAPACK dlanv2), so T is triangular on a real
+   spectrum and keeps one standard 2x2 block per complex pair. These
+   factors drive every Kronecker-sum solve of {!Ksolve}, at real and
+   complex shifts alike, and the eigenvalues are read off its diagonal
+   blocks. *)
 
 type t = {
-  complex : (Cmat.t * Cmat.t) Lazy.t;
-      (* the unitary U and upper-triangular T; for real A forced only by
-         a complex-shift caller *)
-  real : (Mat.t * Mat.t) option;
-      (* for real A, the real orthogonal U and real quasi-triangular T:
-         equal to the complex form when no 2x2 block is left *)
+  u : Mat.t;  (* real orthogonal *)
+  t : Mat.t;  (* real quasi-triangular *)
   blocks : (int * int) array;
       (* the diagonal blocks of T in order: first index, one past the
          last *)
   eigs : Complex.t array;
 }
-
-let max_sweeps_per_eig = 60
-
-(* Complex Givens rotation G = [[c, s], [-conj s, c]] with real c >= 0
-   such that G [a; b] = [r; 0]. *)
-let givens (a : Complex.t) (b : Complex.t) =
-  let na = Complex.norm a and nb = Complex.norm b in
-  if Contract.is_zero nb then (1.0, Complex.zero)
-  else if Contract.is_zero na then (0.0, { Complex.re = 1.0; im = 0.0 })
-  else begin
-    let r = Float.hypot na nb in
-    let c = na /. r in
-    (* s = (a/|a|) * conj(b) / r *)
-    let alpha = Complex.div a { re = na; im = 0.0 } in
-    let s =
-      Complex.div (Complex.mul alpha (Complex.conj b)) { re = r; im = 0.0 }
-    in
-    (c, s)
-  end
-
-(* Left-apply the rotation to rows (i, i+1) of [m] over columns
-   [jlo..jhi]. *)
-let rot_rows (m : Cmat.t) i (c, (s : Complex.t)) ~jlo ~jhi =
-  let n = Cmat.cols m in
-  let re = m.Cmat.re and im = m.Cmat.im in
-  let r1 = i * n and r2 = (i + 1) * n in
-  for j = jlo to jhi do
-    let xr = re.(r1 + j) and xi = im.(r1 + j) in
-    let yr = re.(r2 + j) and yi = im.(r2 + j) in
-    (* new x = c x + s y *)
-    re.(r1 + j) <- (c *. xr) +. (s.re *. yr) -. (s.im *. yi);
-    im.(r1 + j) <- (c *. xi) +. (s.re *. yi) +. (s.im *. yr);
-    (* new y = -conj(s) x + c y *)
-    re.(r2 + j) <- (c *. yr) -. ((s.re *. xr) +. (s.im *. xi));
-    im.(r2 + j) <- (c *. yi) -. ((s.re *. xi) -. (s.im *. xr))
-  done
-
-(* Right-apply the adjoint rotation G^H to columns (j, j+1) of [m] over
-   rows [ilo..ihi]: new col_j = c col_j + conj(s) col_{j+1},
-   new col_{j+1} = -s col_j + c col_{j+1}. *)
-let rot_cols (m : Cmat.t) j (c, (s : Complex.t)) ~ilo ~ihi =
-  let n = Cmat.cols m in
-  let re = m.Cmat.re and im = m.Cmat.im in
-  for i = ilo to ihi do
-    let base = i * n in
-    let xr = re.(base + j) and xi = im.(base + j) in
-    let yr = re.(base + j + 1) and yi = im.(base + j + 1) in
-    re.(base + j) <- (c *. xr) +. (s.re *. yr) +. (s.im *. yi);
-    im.(base + j) <- (c *. xi) +. (s.re *. yi) -. (s.im *. yr);
-    re.(base + j + 1) <- (c *. yr) -. ((s.re *. xr) -. (s.im *. xi));
-    im.(base + j + 1) <- (c *. yi) -. ((s.re *. xi) +. (s.im *. xr))
-  done
-
-(* Hessenberg reduction by complex Householder reflectors, accumulating
-   the unitary transform into [u]. *)
-let hessenberg (h : Cmat.t) (u : Cmat.t) =
-  let n = Cmat.rows h in
-  for k = 0 to n - 3 do
-    (* Reflector zeroing h[k+2 .. n-1, k]. *)
-    let normx =
-      let s = ref 0.0 in
-      for i = k + 1 to n - 1 do
-        let z = Cmat.get h i k in
-        s := !s +. (z.re *. z.re) +. (z.im *. z.im)
-      done;
-      sqrt !s
-    in
-    if normx > 0.0 then begin
-      let x1 = Cmat.get h (k + 1) k in
-      let n1 = Complex.norm x1 in
-      let alpha =
-        if Contract.is_zero n1 then { Complex.re = normx; im = 0.0 }
-        else Complex.mul (Complex.div x1 { re = n1; im = 0.0 })
-               { re = normx; im = 0.0 }
-      in
-      (* v = x + alpha e1 *)
-      let v = Cvec.create (n - k - 1) in
-      for i = k + 1 to n - 1 do
-        Cvec.set v (i - k - 1) (Cmat.get h i k)
-      done;
-      Cvec.set v 0 (Complex.add (Cvec.get v 0) alpha);
-      let vnorm2 =
-        let s = ref 0.0 in
-        for i = 0 to Cvec.dim v - 1 do
-          s := !s +. (v.Cvec.re.(i) *. v.Cvec.re.(i))
-               +. (v.Cvec.im.(i) *. v.Cvec.im.(i))
-        done;
-        !s
-      in
-      if vnorm2 > 0.0 then begin
-        let beta = 2.0 /. vnorm2 in
-        (* Left: rows k+1..n-1, all columns j = k..n-1:
-           col_j -= beta * v * (v^H col_j). *)
-        for j = k to n - 1 do
-          let dr = ref 0.0 and di = ref 0.0 in
-          for i = 0 to Cvec.dim v - 1 do
-            let z = Cmat.get h (k + 1 + i) j in
-            (* conj(v_i) * z *)
-            dr := !dr +. (v.Cvec.re.(i) *. z.re) +. (v.Cvec.im.(i) *. z.im);
-            di := !di +. (v.Cvec.re.(i) *. z.im) -. (v.Cvec.im.(i) *. z.re)
-          done;
-          let dr = beta *. !dr and di = beta *. !di in
-          for i = 0 to Cvec.dim v - 1 do
-            let z = Cmat.get h (k + 1 + i) j in
-            let vr = v.Cvec.re.(i) and vi = v.Cvec.im.(i) in
-            Cmat.set h (k + 1 + i) j
-              {
-                re = z.re -. ((vr *. dr) -. (vi *. di));
-                im = z.im -. ((vr *. di) +. (vi *. dr));
-              }
-          done
-        done;
-        (* Right: columns k+1..n-1, all rows: row_i -= beta (row_i . v)
-           v^H, i.e. m <- m - beta (m v) v^H. *)
-        let apply_right (m : Cmat.t) =
-          let rows = Cmat.rows m in
-          for i = 0 to rows - 1 do
-            let dr = ref 0.0 and di = ref 0.0 in
-            for l = 0 to Cvec.dim v - 1 do
-              let z = Cmat.get m i (k + 1 + l) in
-              (* z * v_l *)
-              dr := !dr +. (z.re *. v.Cvec.re.(l)) -. (z.im *. v.Cvec.im.(l));
-              di := !di +. (z.re *. v.Cvec.im.(l)) +. (z.im *. v.Cvec.re.(l))
-            done;
-            let dr = beta *. !dr and di = beta *. !di in
-            for l = 0 to Cvec.dim v - 1 do
-              let z = Cmat.get m i (k + 1 + l) in
-              (* z - d * conj(v_l) *)
-              let vr = v.Cvec.re.(l) and vi = -.v.Cvec.im.(l) in
-              Cmat.set m i (k + 1 + l)
-                {
-                  re = z.re -. ((dr *. vr) -. (di *. vi));
-                  im = z.im -. ((dr *. vi) +. (di *. vr));
-                }
-            done
-          done
-        in
-        apply_right h;
-        apply_right u
-      end
-    end;
-    (* Clean the column below the subdiagonal to exact zeros. *)
-    for i = k + 2 to n - 1 do
-      Cmat.set h i k Complex.zero
-    done
-  done
-
-(* Wilkinson shift from the trailing 2x2 of the active block. *)
-let wilkinson_shift (h : Cmat.t) hi =
-  let a = Cmat.get h (hi - 1) (hi - 1)
-  and b = Cmat.get h (hi - 1) hi
-  and c = Cmat.get h hi (hi - 1)
-  and d = Cmat.get h hi hi in
-  let two = { Complex.re = 2.0; im = 0.0 } in
-  let mean = Complex.div (Complex.add a d) two in
-  let half_diff = Complex.div (Complex.sub a d) two in
-  let disc = Complex.sqrt (Complex.add (Complex.mul half_diff half_diff) (Complex.mul b c)) in
-  let l1 = Complex.add mean disc and l2 = Complex.sub mean disc in
-  if Complex.norm (Complex.sub l1 d) <= Complex.norm (Complex.sub l2 d) then l1
-  else l2
-
-let subdiag_negligible (h : Cmat.t) i =
-  let eps = 4.0 *. epsilon_float in
-  let s =
-    Complex.norm (Cmat.get h i i) +. Complex.norm (Cmat.get h (i + 1) (i + 1))
-  in
-  let s = if Contract.is_zero s then Cmat.norm_fro h else s in
-  Complex.norm (Cmat.get h (i + 1) i) <= eps *. s
 
 let convergence_failure steps =
   Robust.Error.raise_error
@@ -201,72 +24,6 @@ let convergence_failure steps =
          loc = Robust.Error.loc ~subsystem:"la" ~operation:"Schur.decompose";
          detail = Printf.sprintf "QR iteration exceeded %d steps" steps;
        })
-
-let qr_iterate (h : Cmat.t) (u : Cmat.t) =
-  let n = Cmat.rows h in
-  let hi = ref (n - 1) in
-  let iter_since_deflation = ref 0 in
-  let total_budget = max_sweeps_per_eig * max n 1 in
-  let total = ref 0 in
-  while !hi > 0 do
-    (* Deflate converged subdiagonals at the bottom. *)
-    while !hi > 0 && subdiag_negligible h (!hi - 1) do
-      Cmat.set h !hi (!hi - 1) Complex.zero;
-      decr hi;
-      iter_since_deflation := 0
-    done;
-    if !hi > 0 then begin
-      (* Find the start of the active block. *)
-      let lo = ref !hi in
-      while !lo > 0 && not (subdiag_negligible h (!lo - 1)) do
-        decr lo
-      done;
-      if !lo > 0 then Cmat.set h !lo (!lo - 1) Complex.zero;
-      let lo = !lo in
-      incr total;
-      incr iter_since_deflation;
-      if !total > total_budget then convergence_failure total_budget;
-      let mu =
-        if !iter_since_deflation mod 12 = 0 then begin
-          (* Exceptional ad-hoc shift to break limit cycles. *)
-          let m =
-            Complex.norm (Cmat.get h !hi (!hi - 1))
-            +.
-            if !hi >= 2 then Complex.norm (Cmat.get h (!hi - 1) (!hi - 2))
-            else 0.0
-          in
-          { Complex.re = 1.5 *. m; im = 0.0 }
-        end
-        else wilkinson_shift h !hi
-      in
-      (* Explicit shifted QR sweep on rows/cols lo..hi. *)
-      for i = lo to !hi do
-        Cmat.add_to h i i (Complex.neg mu)
-      done;
-      let rots = Array.make (!hi - lo) (1.0, Complex.zero) in
-      for i = lo to !hi - 1 do
-        let g = givens (Cmat.get h i i) (Cmat.get h (i + 1) i) in
-        rots.(i - lo) <- g;
-        rot_rows h i g ~jlo:i ~jhi:(n - 1)
-      done;
-      for i = lo to !hi - 1 do
-        let g = rots.(i - lo) in
-        rot_cols h i g ~ilo:0 ~ihi:(min (i + 1) !hi);
-        rot_cols u i g ~ilo:0 ~ihi:(n - 1)
-      done;
-      for i = lo to !hi do
-        Cmat.add_to h i i mu
-      done
-    end
-  done;
-  (* Zero out the strictly lower triangle (numerical dust). *)
-  for i = 0 to n - 1 do
-    for j = 0 to i - 1 do
-      Cmat.set h i j Complex.zero
-    done
-  done
-
-(* ---- real path: Hessenberg reduction and Francis double-shift QR ---- *)
 
 (* LAPACK dlarfg on [v.(0..nr-1)]: the reflector I - tau [1; w][1; w]^T
    mapping [alpha; x] to [beta; 0]. On return v.(0) = beta and
@@ -613,33 +370,14 @@ let francis ~drop n (h : float array) (z : float array) =
     i := l - 1
   done
 
-let decompose_complex (a : Cmat.t) : t =
-  if Cmat.rows a <> Cmat.cols a then invalid_arg "Schur: matrix not square";
-  let n = Cmat.rows a in
-  (* Nominal dense-Schur charge (Hessenberg reduction plus the
-     conventional QR-iteration budget), a function of the dimension
-     only — the data-dependent sweep count must not leak into the
-     deterministic counters. *)
-  Obs.Cost.charge Obs.Cost.Flops_schur (25 * n * n * n)
-    ~read:(2 * n * n) ~written:(4 * n * n);
-  let h = Cmat.copy a in
-  let u = Cmat.identity n in
-  if n > 1 then begin
-    hessenberg h u;
-    qr_iterate h u
-  end;
-  {
-    complex = Lazy.from_val (u, h);
-    real = None;
-    blocks = Array.init n (fun i -> (i, i + 1));
-    eigs = Array.init n (fun i -> Cmat.get h i i);
-  }
 
 let decompose (a : Mat.t) : t =
   if Mat.rows a <> Mat.cols a then invalid_arg "Schur: matrix not square";
   let n = Mat.rows a in
-  (* The same nominal charge as the complex form: 25 n³ is Golub-Van
-     Loan's count for the real Schur form with U. *)
+  (* Nominal dense-Schur charge: 25 n³ is Golub-Van Loan's count for the
+     real Schur form with U, a function of the dimension only — the
+     data-dependent sweep count must not leak into the deterministic
+     counters. *)
   Obs.Cost.charge Obs.Cost.Flops_schur (25 * n * n * n)
     ~read:(2 * n * n) ~written:(4 * n * n);
   let h = Array.copy (Mat.data a) in
@@ -648,8 +386,6 @@ let decompose (a : Mat.t) : t =
     hessenberg_real n h u;
     francis ~drop:(float_of_int n *. epsilon_float *. Mat.norm_fro a) n h u
   end;
-  let um = { Mat.rows = n; cols = n; data = u }
-  and tm = { Mat.rows = n; cols = n; data = h } in
   (* the diagonal blocks: a nonzero T(i+1,i) opens the standardized
      block [a b; c a] of the pair a ± i·sqrt(|b c|) *)
   let eigs = Array.init n (fun i -> { Complex.re = h.((i * n) + i); im = 0.0 }) in
@@ -664,34 +400,37 @@ let decompose (a : Mat.t) : t =
     else blocks (i + 1) ((i, i + 1) :: acc)
   [@@vmor.unbudgeted "one step per diagonal block"]
   in
-  let blocks = blocks 0 [] in
-  let paired = Array.length blocks < n in
-  let complex =
-    lazy
-      (let uc = Cmat.of_real um and tc = Cmat.of_real tm in
-       (* complex pairs: the complex QR iteration finishes their 2x2
-          blocks on copies of the same factors, with no second
-          Hessenberg reduction *)
-       if paired then qr_iterate tc uc;
-       (uc, tc))
-  in
-  { complex; real = Some (um, tm); blocks; eigs }
+  {
+    u = { Mat.rows = n; cols = n; data = u };
+    t = { Mat.rows = n; cols = n; data = h };
+    blocks = blocks 0 [];
+    eigs;
+  }
 
-let real_factors t = t.real
+(* Aᵀ = (U J)(J Tᵀ J)(U J)ᵀ with J the index reversal: J Tᵀ J is upper
+   quasi-triangular with the blocks in reverse order, and a standard
+   block [a b; c a] stays [a b; c a]. Reversing a pair's eigenvalues
+   puts its negative imaginary part first, which conj puts back. *)
+let transpose s =
+  let n = Mat.rows s.u in
+  {
+    u = Mat.init n n (fun i j -> Mat.get s.u i (n - 1 - j));
+    t = Mat.init n n (fun i j -> Mat.get s.t (n - 1 - j) (n - 1 - i));
+    blocks =
+      Array.init (Array.length s.blocks) (fun x ->
+          let b, e = s.blocks.(Array.length s.blocks - 1 - x) in
+          (n - e, n - b));
+    eigs = Array.init n (fun i -> Complex.conj s.eigs.(n - 1 - i));
+  }
 
-let blocks t = Array.copy t.blocks
+let real_factors s = (s.u, s.t)
 
-let unitary t = fst (Lazy.force t.complex)
+let blocks s = Array.copy s.blocks
 
-let triangular t = snd (Lazy.force t.complex)
+let eigenvalues s = Array.copy s.eigs
 
-let eigenvalues t = Array.copy t.eigs
-
-let reconstruct t = Cmat.mul (unitary t) (Cmat.mul (triangular t) (Cmat.adjoint (unitary t)))
-
-let residual ~(a : Mat.t) t =
-  let tc = triangular t in
-  Contract.require_dims "Schur.residual"
-    ~expected:(Cmat.rows tc, Cmat.cols tc) ~actual:(Mat.dims a);
-  let r = Cmat.sub (reconstruct t) (Cmat.of_real a) in
-  Cmat.norm_fro r /. (1.0 +. Mat.norm_fro a)
+let residual ~(a : Mat.t) s =
+  Contract.require_dims "Schur.residual" ~expected:(Mat.dims s.t)
+    ~actual:(Mat.dims a);
+  let r = Mat.sub (Mat.mul s.u (Mat.mul s.t (Mat.transpose s.u))) a in
+  Mat.norm_fro r /. (1.0 +. Mat.norm_fro a)

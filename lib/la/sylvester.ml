@@ -3,12 +3,12 @@
    C = -G2 — where B is n² x n² but its Schur form is inherited from
    G1's, so the solve costs O(n^4) and never builds B. *)
 
-(* Pi from G1 Pi + G2 = Pi (⊕² G1) on the Schur factorization of G1
-   that [ks] holds. *)
+(* Pi from G1 Pi + G2 = Pi (⊕² G1) on the real Schur factorization
+   G1 = U T Uᵀ that [ks] holds. *)
 let solve_pi_schur ~(ks : Ksolve.t) ~(g2 : Mat.t) : Mat.t =
   let schur = Ksolve.schur ks in
-  let u = Schur.unitary schur and t = Schur.triangular schur in
-  let n = Cmat.rows u in
+  let u, t = Schur.real_factors schur in
+  let n = Mat.rows u in
   Contract.require_dims "Sylvester.solve_pi_schur" ~expected:(n, n * n)
     ~actual:(Mat.dims g2);
   (* Solvability needs lambda_i != lambda_j + lambda_k for all triples
@@ -31,89 +31,84 @@ let solve_pi_schur ~(ks : Ksolve.t) ~(g2 : Mat.t) : Mat.t =
         eigs)
     eigs;
   let m = n * n in
-  let ut = Cmat.transpose u in
-  let uconj = Cmat.init n n (fun i j -> Complex.conj (Cmat.get u i j)) in
-  (* C = -G2;  C~ = U^H C (U ⊗ U).
-     Row r of (C (U⊗U)) is (U⊗U)ᵀ c_r = (Uᵀ⊗Uᵀ) c_r: two mode
-     multiplies by Uᵀ. *)
-  let chat_rows =
-    Array.init n (fun r ->
-        let crow = Cvec.of_real (Vec.init m (fun j -> -.Mat.get g2 r j)) in
-        let w = Ksolve.mode_mul ~n ~k:2 ~m:0 ut crow in
-        Ksolve.mode_mul ~n ~k:2 ~m:1 ut w)
-  in
-  (* then left-multiply by U^H: chat[i, j] = sum_r conj(U[r,i]) rows[r][j] *)
-  let chat = Cmat.create n m in
+  (* C~ = -Uᵀ G2 (U ⊗ U), held column-major in [y] (column j at j·n):
+     row r of G2 (U ⊗ U) is (Uᵀ ⊗ Uᵀ) g_r, two mode multiplies by Uᵀ. *)
+  let y = Vec.create (m * n) in
   for r = 0 to n - 1 do
-    for i = 0 to n - 1 do
-      let urc = Complex.conj (Cmat.get u r i) in
-      if Contract.nonzero urc.re || Contract.nonzero urc.im then
-        for j = 0 to m - 1 do
-          Cmat.add_to chat i j
-            (Complex.mul urc (Cvec.get chat_rows.(r) j))
-        done
-    done
-  done;
-  (* T Y - Y (⊕²T) = C~: flat column index j = (j1, j2) ascending is a
-     valid triangular order. Off-diagonal column entries of ⊕²T at
-     (i1, j2) for i1 < j1 with coefficient T[i1,j1], and (j1, i2) for
-     i2 < j2 with coefficient T[i2,j2]. *)
-  let y = Cmat.create n m in
-  let ycol = Array.init m (fun _ -> None) in
-  for j = 0 to m - 1 do
-    let j1 = j / n and j2 = j mod n in
-    let rhs = Cmat.col chat j in
-    for i1 = 0 to j1 - 1 do
-      let coef = Cmat.get t i1 j1 in
-      if Contract.nonzero coef.re || Contract.nonzero coef.im then
-        match ycol.((i1 * n) + j2) with
-        | Some c -> Cvec.axpy ~alpha:coef c rhs
-        | None -> ()
-    done;
-    for i2 = 0 to j2 - 1 do
-      let coef = Cmat.get t i2 j2 in
-      if Contract.nonzero coef.re || Contract.nonzero coef.im then
-        match ycol.((j1 * n) + i2) with
-        | Some c -> Cvec.axpy ~alpha:coef c rhs
-        | None -> ()
-    done;
-    let mu = Complex.add (Cmat.get t j1 j1) (Cmat.get t j2 j2) in
-    (* (T - mu I) y = rhs as (mu I - T) y = -rhs: negation is exact, so
-       y has the bits of the direct back-substitution *)
-    let col =
-      Ksolve.tri_solve_shifted ks ~k:1 ~sigma:mu
-        (Cvec.make
-           ~re:(Array.map Float.neg rhs.Cvec.re)
-           ~im:(Array.map Float.neg rhs.Cvec.im))
+    let row =
+      Ksolve.mode_mul_real ~n ~k:2 ~m:1 ~transpose:true u
+        (Ksolve.mode_mul_real ~n ~k:2 ~m:0 ~transpose:true u (Mat.row g2 r))
     in
-    ycol.(j) <- Some col;
-    Cmat.set_col y j col
-  done;
-  (* Pi = U Y (U ⊗ U)^H: row r of Y (U⊗U)^H is conj(U⊗U) y_r. *)
-  let pirows =
-    Array.init n (fun r ->
-        let yrow = Cvec.init m (fun j -> Cmat.get y r j) in
-        let w = Ksolve.mode_mul ~n ~k:2 ~m:0 uconj yrow in
-        Ksolve.mode_mul ~n ~k:2 ~m:1 uconj w)
-  in
-  let pi = Cmat.create n m in
-  for r = 0 to n - 1 do
     for i = 0 to n - 1 do
-      let uir = Cmat.get u i r in
-      if Contract.nonzero uir.re || Contract.nonzero uir.im then
+      let uri = Mat.get u r i in
+      if Contract.nonzero uri then
         for j = 0 to m - 1 do
-          Cmat.add_to pi i j (Complex.mul uir (Cvec.get pirows.(r) j))
+          y.((j * n) + i) <- y.((j * n) + i) -. (uri *. row.(j))
         done
     done
   done;
-  let imag = Mat.norm_fro (Cmat.imag_part pi) in
-  if imag > 1e-5 *. (1.0 +. Cmat.norm_fro pi) then
-    Robust.Error.raise_error
-      (Robust.Error.Contract_violation
-         {
-           loc =
-             Robust.Error.loc ~subsystem:"la"
-               ~operation:"Sylvester.solve_pi_schur";
-           detail = "non-negligible imaginary residue";
-         });
-  Cmat.real_part pi
+  (* T Y - Y (⊕²T) = C~ over column tuples J = B1 x B2 of diagonal
+     blocks of T, in ascending block order: (⊕²T)[i, j] couples column j
+     to the earlier columns (i1 < B1, j2) by T[i1, j1] and (j1, i2 < B2)
+     by T[i2, j2], and within J to M_J = T_B1 ⊕ T_B2, so Y_J solves the
+     k = 1 tuple system (M_Jᵀ ⊗ I - I ⊗ T) vec Y_J = -R_J with R_J = C~_J
+     plus those earlier columns. Each solution overwrites its C~ column,
+     which nothing reads again. *)
+  let blocks = Schur.blocks schur in
+  Array.iter
+    (fun (b1, e1) ->
+      Array.iter
+        (fun (b2, e2) ->
+          let s2 = e2 - b2 in
+          let s = (e1 - b1) * s2 in
+          let col u = (((b1 + (u / s2)) * n) + b2 + (u mod s2)) * n in
+          let w = Vec.create (s * n) in
+          for u = 0 to s - 1 do
+            let j1 = b1 + (u / s2) and j2 = b2 + (u mod s2) in
+            Array.blit (Vec.scale (-1.0) (Array.sub y (col u) n)) 0 w (u * n) n;
+            let sub coef src =
+              if Contract.nonzero coef then
+                for i = 0 to n - 1 do
+                  w.((u * n) + i) <- w.((u * n) + i) -. (coef *. y.(src + i))
+                done
+            in
+            for i1 = 0 to b1 - 1 do
+              sub (Mat.get t i1 j1) (((i1 * n) + j2) * n)
+            done;
+            for i2 = 0 to b2 - 1 do
+              sub (Mat.get t i2 j2) (((j1 * n) + i2) * n)
+            done
+          done;
+          (* M_Jᵀ[u, v] = (T_B1 ⊕ T_B2)[v, u] *)
+          let sm =
+            Mat.init s s (fun u v ->
+                let p1 = b1 + (u / s2) and p2 = b2 + (u mod s2) in
+                let q1 = b1 + (v / s2) and q2 = b2 + (v mod s2) in
+                (if p2 = q2 then Mat.get t q1 p1 else 0.0)
+                +. if p1 = q1 then Mat.get t q2 p2 else 0.0)
+          in
+          let eig =
+            Array.init s (fun u -> Complex.add eigs.(b1 + (u / s2)) eigs.(b2 + (u mod s2)))
+          in
+          let yj = Ksolve.tri_solve_tuple ks ~sm ~eig w in
+          for u = 0 to s - 1 do
+            Array.blit yj (u * n) y (col u) n
+          done)
+        blocks)
+    blocks;
+  (* Pi = U Y (U ⊗ U)ᵀ: row r of Y (U ⊗ U)ᵀ is (U ⊗ U) y_r. *)
+  let pi = Mat.create n m in
+  for r = 0 to n - 1 do
+    let row =
+      Ksolve.mode_mul_real ~n ~k:2 ~m:1 u
+        (Ksolve.mode_mul_real ~n ~k:2 ~m:0 u (Vec.init m (fun j -> y.((j * n) + r))))
+    in
+    for i = 0 to n - 1 do
+      let uir = Mat.get u i r in
+      if Contract.nonzero uir then
+        for j = 0 to m - 1 do
+          Mat.set pi i j (Mat.get pi i j +. (uir *. row.(j)))
+        done
+    done
+  done;
+  pi

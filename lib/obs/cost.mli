@@ -20,7 +20,7 @@ type counter =
   | Flops_matmul  (** dense matrix-matrix products *)
   | Flops_lu  (** LU factorizations *)
   | Flops_trisolve  (** triangular back/forward substitution *)
-  | Flops_schur  (** complex Schur factorization *)
+  | Flops_schur  (** real Schur factorization *)
   | Flops_tensor  (** Kronecker-sum mode products, sparse tensor applies *)
   | Flops_ortho  (** Householder QR and Gram-Schmidt orthogonalization *)
   | Flops_ode_rhs  (** right-hand-side evaluations (un-leafed part) *)

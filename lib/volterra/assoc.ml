@@ -37,7 +37,7 @@
 
    q_abc is invariant under permutations of its three indices, and so
    is ⊕³G1, so every N3 series iterate is fully symmetric: it is solved
-   on its i <= j <= l entries only (Ksolve.tri_solve_sym3, about a
+   on its i <= j <= l entries only (Ksolve.tri_solve_sym3_real, about a
    sixth of the work), and the G2 coupling, symmetric in its trailing
    pair, multiplies n(n+1)/2 packed columns instead of n² (DESIGN.md §2).
 
@@ -610,7 +610,7 @@ let apply_coupling t (u : Mat.t) (z : Vec.t) : Vec.t =
 
    With the pairings folded (header), one ⊕³ series
    r_m = (s0 - ⊕³T)^-(m+1) q_abc, symmetric and solved by
-   Ksolve.tri_solve_sym3, serves the coupling and the G3 term,
+   Ksolve.tri_solve_sym3_real, serves the coupling and the G3 term,
    and one ⊕² state carries the G2 term:
 
      w_0 = (s0 - ⊕²T)^-1 (p_abc + C r_0),   w_m = (s0 - ⊕²T)^-1 (w_{m-1} + C r_m),

@@ -79,20 +79,6 @@ let test_cvec_to_real_guard () =
        false
      with Robust.Error.Error (Robust.Error.Contract_violation _) -> true)
 
-let test_schur_complex_input () =
-  let a =
-    Cmat.init 4 4 (fun i j ->
-        {
-          Complex.re = (if i = j then -2.0 else 0.2 *. float_of_int ((i + j) mod 3));
-          im = 0.1 *. float_of_int (i - j);
-        })
-  in
-  let s = Schur.decompose_complex a in
-  let recon = Schur.reconstruct s in
-  check_small "complex input residual"
-    (Cmat.norm_fro (Cmat.sub recon a) /. (1.0 +. Cmat.norm_fro a))
-    1e-9
-
 (* ---- Ode statistics ---- *)
 
 let test_rkf45_stats () =
@@ -273,7 +259,6 @@ let suite =
         tc "square-root HSVs of known systems" `Quick test_hsv_known;
         tc "ksolve pole distance" `Quick test_ksolve_pole_distance;
         tc "cvec to_real guard" `Quick test_cvec_to_real_guard;
-        tc "complex-input Schur" `Quick test_schur_complex_input;
       ] );
     ( "coverage.ode",
       [

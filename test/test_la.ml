@@ -302,23 +302,93 @@ let test_schur_residual () =
   let a = random_stable 15 in
   let s = Schur.decompose a in
   check_small "Schur residual" (Schur.residual ~a s) 1e-9;
-  let u = Schur.unitary s in
-  let uhu = Cmat.mul (Cmat.adjoint u) u in
-  check_small "U unitary"
-    (Cmat.norm_fro (Cmat.sub uhu (Cmat.identity 15)))
+  let u, _ = Schur.real_factors s in
+  check_small "U orthogonal"
+    (Mat.norm_fro (Mat.sub (Mat.mul (Mat.transpose u) u) (Mat.identity 15)))
     1e-9
 
-let test_schur_triangular () =
-  let a = random_stable 12 in
-  let s = Schur.decompose a in
-  let t = Schur.triangular s in
-  let low = ref 0.0 in
-  for i = 0 to 11 do
+(* Quasi-triangular factors of a spectrum with complex pairs: A = U T Uᵀ
+   with U orthogonal, one standardized 2x2 block [a b; c a], b c < 0,
+   per pair and nothing else below the diagonal, and the block list read
+   off T. *)
+let check_quasi_triangular name a (u, t) blocks =
+  let n = Mat.rows a in
+  check_small (name ^ ": UᵀU = I")
+    (Mat.norm_fro (Mat.sub (Mat.mul (Mat.transpose u) u) (Mat.identity n)))
+    1e-12;
+  check_small (name ^ ": ‖A − UTUᵀ‖/‖A‖")
+    (Mat.norm_fro (Mat.sub a (Mat.mul u (Mat.mul t (Mat.transpose u))))
+    /. Mat.norm_fro a)
+    1e-12;
+  let pairs = ref 0 in
+  for i = 0 to n - 1 do
     for j = 0 to i - 1 do
-      low := !low +. Complex.norm2 (Cmat.get t i j)
+      let x = Mat.get t i j in
+      if Contract.nonzero x then begin
+        if j <> i - 1 || (i >= 2 && Contract.nonzero (Mat.get t (i - 1) (i - 2))) then
+          Alcotest.failf "%s: T(%d,%d) outside a 2x2 block" name i j;
+        incr pairs;
+        if Mat.get t j j <> Mat.get t i i || Mat.get t j i *. x >= 0.0 then
+          Alcotest.failf "%s: block at %d not a standard complex pair" name j
+      end
     done
   done;
-  check_small "strictly lower is zero" (sqrt !low) 1e-12
+  Alcotest.(check bool) (name ^ ": has a complex pair") true (!pairs > 0);
+  let expected =
+    let rec go i acc =
+      if i >= n then List.rev acc
+      else if i + 1 < n && Contract.nonzero (Mat.get t (i + 1) i) then
+        go (i + 2) ((i, i + 2) :: acc)
+      else go (i + 1) ((i, i + 1) :: acc)
+    in
+    go 0 []
+  in
+  Alcotest.(check (list (pair int int))) (name ^ ": diagonal blocks") expected
+    (Array.to_list blocks)
+
+let pair_matrices () =
+  [
+    ("random", random_stable 12);
+    ("rotation block", Mat.of_list [ [ -1.0; -3.0; 0.5 ]; [ 2.0; -1.0; 0.0 ]; [ 0.1; 0.0; -4.0 ] ]);
+  ]
+
+let test_schur_triangular () =
+  List.iter
+    (fun (name, a) ->
+      let s = Schur.decompose a in
+      check_quasi_triangular name a (Schur.real_factors s) (Schur.blocks s))
+    (pair_matrices ())
+
+(* The transposed factors are a Schur form of Aᵀ, with the blocks and
+   the eigenvalues reversed and each pair's positive imaginary part
+   first, at no Schur charge. *)
+let test_schur_transpose () =
+  List.iter
+    (fun (name, a) ->
+      let s = Schur.decompose a in
+      let snap = Obs.Cost.snapshot () in
+      let st = Schur.transpose s in
+      Alcotest.(check int) (name ^ ": no Schur charge") 0
+        (Option.value ~default:0
+           (List.assoc_opt Obs.Cost.Flops_schur (Obs.Cost.since snap)));
+      let at = Mat.transpose a in
+      check_quasi_triangular (name ^ " transposed") at (Schur.real_factors st)
+        (Schur.blocks st);
+      check_small (name ^ ": residual for Aᵀ") (Schur.residual ~a:at st) 1e-12;
+      let e = Schur.eigenvalues s and et = Schur.eigenvalues st in
+      let n = Array.length e in
+      Array.iteri
+        (fun i (z : Complex.t) ->
+          let w = e.(n - 1 - i) in
+          if z.re <> w.re || Float.abs z.im <> Float.abs w.im then
+            Alcotest.failf "%s: eigenvalue %d not reversed" name i)
+        et;
+      Array.iter
+        (fun (b, e') ->
+          if e' = b + 2 && et.(b).im <= 0.0 then
+            Alcotest.failf "%s: pair at %d has its negative part first" name b)
+        (Schur.blocks st))
+    (pair_matrices ())
 
 let test_schur_eigenvalues_2x2 () =
   (* [[0, -1], [1, 0]] has eigenvalues ±i. *)
@@ -371,23 +441,21 @@ let real_spectrum ?(rng = rng) (diag : float array) =
 let test_schur_real_form () =
   let check name a =
     let n = Mat.rows a in
-    match Schur.real_factors (Schur.decompose a) with
-    | None -> Alcotest.failf "%s: real spectrum took the complex path" name
-    | Some (u, t) ->
-      check_small (name ^ ": UᵀU = I")
-        (Mat.norm_fro (Mat.sub (Mat.mul (Mat.transpose u) u) (Mat.identity n)))
-        1e-12;
-      check_small (name ^ ": ‖A − UTUᵀ‖/‖A‖")
-        (Mat.norm_fro (Mat.sub a (Mat.mul u (Mat.mul t (Mat.transpose u))))
-        /. Mat.norm_fro a)
-        1e-12;
-      for i = 0 to n - 1 do
-        for j = 0 to i - 1 do
-          if Contract.nonzero (Mat.get t i j) then
-            Alcotest.failf "%s: T(%d,%d) = %g below the diagonal" name i j
-              (Mat.get t i j)
-        done
+    let u, t = Schur.real_factors (Schur.decompose a) in
+    check_small (name ^ ": UᵀU = I")
+      (Mat.norm_fro (Mat.sub (Mat.mul (Mat.transpose u) u) (Mat.identity n)))
+      1e-12;
+    check_small (name ^ ": ‖A − UTUᵀ‖/‖A‖")
+      (Mat.norm_fro (Mat.sub a (Mat.mul u (Mat.mul t (Mat.transpose u))))
+      /. Mat.norm_fro a)
+      1e-12;
+    for i = 0 to n - 1 do
+      for j = 0 to i - 1 do
+        if Contract.nonzero (Mat.get t i j) then
+          Alcotest.failf "%s: T(%d,%d) = %g below the diagonal" name i j
+            (Mat.get t i j)
       done
+    done
   in
   check "distinct" (real_spectrum (Array.init 12 (fun i -> -1.0 -. (0.37 *. float_of_int i))));
   (* a repeated semisimple eigenvalue: S D S⁻¹ (a defective one of
@@ -405,78 +473,6 @@ let test_schur_real_form () =
   check "n = 1" (Mat.of_list [ [ -3.0 ] ]);
   check "n = 2" (Mat.of_list [ [ 1.0; 2.0 ]; [ 0.5; -1.0 ] ]);
   check "n = 2, already triangular" (Mat.of_list [ [ 1.0; 2.0 ]; [ 0.0; -1.0 ] ])
-
-(* Complex pairs: the real factors are quasi-triangular, one
-   standardized 2x2 block [a b; c a], b c < 0, per pair, and the complex
-   QR finishes copies of them into the complex triangular form. *)
-let test_schur_handover () =
-  List.iter
-    (fun (name, a) ->
-      let s = Schur.decompose a in
-      let n = Mat.rows a in
-      (match Schur.real_factors s with
-      | None -> Alcotest.failf "%s: no real factors" name
-      | Some (u, t) ->
-        check_small (name ^ ": UᵀU = I")
-          (Mat.norm_fro (Mat.sub (Mat.mul (Mat.transpose u) u) (Mat.identity n)))
-          1e-12;
-        check_small (name ^ ": ‖A − UTUᵀ‖/‖A‖")
-          (Mat.norm_fro (Mat.sub a (Mat.mul u (Mat.mul t (Mat.transpose u))))
-          /. Mat.norm_fro a)
-          1e-12;
-        let pairs = ref 0 in
-        for i = 0 to n - 1 do
-          for j = 0 to i - 1 do
-            let x = Mat.get t i j in
-            if Contract.nonzero x then begin
-              if j <> i - 1 || (i >= 2 && Contract.nonzero (Mat.get t (i - 1) (i - 2))) then
-                Alcotest.failf "%s: T(%d,%d) outside a 2x2 block" name i j;
-              incr pairs;
-              if Mat.get t j j <> Mat.get t i i || Mat.get t j i *. x >= 0.0 then
-                Alcotest.failf "%s: block at %d not a standard complex pair" name j
-            end
-          done
-        done;
-        Alcotest.(check bool) (name ^ ": has a complex pair") true (!pairs > 0);
-        (* the block list comes off the real factor: a 2x2 block
-           exactly where T has a subdiagonal entry *)
-        let expected =
-          let rec go i acc =
-            if i >= n then List.rev acc
-            else if i + 1 < n && Contract.nonzero (Mat.get t (i + 1) i) then
-              go (i + 2) ((i, i + 2) :: acc)
-            else go (i + 1) ((i, i + 1) :: acc)
-          in
-          go 0 []
-        in
-        Alcotest.(check (list (pair int int))) (name ^ ": diagonal blocks") expected
-          (Array.to_list (Schur.blocks s)));
-      check_small (name ^ ": complex residual") (Schur.residual ~a s) 1e-13;
-      (* every eigenvalue read off the real blocks is one of the complex
-         form's diagonal *)
-      let diag = Array.init n (fun i -> Cmat.get (Schur.triangular s) i i) in
-      Array.iter
-        (fun lam ->
-          check_small (name ^ ": eigenvalue on the complex diagonal")
-            (Array.fold_left (fun m d -> Float.min m (Complex.norm (Complex.sub d lam))) infinity diag
-            /. Mat.norm_fro a)
-            1e-12)
-        (Schur.eigenvalues s);
-      let u = Schur.unitary s in
-      check_small (name ^ ": U unitary")
-        (Cmat.norm_fro (Cmat.sub (Cmat.mul (Cmat.adjoint u) u) (Cmat.identity n)))
-        1e-12;
-      let t = Schur.triangular s in
-      for i = 0 to n - 1 do
-        for j = 0 to i - 1 do
-          if Contract.nonzero (Complex.norm (Cmat.get t i j)) then
-            Alcotest.failf "%s: complex T(%d,%d) below the diagonal" name i j
-        done
-      done)
-    [
-      ("random", random_stable 12);
-      ("rotation block", Mat.of_list [ [ -1.0; -3.0; 0.5 ]; [ 2.0; -1.0; 0.0 ]; [ 0.1; 0.0; -4.0 ] ]);
-    ]
 
 (* ---------- Ksolve ---------- *)
 
@@ -548,191 +544,266 @@ let test_ksolve_theorem1 () =
   let x_ref = Lu.solve_system dense rhs in
   check_small "resolvent of Kronecker sum" (Vec.dist2 x x_ref) 1e-8
 
-(* ---------- Ksolve.tri_solve_sym3 ---------- *)
+(* ---------- Ksolve.tri_solve_sym3_real ---------- *)
 
-(* sym³(a, b, c) for random complex Schur-basis columns: the full n³
-   tensor, and its i <= j <= l part alone (zeros elsewhere), which is
-   all the symmetric kernel reads. *)
-let sym3_rhs n =
-  let col () =
-    Cvec.make ~re:(Mat.random_vec ~rng n) ~im:(Mat.random_vec ~rng n)
+(* Q R Qᵀ with R quasi-triangular: a standard 2x2 block [a b; c a],
+   b c < 0, per pair (n/2 of them), a real eigenvalue last when n is
+   odd, and a random upper part. *)
+let with_pairs n =
+  let q =
+    Mat.of_cols (Qr.orthonormalize (List.init n (fun _ -> Mat.random_vec ~rng n)))
   in
-  let x = [| col (); col (); col () |] in
-  let full = Cvec.create (n * n * n) in
+  let r =
+    Mat.init n n (fun i j ->
+        if i = j then -0.6 -. (0.5 *. float_of_int (i / 2))
+        else if j = i + 1 && i mod 2 = 0 then 1.0 +. (0.3 *. float_of_int (i / 2))
+        else if i = j + 1 && j mod 2 = 0 then -0.8 -. (0.2 *. float_of_int (j / 2))
+        else if j > i then 0.5 *. Random.State.float rng 2.0 -. 0.5
+        else 0.0)
+  in
+  Mat.mul q (Mat.mul r (Mat.transpose q))
+
+(* both kinds of real Schur factor: triangular (a real spectrum) and
+   with 2x2 blocks (complex pairs, n >= 2) *)
+let t_kinds n =
+  ("triangular T", real_spectrum (Array.init n (fun i -> -0.5 -. (0.45 *. float_of_int i))))
+  :: (if n >= 2 then [ ("T with blocks", with_pairs n) ] else [])
+
+(* sym³(a, b, c) for random Schur-basis columns: the full n³ tensor,
+   and its i <= j <= l part alone (zeros elsewhere), which is all the
+   symmetric kernel reads. *)
+let sym3_rhs n =
+  let x = Array.init 3 (fun _ -> Mat.random_vec ~rng n) in
+  let full = Vec.create (n * n * n) in
   List.iter
     (fun (i, j, l) ->
-      Cvec.axpy
-        ~alpha:{ Complex.re = 1.0 /. 6.0; im = 0.0 }
-        (Cvec.kron (Cvec.kron x.(i) x.(j)) x.(l))
-        full)
+      Vec.axpy ~alpha:(1.0 /. 6.0) (Kron.vec (Kron.vec x.(i) x.(j)) x.(l)) full)
     [ (0, 1, 2); (0, 2, 1); (1, 0, 2); (1, 2, 0); (2, 0, 1); (2, 1, 0) ];
-  let upper = Cvec.create (n * n * n) in
+  let upper = Vec.create (n * n * n) in
   for i = 0 to n - 1 do
     for j = i to n - 1 do
       for l = j to n - 1 do
         let at = (((i * n) + j) * n) + l in
-        Cvec.set upper at (Cvec.get full at)
+        upper.(at) <- full.(at)
       done
     done
   done;
   (full, upper)
 
-let rel_dist a b = Cvec.norm2 (Cvec.sub a b) /. Cvec.norm2 b
+let rel_dist a b = Vec.dist2 a b /. Vec.norm2 b
+
+(* (sigma I - ⊕^k T)⁻¹ w by a dense LU of the Schur factor's Kronecker
+   sum: the independent oracle of the Schur-basis kernels *)
+let dense_tri ks ~k ~sigma w =
+  let _, t = Schur.real_factors (Ksolve.schur ks) in
+  let big = Kron.sum_pow t k in
+  Lu.solve_system (Mat.sub (Mat.scale sigma (Mat.identity (Mat.rows big))) big) w
 
 let test_sym3_vs_full () =
   List.iter
     (fun n ->
-      let ks = Ksolve.prepare (random_stable n) in
-      let full, upper = sym3_rhs n in
       List.iter
-        (fun sigma ->
-          let y_ref = Ksolve.tri_solve_shifted ks ~k:3 ~sigma full in
-          let tag =
-            Printf.sprintf "n=%d sigma=%g%+gi" n sigma.Complex.re sigma.im
-          in
-          check_small (tag ^ " full rhs")
-            (rel_dist (Ksolve.tri_solve_sym3 ks ~sigma full) y_ref)
-            1e-12;
-          check_small (tag ^ " i<=j<=l rhs")
-            (rel_dist (Ksolve.tri_solve_sym3 ks ~sigma upper) y_ref)
-            1e-12)
-        [ { Complex.re = 0.3; im = 0.0 }; { Complex.re = -0.2; im = 1.1 } ])
-    [ 1; 2; 5; 13 ]
+        (fun (kind, a) ->
+          let ks = Ksolve.prepare a in
+          let full, upper = sym3_rhs n in
+          List.iter
+            (fun sigma ->
+              let y_ref = dense_tri ks ~k:3 ~sigma full in
+              let tag = Printf.sprintf "%s n=%d sigma=%g" kind n sigma in
+              check_small (tag ^ " full rhs")
+                (rel_dist (Ksolve.tri_solve_sym3_real ks ~sigma full) y_ref)
+                1e-12;
+              check_small (tag ^ " i<=j<=l rhs")
+                (rel_dist (Ksolve.tri_solve_sym3_real ks ~sigma upper) y_ref)
+                1e-12)
+            [ 0.3; -1.1 ])
+        (t_kinds n))
+    [ 1; 2; 5; 7 ]
 
 let test_sym3_permutation_symmetric () =
   let n = 6 in
-  let ks = Ksolve.prepare (random_stable n) in
-  let _, upper = sym3_rhs n in
-  let y = Ksolve.tri_solve_sym3 ks ~sigma:{ Complex.re = 0.5; im = 0.0 } upper in
-  let at i j l = (((i * n) + j) * n) + l in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      for l = 0 to n - 1 do
-        let v = at i j l in
-        List.iter
-          (fun p ->
-            if y.Cvec.re.(p) <> y.Cvec.re.(v) || y.Cvec.im.(p) <> y.Cvec.im.(v)
-            then Alcotest.failf "y(%d,%d,%d) differs from a permutation" i j l)
-          [ at i l j; at j i l; at j l i; at l i j; at l j i ]
-      done
-    done
-  done
+  List.iter
+    (fun (kind, a) ->
+      let ks = Ksolve.prepare a in
+      let _, upper = sym3_rhs n in
+      let y = Ksolve.tri_solve_sym3_real ks ~sigma:0.5 upper in
+      let at i j l = (((i * n) + j) * n) + l in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          for l = 0 to n - 1 do
+            let v = at i j l in
+            List.iter
+              (fun p ->
+                if y.(p) <> y.(v) then
+                  Alcotest.failf "%s: y(%d,%d,%d) differs from a permutation" kind i j l)
+              [ at i l j; at j i l; at j l i; at l i j; at l j i ]
+          done
+        done
+      done)
+    (t_kinds n)
+
+(* blockdiag([-1 2; -2 -1], -4) rotated: eigenvalues -1 ± 2i and -4 *)
+let rotated_pair () =
+  let c = cos 0.4 and s = sin 0.4 in
+  let r = Mat.of_list [ [ c; -.s; 0.0 ]; [ s; c; 0.0 ]; [ 0.0; 0.0; 1.0 ] ] in
+  Mat.mul r
+    (Mat.mul (Mat.of_list [ [ -1.0; 2.0; 0.3 ]; [ -2.0; -1.0; 0.1 ]; [ 0.0; 0.0; -4.0 ] ])
+       (Mat.transpose r))
+
+let raises_near_singular f =
+  match f () with _ -> false | exception Ksolve.Near_singular _ -> true
 
 let test_sym3_pole () =
-  (* diag(-1, -2, -4): sigma = -7 is the mixed sum of all three *)
-  let ks = Ksolve.prepare (Mat.diag (Vec.of_list [ -1.0; -2.0; -4.0 ])) in
-  let sigma = { Complex.re = -7.0; im = 0.0 } in
-  let full, upper = sym3_rhs 3 in
-  let mu = 1e-6 in
-  check_small "regularized solve matches the full one"
-    (rel_dist
-       (Ksolve.tri_solve_sym3 ~mu ks ~sigma upper)
-       (Ksolve.tri_solve_shifted ~mu ks ~k:3 ~sigma full))
-    1e-12;
-  Alcotest.(check bool) "unregularized solve raises Near_singular" true
-    (match Ksolve.tri_solve_sym3 ks ~sigma upper with
-    | _ -> false
-    | exception Ksolve.Near_singular _ -> true)
+  (* diag(-1, -2, -4): sigma = -7 is the mixed sum of all three; on the
+     pair's factor, -6 = (-1 + 2i) + (-1 - 2i) + (-4) *)
+  List.iter
+    (fun (kind, a, sigma) ->
+      let ks = Ksolve.prepare a in
+      let full, upper = sym3_rhs 3 in
+      (* a pole makes the Tikhonov solution depend on how the unknowns
+         are grouped, which differs between the two kernels only where
+         2x2 blocks couple them *)
+      if kind = "triangular T" then begin
+        let mu = 1e-6 in
+        check_small (kind ^ ": regularized solve matches the full one")
+          (rel_dist
+             (Ksolve.tri_solve_sym3_real ~mu ks ~sigma upper)
+             (Ksolve.tri_solve_shifted_real ~mu ks ~k:3 ~sigma full))
+          1e-12
+      end;
+      Alcotest.(check bool) (kind ^ ": unregularized solve raises Near_singular") true
+        (raises_near_singular (fun () -> Ksolve.tri_solve_sym3_real ks ~sigma upper)))
+    [
+      ("triangular T", Mat.diag (Vec.of_list [ -1.0; -2.0; -4.0 ]), -7.0);
+      ("T with blocks", rotated_pair (), -6.0);
+    ]
 
 let test_sym3_charge () =
   let n = 20 in
-  let ks = Ksolve.prepare (random_stable n) in
-  let full, upper = sym3_rhs n in
-  let sigma = { Complex.re = 0.3; im = 0.0 } in
-  let trisolve f =
-    let snap = Obs.Cost.snapshot () in
-    ignore (Sys.opaque_identity (f ()));
-    Option.value ~default:0
-      (List.assoc_opt Obs.Cost.Flops_trisolve (Obs.Cost.since snap))
-  in
-  let sym = trisolve (fun () -> Ksolve.tri_solve_sym3 ks ~sigma upper) in
-  let full = trisolve (fun () -> Ksolve.tri_solve_shifted ks ~k:3 ~sigma full) in
-  Alcotest.(check int) "documented formula"
-    ((2 * (n - 1) * n * (n + 1) * (n + 2)) + (11 * n * (n + 1) * (n + 2) / 6))
-    sym;
-  Alcotest.(check int) "full solve formula"
-    ((12 * n * n * n * (n - 1)) + (11 * n * n * n))
-    full;
-  Alcotest.(check bool) "at most a quarter of the full solve" true
-    (4 * sym <= full)
-
-(* ---------- real against complex solves ---------- *)
-
-(* On a real factorization the real kernels agree with the complex
-   kernels run on the complex view of the same factors: k = 1, 2, 3
-   and the symmetric ⊕³ solve, unregularized and at mu > 0, the mode
-   transforms, and the same poles raise Near_singular. *)
-let test_real_vs_complex_solves () =
-  let n = 6 in
-  let ks =
-    Ksolve.prepare (real_spectrum (Array.init n (fun i -> -0.5 -. (0.45 *. float_of_int i))))
-  in
-  Alcotest.(check bool) "triangular real T" true
-    (let _, t = Option.get (Schur.real_factors (Ksolve.schur ks)) in
-       List.for_all (fun i -> Contract.is_zero (Mat.get t (i + 1) i))
-         (List.init (Mat.rows t - 1) Fun.id));
-  let rel a b = Vec.dist2 a b /. Vec.norm2 b in
-  let cplx v = Cvec.of_real v and re (v : Cvec.t) = Cvec.real_part v in
   List.iter
-    (fun (sigma, mu) ->
-      let tag k = Printf.sprintf "k=%d sigma=%g mu=%g" k sigma mu in
-      let sc = { Complex.re = sigma; im = 0.0 } in
+    (fun (kind, a) ->
+      let ks = Ksolve.prepare a in
+      let full, upper = sym3_rhs n in
+      let trisolve f =
+        let snap = Obs.Cost.snapshot () in
+        ignore (Sys.opaque_identity (f ()));
+        Option.value ~default:0
+          (List.assoc_opt Obs.Cost.Flops_trisolve (Obs.Cost.since snap))
+      in
+      let sym = trisolve (fun () -> Ksolve.tri_solve_sym3_real ks ~sigma:0.3 upper) in
+      let full =
+        trisolve (fun () -> Ksolve.tri_solve_shifted_real ks ~k:3 ~sigma:0.3 full)
+      in
+      Alcotest.(check int) (kind ^ ": documented formula")
+        (((n - 1) * n * (n + 1) * (n + 2) / 2) + (5 * n * (n + 1) * (n + 2) / 6))
+        sym;
+      Alcotest.(check int) (kind ^ ": full solve formula")
+        ((3 * n * n * n * (n - 1)) + (5 * n * n * n))
+        full;
+      Alcotest.(check bool) (kind ^ ": at most a quarter of the full solve") true
+        (4 * sym <= full))
+    (t_kinds n)
+
+(* ---------- complex shifts on the real factors ---------- *)
+
+(* (sigma I - ⊕^k A)⁻¹ v by a dense complex LU: the oracle *)
+let dense_complex a ~k ~(sigma : Complex.t) (v : Cvec.t) =
+  let big = Cmat.of_real (Kron.sum_pow a k) in
+  Clu.solve_system (Cmat.add_diag (Cmat.scale { re = -1.0; im = 0.0 } big) sigma) v
+
+(* A complex shift runs on the real factors as a (re, im) tuple: the
+   solves at k = 1, 2, 3 on a triangular T and on a T with 2x2 blocks
+   against the dense complex operator, Near_singular on an eigenvalue
+   sum (the real kernels too), and at mu > 0 each 1x1 tuple's Tikhonov
+   solution conj(d) w / (|d|² + mu²). *)
+let test_complex_shift_vs_dense () =
+  let n = 5 in
+  List.iter
+    (fun (kind, a) ->
+      let ks = Ksolve.prepare a in
       List.iter
         (fun k ->
-          let w = Mat.random_vec ~rng (int_of_float (float_of_int n ** float_of_int k)) in
-          check_small (tag k ^ " tri_solve")
-            (rel
-               (Ksolve.tri_solve_shifted_real ~mu ks ~k ~sigma w)
-               (re (Ksolve.tri_solve_shifted ~mu ks ~k ~sigma:sc (cplx w))))
-            1e-12;
-          check_small (tag k ^ " from_schur")
-            (rel (from_schur_real ks ~k w) (re (Ksolve.from_schur ks ~k (cplx w))))
-            1e-12)
-        [ 1; 2; 3 ];
-      let upper = Vec.create (n * n * n) in
-      for i = 0 to n - 1 do
-        for j = i to n - 1 do
-          for l = j to n - 1 do
-            upper.((((i * n) + j) * n) + l) <- Random.State.float rng 1.0
-          done
-        done
-      done;
-      check_small (tag 3 ^ " sym3")
-        (rel
-           (Ksolve.tri_solve_sym3_real ~mu ks ~sigma upper)
-           (re (Ksolve.tri_solve_sym3 ~mu ks ~sigma:sc (cplx upper))))
-        1e-12)
-    [ (0.3, 0.0); (-1.1, 0.0); (0.3, 1e-3) ];
-  let b = Mat.random_vec ~rng n in
-  check_small "adjoint_vec"
-    (rel (Ksolve.adjoint_vec_real ks b) (re (Ksolve.adjoint_vec ks b)))
-    1e-12;
-  (* poles of diag(-1, -2, -4): -2 (k = 1), -3 (k = 2), -7 (k = 3) *)
-  let ks = Ksolve.prepare (Mat.diag (Vec.of_list [ -1.0; -2.0; -4.0 ])) in
-  let raises f = match f () with _ -> false | exception Ksolve.Near_singular _ -> true in
+          let len = int_of_float (float_of_int n ** float_of_int k) in
+          let v = Cvec.make ~re:(Mat.random_vec ~rng len) ~im:(Mat.random_vec ~rng len) in
+          List.iter
+            (fun (sigma : Complex.t) ->
+              let x_ref = dense_complex a ~k ~sigma v in
+              check_small
+                (Printf.sprintf "%s k=%d sigma=%g%+gi" kind k sigma.re sigma.im)
+                (Cvec.norm2 (Cvec.sub (Ksolve.solve_shifted ks ~k ~sigma v) x_ref)
+                /. Cvec.norm2 x_ref)
+                1e-12)
+            [
+              { Complex.re = 0.3; im = 1.7 };
+              { Complex.re = -1.2; im = -0.4 };
+              { Complex.re = 0.5; im = 0.0 };
+            ])
+        [ 1; 2; 3 ])
+    (t_kinds n);
+  (* poles: diag(-1, -2, -4) at -2 (k = 1), -3 (k = 2), -7 (k = 3);
+     the rotated pair -1 ± 2i, -4 at -1 + 2i, -5 - 2i, -6 + 4i *)
   List.iter
-    (fun (k, sigma) ->
-      let w = Vec.init (int_of_float (3.0 ** float_of_int k)) (fun i -> float_of_int (i + 1)) in
-      let sc = { Complex.re = sigma; im = 0.0 } in
-      let tag = Printf.sprintf "pole k=%d sigma=%g" k sigma in
-      Alcotest.(check bool) (tag ^ ": real raises") true
-        (raises (fun () -> Ksolve.tri_solve_shifted_real ks ~k ~sigma w));
-      Alcotest.(check bool) (tag ^ ": complex raises") true
-        (raises (fun () -> Ksolve.tri_solve_shifted ks ~k ~sigma:sc (cplx w)));
-      Alcotest.(check bool) (tag ^ ": solve_shifted_real raises") true
-        (raises (fun () -> Ksolve.solve_shifted_real ks ~k ~sigma w)))
-    [ (1, -2.0); (2, -3.0); (3, -7.0) ];
-  let w = Vec.init 27 (fun i -> float_of_int (i + 1)) in
+    (fun (kind, a, poles) ->
+      let ks = Ksolve.prepare a in
+      List.iter
+        (fun (k, (sigma : Complex.t)) ->
+          let w = Vec.init (int_of_float (3.0 ** float_of_int k)) (fun i -> float_of_int (i + 1)) in
+          let tag = Printf.sprintf "%s pole k=%d sigma=%g%+gi" kind k sigma.re sigma.im in
+          Alcotest.(check bool) (tag ^ ": complex raises") true
+            (raises_near_singular (fun () -> Ksolve.solve_shifted ks ~k ~sigma (Cvec.of_real w)));
+          if Contract.is_zero sigma.im then begin
+            Alcotest.(check bool) (tag ^ ": tri_solve_shifted_real raises") true
+              (raises_near_singular (fun () ->
+                   Ksolve.tri_solve_shifted_real ks ~k ~sigma:sigma.re w));
+            Alcotest.(check bool) (tag ^ ": solve_shifted_real raises") true
+              (raises_near_singular (fun () -> Ksolve.solve_shifted_real ks ~k ~sigma:sigma.re w))
+          end)
+        poles)
+    [
+      ( "triangular T",
+        Mat.diag (Vec.of_list [ -1.0; -2.0; -4.0 ]),
+        [ (1, { Complex.re = -2.0; im = 0.0 }); (2, { re = -3.0; im = 0.0 }); (3, { re = -7.0; im = 0.0 }) ] );
+      ( "T with blocks",
+        rotated_pair (),
+        [ (1, { Complex.re = -1.0; im = 2.0 }); (2, { re = -5.0; im = -2.0 }); (3, { re = -6.0; im = 4.0 }) ] );
+    ];
   Alcotest.(check bool) "pole sym3: real raises" true
-    (raises (fun () -> Ksolve.tri_solve_sym3_real ks ~sigma:(-7.0) w));
-  Alcotest.(check bool) "pole sym3: complex raises" true
-    (raises (fun () ->
-         Ksolve.tri_solve_sym3 ks ~sigma:{ Complex.re = -7.0; im = 0.0 } (cplx w)))
+    (raises_near_singular (fun () ->
+         Ksolve.tri_solve_sym3_real
+           (Ksolve.prepare (Mat.diag (Vec.of_list [ -1.0; -2.0; -4.0 ])))
+           ~sigma:(-7.0) (Vec.create 27)));
+  (* diag(-1, -2, -4) factors with U = I and T = A, so every tuple is
+     1x1: the Tikhonov inverse entry by entry, a pole included *)
+  let lam = [| -1.0; -2.0; -4.0 |] in
+  let ks = Ksolve.prepare (Mat.diag (Vec.of_array lam)) in
+  List.iter
+    (fun (k, (sigma : Complex.t)) ->
+      let len = int_of_float (3.0 ** float_of_int k) in
+      let v = Cvec.make ~re:(Mat.random_vec ~rng len) ~im:(Mat.random_vec ~rng len) in
+      let mu = 0.5 in
+      let x = Ksolve.solve_shifted ~mu ks ~k ~sigma v in
+      let expected =
+        Cvec.init len (fun idx ->
+            let d = ref sigma and r = ref idx in
+            for _ = 1 to k do
+              d := Complex.sub !d { re = lam.(!r mod 3); im = 0.0 };
+              r := !r / 3
+            done;
+            Complex.div
+              (Complex.mul (Complex.conj !d) (Cvec.get v idx))
+              { re = Complex.norm2 !d +. (mu *. mu); im = 0.0 })
+      in
+      check_small
+        (Printf.sprintf "Tikhonov 1x1 tuples k=%d sigma=%g%+gi" k sigma.re sigma.im)
+        (Cvec.norm2 (Cvec.sub x expected) /. Cvec.norm2 expected)
+        1e-14)
+    [ (1, { Complex.re = 0.3; im = 0.8 }); (2, { re = -3.0; im = 0.0 }); (3, { re = -6.5; im = -0.2 }) ]
 
 (* The real shifted solves against the dense operator and against the
-   complex kernels, on a real spectrum (triangular T, also at mu > 0)
-   and on complex pairs (2x2 blocks); the symmetric ⊕³
-   kernel through the Schur basis agrees with the k = 3 solve. *)
+   complex shift's tuple path at a zero imaginary part, on a real
+   spectrum (triangular T) and on complex pairs (2x2 blocks), also at
+   mu > 0; the symmetric ⊕³ kernel through the Schur basis agrees with
+   the k = 3 solve. *)
 let test_real_solve_residual () =
   let n = 5 in
   List.iter
@@ -757,9 +828,7 @@ let test_real_solve_residual () =
                    (Cvec.real_part xc)
                 /. Cvec.norm2 xc)
                 1e-12)
-            (* Tikhonov on a 2x2 block regularizes the block system, not
-               the complex form's scalar divisions: equal only at mu = 0 *)
-            (if name = "real" then [ 0.0; 0.05 ] else [ 0.0 ]))
+            [ 0.0; 0.05 ])
         [ 1; 2; 3 ];
       (* a symmetric rhs: sym³ of three real vectors *)
       let b = Array.init 3 (fun _ -> Mat.random_vec ~rng n) in
@@ -783,17 +852,10 @@ let test_real_solve_residual () =
       ("real", real_spectrum (Array.init n (fun i -> -0.8 -. (0.6 *. float_of_int i))));
       ("pairs", random_stable n);
     ];
-  (* blockdiag([-1 2; -2 -1], -4) rotated: poles -2 (k = 2, the pair's
-     real sum) and -6 (k = 3) *)
-  let c = cos 0.4 and s = sin 0.4 in
-  let r = Mat.of_list [ [ c; -.s; 0.0 ]; [ s; c; 0.0 ]; [ 0.0; 0.0; 1.0 ] ] in
-  let a =
-    Mat.mul r
-      (Mat.mul (Mat.of_list [ [ -1.0; 2.0; 0.3 ]; [ -2.0; -1.0; 0.1 ]; [ 0.0; 0.0; -4.0 ] ])
-         (Mat.transpose r))
-  in
-  let ks = Ksolve.prepare a in
-  let raises f = match f () with _ -> false | exception Ksolve.Near_singular _ -> true in
+  (* the rotated pair: poles -2 (k = 2, the pair's real sum) and -6
+     (k = 3) *)
+  let ks = Ksolve.prepare (rotated_pair ()) in
+  let raises = raises_near_singular in
   List.iter
     (fun (k, sigma) ->
       let v = Vec.init (int_of_float (3.0 ** float_of_int k)) (fun i -> float_of_int (i + 1)) in
@@ -817,6 +879,33 @@ let test_sylvester_pi () =
   let lhs = Mat.add (Mat.mul g1 pi) g2 in
   let rhs = Mat.mul pi (Kron.sum_pow g1 2) in
   check_small "paper eq.18 Sylvester" (Mat.norm_fro (Mat.sub lhs rhs)) 1e-7
+
+(* On a G1 with complex pairs (2x2 blocks of T, column tuples of up to
+   four columns) at n = 4: Π against the dense vectorized solve
+   (G1 ⊗ I ⊗ I − I ⊗ ⊕²G1ᵀ) vec Π = −vec G2 (row-major vec), and the
+   eq.-18 residual. *)
+let test_sylvester_pairs_vs_dense () =
+  let n = 4 in
+  let g1 = with_pairs n in
+  let ks = Ksolve.prepare g1 in
+  Alcotest.(check (list (pair int int))) "two 2x2 blocks" [ (0, 2); (2, 4) ]
+    (Array.to_list (Schur.blocks (Ksolve.schur ks)));
+  let g2 = Mat.random ~rng n (n * n) in
+  let pi = Sylvester.solve_pi_schur ~ks ~g2 in
+  let big =
+    Mat.sub
+      (Kron.mat g1 (Mat.identity (n * n)))
+      (Kron.mat (Mat.identity n) (Kron.sum_pow (Mat.transpose g1) 2))
+  in
+  let pi_ref = Lu.solve_system big (Vec.scale (-1.0) (Mat.data g2)) in
+  check_small "Π vs dense"
+    (Vec.dist2 (Mat.data pi) pi_ref /. Vec.norm2 pi_ref)
+    1e-12;
+  let lhs = Mat.add (Mat.mul g1 pi) g2 in
+  let rhs = Mat.mul pi (Kron.sum_pow g1 2) in
+  check_small "eq.18 residual"
+    (Mat.norm_fro (Mat.sub lhs rhs) /. Mat.norm_fro g2)
+    1e-12
 
 (* ---------- Sptensor ---------- *)
 
@@ -1079,7 +1168,7 @@ let suite =
         tc "eigenvalue sum = trace" `Quick test_schur_eigenvalues_sum_trace;
         tc "defective matrix" `Quick test_schur_defective;
         tc "real Schur form on real spectra" `Quick test_schur_real_form;
-        tc "complex pairs hand over to the complex QR" `Quick test_schur_handover;
+        tc "transposed factors factor Aᵀ" `Quick test_schur_transpose;
       ] );
     ( "la.ksolve",
       [
@@ -1094,12 +1183,13 @@ let suite =
           test_sym3_permutation_symmetric;
         tc "sym3 solve on an exact pole" `Quick test_sym3_pole;
         tc "sym3 solve cost charge" `Quick test_sym3_charge;
-        tc "real kernels = complex kernels" `Quick test_real_vs_complex_solves;
+        tc "complex shifts vs dense" `Quick test_complex_shift_vs_dense;
         tc "real shifted solves vs dense" `Quick test_real_solve_residual;
       ] );
     ( "la.sylvester",
       [
         tc "paper eq.18 Pi equation" `Quick test_sylvester_pi;
+        tc "eq.18 on complex pairs vs dense" `Quick test_sylvester_pairs_vs_dense;
       ] );
     ( "la.sptensor",
       [

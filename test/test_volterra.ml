@@ -372,7 +372,7 @@ let block_system rng =
     ()
 
 let real_t eng =
-  snd (Option.get (Schur.real_factors (Ksolve.schur (Volterra.Assoc.ksolve eng))))
+  snd (Schur.real_factors (Ksolve.schur (Volterra.Assoc.ksolve eng)))
 
 (* The series run in real arithmetic: on a real-spectrum G1 (triangular
    real Schur factor) their H2/H3 moments match the Taylor coefficients
